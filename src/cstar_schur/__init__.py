@@ -27,13 +27,11 @@ from .amatrix import (
     element_scale,
     flatten,
     identity_matrix,
-    loewner_geq,
     mat_norm,
     ones_matrix,
     outer_product,
     positive_sqrt,
     psd_check,
-    psd_check_batch,
     row_sums,
     schur_power,
     schur_product,
@@ -70,7 +68,6 @@ from .module_an import (
 )
 from .verify import (
     CheckReport,
-    SpectralDecomposition,
     SUITES,
     check_commuting_spectral_instance,
     check_diag_bound,
@@ -87,7 +84,6 @@ from .verify import (
     jordan_witness,
     novak_check,
     pauli_pair,
-    pointwise_spectral_diag,
     run_suite,
     run_suites,
 )

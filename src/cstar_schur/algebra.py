@@ -211,6 +211,19 @@ class SpectrumReport:
         }
 
 
+def _min_eigenvalues(mats) -> list[float]:
+    """The smallest eigenvalue of the Hermitian part of each matrix."""
+    mins = []
+    for b, mat in enumerate(mats):
+        sym = (mat + mat.conj().T) / 2.0
+        try:
+            eigs = np.linalg.eigvalsh(sym)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigensolver failed on block {b}", block=b) from exc
+        mins.append(float(eigs[0]))
+    return mins
+
+
 def hermitian_defect(a: Element) -> float:
     """||a - a*|| in the algebra norm."""
     return max(_spectral_norm(b - b.conj().T) for b in a.blocks)
@@ -228,15 +241,7 @@ def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     norm = a.norm()
     cut = tol * max(1.0, norm)
     defect = hermitian_defect(a)
-    mins = []
-    for b, blk in enumerate(a.blocks):
-        sym = (blk + blk.conj().T) / 2.0
-        try:
-            eigs = np.linalg.eigvalsh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed on block {b}", block=b) from exc
-        mins.append(float(eigs[0]))
-    min_spectrum = min(mins)
+    min_spectrum = min(_min_eigenvalues(a.blocks))
     selfadjoint = defect <= cut
     positive = selfadjoint and min_spectrum >= -cut
     return SpectrumReport(selfadjoint, positive, min_spectrum, defect)
@@ -256,17 +261,20 @@ def sqrt_positive(a: Element, tol: float = DEFAULT_TOL) -> Element:
             min_spectrum=report.min_spectrum,
             hermitian_defect=report.hermitian_defect,
         )
-    roots = []
-    for b, blk in enumerate(a.blocks):
-        sym = (blk + blk.conj().T) / 2.0
-        try:
-            w, v = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed on block {b}", block=b) from exc
-        w = np.where(w < 0.0, 0.0, w)
-        root = (v * np.sqrt(w)) @ v.conj().T
-        roots.append((root + root.conj().T) / 2.0)
+    roots = [_psd_sqrt(blk, b) for b, blk in enumerate(a.blocks)]
     return Element._wrap(a.shape, tuple(roots))
+
+
+def _psd_sqrt(mat: np.ndarray, block: int) -> np.ndarray:
+    """Square root of the Hermitian part of ``mat``; negative eigenvalues clamp to zero."""
+    sym = (mat + mat.conj().T) / 2.0
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed on block {block}", block=block) from exc
+    w = np.where(w < 0.0, 0.0, w)
+    root = (v * np.sqrt(w)) @ v.conj().T
+    return (root + root.conj().T) / 2.0
 
 
 def commutator_norm(a: Element, b: Element) -> float:

@@ -23,16 +23,14 @@ commutative. It is bilinear and commutative but non-associative in general.
 from __future__ import annotations
 
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _lock, _spectral_norm
-from .errors import DomainError, NumericalError, StructureError
+from .algebra import DEFAULT_TOL, AlgebraShape, Element, _lock, _spectral_norm
+from .algebra import _min_eigenvalues, _psd_sqrt
+from .errors import DomainError, StructureError
 from .module_an import AVector
-
-DEFAULT_TOL = 1e-9
 
 
 class AMatrix:
@@ -269,22 +267,15 @@ def schur_product(A: AMatrix, B: AMatrix) -> AMatrix:
     return AMatrix._wrap(A.shape, A.n, tuple(out))
 
 
-def schur_power(M: AMatrix, p: int, nesting: str = "left") -> AMatrix:
-    """The p-fold Schur product of M with itself; p = 0 gives the identity.
-
-    ``nesting`` selects the association order of the fold. Because the
-    Schur product is commutative the two orders agree for powers of a single
-    matrix; the switch exists for sensitivity experiments.
-    """
+def schur_power(M: AMatrix, p: int) -> AMatrix:
+    """The p-fold Schur product of M with itself, nested left; p = 0 gives the identity."""
     if p < 0:
         raise DomainError("Schur powers need p >= 0", p=p)
-    if nesting not in ("left", "right"):
-        raise DomainError(f"unknown nesting {nesting!r}")
     if p == 0:
         return identity_matrix(M.shape, M.n)
     acc = M
     for _ in range(p - 1):
-        acc = schur_product(acc, M) if nesting == "left" else schur_product(M, acc)
+        acc = schur_product(acc, M)
     return acc
 
 
@@ -390,6 +381,16 @@ class PsdReport:
         )
 
 
+def _psd_prelude(M: AMatrix, tol: float):
+    """What both positivity oracles start from: flattened blocks, scale, defect, cut."""
+    if tol <= 0:
+        raise DomainError("tolerance must be positive", tol=tol)
+    flats = flatten(M)
+    scale = max(_spectral_norm(f) for f in flats)
+    defect = max(_spectral_norm(f - f.conj().T) for f in flats)
+    return flats, scale, defect, tol * max(1.0, scale)
+
+
 def psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     """Certify positivity via Hermitian eigendecomposition of each flattened block.
 
@@ -397,38 +398,12 @@ def psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     smallest eigenvalue of every symmetrized flattened block stays above
     -tol * max(1, scale).
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive", tol=tol)
-    flats = flatten(M)
-    scale = max(_spectral_norm(f) for f in flats)
-    defect = max(_spectral_norm(f - f.conj().T) for f in flats)
-    cut = tol * max(1.0, scale)
+    flats, scale, defect, cut = _psd_prelude(M, tol)
     if defect > cut:
         return PsdReport(False, defect, (), tol, scale)
-    mins = []
-    for b, f in enumerate(flats):
-        sym = (f + f.conj().T) / 2.0
-        try:
-            eigs = np.linalg.eigvalsh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed on block {b}", block=b) from exc
-        mins.append(float(eigs[0]))
+    mins = _min_eigenvalues(flats)
     positive = min(mins) >= -cut
     return PsdReport(positive, defect, tuple(mins), tol, scale)
-
-
-def psd_check_batch(
-    mats, tol: float = DEFAULT_TOL, threads: int = 1
-) -> list[PsdReport]:
-    """Evaluate ``psd_check`` over many matrices, optionally in a thread pool.
-
-    Results are returned in input order regardless of thread count.
-    """
-    mats = list(mats)
-    if threads > 1 and len(mats) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda m: psd_check(m, tol), mats))
-    return [psd_check(m, tol) for m in mats]
 
 
 def _pivoted_cholesky_psd(sym: np.ndarray, cut: float) -> bool:
@@ -467,24 +442,13 @@ def cholesky_psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     must agree away from the tolerance boundary; ``min_eigenvalue_per_block``
     is not populated here.
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive", tol=tol)
-    flats = flatten(M)
-    scale = max(_spectral_norm(f) for f in flats)
-    defect = max(_spectral_norm(f - f.conj().T) for f in flats)
-    cut = tol * max(1.0, scale)
+    flats, scale, defect, cut = _psd_prelude(M, tol)
     if defect > cut:
         return PsdReport(False, defect, (), tol, scale)
     verdict = all(
         _pivoted_cholesky_psd((f + f.conj().T) / 2.0, cut) for f in flats
     )
     return PsdReport(verdict, defect, (), tol, scale)
-
-
-def loewner_geq(M: AMatrix, N: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
-    """Certify M - N >= 0. Checks the difference only; callers that need the
-    full Loewner order also certify the sides separately."""
-    return psd_check(M - N, tol)
 
 
 def positive_sqrt(M: AMatrix, tol: float = DEFAULT_TOL) -> AMatrix:
@@ -497,18 +461,10 @@ def positive_sqrt(M: AMatrix, tol: float = DEFAULT_TOL) -> AMatrix:
     if not report.is_positive:
         raise DomainError("matrix is not positive", report=report)
     n = M.n
-    out = []
-    for b, (k, blk) in enumerate(zip(M.shape.blocks, M.blocks)):
-        f = _flatten_block(blk, n, k)
-        sym = (f + f.conj().T) / 2.0
-        try:
-            w, v = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed on block {b}", block=b) from exc
-        w = np.where(w < 0.0, 0.0, w)
-        root = (v * np.sqrt(w)) @ v.conj().T
-        root = (root + root.conj().T) / 2.0
-        out.append(_unflatten_block(root, n, k).copy())
+    out = [
+        _unflatten_block(_psd_sqrt(_flatten_block(blk, n, k), b), n, k).copy()
+        for b, (k, blk) in enumerate(zip(M.shape.blocks, M.blocks))
+    ]
     return AMatrix._wrap(M.shape, n, tuple(out))
 
 

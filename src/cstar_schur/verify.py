@@ -1,4 +1,4 @@
-"""Verification checks, randomized searches, and suite drivers.
+"""Verification checks, randomized searches, and the check table behind the suites.
 
 Every check produces a ``CheckReport`` whose ``worst_margin`` is a relative
 quantity: eigenvalue checks report min-eigenvalue / max(1, scale), residual
@@ -16,25 +16,55 @@ Two kinds of checks appear:
   (Schur-product positivity violations, non-associativity witnesses,
   breakdown of the cosine addition formula). A search that is expected to
   find a hit reports failures = 0 when it does.
+
+The suites are one table, ``CHECKS``: ``run_suite(name, ...)`` reports the
+entries of suite ``name`` in table order. A ``Check`` entry holds
+
+* ``check_id``, ``suite``, and ``applies(cfg, opts)`` with ``skip``, the
+  reason reported when it is false (without one the check is left out);
+* the config its trials derive from: the substream named ``key`` (default:
+  the check id), restyled to ``style`` (recorded in the details), with
+  ``fallback`` fields replaced over commutative shapes (the hit searches move
+  to the shape ``(2,)``);
+* ``trial(sub, t, opts)``, which draws instance t from its substream ``sub``
+  and returns ``(margin, witness)``, or ``(margin, witness, counts)`` with
+  counts summed into the details;
+* ``tol`` (fixed instead of the run's), ``details``, ``clamp`` (a trial with
+  a witness counts at most -2 tol) and ``run``, which replaces the margin
+  aggregation (the two hit searches, explicit Novak points).
+
+To add a check, write its evaluator, a public ``check_*`` function that
+validates its inputs and calls it, a trial that draws an instance and calls
+one of the two, and an entry where its report belongs in the suite order.
+
+Two loops serve everything. Each check has one evaluator of one instance;
+its public ``check_*`` function validates the inputs and calls it. The
+trials of Schur positivity, the row-sum bound and the complex diagonal probe
+call the evaluator without the validation and its extra eigensolves; the
+other trials call the ``check_*`` function, validation included.
+``_run_trials`` is the one trial loop: sequential, on a thread pool, or up to
+the first witness. The margin checks, ``counterexample_search``,
+``find_nonassociativity`` and ``find_trig_breakdown`` all run on it.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import (
+    DEFAULT_TOL,
     AlgebraShape,
     Element,
     classify,
     commutator_norm,
     identity_element,
     zero_element,
-    _spectral_norm,
 )
 from .amatrix import (
     AMatrix,
@@ -42,7 +72,6 @@ from .amatrix import (
     cholesky_psd_check,
     diag_matrix,
     diag_vector,
-    flatten,
     identity_matrix,
     mat_norm,
     ones_matrix,
@@ -51,7 +80,6 @@ from .amatrix import (
     row_sums,
     schur_product,
     schur_quadratic_form_oracle,
-    zero_matrix,
 )
 from .calculus import SeriesSpec, elem_cos, elem_sin, schur_series_apply
 from .errors import DomainError, StructureError
@@ -68,9 +96,7 @@ from .generate import (
     random_unit_diagonal_positive,
     random_vector,
 )
-from .module_an import AVector, inner_product, left_mul, ones_vector
-
-DEFAULT_TOL = 1e-9
+from .module_an import AVector, cauchy_schwarz_gap, inner_product, left_mul
 
 # searches only count violations well clear of verification noise
 VIOLATION_THRESHOLD = 1e-6
@@ -129,14 +155,6 @@ class CheckReport:
         return data
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """M = U diag(d) U* with U unitary in M_n(A)."""
-
-    unitary: AMatrix
-    diagonal: AVector
-
-
 def _report(check_id, trials, failures, worst, tol, witness, details, t0) -> CheckReport:
     return CheckReport(
         check_id=check_id,
@@ -150,8 +168,25 @@ def _report(check_id, trials, failures, worst, tol, witness, details, t0) -> Che
     )
 
 
+def _single(check_id, margin, tol, witness, details, t0) -> CheckReport:
+    """The report on one instance, which fails exactly when it has a witness."""
+    failures = 0 if witness is None else 1
+    return _report(check_id, 1, failures, margin, tol, witness, details, t0)
+
+
 def _matrix_payload(**mats) -> dict:
     return {name: m.to_json() for name, m in mats.items()}
+
+
+def _psd_witness(rep: PsdReport, **mats) -> dict | None:
+    """The matrices and certificate of a failed positivity verdict, else None."""
+    if rep.is_positive:
+        return None
+    return {**_matrix_payload(**mats), "psd": rep.to_json()}
+
+
+def _seeded(witness: dict | None, seed: int) -> dict | None:
+    return None if witness is None else {"seed": seed, **witness}
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +201,23 @@ def _require_positive(M: AMatrix, tol: float, label: str) -> PsdReport:
     return rep
 
 
+def _schur_positivity(
+    M: AMatrix, N: AMatrix, tol: float, cut: float | None = None
+) -> tuple[PsdReport, dict | None]:
+    """Evaluator of Schur positivity: the report on M o N and its witness.
+
+    The witness is built when M o N is not positive or, given ``cut``, when
+    its margin falls below -cut.
+    """
+    product = schur_product(M, N)
+    rep = psd_check(product, tol)
+    violated = not rep.is_positive if cut is None else rep.margin < -cut
+    witness = None
+    if violated:
+        witness = {**_matrix_payload(m=M, n=N, product=product), "psd": rep.to_json()}
+    return rep, witness
+
+
 def check_schur_positivity(
     M: AMatrix, N: AMatrix, tol: float = DEFAULT_TOL
 ) -> CheckReport:
@@ -178,25 +230,20 @@ def check_schur_positivity(
     t0 = time.perf_counter()
     _require_positive(M, tol, "M")
     _require_positive(N, tol, "N")
-    product = schur_product(M, N)
-    rep = psd_check(product, tol)
-    witness = None
-    if not rep.is_positive:
-        witness = {
-            **_matrix_payload(m=M, n=N, product=product),
-            "psd": rep.to_json(),
-            "min_eigenvalue": rep.min_eigenvalue,
-        }
-    return _report(
-        "schur_product_positive",
-        1,
-        0 if rep.is_positive else 1,
-        rep.margin,
-        tol,
-        witness,
-        {"commutative": M.shape.is_commutative},
-        t0,
-    )
+    rep, witness = _schur_positivity(M, N, tol)
+    if witness is not None:
+        witness["min_eigenvalue"] = rep.min_eigenvalue
+    details = {"commutative": M.shape.is_commutative}
+    return _single("schur_product_positive", rep.margin, tol, witness, details, t0)
+
+
+def _row_sum_bound(A: AMatrix, tol: float) -> tuple[PsdReport, dict | None, bool]:
+    """Evaluator of the row-sum bound: its report, witness, and whether A is positive."""
+    M = A @ A.adjoint()
+    bound = M - (1.0 / A.n) * outer_product(row_sums(A))
+    rep = psd_check(bound, tol)
+    input_positive = psd_check(A, tol).is_positive
+    return rep, _psd_witness(rep, a=A), input_positive
 
 
 def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -206,25 +253,9 @@ def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     recorded but not required (the bound never uses it).
     """
     t0 = time.perf_counter()
-    n = A.n
-    M = A @ A.adjoint()
-    y = row_sums(A)
-    bound = M - (1.0 / n) * outer_product(y)
-    rep = psd_check(bound, tol)
-    input_rep = psd_check(A, tol)
-    witness = None
-    if not rep.is_positive:
-        witness = {**_matrix_payload(a=A), "psd": rep.to_json()}
-    return _report(
-        "gram_row_sum_bound",
-        1,
-        0 if rep.is_positive else 1,
-        rep.margin,
-        tol,
-        witness,
-        {"input_positive": input_rep.is_positive},
-        t0,
-    )
+    rep, witness, input_positive = _row_sum_bound(A, tol)
+    details = {"input_positive": input_positive}
+    return _single("gram_row_sum_bound", rep.margin, tol, witness, details, t0)
 
 
 def check_schur_chain(
@@ -255,16 +286,20 @@ def check_schur_chain(
         "gram": psd_check(gram, tol),
     }
     margin = min(r.margin for r in reports.values())
-    ok = all(r.is_positive for r in reports.values())
     witness = None
-    if not ok:
+    if not all(r.is_positive for r in reports.values()):
         witness = {
             **_matrix_payload(a=A, b=B),
             "psd": {k: r.to_json() for k, r in reports.items()},
         }
-    return _report(
-        "schur_chain_bound", 1, 0 if ok else 1, margin, tol, witness, {}, t0
-    )
+    return _single("schur_chain_bound", margin, tol, witness, {}, t0)
+
+
+def _diag_bound(M: AMatrix, tol: float) -> tuple[PsdReport, dict | None]:
+    """Evaluator of the diagonal bound: the report on M o M - (1/n) d d*."""
+    d = diag_vector(M)
+    rep = psd_check(schur_product(M, M) - (1.0 / M.n) * outer_product(d), tol)
+    return rep, _psd_witness(rep, m=M)
 
 
 def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -278,15 +313,17 @@ def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     if not M.shape.is_commutative:
         raise DomainError("the diagonal bound needs a commutative algebra")
     _require_positive(M, tol, "M")
-    d = diag_vector(M)
-    bound = schur_product(M, M) - (1.0 / M.n) * outer_product(d)
-    rep = psd_check(bound, tol)
-    witness = None
-    if not rep.is_positive:
-        witness = {**_matrix_payload(m=M), "psd": rep.to_json()}
-    return _report(
-        "diag_outer_bound", 1, 0 if rep.is_positive else 1, rep.margin, tol, witness, {}, t0
-    )
+    rep, witness = _diag_bound(M, tol)
+    return _single("diag_outer_bound", rep.margin, tol, witness, {}, t0)
+
+
+def _unit_diagonal_bound(M: AMatrix, tol: float) -> tuple[float, AMatrix, PsdReport]:
+    """Evaluator of the unit-diagonal bound: the largest deviation of a diagonal
+    entry from the unit, B = M o M - (1/n) E_n, and the report on B."""
+    unit = identity_element(M.shape)
+    diag_residual = max((M.entry(j, j) - unit).norm() for j in range(M.n))
+    bound = schur_product(M, M) - (1.0 / M.n) * ones_matrix(M.shape, M.n)
+    return diag_residual, bound, psd_check(bound, tol)
 
 
 def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -295,33 +332,19 @@ def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckRepo
     if not M.shape.is_commutative:
         raise DomainError("the unit-diagonal bound needs a commutative algebra")
     _require_positive(M, tol, "M")
-    unit = identity_element(M.shape)
-    diag_residual = max(
-        (M.entry(j, j) - unit).norm() for j in range(M.n)
-    )
+    diag_residual, _, rep = _unit_diagonal_bound(M, tol)
     if diag_residual > UNIT_DIAG_TOL:
         raise DomainError(
             "diagonal entries deviate from the unit", residual=diag_residual
         )
-    bound = schur_product(M, M) - (1.0 / M.n) * ones_matrix(M.shape, M.n)
-    rep = psd_check(bound, tol)
-    witness = None
-    if not rep.is_positive:
-        witness = {**_matrix_payload(m=M), "psd": rep.to_json()}
-    return _report(
-        "unit_diagonal_bound",
-        1,
-        0 if rep.is_positive else 1,
-        rep.margin,
-        tol,
-        witness,
-        {"diag_residual": diag_residual},
-        t0,
-    )
+    witness = _psd_witness(rep, m=M)
+    details = {"diag_residual": diag_residual}
+    return _single("unit_diagonal_bound", rep.margin, tol, witness, details, t0)
 
 
-def _require_commuting_selfadjoint(elems: list[Element], tol_comm: float) -> float:
-    worst = 0.0
+def _require_commuting_selfadjoint(elems: list[Element]) -> None:
+    # commutative shapes commute exactly, so only self-adjointness is checked there
+    tol_comm = 1.0 if elems[0].shape.is_commutative else COMMUTING_TOL
     for idx, e in enumerate(elems):
         rep = classify(e)
         if not rep.is_selfadjoint:
@@ -334,12 +357,20 @@ def _require_commuting_selfadjoint(elems: list[Element], tol_comm: float) -> flo
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             c = commutator_norm(elems[i], elems[j])
-            worst = max(worst, c)
             if c > tol_comm * scale:
                 raise DomainError(
                     "elements do not commute", pair=(i, j), commutator=c
                 )
-    return worst
+
+
+def _cosine_matrix(z: list[Element]) -> AMatrix:
+    """[cos(z_j - z_k)], filled from the upper triangle because cos is even."""
+    n = len(z)
+    entries = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for k in range(j, n):
+            entries[j][k] = entries[k][j] = elem_cos(z[j] - z[k])
+    return AMatrix.from_entries(entries)
 
 
 def cosine_gram_check(
@@ -356,22 +387,12 @@ def cosine_gram_check(
     if not z:
         raise StructureError("need at least one point")
     shape = z[0].shape
-    if not shape.is_commutative:
-        _require_commuting_selfadjoint(z, COMMUTING_TOL)
-    else:
-        _require_commuting_selfadjoint(z, 1.0)  # self-adjointness only
+    _require_commuting_selfadjoint(z)
     n = len(z)
     cos_z = [elem_cos(p) for p in z]
     sin_z = [elem_sin(p) for p in z]
-    entries = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            c = elem_cos(z[j] - z[k])
-            entries[j][k] = c
-            entries[k][j] = c  # cos is even
-    A = AMatrix.from_entries(entries)
+    A = _cosine_matrix(z)
     rep = psd_check(A, tol)
-    margins = [rep.margin]
 
     # probe vectors: the all-units vector plus functions of the z_j, which
     # stay inside the commutative subalgebra the z generate
@@ -397,27 +418,18 @@ def cosine_gram_check(
         gram = s_c * s_c.adjoint() + s_s * s_s.adjoint()
         residual = (q - gram).norm() / max(1.0, q.norm())
         worst_residual = max(worst_residual, residual)
-    margins.append(-worst_residual * (tol / ORACLE_TOL))
     # the residual margin is rescaled so a single pass criterion
     # (margin >= -tol) enforces residual <= 1e-10
-    ok = rep.is_positive and worst_residual <= ORACLE_TOL
+    margin = min(rep.margin, -worst_residual * (tol / ORACLE_TOL))
     witness = None
-    if not ok:
+    if not (rep.is_positive and worst_residual <= ORACLE_TOL):
         witness = {
             "points": [p.to_json() for p in z],
             "psd": rep.to_json(),
             "gram_residual": worst_residual,
         }
-    return _report(
-        "cosine_gram",
-        1,
-        0 if ok else 1,
-        min(margins),
-        tol,
-        witness,
-        {"gram_residual": worst_residual},
-        t0,
-    )
+    details = {"gram_residual": worst_residual}
+    return _single("cosine_gram", margin, tol, witness, details, t0)
 
 
 def novak_check(
@@ -444,36 +456,18 @@ def novak_check(
     if any(len(r) != d for r in rows):
         raise StructureError("point rows have unequal length")
     shape = rows[0][0].shape
-    flat = [p for r in rows for p in r]
-    if shape.is_commutative:
-        _require_commuting_selfadjoint(flat, 1.0)
-    else:
-        _require_commuting_selfadjoint(flat, COMMUTING_TOL)
+    _require_commuting_selfadjoint([p for r in rows for p in r])
 
-    margins = []
     step_margins = []
     M = None
     for l in range(d):
-        half = [0.5 * rows[j][l] for j in range(n)]
-        entries = [[None] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                c = elem_cos(half[j] - half[k])
-                entries[j][k] = c
-                entries[k][j] = c
-        M_l = AMatrix.from_entries(entries)
-        rep_l = psd_check(M_l, tol)
-        step_margins.append(rep_l.margin)
-        margins.append(rep_l.margin)
+        M_l = _cosine_matrix([0.5 * rows[j][l] for j in range(n)])
+        step_margins.append(psd_check(M_l, tol).margin)
         M = M_l if M is None else schur_product(M, M_l)
 
     rep_m = psd_check(M, tol)
-    margins.append(rep_m.margin)
-    unit = identity_element(shape)
-    diag_residual = max((M.entry(j, j) - unit).norm() for j in range(n))
-    novak = schur_product(M, M) - (1.0 / n) * ones_matrix(shape, n)
-    rep_final = psd_check(novak, tol)
-    margins.append(rep_final.margin)
+    diag_residual, novak, rep_final = _unit_diagonal_bound(M, tol)
+    margin = min([*step_margins, rep_m.margin, rep_final.margin])
 
     ok = (
         all(m >= -tol for m in step_margins)
@@ -488,23 +482,14 @@ def novak_check(
             "psd_final": rep_final.to_json(),
             "diag_residual": diag_residual,
         }
-    report = _report(
-        "novak_conjecture",
-        1,
-        0 if ok else 1,
-        min(margins),
-        tol,
-        witness,
-        {
-            "n": n,
-            "d": d,
-            "cosine_step_margins": step_margins,
-            "diag_residual": diag_residual,
-            "min_eigenvalue": rep_final.min_eigenvalue,
-        },
-        t0,
-    )
-    return novak, report
+    details = {
+        "n": n,
+        "d": d,
+        "cosine_step_margins": step_margins,
+        "diag_residual": diag_residual,
+        "min_eigenvalue": rep_final.min_eigenvalue,
+    }
+    return novak, _single("novak_conjecture", margin, tol, witness, details, t0)
 
 
 def check_trig_identities(
@@ -570,18 +555,12 @@ def check_trig_identities(
             details,
             t0,
         )
-    applicable = residuals if commuting else {
-        k: v for k, v in residuals.items() if "addition" not in k
-    }
-    worst = max(applicable.values())
-    margin = -worst / scale
-    ok = margin >= -tol
+    # addition residuals are only present here for commuting pairs
+    margin = -max(residuals.values()) / scale
     witness = None
-    if not ok:
+    if not margin >= -tol:
         witness = {"x": x.to_json(), "y": y.to_json(), "residuals": residuals}
-    return _report(
-        "trig_identities", 1, 0 if ok else 1, margin, tol, witness, details, t0
-    )
+    return _single("trig_identities", margin, tol, witness, details, t0)
 
 
 def check_preserver(
@@ -619,60 +598,10 @@ def check_preserver(
             "is_positive": rep_ones.is_positive,
             "margin": rep_ones.margin,
         }
-    witness = None
-    if not rep.is_positive:
-        witness = {
-            **_matrix_payload(m=M),
-            "series": series.to_json(),
-            "psd": rep.to_json(),
-        }
-    return _report(
-        "schur_series_preserver",
-        1,
-        0 if rep.is_positive else 1,
-        rep.margin,
-        tol,
-        witness,
-        details,
-        t0,
-    )
-
-
-def pointwise_spectral_diag(
-    M: AMatrix, tol: float = DEFAULT_TOL
-) -> SpectralDecomposition:
-    """Diagonalize a normal matrix over a commutative algebra: M = U D U*.
-
-    Works per block through a complex Schur decomposition (diagonal for
-    normal inputs); eigenvalues are sorted descending by real part, then by
-    imaginary part, so the result is deterministic.
-    """
-    if not M.shape.is_commutative:
-        raise DomainError(
-            "spectral diagonalization is implemented for commutative shapes only"
-        )
-    flats = flatten(M)
-    scale = max(_spectral_norm(f) for f in flats)
-    cut = tol * max(1.0, scale * scale)
-    u_blocks = []
-    d_blocks = []
-    n = M.n
-    for b, f in enumerate(flats):
-        defect = _spectral_norm(f @ f.conj().T - f.conj().T @ f)
-        if defect > cut:
-            raise DomainError(
-                "matrix is not normal", block=b, normality_defect=defect
-            )
-        t_mat, z = scipy.linalg.schur(f, output="complex")
-        eigs = np.diagonal(t_mat).copy()
-        order = np.lexsort((-eigs.imag, -eigs.real))
-        eigs = eigs[order]
-        z = z[:, order]
-        u_blocks.append(z.reshape(n, n, 1, 1).copy())
-        d_blocks.append(eigs.reshape(n, 1, 1).copy())
-    unitary = AMatrix._wrap(M.shape, n, tuple(u_blocks))
-    diagonal = AVector._wrap(M.shape, n, tuple(d_blocks))
-    return SpectralDecomposition(unitary, diagonal)
+    witness = _psd_witness(rep, m=M)
+    if witness is not None:
+        witness["series"] = series.to_json()
+    return _single("schur_series_preserver", rep.margin, tol, witness, details, t0)
 
 
 def check_commuting_spectral_instance(
@@ -717,30 +646,62 @@ def check_commuting_spectral_instance(
         and recon_residual <= RECONSTRUCTION_TOL
         and comm <= FAMILY_COMMUTING_TOL * max(1.0, mat_norm(M), mat_norm(N))
     )
-    ok = hypothesis_ok and all(r.is_positive for r in reports.values())
+    residuals = {
+        "unitary_residual": unitary_residual,
+        "reconstruction_residual": recon_residual,
+    }
     witness = None
-    if not ok:
+    if not (hypothesis_ok and all(r.is_positive for r in reports.values())):
         witness = {
             **_matrix_payload(m=M, n=N),
             "psd": {k: r.to_json() for k, r in reports.items()},
-            "unitary_residual": unitary_residual,
-            "reconstruction_residual": recon_residual,
+            **residuals,
             "commutator": comm,
         }
-    return _report(
-        "commuting_spectral_schur",
-        1,
-        0 if ok else 1,
-        margin,
-        tol,
-        witness,
-        {
-            "unitary_residual": unitary_residual,
-            "reconstruction_residual": recon_residual,
-            "max_commutator": comm,
-        },
-        t0,
-    )
+    details = {**residuals, "max_commutator": comm}
+    return _single("commuting_spectral_schur", margin, tol, witness, details, t0)
+
+
+# ---------------------------------------------------------------------------
+# the trial loop
+# ---------------------------------------------------------------------------
+
+
+def _run_trials(trial, count: int, threads: int = 1, stop_at_hit: bool = False) -> list:
+    """Run trial(0) .. trial(count - 1) and return their outcomes in order.
+
+    An outcome is ``(margin, witness, *extras)``; each witness gets the key
+    ``trial``. With ``stop_at_hit`` the trials run sequentially and stop
+    after the first one with a witness; otherwise they run on ``threads``
+    worker threads, which changes nothing in the outcomes.
+    """
+    if threads < 1:
+        raise StructureError(f"threads must be >= 1, got {threads}")
+
+    def tagged(t: int):
+        margin, witness, *extras = trial(t)
+        if witness is not None:
+            witness = {**witness, "trial": t}
+        return (margin, witness, *extras)
+
+    if stop_at_hit:
+        outcomes = []
+        for t in range(count):
+            outcomes.append(tagged(t))
+            if outcomes[-1][1] is not None:
+                break
+        return outcomes
+    if threads > 1 and count > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(tagged, range(count)))
+    return [tagged(t) for t in range(count)]
+
+
+def _worst(margins: list[float]) -> float:
+    """The smallest margin; NaN if any margin is NaN, whatever its position."""
+    if any(math.isnan(m) for m in margins):
+        return math.nan
+    return min(margins, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -748,24 +709,23 @@ def check_commuting_spectral_instance(
 # ---------------------------------------------------------------------------
 
 
+def _first_big_block(shape: AlgebraShape) -> int:
+    b = next((i for i, k in enumerate(shape.blocks) if k >= 2), None)
+    if b is None:
+        raise DomainError("the witness needs a block of size >= 2")
+    return b
+
+
 def jordan_witness(shape: AlgebraShape, n: int = 1) -> tuple[AMatrix, AMatrix]:
     """The deterministic positivity violation: diagonal embeddings of
     M = diag(1, 0.01) and N = all-units, whose symmetrized product has an
     eigenvalue near -0.202."""
-    block_idx = next((i for i, k in enumerate(shape.blocks) if k >= 2), None)
-    if block_idx is None:
-        raise DomainError("the witness needs a block of size >= 2")
-    m_blocks = []
-    n_blocks = []
-    for i, k in enumerate(shape.blocks):
-        m_blk = np.eye(k, dtype=np.complex128)
-        n_blk = np.eye(k, dtype=np.complex128)
-        if i == block_idx:
-            m_blk[1, 1] = 0.01
-            n_blk = np.zeros((k, k), dtype=np.complex128)
-            n_blk[:2, :2] = 1.0
-        m_blocks.append(m_blk)
-        n_blocks.append(n_blk)
+    b = _first_big_block(shape)
+    m_blocks = [np.eye(k, dtype=np.complex128) for k in shape.blocks]
+    n_blocks = [np.eye(k, dtype=np.complex128) for k in shape.blocks]
+    m_blocks[b][1, 1] = 0.01
+    n_blocks[b] = np.zeros((shape.blocks[b],) * 2, dtype=np.complex128)
+    n_blocks[b][:2, :2] = 1.0
     m_elem = Element._wrap(shape, tuple(m_blocks))
     n_elem = Element._wrap(shape, tuple(n_blocks))
     unit = identity_element(shape)
@@ -775,6 +735,12 @@ def jordan_witness(shape: AlgebraShape, n: int = 1) -> tuple[AMatrix, AMatrix]:
         diag_matrix(AVector.from_elements(m_entries)),
         diag_matrix(AVector.from_elements(n_entries)),
     )
+
+
+def _positive_pair(sub: GenConfig) -> tuple[AMatrix, AMatrix]:
+    _, M = random_positive_matrix(sub.derive(0))
+    _, N = random_positive_matrix(sub.derive(1))
+    return M, N
 
 
 def counterexample_search(
@@ -801,64 +767,62 @@ def counterexample_search(
     if trials < 0:
         raise StructureError("trials must be >= 0")
 
-    def run_trial(t: int):
+    def trial(t: int):
         if t == 0:
-            M, N = jordan_witness(cfg.shape, cfg.n)
-            seed = cfg.seed
+            (M, N), seed = jordan_witness(cfg.shape, cfg.n), cfg.seed
         else:
             sub = cfg.derive(t)
-            seed = sub.seed
-            _, M = random_positive_matrix(sub.derive(0))
-            _, N = random_positive_matrix(sub.derive(1))
-        product = schur_product(M, N)
-        rep = psd_check(product, tol)
-        margin = rep.margin
-        if margin < -VIOLATION_THRESHOLD:
-            payload = {
-                "trial": t,
-                "seed": seed,
-                "deterministic_witness": t == 0,
-                "min_eigenvalue": rep.min_eigenvalue,
-                "margin": margin,
-                **_matrix_payload(m=M, n=N, product=product),
-                "psd": rep.to_json(),
-            }
-            return margin, payload
-        return margin, None
+            (M, N), seed = _positive_pair(sub), sub.seed
+        rep, witness = _schur_positivity(M, N, tol, cut=VIOLATION_THRESHOLD)
+        if witness is not None:
+            witness.update(
+                seed=seed,
+                deterministic_witness=t == 0,
+                min_eigenvalue=rep.min_eigenvalue,
+                margin=rep.margin,
+            )
+        return rep.margin, witness
 
-    total = trials + 1
-    if stop_on_first:
-        outcomes = []
-        for t in range(total):
-            out = run_trial(t)
-            outcomes.append(out)
-            if out[1] is not None:
-                break
-    elif threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run_trial, range(total)))
-    else:
-        outcomes = [run_trial(t) for t in range(total)]
-
-    margins = [m for m, _ in outcomes]
+    outcomes = _run_trials(trial, trials + 1, threads, stop_at_hit=stop_on_first)
     violations = [w for _, w in outcomes if w is not None]
-    random_violations = sum(1 for w in violations if not w["deterministic_witness"])
     details = {
         "search": True,
         "random_trials": trials,
         "trials_attempted": len(outcomes),
         "violation_threshold": VIOLATION_THRESHOLD,
-        "random_violations": random_violations,
+        "random_violations": sum(not w["deterministic_witness"] for w in violations),
         "violations": violations,
     }
     return _report(
         "schur_counterexample_search",
         len(outcomes),
         len(violations),
-        min(margins) if margins else 0.0,
+        _worst([m for m, _ in outcomes]),
         tol,
         violations[0] if violations else None,
         details,
+        t0,
+    )
+
+
+def _hit_search(check_id, cfg, count, threshold, trial, t0) -> CheckReport:
+    """Run trials up to the first witness; failures = 0 exactly when one is found."""
+    outcomes = _run_trials(trial, count, stop_at_hit=True)
+    witness = outcomes[-1][1] if outcomes else None
+    return _report(
+        check_id,
+        len(outcomes),
+        0 if witness is not None else 1,
+        _worst([m for m, _ in outcomes]),
+        threshold,
+        witness,
+        {
+            "search": True,
+            "expect_hit": True,
+            "threshold": threshold,
+            "found_trial": None if witness is None else witness["trial"],
+            "shape": list(cfg.shape.blocks),
+        },
         t0,
     )
 
@@ -872,11 +836,8 @@ def find_nonassociativity(
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
         raise DomainError("the Schur product is associative over commutative shapes")
-    worst = 0.0
-    witness = None
-    found_trial = None
-    attempted = 0
-    for t in range(trials):
+
+    def trial(t: int):
         sub = cfg.derive(t)
         A = random_matrix(sub.derive(0))
         B = random_matrix(sub.derive(1))
@@ -884,52 +845,22 @@ def find_nonassociativity(
         left = schur_product(schur_product(A, B), C)
         right = schur_product(A, schur_product(B, C))
         defect = mat_norm(left - right)
-        attempted = t + 1
-        if defect > worst:
-            worst = defect
+        witness = None
         if defect > threshold:
-            witness = {
-                "trial": t,
-                "seed": sub.seed,
-                "defect": defect,
-                **_matrix_payload(a=A, b=B, c=C),
-            }
-            found_trial = t
-            break
-    found = witness is not None
-    return _report(
-        "schur_nonassociativity",
-        attempted,
-        0 if found else 1,
-        -worst,
-        threshold,
-        witness,
-        {
-            "search": True,
-            "expect_hit": True,
-            "threshold": threshold,
-            "found_trial": found_trial,
-            "shape": list(cfg.shape.blocks),
-        },
-        t0,
-    )
+            witness = {"seed": sub.seed, "defect": defect, **_matrix_payload(a=A, b=B, c=C)}
+        return -defect, witness
+
+    return _hit_search("schur_nonassociativity", cfg, trials, threshold, trial, t0)
 
 
 def pauli_pair(shape: AlgebraShape) -> tuple[Element, Element]:
     """sigma_x, sigma_z embedded in the first block of size >= 2."""
-    block_idx = next((i for i, k in enumerate(shape.blocks) if k >= 2), None)
-    if block_idx is None:
-        raise DomainError("need a block of size >= 2")
-    xs, zs = [], []
-    for i, k in enumerate(shape.blocks):
-        bx = np.zeros((k, k), dtype=np.complex128)
-        bz = np.zeros((k, k), dtype=np.complex128)
-        if i == block_idx:
-            bx[0, 1] = bx[1, 0] = 1.0
-            bz[0, 0] = 1.0
-            bz[1, 1] = -1.0
-        xs.append(bx)
-        zs.append(bz)
+    b = _first_big_block(shape)
+    xs = [np.zeros((k, k), dtype=np.complex128) for k in shape.blocks]
+    zs = [np.zeros((k, k), dtype=np.complex128) for k in shape.blocks]
+    xs[b][0, 1] = xs[b][1, 0] = 1.0
+    zs[b][0, 0] = 1.0
+    zs[b][1, 1] = -1.0
     return Element._wrap(shape, tuple(xs)), Element._wrap(shape, tuple(zs))
 
 
@@ -939,11 +870,8 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
         raise DomainError("addition formulas hold over commutative shapes")
-    worst_gap = 0.0
-    witness = None
-    found_trial = None
-    attempted = 0
-    for t in range(trials + 1):
+
+    def trial(t: int):
         if t == 0:
             x, y = pauli_pair(cfg.shape)
         else:
@@ -951,338 +879,95 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
             x = random_selfadjoint_element(sub.derive(0), norm_cap=5.0)
             y = random_selfadjoint_element(sub.derive(1), norm_cap=5.0)
         rep = check_trig_identities(x, y, falsify=True)
-        gap = -rep.worst_margin
-        attempted = t + 1
-        if gap > worst_gap:
-            worst_gap = gap
-        if rep.witness is not None:
-            witness = {"trial": t, **rep.witness}
-            found_trial = t
-            break
-    found = witness is not None
-    return _report(
-        "trig_addition_breakdown",
-        attempted,
-        0 if found else 1,
-        -worst_gap,
-        BREAKDOWN_THRESHOLD,
-        witness,
-        {
-            "search": True,
-            "expect_hit": True,
-            "threshold": BREAKDOWN_THRESHOLD,
-            "found_trial": found_trial,
-            "shape": list(cfg.shape.blocks),
-        },
-        t0,
+        return rep.worst_margin, rep.witness
+
+    return _hit_search(
+        "trig_addition_breakdown", cfg, trials + 1, BREAKDOWN_THRESHOLD, trial, t0
     )
 
 
 # ---------------------------------------------------------------------------
-# suite drivers
+# suite trials: instance t of a check, drawn from its substream sub
 # ---------------------------------------------------------------------------
 
 
-def _run_margin_trials(
-    check_id: str,
-    cfg: GenConfig,
-    trials: int,
-    tol: float,
-    trial_fn,
-    threads: int = 1,
-    details: dict | None = None,
-) -> CheckReport:
-    """Aggregate per-trial (margin, witness) pairs; pass means margin >= -tol."""
-    t0 = time.perf_counter()
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(trial_fn, range(trials)))
+def _outcome(report: CheckReport) -> tuple[float, dict | None]:
+    return report.worst_margin, report.witness
+
+
+def _trial_schur(sub, t, o):
+    rep, witness = _schur_positivity(*_positive_pair(sub), o.tol)
+    return rep.margin, _seeded(witness, sub.seed)
+
+
+def _trial_spectral(sub, t, o):
+    return _outcome(check_commuting_spectral_instance(sub, o.tol))
+
+
+def _trial_trace_form(sub, t, o):
+    M, N = _positive_pair(sub)
+    x = random_vector(sub.derive(2))
+    direct, trace_form = schur_quadratic_form_oracle(M, N, x)
+    residual = (direct - trace_form).norm() / max(1.0, direct.norm())
+    witness = None
+    if residual > ORACLE_TOL:
+        witness = {"seed": sub.seed, "residual": residual}
+    return -residual, witness
+
+
+def _trial_oracle(sub, t, o):
+    kind = t % 3
+    if kind == 0:
+        _, inst = random_positive_matrix(sub)
+    elif kind == 1:
+        R = random_matrix(sub)
+        inst = 0.5 * (R + R.adjoint())
     else:
-        outcomes = [trial_fn(t) for t in range(trials)]
-    margins = [m for m, _ in outcomes]
-    failures = sum(1 for m, _ in outcomes if not (m >= -tol))
-    witness = next((w for _, w in outcomes if w is not None), None)
-    return _report(
-        check_id,
-        trials,
-        failures,
-        min(margins) if margins else 0.0,
-        tol,
-        witness,
-        details,
-        t0,
-    )
+        inst = outer_product(random_vector(sub))
+    eig_rep = psd_check(inst, o.tol)
+    chol_rep = cholesky_psd_check(inst, o.tol)
+    agree = eig_rep.is_positive == chol_rep.is_positive
+    witness = None
+    if not agree:
+        witness = {
+            "seed": sub.seed,
+            "kind": kind,
+            "eig": eig_rep.to_json(),
+            "cholesky": chol_rep.to_json(),
+        }
+    return (0.0 if agree else -1.0), witness
 
 
-def _skipped(check_id: str, reason: str, tol: float) -> CheckReport:
-    return CheckReport(check_id, 0, 0, 0.0, tol, None, {"skipped": reason}, 0.0)
+def _trial_row_sum(sub, t, o):
+    # the bound never uses positivity of A, so alternate between positive
+    # and general inputs and record the split
+    A = random_positive_matrix(sub)[1] if t % 2 == 0 else random_matrix(sub)
+    rep, witness, input_positive = _row_sum_bound(A, o.tol)
+    return rep.margin, _seeded(witness, sub.seed), {"inputs_positive": input_positive}
 
 
-def _suite_schur(cfg, trials, tol, threads):
-    reports = []
-    commutative = cfg.shape.is_commutative
-
-    base = cfg.derive(fnv1a64("schur_product_positive"))
-
-    def schur_trial(t):
-        sub = base.derive(t)
-        _, M = random_positive_matrix(sub.derive(0))
-        _, N = random_positive_matrix(sub.derive(1))
-        product = schur_product(M, N)
-        rep = psd_check(product, tol)
-        witness = None
-        if not rep.is_positive:
-            witness = {
-                "trial": t,
-                "seed": sub.seed,
-                **_matrix_payload(m=M, n=N, product=product),
-                "psd": rep.to_json(),
-            }
-        return rep.margin, witness
-
-    if commutative:
-        reports.append(
-            _run_margin_trials(
-                "schur_product_positive", base, trials, tol, schur_trial, threads
-            )
-        )
-    else:
-        probe = _run_margin_trials(
-            "schur_product_probe",
-            base,
-            trials,
-            tol,
-            schur_trial,
-            threads,
-            details={"probe": True, "note": "evidence on the open question"},
-        )
-        reports.append(probe)
-
-    spec_cfg = cfg.derive(fnv1a64("commuting_spectral_schur"))
-
-    def spectral_trial(t):
-        rep = check_commuting_spectral_instance(spec_cfg.derive(t), tol)
-        witness = dict(rep.witness, trial=t) if rep.witness else None
-        return (
-            rep.worst_margin if rep.passed else min(rep.worst_margin, -2 * tol),
-            witness,
-        )
-
-    reports.append(
-        _run_margin_trials(
-            "commuting_spectral_schur", spec_cfg, trials, tol, spectral_trial, threads
-        )
-    )
-
-    if commutative:
-        tf_cfg = cfg.derive(fnv1a64("schur_trace_form_agreement"))
-
-        def trace_trial(t):
-            sub = tf_cfg.derive(t)
-            _, M = random_positive_matrix(sub.derive(0))
-            _, N = random_positive_matrix(sub.derive(1))
-            x = random_vector(sub.derive(2))
-            direct, trace_form = schur_quadratic_form_oracle(M, N, x)
-            residual = (direct - trace_form).norm() / max(1.0, direct.norm())
-            witness = None
-            if residual > ORACLE_TOL:
-                witness = {"trial": t, "seed": sub.seed, "residual": residual}
-            return -residual, witness
-
-        reports.append(
-            _run_margin_trials(
-                "schur_trace_form_agreement",
-                tf_cfg,
-                trials,
-                ORACLE_TOL,
-                trace_trial,
-                threads,
-            )
-        )
-
-    or_cfg = cfg.derive(fnv1a64("psd_oracle_agreement"))
-
-    def oracle_trial(t):
-        sub = or_cfg.derive(t)
-        kind = t % 3
-        if kind == 0:
-            _, inst = random_positive_matrix(sub)
-        elif kind == 1:
-            R = random_matrix(sub)
-            inst = 0.5 * (R + R.adjoint())
-        else:
-            inst = outer_product(random_vector(sub))
-        eig_rep = psd_check(inst, tol)
-        chol_rep = cholesky_psd_check(inst, tol)
-        agree = eig_rep.is_positive == chol_rep.is_positive
-        witness = None
-        if not agree:
-            witness = {
-                "trial": t,
-                "seed": sub.seed,
-                "kind": kind,
-                "eig": eig_rep.to_json(),
-                "cholesky": chol_rep.to_json(),
-            }
-        return (0.0 if agree else -1.0), witness
-
-    reports.append(
-        _run_margin_trials(
-            "psd_oracle_agreement", or_cfg, trials, tol, oracle_trial, threads
-        )
-    )
-
-    na_cfg = cfg.derive(fnv1a64("schur_nonassociativity"))
-    if commutative:
-        # associativity is exact over commutative shapes, so the witness
-        # search falls back to the smallest noncommutative one
-        na_cfg = replace(na_cfg, shape=AlgebraShape((2,)), n=2)
-    reports.append(find_nonassociativity(na_cfg, max(trials, 1)))
-    return reports
+def _trial_chain(sub, t, o):
+    A = random_matrix(sub.derive(0))
+    B = random_matrix(sub.derive(1))
+    return _outcome(check_schur_chain(A, B, o.tol))
 
 
-def _suite_lowerbound(cfg, trials, tol, threads):
-    reports = []
-    rs_cfg = cfg.derive(fnv1a64("gram_row_sum_bound"))
-    inputs_positive = np.zeros(trials, dtype=bool)
-
-    def rowsum_trial(t):
-        # the bound never uses positivity of A, so alternate between
-        # positive and general inputs and record the split
-        sub = rs_cfg.derive(t)
-        A = random_positive_matrix(sub)[1] if t % 2 == 0 else random_matrix(sub)
-        n = A.n
-        M = A @ A.adjoint()
-        y = row_sums(A)
-        rep = psd_check(M - (1.0 / n) * outer_product(y), tol)
-        inputs_positive[t] = psd_check(A, tol).is_positive
-        witness = None
-        if not rep.is_positive:
-            witness = {
-                "trial": t,
-                "seed": sub.seed,
-                **_matrix_payload(a=A),
-                "psd": rep.to_json(),
-            }
-        return rep.margin, witness
-
-    rep = _run_margin_trials(
-        "gram_row_sum_bound", rs_cfg, trials, tol, rowsum_trial, threads
-    )
-    rep = replace(
-        rep, details={**rep.details, "inputs_positive": int(inputs_positive.sum())}
-    )
-    reports.append(rep)
-
-    if cfg.shape.is_commutative:
-        ch_cfg = cfg.derive(fnv1a64("schur_chain_bound"))
-
-        def chain_trial(t):
-            sub = ch_cfg.derive(t)
-            A = random_matrix(sub.derive(0))
-            B = random_matrix(sub.derive(1))
-            r = check_schur_chain(A, B, tol)
-            witness = dict(r.witness, trial=t) if r.witness else None
-            return r.worst_margin, witness
-
-        reports.append(
-            _run_margin_trials(
-                "schur_chain_bound", ch_cfg, trials, tol, chain_trial, threads
-            )
-        )
-    else:
-        reports.append(
-            _skipped("schur_chain_bound", "requires a commutative algebra", tol)
-        )
-    return reports
+def _trial_diag(sub, t, o):
+    _, M = random_positive_matrix(sub)
+    return _outcome(check_diag_bound(M, o.tol))
 
 
-def _suite_corollaries(cfg, trials, tol, threads):
-    if not cfg.shape.is_commutative:
-        return [
-            _skipped("diag_outer_bound", "requires a commutative algebra", tol),
-            _skipped("unit_diagonal_bound", "requires a commutative algebra", tol),
-        ]
-    reports = []
-    real_cfg = replace(cfg, style="real_commutative")
+def _trial_unit_diag(sub, t, o):
+    M = random_unit_diagonal_positive(sub)
+    return _outcome(check_unit_diagonal_bound(M, o.tol))
 
-    db_cfg = real_cfg.derive(fnv1a64("diag_outer_bound"))
 
-    def diag_trial(t):
-        sub = db_cfg.derive(t)
-        _, M = random_positive_matrix(sub)
-        r = check_diag_bound(M, tol)
-        witness = dict(r.witness, trial=t) if r.witness else None
-        return r.worst_margin, witness
-
-    reports.append(
-        _run_margin_trials(
-            "diag_outer_bound",
-            db_cfg,
-            trials,
-            tol,
-            diag_trial,
-            threads,
-            details={"style": "real_commutative"},
-        )
-    )
-
-    ud_cfg = real_cfg.derive(fnv1a64("unit_diagonal_bound"))
-
-    def unit_trial(t):
-        sub = ud_cfg.derive(t)
-        M = random_unit_diagonal_positive(sub)
-        r = check_unit_diagonal_bound(M, tol)
-        witness = dict(r.witness, trial=t) if r.witness else None
-        return r.worst_margin, witness
-
-    reports.append(
-        _run_margin_trials(
-            "unit_diagonal_bound",
-            ud_cfg,
-            trials,
-            tol,
-            unit_trial,
-            threads,
-            details={"style": "real_commutative"},
-        )
-    )
-
+def _trial_diag_probe(sub, t, o):
     # complex entries break the a = a* step of the diagonal-bound argument;
     # record how often without asserting anything
-    pr_cfg = replace(cfg, style="complex").derive(
-        fnv1a64("diag_outer_bound_complex_probe")
-    )
-
-    def probe_trial(t):
-        sub = pr_cfg.derive(t)
-        _, M = random_positive_matrix(sub)
-        d = diag_vector(M)
-        rep = psd_check(
-            schur_product(M, M) - (1.0 / M.n) * outer_product(d), tol
-        )
-        witness = None
-        if not rep.is_positive:
-            witness = {
-                "trial": t,
-                "seed": sub.seed,
-                **_matrix_payload(m=M),
-                "psd": rep.to_json(),
-            }
-        return rep.margin, witness
-
-    reports.append(
-        _run_margin_trials(
-            "diag_outer_bound_complex_probe",
-            pr_cfg,
-            trials,
-            tol,
-            probe_trial,
-            threads,
-            details={"probe": True, "style": "complex"},
-        )
-    )
-    return reports
+    _, M = random_positive_matrix(sub)
+    rep, witness = _diag_bound(M, o.tol)
+    return rep.margin, _seeded(witness, sub.seed)
 
 
 def _novak_points(sub: GenConfig, d: int) -> list[list[Element]]:
@@ -1295,182 +980,210 @@ def _novak_points(sub: GenConfig, d: int) -> list[list[Element]]:
     return [flat[j * d : (j + 1) * d] for j in range(sub.n)]
 
 
-def _suite_novak(cfg, trials, tol, threads, d, points=None):
-    reports = []
-    if points is not None:
-        _, rep = novak_check(points, tol)
-        return [rep]
-
-    nv_cfg = cfg.derive(fnv1a64("novak_conjecture"))
-
-    def novak_trial(t):
-        sub = nv_cfg.derive(t)
-        pts = _novak_points(sub, d)
-        _, r = novak_check(pts, tol)
-        witness = dict(r.witness, trial=t) if r.witness else None
-        return r.worst_margin if r.passed else min(r.worst_margin, -2 * tol), witness
-
-    reports.append(
-        _run_margin_trials(
-            "novak_conjecture",
-            nv_cfg,
-            trials,
-            tol,
-            novak_trial,
-            threads,
-            details={"d": d},
-        )
-    )
-
-    cg_cfg = cfg.derive(fnv1a64("cosine_gram"))
-
-    def gram_trial(t):
-        sub = cg_cfg.derive(t)
-        if sub.shape.is_commutative:
-            z = [
-                random_selfadjoint_element(
-                    sub.derive(j), norm_cap=sub.entry_scale * np.pi
-                )
-                for j in range(sub.n)
-            ]
-        else:
-            z = random_commuting_family(
-                sub, sub.n, selfadjoint=True, norm_cap=sub.entry_scale * np.pi
-            )
-        r = cosine_gram_check(z, tol, probe_seed=sub.seed)
-        witness = dict(r.witness, trial=t) if r.witness else None
-        return r.worst_margin if r.passed else min(r.worst_margin, -2 * tol), witness
-
-    reports.append(
-        _run_margin_trials("cosine_gram", cg_cfg, trials, tol, gram_trial, threads)
-    )
-    return reports
+def _trial_novak(sub, t, o):
+    _, report = novak_check(_novak_points(sub, o.d), o.tol)
+    return _outcome(report)
 
 
-def _suite_trig(cfg, trials, tol, threads):
-    reports = []
-    tr_cfg = cfg.derive(fnv1a64("trig_identities"))
-
-    def trig_trial(t):
-        sub = tr_cfg.derive(t)
-        if sub.shape.is_commutative:
-            x = random_selfadjoint_element(sub.derive(0), norm_cap=5.0)
-            y = random_selfadjoint_element(sub.derive(1), norm_cap=5.0)
-        else:
-            x, y = random_commuting_family(sub, 2, selfadjoint=True, norm_cap=5.0)
-        r = check_trig_identities(x, y, TRIG_TOL)
-        witness = dict(r.witness, trial=t) if r.witness else None
-        return r.worst_margin, witness
-
-    reports.append(
-        _run_margin_trials(
-            "trig_identities", tr_cfg, trials, TRIG_TOL, trig_trial, threads
-        )
-    )
-
-    fb_shape = (
-        cfg.shape
-        if any(k >= 2 for k in cfg.shape.blocks)
-        else AlgebraShape((2,))
-    )
-    fb_cfg = replace(
-        cfg.derive(fnv1a64("trig_addition_breakdown")), shape=fb_shape
-    )
-    reports.append(find_trig_breakdown(fb_cfg, trials))
-    return reports
-
-
-def _suite_preserver(cfg, trials, tol, threads, entrywise_constant):
-    if not cfg.shape.is_commutative:
-        return [
-            _skipped("schur_series_preserver", "requires a commutative algebra", tol)
+def _trial_cosine_gram(sub, t, o):
+    cap = sub.entry_scale * np.pi
+    if sub.shape.is_commutative:
+        z = [
+            random_selfadjoint_element(sub.derive(j), norm_cap=cap)
+            for j in range(sub.n)
         ]
-    ps_cfg = cfg.derive(fnv1a64("schur_series_preserver"))
-
-    def preserver_trial(t):
-        sub = ps_cfg.derive(t)
-        degree = int(sub.rng().integers(0, 5))
-        coeffs = []
-        for q in range(degree + 1):
-            g = random_element(sub.derive(q + 1))
-            coeffs.append(g * g.adjoint())
-        series = SeriesSpec(tuple(coeffs))
-        _, M = random_positive_matrix(sub.derive(0))
-        r = check_preserver(series, M, tol, report_both=entrywise_constant)
-        witness = dict(r.witness, trial=t) if r.witness else None
-        return r.worst_margin, witness
-
-    return [
-        _run_margin_trials(
-            "schur_series_preserver",
-            ps_cfg,
-            trials,
-            tol,
-            preserver_trial,
-            threads,
-            details={"entrywise_constant_reported": entrywise_constant},
-        )
-    ]
+    else:
+        z = random_commuting_family(sub, sub.n, selfadjoint=True, norm_cap=cap)
+    return _outcome(cosine_gram_check(z, o.tol, probe_seed=sub.seed))
 
 
-def _suite_module(cfg, trials, tol, threads):
-    reports = []
-    cs_cfg = cfg.derive(fnv1a64("cauchy_schwarz_gap"))
+def _trial_trig(sub, t, o):
+    if sub.shape.is_commutative:
+        x = random_selfadjoint_element(sub.derive(0), norm_cap=5.0)
+        y = random_selfadjoint_element(sub.derive(1), norm_cap=5.0)
+    else:
+        x, y = random_commuting_family(sub, 2, selfadjoint=True, norm_cap=5.0)
+    return _outcome(check_trig_identities(x, y, TRIG_TOL))
 
-    def gap_trial(t):
-        sub = cs_cfg.derive(t)
-        x = random_vector(sub.derive(0))
-        y = random_vector(sub.derive(1))
-        from .module_an import cauchy_schwarz_gap
 
-        gap = cauchy_schwarz_gap(x, y)
-        rep = classify(gap, tol)
-        margin = rep.min_spectrum / max(1.0, gap.norm())
-        witness = None
-        if margin < -tol or not rep.is_selfadjoint:
-            witness = {
-                "trial": t,
-                "seed": sub.seed,
-                "x": x.to_json(),
-                "y": y.to_json(),
-                "min_spectrum": rep.min_spectrum,
-            }
-            margin = min(margin, -2 * tol)
-        return margin, witness
+def _trial_preserver(sub, t, o):
+    degree = int(sub.rng().integers(0, 5))
+    coeffs = []
+    for q in range(degree + 1):
+        g = random_element(sub.derive(q + 1))
+        coeffs.append(g * g.adjoint())
+    series = SeriesSpec(tuple(coeffs))
+    _, M = random_positive_matrix(sub.derive(0))
+    return _outcome(check_preserver(series, M, o.tol, report_both=o.entrywise_constant))
 
-    reports.append(
-        _run_margin_trials("cauchy_schwarz_gap", cs_cfg, trials, tol, gap_trial, threads)
+
+def _trial_cauchy_schwarz(sub, t, o):
+    x = random_vector(sub.derive(0))
+    y = random_vector(sub.derive(1))
+    gap = cauchy_schwarz_gap(x, y)
+    rep = classify(gap, o.tol)
+    margin = rep.min_spectrum / max(1.0, gap.norm())
+    witness = None
+    if margin < -o.tol or not rep.is_selfadjoint:
+        witness = {
+            "seed": sub.seed,
+            "x": x.to_json(),
+            "y": y.to_json(),
+            "min_spectrum": rep.min_spectrum,
+        }
+    return margin, witness
+
+
+def _trial_axioms(sub, t, o):
+    x = random_vector(sub.derive(0))
+    y = random_vector(sub.derive(1))
+    a = random_element(sub.derive(2))
+    sym_res = (inner_product(x, y) - inner_product(y, x).adjoint()).norm()
+    lin_res = (
+        inner_product(left_mul(a, x), y) - a * inner_product(x, y)
+    ).norm()
+    scale = max(1.0, a.norm() * inner_product(x, y).norm())
+    pos_rep = classify(inner_product(x, x), o.tol)
+    margin = min(
+        -sym_res / scale,
+        -lin_res / scale,
+        pos_rep.min_spectrum / max(1.0, inner_product(x, x).norm()),
+    )
+    witness = None
+    if margin < -AXIOM_TOL:
+        witness = {"seed": sub.seed, "sym": sym_res, "lin": lin_res}
+    return margin, witness
+
+
+# ---------------------------------------------------------------------------
+# the check table
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Options:
+    """The run-wide settings every entry of a suite sees."""
+
+    trials: int
+    d: int
+    tol: float
+    threads: int
+    entrywise_constant: bool
+    points: list[list[Element]] | None
+
+
+def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
+    """Aggregate trials 0..trials-1 of a check; pass means margin >= -tol."""
+    t0 = time.perf_counter()
+    tol = check.tol or o.tol
+    outcomes = _run_trials(lambda t: check.trial(base.derive(t), t, o), o.trials, o.threads)
+    details = check.details(o)
+    if check.style:
+        details["style"] = check.style
+    margins = []
+    witness = None
+    for margin, trial_witness, *counts in outcomes:
+        if trial_witness is not None:
+            if witness is None:
+                witness = trial_witness
+            if check.clamp:
+                margin = min(margin, -2 * tol)
+        margins.append(margin)
+        for extra in counts:
+            for key, value in extra.items():
+                details[key] += value
+    failures = sum(1 for m in margins if not (m >= -tol))
+    return _report(
+        check.check_id, o.trials, failures, _worst(margins), tol, witness, details, t0
     )
 
-    ax_cfg = cfg.derive(fnv1a64("inner_product_axioms"))
 
-    def axiom_trial(t):
-        sub = ax_cfg.derive(t)
-        x = random_vector(sub.derive(0))
-        y = random_vector(sub.derive(1))
-        a = random_element(sub.derive(2))
-        sym_res = (inner_product(x, y) - inner_product(y, x).adjoint()).norm()
-        lin_res = (
-            inner_product(left_mul(a, x), y) - a * inner_product(x, y)
-        ).norm()
-        scale = max(1.0, a.norm() * inner_product(x, y).norm())
-        pos_rep = classify(inner_product(x, x), tol)
-        margin = min(
-            -sym_res / scale,
-            -lin_res / scale,
-            pos_rep.min_spectrum / max(1.0, inner_product(x, x).norm()),
-        )
-        witness = None
-        if margin < -AXIOM_TOL:
-            witness = {"trial": t, "seed": sub.seed, "sym": sym_res, "lin": lin_res}
-        return margin, witness
+def _run_novak(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
+    # explicit points replace the random trials with one pipeline run
+    if o.points is not None:
+        return novak_check(o.points, o.tol)[1]
+    return _margin_report(check, base, o)
 
-    reports.append(
-        _run_margin_trials(
-            "inner_product_axioms", ax_cfg, trials, AXIOM_TOL, axiom_trial, threads
-        )
-    )
-    return reports
+
+def _commutative(cfg, o) -> bool:
+    return cfg.shape.is_commutative
+
+
+def _noncommutative(cfg, o) -> bool:
+    return not cfg.shape.is_commutative
+
+
+@dataclass(frozen=True)
+class Check:
+    """One entry of the check table; see the module docstring for the fields."""
+
+    check_id: str
+    suite: str
+    trial: Callable | None = None
+    applies: Callable = lambda cfg, o: True
+    skip: str | None = None
+    key: str | None = None
+    style: str | None = None
+    fallback: dict = field(default_factory=dict)
+    tol: float | None = None
+    clamp: bool = False
+    details: Callable = lambda o: {}
+    run: Callable = _margin_report
+
+    def base(self, cfg: GenConfig) -> GenConfig:
+        base = cfg.derive(fnv1a64(self.key or self.check_id))
+        if self.style:
+            base = replace(base, style=self.style)
+        if cfg.shape.is_commutative and self.fallback:
+            base = replace(base, **self.fallback)
+        return base
+
+    def report(self, cfg: GenConfig, o: _Options) -> CheckReport | None:
+        if self.applies(cfg, o):
+            return self.run(self, self.base(cfg), o)
+        if self.skip is None:
+            return None
+        tol = self.tol or o.tol
+        return CheckReport(self.check_id, 0, 0, 0.0, tol, None, {"skipped": self.skip}, 0.0)
+
+
+# the skip reason of the commutative-only checks
+_COMM = "requires a commutative algebra"
+
+CHECKS = (
+    Check("schur_product_positive", "schur", _trial_schur, _commutative),
+    Check("schur_product_probe", "schur", _trial_schur, _noncommutative,
+          key="schur_product_positive",
+          details=lambda o: {"probe": True, "note": "evidence on the open question"}),
+    Check("commuting_spectral_schur", "schur", _trial_spectral, clamp=True),
+    Check("schur_trace_form_agreement", "schur", _trial_trace_form, _commutative,
+          tol=ORACLE_TOL),
+    Check("psd_oracle_agreement", "schur", _trial_oracle),
+    # associativity is exact over commutative shapes, so the witness search
+    # falls back to the smallest noncommutative one
+    Check("schur_nonassociativity", "schur", fallback={"shape": AlgebraShape((2,)), "n": 2},
+          run=lambda check, base, o: find_nonassociativity(base, max(o.trials, 1))),
+    Check("gram_row_sum_bound", "lowerbound", _trial_row_sum,
+          details=lambda o: {"inputs_positive": 0}),
+    Check("schur_chain_bound", "lowerbound", _trial_chain, _commutative, _COMM),
+    Check("diag_outer_bound", "corollaries", _trial_diag, _commutative, _COMM,
+          style="real_commutative"),
+    Check("unit_diagonal_bound", "corollaries", _trial_unit_diag, _commutative, _COMM,
+          style="real_commutative"),
+    Check("diag_outer_bound_complex_probe", "corollaries", _trial_diag_probe, _commutative,
+          style="complex", details=lambda o: {"probe": True}),
+    Check("novak_conjecture", "novak", _trial_novak, clamp=True,
+          details=lambda o: {"d": o.d}, run=_run_novak),
+    Check("cosine_gram", "novak", _trial_cosine_gram, lambda cfg, o: o.points is None,
+          clamp=True),
+    Check("trig_identities", "trig", _trial_trig, tol=TRIG_TOL),
+    Check("trig_addition_breakdown", "trig", fallback={"shape": AlgebraShape((2,))},
+          run=lambda check, base, o: find_trig_breakdown(base, o.trials)),
+    Check("schur_series_preserver", "preserver", _trial_preserver, _commutative, _COMM,
+          details=lambda o: {"entrywise_constant_reported": o.entrywise_constant}),
+    Check("cauchy_schwarz_gap", "module", _trial_cauchy_schwarz, clamp=True),
+    Check("inner_product_axioms", "module", _trial_axioms, tol=AXIOM_TOL),
+)
 
 
 def run_suite(
@@ -1484,22 +1197,12 @@ def run_suite(
     entrywise_constant: bool = False,
     points: list[list[Element]] | None = None,
 ) -> list[CheckReport]:
-    """Run one named suite and return its reports in a fixed order."""
-    if name == "schur":
-        return _suite_schur(cfg, trials, tol, threads)
-    if name == "lowerbound":
-        return _suite_lowerbound(cfg, trials, tol, threads)
-    if name == "corollaries":
-        return _suite_corollaries(cfg, trials, tol, threads)
-    if name == "novak":
-        return _suite_novak(cfg, trials, tol, threads, d, points)
-    if name == "trig":
-        return _suite_trig(cfg, trials, tol, threads)
-    if name == "preserver":
-        return _suite_preserver(cfg, trials, tol, threads, entrywise_constant)
-    if name == "module":
-        return _suite_module(cfg, trials, tol, threads)
-    raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+    """Run one named suite and return its reports in table order."""
+    if name not in SUITES:
+        raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+    o = _Options(trials, d, tol, threads, entrywise_constant, points)
+    reports = (check.report(cfg, o) for check in CHECKS if check.suite == name)
+    return [r for r in reports if r is not None]
 
 
 def run_suites(

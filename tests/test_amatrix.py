@@ -19,13 +19,11 @@ from cstar_schur import (
     element_scale,
     flatten,
     identity_matrix,
-    loewner_geq,
     mat_norm,
     ones_matrix,
     outer_product,
     positive_sqrt,
     psd_check,
-    psd_check_batch,
     random_matrix,
     random_positive_matrix,
     random_vector,
@@ -198,17 +196,11 @@ def test_schur_power_conventions(m2_shape):
     M = random_matrix(GenConfig(seed=14, shape=m2_shape, n=2))
     assert mat_norm(schur_power(M, 0) - identity_matrix(m2_shape, 2)) == 0.0
     assert mat_norm(schur_power(M, 1) - M) == 0.0
-    p3l = schur_power(M, 3, nesting="left")
-    p3r = schur_power(M, 3, nesting="right")
-    # powers of a single matrix: both nesting orders agree bitwise because
-    # the product is commutative
-    assert all(np.array_equal(a, b) for a, b in zip(p3l.blocks, p3r.blocks))
+    p3 = schur_power(M, 3)
     expected = schur_product(schur_product(M, M), M)
-    assert all(np.array_equal(a, b) for a, b in zip(p3l.blocks, expected.blocks))
+    assert all(np.array_equal(a, b) for a, b in zip(p3.blocks, expected.blocks))
     with pytest.raises(DomainError):
         schur_power(M, -1)
-    with pytest.raises(DomainError):
-        schur_power(M, 2, nesting="middle")
 
 
 def test_element_scale(mixed_shape):
@@ -279,13 +271,6 @@ def test_outer_products_are_positive(mixed_shape):
     assert psd_check(outer_product(y)).is_positive
 
 
-def test_loewner_geq():
-    M = scalar_amatrix([[3, 0], [0, 3]])
-    N = scalar_amatrix([[1, 0], [0, 2]])
-    assert loewner_geq(M, N).is_positive
-    assert not loewner_geq(N, M).is_positive
-
-
 def test_positive_sqrt_roundtrip(mixed_shape):
     _, M = random_positive_matrix(GenConfig(seed=12, shape=mixed_shape, n=3))
     R = positive_sqrt(M)
@@ -293,16 +278,6 @@ def test_positive_sqrt_roundtrip(mixed_shape):
     assert mat_norm(R @ R - M) <= 1e-10 * max(1.0, mat_norm(M))
     with pytest.raises(DomainError):
         positive_sqrt(scalar_amatrix([[0, 1], [1, 0]]))
-
-
-def test_psd_check_batch_order(mixed_shape):
-    mats = [
-        random_positive_matrix(GenConfig(seed=s, shape=mixed_shape, n=2))[1]
-        for s in range(6)
-    ]
-    seq = psd_check_batch(mats, threads=1)
-    par = psd_check_batch(mats, threads=4)
-    assert seq == par
 
 
 def test_zero_and_identity_psd(mixed_shape):

@@ -255,3 +255,13 @@ def test_demo_runs_clean(capsys):
     out = capsys.readouterr().out
     assert "-0.202142" in out  # the deterministic violation
     assert "0 failed" in out
+
+
+# -- threads ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_is_usage_error(threads, capsys):
+    assert run(["verify", "--suite", "module", "--trials", "2", "--threads", threads]) == 2
+    assert run(["search", "--shape", "2", "--trials", "2", "--threads", threads]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err

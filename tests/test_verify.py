@@ -12,6 +12,9 @@ Frozen oracle values used here:
 """
 
 import json
+import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +37,6 @@ from cstar_schur import (
     check_unit_diagonal_bound,
     cosine_gram_check,
     counterexample_search,
-    diag_matrix,
     find_nonassociativity,
     find_trig_breakdown,
     flatten,
@@ -43,7 +45,6 @@ from cstar_schur import (
     mat_norm,
     novak_check,
     pauli_pair,
-    pointwise_spectral_diag,
     psd_check,
     random_commuting_family,
     random_positive_matrix,
@@ -52,6 +53,7 @@ from cstar_schur import (
     run_suites,
     schur_product,
 )
+from cstar_schur import verify
 from cstar_schur.verify import SUITES, counts_as_failure
 from conftest import comm_element, scalar_amatrix, as_numpy
 
@@ -277,23 +279,6 @@ def test_preserver_requires_positive_coefficients():
 # -- spectral utilities ---------------------------------------------------------
 
 
-def test_pointwise_spectral_diag_reconstructs():
-    _, M = random_positive_matrix(GenConfig(seed=3, shape=AlgebraShape((1, 1)), n=4))
-    dec = pointwise_spectral_diag(M)
-    recon = dec.unitary @ diag_matrix(dec.diagonal) @ dec.unitary.adjoint()
-    assert mat_norm(M - recon) <= 1e-9 * max(1.0, mat_norm(M))
-    # eigenvalues arrive sorted by descending real part
-    for b in range(2):
-        reals = [dec.diagonal[j].block(b)[0, 0].real for j in range(4)]
-        assert reals == sorted(reals, reverse=True)
-
-
-def test_pointwise_spectral_diag_rejects_nonnormal():
-    M = scalar_amatrix([[0, 1], [0, 0]])
-    with pytest.raises(DomainError):
-        pointwise_spectral_diag(M)
-
-
 def test_commuting_spectral_instance_passes():
     for shape in (AlgebraShape((1, 1)), M2, AlgebraShape((2, 1))):
         rep = check_commuting_spectral_instance(GenConfig(seed=5, shape=shape, n=3))
@@ -449,3 +434,80 @@ def test_suite_catalog_is_stable():
         "preserver",
         "module",
     )
+
+
+# -- the check table ------------------------------------------------------------
+
+# (check_id, skipped, probe) of every report in order, at any seed and trials
+COMMUTATIVE_CATALOGUE = [
+    ("schur_product_positive", False, None),
+    ("commuting_spectral_schur", False, None),
+    ("schur_trace_form_agreement", False, None),
+    ("psd_oracle_agreement", False, None),
+    ("schur_nonassociativity", False, None),
+    ("gram_row_sum_bound", False, None),
+    ("schur_chain_bound", False, None),
+    ("diag_outer_bound", False, None),
+    ("unit_diagonal_bound", False, None),
+    ("diag_outer_bound_complex_probe", False, True),
+    ("novak_conjecture", False, None),
+    ("cosine_gram", False, None),
+    ("trig_identities", False, None),
+    ("trig_addition_breakdown", False, None),
+    ("schur_series_preserver", False, None),
+    ("cauchy_schwarz_gap", False, None),
+    ("inner_product_axioms", False, None),
+]
+NONCOMMUTATIVE_CATALOGUE = [
+    ("schur_product_probe", False, True),
+    ("commuting_spectral_schur", False, None),
+    ("psd_oracle_agreement", False, None),
+    ("schur_nonassociativity", False, None),
+    ("gram_row_sum_bound", False, None),
+    ("schur_chain_bound", True, None),
+    ("diag_outer_bound", True, None),
+    ("unit_diagonal_bound", True, None),
+    ("novak_conjecture", False, None),
+    ("cosine_gram", False, None),
+    ("trig_identities", False, None),
+    ("trig_addition_breakdown", False, None),
+    ("schur_series_preserver", True, None),
+    ("cauchy_schwarz_gap", False, None),
+    ("inner_product_axioms", False, None),
+]
+GRID_CATALOGUES = {
+    ("1", 6): COMMUTATIVE_CATALOGUE,
+    ("1,1", 4): COMMUTATIVE_CATALOGUE,
+    ("1,1,1,1", 3): COMMUTATIVE_CATALOGUE,
+    ("2", 2): NONCOMMUTATIVE_CATALOGUE,
+    ("2,1", 2): NONCOMMUTATIVE_CATALOGUE,
+    ("3", 2): NONCOMMUTATIVE_CATALOGUE,
+    ("2,2", 2): NONCOMMUTATIVE_CATALOGUE,
+}
+
+
+def test_grid_catalogue_is_pinned():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_verification_suites.py"
+    grid = runpy.run_path(str(script))["GRID"]
+    assert sorted(grid) == sorted(GRID_CATALOGUES)
+    for shape_text, n in grid:
+        cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape_text), n=n)
+        reports = run_suites("all", cfg, trials=1)
+        got = [
+            (r.check_id, "skipped" in r.details, r.details.get("probe")) for r in reports
+        ]
+        assert got == GRID_CATALOGUES[(shape_text, n)], (shape_text, n)
+
+
+@pytest.mark.parametrize("nan_at", [0, 4])
+def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
+    def trial(sub, t, opts):
+        return (math.nan if t == nan_at else -1.0), None
+
+    check = verify.Check("nan_margins", "none", trial)
+    opts = verify._Options(
+        trials=5, d=2, tol=1e-9, threads=1, entrywise_constant=False, points=None
+    )
+    rep = check.report(GenConfig(seed=0, shape=SCALAR, n=2), opts)
+    assert math.isnan(rep.worst_margin)
+    assert rep.failures == 5
