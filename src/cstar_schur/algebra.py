@@ -211,16 +211,17 @@ class SpectrumReport:
         }
 
 
-def _min_eigenvalues(mats) -> list[float]:
-    """The smallest eigenvalue of the Hermitian part of each matrix."""
+def _min_eigenvalues(mats) -> list[np.ndarray]:
+    """The smallest eigenvalue of the Hermitian part of each matrix, or of
+    each member of a stack of matrices (one eigensolver call per stack)."""
     mins = []
     for b, mat in enumerate(mats):
-        sym = (mat + mat.conj().T) / 2.0
+        sym = (mat + mat.swapaxes(-1, -2).conj()) / 2.0
         try:
             eigs = np.linalg.eigvalsh(sym)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigensolver failed on block {b}", block=b) from exc
-        mins.append(float(eigs[0]))
+        mins.append(eigs[..., 0])
     return mins
 
 
@@ -241,7 +242,7 @@ def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     norm = a.norm()
     cut = tol * max(1.0, norm)
     defect = hermitian_defect(a)
-    min_spectrum = min(_min_eigenvalues(a.blocks))
+    min_spectrum = float(min(_min_eigenvalues(a.blocks)))
     selfadjoint = defect <= cut
     positive = selfadjoint and min_spectrum >= -cut
     return SpectrumReport(selfadjoint, positive, min_spectrum, defect)

@@ -12,7 +12,8 @@ Four commands:
 Exit codes: 0 success, 1 verification failure (or a witness that fails to
 reproduce), 2 usage or structural error, 3 numerical breakdown inside a
 solver. JSON reports are canonical: keys sorted, no timing data, so reruns
-with the same seed are byte-identical regardless of --threads.
+with the same seed are byte-identical regardless of --threads. Trials run
+sequentially in one thread; --threads is accepted and must be >= 1.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .verify import (
     jordan_witness,
     novak_check,
     run_suites,
+    validate_threads,
 )
 
 _TOL_ENV = "CSTAR_SCHUR_TOL"
@@ -427,7 +429,12 @@ def _add_common(p: argparse.ArgumentParser, default_tol: float) -> None:
         default="complex",
         help="entry distribution for random draws",
     )
-    p.add_argument("--threads", type=int, default=1, help="worker threads")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility, must be >= 1; trials run sequentially",
+    )
     p.add_argument(
         "--json",
         metavar="PATH",
@@ -525,6 +532,8 @@ def main(argv=None) -> int:
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
+        if "threads" in vars(args):
+            validate_threads(args.threads)
         return args.func(args)
     except (StructureError, DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

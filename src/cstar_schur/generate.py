@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, identity_element
+from .algebra import AlgebraShape, Element
 from .amatrix import AMatrix, diag_matrix, diag_vector, identity_matrix
 from .errors import DomainError, StructureError
 from .module_an import AVector

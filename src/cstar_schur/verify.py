@@ -37,21 +37,26 @@ To add a check, write its evaluator, a public ``check_*`` function that
 validates its inputs and calls it, a trial that draws an instance and calls
 one of the two, and an entry where its report belongs in the suite order.
 
-Two loops serve everything. Each check has one evaluator of one instance;
-its public ``check_*`` function validates the inputs and calls it. The
-trials of Schur positivity, the row-sum bound and the complex diagonal probe
-call the evaluator without the validation and its extra eigensolves; the
-other trials call the ``check_*`` function, validation included.
-``_run_trials`` is the one trial loop: sequential, on a thread pool, or up to
-the first witness. The margin checks, ``counterexample_search``,
-``find_nonassociativity`` and ``find_trig_breakdown`` all run on it.
+Each check has one evaluator of one instance; its public ``check_*``
+function validates the inputs and calls it. The trials of Schur positivity,
+the row-sum bound and the complex diagonal probe call the evaluator without
+the validation and its extra eigensolves; the other trials call the
+``check_*`` function, validation included. ``_run_trials`` is the trial loop
+of the margin checks, ``find_nonassociativity`` and ``find_trig_breakdown``:
+one trial after another, or up to the first witness.
+
+``counterexample_search`` evaluates its trials in stacked chunks instead:
+each trial is drawn as before, then the Gram products, the symmetrized
+products and the positivity oracle run once per chunk over a leading trial
+axis (``_schur_stack``). The Schur-positivity evaluator of one pair is the
+same call on a stack of one, so every trial gets the bits it would get
+alone. All trials run in one thread; ``threads`` is only validated.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -80,6 +85,10 @@ from .amatrix import (
     row_sums,
     schur_product,
     schur_quadratic_form_oracle,
+    _gram_block,
+    _psd_stack,
+    _schur_block,
+    _stacked,
 )
 from .calculus import SeriesSpec, elem_cos, elem_sin, schur_series_apply
 from .errors import DomainError, StructureError
@@ -201,21 +210,34 @@ def _require_positive(M: AMatrix, tol: float, label: str) -> PsdReport:
     return rep
 
 
-def _schur_positivity(
-    M: AMatrix, N: AMatrix, tol: float, cut: float | None = None
-) -> tuple[PsdReport, dict | None]:
-    """Evaluator of Schur positivity: the report on M o N and its witness.
+def _schur_stack(m_blocks, n_blocks, tol: float):
+    """Evaluator of Schur positivity on a stack of pairs (M_i, N_i), given by
+    their blocks with the trial axis first: the blocks of every M_i o N_i and
+    the oracle's verdicts on them."""
+    product = tuple(_schur_block(a, b) for a, b in zip(m_blocks, n_blocks))
+    return product, _psd_stack(product, tol)
 
-    The witness is built when M o N is not positive or, given ``cut``, when
-    its margin falls below -cut.
-    """
-    product = schur_product(M, N)
-    rep = psd_check(product, tol)
-    violated = not rep.is_positive if cut is None else rep.margin < -cut
-    witness = None
-    if violated:
-        witness = {**_matrix_payload(m=M, n=N, product=product), "psd": rep.to_json()}
-    return rep, witness
+
+def _schur_witness(shape, i, m_blocks, n_blocks, product, rep: PsdReport) -> dict:
+    """The matrices and certificate of member i of a stack."""
+    n = m_blocks[0].shape[-3]
+    mats = {
+        name: AMatrix._wrap(shape, n, tuple(b[i] for b in blocks))
+        for name, blocks in (("m", m_blocks), ("n", n_blocks), ("product", product))
+    }
+    return {**_matrix_payload(**mats), "psd": rep.to_json()}
+
+
+def _schur_positivity(M: AMatrix, N: AMatrix, tol: float) -> tuple[PsdReport, dict | None]:
+    """The stacked evaluator on one pair: the report on M o N and, when it
+    is not positive, its witness."""
+    M._require_same(N)
+    m_blocks, n_blocks = _stacked(M), _stacked(N)
+    product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
+    rep = verdicts.report(0)
+    if rep.is_positive:
+        return rep, None
+    return rep, _schur_witness(M.shape, 0, m_blocks, n_blocks, product, rep)
 
 
 def check_schur_positivity(
@@ -667,34 +689,33 @@ def check_commuting_spectral_instance(
 # ---------------------------------------------------------------------------
 
 
-def _run_trials(trial, count: int, threads: int = 1, stop_at_hit: bool = False) -> list:
-    """Run trial(0) .. trial(count - 1) and return their outcomes in order.
+def validate_threads(threads: int) -> None:
+    """Reject a thread count below 1.
 
-    An outcome is ``(margin, witness, *extras)``; each witness gets the key
-    ``trial``. With ``stop_at_hit`` the trials run sequentially and stop
-    after the first one with a witness; otherwise they run on ``threads``
-    worker threads, which changes nothing in the outcomes.
+    The thread count is accepted for compatibility only: trials run one
+    after another in the calling thread, so every valid value gives the
+    same report.
     """
     if threads < 1:
         raise StructureError(f"threads must be >= 1, got {threads}")
 
-    def tagged(t: int):
+
+def _run_trials(trial, count: int, stop_at_hit: bool = False) -> list:
+    """Run trial(0) .. trial(count - 1) in order and return their outcomes.
+
+    An outcome is ``(margin, witness, *extras)``; each witness gets the key
+    ``trial``. With ``stop_at_hit`` the loop stops after the first trial
+    with a witness.
+    """
+    outcomes = []
+    for t in range(count):
         margin, witness, *extras = trial(t)
         if witness is not None:
             witness = {**witness, "trial": t}
-        return (margin, witness, *extras)
-
-    if stop_at_hit:
-        outcomes = []
-        for t in range(count):
-            outcomes.append(tagged(t))
-            if outcomes[-1][1] is not None:
-                break
-        return outcomes
-    if threads > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(tagged, range(count)))
-    return [tagged(t) for t in range(count)]
+        outcomes.append((margin, witness, *extras))
+        if stop_at_hit and witness is not None:
+            break
+    return outcomes
 
 
 def _worst(margins: list[float]) -> float:
@@ -743,6 +764,34 @@ def _positive_pair(sub: GenConfig) -> tuple[AMatrix, AMatrix]:
     return M, N
 
 
+# Trials per search chunk: chunk * (n * k_max)^2 stays near this many complex
+# entries per stacked block, 32 trials at n = 8 and k_max = 2. The stacked
+# LAPACK calls gain little from bigger chunks, and peak memory grows with them.
+_CHUNK_ENTRIES = 8192
+
+
+def _gram_stack(draws) -> tuple[np.ndarray, ...]:
+    """The blocks of G G* for each draw G, stacked along a new first axis."""
+    return tuple(_gram_block(np.stack(blocks)) for blocks in zip(*(g.blocks for g in draws)))
+
+
+def _search_chunks(cfg: GenConfig, trials: int):
+    """(first trial, M blocks, N blocks, seeds) of each chunk of the search:
+    the deterministic witness alone, then trials 1..trials in stacks.
+
+    Trial t draws G and H from ``cfg.derive(t).derive(0)`` and ``.derive(1)``
+    exactly as ``_positive_pair`` does; only G G* and H H* are stacked.
+    """
+    M, N = jordan_witness(cfg.shape, cfg.n)
+    yield 0, _stacked(M), _stacked(N), [cfg.seed]
+    size = max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
+    for first in range(1, trials + 1, size):
+        subs = [cfg.derive(t) for t in range(first, min(first + size, trials + 1))]
+        pairs = [(random_matrix(s.derive(0)), random_matrix(s.derive(1))) for s in subs]
+        g_draws, h_draws = zip(*pairs)
+        yield first, _gram_stack(g_draws), _gram_stack(h_draws), [s.seed for s in subs]
+
+
 def counterexample_search(
     cfg: GenConfig,
     trials: int,
@@ -756,7 +805,8 @@ def counterexample_search(
     Gram-positive pairs from per-trial substreams. Violations are counted
     once the relative margin drops below -1e-6, comfortably beyond
     verification noise, and each one is recorded with its seed, instance,
-    and min-eigenvalue certificate.
+    and min-eigenvalue certificate. Trials are evaluated in stacked chunks
+    (``_search_chunks``); ``threads`` is validated and otherwise unused.
     """
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
@@ -766,38 +816,43 @@ def counterexample_search(
         )
     if trials < 0:
         raise StructureError("trials must be >= 0")
+    validate_threads(threads)
 
-    def trial(t: int):
-        if t == 0:
-            (M, N), seed = jordan_witness(cfg.shape, cfg.n), cfg.seed
-        else:
-            sub = cfg.derive(t)
-            (M, N), seed = _positive_pair(sub), sub.seed
-        rep, witness = _schur_positivity(M, N, tol, cut=VIOLATION_THRESHOLD)
-        if witness is not None:
+    margins, violations = [], []
+    for first, m_blocks, n_blocks, seeds in _search_chunks(cfg, trials):
+        product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
+        chunk = verdicts.margins()
+        hits = np.flatnonzero(chunk < -VIOLATION_THRESHOLD).tolist()
+        if stop_on_first and hits:
+            hits = hits[:1]
+            chunk = chunk[: hits[0] + 1]
+        margins.extend(chunk.tolist())
+        for i in hits:
+            rep = verdicts.report(i)
+            witness = _schur_witness(cfg.shape, i, m_blocks, n_blocks, product, rep)
             witness.update(
-                seed=seed,
-                deterministic_witness=t == 0,
+                trial=first + i,
+                seed=seeds[i],
+                deterministic_witness=first + i == 0,
                 min_eigenvalue=rep.min_eigenvalue,
                 margin=rep.margin,
             )
-        return rep.margin, witness
-
-    outcomes = _run_trials(trial, trials + 1, threads, stop_at_hit=stop_on_first)
-    violations = [w for _, w in outcomes if w is not None]
+            violations.append(witness)
+        if stop_on_first and hits:
+            break
     details = {
         "search": True,
         "random_trials": trials,
-        "trials_attempted": len(outcomes),
+        "trials_attempted": len(margins),
         "violation_threshold": VIOLATION_THRESHOLD,
         "random_violations": sum(not w["deterministic_witness"] for w in violations),
         "violations": violations,
     }
     return _report(
         "schur_counterexample_search",
-        len(outcomes),
+        len(margins),
         len(violations),
-        _worst([m for m, _ in outcomes]),
+        _worst(margins),
         tol,
         violations[0] if violations else None,
         details,
@@ -1067,16 +1122,20 @@ class _Options:
     trials: int
     d: int
     tol: float
-    threads: int
     entrywise_constant: bool
     points: list[list[Element]] | None
 
 
 def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
-    """Aggregate trials 0..trials-1 of a check; pass means margin >= -tol."""
+    """Aggregate trials 0..trials-1 of a check; pass means margin >= -tol.
+
+    Without trials the check is reported as skipped: nothing was verified.
+    """
+    if o.trials < 1:
+        return check.skipped(o, "no trials requested")
     t0 = time.perf_counter()
     tol = check.tol or o.tol
-    outcomes = _run_trials(lambda t: check.trial(base.derive(t), t, o), o.trials, o.threads)
+    outcomes = _run_trials(lambda t: check.trial(base.derive(t), t, o), o.trials)
     details = check.details(o)
     if check.style:
         details["style"] = check.style
@@ -1143,8 +1202,11 @@ class Check:
             return self.run(self, self.base(cfg), o)
         if self.skip is None:
             return None
+        return self.skipped(o, self.skip)
+
+    def skipped(self, o: _Options, reason: str) -> CheckReport:
         tol = self.tol or o.tol
-        return CheckReport(self.check_id, 0, 0, 0.0, tol, None, {"skipped": self.skip}, 0.0)
+        return CheckReport(self.check_id, 0, 0, 0.0, tol, None, {"skipped": reason}, 0.0)
 
 
 # the skip reason of the commutative-only checks
@@ -1197,10 +1259,14 @@ def run_suite(
     entrywise_constant: bool = False,
     points: list[list[Element]] | None = None,
 ) -> list[CheckReport]:
-    """Run one named suite and return its reports in table order."""
+    """Run one named suite and return its reports in table order.
+
+    ``threads`` is validated and otherwise unused (see ``validate_threads``).
+    """
     if name not in SUITES:
         raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
-    o = _Options(trials, d, tol, threads, entrywise_constant, points)
+    validate_threads(threads)
+    o = _Options(trials, d, tol, entrywise_constant, points)
     reports = (check.report(cfg, o) for check in CHECKS if check.suite == name)
     return [r for r in reports if r is not None]
 

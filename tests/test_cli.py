@@ -261,7 +261,19 @@ def test_demo_runs_clean(capsys):
 
 
 @pytest.mark.parametrize("threads", ["0", "-1"])
-def test_threads_below_one_is_usage_error(threads, capsys):
+def test_threads_below_one_is_usage_error(threads, tmp_path, capsys):
     assert run(["verify", "--suite", "module", "--trials", "2", "--threads", threads]) == 2
     assert run(["search", "--shape", "2", "--trials", "2", "--threads", threads]) == 2
     assert "threads must be >= 1" in capsys.readouterr().err
+    # no trial loop runs here: every check is skipped, or explicit points replace the trials
+    assert run(["verify", "--suite", "preserver", "--shape", "2", "--threads", threads]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"algebra": [1], "points": [[0.0], [np.pi]]}))
+    assert run(["novak", "--points", str(f), "--threads", threads]) == 2
+    assert "threads must be >= 1" in capsys.readouterr().err
+
+
+def test_zero_trials_are_not_reported_as_passed(capsys):
+    assert run(["verify", "--suite", "module", "--trials", "0"]) == 0
+    assert "2 checks: 0 passed, 0 failed, 2 skipped" in capsys.readouterr().out

@@ -41,6 +41,7 @@ from cstar_schur import (
     find_trig_breakdown,
     flatten,
     identity_element,
+    identity_matrix,
     jordan_witness,
     mat_norm,
     novak_check,
@@ -343,6 +344,64 @@ def test_counterexample_search_thread_determinism():
     assert a.to_json() == b.to_json()
 
 
+def _reference_search(cfg, trials, stop_on_first=False):
+    """The search one trial at a time: every margin and every violation."""
+    margins, violations = [], []
+    for t in range(trials + 1):
+        if t == 0:
+            (M, N), seed = verify.jordan_witness(cfg.shape, cfg.n), cfg.seed
+        else:
+            sub = cfg.derive(t)
+            M = random_positive_matrix(sub.derive(0))[1]
+            N = random_positive_matrix(sub.derive(1))[1]
+            seed = sub.seed
+        P = schur_product(M, N)
+        rep = psd_check(P)
+        margins.append(rep.margin)
+        if rep.margin < -verify.VIOLATION_THRESHOLD:
+            violations.append({
+                "m": M.to_json(),
+                "n": N.to_json(),
+                "product": P.to_json(),
+                "psd": rep.to_json(),
+                "trial": t,
+                "seed": seed,
+                "deterministic_witness": t == 0,
+                "min_eigenvalue": rep.min_eigenvalue,
+                "margin": rep.margin,
+            })
+            if stop_on_first:
+                break
+    return margins, violations
+
+
+@pytest.mark.parametrize("stop_on_first", [False, True])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("shape", ["2", "2,1", "3"])
+def test_stacked_search_matches_per_trial_reference(shape, n, stop_on_first, monkeypatch):
+    cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
+    chunk = verify._CHUNK_ENTRIES // (n * max(cfg.shape.blocks)) ** 2
+    trials = chunk + 3  # trial 0 alone, one full chunk, then a chunk of 3
+    if stop_on_first:
+        # a positive pair in place of the Jordan witness moves the first hit
+        # to a random trial inside a chunk (trial 1, 2 or 83 at this seed;
+        # none for shape 3 at n = 5, where the search runs to the end)
+        ident = identity_matrix(cfg.shape, n)
+        monkeypatch.setattr(verify, "jordan_witness", lambda shape, n: (ident, ident))
+    margins, violations = _reference_search(cfg, trials, stop_on_first)
+
+    stacked = []
+    for _, m_blocks, n_blocks, _ in verify._search_chunks(cfg, trials):
+        stacked.extend(verify._schur_stack(m_blocks, n_blocks, 1e-9)[1].margins().tolist())
+    assert np.array(stacked[: len(margins)]).tobytes() == np.array(margins).tobytes()
+
+    rep = counterexample_search(cfg, trials, stop_on_first=stop_on_first)
+    assert rep.details["trials_attempted"] == rep.trials == len(margins)
+    assert rep.details["violations"] == violations
+    assert rep.failures == len(violations)
+    assert np.array(rep.worst_margin).tobytes() == np.array(min(margins)).tobytes()
+
+
 def test_counterexample_search_rejects_commutative():
     with pytest.raises(DomainError):
         counterexample_search(GenConfig(seed=0, shape=SCALAR, n=2), trials=1)
@@ -422,6 +481,20 @@ def test_report_json_excludes_timing():
     assert "elapsed" not in data
     assert "elapsed" in rep.to_json(include_elapsed=True)
     json.dumps(data)  # canonical payloads must be plain-JSON serializable
+
+
+def test_zero_trials_report_margin_checks_as_not_run():
+    cfg = GenConfig(seed=3, shape=M2, n=2)
+    module = run_suite("module", cfg, trials=0)
+    assert [(r.check_id, r.trials, r.details) for r in module] == [
+        ("cauchy_schwarz_gap", 0, {"skipped": "no trials requested"}),
+        ("inner_product_axioms", 0, {"skipped": "no trials requested"}),
+    ]
+    # the hit searches keep their own trial counts: the Pauli pair is trial 0
+    trig = {r.check_id: r for r in run_suite("trig", cfg, trials=0)}
+    assert trig["trig_identities"].details == {"skipped": "no trials requested"}
+    assert trig["trig_addition_breakdown"].trials == 1
+    assert trig["trig_addition_breakdown"].failures == 0
 
 
 def test_suite_catalog_is_stable():
@@ -505,9 +578,7 @@ def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
         return (math.nan if t == nan_at else -1.0), None
 
     check = verify.Check("nan_margins", "none", trial)
-    opts = verify._Options(
-        trials=5, d=2, tol=1e-9, threads=1, entrywise_constant=False, points=None
-    )
+    opts = verify._Options(trials=5, d=2, tol=1e-9, entrywise_constant=False, points=None)
     rep = check.report(GenConfig(seed=0, shape=SCALAR, n=2), opts)
     assert math.isnan(rep.worst_margin)
     assert rep.failures == 5
