@@ -62,11 +62,24 @@ class AlgebraShape:
         return cls(parts)
 
 
+def _top_singular_values(mats: np.ndarray) -> np.ndarray:
+    """The largest singular value of a matrix, or of each member of a stack.
+
+    LAPACK returns the singular values in descending order, so the first one
+    is the value ``np.linalg.norm(m, 2)`` takes the maximum of, without that
+    wrapper's cost. A solver that does not converge raises ``NumericalError``.
+    """
+    try:
+        return np.linalg.svd(mats, compute_uv=False)[..., 0]
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError("SVD did not converge") from exc
+
+
 def _spectral_norm(mat: np.ndarray) -> float:
     # operator (2-)norm; cheap exact path for the ubiquitous 1x1 blocks
     if mat.shape == (1, 1):
         return float(abs(mat[0, 0]))
-    return float(np.linalg.norm(mat, 2))
+    return float(_top_singular_values(mat))
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraShape, Element, _lock, _spectral_norm
-from .algebra import _min_eigenvalues, _psd_sqrt
+from .algebra import _min_eigenvalues, _psd_sqrt, _top_singular_values
 from .errors import DomainError, StructureError
 from .module_an import AVector
 
@@ -451,15 +451,11 @@ def _first_of(values: list[np.ndarray], better) -> np.ndarray:
 
 
 def _norms(flats: np.ndarray) -> np.ndarray:
-    """The operator norm of each matrix of a stack, as ``_spectral_norm`` computes it.
-
-    The largest singular value comes first from LAPACK, so it is the value
-    ``np.linalg.norm(f, 2)`` takes the maximum of, without that wrapper's cost.
-    """
+    """The operator norm of each matrix of a stack, as ``_spectral_norm`` computes it."""
     if flats.shape[-1] == 1:
         # the scalar abs: numpy's array abs can differ from it in the last bit
         return np.array([abs(z) for z in flats.reshape(-1)])
-    return np.linalg.svd(flats, compute_uv=False)[..., 0]
+    return _top_singular_values(flats)
 
 
 def _psd_prelude(blocks, tol: float):

@@ -5,10 +5,16 @@ sin and cos are defined through the exponential map,
     sin x = (e^{ix} - e^{-ix}) / 2i,      cos x = (e^{ix} + e^{-ix}) / 2,
 
 so both make sense for arbitrary elements and are self-adjoint for
-self-adjoint x. Power series act entrywise on matrices through iterated
-Schur products, with the convention that the zeroth Schur power is the
-identity matrix (an alternative entrywise convention using the all-units
-matrix is available behind a switch).
+self-adjoint x. A self-adjoint x takes the spectral route instead: one
+Hermitian eigendecomposition x = V diag(w) V* per block and V sin(w) V*
+(1x1 blocks apply sin or cos to the entry), which is the same function
+(Higham, Functions of Matrices, 2008, sec. 1.2). Every other element goes
+through the exponential formula.
+
+Power series act entrywise on matrices through iterated Schur products,
+with the convention that the zeroth Schur power is the identity matrix (an
+alternative entrywise convention using the all-units matrix is available
+behind a switch).
 """
 
 from __future__ import annotations
@@ -29,17 +35,36 @@ DEFAULT_NORM_CAP = 50.0
 _HERMITIAN_CUTOFF = 1e-14
 
 
-def _exp_block(blk: np.ndarray) -> np.ndarray:
+def _capped_norms(x: Element, norm_cap: float) -> list[float]:
+    """The norm of each block of x; ``RangeError`` when ||x|| exceeds the cap."""
+    norms = [_spectral_norm(b) for b in x.blocks]
+    norm = max(norms)
+    if norm > norm_cap:
+        raise RangeError(f"||x|| = {norm:.3g} exceeds the exp cap {norm_cap:g}")
+    return norms
+
+
+def _is_hermitian(blk: np.ndarray, norm: float) -> bool:
+    return _spectral_norm(blk - blk.conj().T) <= _HERMITIAN_CUTOFF * max(1.0, norm)
+
+
+def _hermitian_apply(blk: np.ndarray, fn, name: str) -> np.ndarray:
+    """fn of a self-adjoint block: V fn(Λ) V* from one eigendecomposition."""
+    if blk.shape == (1, 1):
+        return fn(blk)
+    sym = (blk + blk.conj().T) / 2.0
+    try:
+        w, v = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolver failed in {name}") from exc
+    return (v * fn(w)) @ v.conj().T
+
+
+def _exp_block(blk: np.ndarray, norm: float) -> np.ndarray:
     if blk.shape == (1, 1):
         return np.exp(blk)
-    defect = _spectral_norm(blk - blk.conj().T)
-    if defect <= _HERMITIAN_CUTOFF * max(1.0, _spectral_norm(blk)):
-        sym = (blk + blk.conj().T) / 2.0
-        try:
-            w, v = np.linalg.eigh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError("eigensolver failed in exp") from exc
-        return (v * np.exp(w)) @ v.conj().T
+    if _is_hermitian(blk, norm):
+        return _hermitian_apply(blk, np.exp, "exp")
     return scipy.linalg.expm(blk)
 
 
@@ -50,21 +75,37 @@ def elem_exp(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     else through scaling-and-squaring (Pade). Inputs with ||x|| beyond
     ``norm_cap`` are rejected to keep results inside a trustworthy range.
     """
-    norm = x.norm()
-    if norm > norm_cap:
-        raise RangeError(f"||x|| = {norm:.3g} exceeds the exp cap {norm_cap:g}")
-    return Element._wrap(x.shape, tuple(_exp_block(b) for b in x.blocks))
+    norms = _capped_norms(x, norm_cap)
+    return Element._wrap(
+        x.shape, tuple(_exp_block(b, nb) for b, nb in zip(x.blocks, norms))
+    )
+
+
+def _selfadjoint_apply(x: Element, norm_cap: float, fn, name: str) -> Element | None:
+    """fn(x) blockwise when every block of x is self-adjoint, else None."""
+    norms = _capped_norms(x, norm_cap)
+    if not all(_is_hermitian(b, nb) for b, nb in zip(x.blocks, norms)):
+        return None
+    return Element._wrap(x.shape, tuple(_hermitian_apply(b, fn, name) for b in x.blocks))
 
 
 def elem_sin(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
-    """sin x = (e^{ix} - e^{-ix}) / 2i."""
+    """sin x = (e^{ix} - e^{-ix}) / 2i; one eigendecomposition per block when
+    x is self-adjoint."""
+    out = _selfadjoint_apply(x, norm_cap, np.sin, "sin")
+    if out is not None:
+        return out
     plus = elem_exp(1j * x, norm_cap)
     minus = elem_exp(-1j * x, norm_cap)
     return (plus - minus) * (-0.5j)
 
 
 def elem_cos(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
-    """cos x = (e^{ix} + e^{-ix}) / 2."""
+    """cos x = (e^{ix} + e^{-ix}) / 2; one eigendecomposition per block when
+    x is self-adjoint."""
+    out = _selfadjoint_apply(x, norm_cap, np.cos, "cos")
+    if out is not None:
+        return out
     plus = elem_exp(1j * x, norm_cap)
     minus = elem_exp(-1j * x, norm_cap)
     return (plus + minus) * 0.5

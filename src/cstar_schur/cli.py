@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -48,6 +49,12 @@ from .verify import (
 _TOL_ENV = "CSTAR_SCHUR_TOL"
 
 
+def _validate_tol(tol: float, source: str) -> None:
+    # NaN fails every comparison, so a bare "tol <= 0" would let it through
+    if not (math.isfinite(tol) and tol > 0):
+        raise StructureError(f"{source} must be finite and positive, got {tol!r}")
+
+
 def _env_tol() -> float:
     raw = os.environ.get(_TOL_ENV)
     if raw is None:
@@ -56,8 +63,7 @@ def _env_tol() -> float:
         tol = float(raw)
     except ValueError:
         raise StructureError(f"{_TOL_ENV} must be a float, got {raw!r}")
-    if tol <= 0:
-        raise StructureError(f"{_TOL_ENV} must be positive, got {raw!r}")
+    _validate_tol(tol, _TOL_ENV)
     return tol
 
 
@@ -494,7 +500,10 @@ def build_parser(default_tol: float | None = None) -> argparse.ArgumentParser:
         help="sweep matrix sizes n..n-max with per-size statistics",
     )
     p_search.add_argument(
-        "--stop-on-first", action="store_true", help="stop at the first violation"
+        "--stop-on-first",
+        action="store_true",
+        help="stop at the first violation; the deterministic trial 0 always"
+        " violates, so the search stops after it",
     )
     p_search.add_argument(
         "--witness-dir",
@@ -534,6 +543,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "threads" in vars(args):
             validate_threads(args.threads)
+        _validate_tol(args.tol, "--tol")
         return args.func(args)
     except (StructureError, DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -365,8 +365,6 @@ def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckRepo
 
 
 def _require_commuting_selfadjoint(elems: list[Element]) -> None:
-    # commutative shapes commute exactly, so only self-adjointness is checked there
-    tol_comm = 1.0 if elems[0].shape.is_commutative else COMMUTING_TOL
     for idx, e in enumerate(elems):
         rep = classify(e)
         if not rep.is_selfadjoint:
@@ -375,11 +373,14 @@ def _require_commuting_selfadjoint(elems: list[Element]) -> None:
                 index=idx,
                 hermitian_defect=rep.hermitian_defect,
             )
+    # commutative shapes commute exactly, so only self-adjointness is checked there
+    if elems[0].shape.is_commutative:
+        return
     scale = max(1.0, max(e.norm() for e in elems))
     for i in range(len(elems)):
         for j in range(i + 1, len(elems)):
             c = commutator_norm(elems[i], elems[j])
-            if c > tol_comm * scale:
+            if c > COMMUTING_TOL * scale:
                 raise DomainError(
                     "elements do not commute", pair=(i, j), commutator=c
                 )

@@ -174,3 +174,18 @@ def test_hermitian_defect_of_symmetrization_is_zero(idx, seed):
     a = _elem(ALL_SHAPES[idx], seed)
     sym = 0.5 * (a + a.adjoint())
     assert hermitian_defect(sym) == 0.0
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_spectral_norm_is_numpy_two_norm_bitwise(k):
+    from cstar_schur.algebra import _spectral_norm
+
+    rng = np.random.default_rng(k)
+    for scale in (1e-3, 1.0, 1e3):
+        for _ in range(25):
+            m = scale * (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+            got = np.float64(_spectral_norm(m))
+            # 1x1 blocks keep the scalar modulus, which the SVD can miss by an ulp
+            want = abs(complex(m[0, 0])) if k == 1 else np.linalg.norm(m, 2)
+            assert got.tobytes() == np.float64(want).tobytes()
+            assert abs(got - np.linalg.norm(m, 2)) <= np.spacing(got)

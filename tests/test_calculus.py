@@ -14,10 +14,12 @@ from cstar_schur import (
     elem_cos,
     elem_exp,
     elem_sin,
+    hermitian_defect,
     identity_element,
     identity_matrix,
     mat_norm,
     ones_matrix,
+    random_element,
     random_positive_matrix,
     random_selfadjoint_element,
     schur_series_apply,
@@ -83,6 +85,62 @@ def test_sin_cos_parity(idx, seed):
     )
     assert (elem_sin(-1.0 * x) + elem_sin(x)).norm() <= 1e-11
     assert (elem_cos(-1.0 * x) - elem_cos(x)).norm() <= 1e-11
+
+
+def _sin_by_exp(x, norm_cap=50.0):
+    return (elem_exp(1j * x, norm_cap) - elem_exp(-1j * x, norm_cap)) * (-0.5j)
+
+
+def _cos_by_exp(x, norm_cap=50.0):
+    return (elem_exp(1j * x, norm_cap) + elem_exp(-1j * x, norm_cap)) * 0.5
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, len(ALL_SHAPES) - 1), st.integers(0, 2**63 - 1))
+def test_selfadjoint_trig_matches_exponential_formula(idx, seed):
+    x = random_selfadjoint_element(
+        GenConfig(seed=seed, shape=ALL_SHAPES[idx]), norm_cap=5.0
+    )
+    bound = 1e-12 * max(1.0, x.norm())
+    assert (elem_sin(x) - _sin_by_exp(x)).norm() <= bound
+    assert (elem_cos(x) - _cos_by_exp(x)).norm() <= bound
+
+
+def test_selfadjoint_trig_takes_the_eigendecomposition_route(monkeypatch):
+    import cstar_schur.calculus as calculus
+
+    def no_exp(*a, **k):
+        raise AssertionError("elem_exp called for a self-adjoint argument")
+
+    monkeypatch.setattr(calculus, "elem_exp", no_exp)
+    for shape in ALL_SHAPES:
+        x = random_selfadjoint_element(GenConfig(seed=3, shape=shape), norm_cap=5.0)
+        elem_sin(x)
+        elem_cos(x)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
+def test_non_selfadjoint_trig_is_the_exponential_formula_bitwise(shape):
+    x = random_element(GenConfig(seed=11, shape=shape))
+    assert hermitian_defect(x) > 1e-3
+    for got, want in ((elem_sin(x), _sin_by_exp(x)), (elem_cos(x), _cos_by_exp(x))):
+        for a, b in zip(got.blocks, want.blocks):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
+def test_trig_norm_cap_matches_exp(shape):
+    x = random_selfadjoint_element(GenConfig(seed=4, shape=shape), norm_cap=5.0)
+    big = (60.0 / x.norm()) * x
+    with pytest.raises(RangeError) as exp_err:
+        elem_exp(big)
+    for fn in (elem_sin, elem_cos):
+        with pytest.raises(RangeError) as err:
+            fn(big)
+        assert str(err.value) == str(exp_err.value)
+        with pytest.raises(RangeError):
+            fn(x, norm_cap=0.5 * x.norm())
+        fn(big, norm_cap=100.0)
 
 
 def test_exp_of_selfadjoint_is_positive(m2_shape):

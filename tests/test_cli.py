@@ -68,6 +68,41 @@ def test_verify_exit_three_on_numerical_error(monkeypatch):
     assert run(["verify", "--suite", "schur", "--trials", "1"]) == 3
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e160"])
+def test_svd_breakdown_exits_three_without_traceback(scale, capsys):
+    # entries this large overflow the flattened blocks, and the SVD behind
+    # every norm stops converging
+    assert run(["verify", "--suite", "schur", "--trials", "3", "--entry-scale", scale]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: SVD did not converge" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--shape", "2", "--trials", "2", "--tol", "nan"],
+        ["verify", "--suite", "trig", "--trials", "2", "--tol", "-1"],
+        ["verify", "--suite", "trig", "--trials", "2", "--tol", "nan"],
+        ["verify", "--suite", "schur", "--trials", "2", "--tol", "nan"],
+        ["verify", "--suite", "module", "--trials", "2", "--tol", "inf"],
+        ["verify", "--suite", "module", "--trials", "2", "--tol", "0"],
+        ["novak", "--random", "--trials", "2", "--tol", "nan"],
+        ["demo", "--tol=-inf"],
+    ],
+)
+def test_tolerance_must_be_finite_and_positive(argv, capsys):
+    assert run(argv) == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-1e-9", "0"])
+def test_env_tolerance_must_be_finite_and_positive(raw, monkeypatch, capsys):
+    monkeypatch.setenv("CSTAR_SCHUR_TOL", raw)
+    assert run(["verify", "--suite", "module", "--trials", "1"]) == 2
+    assert "CSTAR_SCHUR_TOL must be finite and positive" in capsys.readouterr().err
+
+
 def test_env_tolerance_override(monkeypatch, capsys):
     monkeypatch.setenv("CSTAR_SCHUR_TOL", "nonsense")
     assert run(["verify", "--suite", "module", "--trials", "1"]) == 2
