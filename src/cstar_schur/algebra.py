@@ -13,6 +13,7 @@ in which case elements are just tuples of complex numbers.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -165,12 +166,8 @@ class Element:
         return self.blocks[i]
 
     def to_json(self) -> dict:
-        return {
-            "blocks": [
-                [[[float(z.real), float(z.imag)] for z in row] for row in blk]
-                for blk in self.blocks
-            ]
-        }
+        # one [re, im] pair of Python floats per scalar
+        return {"blocks": [np.stack((b.real, b.imag), -1).tolist() for b in self.blocks]}
 
     @classmethod
     def from_json(cls, shape: AlgebraShape, data: dict) -> "Element":
@@ -250,8 +247,8 @@ def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     and as positive when it is self-adjoint and every eigenvalue of the
     symmetrized part stays above -tol * max(1, ||a||).
     """
-    if tol <= 0:
-        raise DomainError("tolerance must be positive", tol=tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tolerance must be finite and positive", tol=tol)
     norm = a.norm()
     cut = tol * max(1.0, norm)
     defect = hermitian_defect(a)

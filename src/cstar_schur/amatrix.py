@@ -22,6 +22,7 @@ commutative. It is bilinear and commutative but non-associative in general.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -166,12 +167,14 @@ class AMatrix:
         )
 
     def to_json(self) -> dict:
+        # entry (j, l) is Element.to_json of self.entry(j, l), one stack per block
+        pairs = [np.stack((b.real, b.imag), -1).tolist() for b in self.blocks]
         return {
             "algebra": self.shape.to_json(),
             "n": self.n,
             "entries": [
-                [self.entry(j, l).to_json() for l in range(self.n)]
-                for j in range(self.n)
+                [{"blocks": list(cell)} for cell in zip(*rows)]
+                for rows in zip(*pairs)
             ],
         }
 
@@ -461,8 +464,8 @@ def _norms(flats: np.ndarray) -> np.ndarray:
 def _psd_prelude(blocks, tol: float):
     """What both positivity oracles start from, for a stack of matrices given
     by their blocks (T, n, n, k, k): flattened blocks, scale, defect, cut."""
-    if tol <= 0:
-        raise DomainError("tolerance must be positive", tol=tol)
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tolerance must be finite and positive", tol=tol)
     flats = [_flatten_block(b, b.shape[-3], b.shape[-1]) for b in blocks]
     # one SVD call per block serves both: the norms of f, then those of f - f*
     norms = [_norms(np.concatenate([f, f - _adjoint_flat(f)])) for f in flats]

@@ -16,6 +16,7 @@ matters for diagonal-bound checks whose proofs need entries with a = a*.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -64,8 +65,11 @@ class GenConfig:
     def __post_init__(self):
         if self.n < 1:
             raise StructureError("n must be >= 1")
-        if self.entry_scale <= 0:
-            raise DomainError("entry_scale must be positive")
+        # NaN fails every comparison, so a bare "<= 0" would let it through
+        if not (math.isfinite(self.entry_scale) and self.entry_scale > 0):
+            raise DomainError(
+                f"entry_scale must be finite and positive, got {self.entry_scale!r}"
+            )
         if self.style not in STYLES:
             raise DomainError(f"unknown style {self.style!r}; choose from {STYLES}")
         object.__setattr__(self, "seed", int(self.seed) & _MASK64)

@@ -701,6 +701,12 @@ def validate_threads(threads: int) -> None:
         raise StructureError(f"threads must be >= 1, got {threads}")
 
 
+def validate_trials(trials: int) -> None:
+    """Reject a negative trial count; zero trials reports checks as skipped."""
+    if trials < 0:
+        raise StructureError(f"trials must be >= 0, got {trials}")
+
+
 def _run_trials(trial, count: int, stop_at_hit: bool = False) -> list:
     """Run trial(0) .. trial(count - 1) in order and return their outcomes.
 
@@ -815,8 +821,7 @@ def counterexample_search(
             "Schur products stay positive over commutative shapes; "
             "the search needs a noncommutative one"
         )
-    if trials < 0:
-        raise StructureError("trials must be >= 0")
+    validate_trials(trials)
     validate_threads(threads)
 
     margins, violations = [], []
@@ -1266,6 +1271,7 @@ def run_suite(
     """
     if name not in SUITES:
         raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+    validate_trials(trials)
     validate_threads(threads)
     o = _Options(trials, d, tol, entrywise_constant, points)
     reports = (check.report(cfg, o) for check in CHECKS if check.suite == name)

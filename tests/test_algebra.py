@@ -96,8 +96,10 @@ def test_classify_known_elements(m2_shape):
 
 
 def test_classify_rejects_bad_tol(m2_shape):
-    with pytest.raises(DomainError):
-        classify(identity_element(m2_shape), tol=0.0)
+    # a NaN cut would call the exactly self-adjoint unit not self-adjoint
+    for tol in (0.0, -0.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match="finite and positive"):
+            classify(identity_element(m2_shape), tol=tol)
 
 
 def test_sqrt_positive_oracles():

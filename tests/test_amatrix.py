@@ -108,6 +108,45 @@ def test_json_roundtrip(mixed_shape):
     assert all(np.array_equal(a, b) for a, b in zip(M.blocks, back.blocks))
 
 
+def _element_json_per_scalar(e):
+    return {
+        "blocks": [
+            [[[float(z.real), float(z.imag)] for z in row] for row in blk]
+            for blk in e.blocks
+        ]
+    }
+
+
+def _amatrix_json_per_scalar(M):
+    return {
+        "algebra": M.shape.to_json(),
+        "n": M.n,
+        "entries": [
+            [_element_json_per_scalar(M.entry(j, l)) for l in range(M.n)]
+            for j in range(M.n)
+        ],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
+def test_to_json_matches_per_scalar_encoding(shape, n):
+    # repr tells -0.0 from 0.0, NaN from NaN-free, and an int from a float
+    specials = [-0.0, complex(-0.0, -0.0), np.nan, complex(0.0, np.inf), -np.inf]
+    blocks = []
+    for b in random_matrix(GenConfig(seed=n, shape=shape, n=n)).blocks:
+        flat = b.reshape(-1).copy()
+        count = min(len(specials), flat.size)
+        flat[:count] = specials[:count]
+        blocks.append(flat.reshape(b.shape))
+    M = AMatrix(shape, blocks)
+    assert repr(M.to_json()) == repr(_amatrix_json_per_scalar(M))
+    for j in range(n):
+        for l in range(n):
+            e = M.entry(j, l)
+            assert repr(e.to_json()) == repr(_element_json_per_scalar(e))
+
+
 # -- flattening is a bit-exact *-isomorphism ---------------------------------
 
 
@@ -242,6 +281,16 @@ def test_psd_margin_is_relative():
     m1 = psd_check(M).margin
     m2 = psd_check(1e6 * M).margin
     assert m1 == pytest.approx(m2, rel=1e-9)
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -0.0])
+def test_psd_oracles_reject_non_finite_tol(tol):
+    # an infinite cut would declare every matrix positive
+    M = scalar_amatrix([[1, 2], [2, 1]])
+    with pytest.raises(DomainError, match="finite and positive"):
+        psd_check(M, tol)
+    with pytest.raises(DomainError, match="finite and positive"):
+        cholesky_psd_check(M, tol)
 
 
 @settings(max_examples=60, deadline=None)

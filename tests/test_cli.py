@@ -4,9 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cstar_schur import NumericalError
-from cstar_schur.cli import main
+from cstar_schur import (
+    AlgebraShape,
+    GenConfig,
+    NumericalError,
+    counterexample_search,
+    identity_matrix,
+)
+from cstar_schur.cli import _canonical_json, main
 
 
 def run(argv):
@@ -66,6 +73,13 @@ def test_verify_exit_three_on_numerical_error(monkeypatch):
 
     monkeypatch.setattr(cli, "run_suites", boom)
     assert run(["verify", "--suite", "schur", "--trials", "1"]) == 3
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+def test_non_finite_entry_scale_is_usage_error(scale, capsys):
+    assert run(["verify", "--suite", "schur", "--trials", "3", "--entry-scale", scale]) == 2
+    err = capsys.readouterr().err
+    assert "entry_scale must be finite and positive" in err
 
 
 @pytest.mark.parametrize("scale", ["1e200", "1e160"])
@@ -138,6 +152,22 @@ def test_search_reports_violations_and_writes_witnesses(tmp_path, capsys):
     )
 
 
+def test_witness_files_match_stdlib_encoding(tmp_path):
+    # the CLI writes each violation dict with its own encoder; the stdlib is the spec
+    wdir = tmp_path / "wit"
+    out = tmp_path / "report.json"
+    argv = ["search", "--shape", "2", "--n", "2", "--trials", "30", "--seed", "3"]
+    assert run(argv + ["--witness-dir", str(wdir), "--json", str(out)]) == 0
+    cfg = GenConfig(seed=3, shape=AlgebraShape((2,)), n=2)
+    violations = counterexample_search(cfg, trials=30).details["violations"]
+    assert len(violations) > 1
+    for w in violations:
+        path = wdir / f"witness_shape2_n2_seed3_trial{w['trial']}.json"
+        assert path.read_text() == json.dumps(w, sort_keys=True, indent=2) + "\n"
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def test_search_sweep_has_per_size_stats(tmp_path):
     out = tmp_path / "sweep.json"
     code = run(
@@ -189,6 +219,31 @@ def test_from_witness_malformed_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run(["verify", "--from-witness", str(path)]) == 2
+
+
+_UNIT = identity_matrix(AlgebraShape((2,)), 1).to_json()
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        5,
+        {"m": 1, "n": 2},
+        {"m": {**_UNIT, "entries": []}, "n": {}},
+        {"m": _UNIT, "n": {}},
+        {"m": _UNIT, "n": {**_UNIT, "n": {}}},
+        {"m": _UNIT, "n": {**_UNIT, "algebra": {"blocks": "x"}}},
+        {"m": _UNIT, "n": {**_UNIT, "entries": [[{"blocks": [[[1.0]]]}]]}},
+        {"m": _UNIT, "n": {**_UNIT, "entries": [[{"blocks": [[["a", 1.0]]]}]]}},
+    ],
+)
+def test_from_witness_malformed_structure(data, tmp_path, capsys):
+    # valid JSON of the wrong structure is a usage error, not a traceback
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert run(["verify", "--from-witness", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # -- novak ------------------------------------------------------------------------
@@ -309,6 +364,53 @@ def test_threads_below_one_is_usage_error(threads, tmp_path, capsys):
     assert "threads must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "trig"],
+        ["verify", "--suite", "preserver", "--shape", "2"],
+        ["novak", "--random"],
+        ["search", "--shape", "2"],
+    ],
+)
+def test_negative_trials_is_usage_error(argv, capsys):
+    assert run(argv + ["--trials", "-1"]) == 2
+    assert "trials must be >= 0, got -1" in capsys.readouterr().err
+
+
 def test_zero_trials_are_not_reported_as_passed(capsys):
     assert run(["verify", "--suite", "module", "--trials", "0"]) == 0
     assert "2 checks: 0 passed, 0 failed, 2 skipped" in capsys.readouterr().out
+
+
+# -- canonical JSON -----------------------------------------------------------------
+
+_FLOATS = st.floats() | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1.7976931348623157e308, 1e16]
+)
+_STRINGS = st.text() | st.sampled_from(
+    ['"', "\\", "\n\t\x00\x7f", "\u00e9\u2028", "\ud800", "\U0001f600"]
+)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-(2**200), 2**200)
+    | _FLOATS | _STRINGS
+)
+_NON_STR_KEYS = (st.integers(), st.floats(), st.booleans(), st.none())
+
+
+def _containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_STRINGS, children, max_size=4)
+        # non-str keys take the stdlib fallback; one key type per dict, so they sort
+        | st.one_of(*(st.dictionaries(k, children, max_size=3) for k in _NON_STR_KEYS))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(_SCALARS, _containers, max_leaves=40))
+@example({"a": [{1: [2.0, {"b": None}], 2: []}, {}], "": ()})
+@example([[[float("nan"), -0.0], [float("inf"), float("-inf")]]])
+def test_canonical_json_is_stdlib_encoding(value):
+    assert _canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"

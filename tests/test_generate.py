@@ -74,8 +74,9 @@ def test_genconfig_validation():
     shape = AlgebraShape((2,))
     with pytest.raises(StructureError):
         GenConfig(seed=1, shape=shape, n=0)
-    with pytest.raises(DomainError):
-        GenConfig(seed=1, shape=shape, entry_scale=0.0)
+    for scale in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(DomainError, match="finite and positive"):
+            GenConfig(seed=1, shape=shape, entry_scale=scale)
     with pytest.raises(DomainError):
         GenConfig(seed=1, shape=shape, style="gaussian")
 

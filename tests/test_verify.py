@@ -435,6 +435,11 @@ def test_run_suite_unknown_name():
         run_suite("bogus", GenConfig(seed=0, shape=SCALAR, n=2))
 
 
+def test_run_suite_rejects_negative_trials():
+    with pytest.raises(StructureError, match="trials must be >= 0, got -1"):
+        run_suite("trig", GenConfig(seed=0, shape=SCALAR, n=2), trials=-1)
+
+
 def test_all_suites_pass_commutative():
     cfg = GenConfig(seed=99, shape=AlgebraShape((1, 1)), n=3)
     reports = run_suites("all", cfg, trials=20, d=2)
