@@ -30,7 +30,6 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=100)
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--d", type=int, default=2)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     t0 = time.perf_counter()
@@ -38,9 +37,7 @@ def main() -> int:
     for shape_text, n in GRID:
         shape = AlgebraShape.parse(shape_text)
         cfg = GenConfig(seed=args.seed, shape=shape, n=n)
-        reports = run_suites(
-            "all", cfg, trials=args.trials, d=args.d, threads=args.threads
-        )
+        reports = run_suites("all", cfg, trials=args.trials, d=args.d)
         for r in reports:
             total += 1
             status = "skip" if "skipped" in r.details else (

@@ -25,7 +25,6 @@ def main() -> int:
     ap.add_argument("--trials", type=int, default=2000)
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--n-max", type=int, default=4)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--shapes", nargs="*", default=SHAPES)
     args = ap.parse_args()
 
@@ -35,9 +34,7 @@ def main() -> int:
         for n in range(1, args.n_max + 1):
             cfg = GenConfig(seed=args.seed, shape=shape, n=n).derive(n)
             t0 = time.perf_counter()
-            rep = counterexample_search(
-                cfg, trials=args.trials, threads=args.threads
-            )
+            rep = counterexample_search(cfg, trials=args.trials)
             dt = time.perf_counter() - t0
             d = rep.details
             rate = d["random_violations"] / max(1, d["random_trials"])

@@ -83,6 +83,52 @@ def _spectral_norm(mat: np.ndarray) -> float:
     return float(_top_singular_values(mat))
 
 
+def _norms(mats: np.ndarray) -> np.ndarray:
+    """The operator norm of each matrix of a stack, as ``_spectral_norm`` computes it."""
+    if mats.shape[-1] == 1:
+        # the scalar abs: numpy's array abs can differ from it in the last bit
+        return np.array([abs(z) for z in mats.reshape(-1)])
+    return _top_singular_values(mats)
+
+
+def _first_of(values: list[np.ndarray], better) -> np.ndarray:
+    """Elementwise best over the blocks with the rules of Python's max and
+    min: a later value replaces the kept one only when strictly better, so
+    NaN and signed-zero ties come out as in a reduction over floats."""
+    acc = values[0]
+    for v in values[1:]:
+        acc = np.where(better(v, acc), v, acc)
+    return acc
+
+
+def _adjoint(mats: np.ndarray) -> np.ndarray:
+    """m* of a matrix, or of each member of a stack."""
+    return mats.swapaxes(-1, -2).conj()
+
+
+def _hermitian_part(mats: np.ndarray) -> np.ndarray:
+    """(m + m*) / 2 of a matrix, or of each member of a stack."""
+    return (mats + _adjoint(mats)) / 2.0
+
+
+def _eigh(mats: np.ndarray, vectors: bool = False, block: int | None = None, site: str | None = None):
+    """Ascending eigenvalues (and with ``vectors`` eigenvectors) of the Hermitian
+    part of a matrix or of each member of a stack. A solver that does not
+    converge raises ``NumericalError`` naming ``site``, or else the block."""
+    sym = _hermitian_part(mats)
+    try:
+        return np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
+    except np.linalg.LinAlgError as exc:
+        where = f"in {site}" if site is not None else f"on block {block}"
+        raise NumericalError(f"eigensolver failed {where}", block=block) from exc
+
+
+def _spectral_apply(mat: np.ndarray, fn, block: int | None = None, site: str | None = None):
+    """V fn(Λ) V* from the eigendecomposition of the Hermitian part of ``mat``."""
+    w, v = _eigh(mat, True, block, site)
+    return (v * fn(w)) @ v.conj().T
+
+
 def _lock(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -176,6 +222,9 @@ class Element:
             blocks.append(
                 np.array([[complex(re, im) for re, im in row] for row in blk])
             )
+        # json reads NaN and Infinity; no verdict on them means anything
+        if not all(np.isfinite(b).all() for b in blocks):
+            raise StructureError("element entries must be finite numbers")
         return cls(shape, blocks)
 
     def __repr__(self):
@@ -221,23 +270,35 @@ class SpectrumReport:
         }
 
 
-def _min_eigenvalues(mats) -> list[np.ndarray]:
-    """The smallest eigenvalue of the Hermitian part of each matrix, or of
-    each member of a stack of matrices (one eigensolver call per stack)."""
-    mins = []
-    for b, mat in enumerate(mats):
-        sym = (mat + mat.swapaxes(-1, -2).conj()) / 2.0
-        try:
-            eigs = np.linalg.eigvalsh(sym)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(f"eigensolver failed on block {b}", block=b) from exc
-        mins.append(eigs[..., 0])
-    return mins
-
-
 def hermitian_defect(a: Element) -> float:
     """||a - a*|| in the algebra norm."""
     return max(_spectral_norm(b - b.conj().T) for b in a.blocks)
+
+
+def _psd_prelude(flats: list[np.ndarray], tol: float):
+    """Scale, Hermitian defect and cut tol * max(1, scale) of each member of a
+    stack of matrices over the algebra, given by one (T, m, m) stack per
+    block; one SVD call per block serves both norms."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tolerance must be finite and positive", tol=tol)
+    norms = [_norms(np.concatenate([f, f - _adjoint(f)])) for f in flats]
+    t = len(flats[0])
+    scale = _first_of([v[:t] for v in norms], np.greater)
+    defect = _first_of([v[t:] for v in norms], np.greater)
+    # fmax, like max(1.0, scale), takes 1.0 when scale is NaN
+    return scale, defect, tol * np.fmax(scale, 1.0)
+
+
+def _psd_verdict(flats: list[np.ndarray], tol: float):
+    """(is_positive, selfadjoint, defect, min_eigenvalues, scale) of each member
+    of a stack given as for ``_psd_prelude``: self-adjoint when defect <= cut
+    (NaN is not), positive when also every block's smallest eigenvalue, one
+    column per block and computed for every member, is >= -cut."""
+    scale, defect, cut = _psd_prelude(flats, tol)
+    mins = np.stack([_eigh(f, block=b)[..., 0] for b, f in enumerate(flats)], axis=-1)
+    selfadjoint = defect <= cut
+    positive = selfadjoint & (_first_of(list(mins.T), np.less) >= -cut)
+    return positive, selfadjoint, defect, mins, scale
 
 
 def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
@@ -245,17 +306,13 @@ def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
 
     An element counts as self-adjoint when ||a - a*|| <= tol * max(1, ||a||)
     and as positive when it is self-adjoint and every eigenvalue of the
-    symmetrized part stays above -tol * max(1, ||a||).
+    symmetrized part stays above -tol * max(1, ||a||). This is the
+    positivity verdict on the 1x1 matrix [a].
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError("tolerance must be finite and positive", tol=tol)
-    norm = a.norm()
-    cut = tol * max(1.0, norm)
-    defect = hermitian_defect(a)
-    min_spectrum = float(min(_min_eigenvalues(a.blocks)))
-    selfadjoint = defect <= cut
-    positive = selfadjoint and min_spectrum >= -cut
-    return SpectrumReport(selfadjoint, positive, min_spectrum, defect)
+    positive, selfadjoint, defect, mins, _ = _psd_verdict([b[None] for b in a.blocks], tol)
+    return SpectrumReport(
+        bool(selfadjoint[0]), bool(positive[0]), float(min(mins[0])), float(defect[0])
+    )
 
 
 def sqrt_positive(a: Element, tol: float = DEFAULT_TOL) -> Element:
@@ -278,14 +335,8 @@ def sqrt_positive(a: Element, tol: float = DEFAULT_TOL) -> Element:
 
 def _psd_sqrt(mat: np.ndarray, block: int) -> np.ndarray:
     """Square root of the Hermitian part of ``mat``; negative eigenvalues clamp to zero."""
-    sym = (mat + mat.conj().T) / 2.0
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed on block {block}", block=block) from exc
-    w = np.where(w < 0.0, 0.0, w)
-    root = (v * np.sqrt(w)) @ v.conj().T
-    return (root + root.conj().T) / 2.0
+    root = _spectral_apply(mat, lambda w: np.sqrt(np.where(w < 0.0, 0.0, w)), block)
+    return _hermitian_part(root)
 
 
 def commutator_norm(a: Element, b: Element) -> float:

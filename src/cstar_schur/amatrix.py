@@ -22,14 +22,13 @@ commutative. It is bilinear and commutative but non-associative in general.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraShape, Element, _lock, _spectral_norm
-from .algebra import _min_eigenvalues, _psd_sqrt, _top_singular_values
+from .algebra import _adjoint, _first_of, _hermitian_part, _psd_prelude, _psd_sqrt, _psd_verdict
 from .errors import DomainError, StructureError
 from .module_an import AVector
 
@@ -311,10 +310,6 @@ def _unflatten_block(flat: np.ndarray, n: int, k: int) -> np.ndarray:
     return flat.reshape(*flat.shape[:-2], n, k, n, k).swapaxes(-3, -2)
 
 
-def _adjoint_flat(flat: np.ndarray) -> np.ndarray:
-    return flat.swapaxes(-1, -2).conj()
-
-
 def _gram_block(g: np.ndarray) -> np.ndarray:
     """The block of G G* from the block g of G; the same bits as ``G @ G.adjoint()``.
 
@@ -323,7 +318,7 @@ def _gram_block(g: np.ndarray) -> np.ndarray:
     """
     n, k = g.shape[-3], g.shape[-1]
     f = _flatten_block(g, n, k)
-    gram = f @ np.ascontiguousarray(_adjoint_flat(f))
+    gram = f @ np.ascontiguousarray(_adjoint(f))
     return np.ascontiguousarray(_unflatten_block(gram, n, k))
 
 
@@ -416,7 +411,7 @@ class PsdStack:
 
     Member i has the report ``report(i)``. ``min_eigenvalues`` holds one
     column per block; the rows of members whose Hermitian defect exceeds
-    the cut are NaN, because no eigenvalues are computed for them.
+    the cut are computed but left out of their reports and margins.
     """
 
     is_positive: np.ndarray
@@ -443,54 +438,15 @@ class PsdStack:
         )
 
 
-def _first_of(values: list[np.ndarray], better) -> np.ndarray:
-    """Elementwise best over the blocks with the rules of Python's max and
-    min: a later value replaces the kept one only when strictly better, so
-    NaN and signed-zero ties come out as in a reduction over floats."""
-    acc = values[0]
-    for v in values[1:]:
-        acc = np.where(better(v, acc), v, acc)
-    return acc
-
-
-def _norms(flats: np.ndarray) -> np.ndarray:
-    """The operator norm of each matrix of a stack, as ``_spectral_norm`` computes it."""
-    if flats.shape[-1] == 1:
-        # the scalar abs: numpy's array abs can differ from it in the last bit
-        return np.array([abs(z) for z in flats.reshape(-1)])
-    return _top_singular_values(flats)
-
-
-def _psd_prelude(blocks, tol: float):
-    """What both positivity oracles start from, for a stack of matrices given
-    by their blocks (T, n, n, k, k): flattened blocks, scale, defect, cut."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise DomainError("tolerance must be finite and positive", tol=tol)
-    flats = [_flatten_block(b, b.shape[-3], b.shape[-1]) for b in blocks]
-    # one SVD call per block serves both: the norms of f, then those of f - f*
-    norms = [_norms(np.concatenate([f, f - _adjoint_flat(f)])) for f in flats]
-    t = len(flats[0])
-    scale = _first_of([v[:t] for v in norms], np.greater)
-    defect = _first_of([v[t:] for v in norms], np.greater)
-    # fmax, like max(1.0, scale), takes 1.0 when scale is NaN
-    return flats, scale, defect, tol * np.fmax(scale, 1.0)
-
-
 def _psd_stack(blocks, tol: float) -> PsdStack:
     """The positivity oracle on a stack of matrices over the algebra.
 
-    ``blocks`` holds one (T, n, n, k_b, k_b) array per block; each block
-    costs one SVD call (scale and defect) and one eigensolver call on the
-    Hermitian parts of the members within the cut. Member i gets the
+    ``blocks`` holds one (T, n, n, k_b, k_b) array per block; the verdict
+    on the flattened blocks is ``algebra._psd_verdict``. Member i gets the
     verdict ``psd_check`` gives that matrix alone, bit for bit.
     """
-    flats, scale, defect, cut = _psd_prelude(blocks, tol)
-    hermitian = ~(defect > cut)
-    mins = np.full((len(scale), len(flats)), np.nan)
-    mins[hermitian] = np.stack(_min_eigenvalues([f[hermitian] for f in flats]), axis=-1)
-    lowest = _first_of(list(mins.T), np.less)
-    positive = hermitian & (lowest >= -cut)
-    return PsdStack(positive, hermitian, defect, mins, scale, tol)
+    flats = [_flatten_block(b, b.shape[-3], b.shape[-1]) for b in blocks]
+    return PsdStack(*_psd_verdict(flats, tol), tol)
 
 
 def psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
@@ -539,13 +495,12 @@ def cholesky_psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     must agree away from the tolerance boundary; ``min_eigenvalue_per_block``
     is not populated here.
     """
-    flats, scale, defect, cut = _psd_prelude(_stacked(M), tol)
+    flats = flatten(M)
+    scale, defect, cut = _psd_prelude([f[None] for f in flats], tol)
     scale, defect, cut = float(scale[0]), float(defect[0]), float(cut[0])
-    if defect > cut:
+    if not defect <= cut:
         return PsdReport(False, defect, (), tol, scale)
-    verdict = all(
-        _pivoted_cholesky_psd((f[0] + f[0].conj().T) / 2.0, cut) for f in flats
-    )
+    verdict = all(_pivoted_cholesky_psd(_hermitian_part(f), cut) for f in flats)
     return PsdReport(verdict, defect, (), tol, scale)
 
 

@@ -5,11 +5,11 @@ sin and cos are defined through the exponential map,
     sin x = (e^{ix} - e^{-ix}) / 2i,      cos x = (e^{ix} + e^{-ix}) / 2,
 
 so both make sense for arbitrary elements and are self-adjoint for
-self-adjoint x. A self-adjoint x takes the spectral route instead: one
-Hermitian eigendecomposition x = V diag(w) V* per block and V sin(w) V*
-(1x1 blocks apply sin or cos to the entry), which is the same function
-(Higham, Functions of Matrices, 2008, sec. 1.2). Every other element goes
-through the exponential formula.
+self-adjoint x. An x whose every block equals its adjoint exactly takes the
+spectral route instead: one Hermitian eigendecomposition x = V diag(w) V*
+per block and V sin(w) V* (1x1 blocks apply sin or cos to the entry), which
+is the same function (Higham, Functions of Matrices, 2008, sec. 1.2). Every
+other element goes through the exponential formula.
 
 Power series act entrywise on matrices through iterated Schur products,
 with the convention that the zeroth Schur power is the identity matrix (an
@@ -24,46 +24,34 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraShape, Element, _spectral_norm
+from .algebra import AlgebraShape, Element, _spectral_apply
 from .amatrix import AMatrix, element_scale, identity_matrix, ones_matrix, schur_product, zero_matrix
-from .errors import NumericalError, RangeError, StructureError
+from .errors import RangeError, StructureError
 
 DEFAULT_NORM_CAP = 50.0
 
-# exactly-symmetrized inputs have zero Hermitian defect, so a tight cutoff
-# suffices to route self-adjoint elements through the eigendecomposition path
-_HERMITIAN_CUTOFF = 1e-14
 
-
-def _capped_norms(x: Element, norm_cap: float) -> list[float]:
-    """The norm of each block of x; ``RangeError`` when ||x|| exceeds the cap."""
-    norms = [_spectral_norm(b) for b in x.blocks]
-    norm = max(norms)
+def _check_cap(x: Element, norm_cap: float) -> None:
+    norm = x.norm()
     if norm > norm_cap:
         raise RangeError(f"||x|| = {norm:.3g} exceeds the exp cap {norm_cap:g}")
-    return norms
 
 
-def _is_hermitian(blk: np.ndarray, norm: float) -> bool:
-    return _spectral_norm(blk - blk.conj().T) <= _HERMITIAN_CUTOFF * max(1.0, norm)
+def _is_hermitian(blk: np.ndarray) -> bool:
+    return np.array_equal(blk, blk.conj().T)
 
 
 def _hermitian_apply(blk: np.ndarray, fn, name: str) -> np.ndarray:
     """fn of a self-adjoint block: V fn(Λ) V* from one eigendecomposition."""
     if blk.shape == (1, 1):
         return fn(blk)
-    sym = (blk + blk.conj().T) / 2.0
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigensolver failed in {name}") from exc
-    return (v * fn(w)) @ v.conj().T
+    return _spectral_apply(blk, fn, site=name)
 
 
-def _exp_block(blk: np.ndarray, norm: float) -> np.ndarray:
+def _exp_block(blk: np.ndarray) -> np.ndarray:
     if blk.shape == (1, 1):
         return np.exp(blk)
-    if _is_hermitian(blk, norm):
+    if _is_hermitian(blk):
         return _hermitian_apply(blk, np.exp, "exp")
     return scipy.linalg.expm(blk)
 
@@ -71,20 +59,19 @@ def _exp_block(blk: np.ndarray, norm: float) -> np.ndarray:
 def elem_exp(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """Blockwise matrix exponential.
 
-    Self-adjoint blocks go through a Hermitian eigendecomposition, everything
-    else through scaling-and-squaring (Pade). Inputs with ||x|| beyond
-    ``norm_cap`` are rejected to keep results inside a trustworthy range.
+    Blocks equal to their adjoint go through a Hermitian eigendecomposition,
+    everything else through scaling-and-squaring (Pade). Inputs with ||x||
+    beyond ``norm_cap`` are rejected to keep results inside a trustworthy
+    range.
     """
-    norms = _capped_norms(x, norm_cap)
-    return Element._wrap(
-        x.shape, tuple(_exp_block(b, nb) for b, nb in zip(x.blocks, norms))
-    )
+    _check_cap(x, norm_cap)
+    return Element._wrap(x.shape, tuple(_exp_block(b) for b in x.blocks))
 
 
 def _selfadjoint_apply(x: Element, norm_cap: float, fn, name: str) -> Element | None:
-    """fn(x) blockwise when every block of x is self-adjoint, else None."""
-    norms = _capped_norms(x, norm_cap)
-    if not all(_is_hermitian(b, nb) for b, nb in zip(x.blocks, norms)):
+    """fn(x) blockwise when every block of x equals its adjoint, else None."""
+    _check_cap(x, norm_cap)
+    if not all(_is_hermitian(b) for b in x.blocks):
         return None
     return Element._wrap(x.shape, tuple(_hermitian_apply(b, fn, name) for b in x.blocks))
 

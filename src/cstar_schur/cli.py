@@ -50,11 +50,26 @@ from .verify import (
 
 _TOL_ENV = "CSTAR_SCHUR_TOL"
 
+# One flattened block of an n x n matrix over M_k holds (n k)^2 complex
+# entries of 16 bytes each; n k <= 8192 keeps it within 1 GiB.
+MAX_FLAT_SIZE = 8192
+
 
 def _validate_tol(tol: float, source: str) -> None:
     # NaN fails every comparison, so a bare "tol <= 0" would let it through
     if not (math.isfinite(tol) and tol > 0):
         raise StructureError(f"{source} must be finite and positive, got {tol!r}")
+
+
+def _validate_size(args) -> None:
+    """Reject a size whose largest flattened block exceeds ``MAX_FLAT_SIZE``
+    before anything is drawn or allocated."""
+    n = max(args.n, getattr(args, "n_max", None) or 0)
+    k = max(AlgebraShape.parse(args.shape).blocks)
+    if n * k > MAX_FLAT_SIZE:
+        raise StructureError(
+            f"n * (largest block size) = {n} * {k} exceeds the limit {MAX_FLAT_SIZE}"
+        )
 
 
 def _env_tol() -> float:
@@ -245,16 +260,18 @@ def _reverify_witness(path: str, tol: float) -> int:
     try:
         M = AMatrix.from_json(data["m"])
         N = AMatrix.from_json(data["n"])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        stored = data.get("product")
+        if stored is not None:
+            AMatrix.from_json(stored)
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(
             f"malformed witness file {path} (expected instance matrices 'm' and"
-            f" 'n' in AMatrix.to_json form): {exc!r}"
+            f" 'n', and optionally 'product', in AMatrix.to_json form): {exc!r}"
         )
     product = schur_product(M, N)
     rep_m = psd_check(M, tol)
     rep_n = psd_check(N, tol)
     rep = psd_check(product, tol)
-    stored = data.get("product")
     bitwise = stored is None or product.to_json() == stored
     violation = rep.margin < -VIOLATION_THRESHOLD
     reproduced = rep_m.is_positive and rep_n.is_positive and violation and bitwise
@@ -343,12 +360,19 @@ def _print_novak_line(report: CheckReport) -> None:
     )
 
 
+def _finite(cell) -> float:
+    value = float(cell)
+    if not math.isfinite(value):
+        raise StructureError(f"point entries must be finite numbers, got {cell!r}")
+    return value
+
+
 def _load_points(path: str) -> list[list[Element]]:
     """Parse an n x d point array from JSON.
 
     ``algebra`` is a block-size list (or a full shape object); each cell is
     either a plain number, meaning that multiple of the unit, or a full
-    element in ``Element.to_json`` form.
+    element in ``Element.to_json`` form. Every number must be finite.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -360,7 +384,7 @@ def _load_points(path: str) -> list[list[Element]]:
         shape = AlgebraShape(tuple(int(k) for k in blocks))
         points = [
             [
-                scalar_element(shape, float(cell))
+                scalar_element(shape, _finite(cell))
                 if isinstance(cell, (int, float))
                 else Element.from_json(shape, cell)
                 for cell in row
@@ -369,7 +393,7 @@ def _load_points(path: str) -> list[list[Element]]:
         ]
     except StructureError:
         raise
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(
             f"malformed points file {path}"
             ' (expected {"algebra": [blocks...], "points": [[entry, ...], ...]}):'
@@ -597,6 +621,8 @@ def main(argv=None) -> int:
         if "trials" in vars(args):
             validate_trials(args.trials)
         _validate_tol(args.tol, "--tol")
+        if "shape" in vars(args):
+            _validate_size(args)
         return args.func(args)
     except (StructureError, DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element
+from .algebra import AlgebraShape, Element, _hermitian_part, _spectral_apply
 from .amatrix import AMatrix, diag_matrix, diag_vector, identity_matrix
 from .errors import DomainError, StructureError
 from .module_an import AVector
@@ -182,12 +182,13 @@ def random_selfadjoint_points(cfg: GenConfig, d: int) -> list[list[Element]]:
 
 
 def _inv_sqrt_positive(e: Element) -> Element:
-    blocks = []
-    for blk in e.blocks:
-        sym = (blk + blk.conj().T) / 2.0
-        w, v = np.linalg.eigh(sym)
-        blocks.append((v * (1.0 / np.sqrt(w))) @ v.conj().T)
-    return Element._wrap(e.shape, tuple(blocks))
+    return Element._wrap(
+        e.shape,
+        tuple(
+            _spectral_apply(blk, lambda w: 1.0 / np.sqrt(w), b)
+            for b, blk in enumerate(e.blocks)
+        ),
+    )
 
 
 def random_unit_diagonal_positive(cfg: GenConfig, ridge: float = 1e-6) -> AMatrix:
@@ -249,7 +250,7 @@ def random_commuting_family(
         for w, vals in zip(frames, values):
             mat = (w * vals[i]) @ w.conj().T
             if selfadjoint or positive:
-                mat = (mat + mat.conj().T) / 2.0
+                mat = _hermitian_part(mat)
             blocks.append(mat)
         member = Element._wrap(cfg.shape, tuple(blocks))
         if norm_cap is not None:

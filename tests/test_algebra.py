@@ -4,19 +4,29 @@ from hypothesis import given, settings, strategies as st
 
 from cstar_schur import (
     AlgebraShape,
+    AMatrix,
     DomainError,
     Element,
     GenConfig,
+    NumericalError,
     StructureError,
     classify,
     commutator_norm,
+    elem_sin,
     hermitian_defect,
     identity_element,
+    positive_sqrt,
+    psd_check,
     random_element,
+    random_positive_matrix,
+    random_selfadjoint_element,
+    random_unit_diagonal_positive,
     scalar_element,
     sqrt_positive,
     zero_element,
 )
+from cstar_schur.algebra import DEFAULT_TOL
+from cstar_schur.amatrix import _psd_stack, _stacked
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES, comm_element
 
 ALL_SHAPES = COMMUTATIVE_SHAPES + NONCOMMUTATIVE_SHAPES
@@ -191,3 +201,59 @@ def test_spectral_norm_is_numpy_two_norm_bitwise(k):
             want = abs(complex(m[0, 0])) if k == 1 else np.linalg.norm(m, 2)
             assert got.tobytes() == np.float64(want).tobytes()
             assert abs(got - np.linalg.norm(m, 2)) <= np.spacing(got)
+
+
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
+def test_classify_is_psd_check_of_the_one_by_one_matrix(shape):
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    kinds = set()
+    for seed in range(8):
+        a = _elem(shape, seed)
+        for x in (a * a.adjoint(), 0.5 * (a + a.adjoint()), a):
+            rep = classify(x)
+            M = AMatrix.from_entries([[x]])
+            psd = psd_check(M)
+            # psd_check's report leaves out the eigenvalues of a non-self-adjoint matrix
+            lowest = min(_psd_stack(_stacked(M), DEFAULT_TOL).min_eigenvalues[0])
+            assert rep.is_selfadjoint == bool(psd.min_eigenvalue_per_block)
+            assert rep.is_positive == psd.is_positive
+            assert bits(rep.hermitian_defect) == bits(psd.hermitian_defect)
+            assert bits(rep.min_spectrum) == bits(lowest)
+            if rep.is_selfadjoint:
+                assert bits(rep.min_spectrum) == bits(psd.min_eigenvalue)
+            kinds.add((rep.is_selfadjoint, rep.is_positive))
+    # positive, self-adjoint but not positive, and not self-adjoint all occur
+    assert kinds == {(True, True), (True, False), (False, False)}
+
+
+def _forced_failure(*args, **kwargs):
+    raise np.linalg.LinAlgError("forced")
+
+
+def _eig_calls():
+    """Name -> (solver that fails, call, block the error names) for every
+    public entry point that reaches an eigensolver."""
+    cfg = GenConfig(seed=3, shape=AlgebraShape((2,)), n=2)
+    _, M = random_positive_matrix(cfg)
+    x = random_selfadjoint_element(cfg, norm_cap=1.0)
+    return {
+        "psd_check": ("eigvalsh", lambda: psd_check(M), 0),
+        "classify": ("eigvalsh", lambda: classify(x * x), 0),
+        "sqrt_positive": ("eigh", lambda: sqrt_positive(x * x), 0),
+        "positive_sqrt": ("eigh", lambda: positive_sqrt(M), 0),
+        "elem_sin": ("eigh", lambda: elem_sin(x), None),
+        "random_unit_diagonal_positive": ("eigh", lambda: random_unit_diagonal_positive(cfg), 0),
+    }
+
+
+@pytest.mark.parametrize("name", list(_eig_calls()))
+def test_eigensolver_failure_is_numerical_error(name, monkeypatch):
+    solver, call, block = _eig_calls()[name]
+    monkeypatch.setattr(np.linalg, solver, _forced_failure)
+    with pytest.raises(NumericalError) as err:
+        call()
+    where = "in sin" if block is None else f"on block {block}"
+    assert str(err.value) == f"eigensolver failed {where}"
+    assert err.value.block == block

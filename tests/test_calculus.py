@@ -128,6 +128,19 @@ def test_non_selfadjoint_trig_is_the_exponential_formula_bitwise(shape):
             assert a.tobytes() == b.tobytes()
 
 
+def test_one_ulp_off_hermitian_takes_the_exponential_formula():
+    import scipy.linalg
+
+    x = random_selfadjoint_element(GenConfig(seed=8, shape=AlgebraShape((2,))), norm_cap=2.0)
+    blk = x.block(0).copy()
+    blk[0, 1] = complex(np.nextafter(blk[0, 1].real, np.inf), blk[0, 1].imag)
+    y = Element(x.shape, [blk])
+    assert 0.0 < hermitian_defect(y) <= 1e-15
+    assert elem_exp(y).block(0).tobytes() == scipy.linalg.expm(blk).tobytes()
+    for got, want in ((elem_sin(y), _sin_by_exp(y)), (elem_cos(y), _cos_by_exp(y))):
+        assert got.block(0).tobytes() == want.block(0).tobytes()
+
+
 @pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
 def test_trig_norm_cap_matches_exp(shape):
     x = random_selfadjoint_element(GenConfig(seed=4, shape=shape), norm_cap=5.0)

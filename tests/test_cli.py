@@ -10,6 +10,7 @@ from cstar_schur import (
     AlgebraShape,
     GenConfig,
     NumericalError,
+    StructureError,
     counterexample_search,
     identity_matrix,
 )
@@ -414,3 +415,102 @@ def _containers(children):
 @example([[[float("nan"), -0.0], [float("inf"), float("-inf")]]])
 def test_canonical_json_is_stdlib_encoding(value):
     assert _canonical_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+# -- input files and sizes ----------------------------------------------------------
+
+
+def _witness_data(tmp_path):
+    wdir = tmp_path / "wit"
+    assert run(
+        ["search", "--shape", "2", "--n", "2", "--trials", "0", "--witness-dir", str(wdir)]
+    ) == 0
+    return json.loads(next(wdir.glob("*.json")).read_text())
+
+
+def _with_entry(matrix, value):
+    bad = json.loads(json.dumps(matrix))
+    bad["entries"][0][1]["blocks"][0][0][1] = [value, 0.0]
+    return bad
+
+
+_NAN_2X2 = {"blocks": [[[[1.0, 0.0], [float("nan"), 0.0]], [[float("nan"), 0.0], [1.0, 0.0]]]]}
+_ZERO_2X2 = {"blocks": [[[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        {"algebra": [2], "points": [[_NAN_2X2], [_ZERO_2X2]]},
+        {"algebra": [1], "points": [[0.0], [float("inf")]]},
+        {"algebra": [1], "points": [[float("-inf")], [0.0]]},
+        {"algebra": [1], "points": [[0.0], [float("nan")]]},
+        {"algebra": [1], "points": [[0.0], [10**400]]},
+    ],
+    ids=["nan_in_2x2", "inf_cell", "minus_inf_cell", "nan_cell", "huge_int_cell"],
+)
+def test_non_finite_points_are_usage_errors(points, tmp_path, capsys):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps(points))
+    assert run(["novak", "--points", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "finite numbers" in err or "too large to convert" in err
+
+
+@pytest.mark.parametrize("key", ["m", "n", "product"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_witness_entries_are_usage_errors(key, value, tmp_path, capsys):
+    data = _witness_data(tmp_path)
+    data[key] = _with_entry(data[key], value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", "--from-witness", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed witness file") and "finite" in err
+
+
+@pytest.mark.parametrize("product", [5, "x", [], {"n": 1}])
+def test_witness_product_must_be_a_matrix(product, tmp_path, capsys):
+    data = _witness_data(tmp_path)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**data, "product": product}))
+    capsys.readouterr()
+    assert run(["verify", "--from-witness", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: malformed witness file")
+    # without a stored product the bitwise comparison is skipped
+    del data["product"]
+    path.write_text(json.dumps(data))
+    assert run(["verify", "--from-witness", str(path)]) == 0
+    assert "bitwise-identically: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--shape", "2", "--n", "100000", "--trials", "0", "--suite", "schur"],
+        ["search", "--shape", "2", "--n", "100000", "--trials", "0"],
+        ["search", "--shape", "2", "--n", "1000000000", "--trials", "0"],
+        ["search", "--shape", "2", "--n", "2", "--n-max", "100000", "--trials", "0"],
+        ["novak", "--random", "--shape", "1,1", "--n", "100000", "--trials", "0"],
+    ],
+)
+def test_size_above_the_limit_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    assert "exceeds the limit 8192" in capsys.readouterr().err
+
+
+def test_size_limit_is_on_n_times_the_largest_block():
+    import argparse
+
+    from cstar_schur.cli import MAX_FLAT_SIZE, _validate_size
+
+    def args(shape, n, n_max=None):
+        return argparse.Namespace(shape=shape, n=n, n_max=n_max)
+
+    _validate_size(args("2,1", MAX_FLAT_SIZE // 2))
+    _validate_size(args("1", 2, MAX_FLAT_SIZE))
+    for bad in (args("2,1", MAX_FLAT_SIZE // 2 + 1), args("1", 2, MAX_FLAT_SIZE + 1)):
+        with pytest.raises(StructureError):
+            _validate_size(bad)

@@ -14,6 +14,7 @@ Frozen oracle values used here:
 import json
 import math
 import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -587,3 +588,19 @@ def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
     rep = check.report(GenConfig(seed=0, shape=SCALAR, n=2), opts)
     assert math.isnan(rep.worst_margin)
     assert rep.failures == 5
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("run_verification_suites.py", ["--trials", "0"]),
+        ("search_schur_counterexamples.py", ["--trials", "0", "--n-max", "1"]),
+    ],
+)
+def test_scripts_take_no_threads_flag(name, argv, monkeypatch):
+    # trials run sequentially, so the library only validates a thread count
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    monkeypatch.setattr(sys, "argv", [name, *argv, "--threads", "2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
