@@ -22,37 +22,35 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
-from .algebra import AlgebraShape, Element, _spectral_apply
+from .algebra import AlgebraShape, Element, _eigh, _spectral_apply
 from .amatrix import AMatrix, element_scale, identity_matrix, ones_matrix, schur_product, zero_matrix
 from .errors import RangeError, StructureError
 
 DEFAULT_NORM_CAP = 50.0
 
 
-def _check_cap(x: Element, norm_cap: float) -> None:
-    norm = x.norm()
+def _raise_over_cap(norm: float, norm_cap: float) -> None:
     if norm > norm_cap:
         raise RangeError(f"||x|| = {norm:.3g} exceeds the exp cap {norm_cap:g}")
+
+
+def _check_cap(x: Element, norm_cap: float) -> None:
+    _raise_over_cap(x.norm(), norm_cap)
 
 
 def _is_hermitian(blk: np.ndarray) -> bool:
     return np.array_equal(blk, blk.conj().T)
 
 
-def _hermitian_apply(blk: np.ndarray, fn, name: str) -> np.ndarray:
-    """fn of a self-adjoint block: V fn(Λ) V* from one eigendecomposition."""
-    if blk.shape == (1, 1):
-        return fn(blk)
-    return _spectral_apply(blk, fn, site=name)
-
-
 def _exp_block(blk: np.ndarray) -> np.ndarray:
     if blk.shape == (1, 1):
         return np.exp(blk)
     if _is_hermitian(blk):
-        return _hermitian_apply(blk, np.exp, "exp")
+        return _spectral_apply(blk, np.exp, site="exp")
+    # the only user of scipy: importing it here keeps it off the startup path
+    import scipy.linalg
+
     return scipy.linalg.expm(blk)
 
 
@@ -60,20 +58,35 @@ def elem_exp(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """Blockwise matrix exponential.
 
     Blocks equal to their adjoint go through a Hermitian eigendecomposition,
-    everything else through scaling-and-squaring (Pade). Inputs with ||x||
-    beyond ``norm_cap`` are rejected to keep results inside a trustworthy
-    range.
+    everything else through ``scipy.linalg.expm``, imported on first use.
+    Inputs with ||x|| beyond ``norm_cap`` are rejected to keep results inside
+    a trustworthy range.
     """
     _check_cap(x, norm_cap)
     return Element._wrap(x.shape, tuple(_exp_block(b) for b in x.blocks))
 
 
 def _selfadjoint_apply(x: Element, norm_cap: float, fn, name: str) -> Element | None:
-    """fn(x) blockwise when every block of x equals its adjoint, else None."""
-    _check_cap(x, norm_cap)
+    """fn(x) blockwise when every block of x equals its adjoint, else None.
+
+    For a self-adjoint x the cap's norm is max|λ| from the same
+    eigendecompositions that give V fn(Λ) V*; 1x1 blocks use the entry's abs.
+    """
     if not all(_is_hermitian(b) for b in x.blocks):
+        _check_cap(x, norm_cap)
         return None
-    return Element._wrap(x.shape, tuple(_hermitian_apply(b, fn, name) for b in x.blocks))
+    # (w, v) per block with w ascending; a 1x1 block is its own eigenvalue
+    eigs = [None if b.shape == (1, 1) else _eigh(b, True, site=name) for b in x.blocks]
+    norms = (
+        abs(b[0, 0]) if e is None else max(abs(e[0][0]), abs(e[0][-1]))
+        for b, e in zip(x.blocks, eigs)
+    )
+    _raise_over_cap(float(max(norms)), norm_cap)
+    out = (
+        fn(b) if e is None else (e[1] * fn(e[0])) @ e[1].conj().T
+        for b, e in zip(x.blocks, eigs)
+    )
+    return Element._wrap(x.shape, tuple(out))
 
 
 def elem_sin(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:

@@ -103,8 +103,8 @@ class GenConfig:
 def _draw(rng: np.random.Generator, dims: tuple[int, ...], scale: float, style: str):
     if style == "real_commutative":
         return (scale * rng.standard_normal(dims)).astype(np.complex128)
-    re = rng.standard_normal(dims)
-    im = rng.standard_normal(dims)
+    # one call fills the real parts, then the imaginary parts, in stream order
+    re, im = rng.standard_normal((2,) + dims)
     return (re + 1j * im) * (scale / np.sqrt(2.0))
 
 

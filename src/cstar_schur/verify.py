@@ -94,6 +94,8 @@ from .calculus import SeriesSpec, elem_cos, elem_sin, schur_series_apply
 from .errors import DomainError, StructureError
 from .generate import (
     GenConfig,
+    _draw,
+    derive_seed,
     fnv1a64,
     random_commuting_family,
     random_commuting_spectral_pair,
@@ -777,26 +779,29 @@ def _positive_pair(sub: GenConfig) -> tuple[AMatrix, AMatrix]:
 _CHUNK_ENTRIES = 8192
 
 
-def _gram_stack(draws) -> tuple[np.ndarray, ...]:
-    """The blocks of G G* for each draw G, stacked along a new first axis."""
-    return tuple(_gram_block(np.stack(blocks)) for blocks in zip(*(g.blocks for g in draws)))
-
-
 def _search_chunks(cfg: GenConfig, trials: int):
     """(first trial, M blocks, N blocks, seeds) of each chunk of the search:
     the deterministic witness alone, then trials 1..trials in stacks.
 
-    Trial t draws G and H from ``cfg.derive(t).derive(0)`` and ``.derive(1)``
-    exactly as ``_positive_pair`` does; only G G* and H H* are stacked.
+    Trial t draws G and H from the seeds of ``cfg.derive(t).derive(0)`` and
+    ``.derive(1)``, derived as integers, exactly as ``_positive_pair`` does;
+    each block is drawn into a preallocated stack and only G G* and H H* are
+    formed.
     """
     M, N = jordan_witness(cfg.shape, cfg.n)
     yield 0, _stacked(M), _stacked(N), [cfg.seed]
-    size = max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
+    n, blocks = cfg.n, cfg.shape.blocks
+    size = max(1, _CHUNK_ENTRIES // (n * max(blocks)) ** 2)
     for first in range(1, trials + 1, size):
-        subs = [cfg.derive(t) for t in range(first, min(first + size, trials + 1))]
-        pairs = [(random_matrix(s.derive(0)), random_matrix(s.derive(1))) for s in subs]
-        g_draws, h_draws = zip(*pairs)
-        yield first, _gram_stack(g_draws), _gram_stack(h_draws), [s.seed for s in subs]
+        count = min(size, trials + 1 - first)
+        seeds = [derive_seed(cfg.seed, t) for t in range(first, first + count)]
+        g, h = ([np.empty((count, n, n, k, k), np.complex128) for k in blocks] for _ in range(2))
+        for i, seed in enumerate(seeds):
+            for j, stacks in enumerate((g, h)):
+                rng = np.random.default_rng(derive_seed(seed, j))
+                for k, stack in zip(blocks, stacks):
+                    stack[i] = _draw(rng, (n, n, k, k), cfg.entry_scale, cfg.style)
+        yield first, tuple(map(_gram_block, g)), tuple(map(_gram_block, h)), seeds
 
 
 def counterexample_search(

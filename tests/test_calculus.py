@@ -156,6 +156,30 @@ def test_trig_norm_cap_matches_exp(shape):
         fn(big, norm_cap=100.0)
 
 
+@pytest.mark.parametrize("shape", [AlgebraShape((2,)), AlgebraShape((2, 1))], ids=str)
+def test_selfadjoint_trig_takes_its_cap_norm_from_the_eigensolve(shape, monkeypatch):
+    from cstar_schur.algebra import _spectral_apply
+
+    x = random_selfadjoint_element(GenConfig(seed=4, shape=shape), norm_cap=5.0)
+    big = (60.0 / x.norm()) * x
+    with pytest.raises(RangeError) as exp_err:
+        elem_exp(big)
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for fn, f in ((elem_sin, np.sin), (elem_cos, np.cos)):
+        got = fn(x)
+        assert got.block(0).tobytes() == _spectral_apply(x.block(0), f).tobytes()
+        with pytest.raises(RangeError) as err:
+            fn(big)
+        assert str(err.value) == str(exp_err.value)
+    assert calls == []
+
+
 def test_exp_of_selfadjoint_is_positive(m2_shape):
     x = random_selfadjoint_element(GenConfig(seed=77, shape=m2_shape), norm_cap=3.0)
     from cstar_schur import classify

@@ -1,6 +1,10 @@
 """Command-line contract: exit codes, JSON reports, determinism, witnesses."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,3 +518,32 @@ def test_size_limit_is_on_n_times_the_largest_block():
     for bad in (args("2,1", MAX_FLAT_SIZE // 2 + 1), args("1", 2, MAX_FLAT_SIZE + 1)):
         with pytest.raises(StructureError):
             _validate_size(bad)
+
+
+# -- startup ----------------------------------------------------------------------
+
+_NO_SCIPY_RUNS = """
+import sys
+from cstar_schur.cli import main
+
+small = ["--n", "2", "--trials", "3", "--seed", "5"]
+runs = [["verify", "--suite", "all", "--shape", s] + small for s in ("1", "2", "2,1")]
+runs += [
+    ["search", "--shape", "2", "--n", "8", "--trials", "40"],
+    ["novak", "--random", "--n", "3", "--d", "2", "--trials", "3"],
+]
+for argv in runs:
+    assert main(argv) in (0, 1), argv
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+"""
+
+
+def test_cli_runs_never_import_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", _NO_SCIPY_RUNS], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr

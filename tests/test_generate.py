@@ -30,6 +30,7 @@ from cstar_schur import (
     schur_product,
 )
 from cstar_schur.amatrix import diag_matrix
+from cstar_schur.generate import STYLES, _draw
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES
 
 ALL_SHAPES = COMMUTATIVE_SHAPES + NONCOMMUTATIVE_SHAPES
@@ -202,3 +203,27 @@ def test_vector_and_element_shapes():
     assert len(x) == 4
     e = random_element(cfg)
     assert e.shape == cfg.shape
+
+
+# -- the draw path ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("style", STYLES)
+def test_draw_matches_the_two_call_reference_bitwise(style, scale):
+    shapes = [(1, 1), (2, 2), (3, 3, 2, 2), (4, 2), (8, 8, 1, 1)]
+    for seed in range(200):
+        dims = shapes[seed % len(shapes)]
+        got_rng = np.random.default_rng(seed)
+        got = _draw(got_rng, dims, scale, style)
+        rng = np.random.default_rng(seed)
+        if style == "real_commutative":
+            want = (scale * rng.standard_normal(dims)).astype(np.complex128)
+        else:
+            re = rng.standard_normal(dims)
+            im = rng.standard_normal(dims)
+            want = (re + 1j * im) * (scale / np.sqrt(2.0))
+        assert got.dtype == np.complex128 and got.shape == dims
+        assert got.tobytes() == want.tobytes()
+        # both leave the stream at the same place
+        assert got_rng.standard_normal() == rng.standard_normal()

@@ -403,6 +403,31 @@ def test_stacked_search_matches_per_trial_reference(shape, n, stop_on_first, mon
     assert np.array(rep.worst_margin).tobytes() == np.array(min(margins)).tobytes()
 
 
+@pytest.mark.parametrize(
+    "style, scale", [("real_commutative", 1.0), ("complex", 0.37), ("real_commutative", 0.37)]
+)
+@pytest.mark.parametrize("shape", ["2", "2,1"])
+def test_stacked_search_matches_per_trial_reference_at_other_styles_and_scales(
+    shape, style, scale
+):
+    cfg = GenConfig(
+        seed=2024, shape=AlgebraShape.parse(shape), n=3, entry_scale=scale, style=style
+    )
+    chunk = verify._CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2
+    trials = chunk + 3  # trial 0 alone, one full chunk, then a chunk of 3
+    margins, violations = _reference_search(cfg, trials)
+
+    stacked = []
+    for _, m_blocks, n_blocks, _ in verify._search_chunks(cfg, trials):
+        stacked.extend(verify._schur_stack(m_blocks, n_blocks, 1e-9)[1].margins().tolist())
+    assert np.array(stacked).tobytes() == np.array(margins).tobytes()
+
+    rep = counterexample_search(cfg, trials)
+    assert rep.details["violations"] == violations
+    assert rep.failures == len(violations)
+    assert np.array(rep.worst_margin).tobytes() == np.array(min(margins)).tobytes()
+
+
 def test_counterexample_search_rejects_commutative():
     with pytest.raises(DomainError):
         counterexample_search(GenConfig(seed=0, shape=SCALAR, n=2), trials=1)
