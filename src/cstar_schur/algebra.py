@@ -92,12 +92,13 @@ def _norms(mats: np.ndarray) -> np.ndarray:
 
 
 def _first_of(values: list[np.ndarray], better) -> np.ndarray:
-    """Elementwise best over the blocks with the rules of Python's max and
-    min: a later value replaces the kept one only when strictly better, so
-    NaN and signed-zero ties come out as in a reduction over floats."""
+    """Elementwise best over the blocks: a NaN in any block wins, so a NaN
+    can never be dropped in favour of a finite verdict; otherwise a later
+    value replaces the kept one only when strictly better, so signed-zero
+    ties come out as with Python's max and min."""
     acc = values[0]
     for v in values[1:]:
-        acc = np.where(better(v, acc), v, acc)
+        acc = np.where(better(v, acc) | np.isnan(v), v, acc)
     return acc
 
 
@@ -134,7 +135,95 @@ def _lock(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class Element:
+class _Blocks:
+    """One locked complex array per algebra block, with ``_lead`` leading axes of length n.
+
+    Since M_n(M_{k_1} + ... + M_{k_B}) ~ M_{n k_1} + ... + M_{n k_B}, an
+    element (no leading axes), a vector in A^n (one) and a matrix in M_n(A)
+    (two) are stored alike, so they share the validation, the linear
+    structure and the JSON encoding here. Values are immutable; arithmetic
+    returns new objects of the same class through ``_like``.
+    """
+
+    __slots__ = ("shape", "blocks")
+    _lead = 0
+
+    def __init__(self, shape: AlgebraShape, blocks):
+        lead = self._lead
+        if len(blocks) != len(shape.blocks):
+            raise StructureError(f"expected {len(shape.blocks)} blocks, got {len(blocks)}")
+        mats = [np.array(raw, dtype=np.complex128) for raw in blocks]
+        # block 0 fixes n; the others must agree with it
+        n = mats[0].shape[0] if lead and mats[0].ndim else None
+        for b, (k, arr) in enumerate(zip(shape.blocks, mats)):
+            if arr.shape != (n,) * lead + (k, k):
+                want = ", ".join(map(str, (n if b else "n",) * lead + (k, k)))
+                raise StructureError(f"block {b} must have shape ({want}), got {arr.shape}")
+            _lock(arr)
+        if lead:
+            # only _SizedBlocks has leading axes, and the n slot
+            if n < 1:
+                raise StructureError(f"n must be >= 1, got {n}")
+            self.n = n
+        self.shape = shape
+        self.blocks = tuple(mats)
+
+    def _require_same(self, other: "_Blocks") -> None:
+        # equal shapes and equal block-0 dims mean the same algebra and the same n
+        if self.shape != other.shape or self.blocks[0].shape != other.blocks[0].shape:
+            raise StructureError("operands differ in algebra shape or in size")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same(other)
+        return self._like(tuple(a + b for a, b in zip(self.blocks, other.blocks)))
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._require_same(other)
+        return self._like(tuple(a - b for a, b in zip(self.blocks, other.blocks)))
+
+    def __neg__(self):
+        return self._like(tuple(-a for a in self.blocks))
+
+    def __mul__(self, other):
+        # the scalar action
+        if isinstance(other, numbers.Complex):
+            lam = complex(other)
+            return self._like(tuple(lam * a for a in self.blocks))
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def _pairs(self) -> list:
+        # one [re, im] pair of Python floats per scalar, nested as the block arrays
+        return [np.stack((b.real, b.imag), -1).tolist() for b in self.blocks]
+
+
+class _SizedBlocks(_Blocks):
+    """Blocks with leading axes of length n: vectors in A^n and matrices in M_n(A)."""
+
+    __slots__ = ("n",)
+
+    @classmethod
+    def _wrap(cls, shape: AlgebraShape, n: int, blocks):
+        # fast path for internally computed blocks; trusts dtype and dims
+        obj = object.__new__(cls)
+        obj.shape = shape
+        obj.n = n
+        obj.blocks = tuple(_lock(b) for b in blocks)
+        return obj
+
+    def _like(self, blocks):
+        return self._wrap(self.shape, self.n, blocks)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(n={self.n}, shape={self.shape.blocks})"
+
+
+class Element(_Blocks):
     """A single algebra value: one complex k_i x k_i matrix per block.
 
     Elements are immutable; all arithmetic returns new objects. ``a * b``
@@ -142,21 +231,7 @@ class Element:
     the involution.
     """
 
-    __slots__ = ("shape", "blocks")
-
-    def __init__(self, shape: AlgebraShape, blocks):
-        if len(blocks) != len(shape.blocks):
-            raise StructureError(
-                f"expected {len(shape.blocks)} blocks, got {len(blocks)}"
-            )
-        mats = []
-        for k, raw in zip(shape.blocks, blocks):
-            mat = np.array(raw, dtype=np.complex128)
-            if mat.shape != (k, k):
-                raise StructureError(f"block must be {k}x{k}, got {mat.shape}")
-            mats.append(_lock(mat))
-        self.shape = shape
-        self.blocks = tuple(mats)
+    __slots__ = ()
 
     @classmethod
     def _wrap(cls, shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> "Element":
@@ -166,41 +241,16 @@ class Element:
         obj.blocks = tuple(_lock(b) for b in blocks)
         return obj
 
-    def _require_same_shape(self, other: "Element") -> None:
-        if self.shape != other.shape:
-            raise StructureError("algebra shapes differ")
-
-    def __add__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_shape(other)
-        return Element._wrap(self.shape, tuple(a + b for a, b in zip(self.blocks, other.blocks)))
-
-    def __sub__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_shape(other)
-        return Element._wrap(self.shape, tuple(a - b for a, b in zip(self.blocks, other.blocks)))
-
-    def __neg__(self):
-        return Element._wrap(self.shape, tuple(-a for a in self.blocks))
+    def _like(self, blocks) -> "Element":
+        return Element._wrap(self.shape, blocks)
 
     def __mul__(self, other):
         if isinstance(other, Element):
-            self._require_same_shape(other)
+            self._require_same(other)
             return Element._wrap(
                 self.shape, tuple(a @ b for a, b in zip(self.blocks, other.blocks))
             )
-        if isinstance(other, numbers.Complex):
-            lam = complex(other)
-            return Element._wrap(self.shape, tuple(lam * a for a in self.blocks))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, numbers.Complex):
-            lam = complex(other)
-            return Element._wrap(self.shape, tuple(lam * a for a in self.blocks))
-        return NotImplemented
+        return super().__mul__(other)
 
     def adjoint(self) -> "Element":
         return Element._wrap(self.shape, tuple(a.conj().T.copy() for a in self.blocks))
@@ -212,8 +262,7 @@ class Element:
         return self.blocks[i]
 
     def to_json(self) -> dict:
-        # one [re, im] pair of Python floats per scalar
-        return {"blocks": [np.stack((b.real, b.imag), -1).tolist() for b in self.blocks]}
+        return {"blocks": self._pairs()}
 
     @classmethod
     def from_json(cls, shape: AlgebraShape, data: dict) -> "Element":
@@ -311,7 +360,10 @@ def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     """
     positive, selfadjoint, defect, mins, _ = _psd_verdict([b[None] for b in a.blocks], tol)
     return SpectrumReport(
-        bool(selfadjoint[0]), bool(positive[0]), float(min(mins[0])), float(defect[0])
+        bool(selfadjoint[0]),
+        bool(positive[0]),
+        float(_first_of(mins[0], np.less)),
+        float(defect[0]),
     )
 
 
@@ -341,7 +393,7 @@ def _psd_sqrt(mat: np.ndarray, block: int) -> np.ndarray:
 
 def commutator_norm(a: Element, b: Element) -> float:
     """||ab - ba||."""
-    a._require_same_shape(b)
+    a._require_same(b)
     return max(
         _spectral_norm(x @ y - y @ x) for x, y in zip(a.blocks, b.blocks)
     )

@@ -22,51 +22,21 @@ commutative. It is bilinear and commutative but non-associative in general.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraShape, Element, _lock, _spectral_norm
+from .algebra import DEFAULT_TOL, AlgebraShape, Element, _SizedBlocks, _spectral_norm
 from .algebra import _adjoint, _first_of, _hermitian_part, _psd_prelude, _psd_sqrt, _psd_verdict
 from .errors import DomainError, StructureError
-from .module_an import AVector
+from .module_an import AVector, inner_product
 
 
-class AMatrix:
+class AMatrix(_SizedBlocks):
     """An n x n matrix with entries in a fixed finite-dimensional C*-algebra."""
 
-    __slots__ = ("shape", "n", "blocks")
-
-    def __init__(self, shape: AlgebraShape, blocks):
-        if len(blocks) != len(shape.blocks):
-            raise StructureError(f"expected {len(shape.blocks)} blocks")
-        n = None
-        mats = []
-        for k, raw in zip(shape.blocks, blocks):
-            arr = np.array(raw, dtype=np.complex128)
-            if arr.ndim != 4 or arr.shape[2:] != (k, k) or arr.shape[0] != arr.shape[1]:
-                raise StructureError(
-                    f"block array must be (n, n, {k}, {k}), got {arr.shape}"
-                )
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise StructureError("blocks disagree on matrix size")
-            mats.append(_lock(arr))
-        if n is None or n < 1:
-            raise StructureError("matrices need size >= 1")
-        self.shape = shape
-        self.n = n
-        self.blocks = tuple(mats)
-
-    @classmethod
-    def _wrap(cls, shape: AlgebraShape, n: int, blocks) -> "AMatrix":
-        obj = object.__new__(cls)
-        obj.shape = shape
-        obj.n = n
-        obj.blocks = tuple(_lock(b) for b in blocks)
-        return obj
+    __slots__ = ()
+    _lead = 2
 
     @classmethod
     def from_entries(cls, entries) -> "AMatrix":
@@ -88,39 +58,6 @@ class AMatrix:
 
     def entry(self, j: int, l: int) -> Element:
         return Element._wrap(self.shape, tuple(b[j, l].copy() for b in self.blocks))
-
-    def _require_same(self, other: "AMatrix") -> None:
-        if self.shape != other.shape or self.n != other.n:
-            raise StructureError("matrices have different shape or size")
-
-    # ring operations -----------------------------------------------------
-
-    def __add__(self, other):
-        if not isinstance(other, AMatrix):
-            return NotImplemented
-        self._require_same(other)
-        return AMatrix._wrap(
-            self.shape, self.n, tuple(a + b for a, b in zip(self.blocks, other.blocks))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, AMatrix):
-            return NotImplemented
-        self._require_same(other)
-        return AMatrix._wrap(
-            self.shape, self.n, tuple(a - b for a, b in zip(self.blocks, other.blocks))
-        )
-
-    def __neg__(self):
-        return AMatrix._wrap(self.shape, self.n, tuple(-a for a in self.blocks))
-
-    def __mul__(self, other):
-        if isinstance(other, numbers.Complex):
-            lam = complex(other)
-            return AMatrix._wrap(self.shape, self.n, tuple(lam * a for a in self.blocks))
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         # the ring product: multiply flattened blocks, which is exact because
@@ -148,17 +85,11 @@ class AMatrix:
 
     def adjoint(self) -> "AMatrix":
         """(M*)_{jl} = (m_{lj})^*."""
-        return AMatrix._wrap(
-            self.shape,
-            self.n,
-            tuple(b.conj().transpose(1, 0, 3, 2).copy() for b in self.blocks),
-        )
+        return self._like(tuple(b.conj().transpose(1, 0, 3, 2).copy() for b in self.blocks))
 
     def transpose(self) -> "AMatrix":
         """Position transpose only; entries are neither moved inside nor conjugated."""
-        return AMatrix._wrap(
-            self.shape, self.n, tuple(b.transpose(1, 0, 2, 3).copy() for b in self.blocks)
-        )
+        return self._like(tuple(b.transpose(1, 0, 2, 3).copy() for b in self.blocks))
 
     def trace(self) -> Element:
         return Element._wrap(
@@ -166,8 +97,8 @@ class AMatrix:
         )
 
     def to_json(self) -> dict:
-        # entry (j, l) is Element.to_json of self.entry(j, l), one stack per block
-        pairs = [np.stack((b.real, b.imag), -1).tolist() for b in self.blocks]
+        # entry (j, l) is Element.to_json of self.entry(j, l)
+        pairs = self._pairs()
         return {
             "algebra": self.shape.to_json(),
             "n": self.n,
@@ -187,9 +118,6 @@ class AMatrix:
         if len(entries) != n or any(len(row) != n for row in entries):
             raise StructureError("entry array does not match declared size")
         return cls.from_entries(entries)
-
-    def __repr__(self):
-        return f"AMatrix(n={self.n}, shape={self.shape.blocks})"
 
 
 # constructors -------------------------------------------------------------
@@ -375,7 +303,7 @@ class PsdReport:
     def min_eigenvalue(self) -> float | None:
         if not self.min_eigenvalue_per_block:
             return None
-        return min(self.min_eigenvalue_per_block)
+        return float(_first_of(self.min_eigenvalue_per_block, np.less))
 
     @property
     def margin(self) -> float:
@@ -539,8 +467,6 @@ def schur_quadratic_form_oracle(
     M._require_same(N)
     if x.shape != M.shape or x.n != M.n:
         raise StructureError("vector does not match matrix size")
-    from .module_an import inner_product  # local import keeps module graph acyclic
-
     product = schur_product(M, N)
     direct = inner_product(product @ x, x)
     d_star = diag_matrix(x.entrywise_adjoint())

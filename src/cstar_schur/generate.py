@@ -28,6 +28,8 @@ from .module_an import AVector
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# added to G G* before normalizing the diagonal in random_unit_diagonal_positive
+_RIDGE = 1e-6
 
 STYLES = ("complex", "real_commutative")
 
@@ -191,14 +193,14 @@ def _inv_sqrt_positive(e: Element) -> Element:
     )
 
 
-def random_unit_diagonal_positive(cfg: GenConfig, ridge: float = 1e-6) -> AMatrix:
+def random_unit_diagonal_positive(cfg: GenConfig) -> AMatrix:
     """A positive matrix with diagonal entries equal to the unit (within 1e-10).
 
-    Built as D^{-1/2} (G G* + ridge I) D^{-1/2} where D collects the diagonal;
+    Built as D^{-1/2} (G G* + _RIDGE I) D^{-1/2} where D collects the diagonal;
     the ridge keeps the diagonal safely invertible.
     """
     _, M0 = random_positive_matrix(cfg)
-    M0 = M0 + ridge * identity_matrix(cfg.shape, cfg.n)
+    M0 = M0 + _RIDGE * identity_matrix(cfg.shape, cfg.n)
     d = diag_vector(M0)
     scalers = AVector.from_elements(
         _inv_sqrt_positive(d[j]) for j in range(cfg.n)

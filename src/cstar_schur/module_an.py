@@ -12,42 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _lock
+from .algebra import AlgebraShape, Element, _SizedBlocks
 from .errors import StructureError
 
 
-class AVector:
+class AVector(_SizedBlocks):
     """An element of A^n, stored blockwise as (n, k, k) arrays."""
 
-    __slots__ = ("shape", "n", "blocks")
-
-    def __init__(self, shape: AlgebraShape, blocks):
-        if len(blocks) != len(shape.blocks):
-            raise StructureError(f"expected {len(shape.blocks)} blocks")
-        n = None
-        mats = []
-        for k, raw in zip(shape.blocks, blocks):
-            arr = np.array(raw, dtype=np.complex128)
-            if arr.ndim != 3 or arr.shape[1:] != (k, k):
-                raise StructureError(f"block array must be (n, {k}, {k}), got {arr.shape}")
-            if n is None:
-                n = arr.shape[0]
-            elif arr.shape[0] != n:
-                raise StructureError("blocks disagree on vector length")
-            mats.append(_lock(arr))
-        if n is None or n < 1:
-            raise StructureError("vectors need length >= 1")
-        self.shape = shape
-        self.n = n
-        self.blocks = tuple(mats)
-
-    @classmethod
-    def _wrap(cls, shape: AlgebraShape, n: int, blocks) -> "AVector":
-        obj = object.__new__(cls)
-        obj.shape = shape
-        obj.n = n
-        obj.blocks = tuple(_lock(b) for b in blocks)
-        return obj
+    __slots__ = ()
+    _lead = 1
 
     @classmethod
     def from_elements(cls, entries) -> "AVector":
@@ -70,43 +43,19 @@ class AVector:
     def __getitem__(self, j: int) -> Element:
         return Element._wrap(self.shape, tuple(b[j].copy() for b in self.blocks))
 
-    def _require_same(self, other: "AVector") -> None:
-        if self.shape != other.shape or self.n != other.n:
-            raise StructureError("vectors live in different modules")
-
-    def __add__(self, other):
-        if not isinstance(other, AVector):
-            return NotImplemented
-        self._require_same(other)
-        return AVector._wrap(
-            self.shape, self.n, tuple(a + b for a, b in zip(self.blocks, other.blocks))
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, AVector):
-            return NotImplemented
-        self._require_same(other)
-        return AVector._wrap(
-            self.shape, self.n, tuple(a - b for a, b in zip(self.blocks, other.blocks))
-        )
-
     def entrywise_adjoint(self) -> "AVector":
         """The vector (x_1^*, ..., x_n^*)."""
-        return AVector._wrap(
-            self.shape, self.n, tuple(b.conj().transpose(0, 2, 1) for b in self.blocks)
-        )
+        return self._like(tuple(b.conj().transpose(0, 2, 1) for b in self.blocks))
 
     def to_json(self) -> dict:
-        return {"entries": [self[j].to_json() for j in range(self.n)]}
+        # entry j is Element.to_json of self[j]
+        return {"entries": [{"blocks": list(cell)} for cell in zip(*self._pairs())]}
 
     @classmethod
     def from_json(cls, shape: AlgebraShape, data: dict) -> "AVector":
         return cls.from_elements(
             Element.from_json(shape, entry) for entry in data["entries"]
         )
-
-    def __repr__(self):
-        return f"AVector(n={self.n}, shape={self.shape.blocks})"
 
 
 def left_mul(a: Element, x: AVector) -> AVector:

@@ -257,3 +257,13 @@ def test_eigensolver_failure_is_numerical_error(name, monkeypatch):
     where = "in sin" if block is None else f"on block {block}"
     assert str(err.value) == f"eigensolver failed {where}"
     assert err.value.block == block
+
+
+def test_classify_nan_in_any_block_is_not_positive():
+    # a NaN after a finite block used to be dropped by "first value wins"
+    for shape in COMMUTATIVE_SHAPES[1:]:
+        for pos in range(len(shape.blocks)):
+            values = [np.nan if b == pos else 1.0 for b in range(len(shape.blocks))]
+            rep = classify(comm_element(shape, *values))
+            assert not rep.is_positive and not rep.is_selfadjoint, (shape, pos)
+            assert np.isnan(rep.min_spectrum) and np.isnan(rep.hermitian_defect), (shape, pos)

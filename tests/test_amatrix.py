@@ -34,6 +34,7 @@ from cstar_schur import (
     unflatten,
     zero_matrix,
 )
+from cstar_schur.amatrix import _psd_stack
 from conftest import (
     COMMUTATIVE_SHAPES,
     NONCOMMUTATIVE_SHAPES,
@@ -281,6 +282,50 @@ def test_psd_margin_is_relative():
     m1 = psd_check(M).margin
     m2 = psd_check(1e6 * M).margin
     assert m1 == pytest.approx(m2, rel=1e-9)
+
+
+# one 1x1 block carries NaN, at every position of a commutative algebra
+NAN_CASES = [
+    (shape, pos) for shape in COMMUTATIVE_SHAPES[1:] for pos in range(len(shape.blocks))
+]
+
+
+def _one_by_one(shape, nan_at):
+    """The blocks of the 1x1 matrix [a], a = 1 except for a NaN in block ``nan_at``."""
+    return [
+        np.full((1, 1, 1, 1), np.nan if b == nan_at else 1.0, dtype=np.complex128)
+        for b in range(len(shape.blocks))
+    ]
+
+
+def test_psd_check_nan_in_any_block_is_not_positive():
+    # a NaN after a finite block used to be dropped by "first value wins"
+    for shape, pos in NAN_CASES:
+        rep = psd_check(AMatrix(shape, _one_by_one(shape, pos)))
+        assert not rep.is_positive, (shape, pos)
+        assert np.isnan(rep.margin), (shape, pos)
+        assert np.isnan(rep.hermitian_defect), (shape, pos)
+
+
+def test_psd_stack_nan_in_any_block_is_not_positive():
+    shape = AlgebraShape((1, 1, 1))
+    members = [_one_by_one(shape, pos) for pos in (None, 0, 1, 2)]
+    stack = _psd_stack([np.stack(col) for col in zip(*members)], 1e-9)
+    assert stack.is_positive.tolist() == [True, False, False, False]
+    margins = stack.margins()
+    assert margins[0] == 1.0 and np.isnan(margins[1:]).all()
+    for i in range(1, 4):
+        assert not stack.report(i).is_positive and np.isnan(stack.report(i).margin)
+
+
+def test_psd_report_min_eigenvalue_keeps_nan():
+    rep = PsdReport(True, 0.0, (1.0, np.nan), 1e-9, 1.0)
+    assert np.isnan(rep.min_eigenvalue) and np.isnan(rep.margin)
+    # signed-zero ties keep the first value, as Python's min does
+    bits = np.float64(PsdReport(True, 0.0, (-0.0, 0.0), 1e-9, 1.0).min_eigenvalue).tobytes()
+    assert bits == np.float64(-0.0).tobytes()
+    bits = np.float64(PsdReport(True, 0.0, (0.0, -0.0), 1e-9, 1.0).min_eigenvalue).tobytes()
+    assert bits == np.float64(0.0).tobytes()
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -0.0])

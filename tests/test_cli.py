@@ -87,6 +87,18 @@ def test_non_finite_entry_scale_is_usage_error(scale, capsys):
     assert "entry_scale must be finite and positive" in err
 
 
+def test_nan_bound_matrices_count_as_failures(tmp_path):
+    # at this scale some bound matrices carry a NaN in a later block; each is a
+    # failure (126 when a NaN after a finite block was dropped, 152 now)
+    out = tmp_path / "r.json"
+    argv = ["verify", "--shape", "1,1", "--n", "1", "--entry-scale", "1.2e154",
+            "--suite", "lowerbound", "--trials", "200", "--seed", "1", "--json", str(out)]
+    with np.errstate(all="ignore"):
+        assert run(argv) == 1
+    failures = {r["check_id"]: r["failures"] for r in json.loads(out.read_text())["reports"]}
+    assert failures["gram_row_sum_bound"] == 152
+
+
 @pytest.mark.parametrize("scale", ["1e200", "1e160"])
 def test_svd_breakdown_exits_three_without_traceback(scale, capsys):
     # entries this large overflow the flattened blocks, and the SVD behind
