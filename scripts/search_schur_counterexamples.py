@@ -3,8 +3,8 @@
 product, and how does that depend on the matrix size and the algebra?
 
 Sweeps n over a range for several noncommutative shapes and prints the
-violation rate, the worst relative margin, and the most extreme instance's
-minimum eigenvalue. Random inputs are Gram matrices G G* with i.i.d. complex
+random violation rate with its 95 % Wilson score interval and the worst
+relative margin. Random inputs are Gram matrices G G* with i.i.d. complex
 Gaussian G, so every trial starts from genuinely positive inputs.
 
     python scripts/search_schur_counterexamples.py --trials 2000 --n-max 4
@@ -28,7 +28,10 @@ def main() -> int:
     ap.add_argument("--shapes", nargs="*", default=SHAPES)
     args = ap.parse_args()
 
-    print(f"{'shape':8s} {'n':>2s} {'rate':>7s} {'min margin':>12s} {'time':>7s}")
+    print(
+        f"{'shape':8s} {'n':>2s} {'rate':>7s} {'95% Wilson':>14s}"
+        f" {'min margin':>12s} {'time':>7s}"
+    )
     for shape_text in args.shapes:
         shape = AlgebraShape.parse(shape_text)
         for n in range(1, args.n_max + 1):
@@ -36,10 +39,10 @@ def main() -> int:
             t0 = time.perf_counter()
             rep = counterexample_search(cfg, trials=args.trials)
             dt = time.perf_counter() - t0
-            d = rep.details
-            rate = d["random_violations"] / max(1, d["random_trials"])
+            rate = rep.details["violation_rate"]
+            low, high = rate["interval"]
             print(
-                f"{shape_text:8s} {n:2d} {rate:7.3f}"
+                f"{shape_text:8s} {n:2d} {rate['rate']:7.3f} [{low:.3f}, {high:.3f}]"
                 f" {rep.worst_margin:+12.3e} {dt:6.1f}s"
             )
     print(

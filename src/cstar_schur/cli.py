@@ -38,6 +38,7 @@ from .verify import (
     DEFAULT_TOL,
     SUITES,
     VIOLATION_THRESHOLD,
+    _search_witnesses,
     counterexample_search,
     counts_as_failure,
     find_trig_breakdown,
@@ -310,16 +311,18 @@ def cmd_search(args) -> int:
         )
         reports.append(rep)
         d = rep.details
-        rate = d["random_violations"] / max(1, d["random_trials"])
+        rate = d["violation_rate"]
+        low, high = rate["interval"]
         print(
-            f"n={n}: {len(d['violations'])}/{d['trials_attempted']} violations"
-            f" ({d['random_violations']} random, rate {rate:.3f}),"
+            f"n={n}: {rep.failures}/{d['trials_attempted']} violations"
+            f" ({d['random_violations']} random, rate {rate['rate']:.3f},"
+            f" 95% CI [{low:.3f}, {high:.3f}]),"
             f" min margin {rep.worst_margin:+.3e} ({rep.elapsed:.2f}s)"
         )
         entry = {
             "n": n,
             "trials": d["trials_attempted"],
-            "violations": len(d["violations"]),
+            "violations": rep.failures,
             "random_violations": d["random_violations"],
             "min_margin": rep.worst_margin,
         }
@@ -328,7 +331,7 @@ def cmd_search(args) -> int:
             out.mkdir(parents=True, exist_ok=True)
             shape_tag = "-".join(str(k) for k in cfg.shape.blocks)
             paths = []
-            for w in d["violations"]:
+            for w in _search_witnesses(sub, d["violation_trials"], args.tol):
                 name = f"witness_shape{shape_tag}_n{n}_seed{cfg.seed}_trial{w['trial']}.json"
                 (out / name).write_text(_canonical_json(w))
                 paths.append(str(out / name))
@@ -618,12 +621,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if "threads" in vars(args):
             validate_threads(args.threads)
+        if "d" in vars(args) and args.d < 1:
+            raise StructureError(f"--d must be >= 1, got {args.d}")
         if "trials" in vars(args):
             validate_trials(args.trials)
         _validate_tol(args.tol, "--tol")
         if "shape" in vars(args):
             _validate_size(args)
-        return args.func(args)
+        # overflow and NaN reach the verdicts, which count them as not
+        # positive; numpy's warnings about them would only clutter stderr
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (StructureError, DomainError, RangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

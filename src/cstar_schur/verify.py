@@ -51,6 +51,10 @@ products and the positivity oracle run once per chunk over a leading trial
 axis (``_schur_stack``). The Schur-positivity evaluator of one pair is the
 same call on a stack of one, so every trial gets the bits it would get
 alone. All trials run in one thread; ``threads`` is only validated.
+Its report is a summary: every violating trial index, the violation rate
+with a Wilson interval, a margin histogram, and the matrices of only a few
+violations (the deterministic one and the ``_TOP_WITNESSES`` most negative
+random ones). ``search_witness`` rebuilds the record of any trial alone.
 """
 
 from __future__ import annotations
@@ -778,30 +782,118 @@ def _positive_pair(sub: GenConfig) -> tuple[AMatrix, AMatrix]:
 # LAPACK calls gain little from bigger chunks, and peak memory grows with them.
 _CHUNK_ENTRIES = 8192
 
+# Random violations a search report keeps with their matrices, besides the
+# deterministic one: the most negative margins, ties broken by trial.
+_TOP_WITNESSES = 5
+
+# Bin edges of the search's histogram of relative margins. Bin i counts the
+# margins in [edges[i-1], edges[i]), with the ends open; the bins below
+# -VIOLATION_THRESHOLD hold exactly the violations.
+MARGIN_BIN_EDGES = (
+    -1e-1, -1e-2, -1e-3, -1e-4, -1e-5, -VIOLATION_THRESHOLD,
+    0.0, VIOLATION_THRESHOLD, 1e-4, 1e-2, 1e-1,
+)
+
+# the standard normal's 0.975 quantile, for two-sided 95 % intervals
+_Z95 = 1.959963984540054
+
+
+def _wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """The 95 % Wilson score interval for a binomial rate hits / trials
+    (Wilson 1927, JASA 22); (0, 1) when there are no trials."""
+    if trials == 0:
+        return 0.0, 1.0
+    p = hits / trials
+    w = _Z95 * _Z95 / trials
+    center = (p + w / 2) / (1 + w)
+    half = _Z95 / (1 + w) * math.sqrt(p * (1 - p) / trials + w / (4 * trials))
+    # exact ends at 0 and 1, where rounding could leave p outside
+    return max(0.0, min(p, center - half)), min(1.0, max(p, center + half))
+
+
+def _margin_histogram(margins: list[float]) -> dict:
+    """Counts of the margins over ``MARGIN_BIN_EDGES``, with NaN counted apart."""
+    m = np.asarray(margins, dtype=float)
+    nan = np.isnan(m)
+    bins = np.searchsorted(MARGIN_BIN_EDGES, m[~nan], side="right")
+    counts = np.bincount(bins, minlength=len(MARGIN_BIN_EDGES) + 1)
+    return {"edges": list(MARGIN_BIN_EDGES), "counts": counts.tolist(), "nan": int(nan.sum())}
+
+
+def _chunk_size(cfg: GenConfig) -> int:
+    return max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
+
+
+def _pairs(cfg: GenConfig, trials):
+    """(M blocks, N blocks, seeds) of the given trials, stacked; trial 0 is
+    the deterministic witness and comes alone.
+
+    Trial t >= 1 draws G and H from the seeds of ``cfg.derive(t).derive(0)``
+    and ``.derive(1)``, derived as integers, exactly as ``_positive_pair``
+    does; each block is drawn into a preallocated stack and only G G* and
+    H H* are formed.
+    """
+    if trials[0] == 0:
+        M, N = jordan_witness(cfg.shape, cfg.n)
+        return _stacked(M), _stacked(N), [cfg.seed]
+    n, blocks = cfg.n, cfg.shape.blocks
+    seeds = [derive_seed(cfg.seed, t) for t in trials]
+    g, h = ([np.empty((len(seeds), n, n, k, k), np.complex128) for k in blocks] for _ in range(2))
+    for i, seed in enumerate(seeds):
+        for j, stacks in enumerate((g, h)):
+            rng = np.random.default_rng(derive_seed(seed, j))
+            for k, stack in zip(blocks, stacks):
+                stack[i] = _draw(rng, (n, n, k, k), cfg.entry_scale, cfg.style)
+    return tuple(map(_gram_block, g)), tuple(map(_gram_block, h)), seeds
+
 
 def _search_chunks(cfg: GenConfig, trials: int):
     """(first trial, M blocks, N blocks, seeds) of each chunk of the search:
-    the deterministic witness alone, then trials 1..trials in stacks.
-
-    Trial t draws G and H from the seeds of ``cfg.derive(t).derive(0)`` and
-    ``.derive(1)``, derived as integers, exactly as ``_positive_pair`` does;
-    each block is drawn into a preallocated stack and only G G* and H H* are
-    formed.
-    """
-    M, N = jordan_witness(cfg.shape, cfg.n)
-    yield 0, _stacked(M), _stacked(N), [cfg.seed]
-    n, blocks = cfg.n, cfg.shape.blocks
-    size = max(1, _CHUNK_ENTRIES // (n * max(blocks)) ** 2)
+    the deterministic witness alone, then trials 1..trials in stacks."""
+    yield 0, *_pairs(cfg, [0])
+    size = _chunk_size(cfg)
     for first in range(1, trials + 1, size):
-        count = min(size, trials + 1 - first)
-        seeds = [derive_seed(cfg.seed, t) for t in range(first, first + count)]
-        g, h = ([np.empty((count, n, n, k, k), np.complex128) for k in blocks] for _ in range(2))
-        for i, seed in enumerate(seeds):
-            for j, stacks in enumerate((g, h)):
-                rng = np.random.default_rng(derive_seed(seed, j))
-                for k, stack in zip(blocks, stacks):
-                    stack[i] = _draw(rng, (n, n, k, k), cfg.entry_scale, cfg.style)
-        yield first, tuple(map(_gram_block, g)), tuple(map(_gram_block, h)), seeds
+        yield first, *_pairs(cfg, range(first, min(first + size, trials + 1)))
+
+
+def _search_record(shape, trial, i, seed, m_blocks, n_blocks, product, verdicts) -> dict:
+    """The record of trial ``trial``, member i of a stack: its matrices,
+    certificate, seed and margin."""
+    rep = verdicts.report(i)
+    record = _schur_witness(shape, i, m_blocks, n_blocks, product, rep)
+    record.update(
+        trial=trial,
+        seed=seed,
+        deterministic_witness=trial == 0,
+        min_eigenvalue=rep.min_eigenvalue,
+        margin=rep.margin,
+    )
+    return record
+
+
+def _search_witnesses(cfg: GenConfig, trials: list[int], tol: float = DEFAULT_TOL):
+    """The records of the given ascending trials, in order, drawn as the
+    search draws them and evaluated in stacks of at most a search chunk.
+    A member of a stack gets the bits it gets alone, so each record is the
+    one the search keeps of that trial when it violates."""
+    if trials and trials[0] < 0:
+        raise StructureError(f"trial must be >= 0, got {trials[0]}")
+    size = _chunk_size(cfg)
+    groups = [trials[:1]] if trials[:1] == [0] else []
+    rest = trials[len(groups):]
+    groups += [rest[i : i + size] for i in range(0, len(rest), size)]
+    for group in groups:
+        m_blocks, n_blocks, seeds = _pairs(cfg, group)
+        product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
+        for i, t in enumerate(group):
+            yield _search_record(cfg.shape, t, i, seeds[i], m_blocks, n_blocks, product, verdicts)
+
+
+def search_witness(cfg: GenConfig, trial: int, tol: float = DEFAULT_TOL) -> dict:
+    """The record ``counterexample_search`` keeps of trial ``trial`` when it
+    violates: the pair drawn as the search draws it, evaluated alone, which
+    gives the bits it gets inside a chunk."""
+    return next(_search_witnesses(cfg, [trial], tol))
 
 
 def counterexample_search(
@@ -816,9 +908,16 @@ def counterexample_search(
     Trial zero is the deterministic witness above; trials 1..trials draw
     Gram-positive pairs from per-trial substreams. Violations are counted
     once the relative margin drops below -1e-6, comfortably beyond
-    verification noise, and each one is recorded with its seed, instance,
-    and min-eigenvalue certificate. Trials are evaluated in stacked chunks
+    verification noise. Trials are evaluated in stacked chunks
     (``_search_chunks``); ``threads`` is validated and otherwise unused.
+
+    The details summarize the violations: every violating trial
+    (``violation_trials``), the random violation rate with a 95 % Wilson
+    interval over the random trials attempted, and a histogram of all
+    margins. ``violations`` holds the records (``search_witness``) of the
+    deterministic witness, when it violates, and of the ``_TOP_WITNESSES``
+    most negative random violations; the report's witness is the first
+    violation. Only these records are built.
     """
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
@@ -829,7 +928,8 @@ def counterexample_search(
     validate_trials(trials)
     validate_threads(threads)
 
-    margins, violations = [], []
+    margins, violation_trials = [], []
+    first_witness, top = None, []  # top: (margin, trial, record), best first
     for first, m_blocks, n_blocks, seeds in _search_chunks(cfg, trials):
         product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
         chunk = verdicts.margins()
@@ -837,35 +937,53 @@ def counterexample_search(
         if stop_on_first and hits:
             hits = hits[:1]
             chunk = chunk[: hits[0] + 1]
-        margins.extend(chunk.tolist())
-        for i in hits:
-            rep = verdicts.report(i)
-            witness = _schur_witness(cfg.shape, i, m_blocks, n_blocks, product, rep)
-            witness.update(
-                trial=first + i,
-                seed=seeds[i],
-                deterministic_witness=first + i == 0,
-                min_eigenvalue=rep.min_eigenvalue,
-                margin=rep.margin,
+        chunk = chunk.tolist()
+        margins.extend(chunk)
+        violation_trials.extend(first + i for i in hits)
+
+        def record(i):
+            return _search_record(
+                cfg.shape, first + i, i, seeds[i], m_blocks, n_blocks, product, verdicts
             )
-            violations.append(witness)
+
+        if hits and first_witness is None:
+            first_witness = record(hits[0])
+        random_hits = sorted((chunk[i], first + i, i) for i in hits if first + i > 0)
+        for margin, t, i in random_hits[:_TOP_WITNESSES]:
+            if len(top) == _TOP_WITNESSES and (margin, t) > top[-1][:2]:
+                break
+            top.append((margin, t, record(i)))
+            top.sort(key=lambda entry: entry[:2])
+            del top[_TOP_WITNESSES:]
         if stop_on_first and hits:
             break
+
+    deterministic = violation_trials[:1] == [0]
+    random_violations = len(violation_trials) - deterministic
+    random_attempted = len(margins) - 1
+    low, high = _wilson_interval(random_violations, random_attempted)
     details = {
         "search": True,
         "random_trials": trials,
         "trials_attempted": len(margins),
         "violation_threshold": VIOLATION_THRESHOLD,
-        "random_violations": sum(not w["deterministic_witness"] for w in violations),
-        "violations": violations,
+        "random_violations": random_violations,
+        "violation_trials": violation_trials,
+        "violation_rate": {
+            "rate": random_violations / max(1, random_attempted),
+            "interval": [low, high],
+            "confidence": 0.95,
+        },
+        "margin_histogram": _margin_histogram(margins),
+        "violations": ([first_witness] if deterministic else []) + [r for _, _, r in top],
     }
     return _report(
         "schur_counterexample_search",
         len(margins),
-        len(violations),
+        len(violation_trials),
         _worst(margins),
         tol,
-        violations[0] if violations else None,
+        first_witness,
         details,
         t0,
     )

@@ -19,6 +19,8 @@ from cstar_schur import (
     identity_matrix,
 )
 from cstar_schur.cli import _canonical_json, main
+from cstar_schur.verify import search_witness
+from test_verify import _reference_search
 
 
 def run(argv):
@@ -176,13 +178,38 @@ def test_witness_files_match_stdlib_encoding(tmp_path):
     argv = ["search", "--shape", "2", "--n", "2", "--trials", "30", "--seed", "3"]
     assert run(argv + ["--witness-dir", str(wdir), "--json", str(out)]) == 0
     cfg = GenConfig(seed=3, shape=AlgebraShape((2,)), n=2)
-    violations = counterexample_search(cfg, trials=30).details["violations"]
-    assert len(violations) > 1
-    for w in violations:
-        path = wdir / f"witness_shape2_n2_seed3_trial{w['trial']}.json"
-        assert path.read_text() == json.dumps(w, sort_keys=True, indent=2) + "\n"
+    details = counterexample_search(cfg, trials=30).details
+    trials = details["violation_trials"]
+    assert len(trials) > 1
+
+    def path(t):
+        return wdir / f"witness_shape2_n2_seed3_trial{t}.json"
+
+    assert sorted(wdir.iterdir()) == sorted(map(path, trials))
+    for t in trials:
+        w = search_witness(cfg, t)
+        assert path(t).read_text() == json.dumps(w, sort_keys=True, indent=2) + "\n"
+    for w in details["violations"]:
+        assert path(w["trial"]).read_text() == json.dumps(w, sort_keys=True, indent=2) + "\n"
     text = out.read_text()
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+def test_sweep_witness_files_match_per_trial_reference(tmp_path):
+    # every violating trial of every size gets a file: the record of the trial
+    # evaluated on its own, in the stdlib encoding
+    wdir = tmp_path / "wit"
+    argv = ["search", "--shape", "2", "--n", "2", "--n-max", "3", "--trials", "60",
+            "--seed", "3", "--witness-dir", str(wdir)]
+    assert run(argv) == 0
+    expected = {}
+    for n in (2, 3):
+        sub = GenConfig(seed=3, shape=AlgebraShape((2,)), n=n).derive(n)
+        for ref in _reference_search(sub, 60)[1]:
+            expected[f"witness_shape2_n{n}_seed3_trial{ref['trial']}.json"] = ref
+    assert sorted(p.name for p in wdir.iterdir()) == sorted(expected)
+    for name, ref in expected.items():
+        assert (wdir / name).read_text() == json.dumps(ref, sort_keys=True, indent=2) + "\n"
 
 
 def test_search_sweep_has_per_size_stats(tmp_path):
@@ -530,6 +557,47 @@ def test_size_limit_is_on_n_times_the_largest_block():
     for bad in (args("2,1", MAX_FLAT_SIZE // 2 + 1), args("1", 2, MAX_FLAT_SIZE + 1)):
         with pytest.raises(StructureError):
             _validate_size(bad)
+
+
+@pytest.mark.parametrize("trials", ["0", "1"])
+@pytest.mark.parametrize("suite", ["all", "schur"])
+@pytest.mark.parametrize("shape", ["1,1", "2"])
+def test_nonpositive_d_is_usage_error(shape, suite, trials, capsys):
+    argv = ["verify", "--suite", suite, "--shape", shape, "--n", "2", "--trials", trials]
+    for d in ("0", "-3"):
+        assert run(argv + ["--d", d]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before any check runs
+        assert captured.err == f"error: --d must be >= 1, got {d}\n"
+
+
+def test_novak_nonpositive_d_is_usage_error(capsys):
+    assert run(["novak", "--random", "--n", "2", "--d", "0", "--trials", "1"]) == 2
+    assert "--d must be >= 1" in capsys.readouterr().err
+
+
+def _cli(*argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "cstar_schur", *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_overflow_leaks_no_numpy_warnings():
+    # entries near sqrt(max float) overflow in the Gram products; the verdicts
+    # count the non-finite results, and stderr stays free of numpy's warnings
+    done = _cli("verify", "--shape", "1,1", "--n", "1", "--entry-scale", "1.2e154",
+                "--suite", "lowerbound", "--trials", "200", "--seed", "1")
+    assert done.returncode == 1
+    assert "RuntimeWarning" not in done.stderr and done.stderr == ""
+    row = next(line for line in done.stdout.splitlines() if "gram_row_sum_bound" in line)
+    assert "failures=152" in row
+    done = _cli("search", "--shape", "2", "--n", "2", "--entry-scale", "1.2e154",
+                "--trials", "50", "--seed", "1")
+    assert done.returncode == 3
+    assert done.stderr == "numerical error: SVD did not converge\n"
 
 
 # -- startup ----------------------------------------------------------------------

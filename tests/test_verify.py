@@ -376,6 +376,23 @@ def _reference_search(cfg, trials, stop_on_first=False):
     return margins, violations
 
 
+def _assert_summary_matches(rep, cfg, violations):
+    """The search's summary against the per-trial reference: the violating
+    trials, the record of each rebuilt alone, and the records kept."""
+    by_trial = {v["trial"]: v for v in violations}
+    assert rep.details["violation_trials"] == list(by_trial)
+    for t, v in by_trial.items():
+        assert verify.search_witness(cfg, t) == v
+    kept = rep.details["violations"]
+    assert all(w == by_trial[w["trial"]] for w in kept)
+    random = sorted(
+        (v for v in violations if v["trial"] > 0), key=lambda v: (v["margin"], v["trial"])
+    )
+    expected = [v for v in violations if v["trial"] == 0] + random[: verify._TOP_WITNESSES]
+    assert [w["trial"] for w in kept] == [v["trial"] for v in expected]
+    assert rep.witness == (violations[0] if violations else None)
+
+
 @pytest.mark.parametrize("stop_on_first", [False, True])
 @pytest.mark.parametrize("n", [2, 3, 5])
 @pytest.mark.parametrize("shape", ["2", "2,1", "3"])
@@ -398,7 +415,7 @@ def test_stacked_search_matches_per_trial_reference(shape, n, stop_on_first, mon
 
     rep = counterexample_search(cfg, trials, stop_on_first=stop_on_first)
     assert rep.details["trials_attempted"] == rep.trials == len(margins)
-    assert rep.details["violations"] == violations
+    _assert_summary_matches(rep, cfg, violations)
     assert rep.failures == len(violations)
     assert np.array(rep.worst_margin).tobytes() == np.array(min(margins)).tobytes()
 
@@ -423,9 +440,127 @@ def test_stacked_search_matches_per_trial_reference_at_other_styles_and_scales(
     assert np.array(stacked).tobytes() == np.array(margins).tobytes()
 
     rep = counterexample_search(cfg, trials)
-    assert rep.details["violations"] == violations
+    _assert_summary_matches(rep, cfg, violations)
     assert rep.failures == len(violations)
     assert np.array(rep.worst_margin).tobytes() == np.array(min(margins)).tobytes()
+
+
+_Z95 = 1.959963984540054
+
+
+def _wilson_closed_form(k, n, z=_Z95):
+    # (k + z^2/2 -+ z sqrt(k (n - k) / n + z^2 / 4)) / (n + z^2)
+    half = z * math.sqrt(k * (n - k) / n + z * z / 4)
+    return (k + z * z / 2 - half) / (n + z * z), (k + z * z / 2 + half) / (n + z * z)
+
+
+@pytest.mark.parametrize("k, n", [(0, 10), (10, 10), (475, 1000), (1, 3)])
+def test_wilson_interval_matches_closed_form(k, n):
+    low, high = verify._wilson_interval(k, n)
+    want_low, want_high = _wilson_closed_form(k, n)
+    assert low == pytest.approx(want_low, abs=1e-15)
+    assert high == pytest.approx(want_high, abs=1e-15)
+    assert 0.0 <= low <= k / n <= high <= 1.0
+
+
+def test_wilson_interval_ends_and_empty():
+    z2 = _Z95**2
+    assert verify._wilson_interval(0, 10) == (0.0, pytest.approx(z2 / (10 + z2)))
+    assert verify._wilson_interval(10, 10) == (pytest.approx(10 / (10 + z2)), 1.0)
+    assert verify._wilson_interval(0, 0) == (0.0, 1.0)
+    rate = counterexample_search(GenConfig(seed=1, shape=M2, n=2), trials=0).details[
+        "violation_rate"
+    ]
+    assert rate == {"rate": 0.0, "interval": [0.0, 1.0], "confidence": 0.95}
+
+
+def test_margin_histogram_counts_nan_apart():
+    hist = verify._margin_histogram(
+        [math.nan, -1.0, -math.inf, -2e-6, -1e-6, 0.0, 5e-7, 1.0, math.inf, math.nan]
+    )
+    edges = list(verify.MARGIN_BIN_EDGES)
+    assert hist["edges"] == edges
+    assert hist["nan"] == 2
+    assert sum(hist["counts"]) == 8
+    counts = dict(enumerate(hist["counts"]))
+    zero = edges.index(0.0)
+    assert counts[0] == 2  # -1 and -inf: below the first edge
+    assert counts[zero - 1] == 1  # -2e-6 in [-1e-5, -1e-6)
+    assert counts[zero] == 1  # -1e-6 in [-1e-6, 0): not a violation
+    assert counts[zero + 1] == 2  # 0 and 5e-7 in [0, 1e-6)
+    assert counts[len(edges)] == 2  # 1 and inf: above the last edge
+
+
+def test_search_summary_counts_every_trial():
+    cfg = GenConfig(seed=2024, shape=M2, n=3)
+    rep = counterexample_search(cfg, trials=600)
+    d = rep.details
+    hist = d["margin_histogram"]
+    assert sum(hist["counts"]) + hist["nan"] == d["trials_attempted"] == 601
+    below = list(verify.MARGIN_BIN_EDGES).index(-verify.VIOLATION_THRESHOLD) + 1
+    assert sum(hist["counts"][:below]) == rep.failures == len(d["violation_trials"])
+    assert d["random_violations"] == rep.failures - 1
+    rate = d["violation_rate"]
+    assert rate["rate"] == d["random_violations"] / 600
+    assert rate["interval"] == list(verify._wilson_interval(d["random_violations"], 600))
+
+
+def test_search_keeps_the_most_negative_witnesses_in_order():
+    # n = 3 runs in chunks of 227 trials, so the top 5 is carried across chunks
+    cfg = GenConfig(seed=2024, shape=M2, n=3)
+    rep = counterexample_search(cfg, trials=600)
+    margins = []
+    for _, m_blocks, n_blocks, _ in verify._search_chunks(cfg, 600):
+        margins.extend(verify._schur_stack(m_blocks, n_blocks, 1e-9)[1].margins().tolist())
+    hits = sorted((m, t) for t, m in enumerate(margins) if t > 0 and m < -1e-6)
+    kept = rep.details["violations"]
+    assert kept[0]["trial"] == 0 and kept[0] is rep.witness
+    assert [(w["margin"], w["trial"]) for w in kept[1:]] == hits[: verify._TOP_WITNESSES]
+    assert len({w["trial"] for w in kept}) == len(kept) == 1 + verify._TOP_WITNESSES
+
+
+def test_search_breaks_margin_ties_by_trial(monkeypatch):
+    # every random trial gets the violating pair of trial 1: equal margins
+    real = verify._pairs
+
+    def same_pair(cfg, trials):
+        if trials[0] == 0:
+            return real(cfg, [0])
+        m, n, seeds = real(cfg, [1])
+        count = len(trials)
+        m, n = (tuple(np.repeat(b, count, axis=0) for b in blocks) for blocks in (m, n))
+        return m, n, seeds * count
+
+    monkeypatch.setattr(verify, "_pairs", same_pair)
+    rep = counterexample_search(GenConfig(seed=2024, shape=M2, n=2), trials=600)
+    assert rep.failures == 601  # trial 0 and the 600 copies; two chunks at n = 2
+    assert [w["trial"] for w in rep.details["violations"]] == [0, 1, 2, 3, 4, 5]
+
+
+def test_search_stop_on_first_is_a_one_trial_summary():
+    rep = counterexample_search(GenConfig(seed=1, shape=M2, n=2), trials=500, stop_on_first=True)
+    d = rep.details
+    assert d["violation_trials"] == [0]
+    assert [w["trial"] for w in d["violations"]] == [0]
+    assert d["violations"][0] is rep.witness
+    assert sum(d["margin_histogram"]["counts"]) == d["trials_attempted"] == 1
+    assert d["violation_rate"]["interval"] == [0.0, 1.0]
+
+
+def test_search_witnesses_in_stacks_match_each_alone():
+    # more violations than one chunk holds: the rebuild runs in several stacks
+    cfg = GenConfig(seed=2024, shape=M2, n=2)
+    trials = counterexample_search(cfg, trials=1200).details["violation_trials"]
+    assert trials[0] == 0 and len(trials) > 1 + verify._chunk_size(cfg)
+    records = list(verify._search_witnesses(cfg, trials))
+    assert [w["trial"] for w in records] == trials
+    for t in (trials[0], trials[1], trials[1 + verify._chunk_size(cfg)], trials[-1]):
+        assert records[trials.index(t)] == verify.search_witness(cfg, t)
+
+
+def test_search_witness_rejects_negative_trial():
+    with pytest.raises(StructureError):
+        verify.search_witness(GenConfig(seed=1, shape=M2, n=2), -1)
 
 
 def test_counterexample_search_rejects_commutative():
