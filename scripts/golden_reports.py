@@ -37,15 +37,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-GRID = [
-    ("1", 6),
-    ("1,1", 4),
-    ("1,1,1,1", 3),
-    ("2", 2),
-    ("2,1", 2),
-    ("3", 2),
-    ("2,2", 2),
-]
+# the grid is the one of run_verification_suites.py, which imports the package
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
+from run_verification_suites import GRID  # noqa: E402
 
 
 def golden_commands() -> dict[str, list[str]]:

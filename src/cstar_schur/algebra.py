@@ -350,6 +350,16 @@ def _psd_verdict(flats: list[np.ndarray], tol: float):
     return positive, selfadjoint, defect, mins, scale
 
 
+def _spectrum_report(positive, selfadjoint, defect, mins, i: int) -> SpectrumReport:
+    """Member i of a ``_psd_verdict`` on 1x1 matrices, as ``classify`` reports it."""
+    return SpectrumReport(
+        bool(selfadjoint[i]),
+        bool(positive[i]),
+        float(_first_of(mins[i], np.less)),
+        float(defect[i]),
+    )
+
+
 def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     """Decide self-adjointness and positivity of one element.
 
@@ -359,12 +369,7 @@ def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     positivity verdict on the 1x1 matrix [a].
     """
     positive, selfadjoint, defect, mins, _ = _psd_verdict([b[None] for b in a.blocks], tol)
-    return SpectrumReport(
-        bool(selfadjoint[0]),
-        bool(positive[0]),
-        float(_first_of(mins[0], np.less)),
-        float(defect[0]),
-    )
+    return _spectrum_report(positive, selfadjoint, defect, mins, 0)
 
 
 def sqrt_positive(a: Element, tol: float = DEFAULT_TOL) -> Element:
@@ -392,8 +397,7 @@ def _psd_sqrt(mat: np.ndarray, block: int) -> np.ndarray:
 
 
 def commutator_norm(a: Element, b: Element) -> float:
-    """||ab - ba||."""
+    """||ab - ba||; NaN when any block's commutator norm is NaN."""
     a._require_same(b)
-    return max(
-        _spectral_norm(x @ y - y @ x) for x, y in zip(a.blocks, b.blocks)
-    )
+    norms = [_spectral_norm(x @ y - y @ x) for x, y in zip(a.blocks, b.blocks)]
+    return float(_first_of(norms, np.greater))

@@ -26,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_TOL, AlgebraShape, Element, _SizedBlocks, _spectral_norm
+from .algebra import DEFAULT_TOL, AlgebraShape, Element, SpectrumReport, _SizedBlocks
 from .algebra import _adjoint, _first_of, _hermitian_part, _psd_prelude, _psd_sqrt, _psd_verdict
+from .algebra import _spectral_norm, _spectrum_report
 from .errors import DomainError, StructureError
 from .module_an import AVector, inner_product
 
@@ -363,6 +364,12 @@ class PsdStack:
             mins,
             self.tol,
             float(self.scale[i]),
+        )
+
+    def spectrum(self, i: int) -> SpectrumReport:
+        """``classify``'s report of member i, for a stack of 1x1 matrices."""
+        return _spectrum_report(
+            self.is_positive, self.hermitian, self.hermitian_defect, self.min_eigenvalues, i
         )
 
 

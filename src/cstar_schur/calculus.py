@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _eigh, _spectral_apply
+from .algebra import AlgebraShape, Element, _eigh, _first_of, _norms, _spectral_apply
 from .amatrix import AMatrix, element_scale, identity_matrix, ones_matrix, schur_product, zero_matrix
-from .errors import RangeError, StructureError
+from .errors import NumericalError, RangeError, StructureError
 
 DEFAULT_NORM_CAP = 50.0
 
@@ -39,14 +39,10 @@ def _check_cap(x: Element, norm_cap: float) -> None:
     _raise_over_cap(x.norm(), norm_cap)
 
 
-def _is_hermitian(blk: np.ndarray) -> bool:
-    return np.array_equal(blk, blk.conj().T)
-
-
 def _exp_block(blk: np.ndarray) -> np.ndarray:
     if blk.shape == (1, 1):
         return np.exp(blk)
-    if _is_hermitian(blk):
+    if _hermitian_members([blk[None]])[0]:
         return _spectral_apply(blk, np.exp, site="exp")
     # the only user of scipy: importing it here keeps it off the startup path
     import scipy.linalg
@@ -66,27 +62,75 @@ def elem_exp(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     return Element._wrap(x.shape, tuple(_exp_block(b) for b in x.blocks))
 
 
-def _selfadjoint_apply(x: Element, norm_cap: float, fn, name: str) -> Element | None:
-    """fn(x) blockwise when every block of x equals its adjoint, else None.
+def _hermitian_members(stacks) -> np.ndarray:
+    """Which members of a stack of elements, one (T, k, k) array per block,
+    have every block exactly equal to its adjoint."""
+    return np.logical_and.reduce(
+        [(s == s.conj().swapaxes(-1, -2)).all(axis=(-2, -1)) for s in stacks]
+    )
 
-    For a self-adjoint x the cap's norm is max|λ| from the same
-    eigendecompositions that give V fn(Λ) V*; 1x1 blocks use the entry's abs.
-    """
-    if not all(_is_hermitian(b) for b in x.blocks):
+
+def _spectral_stack(stacks, fn, name: str):
+    """(fn of each member, its norm) for a stack of elements whose blocks are
+    Hermitian, one (T, k, k) array per block: one eigendecomposition per block
+    for the whole stack, V fn(Λ) V* per member, and the norm max|λ| over the
+    blocks. A 1x1 block applies fn to the entry and takes the entry's abs."""
+    # (w, v) per block with w ascending; a 1x1 block is its own eigenvalue
+    eigs = [None if s.shape[-1] == 1 else _eigh(s, True, site=name) for s in stacks]
+    norms = [
+        _norms(s) if e is None else _first_of([abs(e[0][:, 0]), abs(e[0][:, -1])], np.greater)
+        for s, e in zip(stacks, eigs)
+    ]
+    values = [
+        fn(s) if e is None else (e[1] * fn(e[0])[:, None, :]) @ e[1].conj().swapaxes(-1, -2)
+        for s, e in zip(stacks, eigs)
+    ]
+    return values, _first_of(norms, np.greater)
+
+
+def _selfadjoint_apply(x: Element, norm_cap: float, fn, name: str) -> Element | None:
+    """fn(x) blockwise when every block of x equals its adjoint, else None:
+    ``_spectral_stack`` on a stack of one, whose norm is checked against the cap."""
+    stacks = tuple(b[None] for b in x.blocks)
+    if not _hermitian_members(stacks)[0]:
         _check_cap(x, norm_cap)
         return None
-    # (w, v) per block with w ascending; a 1x1 block is its own eigenvalue
-    eigs = [None if b.shape == (1, 1) else _eigh(b, True, site=name) for b in x.blocks]
-    norms = (
-        abs(b[0, 0]) if e is None else max(abs(e[0][0]), abs(e[0][-1]))
-        for b, e in zip(x.blocks, eigs)
-    )
-    _raise_over_cap(float(max(norms)), norm_cap)
-    out = (
-        fn(b) if e is None else (e[1] * fn(e[0])) @ e[1].conj().T
-        for b, e in zip(x.blocks, eigs)
-    )
-    return Element._wrap(x.shape, tuple(out))
+    values, norms = _spectral_stack(stacks, fn, name)
+    _raise_over_cap(float(norms[0]), norm_cap)
+    return Element._wrap(x.shape, tuple(v[0] for v in values))
+
+
+def _trig_stack(shape: AlgebraShape, stacks, sine: np.ndarray) -> list[np.ndarray]:
+    """cos of each member of a stack of elements, one (T, k, k) array per block,
+    or sin of the members where the boolean array ``sine`` is set.
+
+    The members whose blocks all equal their adjoints share one
+    ``_spectral_stack`` call; every other member, one over the cap, or all of
+    them when that call raises, goes through ``elem_cos`` or ``elem_sin`` in
+    order. So each member gets the bits that function gives it alone, and the
+    first error raised is the one it raises first in member order.
+    """
+    out = [np.empty_like(s) for s in stacks]
+    fast = _hermitian_members(stacks)
+    picked = sine[fast]
+
+    def fn(w):
+        return np.where(picked.reshape((-1,) + (1,) * (w.ndim - 1)), np.sin(w), np.cos(w))
+
+    try:
+        values, norms = _spectral_stack([s[fast] for s in stacks], fn, "cos")
+        within = ~(norms > DEFAULT_NORM_CAP)
+        for o, v in zip(out, values):
+            o[np.flatnonzero(fast)[within]] = v[within]
+        fast[fast] = within
+    except NumericalError:
+        fast[:] = False
+    for i in np.flatnonzero(~fast):
+        elem_fn = elem_sin if sine[i] else elem_cos
+        value = elem_fn(Element._wrap(shape, tuple(s[i] for s in stacks)))
+        for o, b in zip(out, value.blocks):
+            o[i] = b
+    return out
 
 
 def elem_sin(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:

@@ -27,23 +27,30 @@ entries of suite ``name`` in table order. A ``Check`` entry holds
   ``fallback`` fields replaced over commutative shapes (the hit searches move
   to the shape ``(2,)``);
 * ``trial(sub, t, opts)``, which draws instance t from its substream ``sub``
-  and returns ``(margin, witness)``, or ``(margin, witness, counts)`` with
-  counts summed into the details;
+  and returns it as a ``_Drawn`` that finishes as ``(margin, witness)``, or
+  ``(margin, witness, counts)`` with counts summed into the details;
 * ``tol`` (fixed instead of the run's), ``details``, ``clamp`` (a trial with
   a witness counts at most -2 tol) and ``run``, which replaces the margin
   aggregation (the two hit searches, explicit Novak points).
 
 To add a check, write its evaluator, a public ``check_*`` function that
-validates its inputs and calls it, a trial that draws an instance and calls
-one of the two, and an entry where its report belongs in the suite order.
+runs it alone, a trial that draws an instance and calls the evaluator, and an
+entry where its report belongs in the suite order.
 
-Each check has one evaluator of one instance; its public ``check_*``
-function validates the inputs and calls it. The trials of Schur positivity,
-the row-sum bound and the complex diagonal probe call the evaluator without
-the validation and its extra eigensolves; the other trials call the
-``check_*`` function, validation included. ``_run_trials`` is the trial loop
-of the margin checks, ``find_nonassociativity`` and ``find_trig_breakdown``:
-one trial after another, or up to the first witness.
+Each check has one evaluator, split in two. Drawing builds the instance and
+does all its algebra up to its positivity verdicts; it returns a ``_Drawn``
+holding the matrices it asks the oracle to certify and ``finish``, which
+turns the verdicts into the outcome. The public ``check_*`` function runs the
+evaluator, input validation included, on a stack of one (``_alone``). The
+trials of the margin checks call the same evaluator: the Schur-positivity,
+row-sum and complex-probe trials without the validation of the public
+function, the others with it. ``_run_trials`` draws the trials of a check a
+chunk at a time, certifies every matrix they ask for with one stacked oracle
+call per group of equal block shapes and tol (``_certify``), and finishes
+them in order. A stack member gets the bits it gets alone, so every report
+is the one that running each trial alone gives, and so is the first error
+raised. ``find_nonassociativity`` and ``find_trig_breakdown`` run their
+trials one after another, up to the first witness.
 
 ``counterexample_search`` evaluates its trials in stacked chunks instead:
 each trial is drawn as before, then the Gram products, the symmetrized
@@ -62,6 +69,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -70,7 +78,9 @@ from .algebra import (
     DEFAULT_TOL,
     AlgebraShape,
     Element,
-    classify,
+    SpectrumReport,
+    _first_of,
+    _norms,
     commutator_norm,
     identity_element,
     zero_element,
@@ -78,6 +88,7 @@ from .algebra import (
 from .amatrix import (
     AMatrix,
     PsdReport,
+    PsdStack,
     cholesky_psd_check,
     diag_matrix,
     diag_vector,
@@ -85,7 +96,6 @@ from .amatrix import (
     mat_norm,
     ones_matrix,
     outer_product,
-    psd_check,
     row_sums,
     schur_product,
     schur_quadratic_form_oracle,
@@ -94,8 +104,8 @@ from .amatrix import (
     _schur_block,
     _stacked,
 )
-from .calculus import SeriesSpec, elem_cos, elem_sin, schur_series_apply
-from .errors import DomainError, StructureError
+from .calculus import SeriesSpec, _trig_stack, elem_cos, elem_sin, schur_series_apply
+from .errors import DomainError, NumericalError, StructureError
 from .generate import (
     GenConfig,
     _draw,
@@ -205,15 +215,145 @@ def _seeded(witness: dict | None, seed: int) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# single-instance checks
+# drawn instances and their verdicts
 # ---------------------------------------------------------------------------
 
 
-def _require_positive(M: AMatrix, tol: float, label: str) -> PsdReport:
-    rep = psd_check(M, tol)
-    if not rep.is_positive:
-        raise DomainError(f"{label} is not positive", report=rep)
-    return rep
+@dataclass(frozen=True)
+class _Drawn:
+    """A drawn instance: the matrices it asks the oracle to certify, as
+    ``(blocks, tol)`` requests with one (n, n, k, k) array per block, and
+    ``finish``, which turns their ``_Verdict``s, in request order, into the
+    outcome."""
+
+    requests: tuple
+    finish: Callable
+
+    def then(self, fn) -> "_Drawn":
+        """The same requests, with ``fn`` applied to the unpacked outcome."""
+        return _Drawn(self.requests, lambda verdicts: fn(*self.finish(verdicts)))
+
+
+def _done(*outcome) -> _Drawn:
+    """An instance that asks for no verdict."""
+    return _Drawn((), lambda verdicts: outcome)
+
+
+def _psd_request(M: AMatrix, tol: float) -> tuple:
+    return M.blocks, tol
+
+
+def _spectrum_request(a: Element, tol: float) -> tuple:
+    # classify's verdict is the one on the 1x1 matrix [a]
+    return tuple(b[None, None] for b in a.blocks), tol
+
+
+@dataclass(frozen=True)
+class _Verdict:
+    """The oracle's verdict on one request: member i of ``stack``, or the error
+    its solve raised alone, which is raised when the verdict is read. Reading
+    the verdicts in the order a sequential check computed them raises the
+    error that check raised first."""
+
+    stack: PsdStack | None
+    i: int = 0
+    error: Exception | None = None
+
+    def report(self) -> PsdReport:
+        if self.error is not None:
+            raise self.error
+        return self.stack.report(self.i)
+
+    def spectrum(self) -> SpectrumReport:
+        if self.error is not None:
+            raise self.error
+        return self.stack.spectrum(self.i)
+
+
+def _oracle(members: list[tuple], tol: float) -> list[_Verdict]:
+    """The verdicts on matrices of equal block shapes, given by their blocks:
+    one stacked ``_psd_stack`` call, or when it raises, one call per member."""
+    try:
+        stack = _psd_stack(tuple(np.stack(b) for b in zip(*members)), tol)
+        return [_Verdict(stack, i) for i in range(len(members))]
+    except (DomainError, NumericalError):
+        verdicts = []
+        for blocks in members:
+            try:
+                verdicts.append(_Verdict(_psd_stack(tuple(b[None] for b in blocks), tol)))
+            except (DomainError, NumericalError) as exc:
+                verdicts.append(_Verdict(None, error=exc))
+        return verdicts
+
+
+def _certify(batches: list) -> list[list[_Verdict]]:
+    """The verdicts on each batch of requests: one ``_oracle`` call per group of
+    requests with equal block shapes and equal tol, over all the batches.
+
+    A member of a stack gets the bits it gets alone, because numpy's linalg
+    functions solve each matrix of a stack on its own (see "Linear algebra on
+    several matrices at once" in numpy's ``linalg`` documentation).
+    """
+    groups: dict = {}
+    for b, batch in enumerate(batches):
+        for r, (blocks, tol) in enumerate(batch):
+            key = (tuple(x.shape for x in blocks), tol)
+            groups.setdefault(key, []).append((b, r, blocks))
+    verdicts = [[None] * len(batch) for batch in batches]
+    for (_, tol), members in groups.items():
+        for (b, r, _), verdict in zip(members, _oracle([m[2] for m in members], tol)):
+            verdicts[b][r] = verdict
+    return verdicts
+
+
+def _alone(drawn: _Drawn):
+    """The outcome of one drawn instance, certified as a stack of one."""
+    return drawn.finish(_certify([drawn.requests])[0])
+
+
+def _checked(check_id: str, drawn: _Drawn, tol: float, t0: float) -> CheckReport:
+    """The report of a check whose drawn instance finishes as (margin, witness, details)."""
+    margin, witness, details = _alone(drawn)
+    return _single(check_id, margin, tol, witness, details, t0)
+
+
+def _outcome(margin, witness, details) -> tuple[float, dict | None]:
+    return margin, witness
+
+
+def _after_positive(mats: dict, tol: float, drawn: _Drawn) -> _Drawn:
+    """``drawn`` behind the requirement that each named matrix is positive,
+    read first, in order."""
+
+    def finish(verdicts):
+        for name, verdict in zip(mats, verdicts):
+            rep = verdict.report()
+            if not rep.is_positive:
+                raise DomainError(f"{name} is not positive", report=rep)
+        return drawn.finish(verdicts[len(mats):])
+
+    requests = [_psd_request(M, tol) for M in mats.values()]
+    return _Drawn((*requests, *drawn.requests), finish)
+
+
+def _worst(margins: list[float]) -> float:
+    """The smallest margin; NaN if any margin is NaN, whatever its position."""
+    if any(math.isnan(m) for m in margins):
+        return math.nan
+    return min(margins, default=0.0)
+
+
+def _largest(values) -> float:
+    """The largest of some residuals; NaN if any is NaN, whatever its position."""
+    values = list(values)
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values)
+
+
+# ---------------------------------------------------------------------------
+# single-instance checks: each is a drawn instance, run alone by its check_*
+# ---------------------------------------------------------------------------
 
 
 def _schur_stack(m_blocks, n_blocks, tol: float):
@@ -234,16 +374,21 @@ def _schur_witness(shape, i, m_blocks, n_blocks, product, rep: PsdReport) -> dic
     return {**_matrix_payload(**mats), "psd": rep.to_json()}
 
 
-def _schur_positivity(M: AMatrix, N: AMatrix, tol: float) -> tuple[PsdReport, dict | None]:
-    """The stacked evaluator on one pair: the report on M o N and, when it
-    is not positive, its witness."""
+def _schur_positivity(M: AMatrix, N: AMatrix, tol: float) -> _Drawn:
+    """Schur positivity of one pair, finishing as the report on M o N and, when
+    it is not positive, its witness. The product is formed as ``_schur_stack``
+    forms it, on a stack of one."""
     M._require_same(N)
     m_blocks, n_blocks = _stacked(M), _stacked(N)
-    product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
-    rep = verdicts.report(0)
-    if rep.is_positive:
-        return rep, None
-    return rep, _schur_witness(M.shape, 0, m_blocks, n_blocks, product, rep)
+    product = tuple(_schur_block(a, b) for a, b in zip(m_blocks, n_blocks))
+
+    def finish(verdicts):
+        rep = verdicts[0].report()
+        if rep.is_positive:
+            return rep, None
+        return rep, _schur_witness(M.shape, 0, m_blocks, n_blocks, product, rep)
+
+    return _Drawn(((tuple(b[0] for b in product), tol),), finish)
 
 
 def check_schur_positivity(
@@ -256,22 +401,23 @@ def check_schur_positivity(
     caller decides whether a failure is alarming.
     """
     t0 = time.perf_counter()
-    _require_positive(M, tol, "M")
-    _require_positive(N, tol, "N")
-    rep, witness = _schur_positivity(M, N, tol)
+    rep, witness = _alone(_after_positive({"M": M, "N": N}, tol, _schur_positivity(M, N, tol)))
     if witness is not None:
         witness["min_eigenvalue"] = rep.min_eigenvalue
     details = {"commutative": M.shape.is_commutative}
     return _single("schur_product_positive", rep.margin, tol, witness, details, t0)
 
 
-def _row_sum_bound(A: AMatrix, tol: float) -> tuple[PsdReport, dict | None, bool]:
-    """Evaluator of the row-sum bound: its report, witness, and whether A is positive."""
+def _row_sum_bound(A: AMatrix, tol: float) -> _Drawn:
+    """The row-sum bound, finishing as its report, witness, and whether A is positive."""
     M = A @ A.adjoint()
     bound = M - (1.0 / A.n) * outer_product(row_sums(A))
-    rep = psd_check(bound, tol)
-    input_positive = psd_check(A, tol).is_positive
-    return rep, _psd_witness(rep, a=A), input_positive
+
+    def finish(verdicts):
+        rep = verdicts[0].report()
+        return rep, _psd_witness(rep, a=A), verdicts[1].report().is_positive
+
+    return _Drawn((_psd_request(bound, tol), _psd_request(A, tol)), finish)
 
 
 def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -281,9 +427,42 @@ def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     recorded but not required (the bound never uses it).
     """
     t0 = time.perf_counter()
-    rep, witness, input_positive = _row_sum_bound(A, tol)
+    rep, witness, input_positive = _alone(_row_sum_bound(A, tol))
     details = {"input_positive": input_positive}
     return _single("gram_row_sum_bound", rep.margin, tol, witness, details, t0)
+
+
+def _schur_chain(A: AMatrix, B: AMatrix, tol: float) -> _Drawn:
+    if not A.shape.is_commutative:
+        raise DomainError("the Schur chain bound needs a commutative algebra")
+    A._require_same(B)
+    n = A.n
+    M = A @ A.adjoint()
+    N = B @ B.adjoint()
+    C = schur_product(A, B)
+    y = row_sums(C)
+    product = schur_product(M, N)
+    gram = C @ C.adjoint()
+    lower = (1.0 / n) * outer_product(y)
+    mats = {
+        "product_minus_gram": product - gram,
+        "gram_minus_lower": gram - lower,
+        "product": product,
+        "gram": gram,
+    }
+
+    def finish(verdicts):
+        reports = {k: v.report() for k, v in zip(mats, verdicts)}
+        margin = _worst([r.margin for r in reports.values()])
+        witness = None
+        if not all(r.is_positive for r in reports.values()):
+            witness = {
+                **_matrix_payload(a=A, b=B),
+                "psd": {k: r.to_json() for k, r in reports.items()},
+            }
+        return margin, witness, {}
+
+    return _Drawn(tuple(_psd_request(X, tol) for X in mats.values()), finish)
 
 
 def check_schur_chain(
@@ -296,38 +475,26 @@ def check_schur_chain(
     checked (the full ordering, not only the differences).
     """
     t0 = time.perf_counter()
-    if not A.shape.is_commutative:
-        raise DomainError("the Schur chain bound needs a commutative algebra")
-    A._require_same(B)
-    n = A.n
-    M = A @ A.adjoint()
-    N = B @ B.adjoint()
-    C = schur_product(A, B)
-    y = row_sums(C)
-    product = schur_product(M, N)
-    gram = C @ C.adjoint()
-    lower = (1.0 / n) * outer_product(y)
-    reports = {
-        "product_minus_gram": psd_check(product - gram, tol),
-        "gram_minus_lower": psd_check(gram - lower, tol),
-        "product": psd_check(product, tol),
-        "gram": psd_check(gram, tol),
-    }
-    margin = min(r.margin for r in reports.values())
-    witness = None
-    if not all(r.is_positive for r in reports.values()):
-        witness = {
-            **_matrix_payload(a=A, b=B),
-            "psd": {k: r.to_json() for k, r in reports.items()},
-        }
-    return _single("schur_chain_bound", margin, tol, witness, {}, t0)
+    return _checked("schur_chain_bound", _schur_chain(A, B, tol), tol, t0)
 
 
-def _diag_bound(M: AMatrix, tol: float) -> tuple[PsdReport, dict | None]:
-    """Evaluator of the diagonal bound: the report on M o M - (1/n) d d*."""
+def _diag_bound(M: AMatrix, tol: float) -> _Drawn:
+    """The diagonal bound, finishing as the report on M o M - (1/n) d d* and its witness."""
     d = diag_vector(M)
-    rep = psd_check(schur_product(M, M) - (1.0 / M.n) * outer_product(d), tol)
-    return rep, _psd_witness(rep, m=M)
+    bound = schur_product(M, M) - (1.0 / M.n) * outer_product(d)
+
+    def finish(verdicts):
+        rep = verdicts[0].report()
+        return rep, _psd_witness(rep, m=M)
+
+    return _Drawn((_psd_request(bound, tol),), finish)
+
+
+def _diag_check(M: AMatrix, tol: float) -> _Drawn:
+    if not M.shape.is_commutative:
+        raise DomainError("the diagonal bound needs a commutative algebra")
+    drawn = _diag_bound(M, tol).then(lambda rep, witness: (rep.margin, witness, {}))
+    return _after_positive({"M": M}, tol, drawn)
 
 
 def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -338,41 +505,67 @@ def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     only ever probed.
     """
     t0 = time.perf_counter()
-    if not M.shape.is_commutative:
-        raise DomainError("the diagonal bound needs a commutative algebra")
-    _require_positive(M, tol, "M")
-    rep, witness = _diag_bound(M, tol)
-    return _single("diag_outer_bound", rep.margin, tol, witness, {}, t0)
+    return _checked("diag_outer_bound", _diag_check(M, tol), tol, t0)
 
 
-def _unit_diagonal_bound(M: AMatrix, tol: float) -> tuple[float, AMatrix, PsdReport]:
-    """Evaluator of the unit-diagonal bound: the largest deviation of a diagonal
-    entry from the unit, B = M o M - (1/n) E_n, and the report on B."""
+def _diag_residual(M: AMatrix) -> float:
+    """The largest deviation of a diagonal entry of M from the unit."""
     unit = identity_element(M.shape)
-    diag_residual = max((M.entry(j, j) - unit).norm() for j in range(M.n))
-    bound = schur_product(M, M) - (1.0 / M.n) * ones_matrix(M.shape, M.n)
-    return diag_residual, bound, psd_check(bound, tol)
+    return _largest((M.entry(j, j) - unit).norm() for j in range(M.n))
+
+
+def _unit_bound(M: AMatrix) -> AMatrix:
+    """M o M - (1/n) E_n, the matrix of the unit-diagonal bound."""
+    return schur_product(M, M) - (1.0 / M.n) * ones_matrix(M.shape, M.n)
+
+
+def _unit_diag_check(M: AMatrix, tol: float) -> _Drawn:
+    if not M.shape.is_commutative:
+        raise DomainError("the unit-diagonal bound needs a commutative algebra")
+
+    def finish(verdicts):
+        diag_residual = _diag_residual(M)
+        rep = verdicts[0].report()
+        if not diag_residual <= UNIT_DIAG_TOL:
+            raise DomainError(
+                "diagonal entries deviate from the unit", residual=diag_residual
+            )
+        details = {"diag_residual": diag_residual}
+        return rep.margin, _psd_witness(rep, m=M), details
+
+    drawn = _Drawn((_psd_request(_unit_bound(M), tol),), finish)
+    return _after_positive({"M": M}, tol, drawn)
 
 
 def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     """M o M >= (1/n) E_n for positive commutative M with unit diagonal."""
     t0 = time.perf_counter()
-    if not M.shape.is_commutative:
-        raise DomainError("the unit-diagonal bound needs a commutative algebra")
-    _require_positive(M, tol, "M")
-    diag_residual, _, rep = _unit_diagonal_bound(M, tol)
-    if diag_residual > UNIT_DIAG_TOL:
-        raise DomainError(
-            "diagonal entries deviate from the unit", residual=diag_residual
-        )
-    witness = _psd_witness(rep, m=M)
-    details = {"diag_residual": diag_residual}
-    return _single("unit_diagonal_bound", rep.margin, tol, witness, details, t0)
+    return _checked("unit_diagonal_bound", _unit_diag_check(M, tol), tol, t0)
+
+
+def _element_stacks(elems: list[Element]) -> list[np.ndarray]:
+    """The elements as a stack, one (T, k, k) array per block."""
+    return [np.stack([e.blocks[b] for e in elems]) for b in range(len(elems[0].shape.blocks))]
+
+
+def _commutator_norms(elems: list[Element], pairs: list[tuple[int, int]]) -> list[float]:
+    """``commutator_norm`` of each pair of elements: one stacked product and one
+    norm call per block for all the pairs."""
+    i, j = np.array(pairs).T
+    stacks = _element_stacks(elems)
+    return _first_of([_norms(s[i] @ s[j] - s[j] @ s[i]) for s in stacks], np.greater).tolist()
 
 
 def _require_commuting_selfadjoint(elems: list[Element]) -> None:
-    for idx, e in enumerate(elems):
-        rep = classify(e)
+    """Raise ``DomainError`` at the first element that is not self-adjoint, or
+    else at the first pair that does not commute: one oracle call over all the
+    elements and ``_commutator_norms`` over all the pairs."""
+    shape = elems[0].shape
+    if any(e.shape != shape for e in elems):
+        raise StructureError("operands differ in algebra shape or in size")
+    verdicts = _certify([[_spectrum_request(e, DEFAULT_TOL) for e in elems]])[0]
+    for idx, verdict in enumerate(verdicts):
+        rep = verdict.spectrum()
         if not rep.is_selfadjoint:
             raise DomainError(
                 "element is not self-adjoint",
@@ -380,26 +573,91 @@ def _require_commuting_selfadjoint(elems: list[Element]) -> None:
                 hermitian_defect=rep.hermitian_defect,
             )
     # commutative shapes commute exactly, so only self-adjointness is checked there
-    if elems[0].shape.is_commutative:
+    if shape.is_commutative or len(elems) < 2:
         return
-    scale = max(1.0, max(e.norm() for e in elems))
-    for i in range(len(elems)):
-        for j in range(i + 1, len(elems)):
-            c = commutator_norm(elems[i], elems[j])
-            if c > COMMUTING_TOL * scale:
-                raise DomainError(
-                    "elements do not commute", pair=(i, j), commutator=c
-                )
+    bound = COMMUTING_TOL * max(1.0, max(v.report().scale for v in verdicts))
+    pairs = list(combinations(range(len(elems)), 2))
+    try:
+        comms = _commutator_norms(elems, pairs)
+    except NumericalError:
+        # a solve that fails raises at its own pair, after the pairs before it
+        comms = (commutator_norm(elems[a], elems[b]) for a, b in pairs)
+    for pair, c in zip(pairs, comms):
+        if not c <= bound:
+            raise DomainError("elements do not commute", pair=pair, commutator=c)
 
 
 def _cosine_matrix(z: list[Element]) -> AMatrix:
-    """[cos(z_j - z_k)], filled from the upper triangle because cos is even."""
+    """[cos(z_j - z_k)], from the differences in the upper triangle because cos
+    is even, all of them in one ``_trig_stack`` call."""
+    n, shape = len(z), z[0].shape
+    j, k = np.triu_indices(n)
+    stacks = _element_stacks(z)
+    diffs = [s[j] - s[k] for s in stacks]
+    blocks = []
+    for s, c in zip(stacks, _trig_stack(shape, diffs, np.zeros(len(j), bool))):
+        out = np.empty((n, n) + s.shape[1:], dtype=np.complex128)
+        out[j, k] = c
+        out[k, j] = c
+        blocks.append(out)
+    return AMatrix._wrap(shape, n, tuple(blocks))
+
+
+def _elements(shape: AlgebraShape, stacks) -> list[Element]:
+    return [Element._wrap(shape, tuple(s[i] for s in stacks)) for i in range(len(stacks[0]))]
+
+
+def _cosine_gram(z: list[Element], tol: float, probe_seed: int) -> _Drawn:
+    z = list(z)
+    if not z:
+        raise StructureError("need at least one point")
+    shape = z[0].shape
+    _require_commuting_selfadjoint(z)
     n = len(z)
-    entries = [[None] * n for _ in range(n)]
-    for j in range(n):
-        for k in range(j, n):
-            entries[j][k] = entries[k][j] = elem_cos(z[j] - z[k])
-    return AMatrix.from_entries(entries)
+    stacks = _element_stacks(z)
+    cos_z = _elements(shape, _trig_stack(shape, stacks, np.zeros(n, bool)))
+    sin_z = _elements(shape, _trig_stack(shape, stacks, np.ones(n, bool)))
+    A = _cosine_matrix(z)
+
+    def finish(verdicts):
+        rep = verdicts[0].report()
+        # probe vectors: the all-units vector plus cos(alpha_j z_j) + sin(beta_j z_j),
+        # which stay inside the commutative subalgebra the z generate
+        rng = np.random.default_rng(probe_seed)
+        alphas = rng.standard_normal(n)
+        betas = rng.standard_normal(n)
+        scaled = [c * p for p, a, b in zip(z, alphas, betas) for c in (float(a), float(b))]
+        sine = np.arange(2 * n) % 2 == 1
+        trig = _elements(shape, _trig_stack(shape, _element_stacks(scaled), sine))
+        probes = [
+            [identity_element(shape) for _ in range(n)],
+            [trig[2 * j] + trig[2 * j + 1] for j in range(n)],
+        ]
+        residuals = []
+        for probe in probes:
+            y = AVector.from_elements(probe)
+            q = inner_product(A @ y, y)
+            s_c = zero_element(shape)
+            s_s = zero_element(shape)
+            for j in range(n):
+                s_c = s_c + cos_z[j] * probe[j]
+                s_s = s_s + sin_z[j] * probe[j]
+            gram = s_c * s_c.adjoint() + s_s * s_s.adjoint()
+            residuals.append((q - gram).norm() / max(1.0, q.norm()))
+        worst_residual = _largest(residuals)
+        # the residual margin is rescaled so a single pass criterion
+        # (margin >= -tol) enforces residual <= 1e-10
+        margin = _worst([rep.margin, -worst_residual * (tol / ORACLE_TOL)])
+        witness = None
+        if not (rep.is_positive and worst_residual <= ORACLE_TOL):
+            witness = {
+                "points": [p.to_json() for p in z],
+                "psd": rep.to_json(),
+                "gram_residual": worst_residual,
+            }
+        return margin, witness, {"gram_residual": worst_residual}
+
+    return _Drawn((_psd_request(A, tol),), finish)
 
 
 def cosine_gram_check(
@@ -412,53 +670,56 @@ def cosine_gram_check(
     S_c = sum_j cos(z_j) y_j and S_s = sum_j sin(z_j) y_j, within 1e-10.
     """
     t0 = time.perf_counter()
-    z = list(z)
-    if not z:
-        raise StructureError("need at least one point")
-    shape = z[0].shape
-    _require_commuting_selfadjoint(z)
-    n = len(z)
-    cos_z = [elem_cos(p) for p in z]
-    sin_z = [elem_sin(p) for p in z]
-    A = _cosine_matrix(z)
-    rep = psd_check(A, tol)
+    return _checked("cosine_gram", _cosine_gram(z, tol, probe_seed), tol, t0)
 
-    # probe vectors: the all-units vector plus functions of the z_j, which
-    # stay inside the commutative subalgebra the z generate
-    rng = np.random.default_rng(probe_seed)
-    alphas = rng.standard_normal(n)
-    betas = rng.standard_normal(n)
-    probes = [
-        [identity_element(shape) for _ in range(n)],
-        [
-            elem_cos(float(alphas[j]) * z[j]) + elem_sin(float(betas[j]) * z[j])
-            for j in range(n)
-        ],
-    ]
-    worst_residual = 0.0
-    for probe in probes:
-        y = AVector.from_elements(probe)
-        q = inner_product(A @ y, y)
-        s_c = zero_element(shape)
-        s_s = zero_element(shape)
-        for j in range(n):
-            s_c = s_c + cos_z[j] * probe[j]
-            s_s = s_s + sin_z[j] * probe[j]
-        gram = s_c * s_c.adjoint() + s_s * s_s.adjoint()
-        residual = (q - gram).norm() / max(1.0, q.norm())
-        worst_residual = max(worst_residual, residual)
-    # the residual margin is rescaled so a single pass criterion
-    # (margin >= -tol) enforces residual <= 1e-10
-    margin = min(rep.margin, -worst_residual * (tol / ORACLE_TOL))
-    witness = None
-    if not (rep.is_positive and worst_residual <= ORACLE_TOL):
-        witness = {
-            "points": [p.to_json() for p in z],
-            "psd": rep.to_json(),
-            "gram_residual": worst_residual,
+
+def _novak(points: list[list[Element]], tol: float) -> tuple[AMatrix, _Drawn]:
+    """The Novak matrix of the points and the drawn pipeline of ``novak_check``."""
+    rows = [list(r) for r in points]
+    n = len(rows)
+    if n < 1 or any(not r for r in rows):
+        raise StructureError("points must form a nonempty n x d array")
+    d = len(rows[0])
+    if any(len(r) != d for r in rows):
+        raise StructureError("point rows have unequal length")
+    _require_commuting_selfadjoint([p for r in rows for p in r])
+
+    steps = [_cosine_matrix([0.5 * rows[j][l] for j in range(n)]) for l in range(d)]
+    M = steps[0]
+    for M_l in steps[1:]:
+        M = schur_product(M, M_l)
+    novak = _unit_bound(M)
+
+    def finish(verdicts):
+        step_margins = [v.report().margin for v in verdicts[:d]]
+        rep_m = verdicts[d].report()
+        diag_residual = _diag_residual(M)
+        rep_final = verdicts[d + 1].report()
+        margin = _worst([*step_margins, rep_m.margin, rep_final.margin])
+        ok = (
+            all(m >= -tol for m in step_margins)
+            and rep_m.is_positive
+            and diag_residual <= UNIT_DIAG_TOL
+            and rep_final.is_positive
+        )
+        witness = None
+        if not ok:
+            witness = {
+                "points": [[p.to_json() for p in r] for r in rows],
+                "psd_final": rep_final.to_json(),
+                "diag_residual": diag_residual,
+            }
+        details = {
+            "n": n,
+            "d": d,
+            "cosine_step_margins": step_margins,
+            "diag_residual": diag_residual,
+            "min_eigenvalue": rep_final.min_eigenvalue,
         }
-    details = {"gram_residual": worst_residual}
-    return _single("cosine_gram", margin, tol, witness, details, t0)
+        return margin, witness, details
+
+    requests = tuple(_psd_request(X, tol) for X in (*steps, M, novak))
+    return novak, _Drawn(requests, finish)
 
 
 def novak_check(
@@ -477,48 +738,8 @@ def novak_check(
     shifted by -1/n; it is returned together with the report.
     """
     t0 = time.perf_counter()
-    rows = [list(r) for r in points]
-    n = len(rows)
-    if n < 1 or any(not r for r in rows):
-        raise StructureError("points must form a nonempty n x d array")
-    d = len(rows[0])
-    if any(len(r) != d for r in rows):
-        raise StructureError("point rows have unequal length")
-    shape = rows[0][0].shape
-    _require_commuting_selfadjoint([p for r in rows for p in r])
-
-    step_margins = []
-    M = None
-    for l in range(d):
-        M_l = _cosine_matrix([0.5 * rows[j][l] for j in range(n)])
-        step_margins.append(psd_check(M_l, tol).margin)
-        M = M_l if M is None else schur_product(M, M_l)
-
-    rep_m = psd_check(M, tol)
-    diag_residual, novak, rep_final = _unit_diagonal_bound(M, tol)
-    margin = min([*step_margins, rep_m.margin, rep_final.margin])
-
-    ok = (
-        all(m >= -tol for m in step_margins)
-        and rep_m.is_positive
-        and diag_residual <= UNIT_DIAG_TOL
-        and rep_final.is_positive
-    )
-    witness = None
-    if not ok:
-        witness = {
-            "points": [[p.to_json() for p in r] for r in rows],
-            "psd_final": rep_final.to_json(),
-            "diag_residual": diag_residual,
-        }
-    details = {
-        "n": n,
-        "d": d,
-        "cosine_step_margins": step_margins,
-        "diag_residual": diag_residual,
-        "min_eigenvalue": rep_final.min_eigenvalue,
-    }
-    return novak, _single("novak_conjecture", margin, tol, witness, details, t0)
+    novak, drawn = _novak(points, tol)
+    return novak, _checked("novak_conjecture", drawn, tol, t0)
 
 
 def check_trig_identities(
@@ -585,11 +806,52 @@ def check_trig_identities(
             t0,
         )
     # addition residuals are only present here for commuting pairs
-    margin = -max(residuals.values()) / scale
+    margin = -_largest(residuals.values()) / scale
     witness = None
     if not margin >= -tol:
         witness = {"x": x.to_json(), "y": y.to_json(), "residuals": residuals}
     return _single("trig_identities", margin, tol, witness, details, t0)
+
+
+def _preserver(series: SeriesSpec, M: AMatrix, tol: float, report_both: bool) -> _Drawn:
+    if not M.shape.is_commutative:
+        raise DomainError("the preserver check needs a commutative algebra")
+    coefficients = series.coefficients
+    applied = schur_series_apply(series, M, constant="identity")
+    mats = [applied]
+    if report_both:
+        mats.append(schur_series_apply(series, M, constant="ones"))
+
+    def finish_applied(verdicts):
+        rep = verdicts[0].report()
+        details = {"degree": series.degree}
+        if report_both:
+            rep_ones = verdicts[1].report()
+            details["ones_convention"] = {
+                "is_positive": rep_ones.is_positive,
+                "margin": rep_ones.margin,
+            }
+        witness = _psd_witness(rep, m=M)
+        if witness is not None:
+            witness["series"] = series.to_json()
+        return rep.margin, witness, details
+
+    drawn = _Drawn(tuple(_psd_request(X, tol) for X in mats), finish_applied)
+    drawn = _after_positive({"M": M}, tol, drawn)
+
+    def finish(verdicts):
+        for q, verdict in enumerate(verdicts[: len(coefficients)]):
+            rep = verdict.spectrum()
+            if not rep.is_positive:
+                raise DomainError(
+                    "series coefficient is not positive",
+                    index=q,
+                    min_spectrum=rep.min_spectrum,
+                )
+        return drawn.finish(verdicts[len(coefficients):])
+
+    requests = tuple(_spectrum_request(a, tol) for a in coefficients)
+    return _Drawn((*requests, *drawn.requests), finish)
 
 
 def check_preserver(
@@ -605,32 +867,52 @@ def check_preserver(
     all-units-matrix convention is evaluated as well and recorded.
     """
     t0 = time.perf_counter()
-    if not M.shape.is_commutative:
-        raise DomainError("the preserver check needs a commutative algebra")
-    for q, a in enumerate(series.coefficients):
-        rep = classify(a, tol)
-        if not rep.is_positive:
-            raise DomainError(
-                "series coefficient is not positive",
-                index=q,
-                min_spectrum=rep.min_spectrum,
-            )
-    _require_positive(M, tol, "M")
-    applied = schur_series_apply(series, M, constant="identity")
-    rep = psd_check(applied, tol)
-    details = {"degree": series.degree}
-    if report_both:
-        rep_ones = psd_check(
-            schur_series_apply(series, M, constant="ones"), tol
-        )
-        details["ones_convention"] = {
-            "is_positive": rep_ones.is_positive,
-            "margin": rep_ones.margin,
-        }
-    witness = _psd_witness(rep, m=M)
-    if witness is not None:
-        witness["series"] = series.to_json()
-    return _single("schur_series_preserver", rep.margin, tol, witness, details, t0)
+    drawn = _preserver(series, M, tol, report_both)
+    return _checked("schur_series_preserver", drawn, tol, t0)
+
+
+def _commuting_spectral(cfg: GenConfig, tol: float) -> _Drawn:
+    data = random_commuting_spectral_pair(cfg)
+    M, N, U, V = data["M"], data["N"], data["U"], data["V"]
+    lam, mu = data["lam"], data["mu"]
+    n = cfg.n
+    ident = identity_matrix(cfg.shape, n)
+    unitary_residual = _largest(
+        (mat_norm(U @ U.adjoint() - ident), mat_norm(V @ V.adjoint() - ident))
+    )
+    recon_residual = _largest((
+        mat_norm(M - U @ diag_matrix(lam) @ U.adjoint()) / max(1.0, mat_norm(M)),
+        mat_norm(N - V @ diag_matrix(mu) @ V.adjoint()) / max(1.0, mat_norm(N)),
+    ))
+    sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
+    if n > 1:
+        sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
+    comm = _largest(_commutator_norms(sample, list(combinations(range(len(sample)), 2))))
+    hypothesis_ok = (
+        unitary_residual <= UNITARY_TOL
+        and recon_residual <= RECONSTRUCTION_TOL
+        and comm <= FAMILY_COMMUTING_TOL * max(1.0, mat_norm(M), mat_norm(N))
+    )
+    residuals = {
+        "unitary_residual": unitary_residual,
+        "reconstruction_residual": recon_residual,
+    }
+    mats = {"m": M, "n": N, "product": schur_product(M, N)}
+
+    def finish(verdicts):
+        reports = {k: v.report() for k, v in zip(mats, verdicts)}
+        margin = _worst([r.margin for r in reports.values()])
+        witness = None
+        if not (hypothesis_ok and all(r.is_positive for r in reports.values())):
+            witness = {
+                **_matrix_payload(m=M, n=N),
+                "psd": {k: r.to_json() for k, r in reports.items()},
+                **residuals,
+                "commutator": comm,
+            }
+        return margin, witness, {**residuals, "max_commutator": comm}
+
+    return _Drawn(tuple(_psd_request(X, tol) for X in mats.values()), finish)
 
 
 def check_commuting_spectral_instance(
@@ -644,51 +926,7 @@ def check_commuting_spectral_instance(
     positive. Over commutative shapes this reduces to plain Schur positivity.
     """
     t0 = time.perf_counter()
-    data = random_commuting_spectral_pair(cfg)
-    M, N, U, V = data["M"], data["N"], data["U"], data["V"]
-    lam, mu = data["lam"], data["mu"]
-    n = cfg.n
-    ident = identity_matrix(cfg.shape, n)
-    unitary_residual = max(
-        mat_norm(U @ U.adjoint() - ident), mat_norm(V @ V.adjoint() - ident)
-    )
-    recon_residual = max(
-        mat_norm(M - U @ diag_matrix(lam) @ U.adjoint()) / max(1.0, mat_norm(M)),
-        mat_norm(N - V @ diag_matrix(mu) @ V.adjoint()) / max(1.0, mat_norm(N)),
-    )
-    sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
-    if n > 1:
-        sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
-    comm = max(
-        commutator_norm(a, b)
-        for i, a in enumerate(sample)
-        for b in sample[i + 1 :]
-    )
-    reports = {
-        "m": psd_check(M, tol),
-        "n": psd_check(N, tol),
-        "product": psd_check(schur_product(M, N), tol),
-    }
-    margin = min(r.margin for r in reports.values())
-    hypothesis_ok = (
-        unitary_residual <= UNITARY_TOL
-        and recon_residual <= RECONSTRUCTION_TOL
-        and comm <= FAMILY_COMMUTING_TOL * max(1.0, mat_norm(M), mat_norm(N))
-    )
-    residuals = {
-        "unitary_residual": unitary_residual,
-        "reconstruction_residual": recon_residual,
-    }
-    witness = None
-    if not (hypothesis_ok and all(r.is_positive for r in reports.values())):
-        witness = {
-            **_matrix_payload(m=M, n=N),
-            "psd": {k: r.to_json() for k, r in reports.items()},
-            **residuals,
-            "commutator": comm,
-        }
-    details = {**residuals, "max_commutator": comm}
-    return _single("commuting_spectral_schur", margin, tol, witness, details, t0)
+    return _checked("commuting_spectral_schur", _commuting_spectral(cfg, tol), tol, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -713,29 +951,44 @@ def validate_trials(trials: int) -> None:
         raise StructureError(f"trials must be >= 0, got {trials}")
 
 
-def _run_trials(trial, count: int, stop_at_hit: bool = False) -> list:
-    """Run trial(0) .. trial(count - 1) in order and return their outcomes.
+# Trials per stack: trials * (n * k_max)^2 stays near this many complex
+# entries per stacked block, 32 trials at n = 8 and k_max = 2. The stacked
+# LAPACK calls gain little from bigger stacks, and peak memory grows with them.
+_CHUNK_ENTRIES = 8192
 
-    An outcome is ``(margin, witness, *extras)``; each witness gets the key
-    ``trial``. With ``stop_at_hit`` the loop stops after the first trial
-    with a witness.
+
+def _chunk_size(cfg: GenConfig) -> int:
+    return max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
+
+
+def _run_trials(draw, count: int, size: int) -> list:
+    """The outcomes of trials 0 .. count - 1, ``size`` trials at a time.
+
+    ``draw(t)`` returns trial t as a ``_Drawn``. The trials of a chunk are
+    drawn, their requests certified together (``_certify``), and then they
+    are finished in order. An outcome is ``(margin, witness, *extras)``; each
+    witness gets the key ``trial``. When drawing trial t raises, the trials
+    before it are finished first, so the error raised is the first in trial
+    order, as when each trial runs alone.
     """
     outcomes = []
-    for t in range(count):
-        margin, witness, *extras = trial(t)
-        if witness is not None:
-            witness = {**witness, "trial": t}
-        outcomes.append((margin, witness, *extras))
-        if stop_at_hit and witness is not None:
-            break
+    for first in range(0, count, size):
+        drawn, error = [], None
+        for t in range(first, min(first + size, count)):
+            try:
+                drawn.append(draw(t))
+            except Exception as exc:
+                error = exc
+                break
+        verdicts = _certify([d.requests for d in drawn])
+        for t, (d, v) in enumerate(zip(drawn, verdicts), first):
+            margin, witness, *extras = d.finish(v)
+            if witness is not None:
+                witness = {**witness, "trial": t}
+            outcomes.append((margin, witness, *extras))
+        if error is not None:
+            raise error
     return outcomes
-
-
-def _worst(margins: list[float]) -> float:
-    """The smallest margin; NaN if any margin is NaN, whatever its position."""
-    if any(math.isnan(m) for m in margins):
-        return math.nan
-    return min(margins, default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -777,11 +1030,6 @@ def _positive_pair(sub: GenConfig) -> tuple[AMatrix, AMatrix]:
     return M, N
 
 
-# Trials per search chunk: chunk * (n * k_max)^2 stays near this many complex
-# entries per stacked block, 32 trials at n = 8 and k_max = 2. The stacked
-# LAPACK calls gain little from bigger chunks, and peak memory grows with them.
-_CHUNK_ENTRIES = 8192
-
 # Random violations a search report keeps with their matrices, besides the
 # deterministic one: the most negative margins, ties broken by trial.
 _TOP_WITNESSES = 5
@@ -818,10 +1066,6 @@ def _margin_histogram(margins: list[float]) -> dict:
     bins = np.searchsorted(MARGIN_BIN_EDGES, m[~nan], side="right")
     counts = np.bincount(bins, minlength=len(MARGIN_BIN_EDGES) + 1)
     return {"edges": list(MARGIN_BIN_EDGES), "counts": counts.tolist(), "nan": int(nan.sum())}
-
-
-def _chunk_size(cfg: GenConfig) -> int:
-    return max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
 
 
 def _pairs(cfg: GenConfig, trials):
@@ -991,13 +1235,18 @@ def counterexample_search(
 
 def _hit_search(check_id, cfg, count, threshold, trial, t0) -> CheckReport:
     """Run trials up to the first witness; failures = 0 exactly when one is found."""
-    outcomes = _run_trials(trial, count, stop_at_hit=True)
-    witness = outcomes[-1][1] if outcomes else None
+    margins, witness = [], None
+    for t in range(count):
+        margin, witness = trial(t)
+        margins.append(margin)
+        if witness is not None:
+            witness = {**witness, "trial": t}
+            break
     return _report(
         check_id,
-        len(outcomes),
+        len(margins),
         0 if witness is not None else 1,
-        _worst([m for m, _ in outcomes]),
+        _worst(margins),
         threshold,
         witness,
         {
@@ -1075,17 +1324,13 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _outcome(report: CheckReport) -> tuple[float, dict | None]:
-    return report.worst_margin, report.witness
-
-
 def _trial_schur(sub, t, o):
-    rep, witness = _schur_positivity(*_positive_pair(sub), o.tol)
-    return rep.margin, _seeded(witness, sub.seed)
+    drawn = _schur_positivity(*_positive_pair(sub), o.tol)
+    return drawn.then(lambda rep, witness: (rep.margin, _seeded(witness, sub.seed)))
 
 
 def _trial_spectral(sub, t, o):
-    return _outcome(check_commuting_spectral_instance(sub, o.tol))
+    return _commuting_spectral(sub, o.tol).then(_outcome)
 
 
 def _trial_trace_form(sub, t, o):
@@ -1096,7 +1341,7 @@ def _trial_trace_form(sub, t, o):
     witness = None
     if residual > ORACLE_TOL:
         witness = {"seed": sub.seed, "residual": residual}
-    return -residual, witness
+    return _done(-residual, witness)
 
 
 def _trial_oracle(sub, t, o):
@@ -1108,50 +1353,57 @@ def _trial_oracle(sub, t, o):
         inst = 0.5 * (R + R.adjoint())
     else:
         inst = outer_product(random_vector(sub))
-    eig_rep = psd_check(inst, o.tol)
-    chol_rep = cholesky_psd_check(inst, o.tol)
-    agree = eig_rep.is_positive == chol_rep.is_positive
-    witness = None
-    if not agree:
-        witness = {
-            "seed": sub.seed,
-            "kind": kind,
-            "eig": eig_rep.to_json(),
-            "cholesky": chol_rep.to_json(),
-        }
-    return (0.0 if agree else -1.0), witness
+
+    def finish(verdicts):
+        eig_rep = verdicts[0].report()
+        chol_rep = cholesky_psd_check(inst, o.tol)
+        agree = eig_rep.is_positive == chol_rep.is_positive
+        witness = None
+        if not agree:
+            witness = {
+                "seed": sub.seed,
+                "kind": kind,
+                "eig": eig_rep.to_json(),
+                "cholesky": chol_rep.to_json(),
+            }
+        return (0.0 if agree else -1.0), witness
+
+    return _Drawn((_psd_request(inst, o.tol),), finish)
 
 
 def _trial_row_sum(sub, t, o):
     # the bound never uses positivity of A, so alternate between positive
     # and general inputs and record the split
     A = random_positive_matrix(sub)[1] if t % 2 == 0 else random_matrix(sub)
-    rep, witness, input_positive = _row_sum_bound(A, o.tol)
-    return rep.margin, _seeded(witness, sub.seed), {"inputs_positive": input_positive}
+    return _row_sum_bound(A, o.tol).then(
+        lambda rep, witness, positive: (
+            rep.margin, _seeded(witness, sub.seed), {"inputs_positive": positive}
+        )
+    )
 
 
 def _trial_chain(sub, t, o):
     A = random_matrix(sub.derive(0))
     B = random_matrix(sub.derive(1))
-    return _outcome(check_schur_chain(A, B, o.tol))
+    return _schur_chain(A, B, o.tol).then(_outcome)
 
 
 def _trial_diag(sub, t, o):
     _, M = random_positive_matrix(sub)
-    return _outcome(check_diag_bound(M, o.tol))
+    return _diag_check(M, o.tol).then(_outcome)
 
 
 def _trial_unit_diag(sub, t, o):
     M = random_unit_diagonal_positive(sub)
-    return _outcome(check_unit_diagonal_bound(M, o.tol))
+    return _unit_diag_check(M, o.tol).then(_outcome)
 
 
 def _trial_diag_probe(sub, t, o):
     # complex entries break the a = a* step of the diagonal-bound argument;
     # record how often without asserting anything
     _, M = random_positive_matrix(sub)
-    rep, witness = _diag_bound(M, o.tol)
-    return rep.margin, _seeded(witness, sub.seed)
+    drawn = _diag_bound(M, o.tol)
+    return drawn.then(lambda rep, witness: (rep.margin, _seeded(witness, sub.seed)))
 
 
 def _novak_points(sub: GenConfig, d: int) -> list[list[Element]]:
@@ -1165,8 +1417,7 @@ def _novak_points(sub: GenConfig, d: int) -> list[list[Element]]:
 
 
 def _trial_novak(sub, t, o):
-    _, report = novak_check(_novak_points(sub, o.d), o.tol)
-    return _outcome(report)
+    return _novak(_novak_points(sub, o.d), o.tol)[1].then(_outcome)
 
 
 def _trial_cosine_gram(sub, t, o):
@@ -1178,7 +1429,7 @@ def _trial_cosine_gram(sub, t, o):
         ]
     else:
         z = random_commuting_family(sub, sub.n, selfadjoint=True, norm_cap=cap)
-    return _outcome(cosine_gram_check(z, o.tol, probe_seed=sub.seed))
+    return _cosine_gram(z, o.tol, probe_seed=sub.seed).then(_outcome)
 
 
 def _trial_trig(sub, t, o):
@@ -1187,7 +1438,8 @@ def _trial_trig(sub, t, o):
         y = random_selfadjoint_element(sub.derive(1), norm_cap=5.0)
     else:
         x, y = random_commuting_family(sub, 2, selfadjoint=True, norm_cap=5.0)
-    return _outcome(check_trig_identities(x, y, TRIG_TOL))
+    rep = check_trig_identities(x, y, TRIG_TOL)
+    return _done(rep.worst_margin, rep.witness)
 
 
 def _trial_preserver(sub, t, o):
@@ -1198,24 +1450,28 @@ def _trial_preserver(sub, t, o):
         coeffs.append(g * g.adjoint())
     series = SeriesSpec(tuple(coeffs))
     _, M = random_positive_matrix(sub.derive(0))
-    return _outcome(check_preserver(series, M, o.tol, report_both=o.entrywise_constant))
+    return _preserver(series, M, o.tol, o.entrywise_constant).then(_outcome)
 
 
 def _trial_cauchy_schwarz(sub, t, o):
     x = random_vector(sub.derive(0))
     y = random_vector(sub.derive(1))
     gap = cauchy_schwarz_gap(x, y)
-    rep = classify(gap, o.tol)
-    margin = rep.min_spectrum / max(1.0, gap.norm())
-    witness = None
-    if margin < -o.tol or not rep.is_selfadjoint:
-        witness = {
-            "seed": sub.seed,
-            "x": x.to_json(),
-            "y": y.to_json(),
-            "min_spectrum": rep.min_spectrum,
-        }
-    return margin, witness
+
+    def finish(verdicts):
+        rep = verdicts[0].spectrum()
+        margin = rep.min_spectrum / max(1.0, gap.norm())
+        witness = None
+        if margin < -o.tol or not rep.is_selfadjoint:
+            witness = {
+                "seed": sub.seed,
+                "x": x.to_json(),
+                "y": y.to_json(),
+                "min_spectrum": rep.min_spectrum,
+            }
+        return margin, witness
+
+    return _Drawn((_spectrum_request(gap, o.tol),), finish)
 
 
 def _trial_axioms(sub, t, o):
@@ -1227,16 +1483,21 @@ def _trial_axioms(sub, t, o):
         inner_product(left_mul(a, x), y) - a * inner_product(x, y)
     ).norm()
     scale = max(1.0, a.norm() * inner_product(x, y).norm())
-    pos_rep = classify(inner_product(x, x), o.tol)
-    margin = min(
-        -sym_res / scale,
-        -lin_res / scale,
-        pos_rep.min_spectrum / max(1.0, inner_product(x, x).norm()),
-    )
-    witness = None
-    if margin < -AXIOM_TOL:
-        witness = {"seed": sub.seed, "sym": sym_res, "lin": lin_res}
-    return margin, witness
+    xx = inner_product(x, x)
+
+    def finish(verdicts):
+        pos_rep = verdicts[0].spectrum()
+        margin = _worst([
+            -sym_res / scale,
+            -lin_res / scale,
+            pos_rep.min_spectrum / max(1.0, xx.norm()),
+        ])
+        witness = None
+        if margin < -AXIOM_TOL:
+            witness = {"seed": sub.seed, "sym": sym_res, "lin": lin_res}
+        return margin, witness
+
+    return _Drawn((_spectrum_request(xx, o.tol),), finish)
 
 
 # ---------------------------------------------------------------------------
@@ -1264,7 +1525,7 @@ def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
         return check.skipped(o, "no trials requested")
     t0 = time.perf_counter()
     tol = check.tol or o.tol
-    outcomes = _run_trials(lambda t: check.trial(base.derive(t), t, o), o.trials)
+    outcomes = _run_trials(lambda t: check.trial(base.derive(t), t, o), o.trials, _chunk_size(base))
     details = check.details(o)
     if check.style:
         details["style"] = check.style

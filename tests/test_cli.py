@@ -20,7 +20,7 @@ from cstar_schur import (
 )
 from cstar_schur.cli import _canonical_json, main
 from cstar_schur.verify import search_witness
-from test_verify import _reference_search
+from test_verify import GRID, _reference_search
 
 
 def run(argv):
@@ -627,3 +627,13 @@ def test_cli_runs_never_import_scipy():
         [sys.executable, "-c", _NO_SCIPY_RUNS], env=env, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
+
+
+@pytest.mark.parametrize("shape, n", GRID)
+def test_overflowing_suite_grid_exits_three(shape, n, capsys):
+    # the first numerical error in trial order ends the run, as before stacking
+    argv = ["verify", "--suite", "all", "--shape", shape, "--n", str(n), "--trials", "10",
+            "--entry-scale", "1e200"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error") and "Traceback" not in err

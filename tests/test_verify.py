@@ -11,6 +11,7 @@ Frozen oracle values used here:
   [[.5, -.5], [-.5, .5]] with spectrum {0, 1}.
 """
 
+import dataclasses
 import json
 import math
 import runpy
@@ -26,6 +27,7 @@ from cstar_schur import (
     DomainError,
     Element,
     GenConfig,
+    NumericalError,
     SeriesSpec,
     StructureError,
     check_commuting_spectral_instance,
@@ -741,7 +743,7 @@ def test_grid_catalogue_is_pinned():
 @pytest.mark.parametrize("nan_at", [0, 4])
 def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
     def trial(sub, t, opts):
-        return (math.nan if t == nan_at else -1.0), None
+        return verify._done(math.nan if t == nan_at else -1.0, None)
 
     check = verify.Check("nan_margins", "none", trial)
     opts = verify._Options(trials=5, d=2, tol=1e-9, entrywise_constant=False, points=None)
@@ -764,3 +766,164 @@ def test_scripts_take_no_threads_flag(name, argv, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 2
+
+
+# -- stacked trials ---------------------------------------------------------------
+
+GRID = list(GRID_CATALOGUES)
+OPTS = verify._Options(trials=10, d=2, tol=1e-9, entrywise_constant=False, points=None)
+
+
+def _margin_checks_on_the_grid():
+    for shape, n in GRID:
+        cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
+        for c in verify.CHECKS:
+            if c.run in (verify._margin_report, verify._run_novak) and c.applies(cfg, OPTS):
+                yield pytest.param(c, cfg, id=f"{c.check_id}-{shape}-{n}")
+
+
+@pytest.mark.parametrize("check, cfg", _margin_checks_on_the_grid())
+def test_stacked_trials_equal_each_trial_alone(check, cfg):
+    base = check.base(cfg)
+
+    def draw(t):
+        return check.trial(base.derive(t), t, OPTS)
+
+    alone = []
+    for t in range(OPTS.trials):
+        margin, witness, *_ = verify._alone(draw(t))
+        alone.append((margin, None if witness is None else {**witness, "trial": t}))
+    for size in (verify._chunk_size(base), 4):
+        stacked = [o[:2] for o in verify._run_trials(draw, OPTS.trials, size)]
+        assert stacked == alone
+
+
+def test_suite_grid_certifies_in_few_oracle_calls(monkeypatch):
+    from cstar_schur import algebra, amatrix
+
+    calls = []
+    verdict = algebra._psd_verdict
+
+    def counted(flats, tol):
+        calls.append(len(flats[0]))
+        return verdict(flats, tol)
+
+    monkeypatch.setattr(algebra, "_psd_verdict", counted)
+    monkeypatch.setattr(amatrix, "_psd_verdict", counted)
+    for shape, n in GRID:
+        run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
+    # one call per trial for each Novak and cosine-Gram hypothesis, one per
+    # check and group of equal block shapes for the rest (2 036 calls unstacked)
+    assert len(calls) <= 250
+
+
+@pytest.mark.parametrize("finish_error_at", [1, None])
+def test_draw_error_is_raised_after_the_earlier_trials_finish(finish_error_at):
+    finished = []
+
+    def trial(sub, t, opts):
+        if t == 3:
+            raise NumericalError("draw 3")
+
+        def finish(verdicts):
+            finished.append(t)
+            if t == finish_error_at:
+                raise DomainError("finish 1")
+            return -1.0, None
+
+        return verify._Drawn((), finish)
+
+    check = verify.Check("ordered", "none", trial)
+    # an earlier trial's finish error beats a later trial's draw error
+    error = DomainError if finish_error_at is not None else NumericalError
+    with pytest.raises(error):
+        check.report(GenConfig(seed=0, shape=SCALAR, n=2), OPTS)
+    assert finished == ([0, 1] if finish_error_at is not None else [0, 1, 2])
+
+
+def test_failing_solve_in_a_stack_is_rerun_member_by_member():
+    # a NaN block makes the SVD of the stack fail; the members around it
+    # still get their own verdicts, and the failure is raised when read
+    cfg = GenConfig(seed=0, shape=M2, n=2)
+    good = identity_matrix(M2, 2)
+    bad = AMatrix._wrap(M2, 2, (np.full((2, 2, 2, 2), np.nan, complex),))
+    read = []
+
+    def trial(sub, t, opts):
+        M = bad if t == 2 else good
+
+        def finish(verdicts):
+            read.append(t)
+            return verdicts[0].report().margin, None
+
+        return verify._Drawn((verify._psd_request(M, opts.tol),), finish)
+
+    check = verify.Check("solve", "none", trial)
+    with pytest.raises(NumericalError, match="SVD did not converge"):
+        check.report(cfg, OPTS)
+    assert read == [0, 1, 2]
+    verdicts = verify._oracle([good.blocks, bad.blocks, good.blocks], 1e-9)
+    assert [v.error is None for v in verdicts] == [True, False, True]
+    assert verdicts[2].report() == psd_check(good)
+
+
+def _nan_report_at(monkeypatch, position):
+    """Make the verdict read at `position` a NaN certificate."""
+    real = verify._Verdict.report
+    reads = []
+
+    def report(self):
+        rep = real(self)
+        reads.append(None)
+        if len(reads) - 1 == position:
+            nans = (math.nan,) * len(rep.min_eigenvalue_per_block)
+            return dataclasses.replace(rep, is_positive=False, min_eigenvalue_per_block=nans)
+        return rep
+
+    monkeypatch.setattr(verify._Verdict, "report", report)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "check_id, reads",
+    [("schur_chain_bound", 4), ("commuting_spectral_schur", 3), ("novak_conjecture", 4)],
+)
+def test_nan_certificate_in_any_position_fails_the_trial(check_id, reads, monkeypatch):
+    # Python's min drops a NaN that is not first; the sub-margins must not
+    check = next(c for c in verify.CHECKS if c.check_id == check_id)
+    opts = dataclasses.replace(OPTS, trials=1)
+    cfg = GenConfig(seed=2024, shape=SCALAR, n=3)
+    assert check.report(cfg, opts).failures == 0
+    for position in range(reads):
+        with monkeypatch.context() as patch:
+            seen = _nan_report_at(patch, position)
+            rep = check.report(cfg, opts)
+        assert len(seen) == reads
+        assert math.isnan(rep.worst_margin), position
+        assert rep.failures == 1 and counts_as_failure(rep)
+        assert rep.witness is not None
+
+
+def test_nan_diagonal_residual_is_found_and_rejected(monkeypatch):
+    M = identity_matrix(SCALAR, 3)
+    entries = [[M.entry(j, k) for k in range(3)] for j in range(3)]
+    entries[1][1] = Element(SCALAR, [[[math.nan]]])
+    assert math.isnan(verify._diag_residual(AMatrix.from_entries(entries)))
+    monkeypatch.setattr(verify, "_diag_residual", lambda M: math.nan)
+    with pytest.raises(DomainError, match="diagonal entries deviate"):
+        check_unit_diagonal_bound(M)
+
+
+@pytest.mark.parametrize(
+    "values", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]]
+)
+def test_residual_maximum_lets_nan_win(values):
+    assert math.isnan(verify._largest(values))
+    assert math.isnan(verify._worst(values))
+
+
+def test_nan_commutator_is_not_commuting(monkeypatch):
+    x, z = pauli_pair(M2)
+    monkeypatch.setattr(verify, "_commutator_norms", lambda elems, pairs: [math.nan] * len(pairs))
+    with pytest.raises(DomainError, match="do not commute"):
+        verify._require_commuting_selfadjoint([x, x])
