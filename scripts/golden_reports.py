@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the 20 canonical golden reports and print one sha256 per file.
+"""Write the 22 canonical golden reports and print one sha256 per file.
 
 A refactor that must not change any report is checked by running this once
 on the old checkout and once on the new one, on the same machine, and
@@ -11,8 +11,9 @@ Each report is one CLI run, ``python -m cstar_schur CMD --json OUT_DIR/NAME``,
 in a fresh interpreter importing the package from this checkout's ``src/``,
 with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``). The runs cover
 ``verify --suite all`` over the grid of ``run_verification_suites.py`` at 10
-and 100 trials, three searches (a sweep with many random hits, a large size
-with only the deterministic hit, and ``--stop-on-first``), ``novak
+and 100 trials, five searches (a sweep with many random hits, a large size
+with only the deterministic hit, ``--stop-on-first``, and random trials over
+the multi-block shape (2, 1) at a non-unit entry scale in both styles), ``novak
 --random``, and one verify run at ``--threads 1`` and ``--threads 4``. The
 exit code is 1 when any run exits non-zero.
 
@@ -58,6 +59,11 @@ def golden_commands() -> dict[str, list[str]]:
     runs["search_stop.json"] = [
         "search", "--shape", "2,1", "--n", "2", "--trials", "300", "--stop-on-first"
     ]
+    for style in ("complex", "real_commutative"):
+        runs[f"search_s2,1_{style}.json"] = [
+            "search", "--shape", "2,1", "--n", "3", "--trials", "300",
+            "--entry-scale", "0.37", "--style", style,
+        ]
     runs["novak_random.json"] = [
         "novak", "--random", "--n", "4", "--d", "3", "--trials", "20"
     ]

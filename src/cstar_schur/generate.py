@@ -8,6 +8,12 @@ Named sub-checks derive their seed as ``mix64(s, fnv1a64(check_id))`` first.
 Identical configs therefore produce bitwise-identical instances regardless
 of execution order or thread count.
 
+Searches seed a chunk's streams in bulk: ``_mix64s`` derives the seeds as
+uint64 arrays, and ``_streams`` runs numpy's ``SeedSequence`` hash over all
+of them at once and sets each resulting PCG64 state on one reused generator.
+Each stream is bitwise ``numpy.random.default_rng(seed)``'s, which
+``test_bulk_streams_equal_default_rng_bitwise`` checks over 10^4 seeds.
+
 Gaussian coefficients are used throughout for full-support coverage; the
 ``real_commutative`` style restricts draws to real coordinates, which
 matters for diagonal-bound checks whose proofs need entries with a = a*.
@@ -102,12 +108,87 @@ class GenConfig:
         )
 
 
-def _draw(rng: np.random.Generator, dims: tuple[int, ...], scale: float, style: str):
+def _from_normals(x: np.ndarray, scale: float, style: str, axis: int = 0) -> np.ndarray:
+    """The complex draw made of the standard normals ``x``; in the complex
+    style, axis ``axis`` of length 2 holds the real, then the imaginary parts."""
     if style == "real_commutative":
-        return (scale * rng.standard_normal(dims)).astype(np.complex128)
-    # one call fills the real parts, then the imaginary parts, in stream order
-    re, im = rng.standard_normal((2,) + dims)
+        return (scale * x).astype(np.complex128)
+    re, im = x.swapaxes(0, axis)
     return (re + 1j * im) * (scale / np.sqrt(2.0))
+
+
+def _draw(rng: np.random.Generator, dims: tuple[int, ...], scale: float, style: str):
+    # one call fills the real parts, then the imaginary parts, in stream order
+    parts = () if style == "real_commutative" else (2,)
+    return _from_normals(rng.standard_normal(parts + dims), scale, style)
+
+
+def _mix64s(seeds, indices) -> np.ndarray:
+    """``mix64`` over uint64 arrays, broadcast; arrays wrap mod 2^64 silently."""
+    u64 = np.uint64
+    seeds, indices = (np.atleast_1d(np.asarray(a, u64)) for a in (seeds, indices))
+    z = seeds + (indices + u64(1)) * u64(_GOLDEN)
+    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    return z ^ (z >> u64(31))
+
+
+# numpy's SeedSequence hash constants (O'Neill's seed_seq redesign) and PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix over uint32 arrays; its constant advances per call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> np.uint32(16))
+
+    return hashmix
+
+
+def _streams(seeds):
+    """One generator per seed, in order, each with the stream of
+    ``np.random.default_rng(seed)``: ``SeedSequence(seed).generate_state(4,
+    np.uint64)`` computed for all seeds at once, then set as PCG64 state on one
+    reused generator. Use each generator before taking the next."""
+    seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
+    # the entropy words, low first; a seed below 2^32 has one word, and the
+    # pool pads it with zero words, so its high word 0 gives the same pool
+    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(lo)
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in (lo, hi, zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                x = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashmix(pool[src])
+                pool[dst] = x ^ (x >> np.uint32(16))
+    # generate_state(4, uint64): eight uint32 words cycling over the pool,
+    # paired into uint64 words low word first
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
+    words = [(out[i] | out[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
+    bit_gen = np.random.PCG64(0)
+    gen = np.random.Generator(bit_gen)
+    for s_hi, s_lo, i_hi, i_lo in zip(*words):
+        # pcg64_set_seed: inc = 2 initseq + 1, two LCG steps from state 0
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+        bit_gen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield gen
 
 
 def random_element(cfg: GenConfig) -> Element:

@@ -52,13 +52,17 @@ is the one that running each trial alone gives, and so is the first error
 raised. ``find_nonassociativity`` and ``find_trig_breakdown`` run their
 trials one after another, up to the first witness.
 
-``counterexample_search`` evaluates its trials in stacked chunks instead:
-each trial is drawn as before, then the Gram products, the symmetrized
-products and the positivity oracle run once per chunk over a leading trial
-axis (``_schur_stack``). The Schur-positivity evaluator of one pair is the
-same call on a stack of one, so every trial gets the bits it would get
-alone. All trials run in one thread; ``threads`` is only validated.
-Its report is a summary: every violating trial index, the violation rate
+``counterexample_search`` evaluates its trials in stacked chunks instead.
+A chunk is drawn at once (``_pairs``): its trial and substream seeds are
+derived as uint64 arrays, its generators are seeded in bulk
+(``generate._streams``, each stream bitwise ``default_rng(seed)``'s), each
+fills its trial's slot of a buffer of standard normals, and the complex
+stacks are formed once per block. Every trial gets the draws it gets alone.
+Then the Gram products, the symmetrized products and the positivity oracle
+run once per chunk over a leading trial axis (``_schur_stack``). The
+Schur-positivity evaluator of one pair is the same call on a stack of one,
+so every trial gets the bits it would get alone. All trials run in one
+thread; ``threads`` is only validated. Its report is a summary: every violating trial index, the violation rate
 with a Wilson interval, a margin histogram, and the matrices of only a few
 violations (the deterministic one and the ``_TOP_WITNESSES`` most negative
 random ones). ``search_witness`` rebuilds the record of any trial alone.
@@ -104,12 +108,13 @@ from .amatrix import (
     _schur_block,
     _stacked,
 )
-from .calculus import SeriesSpec, _trig_stack, elem_cos, elem_sin, schur_series_apply
+from .calculus import SeriesSpec, _trig_stack, schur_series_apply
 from .errors import DomainError, NumericalError, StructureError
 from .generate import (
     GenConfig,
-    _draw,
-    derive_seed,
+    _from_normals,
+    _mix64s,
+    _streams,
     fnv1a64,
     random_commuting_family,
     random_commuting_spectral_pair,
@@ -742,6 +747,14 @@ def novak_check(
     return novak, _checked("novak_conjecture", drawn, tol, t0)
 
 
+def _sin_cos(members: list[Element]) -> list[Element]:
+    """sin m, then cos m, of each member in order, from one ``_trig_stack`` call."""
+    shape = members[0].shape
+    stacks = _element_stacks([m for m in members for _ in range(2)])
+    sine = np.arange(2 * len(members)) % 2 == 0
+    return _elements(shape, _trig_stack(shape, stacks, sine))
+
+
 def check_trig_identities(
     x: Element,
     y: Element,
@@ -760,25 +773,21 @@ def check_trig_identities(
     if x.shape != y.shape:
         raise StructureError("algebra shapes differ")
     scale = max(1.0, x.norm(), y.norm())
-    sx, cx = elem_sin(x), elem_cos(x)
-    sy, cy = elem_sin(y), elem_cos(y)
+    sx, cx, sy, cy, s_neg, c_neg, s_adj, c_adj = _sin_cos([x, y, -x, x.adjoint()])
     unit = identity_element(x.shape)
     residuals = {
-        "sin_odd": (elem_sin(-x) + sx).norm(),
-        "cos_even": (elem_cos(-x) - cx).norm(),
-        "sin_adjoint": (sx.adjoint() - elem_sin(x.adjoint())).norm(),
-        "cos_adjoint": (cx.adjoint() - elem_cos(x.adjoint())).norm(),
+        "sin_odd": (s_neg + sx).norm(),
+        "cos_even": (c_neg - cx).norm(),
+        "sin_adjoint": (sx.adjoint() - s_adj).norm(),
+        "cos_adjoint": (cx.adjoint() - c_adj).norm(),
         "pythagorean": (sx * sx + cx * cx - unit).norm(),
     }
     commutator = commutator_norm(x, y)
     commuting = commutator <= COMMUTING_TOL * scale
     if commuting or falsify:
-        residuals["sin_addition"] = (
-            elem_sin(x + y) - (sx * cy + cx * sy)
-        ).norm()
-        residuals["cos_addition"] = (
-            elem_cos(x + y) - (cx * cy - sx * sy)
-        ).norm()
+        s_sum, c_sum = _sin_cos([x + y])
+        residuals["sin_addition"] = (s_sum - (sx * cy + cx * sy)).norm()
+        residuals["cos_addition"] = (c_sum - (cx * cy - sx * sy)).norm()
     details = {
         "residuals": residuals,
         "commutator": commutator,
@@ -880,10 +889,12 @@ def _commuting_spectral(cfg: GenConfig, tol: float) -> _Drawn:
     unitary_residual = _largest(
         (mat_norm(U @ U.adjoint() - ident), mat_norm(V @ V.adjoint() - ident))
     )
-    recon_residual = _largest((
-        mat_norm(M - U @ diag_matrix(lam) @ U.adjoint()) / max(1.0, mat_norm(M)),
-        mat_norm(N - V @ diag_matrix(mu) @ V.adjoint()) / max(1.0, mat_norm(N)),
-    ))
+    # each norm is taken once, after its reconstruction defect, and reused below
+    (defect_m, norm_m), (defect_n, norm_n) = (
+        (mat_norm(X - W @ diag_matrix(d) @ W.adjoint()), mat_norm(X))
+        for X, W, d in ((M, U, lam), (N, V, mu))
+    )
+    recon_residual = _largest((defect_m / max(1.0, norm_m), defect_n / max(1.0, norm_n)))
     sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
     if n > 1:
         sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
@@ -891,7 +902,7 @@ def _commuting_spectral(cfg: GenConfig, tol: float) -> _Drawn:
     hypothesis_ok = (
         unitary_residual <= UNITARY_TOL
         and recon_residual <= RECONSTRUCTION_TOL
-        and comm <= FAMILY_COMMUTING_TOL * max(1.0, mat_norm(M), mat_norm(N))
+        and comm <= FAMILY_COMMUTING_TOL * max(1.0, norm_m, norm_n)
     )
     residuals = {
         "unitary_residual": unitary_residual,
@@ -1073,22 +1084,31 @@ def _pairs(cfg: GenConfig, trials):
     the deterministic witness and comes alone.
 
     Trial t >= 1 draws G and H from the seeds of ``cfg.derive(t).derive(0)``
-    and ``.derive(1)``, derived as integers, exactly as ``_positive_pair``
-    does; each block is drawn into a preallocated stack and only G G* and
-    H H* are formed.
+    and ``.derive(1)``, exactly as ``_positive_pair`` does. The chunk's seeds
+    are derived as uint64 arrays and its generators seeded in bulk
+    (``_streams``); each fills its member of a buffer of standard normals,
+    the complex stacks are formed once per block, and only G G* and H H* are
+    formed from them.
     """
     if trials[0] == 0:
         M, N = jordan_witness(cfg.shape, cfg.n)
         return _stacked(M), _stacked(N), [cfg.seed]
     n, blocks = cfg.n, cfg.shape.blocks
-    seeds = [derive_seed(cfg.seed, t) for t in trials]
-    g, h = ([np.empty((len(seeds), n, n, k, k), np.complex128) for k in blocks] for _ in range(2))
-    for i, seed in enumerate(seeds):
-        for j, stacks in enumerate((g, h)):
-            rng = np.random.default_rng(derive_seed(seed, j))
-            for k, stack in zip(blocks, stacks):
-                stack[i] = _draw(rng, (n, n, k, k), cfg.entry_scale, cfg.style)
-    return tuple(map(_gram_block, g)), tuple(map(_gram_block, h)), seeds
+    seeds = _mix64s(cfg.seed, trials)
+    parts = () if cfg.style == "real_commutative" else (2,)
+    # the standard normals of G's blocks, then of H's
+    normals = [[np.empty((len(seeds), *parts, n, n, k, k)) for k in blocks] for _ in range(2)]
+    streams = _streams(_mix64s(seeds[:, None], [0, 1]).ravel())
+    for i in range(len(seeds)):
+        for bufs in normals:
+            rng = next(streams)
+            for buf in bufs:
+                rng.standard_normal(out=buf[i])
+    m_blocks, n_blocks = (
+        tuple(_gram_block(_from_normals(buf, cfg.entry_scale, cfg.style, axis=1)) for buf in bufs)
+        for bufs in normals
+    )
+    return m_blocks, n_blocks, seeds.tolist()
 
 
 def _search_chunks(cfg: GenConfig, trials: int):

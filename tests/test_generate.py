@@ -1,5 +1,7 @@
 """Seeded generators: determinism, substreams, and structural guarantees."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +32,7 @@ from cstar_schur import (
     schur_product,
 )
 from cstar_schur.amatrix import diag_matrix
-from cstar_schur.generate import STYLES, _draw
+from cstar_schur.generate import STYLES, _draw, _mix64s, _streams
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES
 
 ALL_SHAPES = COMMUTATIVE_SHAPES + NONCOMMUTATIVE_SHAPES
@@ -227,3 +229,40 @@ def test_draw_matches_the_two_call_reference_bitwise(style, scale):
         assert got.tobytes() == want.tobytes()
         # both leave the stream at the same place
         assert got_rng.standard_normal() == rng.standard_normal()
+
+
+# -- bulk-seeded streams ------------------------------------------------------
+
+# one- and two-word seeds at the ends of both ranges
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def test_bulk_streams_equal_default_rng_bitwise():
+    rng = np.random.default_rng(11)
+    seeds = np.array(
+        EDGE_SEEDS
+        + [derive_seed(2024, t, j) for t in range(1, 2001) for j in (0, 1)]
+        + rng.integers(0, 2**32, 3000, dtype=np.uint64).tolist()
+        + rng.integers(0, 2**64 - 1, 3000, dtype=np.uint64, endpoint=True).tolist(),
+        dtype=np.uint64,
+    )
+    # one- and two-word seeds interleaved in one call
+    seeds = rng.permutation(seeds).tolist()
+    assert len(seeds) >= 10_000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [g.standard_normal(3).tobytes() for g in _streams(seeds)]
+    assert got == [np.random.default_rng(s).standard_normal(3).tobytes() for s in seeds]
+
+
+def test_vectorized_mix64_equals_derive_seed():
+    seeds = EDGE_SEEDS + [2**63, 2024]
+    indices = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 2, 2**64 - 1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = _mix64s(np.array(seeds, np.uint64)[:, None], indices)
+        chained = _mix64s(_mix64s(2**64 - 1, indices)[:, None], [0, 1])
+        alone = _mix64s(2**64 - 1, 2**64 - 1)
+    assert got.tolist() == [[derive_seed(s, i) for i in indices] for s in seeds]
+    assert chained.tolist() == [[derive_seed(2**64 - 1, i, j) for j in (0, 1)] for i in indices]
+    assert alone.tolist() == [derive_seed(2**64 - 1, 2**64 - 1)]

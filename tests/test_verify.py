@@ -58,6 +58,7 @@ from cstar_schur import (
     schur_product,
 )
 from cstar_schur import verify
+from cstar_schur.generate import STYLES
 from cstar_schur.verify import SUITES, counts_as_failure
 from conftest import comm_element, scalar_amatrix, as_numpy
 
@@ -558,6 +559,24 @@ def test_search_witnesses_in_stacks_match_each_alone():
     assert [w["trial"] for w in records] == trials
     for t in (trials[0], trials[1], trials[1 + verify._chunk_size(cfg)], trials[-1]):
         assert records[trials.index(t)] == verify.search_witness(cfg, t)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.37])
+@pytest.mark.parametrize("style", STYLES)
+def test_search_draws_equal_each_pair_drawn_alone(style, scale):
+    # n = 3 over (2, 1) runs in chunks of 227 trials, so the range crosses a chunk boundary
+    cfg = GenConfig(seed=2024, shape=AlgebraShape((2, 1)), n=3, entry_scale=scale, style=style)
+    size = verify._chunk_size(cfg)
+    trials = range(size - 2, size + 3)
+    chunks = [range(size - 2, size + 1), range(size + 1, size + 3)]
+    for group in [trials, *chunks]:
+        m_blocks, n_blocks, seeds = verify._pairs(cfg, group)
+        for i, t in enumerate(group):
+            sub = cfg.derive(t)
+            assert seeds[i] == sub.seed
+            for stacks, alone in zip((m_blocks, n_blocks), verify._positive_pair(sub)):
+                for stack, block in zip(stacks, alone.blocks):
+                    assert stack[i].tobytes() == block.tobytes()
 
 
 def test_search_witness_rejects_negative_trial():
