@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Write the 22 canonical golden reports and print one sha256 per file.
+"""Write the 24 canonical golden reports and print one sha256 per file.
 
 A refactor that must not change any report is checked by running this once
 on the old checkout and once on the new one, on the same machine, and
@@ -14,8 +14,10 @@ with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``). The runs cover
 and 100 trials, five searches (a sweep with many random hits, a large size
 with only the deterministic hit, ``--stop-on-first``, and random trials over
 the multi-block shape (2, 1) at a non-unit entry scale in both styles), ``novak
---random``, and one verify run at ``--threads 1`` and ``--threads 4``. The
-exit code is 1 when any run exits non-zero.
+--random``, two verify runs at a non-unit entry scale (one with ``--d 3``,
+one in the ``real_commutative`` style with ``--entrywise-constant``), and one
+verify run at ``--threads 1`` and ``--threads 4``. The exit code is 1 when any
+run exits non-zero.
 
 A change that may move the last bits of margins, but no verdict, is checked
 against reports written earlier into REF_DIR by the old checkout:
@@ -66,6 +68,15 @@ def golden_commands() -> dict[str, list[str]]:
         ]
     runs["novak_random.json"] = [
         "novak", "--random", "--n", "4", "--d", "3", "--trials", "20"
+    ]
+    # the non-unit scale, --d, the real style and --entrywise-constant in verify
+    runs["verify_s2,1_n3_scale2.5_d3.json"] = [
+        "verify", "--suite", "all", "--shape", "2,1", "--n", "3", "--trials", "20",
+        "--entry-scale", "2.5", "--d", "3",
+    ]
+    runs["verify_s1,1,1_n3_scale0.37_real.json"] = [
+        "verify", "--suite", "all", "--shape", "1,1,1", "--n", "3", "--trials", "20",
+        "--entry-scale", "0.37", "--style", "real_commutative", "--entrywise-constant",
     ]
     for threads in (1, 4):
         runs[f"verify_11_n3_th{threads}.json"] = [

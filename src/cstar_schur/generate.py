@@ -8,11 +8,12 @@ Named sub-checks derive their seed as ``mix64(s, fnv1a64(check_id))`` first.
 Identical configs therefore produce bitwise-identical instances regardless
 of execution order or thread count.
 
-Searches seed a chunk's streams in bulk: ``_mix64s`` derives the seeds as
-uint64 arrays, and ``_streams`` runs numpy's ``SeedSequence`` hash over all
-of them at once and sets each resulting PCG64 state on one reused generator.
-Each stream is bitwise ``numpy.random.default_rng(seed)``'s, which
-``test_bulk_streams_equal_default_rng_bitwise`` checks over 10^4 seeds.
+Searches and suite trials draw a chunk of instances at once, seeded in bulk
+(``_mix64s``, ``_Streams``; each stream is bitwise ``default_rng(seed)``'s).
+Each generator's chunk form takes one generator per instance and forms the
+complex stacks, Gram products, Haar frames, Hermitian parts and norm caps once
+per chunk, with the bits each instance gets alone; ``random_*`` and
+``haar_unitary`` are their chunk forms on the one stream ``cfg.rng()``.
 
 Gaussian coefficients are used throughout for full-support coverage; the
 ``real_commutative`` style restricts draws to real coordinates, which
@@ -27,8 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _hermitian_part, _spectral_apply
-from .amatrix import AMatrix, diag_matrix, diag_vector, identity_matrix
+from .algebra import AlgebraShape, Element, _adjoint, _eigh, _hermitian_part, _norms
+from .amatrix import AMatrix, _flatten_block, _gram_block, _unflatten_block, identity_matrix
 from .errors import DomainError, StructureError
 from .module_an import AVector
 
@@ -108,19 +109,13 @@ class GenConfig:
         )
 
 
-def _from_normals(x: np.ndarray, scale: float, style: str, axis: int = 0) -> np.ndarray:
-    """The complex draw made of the standard normals ``x``; in the complex
-    style, axis ``axis`` of length 2 holds the real, then the imaginary parts."""
+def _from_normals(x: np.ndarray, scale: float, style: str) -> np.ndarray:
+    """The complex stack made of the standard normals ``x``; in the complex
+    style, axis 1 of length 2 holds the real, then the imaginary parts."""
     if style == "real_commutative":
         return (scale * x).astype(np.complex128)
-    re, im = x.swapaxes(0, axis)
+    re, im = x.swapaxes(0, 1)
     return (re + 1j * im) * (scale / np.sqrt(2.0))
-
-
-def _draw(rng: np.random.Generator, dims: tuple[int, ...], scale: float, style: str):
-    # one call fills the real parts, then the imaginary parts, in stream order
-    parts = () if style == "real_commutative" else (2,)
-    return _from_normals(rng.standard_normal(parts + dims), scale, style)
 
 
 def _mix64s(seeds, indices) -> np.ndarray:
@@ -133,6 +128,16 @@ def _mix64s(seeds, indices) -> np.ndarray:
     return z ^ (z >> u64(31))
 
 
+def _seeds(cfg: GenConfig, trials, *indices) -> np.ndarray:
+    """The seeds of ``cfg.derive(t, *indices)`` for each trial t, as a uint64
+    array; an index that is a range takes each of its values, and the seeds
+    are flattened in C order over (trial, index, ...)."""
+    seeds = _mix64s(cfg.seed, np.asarray(trials, np.uint64))
+    for index in indices:
+        seeds = _mix64s(seeds[..., None], np.asarray(index, np.uint64))
+    return seeds.ravel()
+
+
 # numpy's SeedSequence hash constants (O'Neill's seed_seq redesign) and PCG64's multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -140,138 +145,255 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix over uint32 arrays; its constant advances per call."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
+def _hash_constants(const: int, mult: int, calls: int):
+    """The xor and the multiply constants of ``calls`` successive calls of
+    SeedSequence's hashmix, as uint32 columns: the constant advances per call."""
+    consts = [const]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], np.uint32)[:, None], np.array(consts[1:], np.uint32)[:, None]
 
 
-def _streams(seeds):
+# the pool's 4 + 12 hashmix calls, then generate_state's 8
+_HASH_A, _HASH_B = _hash_constants(_INIT_A, _MULT_A, 16), _hash_constants(_INIT_B, _MULT_B, 8)
+
+
+def _hashmix(value: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarray:
+    """hashmix of uint32 rows, each with its own call's constants."""
+    value = (value ^ xors) * mults
+    return value ^ (value >> np.uint32(16))
+
+
+class _Streams:
     """One generator per seed, in order, each with the stream of
     ``np.random.default_rng(seed)``: ``SeedSequence(seed).generate_state(4,
     np.uint64)`` computed for all seeds at once, then set as PCG64 state on one
     reused generator. Use each generator before taking the next."""
-    seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
-    # the entropy words, low first; a seed below 2^32 has one word, and the
-    # pool pads it with zero words, so its high word 0 gives the same pool
-    lo = (seeds & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(lo)
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(w) for w in (lo, hi, zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                x = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * hashmix(pool[src])
-                pool[dst] = x ^ (x >> np.uint32(16))
-    # generate_state(4, uint64): eight uint32 words cycling over the pool,
-    # paired into uint64 words low word first
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    out = [hashmix(pool[i % 4]).astype(np.uint64) for i in range(8)]
-    words = [(out[i] | out[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
-    bit_gen = np.random.PCG64(0)
-    gen = np.random.Generator(bit_gen)
-    for s_hi, s_lo, i_hi, i_lo in zip(*words):
-        # pcg64_set_seed: inc = 2 initseq + 1, two LCG steps from state 0
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield gen
+
+    def __init__(self, seeds):
+        seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
+        # the entropy words, low first; a seed below 2^32 has one word, and the
+        # pool pads it with zero words, so its high word 0 gives the same pool
+        words = np.zeros((4, len(seeds)), np.uint32)
+        words[0], words[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
+        xors, mults = _HASH_A
+        pool = _hashmix(words, xors[:4], mults[:4])
+        # each word mixes into the other three in turn, with the next three calls
+        for src in range(4):
+            dst, calls = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
+            h = _hashmix(pool[src], xors[calls], mults[calls])
+            x = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * h
+            pool[dst] = x ^ (x >> np.uint32(16))
+        # generate_state(4, uint64): eight uint32 words cycling over the pool,
+        # paired into uint64 words low word first
+        out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
+        self.words = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+
+    def __len__(self) -> int:
+        return len(self.words[0])
+
+    def __iter__(self):
+        bit_gen = np.random.PCG64(0)
+        gen = np.random.Generator(bit_gen)
+        for s_hi, s_lo, i_hi, i_lo in zip(*self.words):
+            # pcg64_set_seed: inc = 2 initseq + 1, two LCG steps from state 0
+            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
+            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                             "has_uint32": 0, "uinteger": 0}
+            yield gen
+
+
+# ---------------------------------------------------------------------------
+# chunk forms: ``gens`` holds one generator per instance, and each form returns
+# one (T, ..., k, k) stack per block, or a tuple of such stacks
+# ---------------------------------------------------------------------------
+
+
+def _normals(gens, shapes) -> list[np.ndarray]:
+    """Standard normals of the given shapes, one (T, *shape) array each: the i-th
+    of the T generators fills row i of all of them, in order, in one call."""
+    sizes = [math.prod(s) for s in shapes]
+    x = np.empty((len(gens), sum(sizes)))
+    for row, rng in zip(x, gens):
+        rng.standard_normal(out=row)
+    parts = np.split(x, np.cumsum(sizes)[:-1], axis=1)
+    return [part.reshape(len(x), *s) for part, s in zip(parts, shapes)]
+
+
+def _gaussian_stack(cfg: GenConfig, gens, cls: type) -> tuple:
+    """``random_element``, ``random_vector`` or ``random_matrix`` by ``cls``:
+    (T, n, ..., k, k) stacks with ``cls._lead`` axes of length n."""
+    parts = () if cfg.style == "real_commutative" else (2,)
+    lead = (cfg.n,) * cls._lead
+    xs = _normals(gens, [parts + lead + (k, k) for k in cfg.shape.blocks])
+    return tuple(_from_normals(x, cfg.entry_scale, cfg.style) for x in xs)
+
+
+def _positive_stack(cfg: GenConfig, gens) -> tuple:
+    """(G, M) of ``random_positive_matrix``, with M = G G* formed per block."""
+    G = _gaussian_stack(cfg, gens, AMatrix)
+    return G, tuple(_gram_block(g) for g in G)
+
+
+def _capped(blocks, cap: float) -> tuple:
+    """Each member of a stack of elements rescaled into norm <= cap, bit for bit
+    as alone: its norm is Python's ``max`` of its block norms."""
+    lead = blocks[0].shape[:-2]
+    norms = [_norms(b.reshape(-1, *b.shape[-2:])).reshape(lead) for b in blocks]
+    norm = functools.reduce(lambda acc, v: np.where(v > acc, v, acc), norms)
+    over = (norm > cap)[..., None, None]
+    factor = (cap / np.where(over, norm[..., None, None], cap)).astype(np.complex128)
+    return tuple(np.where(over, factor * b, b) for b in blocks)
+
+
+def _selfadjoint_stack(cfg: GenConfig, gens, norm_cap: float | None = None) -> tuple:
+    """``random_selfadjoint_element``: (T, k, k) stacks."""
+    # complex(0.5) and a* as Element's scalar action and adjoint form them
+    sym = tuple(complex(0.5) * (a + _adjoint(a)) for a in _gaussian_stack(cfg, gens, Element))
+    return sym if norm_cap is None else _capped(sym, norm_cap)
+
+
+def _points_stack(cfg: GenConfig, gens, d: int) -> tuple:
+    """``random_selfadjoint_points``: n * d generators per instance, one per
+    point in row order; (T, n * d, k, k) stacks."""
+    blocks = _selfadjoint_stack(cfg, gens, cfg.entry_scale * np.pi)
+    return tuple(b.reshape(-1, cfg.n * d, *b.shape[1:]) for b in blocks)
+
+
+def _unit_diagonal_stack(cfg: GenConfig, gens) -> tuple:
+    """``random_unit_diagonal_positive``: S (G G* + _RIDGE I) S, with S the
+    diagonal of inverse square roots of the diagonal entries."""
+    n, idx = cfg.n, np.arange(cfg.n)
+    _, grams = _positive_stack(cfg, gens)
+    out = []
+    units = identity_matrix(cfg.shape, n).blocks
+    for b, (k, gram, unit) in enumerate(zip(cfg.shape.blocks, grams, units)):
+        m = gram + complex(_RIDGE) * unit
+        w, v = _eigh(np.einsum("...jjab->...jab", m), True, b)
+        s = np.zeros_like(m)
+        s[:, idx, idx] = (v * (1.0 / np.sqrt(w))[..., None, :]) @ _adjoint(v)
+        fs = _flatten_block(s, n, k)
+        out.append(_unflatten_block(fs @ _flatten_block(m, n, k) @ fs, n, k))
+    return tuple(out)
+
+
+def _haar(x: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normals (..., 2, k, k), real parts first:
+    QR with a phase-fixed diagonal (Mezzadri, Notices AMS 54, 2007)."""
+    z = (x[..., 0, :, :] + 1j * x[..., 1, :, :]) / np.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    d[np.abs(d) == 0.0] = 1.0
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def _family_stack(cfg: GenConfig, gens, count, selfadjoint=False, positive=False, norm_cap=None):
+    """``random_commuting_family``: (T, count, k, k) stacks."""
+    diagonal = () if selfadjoint or positive or cfg.style == "real_commutative" else (2,)
+    shapes = [s for k in cfg.shape.blocks for s in ((2, k, k), diagonal + (count, k))]
+    xs = _normals(gens, shapes)
+    out = []
+    for x, y in zip(xs[::2], xs[1::2]):
+        w = _haar(x)
+        scale = cfg.entry_scale
+        vals = _from_normals(y, scale, cfg.style) if diagonal else scale * y
+        vals = np.asarray(vals**2 if positive else vals, dtype=np.complex128)
+        scaled = w[:, None] * vals[..., None, :]
+        if not selfadjoint:
+            # as alone: numpy's loop over a short row can round apart from its vector loop
+            scaled = np.array([[wt * v for v in vt] for wt, vt in zip(w, vals)])
+        mats = scaled.reshape(len(w), count, *w.shape[1:]) @ _adjoint(w)[:, None]
+        out.append(_hermitian_part(mats) if selfadjoint or positive else mats)
+    return tuple(out) if norm_cap is None else _capped(out, norm_cap)
+
+
+def _spectral_pair_stack(cfg: GenConfig, gens) -> tuple:
+    """``random_commuting_spectral_pair``: the stacks of M, N, U, V, lam, mu."""
+    n = cfg.n
+    shapes = [[(2, k, k), (k, 2, n, n), (k, 2, n, n), (k, n), (k, n)] for k in cfg.shape.blocks]
+    xs = _normals(gens, sum(shapes, []))
+    per_block = []
+    for b in range(0, len(xs), 5):
+        w, u, v = (_haar(x) for x in xs[b : b + 3])
+        lam, mu = ((cfg.entry_scale * x) ** 2 for x in xs[b + 3 : b + 5])
+        wc = w.conj()
+        pairs = ((u, lam), (v, mu))
+        coords = [np.einsum("...tjs,...ts,...tls->...tjl", f, e, f.conj()) for f, e in pairs]
+        values = [np.einsum("...at,...tjl,...ct->...jlac", w, c, wc) for c in (*coords, u, v)]
+        for e in (lam, mu):
+            values.append(np.einsum("...at,...tj,...ct->...jac", w, e.astype(np.complex128), wc))
+        per_block.append(values)
+    return tuple(zip(*per_block))
+
+
+def _drawn(cfg: GenConfig, trials, form, *indices, **kw) -> list:
+    """What chunk form ``form`` draws for each trial t from the stream of
+    ``cfg.derive(t, *indices)``, one value per trial, seeded in bulk."""
+    return _members(cfg.shape, form(cfg, _Streams(_seeds(cfg, trials, *indices)), **kw))
+
+
+def _commuting_points(cfg: GenConfig, trials, count: int, *indices) -> list:
+    """``count`` commuting self-adjoint elements of norm <= entry_scale * pi per
+    trial: as ``random_selfadjoint_points`` over commutative shapes, element i
+    from ``cfg.derive(t, *indices)`` at position i of the index product, else a
+    commuting family."""
+    if cfg.shape.is_commutative:
+        drawn = _drawn(cfg, trials, _points_stack, *indices, d=count // cfg.n)
+    else:
+        cap = cfg.entry_scale * np.pi
+        drawn = _drawn(cfg, trials, _family_stack, count=count, selfadjoint=True, norm_cap=cap)
+    return [list(flat) for flat in drawn]
+
+
+def _members(shape: AlgebraShape, stacks) -> list:
+    """The instances of a chunk form's stacks, in order: Elements, AVectors or
+    AMatrices by the number of leading axes, tuples for a tuple of stacks."""
+    if isinstance(stacks[0], tuple):
+        return list(zip(*(_members(shape, s) for s in stacks)))
+    lead = stacks[0].ndim - 3
+    if lead == 0:
+        return [Element._wrap(shape, m) for m in zip(*stacks)]
+    cls = AVector if lead == 1 else AMatrix
+    return [cls._wrap(shape, stacks[0].shape[1], m) for m in zip(*stacks)]
+
+
+# ---------------------------------------------------------------------------
+# single draws: each is its chunk form on the one stream cfg.rng()
+# ---------------------------------------------------------------------------
 
 
 def random_element(cfg: GenConfig) -> Element:
-    rng = cfg.rng()
-    return Element._wrap(
-        cfg.shape,
-        tuple(_draw(rng, (k, k), cfg.entry_scale, cfg.style) for k in cfg.shape.blocks),
-    )
+    return _members(cfg.shape, _gaussian_stack(cfg, [cfg.rng()], Element))[0]
 
 
 def random_matrix(cfg: GenConfig) -> AMatrix:
     """A dense Gaussian matrix over the algebra (no structure imposed)."""
-    rng = cfg.rng()
-    return AMatrix._wrap(
-        cfg.shape,
-        cfg.n,
-        tuple(
-            _draw(rng, (cfg.n, cfg.n, k, k), cfg.entry_scale, cfg.style)
-            for k in cfg.shape.blocks
-        ),
-    )
+    return _members(cfg.shape, _gaussian_stack(cfg, [cfg.rng()], AMatrix))[0]
 
 
 def random_positive_matrix(cfg: GenConfig) -> tuple[AMatrix, AMatrix]:
     """(G, M) with M = G G*, positive by construction."""
-    G = random_matrix(cfg)
-    return G, G @ G.adjoint()
+    return _members(cfg.shape, _positive_stack(cfg, [cfg.rng()]))[0]
 
 
 def random_vector(cfg: GenConfig) -> AVector:
-    rng = cfg.rng()
-    return AVector._wrap(
-        cfg.shape,
-        cfg.n,
-        tuple(
-            _draw(rng, (cfg.n, k, k), cfg.entry_scale, cfg.style)
-            for k in cfg.shape.blocks
-        ),
-    )
+    return _members(cfg.shape, _gaussian_stack(cfg, [cfg.rng()], AVector))[0]
 
 
-def _cap_norm(e: Element, cap: float) -> Element:
-    norm = e.norm()
-    if norm > cap:
-        return (cap / norm) * e
-    return e
-
-
-def random_selfadjoint_element(
-    cfg: GenConfig, norm_cap: float | None = None
-) -> Element:
+def random_selfadjoint_element(cfg: GenConfig, norm_cap: float | None = None) -> Element:
     """A symmetrized Gaussian draw, optionally rescaled into a norm cap."""
-    raw = random_element(cfg)
-    sym = 0.5 * (raw + raw.adjoint())
-    if norm_cap is not None:
-        sym = _cap_norm(sym, norm_cap)
-    return sym
+    return _members(cfg.shape, _selfadjoint_stack(cfg, [cfg.rng()], norm_cap))[0]
 
 
 def random_selfadjoint_points(cfg: GenConfig, d: int) -> list[list[Element]]:
-    """An n x d array of self-adjoint elements with norms <= entry_scale * pi."""
+    """An n x d array of self-adjoint elements with norms <= entry_scale * pi,
+    point (j, l) drawn from the stream of ``cfg.derive(j, l)``."""
     if d < 1:
         raise StructureError("d must be >= 1")
-    cap = cfg.entry_scale * np.pi
-    points = []
-    for j in range(cfg.n):
-        row = []
-        for l in range(d):
-            row.append(
-                random_selfadjoint_element(cfg.derive(j, l), norm_cap=cap)
-            )
-        points.append(row)
-    return points
-
-
-def _inv_sqrt_positive(e: Element) -> Element:
-    return Element._wrap(
-        e.shape,
-        tuple(
-            _spectral_apply(blk, lambda w: 1.0 / np.sqrt(w), b)
-            for b, blk in enumerate(e.blocks)
-        ),
-    )
+    gens = [cfg.derive(j, l).rng() for j in range(cfg.n) for l in range(d)]
+    flat = _members(cfg.shape, _points_stack(cfg, gens, d))[0]
+    return [[flat[j * d + l] for l in range(d)] for j in range(cfg.n)]
 
 
 def random_unit_diagonal_positive(cfg: GenConfig) -> AMatrix:
@@ -280,23 +402,12 @@ def random_unit_diagonal_positive(cfg: GenConfig) -> AMatrix:
     Built as D^{-1/2} (G G* + _RIDGE I) D^{-1/2} where D collects the diagonal;
     the ridge keeps the diagonal safely invertible.
     """
-    _, M0 = random_positive_matrix(cfg)
-    M0 = M0 + _RIDGE * identity_matrix(cfg.shape, cfg.n)
-    d = diag_vector(M0)
-    scalers = AVector.from_elements(
-        _inv_sqrt_positive(d[j]) for j in range(cfg.n)
-    )
-    S = diag_matrix(scalers)
-    return S @ M0 @ S
+    return _members(cfg.shape, _unit_diagonal_stack(cfg, [cfg.rng()]))[0]
 
 
 def haar_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
     """A Haar-distributed k x k unitary (QR with phase-fixed diagonal)."""
-    z = (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r).copy()
-    d[np.abs(d) == 0.0] = 1.0
-    return q * (d / np.abs(d))
+    return _haar(rng.standard_normal((2, k, k)))
 
 
 def random_commuting_family(
@@ -314,32 +425,8 @@ def random_commuting_family(
     """
     if count < 1:
         raise StructureError("count must be >= 1")
-    rng = cfg.rng()
-    frames = []
-    values = []
-    for k in cfg.shape.blocks:
-        w = haar_unitary(rng, k)
-        if positive:
-            vals = (cfg.entry_scale * rng.standard_normal((count, k))) ** 2
-        elif selfadjoint:
-            vals = cfg.entry_scale * rng.standard_normal((count, k))
-        else:
-            vals = _draw(rng, (count, k), cfg.entry_scale, cfg.style)
-        frames.append(w)
-        values.append(np.asarray(vals, dtype=np.complex128))
-    members = []
-    for i in range(count):
-        blocks = []
-        for w, vals in zip(frames, values):
-            mat = (w * vals[i]) @ w.conj().T
-            if selfadjoint or positive:
-                mat = _hermitian_part(mat)
-            blocks.append(mat)
-        member = Element._wrap(cfg.shape, tuple(blocks))
-        if norm_cap is not None:
-            member = _cap_norm(member, norm_cap)
-        members.append(member)
-    return members
+    stacks = _family_stack(cfg, [cfg.rng()], count, selfadjoint, positive, norm_cap)
+    return list(_members(cfg.shape, stacks)[0])
 
 
 def random_commuting_spectral_pair(cfg: GenConfig) -> dict:
@@ -355,32 +442,5 @@ def random_commuting_spectral_pair(cfg: GenConfig) -> dict:
 
     Returns a dict with AMatrix values M, N, U, V and AVector values lam, mu.
     """
-    rng = cfg.rng()
-    n = cfg.n
-    m_blocks, n_blocks = [], []
-    u_blocks, v_blocks = [], []
-    lam_blocks, mu_blocks = [], []
-    for k in cfg.shape.blocks:
-        w = haar_unitary(rng, k)
-        u_stack = np.stack([haar_unitary(rng, n) for _ in range(k)])
-        v_stack = np.stack([haar_unitary(rng, n) for _ in range(k)])
-        lam = (cfg.entry_scale * rng.standard_normal((k, n))) ** 2
-        mu = (cfg.entry_scale * rng.standard_normal((k, n))) ** 2
-        m_coord = np.einsum("tjs,ts,tls->tjl", u_stack, lam, u_stack.conj())
-        n_coord = np.einsum("tjs,ts,tls->tjl", v_stack, mu, v_stack.conj())
-        wc = w.conj()
-        m_blocks.append(np.einsum("at,tjl,ct->jlac", w, m_coord, wc))
-        n_blocks.append(np.einsum("at,tjl,ct->jlac", w, n_coord, wc))
-        u_blocks.append(np.einsum("at,tjl,ct->jlac", w, u_stack, wc))
-        v_blocks.append(np.einsum("at,tjl,ct->jlac", w, v_stack, wc))
-        lam_blocks.append(np.einsum("at,tj,ct->jac", w, lam.astype(np.complex128), wc))
-        mu_blocks.append(np.einsum("at,tj,ct->jac", w, mu.astype(np.complex128), wc))
-    shape = cfg.shape
-    return {
-        "M": AMatrix._wrap(shape, n, tuple(m_blocks)),
-        "N": AMatrix._wrap(shape, n, tuple(n_blocks)),
-        "U": AMatrix._wrap(shape, n, tuple(u_blocks)),
-        "V": AMatrix._wrap(shape, n, tuple(v_blocks)),
-        "lam": AVector._wrap(shape, n, tuple(lam_blocks)),
-        "mu": AVector._wrap(shape, n, tuple(mu_blocks)),
-    }
+    values = _members(cfg.shape, _spectral_pair_stack(cfg, [cfg.rng()]))[0]
+    return dict(zip(("M", "N", "U", "V", "lam", "mu"), values))

@@ -22,50 +22,46 @@ entries of suite ``name`` in table order. A ``Check`` entry holds
 
 * ``check_id``, ``suite``, and ``applies(cfg, opts)`` with ``skip``, the
   reason reported when it is false (without one the check is left out);
-* the config its trials derive from: the substream named ``key`` (default:
-  the check id), restyled to ``style`` (recorded in the details), with
-  ``fallback`` fields replaced over commutative shapes (the hit searches move
-  to the shape ``(2,)``);
-* ``trial(sub, t, opts)``, which draws instance t from its substream ``sub``
-  and returns it as a ``_Drawn`` that finishes as ``(margin, witness)``, or
+* the config its trials derive from, ``base``: the substream named ``key``
+  (default: the check id), restyled to ``style`` (recorded in the details),
+  with ``fallback`` fields replaced over commutative shapes (the hit
+  searches move to the shape ``(2,)``);
+* ``trial(base, trials, opts)``, which draws the instances of a range of
+  trials together, instance t from the substream ``base.derive(t)``, and
+  returns one ``_Drawn`` per trial, finishing as ``(margin, witness)`` or
   ``(margin, witness, counts)`` with counts summed into the details;
 * ``tol`` (fixed instead of the run's), ``details``, ``clamp`` (a trial with
   a witness counts at most -2 tol) and ``run``, which replaces the margin
   aggregation (the two hit searches, explicit Novak points).
 
-To add a check, write its evaluator, a public ``check_*`` function that
-runs it alone, a trial that draws an instance and calls the evaluator, and an
-entry where its report belongs in the suite order.
+To add a check, write its evaluator, a public ``check_*`` function that runs
+it alone, a trial that draws its instances with ``generate``'s chunk forms
+(``_drawn``) and calls the evaluator on each, and a table entry.
 
 Each check has one evaluator, split in two. Drawing builds the instance and
 does all its algebra up to its positivity verdicts; it returns a ``_Drawn``
 holding the matrices it asks the oracle to certify and ``finish``, which
 turns the verdicts into the outcome. The public ``check_*`` function runs the
-evaluator, input validation included, on a stack of one (``_alone``). The
-trials of the margin checks call the same evaluator: the Schur-positivity,
-row-sum and complex-probe trials without the validation of the public
-function, the others with it. ``_run_trials`` draws the trials of a check a
-chunk at a time, certifies every matrix they ask for with one stacked oracle
-call per group of equal block shapes and tol (``_certify``), and finishes
-them in order. A stack member gets the bits it gets alone, so every report
-is the one that running each trial alone gives, and so is the first error
-raised. ``find_nonassociativity`` and ``find_trig_breakdown`` run their
-trials one after another, up to the first witness.
+evaluator, input validation included, on a stack of one (``_alone``); the
+trials call the same evaluator, some without that validation.
 
-``counterexample_search`` evaluates its trials in stacked chunks instead.
-A chunk is drawn at once (``_pairs``): its trial and substream seeds are
-derived as uint64 arrays, its generators are seeded in bulk
-(``generate._streams``, each stream bitwise ``default_rng(seed)``'s), each
-fills its trial's slot of a buffer of standard normals, and the complex
-stacks are formed once per block. Every trial gets the draws it gets alone.
-Then the Gram products, the symmetrized products and the positivity oracle
-run once per chunk over a leading trial axis (``_schur_stack``). The
-Schur-positivity evaluator of one pair is the same call on a stack of one,
-so every trial gets the bits it would get alone. All trials run in one
-thread; ``threads`` is only validated. Its report is a summary: every violating trial index, the violation rate
-with a Wilson interval, a margin histogram, and the matrices of only a few
-violations (the deterministic one and the ``_TOP_WITNESSES`` most negative
-random ones). ``search_witness`` rebuilds the record of any trial alone.
+``_run_trials`` runs the trials of a check a chunk at a time: it draws them at
+once, on generators seeded in bulk (``generate._Streams``), certifies every
+matrix they ask for with one stacked oracle call per group of equal block
+shapes and tol (``_certify``), and finishes them in order. numpy's stacked
+linalg gives each member the bits it gets alone, so every report is the one
+that running each trial alone gives, and so is the first error raised.
+``find_nonassociativity`` and ``find_trig_breakdown`` run their trials one
+after another, up to the first witness.
+
+``counterexample_search`` draws its pairs the same way (``_pairs``), and the
+Gram products, symmetrized products and positivity oracle run once per chunk
+over a leading trial axis (``_schur_stack``); the evaluator of one pair is
+the same call on a stack of one. ``threads`` is only validated. The report is
+a summary: every violating trial index, the violation rate with a Wilson
+interval, a margin histogram, and the matrices of only a few violations (the
+deterministic one and the ``_TOP_WITNESSES`` most negative random ones).
+``search_witness`` rebuilds the record of any trial alone.
 """
 
 from __future__ import annotations
@@ -73,7 +69,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Callable
 
 import numpy as np
@@ -103,7 +99,6 @@ from .amatrix import (
     row_sums,
     schur_product,
     schur_quadratic_form_oracle,
-    _gram_block,
     _psd_stack,
     _schur_block,
     _stacked,
@@ -112,19 +107,22 @@ from .calculus import SeriesSpec, _trig_stack, schur_series_apply
 from .errors import DomainError, NumericalError, StructureError
 from .generate import (
     GenConfig,
-    _from_normals,
+    _commuting_points,
+    _drawn,
+    _family_stack,
+    _gaussian_stack,
+    _members,
     _mix64s,
-    _streams,
+    _positive_stack,
+    _seeds,
+    _selfadjoint_stack,
+    _spectral_pair_stack,
+    _Streams,
+    _unit_diagonal_stack,
     fnv1a64,
-    random_commuting_family,
     random_commuting_spectral_pair,
-    random_element,
     random_matrix,
-    random_positive_matrix,
     random_selfadjoint_element,
-    random_selfadjoint_points,
-    random_unit_diagonal_positive,
-    random_vector,
 )
 from .module_an import AVector, cauchy_schwarz_gap, inner_product, left_mul
 
@@ -608,10 +606,6 @@ def _cosine_matrix(z: list[Element]) -> AMatrix:
     return AMatrix._wrap(shape, n, tuple(blocks))
 
 
-def _elements(shape: AlgebraShape, stacks) -> list[Element]:
-    return [Element._wrap(shape, tuple(s[i] for s in stacks)) for i in range(len(stacks[0]))]
-
-
 def _cosine_gram(z: list[Element], tol: float, probe_seed: int) -> _Drawn:
     z = list(z)
     if not z:
@@ -620,8 +614,8 @@ def _cosine_gram(z: list[Element], tol: float, probe_seed: int) -> _Drawn:
     _require_commuting_selfadjoint(z)
     n = len(z)
     stacks = _element_stacks(z)
-    cos_z = _elements(shape, _trig_stack(shape, stacks, np.zeros(n, bool)))
-    sin_z = _elements(shape, _trig_stack(shape, stacks, np.ones(n, bool)))
+    cos_z = _members(shape, _trig_stack(shape, stacks, np.zeros(n, bool)))
+    sin_z = _members(shape, _trig_stack(shape, stacks, np.ones(n, bool)))
     A = _cosine_matrix(z)
 
     def finish(verdicts):
@@ -633,7 +627,7 @@ def _cosine_gram(z: list[Element], tol: float, probe_seed: int) -> _Drawn:
         betas = rng.standard_normal(n)
         scaled = [c * p for p, a, b in zip(z, alphas, betas) for c in (float(a), float(b))]
         sine = np.arange(2 * n) % 2 == 1
-        trig = _elements(shape, _trig_stack(shape, _element_stacks(scaled), sine))
+        trig = _members(shape, _trig_stack(shape, _element_stacks(scaled), sine))
         probes = [
             [identity_element(shape) for _ in range(n)],
             [trig[2 * j] + trig[2 * j + 1] for j in range(n)],
@@ -752,7 +746,7 @@ def _sin_cos(members: list[Element]) -> list[Element]:
     shape = members[0].shape
     stacks = _element_stacks([m for m in members for _ in range(2)])
     sine = np.arange(2 * len(members)) % 2 == 0
-    return _elements(shape, _trig_stack(shape, stacks, sine))
+    return _members(shape, _trig_stack(shape, stacks, sine))
 
 
 def check_trig_identities(
@@ -880,12 +874,11 @@ def check_preserver(
     return _checked("schur_series_preserver", drawn, tol, t0)
 
 
-def _commuting_spectral(cfg: GenConfig, tol: float) -> _Drawn:
-    data = random_commuting_spectral_pair(cfg)
-    M, N, U, V = data["M"], data["N"], data["U"], data["V"]
-    lam, mu = data["lam"], data["mu"]
-    n = cfg.n
-    ident = identity_matrix(cfg.shape, n)
+def _commuting_spectral(data: tuple, tol: float) -> _Drawn:
+    """The check on (M, N, U, V, lam, mu) drawn as ``random_commuting_spectral_pair`` draws it."""
+    M, N, U, V, lam, mu = data
+    n = M.n
+    ident = identity_matrix(M.shape, n)
     unitary_residual = _largest(
         (mat_norm(U @ U.adjoint() - ident), mat_norm(V @ V.adjoint() - ident))
     )
@@ -937,7 +930,8 @@ def check_commuting_spectral_instance(
     positive. Over commutative shapes this reduces to plain Schur positivity.
     """
     t0 = time.perf_counter()
-    return _checked("commuting_spectral_schur", _commuting_spectral(cfg, tol), tol, t0)
+    drawn = _commuting_spectral(tuple(random_commuting_spectral_pair(cfg).values()), tol)
+    return _checked("commuting_spectral_schur", drawn, tol, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -975,22 +969,25 @@ def _chunk_size(cfg: GenConfig) -> int:
 def _run_trials(draw, count: int, size: int) -> list:
     """The outcomes of trials 0 .. count - 1, ``size`` trials at a time.
 
-    ``draw(t)`` returns trial t as a ``_Drawn``. The trials of a chunk are
-    drawn, their requests certified together (``_certify``), and then they
-    are finished in order. An outcome is ``(margin, witness, *extras)``; each
-    witness gets the key ``trial``. When drawing trial t raises, the trials
-    before it are finished first, so the error raised is the first in trial
-    order, as when each trial runs alone.
+    ``draw(trials)`` returns a ``_Drawn`` for each trial of a range. A chunk's
+    requests are certified together (``_certify``), then its trials finished in
+    order. An outcome is ``(margin, witness, *extras)``; each witness gets the
+    key ``trial``. When a chunk's draw raises, its trials are drawn again as
+    stacks of one up to the first that raises, and the trials before it are
+    finished first, so the error raised is the first in trial order.
     """
     outcomes = []
     for first in range(0, count, size):
-        drawn, error = [], None
-        for t in range(first, min(first + size, count)):
-            try:
-                drawn.append(draw(t))
-            except Exception as exc:
-                error = exc
-                break
+        chunk, drawn, error = range(first, min(first + size, count)), [], None
+        try:
+            drawn = draw(chunk)
+        except Exception:
+            for t in chunk:
+                try:
+                    drawn += draw(range(t, t + 1))
+                except Exception as exc:
+                    error = exc
+                    break
         verdicts = _certify([d.requests for d in drawn])
         for t, (d, v) in enumerate(zip(drawn, verdicts), first):
             margin, witness, *extras = d.finish(v)
@@ -1035,12 +1032,6 @@ def jordan_witness(shape: AlgebraShape, n: int = 1) -> tuple[AMatrix, AMatrix]:
     )
 
 
-def _positive_pair(sub: GenConfig) -> tuple[AMatrix, AMatrix]:
-    _, M = random_positive_matrix(sub.derive(0))
-    _, N = random_positive_matrix(sub.derive(1))
-    return M, N
-
-
 # Random violations a search report keeps with their matrices, besides the
 # deterministic one: the most negative margins, ties broken by trial.
 _TOP_WITNESSES = 5
@@ -1083,32 +1074,17 @@ def _pairs(cfg: GenConfig, trials):
     """(M blocks, N blocks, seeds) of the given trials, stacked; trial 0 is
     the deterministic witness and comes alone.
 
-    Trial t >= 1 draws G and H from the seeds of ``cfg.derive(t).derive(0)``
-    and ``.derive(1)``, exactly as ``_positive_pair`` does. The chunk's seeds
-    are derived as uint64 arrays and its generators seeded in bulk
-    (``_streams``); each fills its member of a buffer of standard normals,
-    the complex stacks are formed once per block, and only G G* and H H* are
-    formed from them.
+    Trial t >= 1 draws M and N as ``random_positive_matrix`` on
+    ``cfg.derive(t).derive(0)`` and ``.derive(1)``, through its chunk form,
+    as the suite trials draw.
     """
     if trials[0] == 0:
         M, N = jordan_witness(cfg.shape, cfg.n)
         return _stacked(M), _stacked(N), [cfg.seed]
-    n, blocks = cfg.n, cfg.shape.blocks
-    seeds = _mix64s(cfg.seed, trials)
-    parts = () if cfg.style == "real_commutative" else (2,)
-    # the standard normals of G's blocks, then of H's
-    normals = [[np.empty((len(seeds), *parts, n, n, k, k)) for k in blocks] for _ in range(2)]
-    streams = _streams(_mix64s(seeds[:, None], [0, 1]).ravel())
-    for i in range(len(seeds)):
-        for bufs in normals:
-            rng = next(streams)
-            for buf in bufs:
-                rng.standard_normal(out=buf[i])
-    m_blocks, n_blocks = (
-        tuple(_gram_block(_from_normals(buf, cfg.entry_scale, cfg.style, axis=1)) for buf in bufs)
-        for bufs in normals
-    )
-    return m_blocks, n_blocks, seeds.tolist()
+    seeds = _seeds(cfg, trials)
+    # every derive(t, 0), then every derive(t, 1): the halves are M's and N's blocks
+    _, grams = _positive_stack(cfg, _Streams(_mix64s(seeds, [[0], [1]]).ravel()))
+    return (*zip(*(np.split(b, 2) for b in grams)), seeds.tolist())
 
 
 def _search_chunks(cfg: GenConfig, trials: int):
@@ -1340,184 +1316,208 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# suite trials: instance t of a check, drawn from its substream sub
+# suite trials: the instances of a range of trials of a check, drawn a chunk at
+# a time; instance t comes from the substream base.derive(t)
 # ---------------------------------------------------------------------------
 
 
-def _trial_schur(sub, t, o):
-    drawn = _schur_positivity(*_positive_pair(sub), o.tol)
-    return drawn.then(lambda rep, witness: (rep.margin, _seeded(witness, sub.seed)))
+def _each(fn, base, trials, *values) -> list:
+    """``fn(seed, *members)`` of each trial: its seed and its member of each list of values."""
+    return [fn(*args) for args in zip(_seeds(base, trials).tolist(), *values)]
 
 
-def _trial_spectral(sub, t, o):
-    return _commuting_spectral(sub, o.tol).then(_outcome)
+def _schur_pairs(base, trials):
+    """The Ms and the Ns of the trials' Schur pairs, from ``base.derive(t, 0)`` and ``(t, 1)``."""
+    pairs = _drawn(base, trials, _positive_stack, range(2))
+    return [M for _, M in pairs[0::2]], [M for _, M in pairs[1::2]]
 
 
-def _trial_trace_form(sub, t, o):
-    M, N = _positive_pair(sub)
-    x = random_vector(sub.derive(2))
-    direct, trace_form = schur_quadratic_form_oracle(M, N, x)
-    residual = (direct - trace_form).norm() / max(1.0, direct.norm())
-    witness = None
-    if residual > ORACLE_TOL:
-        witness = {"seed": sub.seed, "residual": residual}
-    return _done(-residual, witness)
+def _trial_schur(base, trials, o):
+    def one(seed, M, N):
+        drawn = _schur_positivity(M, N, o.tol)
+        return drawn.then(lambda rep, witness: (rep.margin, _seeded(witness, seed)))
+
+    return _each(one, base, trials, *_schur_pairs(base, trials))
 
 
-def _trial_oracle(sub, t, o):
-    kind = t % 3
-    if kind == 0:
-        _, inst = random_positive_matrix(sub)
-    elif kind == 1:
-        R = random_matrix(sub)
-        inst = 0.5 * (R + R.adjoint())
-    else:
-        inst = outer_product(random_vector(sub))
+def _trial_spectral(base, trials, o):
+    drawn = _drawn(base, trials, _spectral_pair_stack)
+    return [_commuting_spectral(data, o.tol).then(_outcome) for data in drawn]
 
-    def finish(verdicts):
-        eig_rep = verdicts[0].report()
-        chol_rep = cholesky_psd_check(inst, o.tol)
-        agree = eig_rep.is_positive == chol_rep.is_positive
+
+def _trial_trace_form(base, trials, o):
+    def one(seed, M, N, x):
+        direct, trace_form = schur_quadratic_form_oracle(M, N, x)
+        residual = (direct - trace_form).norm() / max(1.0, direct.norm())
         witness = None
-        if not agree:
-            witness = {
-                "seed": sub.seed,
-                "kind": kind,
-                "eig": eig_rep.to_json(),
-                "cholesky": chol_rep.to_json(),
-            }
-        return (0.0 if agree else -1.0), witness
+        if residual > ORACLE_TOL:
+            witness = {"seed": seed, "residual": residual}
+        return _done(-residual, witness)
 
-    return _Drawn((_psd_request(inst, o.tol),), finish)
+    x = _drawn(base, trials, _gaussian_stack, 2, cls=AVector)
+    return _each(one, base, trials, *_schur_pairs(base, trials), x)
 
 
-def _trial_row_sum(sub, t, o):
+def _trial_oracle(base, trials, o):
+    # kinds 0 and 1 draw a matrix from the trial's stream, kind 2 a vector
+    pairs = iter(_drawn(base, [t for t in trials if t % 3 < 2], _positive_stack))
+    vectors = iter(_drawn(base, [t for t in trials if t % 3 == 2], _gaussian_stack, cls=AVector))
+
+    def one(seed, t):
+        kind = t % 3
+        if kind == 0:
+            inst = next(pairs)[1]
+        elif kind == 1:
+            R = next(pairs)[0]
+            inst = 0.5 * (R + R.adjoint())
+        else:
+            inst = outer_product(next(vectors))
+
+        def finish(verdicts):
+            eig_rep = verdicts[0].report()
+            chol_rep = cholesky_psd_check(inst, o.tol)
+            agree = eig_rep.is_positive == chol_rep.is_positive
+            witness = None
+            if not agree:
+                witness = {
+                    "seed": seed,
+                    "kind": kind,
+                    "eig": eig_rep.to_json(),
+                    "cholesky": chol_rep.to_json(),
+                }
+            return (0.0 if agree else -1.0), witness
+
+        return _Drawn((_psd_request(inst, o.tol),), finish)
+
+    return _each(one, base, trials, trials)
+
+
+def _trial_row_sum(base, trials, o):
     # the bound never uses positivity of A, so alternate between positive
     # and general inputs and record the split
-    A = random_positive_matrix(sub)[1] if t % 2 == 0 else random_matrix(sub)
-    return _row_sum_bound(A, o.tol).then(
-        lambda rep, witness, positive: (
-            rep.margin, _seeded(witness, sub.seed), {"inputs_positive": positive}
+    def one(seed, t, pair):
+        A = pair[1] if t % 2 == 0 else pair[0]
+        return _row_sum_bound(A, o.tol).then(
+            lambda rep, witness, positive: (
+                rep.margin, _seeded(witness, seed), {"inputs_positive": positive}
+            )
         )
-    )
+
+    return _each(one, base, trials, trials, _drawn(base, trials, _positive_stack))
 
 
-def _trial_chain(sub, t, o):
-    A = random_matrix(sub.derive(0))
-    B = random_matrix(sub.derive(1))
-    return _schur_chain(A, B, o.tol).then(_outcome)
+def _trial_chain(base, trials, o):
+    drawn = _drawn(base, trials, _gaussian_stack, range(2), cls=AMatrix)
+    return [_schur_chain(a, b, o.tol).then(_outcome) for a, b in zip(drawn[0::2], drawn[1::2])]
 
 
-def _trial_diag(sub, t, o):
-    _, M = random_positive_matrix(sub)
-    return _diag_check(M, o.tol).then(_outcome)
+def _trial_diag(base, trials, o):
+    return [_diag_check(M, o.tol).then(_outcome) for _, M in _drawn(base, trials, _positive_stack)]
 
 
-def _trial_unit_diag(sub, t, o):
-    M = random_unit_diagonal_positive(sub)
-    return _unit_diag_check(M, o.tol).then(_outcome)
+def _trial_unit_diag(base, trials, o):
+    drawn = _drawn(base, trials, _unit_diagonal_stack)
+    return [_unit_diag_check(M, o.tol).then(_outcome) for M in drawn]
 
 
-def _trial_diag_probe(sub, t, o):
+def _trial_diag_probe(base, trials, o):
     # complex entries break the a = a* step of the diagonal-bound argument;
     # record how often without asserting anything
-    _, M = random_positive_matrix(sub)
-    drawn = _diag_bound(M, o.tol)
-    return drawn.then(lambda rep, witness: (rep.margin, _seeded(witness, sub.seed)))
+    def one(seed, pair):
+        drawn = _diag_bound(pair[1], o.tol)
+        return drawn.then(lambda rep, witness: (rep.margin, _seeded(witness, seed)))
+
+    return _each(one, base, trials, _drawn(base, trials, _positive_stack))
 
 
-def _novak_points(sub: GenConfig, d: int) -> list[list[Element]]:
-    if sub.shape.is_commutative:
-        return random_selfadjoint_points(sub, d)
-    cap = sub.entry_scale * np.pi
-    flat = random_commuting_family(
-        sub, sub.n * d, selfadjoint=True, norm_cap=cap
-    )
-    return [flat[j * d : (j + 1) * d] for j in range(sub.n)]
+def _trial_novak(base, trials, o):
+    n, d = base.n, o.d
+    drawn = _commuting_points(base, trials, n * d, range(n), range(d))
+    rows = ([p[j * d : (j + 1) * d] for j in range(n)] for p in drawn)
+    return [_novak(r, o.tol)[1].then(_outcome) for r in rows]
 
 
-def _trial_novak(sub, t, o):
-    return _novak(_novak_points(sub, o.d), o.tol)[1].then(_outcome)
+def _trial_cosine_gram(base, trials, o):
+    def one(seed, z):
+        return _cosine_gram(z, o.tol, probe_seed=seed).then(_outcome)
+
+    return _each(one, base, trials, _commuting_points(base, trials, base.n, range(base.n)))
 
 
-def _trial_cosine_gram(sub, t, o):
-    cap = sub.entry_scale * np.pi
-    if sub.shape.is_commutative:
-        z = [
-            random_selfadjoint_element(sub.derive(j), norm_cap=cap)
-            for j in range(sub.n)
-        ]
+def _trial_trig(base, trials, o):
+    if base.shape.is_commutative:
+        drawn = _drawn(base, trials, _selfadjoint_stack, range(2), norm_cap=5.0)
+        pairs = zip(drawn[0::2], drawn[1::2])
     else:
-        z = random_commuting_family(sub, sub.n, selfadjoint=True, norm_cap=cap)
-    return _cosine_gram(z, o.tol, probe_seed=sub.seed).then(_outcome)
+        pairs = _drawn(base, trials, _family_stack, count=2, selfadjoint=True, norm_cap=5.0)
+    reports = (check_trig_identities(x, y, TRIG_TOL) for x, y in pairs)
+    return [_done(r.worst_margin, r.witness) for r in reports]
 
 
-def _trial_trig(sub, t, o):
-    if sub.shape.is_commutative:
-        x = random_selfadjoint_element(sub.derive(0), norm_cap=5.0)
-        y = random_selfadjoint_element(sub.derive(1), norm_cap=5.0)
-    else:
-        x, y = random_commuting_family(sub, 2, selfadjoint=True, norm_cap=5.0)
-    rep = check_trig_identities(x, y, TRIG_TOL)
-    return _done(rep.worst_margin, rep.witness)
+def _trial_preserver(base, trials, o):
+    seeds = _seeds(base, trials)
+    degrees = [int(rng.integers(0, 5)) for rng in _Streams(seeds)]
+    # coefficient q of trial t comes from the stream of base.derive(t, q + 1)
+    index = [(s, q + 1) for s, degree in zip(seeds.tolist(), degrees) for q in range(degree + 1)]
+    gens = _Streams(_mix64s(*zip(*index)))
+    coeffs = iter(_members(base.shape, _gaussian_stack(base, gens, Element)))
+
+    def one(seed, degree, pair):
+        series = SeriesSpec(tuple(g * g.adjoint() for g in islice(coeffs, degree + 1)))
+        return _preserver(series, pair[1], o.tol, o.entrywise_constant).then(_outcome)
+
+    return _each(one, base, trials, degrees, _drawn(base, trials, _positive_stack, 0))
 
 
-def _trial_preserver(sub, t, o):
-    degree = int(sub.rng().integers(0, 5))
-    coeffs = []
-    for q in range(degree + 1):
-        g = random_element(sub.derive(q + 1))
-        coeffs.append(g * g.adjoint())
-    series = SeriesSpec(tuple(coeffs))
-    _, M = random_positive_matrix(sub.derive(0))
-    return _preserver(series, M, o.tol, o.entrywise_constant).then(_outcome)
+def _trial_cauchy_schwarz(base, trials, o):
+    def one(seed, x, y):
+        gap = cauchy_schwarz_gap(x, y)
+
+        def finish(verdicts):
+            rep = verdicts[0].spectrum()
+            margin = rep.min_spectrum / max(1.0, gap.norm())
+            witness = None
+            if margin < -o.tol or not rep.is_selfadjoint:
+                witness = {
+                    "seed": seed,
+                    "x": x.to_json(),
+                    "y": y.to_json(),
+                    "min_spectrum": rep.min_spectrum,
+                }
+            return margin, witness
+
+        return _Drawn((_spectrum_request(gap, o.tol),), finish)
+
+    vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
+    return _each(one, base, trials, vectors[0::2], vectors[1::2])
 
 
-def _trial_cauchy_schwarz(sub, t, o):
-    x = random_vector(sub.derive(0))
-    y = random_vector(sub.derive(1))
-    gap = cauchy_schwarz_gap(x, y)
+def _trial_axioms(base, trials, o):
+    def one(seed, x, y, a):
+        sym_res = (inner_product(x, y) - inner_product(y, x).adjoint()).norm()
+        lin_res = (
+            inner_product(left_mul(a, x), y) - a * inner_product(x, y)
+        ).norm()
+        scale = max(1.0, a.norm() * inner_product(x, y).norm())
+        xx = inner_product(x, x)
 
-    def finish(verdicts):
-        rep = verdicts[0].spectrum()
-        margin = rep.min_spectrum / max(1.0, gap.norm())
-        witness = None
-        if margin < -o.tol or not rep.is_selfadjoint:
-            witness = {
-                "seed": sub.seed,
-                "x": x.to_json(),
-                "y": y.to_json(),
-                "min_spectrum": rep.min_spectrum,
-            }
-        return margin, witness
+        def finish(verdicts):
+            pos_rep = verdicts[0].spectrum()
+            margin = _worst([
+                -sym_res / scale,
+                -lin_res / scale,
+                pos_rep.min_spectrum / max(1.0, xx.norm()),
+            ])
+            witness = None
+            if margin < -AXIOM_TOL:
+                witness = {"seed": seed, "sym": sym_res, "lin": lin_res}
+            return margin, witness
 
-    return _Drawn((_spectrum_request(gap, o.tol),), finish)
+        return _Drawn((_spectrum_request(xx, o.tol),), finish)
 
-
-def _trial_axioms(sub, t, o):
-    x = random_vector(sub.derive(0))
-    y = random_vector(sub.derive(1))
-    a = random_element(sub.derive(2))
-    sym_res = (inner_product(x, y) - inner_product(y, x).adjoint()).norm()
-    lin_res = (
-        inner_product(left_mul(a, x), y) - a * inner_product(x, y)
-    ).norm()
-    scale = max(1.0, a.norm() * inner_product(x, y).norm())
-    xx = inner_product(x, x)
-
-    def finish(verdicts):
-        pos_rep = verdicts[0].spectrum()
-        margin = _worst([
-            -sym_res / scale,
-            -lin_res / scale,
-            pos_rep.min_spectrum / max(1.0, xx.norm()),
-        ])
-        witness = None
-        if margin < -AXIOM_TOL:
-            witness = {"seed": sub.seed, "sym": sym_res, "lin": lin_res}
-        return margin, witness
-
-    return _Drawn((_spectrum_request(xx, o.tol),), finish)
+    vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
+    elements = _drawn(base, trials, _gaussian_stack, 2, cls=Element)
+    return _each(one, base, trials, vectors[0::2], vectors[1::2], elements)
 
 
 # ---------------------------------------------------------------------------
@@ -1545,7 +1545,7 @@ def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
         return check.skipped(o, "no trials requested")
     t0 = time.perf_counter()
     tol = check.tol or o.tol
-    outcomes = _run_trials(lambda t: check.trial(base.derive(t), t, o), o.trials, _chunk_size(base))
+    outcomes = _run_trials(lambda trials: check.trial(base, trials, o), o.trials, _chunk_size(base))
     details = check.details(o)
     if check.style:
         details["style"] = check.style

@@ -1,5 +1,6 @@
 """Seeded generators: determinism, substreams, and structural guarantees."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -32,7 +33,8 @@ from cstar_schur import (
     schur_product,
 )
 from cstar_schur.amatrix import diag_matrix
-from cstar_schur.generate import STYLES, _draw, _mix64s, _streams
+from cstar_schur import generate, verify
+from cstar_schur.generate import STYLES, _from_normals, _mix64s, _normals, _Streams
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES
 
 ALL_SHAPES = COMMUTATIVE_SHAPES + NONCOMMUTATIVE_SHAPES
@@ -217,7 +219,8 @@ def test_draw_matches_the_two_call_reference_bitwise(style, scale):
     for seed in range(200):
         dims = shapes[seed % len(shapes)]
         got_rng = np.random.default_rng(seed)
-        got = _draw(got_rng, dims, scale, style)
+        parts = () if style == "real_commutative" else (2,)
+        got = _from_normals(_normals([got_rng], [parts + dims])[0], scale, style)[0]
         rng = np.random.default_rng(seed)
         if style == "real_commutative":
             want = (scale * rng.standard_normal(dims)).astype(np.complex128)
@@ -251,7 +254,7 @@ def test_bulk_streams_equal_default_rng_bitwise():
     assert len(seeds) >= 10_000
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = [g.standard_normal(3).tobytes() for g in _streams(seeds)]
+        got = [g.standard_normal(3).tobytes() for g in _Streams(seeds)]
     assert got == [np.random.default_rng(s).standard_normal(3).tobytes() for s in seeds]
 
 
@@ -266,3 +269,81 @@ def test_vectorized_mix64_equals_derive_seed():
     assert got.tolist() == [[derive_seed(s, i) for i in indices] for s in seeds]
     assert chained.tolist() == [[derive_seed(2**64 - 1, i, j) for j in (0, 1)] for i in indices]
     assert alone.tolist() == [derive_seed(2**64 - 1, 2**64 - 1)]
+
+
+# -- chunk forms --------------------------------------------------------------
+
+
+def _bytes(value):
+    if isinstance(value, np.ndarray):
+        return value.tobytes()
+    if isinstance(value, dict):
+        return [_bytes(v) for v in value.values()]
+    if isinstance(value, (list, tuple)):
+        return [_bytes(v) for v in value]
+    return [b.tobytes() for b in value.blocks]
+
+
+def _chunk_cases(cfg, d):
+    """(name, chunk form on generators, public draw of one config, index
+    products of an instance's streams) for every chunk form."""
+    g, n, cap = generate, cfg.n, cfg.entry_scale * np.pi
+    elements = [generate.Element, generate.AVector, generate.AMatrix]
+    single = [random_element, random_vector, random_matrix]
+    cases = [
+        (cls.__name__, lambda c, gens, cls=cls: g._gaussian_stack(c, gens, cls), public, ())
+        for cls, public in zip(elements, single)
+    ]
+    cases += [
+        ("positive", g._positive_stack, random_positive_matrix, ()),
+        ("unit diagonal", g._unit_diagonal_stack, random_unit_diagonal_positive, ()),
+        ("spectral pair", g._spectral_pair_stack, random_commuting_spectral_pair, ()),
+        # an instance of points and of families is an AVector of its elements
+        ("points", lambda c, gens: g._points_stack(c, gens, d),
+         lambda c: [p for row in random_selfadjoint_points(c, d) for p in row],
+         (range(n), range(d))),
+        ("family", lambda c, gens: g._family_stack(c, gens, 3),
+         lambda c: random_commuting_family(c, 3), ()),
+        ("positive family", lambda c, gens: g._family_stack(c, gens, 2, positive=True),
+         lambda c: random_commuting_family(c, 2, positive=True), ()),
+        ("haar", lambda c, gens: g._haar(np.array([r.standard_normal((2, 3, 3)) for r in gens])),
+         lambda c: haar_unitary(c.rng(), 3), ()),
+    ]
+    for norm_cap in (None, cap, 5.0):
+        cases += [
+            (f"self-adjoint cap {norm_cap}",
+             lambda c, gens, m=norm_cap: g._selfadjoint_stack(c, gens, m),
+             lambda c, m=norm_cap: random_selfadjoint_element(c, m), ()),
+            (f"self-adjoint family cap {norm_cap}",
+             lambda c, gens, m=norm_cap: g._family_stack(c, gens, n * d, True, norm_cap=m),
+             lambda c, m=norm_cap: random_commuting_family(c, n * d, True, norm_cap=m), ()),
+        ]
+    return cases
+
+
+def test_chunk_forms_equal_each_instance_drawn_alone():
+    # member i of a chunk form on bulk-seeded streams is the public generator
+    # on cfg.derive(t), over a trial range that crosses a chunk boundary; the
+    # caps (entry_scale * pi and 5.0) each both fire and stay idle
+    capped = {}
+    for shape, style, scale in itertools.product([(1, 1), (2, 1), (3,)], STYLES, (1.0, 0.37, 2.5)):
+        cfg = GenConfig(2024, AlgebraShape(shape), n=2, entry_scale=scale, style=style)
+        size = verify._chunk_size(cfg)
+        alone = {}
+        for name, form, public, indices in _chunk_cases(cfg, 3):
+            for trials in (range(size - 4, size), range(size, size + 4)):
+                drawn = form(cfg, _Streams(generate._seeds(cfg, trials, *indices)))
+                members = list(drawn) if name == "haar" else generate._members(cfg.shape, drawn)
+                assert len(members) == len(trials), name
+                for t, member in zip(trials, members):
+                    if name == "points" or "family" in name:
+                        member = list(member)
+                    want = _bytes(public(cfg.derive(t)))
+                    assert _bytes(member) == want, (name, shape, style, scale, t)
+                    alone[name, t] = want
+        for t in range(size - 4, size + 4):
+            for label in ("self-adjoint", "self-adjoint family"):
+                free = alone[f"{label} cap None", t]
+                for which, cap in (("pi", scale * np.pi), ("5", 5.0)):
+                    capped.setdefault(which, set()).add(alone[f"{label} cap {cap}", t] != free)
+    assert all(seen == {True, False} for seen in capped.values()), capped

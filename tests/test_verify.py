@@ -57,7 +57,7 @@ from cstar_schur import (
     run_suites,
     schur_product,
 )
-from cstar_schur import verify
+from cstar_schur import generate, verify
 from cstar_schur.generate import STYLES
 from cstar_schur.verify import SUITES, counts_as_failure
 from conftest import comm_element, scalar_amatrix, as_numpy
@@ -574,7 +574,8 @@ def test_search_draws_equal_each_pair_drawn_alone(style, scale):
         for i, t in enumerate(group):
             sub = cfg.derive(t)
             assert seeds[i] == sub.seed
-            for stacks, alone in zip((m_blocks, n_blocks), verify._positive_pair(sub)):
+            pairs = (random_positive_matrix(sub.derive(j)) for j in (0, 1))
+            for stacks, (_, alone) in zip((m_blocks, n_blocks), pairs):
                 for stack, block in zip(stacks, alone.blocks):
                     assert stack[i].tobytes() == block.tobytes()
 
@@ -761,8 +762,8 @@ def test_grid_catalogue_is_pinned():
 
 @pytest.mark.parametrize("nan_at", [0, 4])
 def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
-    def trial(sub, t, opts):
-        return verify._done(math.nan if t == nan_at else -1.0, None)
+    def trial(base, trials, opts):
+        return [verify._done(math.nan if t == nan_at else -1.0, None) for t in trials]
 
     check = verify.Check("nan_margins", "none", trial)
     opts = verify._Options(trials=5, d=2, tol=1e-9, entrywise_constant=False, points=None)
@@ -805,12 +806,12 @@ def _margin_checks_on_the_grid():
 def test_stacked_trials_equal_each_trial_alone(check, cfg):
     base = check.base(cfg)
 
-    def draw(t):
-        return check.trial(base.derive(t), t, OPTS)
+    def draw(trials):
+        return check.trial(base, trials, OPTS)
 
     alone = []
     for t in range(OPTS.trials):
-        margin, witness, *_ = verify._alone(draw(t))
+        margin, witness, *_ = verify._alone(draw(range(t, t + 1))[0])
         alone.append((margin, None if witness is None else {**witness, "trial": t}))
     for size in (verify._chunk_size(base), 4):
         stacked = [o[:2] for o in verify._run_trials(draw, OPTS.trials, size)]
@@ -836,21 +837,65 @@ def test_suite_grid_certifies_in_few_oracle_calls(monkeypatch):
     assert len(calls) <= 250
 
 
+def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
+    calls = []
+    default_rng = np.random.default_rng
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return default_rng(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    for shape, n in GRID:
+        run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
+    # left: the nonassociativity search (3 matrices per trial, 21 calls) and the
+    # cosine-Gram probes (one per trial, 70); one stream per draw made 1 757
+    assert len(calls) <= 100
+
+
+def test_failing_chunk_draw_is_redrawn_trial_by_trial():
+    # trial 3 draws a NaN element, so the norm cap's SVD fails for any chunk
+    # holding it; alone, only trial 3 fails
+    finished = []
+
+    def trial(base, trials, opts):
+        elements = [np.full((1, 2, 2), np.nan if t == 3 else 1.0, complex) for t in trials]
+        generate._capped((np.concatenate(elements),), 1.0)
+
+        def drawn(t):
+            return verify._Drawn((), lambda verdicts: (finished.append(t), (-1.0, None))[1])
+
+        return [drawn(t) for t in trials]
+
+    check = verify.Check("capped", "none", trial)
+    base = check.base(GenConfig(seed=0, shape=M2, n=2))
+    with pytest.raises(NumericalError):
+        trial(base, range(OPTS.trials), OPTS)
+    assert len(trial(base, range(3), OPTS) + trial(base, range(4, 10), OPTS)) == 9
+    finished.clear()
+    with pytest.raises(NumericalError, match="SVD did not converge"):
+        check.report(GenConfig(seed=0, shape=M2, n=2), OPTS)
+    assert finished == [0, 1, 2]
+
+
 @pytest.mark.parametrize("finish_error_at", [1, None])
 def test_draw_error_is_raised_after_the_earlier_trials_finish(finish_error_at):
     finished = []
 
-    def trial(sub, t, opts):
-        if t == 3:
+    def trial(base, trials, opts):
+        if 3 in trials:
             raise NumericalError("draw 3")
 
-        def finish(verdicts):
-            finished.append(t)
-            if t == finish_error_at:
-                raise DomainError("finish 1")
-            return -1.0, None
+        def drawn(t):
+            def finish(verdicts):
+                finished.append(t)
+                if t == finish_error_at:
+                    raise DomainError("finish 1")
+                return -1.0, None
 
-        return verify._Drawn((), finish)
+            return verify._Drawn((), finish)
+
+        return [drawn(t) for t in trials]
 
     check = verify.Check("ordered", "none", trial)
     # an earlier trial's finish error beats a later trial's draw error
@@ -868,14 +913,17 @@ def test_failing_solve_in_a_stack_is_rerun_member_by_member():
     bad = AMatrix._wrap(M2, 2, (np.full((2, 2, 2, 2), np.nan, complex),))
     read = []
 
-    def trial(sub, t, opts):
-        M = bad if t == 2 else good
+    def trial(base, trials, opts):
+        def drawn(t):
+            M = bad if t == 2 else good
 
-        def finish(verdicts):
-            read.append(t)
-            return verdicts[0].report().margin, None
+            def finish(verdicts):
+                read.append(t)
+                return verdicts[0].report().margin, None
 
-        return verify._Drawn((verify._psd_request(M, opts.tol),), finish)
+            return verify._Drawn((verify._psd_request(M, opts.tol),), finish)
+
+        return [drawn(t) for t in trials]
 
     check = verify.Check("solve", "none", trial)
     with pytest.raises(NumericalError, match="SVD did not converge"):
