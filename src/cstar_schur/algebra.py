@@ -256,7 +256,8 @@ class Element(_Blocks):
         return Element._wrap(self.shape, tuple(a.conj().T.copy() for a in self.blocks))
 
     def norm(self) -> float:
-        return max(_spectral_norm(a) for a in self.blocks)
+        # _first_of, unlike Python's max, keeps a NaN in any block
+        return float(_first_of([_spectral_norm(a) for a in self.blocks], np.greater))
 
     def block(self, i: int) -> np.ndarray:
         return self.blocks[i]
@@ -320,8 +321,8 @@ class SpectrumReport:
 
 
 def hermitian_defect(a: Element) -> float:
-    """||a - a*|| in the algebra norm."""
-    return max(_spectral_norm(b - b.conj().T) for b in a.blocks)
+    """||a - a*|| in the algebra norm; NaN when any block's is NaN."""
+    return float(_first_of([_spectral_norm(b - b.conj().T) for b in a.blocks], np.greater))
 
 
 def _psd_prelude(flats: list[np.ndarray], tol: float):
@@ -394,6 +395,24 @@ def _psd_sqrt(mat: np.ndarray, block: int) -> np.ndarray:
     """Square root of the Hermitian part of ``mat``; negative eigenvalues clamp to zero."""
     root = _spectral_apply(mat, lambda w: np.sqrt(np.where(w < 0.0, 0.0, w)), block)
     return _hermitian_part(root)
+
+
+def _element_stacks(elems: list[Element]) -> list[np.ndarray]:
+    """The elements as a stack, one (T, k, k) array per block."""
+    shape = elems[0].shape
+    if any(e.shape != shape for e in elems):
+        raise StructureError("operands differ in algebra shape or in size")
+    return [np.stack([e.blocks[b] for e in elems]) for b in range(len(shape.blocks))]
+
+
+def _commutators(stacks, pairs) -> np.ndarray:
+    """||x_i x_j - x_j x_i|| of each pair (i, j) of each member of a stack of
+    element tuples, one (T, count, k, k) array per block: a (T, len(pairs))
+    array from one stacked product and one norm call per block, with the bits
+    of ``commutator_norm``, NaN where any block's norm is NaN."""
+    i, j = np.array(pairs).T
+    norms = [_norms((s[:, i] @ s[:, j] - s[:, j] @ s[:, i]).reshape(-1, *s.shape[2:])) for s in stacks]
+    return _first_of(norms, np.greater).reshape(len(stacks[0]), len(pairs))
 
 
 def commutator_norm(a: Element, b: Element) -> float:

@@ -278,11 +278,10 @@ def unflatten(flats, shape: AlgebraShape, n: int) -> AMatrix:
 
 
 def mat_norm(M: AMatrix) -> float:
-    """Operator norm of the flattened representation (max over blocks)."""
-    return max(
-        _spectral_norm(_flatten_block(b, M.n, k))
-        for k, b in zip(M.shape.blocks, M.blocks)
-    )
+    """Operator norm of the flattened representation (max over blocks, NaN when
+    any block's is NaN)."""
+    norms = [_spectral_norm(_flatten_block(b, M.n, k)) for k, b in zip(M.shape.blocks, M.blocks)]
+    return float(_first_of(norms, np.greater))
 
 
 @dataclass(frozen=True)

@@ -333,17 +333,15 @@ def _drawn(cfg: GenConfig, trials, form, *indices, **kw) -> list:
     return _members(cfg.shape, form(cfg, _Streams(_seeds(cfg, trials, *indices)), **kw))
 
 
-def _commuting_points(cfg: GenConfig, trials, count: int, *indices) -> list:
+def _commuting_points(cfg: GenConfig, trials, count: int, *indices) -> tuple:
     """``count`` commuting self-adjoint elements of norm <= entry_scale * pi per
-    trial: as ``random_selfadjoint_points`` over commutative shapes, element i
-    from ``cfg.derive(t, *indices)`` at position i of the index product, else a
-    commuting family."""
+    trial, one (T, count, k, k) stack per block: as ``random_selfadjoint_points``
+    over commutative shapes, element i from ``cfg.derive(t, *indices)`` at
+    position i of the index product, else a commuting family."""
     if cfg.shape.is_commutative:
-        drawn = _drawn(cfg, trials, _points_stack, *indices, d=count // cfg.n)
-    else:
-        cap = cfg.entry_scale * np.pi
-        drawn = _drawn(cfg, trials, _family_stack, count=count, selfadjoint=True, norm_cap=cap)
-    return [list(flat) for flat in drawn]
+        return _points_stack(cfg, _Streams(_seeds(cfg, trials, *indices)), count // cfg.n)
+    cap = cfg.entry_scale * np.pi
+    return _family_stack(cfg, _Streams(_seeds(cfg, trials)), count, selfadjoint=True, norm_cap=cap)
 
 
 def _members(shape: AlgebraShape, stacks) -> list:

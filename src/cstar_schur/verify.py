@@ -36,7 +36,9 @@ entries of suite ``name`` in table order. A ``Check`` entry holds
 
 To add a check, write its evaluator, a public ``check_*`` function that runs
 it alone, a trial that draws its instances with ``generate``'s chunk forms
-(``_drawn``) and calls the evaluator on each, and a table entry.
+(``_drawn``) and calls the evaluator, and a table entry. An evaluator takes
+one instance, or like the Novak pipeline a stack of instances with a leading
+trial axis, and returns a ``_Drawn`` per instance.
 
 Each check has one evaluator, split in two. Drawing builds the instance and
 does all its algebra up to its positivity verdicts; it returns a ``_Drawn``
@@ -51,6 +53,11 @@ matrix they ask for with one stacked oracle call per group of equal block
 shapes and tol (``_certify``), and finishes them in order. numpy's stacked
 linalg gives each member the bits it gets alone, so every report is the one
 that running each trial alone gives, and so is the first error raised.
+The Novak suite's algebra runs once per chunk as well, on the chunk forms'
+(T, count, k, k) point stacks: one oracle call and one commutator call for
+the hypotheses, one ``_trig_stack`` call per set of cosines, Schur products,
+diagonal residuals and probe Gram residuals on trial-axis arrays; the public
+``novak_check`` and ``cosine_gram_check`` are stacks of one.
 ``find_nonassociativity`` and ``find_trig_breakdown`` run their trials one
 after another, up to the first witness.
 
@@ -69,6 +76,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import combinations, islice
 from typing import Callable
 
@@ -79,11 +87,13 @@ from .algebra import (
     AlgebraShape,
     Element,
     SpectrumReport,
+    _adjoint,
+    _commutators,
+    _element_stacks,
     _first_of,
     _norms,
     commutator_norm,
     identity_element,
-    zero_element,
 )
 from .amatrix import (
     AMatrix,
@@ -99,6 +109,7 @@ from .amatrix import (
     row_sums,
     schur_product,
     schur_quadratic_form_oracle,
+    _flatten_block,
     _psd_stack,
     _schur_block,
     _stacked,
@@ -113,6 +124,7 @@ from .generate import (
     _gaussian_stack,
     _members,
     _mix64s,
+    _normals,
     _positive_stack,
     _seeds,
     _selfadjoint_stack,
@@ -511,15 +523,21 @@ def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     return _checked("diag_outer_bound", _diag_check(M, tol), tol, t0)
 
 
-def _diag_residual(M: AMatrix) -> float:
-    """The largest deviation of a diagonal entry of M from the unit."""
-    unit = identity_element(M.shape)
-    return _largest((M.entry(j, j) - unit).norm() for j in range(M.n))
+def _diag_residual(blocks) -> np.ndarray:
+    """The largest deviation of a diagonal entry from the unit, of each member of
+    a stack of matrices given by (T, n, n, k, k) blocks: one norm call per block,
+    NaN wherever an entry's norm is NaN in any block."""
+    n, idx = blocks[0].shape[1], np.arange(blocks[0].shape[1])
+    diffs = [b[:, idx, idx] - np.eye(b.shape[-1], dtype=complex) for b in blocks]
+    norms = [_norms(x.reshape(-1, *x.shape[-2:])) for x in diffs]
+    return _first_of(norms, np.greater).reshape(-1, n).max(axis=1)
 
 
-def _unit_bound(M: AMatrix) -> AMatrix:
-    """M o M - (1/n) E_n, the matrix of the unit-diagonal bound."""
-    return schur_product(M, M) - (1.0 / M.n) * ones_matrix(M.shape, M.n)
+def _unit_bound(shape: AlgebraShape, blocks) -> tuple:
+    """The blocks of M o M - (1/n) E_n, the matrix of the unit-diagonal bound,
+    from those of M, over any leading stack axes."""
+    ones = (1.0 / blocks[0].shape[-3]) * ones_matrix(shape, blocks[0].shape[-3])
+    return tuple(_schur_block(b, b) - e for b, e in zip(blocks, ones.blocks))
 
 
 def _unit_diag_check(M: AMatrix, tol: float) -> _Drawn:
@@ -527,7 +545,7 @@ def _unit_diag_check(M: AMatrix, tol: float) -> _Drawn:
         raise DomainError("the unit-diagonal bound needs a commutative algebra")
 
     def finish(verdicts):
-        diag_residual = _diag_residual(M)
+        diag_residual = float(_diag_residual(_stacked(M))[0])
         rep = verdicts[0].report()
         if not diag_residual <= UNIT_DIAG_TOL:
             raise DomainError(
@@ -536,7 +554,7 @@ def _unit_diag_check(M: AMatrix, tol: float) -> _Drawn:
         details = {"diag_residual": diag_residual}
         return rep.margin, _psd_witness(rep, m=M), details
 
-    drawn = _Drawn((_psd_request(_unit_bound(M), tol),), finish)
+    drawn = _Drawn(((_unit_bound(M.shape, M.blocks), tol),), finish)
     return _after_positive({"M": M}, tol, drawn)
 
 
@@ -546,117 +564,144 @@ def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckRepo
     return _checked("unit_diagonal_bound", _unit_diag_check(M, tol), tol, t0)
 
 
-def _element_stacks(elems: list[Element]) -> list[np.ndarray]:
-    """The elements as a stack, one (T, k, k) array per block."""
-    return [np.stack([e.blocks[b] for e in elems]) for b in range(len(elems[0].shape.blocks))]
+# ---------------------------------------------------------------------------
+# the Novak pipeline, on stacks of points with a leading trial axis: a public
+# check runs it on a stack of one, a suite trial on a chunk of trials
+# ---------------------------------------------------------------------------
 
 
-def _commutator_norms(elems: list[Element], pairs: list[tuple[int, int]]) -> list[float]:
-    """``commutator_norm`` of each pair of elements: one stacked product and one
-    norm call per block for all the pairs."""
-    i, j = np.array(pairs).T
-    stacks = _element_stacks(elems)
-    return _first_of([_norms(s[i] @ s[j] - s[j] @ s[i]) for s in stacks], np.greater).tolist()
+def _points_json(shape: AlgebraShape, blocks) -> list | dict:
+    """The JSON of an array of points given by one (..., k, k) array per block,
+    nested as the array."""
+    if blocks[0].ndim == 2:
+        return Element._wrap(shape, blocks).to_json()
+    return [_points_json(shape, tuple(b[i] for b in blocks)) for i in range(len(blocks[0]))]
 
 
-def _require_commuting_selfadjoint(elems: list[Element]) -> None:
-    """Raise ``DomainError`` at the first element that is not self-adjoint, or
-    else at the first pair that does not commute: one oracle call over all the
-    elements and ``_commutator_norms`` over all the pairs."""
-    shape = elems[0].shape
-    if any(e.shape != shape for e in elems):
-        raise StructureError("operands differ in algebra shape or in size")
-    verdicts = _certify([[_spectrum_request(e, DEFAULT_TOL) for e in elems]])[0]
-    for idx, verdict in enumerate(verdicts):
+def _require_commuting_points(shape: AlgebraShape, points) -> None:
+    """Raise ``DomainError`` in the first trial with a point that is not
+    self-adjoint, or else with a pair of points that do not commute, as that
+    trial raises alone. ``points`` holds one (T, count, k, k) stack per block:
+    one oracle call takes all the points as 1x1 matrices, and one
+    ``_commutators`` call all the pairs."""
+    T, count = points[0].shape[:2]
+    flat = tuple(b.reshape(T * count, 1, 1, *b.shape[2:]) for b in points)
+    try:
+        stack = _psd_stack(flat, DEFAULT_TOL)
+        verdicts = [] if stack.hermitian.all() else [_Verdict(stack, i) for i in range(T * count)]
+        scale = stack.scale
+    except NumericalError:
+        # member by member, a solve that fails raises after the members before it
+        verdicts = _oracle(list(zip(*flat)), DEFAULT_TOL)
+        scale = None
+    for i, verdict in enumerate(verdicts):
         rep = verdict.spectrum()
         if not rep.is_selfadjoint:
             raise DomainError(
                 "element is not self-adjoint",
-                index=idx,
+                index=i % count,
                 hermitian_defect=rep.hermitian_defect,
             )
     # commutative shapes commute exactly, so only self-adjointness is checked there
-    if shape.is_commutative or len(elems) < 2:
+    if shape.is_commutative or count < 2:
         return
-    bound = COMMUTING_TOL * max(1.0, max(v.report().scale for v in verdicts))
-    pairs = list(combinations(range(len(elems)), 2))
+    if scale is None:
+        scale = np.array([v.report().scale for v in verdicts])
+    bounds = COMMUTING_TOL * np.fmax(scale.reshape(T, count).max(axis=1), 1.0)
+    pairs = list(combinations(range(count), 2))
     try:
-        comms = _commutator_norms(elems, pairs)
+        comms = _commutators(points, pairs)
     except NumericalError:
         # a solve that fails raises at its own pair, after the pairs before it
-        comms = (commutator_norm(elems[a], elems[b]) for a, b in pairs)
-    for pair, c in zip(pairs, comms):
-        if not c <= bound:
-            raise DomainError("elements do not commute", pair=pair, commutator=c)
+        comms = (
+            (_commutators(tuple(b[t : t + 1] for b in points), [pair])[0, 0] for pair in pairs)
+            for t in range(T)
+        )
+    for bound, row in zip(bounds, comms):
+        for pair, c in zip(pairs, row):
+            if not c <= bound:
+                raise DomainError("elements do not commute", pair=pair, commutator=float(c))
 
 
-def _cosine_matrix(z: list[Element]) -> AMatrix:
-    """[cos(z_j - z_k)], from the differences in the upper triangle because cos
-    is even, all of them in one ``_trig_stack`` call."""
-    n, shape = len(z), z[0].shape
+def _cosine_matrices(shape: AlgebraShape, z) -> tuple:
+    """The blocks of [cos(z_j - z_k)] of each row of points in a stack, given by
+    one (..., n, k, k) array per block: from the differences in the upper
+    triangle because cos is even, all of them in one ``_trig_stack`` call."""
+    lead, n = z[0].shape[:-3], z[0].shape[-3]
     j, k = np.triu_indices(n)
-    stacks = _element_stacks(z)
-    diffs = [s[j] - s[k] for s in stacks]
-    blocks = []
-    for s, c in zip(stacks, _trig_stack(shape, diffs, np.zeros(len(j), bool))):
-        out = np.empty((n, n) + s.shape[1:], dtype=np.complex128)
-        out[j, k] = c
-        out[k, j] = c
-        blocks.append(out)
-    return AMatrix._wrap(shape, n, tuple(blocks))
+    diffs = [(s[..., j, :, :] - s[..., k, :, :]).reshape(-1, *s.shape[-2:]) for s in z]
+    out = []
+    for s, c in zip(z, _trig_stack(shape, diffs, np.zeros(len(diffs[0]), bool))):
+        m = np.empty(lead + (n, n) + s.shape[-2:], dtype=np.complex128)
+        c = c.reshape(lead + (len(j),) + s.shape[-2:])
+        m[..., j, k, :, :] = c
+        m[..., k, j, :, :] = c
+        out.append(m)
+    return tuple(out)
 
 
-def _cosine_gram(z: list[Element], tol: float, probe_seed: int) -> _Drawn:
-    z = list(z)
-    if not z:
-        raise StructureError("need at least one point")
-    shape = z[0].shape
-    _require_commuting_selfadjoint(z)
-    n = len(z)
-    stacks = _element_stacks(z)
-    cos_z = _members(shape, _trig_stack(shape, stacks, np.zeros(n, bool)))
-    sin_z = _members(shape, _trig_stack(shape, stacks, np.ones(n, bool)))
-    A = _cosine_matrix(z)
-
-    def finish(verdicts):
-        rep = verdicts[0].report()
-        # probe vectors: the all-units vector plus cos(alpha_j z_j) + sin(beta_j z_j),
-        # which stay inside the commutative subalgebra the z generate
-        rng = np.random.default_rng(probe_seed)
-        alphas = rng.standard_normal(n)
-        betas = rng.standard_normal(n)
-        scaled = [c * p for p, a, b in zip(z, alphas, betas) for c in (float(a), float(b))]
-        sine = np.arange(2 * n) % 2 == 1
-        trig = _members(shape, _trig_stack(shape, _element_stacks(scaled), sine))
-        probes = [
-            [identity_element(shape) for _ in range(n)],
-            [trig[2 * j] + trig[2 * j + 1] for j in range(n)],
-        ]
-        residuals = []
-        for probe in probes:
-            y = AVector.from_elements(probe)
-            q = inner_product(A @ y, y)
-            s_c = zero_element(shape)
-            s_s = zero_element(shape)
+def _gram_residuals(A, cos_sin, y) -> np.ndarray:
+    """||<Ay, y> - (S_c S_c* + S_s S_s*)|| / max(1, ||<Ay, y>||) of each member
+    of a stack, with S_c = sum_j cos(z_j) y_j and S_s = sum_j sin(z_j) y_j
+    summed in order of j: A, cos_sin (cos z_j, then sin z_j) and the probe y
+    hold one (T, n, n, k, k), (T, 2n, k, k) and (T, n, k, k) array per block."""
+    T, n = y[0].shape[:2]
+    diffs, scales = [], []
+    for a, cs, v in zip(A, cos_sin, y):
+        k = v.shape[-1]
+        av = (_flatten_block(a, n, k) @ v.reshape(T, n * k, k)).reshape(v.shape)
+        q = np.einsum("tjab,tjcb->tac", av, v.conj())
+        terms = cs @ np.concatenate([v, v], 1)
+        grams = []
+        for part in (terms[:, :n], terms[:, n:]):
+            acc = np.zeros_like(q)
             for j in range(n):
-                s_c = s_c + cos_z[j] * probe[j]
-                s_s = s_s + sin_z[j] * probe[j]
-            gram = s_c * s_c.adjoint() + s_s * s_s.adjoint()
-            residuals.append((q - gram).norm() / max(1.0, q.norm()))
-        worst_residual = _largest(residuals)
+                acc = acc + part[:, j]
+            grams.append(acc @ np.ascontiguousarray(_adjoint(acc)))
+        diffs.append(_norms(q - (grams[0] + grams[1])))
+        scales.append(_norms(q))
+    return _first_of(diffs, np.greater) / np.fmax(_first_of(scales, np.greater), 1.0)
+
+
+def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[_Drawn]:
+    """The cosine-Gram check on each member of a stack of points, one (T, n, k, k)
+    array per block, with the probe of member t drawn from generator t of ``gens``."""
+    T, n = z[0].shape[:2]
+    _require_commuting_points(shape, z)
+    # cos z_j, then sin z_j, of every trial in one call
+    both = [np.concatenate([s, s], 1).reshape(-1, *s.shape[2:]) for s in z]
+    trig = _trig_stack(shape, both, np.tile(np.arange(2 * n) >= n, T))
+    cos_sin = [c.reshape(T, 2 * n, *c.shape[1:]) for c in trig]
+    A = _cosine_matrices(shape, z)
+    # probe vectors: the all-units vector plus cos(alpha_j z_j) + sin(beta_j z_j),
+    # which stay inside the commutative subalgebra the z generate
+    (normals,) = _normals(gens, [(2, n)])
+    coefs = normals.transpose(0, 2, 1).astype(np.complex128)[..., None, None]
+    scaled = [(coefs * s[:, :, None]).reshape(-1, *s.shape[2:]) for s in z]
+    trig = _trig_stack(shape, scaled, np.tile([False, True], T * n))
+    terms = [c.reshape(T, n, 2, *c.shape[1:]) for c in trig]
+    mixed = tuple(c[:, :, 0] + c[:, :, 1] for c in terms)
+    units = tuple(
+        np.broadcast_to(np.eye(k, dtype=complex), (T, n, k, k)).copy() for k in shape.blocks
+    )
+    residuals = [_gram_residuals(A, cos_sin, y) for y in (units, mixed)]
+
+    def finish(t, verdicts):
+        rep = verdicts[0].report()
+        worst_residual = _largest(float(r[t]) for r in residuals)
         # the residual margin is rescaled so a single pass criterion
         # (margin >= -tol) enforces residual <= 1e-10
         margin = _worst([rep.margin, -worst_residual * (tol / ORACLE_TOL)])
         witness = None
         if not (rep.is_positive and worst_residual <= ORACLE_TOL):
             witness = {
-                "points": [p.to_json() for p in z],
+                "points": _points_json(shape, tuple(b[t] for b in z)),
                 "psd": rep.to_json(),
                 "gram_residual": worst_residual,
             }
         return margin, witness, {"gram_residual": worst_residual}
 
-    return _Drawn((_psd_request(A, tol),), finish)
+    return [_Drawn(((tuple(a[t] for a in A), tol),), partial(finish, t)) for t in range(T)]
 
 
 def cosine_gram_check(
@@ -669,30 +714,31 @@ def cosine_gram_check(
     S_c = sum_j cos(z_j) y_j and S_s = sum_j sin(z_j) y_j, within 1e-10.
     """
     t0 = time.perf_counter()
-    return _checked("cosine_gram", _cosine_gram(z, tol, probe_seed), tol, t0)
+    z = list(z)
+    if not z:
+        raise StructureError("need at least one point")
+    stacks = tuple(s[None] for s in _element_stacks(z))
+    drawn = _cosine_gram(z[0].shape, stacks, tol, [np.random.default_rng(probe_seed)])
+    return _checked("cosine_gram", drawn[0], tol, t0)
 
 
-def _novak(points: list[list[Element]], tol: float) -> tuple[AMatrix, _Drawn]:
-    """The Novak matrix of the points and the drawn pipeline of ``novak_check``."""
-    rows = [list(r) for r in points]
-    n = len(rows)
-    if n < 1 or any(not r for r in rows):
-        raise StructureError("points must form a nonempty n x d array")
-    d = len(rows[0])
-    if any(len(r) != d for r in rows):
-        raise StructureError("point rows have unequal length")
-    _require_commuting_selfadjoint([p for r in rows for p in r])
+def _novak(shape: AlgebraShape, points, tol: float) -> tuple[tuple, list[_Drawn]]:
+    """The Novak matrices of a stack of point arrays, one (T, n, d, k, k) array
+    per block, and the drawn pipeline of ``novak_check`` on each member."""
+    T, n, d = points[0].shape[:3]
+    _require_commuting_points(shape, tuple(b.reshape(T, n * d, *b.shape[3:]) for b in points))
+    # the half-angle cosine matrices of every column in one call, column first
+    steps = _cosine_matrices(shape, tuple(complex(0.5) * np.moveaxis(b, 2, 0) for b in points))
+    M = tuple(s[0] for s in steps)
+    for l in range(1, d):
+        M = tuple(_schur_block(m, s[l]) for m, s in zip(M, steps))
+    novak = _unit_bound(shape, M)
+    diag_residuals = _diag_residual(M).tolist()
 
-    steps = [_cosine_matrix([0.5 * rows[j][l] for j in range(n)]) for l in range(d)]
-    M = steps[0]
-    for M_l in steps[1:]:
-        M = schur_product(M, M_l)
-    novak = _unit_bound(M)
-
-    def finish(verdicts):
+    def finish(t, verdicts):
         step_margins = [v.report().margin for v in verdicts[:d]]
         rep_m = verdicts[d].report()
-        diag_residual = _diag_residual(M)
+        diag_residual = diag_residuals[t]
         rep_final = verdicts[d + 1].report()
         margin = _worst([*step_margins, rep_m.margin, rep_final.margin])
         ok = (
@@ -704,7 +750,7 @@ def _novak(points: list[list[Element]], tol: float) -> tuple[AMatrix, _Drawn]:
         witness = None
         if not ok:
             witness = {
-                "points": [[p.to_json() for p in r] for r in rows],
+                "points": _points_json(shape, tuple(b[t] for b in points)),
                 "psd_final": rep_final.to_json(),
                 "diag_residual": diag_residual,
             }
@@ -717,8 +763,10 @@ def _novak(points: list[list[Element]], tol: float) -> tuple[AMatrix, _Drawn]:
         }
         return margin, witness, details
 
-    requests = tuple(_psd_request(X, tol) for X in (*steps, M, novak))
-    return novak, _Drawn(requests, finish)
+    # per trial: the d cosine matrices, M, then the Novak matrix
+    mats = [*(tuple(s[l] for s in steps) for l in range(d)), M, novak]
+    requests = [tuple((tuple(b[t] for b in m), tol) for m in mats) for t in range(T)]
+    return novak, [_Drawn(r, partial(finish, t)) for t, r in enumerate(requests)]
 
 
 def novak_check(
@@ -737,8 +785,18 @@ def novak_check(
     shifted by -1/n; it is returned together with the report.
     """
     t0 = time.perf_counter()
-    novak, drawn = _novak(points, tol)
-    return novak, _checked("novak_conjecture", drawn, tol, t0)
+    rows = [list(r) for r in points]
+    n = len(rows)
+    if n < 1 or any(not r for r in rows):
+        raise StructureError("points must form a nonempty n x d array")
+    d = len(rows[0])
+    if any(len(r) != d for r in rows):
+        raise StructureError("point rows have unequal length")
+    shape = rows[0][0].shape
+    stacks = _element_stacks([p for r in rows for p in r])
+    novak, drawn = _novak(shape, tuple(s.reshape(1, n, d, *s.shape[1:]) for s in stacks), tol)
+    report = _checked("novak_conjecture", drawn[0], tol, t0)
+    return AMatrix._wrap(shape, n, tuple(b[0] for b in novak)), report
 
 
 def _sin_cos(members: list[Element]) -> list[Element]:
@@ -891,7 +949,8 @@ def _commuting_spectral(data: tuple, tol: float) -> _Drawn:
     sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
     if n > 1:
         sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
-    comm = _largest(_commutator_norms(sample, list(combinations(range(len(sample)), 2))))
+    stacks = tuple(s[None] for s in _element_stacks(sample))
+    comm = _largest(_commutators(stacks, list(combinations(range(len(sample)), 2)))[0].tolist())
     hypothesis_ok = (
         unitary_residual <= UNITARY_TOL
         and recon_residual <= RECONSTRUCTION_TOL
@@ -1432,16 +1491,17 @@ def _trial_diag_probe(base, trials, o):
 
 def _trial_novak(base, trials, o):
     n, d = base.n, o.d
-    drawn = _commuting_points(base, trials, n * d, range(n), range(d))
-    rows = ([p[j * d : (j + 1) * d] for j in range(n)] for p in drawn)
-    return [_novak(r, o.tol)[1].then(_outcome) for r in rows]
+    points = _commuting_points(base, trials, n * d, range(n), range(d))
+    points = tuple(p.reshape(len(p), n, d, *p.shape[2:]) for p in points)
+    return [drawn.then(_outcome) for drawn in _novak(base.shape, points, o.tol)[1]]
 
 
 def _trial_cosine_gram(base, trials, o):
-    def one(seed, z):
-        return _cosine_gram(z, o.tol, probe_seed=seed).then(_outcome)
-
-    return _each(one, base, trials, _commuting_points(base, trials, base.n, range(base.n)))
+    # each trial's probe comes from the stream of its own seed, as a public
+    # check's comes from probe_seed
+    z = _commuting_points(base, trials, base.n, range(base.n))
+    gens = _Streams(_seeds(base, trials))
+    return [drawn.then(_outcome) for drawn in _cosine_gram(base.shape, z, o.tol, gens)]
 
 
 def _trial_trig(base, trials, o):

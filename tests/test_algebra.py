@@ -267,3 +267,15 @@ def test_classify_nan_in_any_block_is_not_positive():
             rep = classify(comm_element(shape, *values))
             assert not rep.is_positive and not rep.is_selfadjoint, (shape, pos)
             assert np.isnan(rep.min_spectrum) and np.isnan(rep.hermitian_defect), (shape, pos)
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_element_norms_keep_a_nan_in_any_block(pos):
+    # Python's max over the blocks dropped a NaN that is not first
+    shape = AlgebraShape((1, 1, 1))
+    blocks = [np.array([[v]], complex) for v in (0.5, 2.0, 0.25)]
+    a = Element(shape, blocks)
+    assert a.norm() == 2.0 and hermitian_defect(a) == 0.0
+    blocks[pos] = np.array([[complex(np.nan, 1.0)]])
+    a = Element(shape, blocks)
+    assert np.isnan(a.norm()) and np.isnan(hermitian_defect(a))

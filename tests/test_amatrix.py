@@ -400,3 +400,13 @@ def test_quadratic_form_oracle_rejects_noncommutative(m2_shape):
     x = random_vector(cfg.derive(1))
     with pytest.raises(DomainError):
         schur_quadratic_form_oracle(M, M, x)
+
+
+@pytest.mark.parametrize("pos", [0, 1, 2])
+def test_mat_norm_keeps_a_nan_in_any_block(pos):
+    # Python's max over the blocks dropped a NaN that is not first
+    shape = AlgebraShape((1, 1, 1))
+    blocks = [np.full((1, 1, 1, 1), v, complex) for v in (0.5, 2.0, 0.25)]
+    assert mat_norm(AMatrix(shape, blocks)) == 2.0
+    blocks[pos] = np.full((1, 1, 1, 1), np.nan, complex)
+    assert np.isnan(mat_norm(AMatrix(shape, blocks)))

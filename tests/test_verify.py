@@ -243,6 +243,18 @@ def test_trig_identities_skip_addition_for_noncommuting():
     assert "cos_addition" not in rep.details["residuals"]
 
 
+@pytest.mark.parametrize("pos", [0, 1])
+def test_trig_identities_fail_on_a_nan_in_any_block(pos):
+    # a NaN in block 1 read as a pass, with every residual 0.0
+    values = [0.3, 0.3]
+    values[pos] = math.nan
+    shape = AlgebraShape((1, 1))
+    x = Element(shape, [[[v]] for v in values])
+    rep = check_trig_identities(x, Element(shape, [[[0.2]], [[0.1]]]))
+    assert not rep.passed and math.isnan(rep.worst_margin)
+    assert rep.witness is not None
+
+
 def test_pauli_breakdown_closed_form():
     x, z = pauli_pair(M2)
     rep = check_trig_identities(x, z, falsify=True)
@@ -832,9 +844,10 @@ def test_suite_grid_certifies_in_few_oracle_calls(monkeypatch):
     monkeypatch.setattr(amatrix, "_psd_verdict", counted)
     for shape, n in GRID:
         run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
-    # one call per trial for each Novak and cosine-Gram hypothesis, one per
-    # check and group of equal block shapes for the rest (2 036 calls unstacked)
-    assert len(calls) <= 250
+    # one call per check chunk and group of equal block shapes, the Novak and
+    # cosine-Gram hypotheses included (88 calls; 214 with those per trial,
+    # 2 036 unstacked)
+    assert len(calls) <= 95
 
 
 def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
@@ -848,9 +861,26 @@ def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     for shape, n in GRID:
         run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
-    # left: the nonassociativity search (3 matrices per trial, 21 calls) and the
-    # cosine-Gram probes (one per trial, 70); one stream per draw made 1 757
-    assert len(calls) <= 100
+    # left: the nonassociativity search, 3 matrices per trial, 21 calls; the
+    # cosine-Gram probes made 70 more, one stream per draw 1 757
+    assert len(calls) <= 25
+
+
+def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
+    calls = []
+    trig_stack = verify._trig_stack
+
+    def counted(shape, stacks, sine):
+        calls.append(len(sine))
+        return trig_stack(shape, stacks, sine)
+
+    monkeypatch.setattr(verify, "_trig_stack", counted)
+    for shape, n in GRID:
+        cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
+        run_suite("novak", cfg, trials=10)
+    # per grid point and chunk: the Novak steps, then the cosine-Gram cos/sin z,
+    # its cosine matrix and its probes (28 calls; 420 per trial)
+    assert len(calls) <= 30
 
 
 def test_failing_chunk_draw_is_redrawn_trial_by_trial():
@@ -972,11 +1002,13 @@ def test_nan_certificate_in_any_position_fails_the_trial(check_id, reads, monkey
 
 
 def test_nan_diagonal_residual_is_found_and_rejected(monkeypatch):
-    M = identity_matrix(SCALAR, 3)
-    entries = [[M.entry(j, k) for k in range(3)] for j in range(3)]
-    entries[1][1] = Element(SCALAR, [[[math.nan]]])
-    assert math.isnan(verify._diag_residual(AMatrix.from_entries(entries)))
-    monkeypatch.setattr(verify, "_diag_residual", lambda M: math.nan)
+    # Python's max over the blocks dropped a NaN in block 1
+    M = identity_matrix(AlgebraShape((1, 1)), 3)
+    blocks = [b.copy()[None] for b in M.blocks]
+    blocks[1][0, 1, 1] = math.nan
+    assert math.isnan(verify._diag_residual(blocks)[0])
+    assert verify._diag_residual(verify._stacked(M)).tolist() == [0.0]
+    monkeypatch.setattr(verify, "_diag_residual", lambda blocks: np.array([math.nan]))
     with pytest.raises(DomainError, match="diagonal entries deviate"):
         check_unit_diagonal_bound(M)
 
@@ -991,6 +1023,96 @@ def test_residual_maximum_lets_nan_win(values):
 
 def test_nan_commutator_is_not_commuting(monkeypatch):
     x, z = pauli_pair(M2)
-    monkeypatch.setattr(verify, "_commutator_norms", lambda elems, pairs: [math.nan] * len(pairs))
+    points = tuple(b[None, None].repeat(2, axis=1) for b in x.blocks)
+    verify._require_commuting_points(M2, points)
+    nan = lambda stacks, pairs: np.full((len(stacks[0]), len(pairs)), math.nan)
+    monkeypatch.setattr(verify, "_commutators", nan)
     with pytest.raises(DomainError, match="do not commute"):
-        verify._require_commuting_selfadjoint([x, x])
+        verify._require_commuting_points(M2, points)
+
+
+def test_hypothesis_falls_back_to_each_point_alone_when_the_stack_fails(monkeypatch):
+    # a noncommutative shape then takes its commuting bounds from the points' own verdicts
+    x, z = pauli_pair(M2)
+    commuting = tuple(b[None, None].repeat(2, axis=1) for b in x.blocks)
+    noncommuting = tuple(np.stack([u, v])[None] for u, v in zip(x.blocks, z.blocks))
+    with pytest.raises(DomainError) as stacked:
+        verify._require_commuting_points(M2, noncommuting)
+    psd_stack = verify._psd_stack
+
+    def alone_only(blocks, tol):
+        if len(blocks[0]) > 1:
+            raise NumericalError("stacked solve failed")
+        return psd_stack(blocks, tol)
+
+    monkeypatch.setattr(verify, "_psd_stack", alone_only)
+    verify._require_commuting_points(M2, commuting)
+    with pytest.raises(DomainError) as alone:
+        verify._require_commuting_points(M2, noncommuting)
+    assert stacked.value.details["pair"] == (0, 1)
+    assert alone.value.details == stacked.value.details
+
+
+# a point's block 0 over (2, 1): not self-adjoint, or self-adjoint but not
+# commuting with the commuting family it replaces a member of
+_FAULTS = {
+    "selfadjoint": ("index", 1, lambda b: b + np.array([[0.0, 1.0], [0.0, 0.0]])),
+    "commuting": ("pair", (0, 1), lambda b: np.array([[0.0, 1.0], [1.0, 0.0]], complex)),
+}
+
+
+@pytest.mark.parametrize("fault", list(_FAULTS))
+@pytest.mark.parametrize("check_id", ["novak_conjecture", "cosine_gram"])
+def test_stacked_hypothesis_raises_the_first_failing_trial_alone(check_id, fault, monkeypatch):
+    key, where, corrupt = _FAULTS[fault]
+    bad = 6
+    draw_points = verify._commuting_points
+
+    def faulty(cfg, trials, count, *indices):
+        points = [b.copy() for b in draw_points(cfg, trials, count, *indices)]
+        for i, t in enumerate(trials):
+            if t == bad:
+                points[0][i, 1] = corrupt(points[0][i, 1])
+        return tuple(points)
+
+    monkeypatch.setattr(verify, "_commuting_points", faulty)
+    check = next(c for c in verify.CHECKS if c.check_id == check_id)
+    base = check.base(GenConfig(seed=2024, shape=AlgebraShape((2, 1)), n=2))
+    with pytest.raises(DomainError) as alone:
+        check.trial(base, range(bad, bad + 1), OPTS)
+    assert alone.value.details[key] == where
+    for size in (verify._chunk_size(base), 4):
+        finished = []
+
+        def draw(trials):
+            drawn = check.trial(base, trials, OPTS)
+            return [d.then(lambda *out, t=t: (finished.append(t), out)[1]) for t, d in zip(trials, drawn)]
+
+        with pytest.raises(DomainError) as stacked:
+            verify._run_trials(draw, OPTS.trials, size)
+        assert str(stacked.value) == str(alone.value)
+        assert stacked.value.details == alone.value.details
+        assert finished == list(range(bad))
+
+
+def test_public_novak_checks_reject_malformed_points():
+    a, b = comm_element(SCALAR, 0.0), identity_element(M2)
+    for points, match in [([], "nonempty"), ([[a], []], "nonempty"),
+                          ([[a, a], [a]], "unequal length"), ([[a], [b]], "differ in algebra shape")]:
+        with pytest.raises(StructureError, match=match):
+            novak_check(points)
+    with pytest.raises(StructureError, match="at least one point"):
+        cosine_gram_check([])
+    with pytest.raises(StructureError, match="differ in algebra shape"):
+        cosine_gram_check([a, b])
+
+
+def test_cosine_gram_probe_is_the_default_rng_stream():
+    # alphas, then betas, each standard_normal(n) of default_rng(probe_seed)
+    for seed, n in [(0xC05, 4), (2**64 - 1, 1), (7, 3)]:
+        rng = np.random.default_rng(seed)
+        want = np.stack([rng.standard_normal(n), rng.standard_normal(n)])
+        (got,) = generate._normals([np.random.default_rng(seed)], [(2, n)])
+        assert got[0].tobytes() == want.tobytes()
+        (bulk,) = generate._normals(generate._Streams([seed]), [(2, n)])
+        assert bulk[0].tobytes() == want.tobytes()
