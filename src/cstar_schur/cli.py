@@ -55,6 +55,12 @@ _TOL_ENV = "CSTAR_SCHUR_TOL"
 # entries of 16 bytes each; n k <= 8192 keeps it within 1 GiB.
 MAX_FLAT_SIZE = 8192
 
+# The n d points of a Novak instance make (n d)(n d - 1)/2 pairs, whose
+# commutators are formed in one stacked call: about 350 bytes a pair for one
+# trial (peak RSS 278 MB at 1200 points over M_2), so n d <= 2048 keeps one
+# trial within 1 GiB. Each further trial of a chunk adds about 250 bytes a pair.
+MAX_POINTS = 2048
+
 
 def _validate_tol(tol: float, source: str) -> None:
     # NaN fails every comparison, so a bare "tol <= 0" would let it through
@@ -71,6 +77,13 @@ def _validate_size(args) -> None:
         raise StructureError(
             f"n * (largest block size) = {n} * {k} exceeds the limit {MAX_FLAT_SIZE}"
         )
+    if "d" in vars(args) and getattr(args, "suite", "novak") in ("all", "novak"):
+        _validate_points(args.n * args.d)
+
+
+def _validate_points(count: int) -> None:
+    if count > MAX_POINTS:
+        raise StructureError(f"{count} points per instance (n * d) exceed the limit {MAX_POINTS}")
 
 
 def _env_tol() -> float:
@@ -404,6 +417,7 @@ def _load_points(path: str) -> list[list[Element]]:
         )
     if not points:
         raise StructureError(f"points file {path} contains no points")
+    _validate_points(sum(len(row) for row in points))
     return points
 
 

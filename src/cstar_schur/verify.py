@@ -28,44 +28,37 @@ entries of suite ``name`` in table order. A ``Check`` entry holds
   searches move to the shape ``(2,)``);
 * ``trial(base, trials, opts)``, which draws the instances of a range of
   trials together, instance t from the substream ``base.derive(t)``, and
-  returns one ``_Drawn`` per trial, finishing as ``(margin, witness)`` or
+  returns the outcome of each trial, ``(margin, witness)`` or
   ``(margin, witness, counts)`` with counts summed into the details;
 * ``tol`` (fixed instead of the run's), ``details``, ``clamp`` (a trial with
   a witness counts at most -2 tol) and ``run``, which replaces the margin
   aggregation (the two hit searches, explicit Novak points).
 
-To add a check, write its evaluator, a public ``check_*`` function that runs
-it alone, a trial that draws its instances with ``generate``'s chunk forms
-(``_drawn``) and calls the evaluator, and a table entry. An evaluator takes
-one instance, or like the Novak pipeline a stack of instances with a leading
-trial axis, and returns a ``_Drawn`` per instance.
+Each check has one evaluator, a function from a list (or a stack with a
+leading trial axis) of instances to their outcomes. It does each instance's
+algebra, asks the oracle for every verdict it needs in one stacked call per
+group of equal block shapes, then reads each instance's verdicts in order; a
+requirement such as "M is positive" raises ``DomainError`` there. The public
+``check_*`` function is the evaluator on a list of one, and the trial draws
+a chunk with ``generate``'s chunk forms (``_drawn``) and calls the same
+evaluator. To add a check, write these three and a table entry.
 
-Each check has one evaluator, split in two. Drawing builds the instance and
-does all its algebra up to its positivity verdicts; it returns a ``_Drawn``
-holding the matrices it asks the oracle to certify and ``finish``, which
-turns the verdicts into the outcome. The public ``check_*`` function runs the
-evaluator, input validation included, on a stack of one (``_alone``); the
-trials call the same evaluator, some without that validation.
-
-``_run_trials`` runs the trials of a check a chunk at a time: it draws them at
-once, on generators seeded in bulk (``generate._Streams``), certifies every
-matrix they ask for with one stacked oracle call per group of equal block
-shapes and tol (``_certify``), and finishes them in order. numpy's stacked
+``_run_trials`` evaluates a check's trials a chunk at a time. numpy's stacked
 linalg gives each member the bits it gets alone, so every report is the one
-that running each trial alone gives, and so is the first error raised.
-The Novak suite's algebra runs once per chunk as well, on the chunk forms'
-(T, count, k, k) point stacks: one oracle call and one commutator call for
-the hypotheses, one ``_trig_stack`` call per set of cosines, Schur products,
-diagonal residuals and probe Gram residuals on trial-axis arrays; the public
-``novak_check`` and ``cosine_gram_check`` are stacks of one.
+that running each trial alone gives. When a chunk raises, its trials are
+evaluated again one at a time, in order: the first that raises alone raises,
+and if none does, the chunk's error is raised. The Novak suite's algebra is
+stacked too: one oracle call and one commutator call for the hypotheses, one
+``_trig_stack`` call per set of cosines, and Schur products, diagonal
+residuals and probe Gram residuals on (T, count, k, k) point stacks.
 ``find_nonassociativity`` and ``find_trig_breakdown`` run their trials one
 after another, up to the first witness.
 
 ``counterexample_search`` draws its pairs the same way (``_pairs``), and the
 Gram products, symmetrized products and positivity oracle run once per chunk
-over a leading trial axis (``_schur_stack``); the evaluator of one pair is
-the same call on a stack of one. ``threads`` is only validated. The report is
-a summary: every violating trial index, the violation rate with a Wilson
+over a leading trial axis (``_schur_stack``, which the Schur suite and
+``check_schur_positivity`` share). ``threads`` is only validated. The report
+is a summary: every violating trial index, the violation rate with a Wilson
 interval, a margin histogram, and the matrices of only a few violations (the
 deterministic one and the ``_TOP_WITNESSES`` most negative random ones).
 ``search_witness`` rebuilds the record of any trial alone.
@@ -76,7 +69,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 from itertools import combinations, islice
 from typing import Callable
 
@@ -208,7 +200,7 @@ def _report(check_id, trials, failures, worst, tol, witness, details, t0) -> Che
     )
 
 
-def _single(check_id, margin, tol, witness, details, t0) -> CheckReport:
+def _single(check_id, tol, t0, margin, witness, details) -> CheckReport:
     """The report on one instance, which fails exactly when it has a witness."""
     failures = 0 if witness is None else 1
     return _report(check_id, 1, failures, margin, tol, witness, details, t0)
@@ -229,46 +221,12 @@ def _seeded(witness: dict | None, seed: int) -> dict | None:
     return None if witness is None else {"seed": seed, **witness}
 
 
-# ---------------------------------------------------------------------------
-# drawn instances and their verdicts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Drawn:
-    """A drawn instance: the matrices it asks the oracle to certify, as
-    ``(blocks, tol)`` requests with one (n, n, k, k) array per block, and
-    ``finish``, which turns their ``_Verdict``s, in request order, into the
-    outcome."""
-
-    requests: tuple
-    finish: Callable
-
-    def then(self, fn) -> "_Drawn":
-        """The same requests, with ``fn`` applied to the unpacked outcome."""
-        return _Drawn(self.requests, lambda verdicts: fn(*self.finish(verdicts)))
-
-
-def _done(*outcome) -> _Drawn:
-    """An instance that asks for no verdict."""
-    return _Drawn((), lambda verdicts: outcome)
-
-
-def _psd_request(M: AMatrix, tol: float) -> tuple:
-    return M.blocks, tol
-
-
-def _spectrum_request(a: Element, tol: float) -> tuple:
-    # classify's verdict is the one on the 1x1 matrix [a]
-    return tuple(b[None, None] for b in a.blocks), tol
-
-
 @dataclass(frozen=True)
 class _Verdict:
-    """The oracle's verdict on one request: member i of ``stack``, or the error
-    its solve raised alone, which is raised when the verdict is read. Reading
-    the verdicts in the order a sequential check computed them raises the
-    error that check raised first."""
+    """The oracle's verdict on one matrix: member i of ``stack``, or the error
+    its solve raised alone, which is raised when the verdict is read. A trial
+    that reads its verdicts in the order it needs them raises the error it
+    raises alone."""
 
     stack: PsdStack | None
     i: int = 0
@@ -287,68 +245,25 @@ class _Verdict:
 
 def _oracle(members: list[tuple], tol: float) -> list[_Verdict]:
     """The verdicts on matrices of equal block shapes, given by their blocks:
-    one stacked ``_psd_stack`` call, or when it raises, one call per member."""
-    try:
-        stack = _psd_stack(tuple(np.stack(b) for b in zip(*members)), tol)
-        return [_Verdict(stack, i) for i in range(len(members))]
-    except (DomainError, NumericalError):
-        verdicts = []
-        for blocks in members:
-            try:
-                verdicts.append(_Verdict(_psd_stack(tuple(b[None] for b in blocks), tol)))
-            except (DomainError, NumericalError) as exc:
-                verdicts.append(_Verdict(None, error=exc))
-        return verdicts
-
-
-def _certify(batches: list) -> list[list[_Verdict]]:
-    """The verdicts on each batch of requests: one ``_oracle`` call per group of
-    requests with equal block shapes and equal tol, over all the batches.
+    one stacked ``_psd_stack`` call, or when it raises, one call per member.
 
     A member of a stack gets the bits it gets alone, because numpy's linalg
     functions solve each matrix of a stack on its own (see "Linear algebra on
     several matrices at once" in numpy's ``linalg`` documentation).
     """
-    groups: dict = {}
-    for b, batch in enumerate(batches):
-        for r, (blocks, tol) in enumerate(batch):
-            key = (tuple(x.shape for x in blocks), tol)
-            groups.setdefault(key, []).append((b, r, blocks))
-    verdicts = [[None] * len(batch) for batch in batches]
-    for (_, tol), members in groups.items():
-        for (b, r, _), verdict in zip(members, _oracle([m[2] for m in members], tol)):
-            verdicts[b][r] = verdict
-    return verdicts
+    try:
+        stack = _psd_stack(tuple(np.stack(b) for b in zip(*members)), tol)
+        return [_Verdict(stack, i) for i in range(len(members))]
+    except (DomainError, NumericalError) as exc:
+        if len(members) == 1:
+            return [_Verdict(None, error=exc)]
+        return [verdict for m in members for verdict in _oracle([m], tol)]
 
 
-def _alone(drawn: _Drawn):
-    """The outcome of one drawn instance, certified as a stack of one."""
-    return drawn.finish(_certify([drawn.requests])[0])
-
-
-def _checked(check_id: str, drawn: _Drawn, tol: float, t0: float) -> CheckReport:
-    """The report of a check whose drawn instance finishes as (margin, witness, details)."""
-    margin, witness, details = _alone(drawn)
-    return _single(check_id, margin, tol, witness, details, t0)
-
-
-def _outcome(margin, witness, details) -> tuple[float, dict | None]:
-    return margin, witness
-
-
-def _after_positive(mats: dict, tol: float, drawn: _Drawn) -> _Drawn:
-    """``drawn`` behind the requirement that each named matrix is positive,
-    read first, in order."""
-
-    def finish(verdicts):
-        for name, verdict in zip(mats, verdicts):
-            rep = verdict.report()
-            if not rep.is_positive:
-                raise DomainError(f"{name} is not positive", report=rep)
-        return drawn.finish(verdicts[len(mats):])
-
-    requests = [_psd_request(M, tol) for M in mats.values()]
-    return _Drawn((*requests, *drawn.requests), finish)
+def _require_positive(name: str, verdict: _Verdict) -> None:
+    rep = verdict.report()
+    if not rep.is_positive:
+        raise DomainError(f"{name} is not positive", report=rep)
 
 
 def _worst(margins: list[float]) -> float:
@@ -367,7 +282,7 @@ def _largest(values) -> float:
 
 
 # ---------------------------------------------------------------------------
-# single-instance checks: each is a drawn instance, run alone by its check_*
+# checks: each evaluator, and its check_* that runs it on a list of one
 # ---------------------------------------------------------------------------
 
 
@@ -389,23 +304,6 @@ def _schur_witness(shape, i, m_blocks, n_blocks, product, rep: PsdReport) -> dic
     return {**_matrix_payload(**mats), "psd": rep.to_json()}
 
 
-def _schur_positivity(M: AMatrix, N: AMatrix, tol: float) -> _Drawn:
-    """Schur positivity of one pair, finishing as the report on M o N and, when
-    it is not positive, its witness. The product is formed as ``_schur_stack``
-    forms it, on a stack of one."""
-    M._require_same(N)
-    m_blocks, n_blocks = _stacked(M), _stacked(N)
-    product = tuple(_schur_block(a, b) for a, b in zip(m_blocks, n_blocks))
-
-    def finish(verdicts):
-        rep = verdicts[0].report()
-        if rep.is_positive:
-            return rep, None
-        return rep, _schur_witness(M.shape, 0, m_blocks, n_blocks, product, rep)
-
-    return _Drawn(((tuple(b[0] for b in product), tol),), finish)
-
-
 def check_schur_positivity(
     M: AMatrix, N: AMatrix, tol: float = DEFAULT_TOL
 ) -> CheckReport:
@@ -416,23 +314,29 @@ def check_schur_positivity(
     caller decides whether a failure is alarming.
     """
     t0 = time.perf_counter()
-    rep, witness = _alone(_after_positive({"M": M, "N": N}, tol, _schur_positivity(M, N, tol)))
-    if witness is not None:
+    M._require_same(N)
+    for name, verdict in zip("MN", _oracle([M.blocks, N.blocks], tol)):
+        _require_positive(name, verdict)
+    m_blocks, n_blocks = _stacked(M), _stacked(N)
+    product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
+    rep = verdicts.report(0)
+    witness = None
+    if not rep.is_positive:
+        witness = _schur_witness(M.shape, 0, m_blocks, n_blocks, product, rep)
         witness["min_eigenvalue"] = rep.min_eigenvalue
     details = {"commutative": M.shape.is_commutative}
-    return _single("schur_product_positive", rep.margin, tol, witness, details, t0)
+    return _single("schur_product_positive", tol, t0, rep.margin, witness, details)
 
 
-def _row_sum_bound(A: AMatrix, tol: float) -> _Drawn:
-    """The row-sum bound, finishing as its report, witness, and whether A is positive."""
-    M = A @ A.adjoint()
-    bound = M - (1.0 / A.n) * outer_product(row_sums(A))
-
-    def finish(verdicts):
-        rep = verdicts[0].report()
-        return rep, _psd_witness(rep, a=A), verdicts[1].report().is_positive
-
-    return _Drawn((_psd_request(bound, tol), _psd_request(A, tol)), finish)
+def _row_sum_bounds(As: list[AMatrix], tol: float) -> list[tuple]:
+    """The row-sum bound on each A: its report, witness, and whether A is positive."""
+    bounds = [A @ A.adjoint() - (1.0 / A.n) * outer_product(row_sums(A)) for A in As]
+    verdicts = iter(_oracle([X.blocks for pair in zip(bounds, As) for X in pair], tol))
+    outcomes = []
+    for A in As:
+        rep = next(verdicts).report()
+        outcomes.append((rep, _psd_witness(rep, a=A), next(verdicts).report().is_positive))
+    return outcomes
 
 
 def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -442,32 +346,35 @@ def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     recorded but not required (the bound never uses it).
     """
     t0 = time.perf_counter()
-    rep, witness, input_positive = _alone(_row_sum_bound(A, tol))
+    rep, witness, input_positive = _row_sum_bounds([A], tol)[0]
     details = {"input_positive": input_positive}
-    return _single("gram_row_sum_bound", rep.margin, tol, witness, details, t0)
+    return _single("gram_row_sum_bound", tol, t0, rep.margin, witness, details)
 
 
-def _schur_chain(A: AMatrix, B: AMatrix, tol: float) -> _Drawn:
-    if not A.shape.is_commutative:
-        raise DomainError("the Schur chain bound needs a commutative algebra")
-    A._require_same(B)
-    n = A.n
-    M = A @ A.adjoint()
-    N = B @ B.adjoint()
-    C = schur_product(A, B)
-    y = row_sums(C)
-    product = schur_product(M, N)
-    gram = C @ C.adjoint()
-    lower = (1.0 / n) * outer_product(y)
-    mats = {
-        "product_minus_gram": product - gram,
-        "gram_minus_lower": gram - lower,
-        "product": product,
-        "gram": gram,
-    }
-
-    def finish(verdicts):
-        reports = {k: v.report() for k, v in zip(mats, verdicts)}
+def _schur_chains(pairs: list[tuple], tol: float) -> list[tuple]:
+    """The chain check on each pair (A, B): (margin, witness, details)."""
+    chains = []
+    for A, B in pairs:
+        if not A.shape.is_commutative:
+            raise DomainError("the Schur chain bound needs a commutative algebra")
+        A._require_same(B)
+        M = A @ A.adjoint()
+        N = B @ B.adjoint()
+        C = schur_product(A, B)
+        y = row_sums(C)
+        product = schur_product(M, N)
+        gram = C @ C.adjoint()
+        lower = (1.0 / A.n) * outer_product(y)
+        chains.append({
+            "product_minus_gram": product - gram,
+            "gram_minus_lower": gram - lower,
+            "product": product,
+            "gram": gram,
+        })
+    verdicts = iter(_oracle([X.blocks for chain in chains for X in chain.values()], tol))
+    outcomes = []
+    for (A, B), chain in zip(pairs, chains):
+        reports = {k: next(verdicts).report() for k in chain}
         margin = _worst([r.margin for r in reports.values()])
         witness = None
         if not all(r.is_positive for r in reports.values()):
@@ -475,9 +382,8 @@ def _schur_chain(A: AMatrix, B: AMatrix, tol: float) -> _Drawn:
                 **_matrix_payload(a=A, b=B),
                 "psd": {k: r.to_json() for k, r in reports.items()},
             }
-        return margin, witness, {}
-
-    return _Drawn(tuple(_psd_request(X, tol) for X in mats.values()), finish)
+        outcomes.append((margin, witness, {}))
+    return outcomes
 
 
 def check_schur_chain(
@@ -490,26 +396,27 @@ def check_schur_chain(
     checked (the full ordering, not only the differences).
     """
     t0 = time.perf_counter()
-    return _checked("schur_chain_bound", _schur_chain(A, B, tol), tol, t0)
+    return _single("schur_chain_bound", tol, t0, *_schur_chains([(A, B)], tol)[0])
 
 
-def _diag_bound(M: AMatrix, tol: float) -> _Drawn:
-    """The diagonal bound, finishing as the report on M o M - (1/n) d d* and its witness."""
-    d = diag_vector(M)
-    bound = schur_product(M, M) - (1.0 / M.n) * outer_product(d)
-
-    def finish(verdicts):
-        rep = verdicts[0].report()
-        return rep, _psd_witness(rep, m=M)
-
-    return _Drawn((_psd_request(bound, tol),), finish)
-
-
-def _diag_check(M: AMatrix, tol: float) -> _Drawn:
-    if not M.shape.is_commutative:
+def _diag_bounds(Ms: list[AMatrix], tol: float, positive: bool = False) -> list[tuple]:
+    """The report on M o M - (1/n) d d* of each M, d = diag M, and its witness.
+    With ``positive`` this is the diagonal-bound check, which requires a
+    commutative shape and each M positive."""
+    if positive and not Ms[0].shape.is_commutative:
         raise DomainError("the diagonal bound needs a commutative algebra")
-    drawn = _diag_bound(M, tol).then(lambda rep, witness: (rep.margin, witness, {}))
-    return _after_positive({"M": M}, tol, drawn)
+    requests = []
+    for M in Ms:
+        bound = schur_product(M, M) - (1.0 / M.n) * outer_product(diag_vector(M))
+        requests += [M.blocks, bound.blocks] if positive else [bound.blocks]
+    verdicts = iter(_oracle(requests, tol))
+    outcomes = []
+    for M in Ms:
+        if positive:
+            _require_positive("M", next(verdicts))
+        rep = next(verdicts).report()
+        outcomes.append((rep, _psd_witness(rep, m=M)))
+    return outcomes
 
 
 def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -520,7 +427,8 @@ def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     only ever probed.
     """
     t0 = time.perf_counter()
-    return _checked("diag_outer_bound", _diag_check(M, tol), tol, t0)
+    rep, witness = _diag_bounds([M], tol, positive=True)[0]
+    return _single("diag_outer_bound", tol, t0, rep.margin, witness, {})
 
 
 def _diag_residual(blocks) -> np.ndarray:
@@ -540,28 +448,30 @@ def _unit_bound(shape: AlgebraShape, blocks) -> tuple:
     return tuple(_schur_block(b, b) - e for b, e in zip(blocks, ones.blocks))
 
 
-def _unit_diag_check(M: AMatrix, tol: float) -> _Drawn:
-    if not M.shape.is_commutative:
+def _unit_diag_checks(Ms: list[AMatrix], tol: float) -> list[tuple]:
+    """The unit-diagonal check on each M: (margin, witness, details)."""
+    if not Ms[0].shape.is_commutative:
         raise DomainError("the unit-diagonal bound needs a commutative algebra")
-
-    def finish(verdicts):
+    requests = [X for M in Ms for X in (M.blocks, _unit_bound(M.shape, M.blocks))]
+    verdicts = iter(_oracle(requests, tol))
+    outcomes = []
+    for M in Ms:
+        _require_positive("M", next(verdicts))
         diag_residual = float(_diag_residual(_stacked(M))[0])
-        rep = verdicts[0].report()
+        rep = next(verdicts).report()
         if not diag_residual <= UNIT_DIAG_TOL:
             raise DomainError(
                 "diagonal entries deviate from the unit", residual=diag_residual
             )
         details = {"diag_residual": diag_residual}
-        return rep.margin, _psd_witness(rep, m=M), details
-
-    drawn = _Drawn(((_unit_bound(M.shape, M.blocks), tol),), finish)
-    return _after_positive({"M": M}, tol, drawn)
+        outcomes.append((rep.margin, _psd_witness(rep, m=M), details))
+    return outcomes
 
 
 def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     """M o M >= (1/n) E_n for positive commutative M with unit diagonal."""
     t0 = time.perf_counter()
-    return _checked("unit_diagonal_bound", _unit_diag_check(M, tol), tol, t0)
+    return _single("unit_diagonal_bound", tol, t0, *_unit_diag_checks([M], tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +489,11 @@ def _points_json(shape: AlgebraShape, blocks) -> list | dict:
 
 
 def _require_commuting_points(shape: AlgebraShape, points) -> None:
-    """Raise ``DomainError`` in the first trial with a point that is not
-    self-adjoint, or else with a pair of points that do not commute, as that
-    trial raises alone. ``points`` holds one (T, count, k, k) stack per block:
-    one oracle call takes all the points as 1x1 matrices, and one
-    ``_commutators`` call all the pairs."""
+    """Raise ``DomainError`` at a point that is not self-adjoint, or else at a
+    pair of points that do not commute; a trial's first, in its order, so a
+    stack of one raises as that trial does. ``points`` holds one
+    (T, count, k, k) stack per block: one oracle call takes all the points as
+    1x1 matrices, and one ``_commutators`` call all the pairs."""
     T, count = points[0].shape[:2]
     flat = tuple(b.reshape(T * count, 1, 1, *b.shape[2:]) for b in points)
     try:
@@ -610,17 +520,15 @@ def _require_commuting_points(shape: AlgebraShape, points) -> None:
     bounds = COMMUTING_TOL * np.fmax(scale.reshape(T, count).max(axis=1), 1.0)
     pairs = list(combinations(range(count), 2))
     try:
-        comms = _commutators(points, pairs)
+        comms = _commutators(points, pairs).T
     except NumericalError:
-        # a solve that fails raises at its own pair, after the pairs before it
-        comms = (
-            (_commutators(tuple(b[t : t + 1] for b in points), [pair])[0, 0] for pair in pairs)
-            for t in range(T)
-        )
-    for bound, row in zip(bounds, comms):
-        for pair, c in zip(pairs, row):
-            if not c <= bound:
-                raise DomainError("elements do not commute", pair=pair, commutator=float(c))
+        # pair by pair, a solve that fails raises after the pairs before it
+        comms = (_commutators(points, [pair])[:, 0] for pair in pairs)
+    for pair, column in zip(pairs, comms):
+        ok = column <= bounds
+        if not ok.all():
+            c = float(column[ok.argmin()])
+            raise DomainError("elements do not commute", pair=pair, commutator=c)
 
 
 def _cosine_matrices(shape: AlgebraShape, z) -> tuple:
@@ -663,7 +571,7 @@ def _gram_residuals(A, cos_sin, y) -> np.ndarray:
     return _first_of(diffs, np.greater) / np.fmax(_first_of(scales, np.greater), 1.0)
 
 
-def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[_Drawn]:
+def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
     """The cosine-Gram check on each member of a stack of points, one (T, n, k, k)
     array per block, with the probe of member t drawn from generator t of ``gens``."""
     T, n = z[0].shape[:2]
@@ -685,9 +593,10 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[_Drawn]:
         np.broadcast_to(np.eye(k, dtype=complex), (T, n, k, k)).copy() for k in shape.blocks
     )
     residuals = [_gram_residuals(A, cos_sin, y) for y in (units, mixed)]
-
-    def finish(t, verdicts):
-        rep = verdicts[0].report()
+    verdicts = _psd_stack(A, tol)
+    outcomes = []
+    for t in range(T):
+        rep = verdicts.report(t)
         worst_residual = _largest(float(r[t]) for r in residuals)
         # the residual margin is rescaled so a single pass criterion
         # (margin >= -tol) enforces residual <= 1e-10
@@ -699,9 +608,8 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[_Drawn]:
                 "psd": rep.to_json(),
                 "gram_residual": worst_residual,
             }
-        return margin, witness, {"gram_residual": worst_residual}
-
-    return [_Drawn(((tuple(a[t] for a in A), tol),), partial(finish, t)) for t in range(T)]
+        outcomes.append((margin, witness, {"gram_residual": worst_residual}))
+    return outcomes
 
 
 def cosine_gram_check(
@@ -718,13 +626,13 @@ def cosine_gram_check(
     if not z:
         raise StructureError("need at least one point")
     stacks = tuple(s[None] for s in _element_stacks(z))
-    drawn = _cosine_gram(z[0].shape, stacks, tol, [np.random.default_rng(probe_seed)])
-    return _checked("cosine_gram", drawn[0], tol, t0)
+    gens = [np.random.default_rng(probe_seed)]
+    return _single("cosine_gram", tol, t0, *_cosine_gram(z[0].shape, stacks, tol, gens)[0])
 
 
-def _novak(shape: AlgebraShape, points, tol: float) -> tuple[tuple, list[_Drawn]]:
+def _novak(shape: AlgebraShape, points, tol: float) -> tuple[tuple, list[tuple]]:
     """The Novak matrices of a stack of point arrays, one (T, n, d, k, k) array
-    per block, and the drawn pipeline of ``novak_check`` on each member."""
+    per block, and the outcome of ``novak_check``'s pipeline on each member."""
     T, n, d = points[0].shape[:3]
     _require_commuting_points(shape, tuple(b.reshape(T, n * d, *b.shape[3:]) for b in points))
     # the half-angle cosine matrices of every column in one call, column first
@@ -734,12 +642,14 @@ def _novak(shape: AlgebraShape, points, tol: float) -> tuple[tuple, list[_Drawn]
         M = tuple(_schur_block(m, s[l]) for m, s in zip(M, steps))
     novak = _unit_bound(shape, M)
     diag_residuals = _diag_residual(M).tolist()
-
-    def finish(t, verdicts):
-        step_margins = [v.report().margin for v in verdicts[:d]]
-        rep_m = verdicts[d].report()
-        diag_residual = diag_residuals[t]
-        rep_final = verdicts[d + 1].report()
+    # per trial: the d cosine matrices, M, then the Novak matrix
+    mats = [*(tuple(s[l] for s in steps) for l in range(d)), M, novak]
+    verdicts = iter(_oracle([tuple(b[t] for b in m) for t in range(T) for m in mats], tol))
+    outcomes = []
+    for t, diag_residual in enumerate(diag_residuals):
+        step_margins = [next(verdicts).report().margin for _ in range(d)]
+        rep_m = next(verdicts).report()
+        rep_final = next(verdicts).report()
         margin = _worst([*step_margins, rep_m.margin, rep_final.margin])
         ok = (
             all(m >= -tol for m in step_margins)
@@ -761,12 +671,8 @@ def _novak(shape: AlgebraShape, points, tol: float) -> tuple[tuple, list[_Drawn]
             "diag_residual": diag_residual,
             "min_eigenvalue": rep_final.min_eigenvalue,
         }
-        return margin, witness, details
-
-    # per trial: the d cosine matrices, M, then the Novak matrix
-    mats = [*(tuple(s[l] for s in steps) for l in range(d)), M, novak]
-    requests = [tuple((tuple(b[t] for b in m), tol) for m in mats) for t in range(T)]
-    return novak, [_Drawn(r, partial(finish, t)) for t, r in enumerate(requests)]
+        outcomes.append((margin, witness, details))
+    return novak, outcomes
 
 
 def novak_check(
@@ -794,8 +700,8 @@ def novak_check(
         raise StructureError("point rows have unequal length")
     shape = rows[0][0].shape
     stacks = _element_stacks([p for r in rows for p in r])
-    novak, drawn = _novak(shape, tuple(s.reshape(1, n, d, *s.shape[1:]) for s in stacks), tol)
-    report = _checked("novak_conjecture", drawn[0], tol, t0)
+    novak, outcomes = _novak(shape, tuple(s.reshape(1, n, d, *s.shape[1:]) for s in stacks), tol)
+    report = _single("novak_conjecture", tol, t0, *outcomes[0])
     return AMatrix._wrap(shape, n, tuple(b[0] for b in novak)), report
 
 
@@ -871,23 +777,37 @@ def check_trig_identities(
     witness = None
     if not margin >= -tol:
         witness = {"x": x.to_json(), "y": y.to_json(), "residuals": residuals}
-    return _single("trig_identities", margin, tol, witness, details, t0)
+    return _single("trig_identities", tol, t0, margin, witness, details)
 
 
-def _preserver(series: SeriesSpec, M: AMatrix, tol: float, report_both: bool) -> _Drawn:
-    if not M.shape.is_commutative:
+def _preservers(instances: list[tuple], tol: float, report_both: bool) -> list[tuple]:
+    """The preserver check on each (series, M): (margin, witness, details)."""
+    if not instances[0][1].shape.is_commutative:
         raise DomainError("the preserver check needs a commutative algebra")
-    coefficients = series.coefficients
-    applied = schur_series_apply(series, M, constant="identity")
-    mats = [applied]
-    if report_both:
-        mats.append(schur_series_apply(series, M, constant="ones"))
-
-    def finish_applied(verdicts):
-        rep = verdicts[0].report()
+    mats = []
+    for series, M in instances:
+        mats += [M, schur_series_apply(series, M, constant="identity")]
+        if report_both:
+            mats.append(schur_series_apply(series, M, constant="ones"))
+    # classify's verdict on a coefficient a is the one on the 1x1 matrix [a]
+    entries = [tuple(b[None, None] for b in a.blocks) for s, _ in instances for a in s.coefficients]
+    coefficients = iter(_oracle(entries, tol))
+    verdicts = iter(_oracle([X.blocks for X in mats], tol))
+    outcomes = []
+    for series, M in instances:
+        for q in range(len(series.coefficients)):
+            rep = next(coefficients).spectrum()
+            if not rep.is_positive:
+                raise DomainError(
+                    "series coefficient is not positive",
+                    index=q,
+                    min_spectrum=rep.min_spectrum,
+                )
+        _require_positive("M", next(verdicts))
+        rep = next(verdicts).report()
         details = {"degree": series.degree}
         if report_both:
-            rep_ones = verdicts[1].report()
+            rep_ones = next(verdicts).report()
             details["ones_convention"] = {
                 "is_positive": rep_ones.is_positive,
                 "margin": rep_ones.margin,
@@ -895,24 +815,8 @@ def _preserver(series: SeriesSpec, M: AMatrix, tol: float, report_both: bool) ->
         witness = _psd_witness(rep, m=M)
         if witness is not None:
             witness["series"] = series.to_json()
-        return rep.margin, witness, details
-
-    drawn = _Drawn(tuple(_psd_request(X, tol) for X in mats), finish_applied)
-    drawn = _after_positive({"M": M}, tol, drawn)
-
-    def finish(verdicts):
-        for q, verdict in enumerate(verdicts[: len(coefficients)]):
-            rep = verdict.spectrum()
-            if not rep.is_positive:
-                raise DomainError(
-                    "series coefficient is not positive",
-                    index=q,
-                    min_spectrum=rep.min_spectrum,
-                )
-        return drawn.finish(verdicts[len(coefficients):])
-
-    requests = tuple(_spectrum_request(a, tol) for a in coefficients)
-    return _Drawn((*requests, *drawn.requests), finish)
+        outcomes.append((rep.margin, witness, details))
+    return outcomes
 
 
 def check_preserver(
@@ -928,54 +832,57 @@ def check_preserver(
     all-units-matrix convention is evaluated as well and recorded.
     """
     t0 = time.perf_counter()
-    drawn = _preserver(series, M, tol, report_both)
-    return _checked("schur_series_preserver", drawn, tol, t0)
+    outcome = _preservers([(series, M)], tol, report_both)[0]
+    return _single("schur_series_preserver", tol, t0, *outcome)
 
 
-def _commuting_spectral(data: tuple, tol: float) -> _Drawn:
-    """The check on (M, N, U, V, lam, mu) drawn as ``random_commuting_spectral_pair`` draws it."""
-    M, N, U, V, lam, mu = data
-    n = M.n
-    ident = identity_matrix(M.shape, n)
-    unitary_residual = _largest(
-        (mat_norm(U @ U.adjoint() - ident), mat_norm(V @ V.adjoint() - ident))
-    )
-    # each norm is taken once, after its reconstruction defect, and reused below
-    (defect_m, norm_m), (defect_n, norm_n) = (
-        (mat_norm(X - W @ diag_matrix(d) @ W.adjoint()), mat_norm(X))
-        for X, W, d in ((M, U, lam), (N, V, mu))
-    )
-    recon_residual = _largest((defect_m / max(1.0, norm_m), defect_n / max(1.0, norm_n)))
-    sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
-    if n > 1:
-        sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
-    stacks = tuple(s[None] for s in _element_stacks(sample))
-    comm = _largest(_commutators(stacks, list(combinations(range(len(sample)), 2)))[0].tolist())
-    hypothesis_ok = (
-        unitary_residual <= UNITARY_TOL
-        and recon_residual <= RECONSTRUCTION_TOL
-        and comm <= FAMILY_COMMUTING_TOL * max(1.0, norm_m, norm_n)
-    )
-    residuals = {
-        "unitary_residual": unitary_residual,
-        "reconstruction_residual": recon_residual,
-    }
-    mats = {"m": M, "n": N, "product": schur_product(M, N)}
-
-    def finish(verdicts):
-        reports = {k: v.report() for k, v in zip(mats, verdicts)}
+def _commuting_spectral(instances: list[tuple], tol: float) -> list[tuple]:
+    """The check on each (M, N, U, V, lam, mu) drawn as
+    ``random_commuting_spectral_pair`` draws it: (margin, witness, details)."""
+    checked = []
+    for M, N, U, V, lam, mu in instances:
+        n = M.n
+        ident = identity_matrix(M.shape, n)
+        unitary_residual = _largest(
+            (mat_norm(U @ U.adjoint() - ident), mat_norm(V @ V.adjoint() - ident))
+        )
+        # each norm is taken once, after its reconstruction defect, and reused below
+        (defect_m, norm_m), (defect_n, norm_n) = (
+            (mat_norm(X - W @ diag_matrix(d) @ W.adjoint()), mat_norm(X))
+            for X, W, d in ((M, U, lam), (N, V, mu))
+        )
+        recon_residual = _largest((defect_m / max(1.0, norm_m), defect_n / max(1.0, norm_n)))
+        sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
+        if n > 1:
+            sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
+        stacks = tuple(s[None] for s in _element_stacks(sample))
+        comm = _largest(_commutators(stacks, list(combinations(range(len(sample)), 2)))[0].tolist())
+        hypothesis_ok = (
+            unitary_residual <= UNITARY_TOL
+            and recon_residual <= RECONSTRUCTION_TOL
+            and comm <= FAMILY_COMMUTING_TOL * max(1.0, norm_m, norm_n)
+        )
+        residuals = {
+            "unitary_residual": unitary_residual,
+            "reconstruction_residual": recon_residual,
+        }
+        mats = {"m": M, "n": N, "product": schur_product(M, N)}
+        checked.append((residuals, comm, hypothesis_ok, mats))
+    verdicts = iter(_oracle([X.blocks for *_, mats in checked for X in mats.values()], tol))
+    outcomes = []
+    for residuals, comm, hypothesis_ok, mats in checked:
+        reports = {k: next(verdicts).report() for k in mats}
         margin = _worst([r.margin for r in reports.values()])
         witness = None
         if not (hypothesis_ok and all(r.is_positive for r in reports.values())):
             witness = {
-                **_matrix_payload(m=M, n=N),
+                **_matrix_payload(m=mats["m"], n=mats["n"]),
                 "psd": {k: r.to_json() for k, r in reports.items()},
                 **residuals,
                 "commutator": comm,
             }
-        return margin, witness, {**residuals, "max_commutator": comm}
-
-    return _Drawn(tuple(_psd_request(X, tol) for X in mats.values()), finish)
+        outcomes.append((margin, witness, {**residuals, "max_commutator": comm}))
+    return outcomes
 
 
 def check_commuting_spectral_instance(
@@ -989,8 +896,8 @@ def check_commuting_spectral_instance(
     positive. Over commutative shapes this reduces to plain Schur positivity.
     """
     t0 = time.perf_counter()
-    drawn = _commuting_spectral(tuple(random_commuting_spectral_pair(cfg).values()), tol)
-    return _checked("commuting_spectral_schur", drawn, tol, t0)
+    instance = tuple(random_commuting_spectral_pair(cfg).values())
+    return _single("commuting_spectral_schur", tol, t0, *_commuting_spectral([instance], tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1025,36 +932,27 @@ def _chunk_size(cfg: GenConfig) -> int:
     return max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
 
 
-def _run_trials(draw, count: int, size: int) -> list:
+def _run_trials(evaluate, count: int, size: int) -> list:
     """The outcomes of trials 0 .. count - 1, ``size`` trials at a time.
 
-    ``draw(trials)`` returns a ``_Drawn`` for each trial of a range. A chunk's
-    requests are certified together (``_certify``), then its trials finished in
-    order. An outcome is ``(margin, witness, *extras)``; each witness gets the
-    key ``trial``. When a chunk's draw raises, its trials are drawn again as
-    stacks of one up to the first that raises, and the trials before it are
-    finished first, so the error raised is the first in trial order.
+    ``evaluate(trials)`` returns the outcome ``(margin, witness, *extras)`` of
+    each trial of a range; each witness gets the key ``trial``. When a chunk
+    raises, its trials are evaluated again one at a time, in order: the first
+    that raises alone raises, and if none does, the chunk's error is raised.
     """
     outcomes = []
     for first in range(0, count, size):
-        chunk, drawn, error = range(first, min(first + size, count)), [], None
+        chunk = range(first, min(first + size, count))
         try:
-            drawn = draw(chunk)
+            found = evaluate(chunk)
         except Exception:
             for t in chunk:
-                try:
-                    drawn += draw(range(t, t + 1))
-                except Exception as exc:
-                    error = exc
-                    break
-        verdicts = _certify([d.requests for d in drawn])
-        for t, (d, v) in enumerate(zip(drawn, verdicts), first):
-            margin, witness, *extras = d.finish(v)
+                evaluate(range(t, t + 1))
+            raise
+        for t, (margin, witness, *extras) in enumerate(found, first):
             if witness is not None:
                 witness = {**witness, "trial": t}
             outcomes.append((margin, witness, *extras))
-        if error is not None:
-            raise error
     return outcomes
 
 
@@ -1129,21 +1027,23 @@ def _margin_histogram(margins: list[float]) -> dict:
     return {"edges": list(MARGIN_BIN_EDGES), "counts": counts.tolist(), "nan": int(nan.sum())}
 
 
-def _pairs(cfg: GenConfig, trials):
-    """(M blocks, N blocks, seeds) of the given trials, stacked; trial 0 is
-    the deterministic witness and comes alone.
-
-    Trial t >= 1 draws M and N as ``random_positive_matrix`` on
-    ``cfg.derive(t).derive(0)`` and ``.derive(1)``, through its chunk form,
-    as the suite trials draw.
-    """
-    if trials[0] == 0:
-        M, N = jordan_witness(cfg.shape, cfg.n)
-        return _stacked(M), _stacked(N), [cfg.seed]
+def _random_pairs(cfg: GenConfig, trials):
+    """(M blocks, N blocks, seeds) of the given trials, stacked: trial t draws
+    M and N as ``random_positive_matrix`` on ``cfg.derive(t).derive(0)`` and
+    ``.derive(1)``, through its chunk form."""
     seeds = _seeds(cfg, trials)
     # every derive(t, 0), then every derive(t, 1): the halves are M's and N's blocks
     _, grams = _positive_stack(cfg, _Streams(_mix64s(seeds, [[0], [1]]).ravel()))
     return (*zip(*(np.split(b, 2) for b in grams)), seeds.tolist())
+
+
+def _pairs(cfg: GenConfig, trials):
+    """The pairs of the search's trials as ``_random_pairs``; trial 0 is the
+    deterministic witness and comes alone."""
+    if trials[0] == 0:
+        M, N = jordan_witness(cfg.shape, cfg.n)
+        return _stacked(M), _stacked(N), [cfg.seed]
+    return _random_pairs(cfg, trials)
 
 
 def _search_chunks(cfg: GenConfig, trials: int):
@@ -1375,125 +1275,113 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# suite trials: the instances of a range of trials of a check, drawn a chunk at
-# a time; instance t comes from the substream base.derive(t)
+# suite trials: the outcomes of a range of trials of a check, drawn and
+# evaluated a chunk at a time; instance t comes from the substream base.derive(t)
 # ---------------------------------------------------------------------------
 
 
-def _each(fn, base, trials, *values) -> list:
-    """``fn(seed, *members)`` of each trial: its seed and its member of each list of values."""
-    return [fn(*args) for args in zip(_seeds(base, trials).tolist(), *values)]
-
-
-def _schur_pairs(base, trials):
-    """The Ms and the Ns of the trials' Schur pairs, from ``base.derive(t, 0)`` and ``(t, 1)``."""
-    pairs = _drawn(base, trials, _positive_stack, range(2))
-    return [M for _, M in pairs[0::2]], [M for _, M in pairs[1::2]]
-
-
 def _trial_schur(base, trials, o):
-    def one(seed, M, N):
-        drawn = _schur_positivity(M, N, o.tol)
-        return drawn.then(lambda rep, witness: (rep.margin, _seeded(witness, seed)))
-
-    return _each(one, base, trials, *_schur_pairs(base, trials))
+    m_blocks, n_blocks, seeds = _random_pairs(base, trials)
+    product, verdicts = _schur_stack(m_blocks, n_blocks, o.tol)
+    outcomes = []
+    for i, seed in enumerate(seeds):
+        rep = verdicts.report(i)
+        witness = None
+        if not rep.is_positive:
+            witness = _schur_witness(base.shape, i, m_blocks, n_blocks, product, rep)
+        outcomes.append((rep.margin, _seeded(witness, seed)))
+    return outcomes
 
 
 def _trial_spectral(base, trials, o):
-    drawn = _drawn(base, trials, _spectral_pair_stack)
-    return [_commuting_spectral(data, o.tol).then(_outcome) for data in drawn]
+    instances = _drawn(base, trials, _spectral_pair_stack)
+    return [(margin, witness) for margin, witness, _ in _commuting_spectral(instances, o.tol)]
 
 
 def _trial_trace_form(base, trials, o):
-    def one(seed, M, N, x):
+    m_blocks, n_blocks, seeds = _random_pairs(base, trials)
+    vectors = _drawn(base, trials, _gaussian_stack, 2, cls=AVector)
+    outcomes = []
+    for seed, (M, N), x in zip(seeds, _members(base.shape, (m_blocks, n_blocks)), vectors):
         direct, trace_form = schur_quadratic_form_oracle(M, N, x)
         residual = (direct - trace_form).norm() / max(1.0, direct.norm())
         witness = None
         if residual > ORACLE_TOL:
             witness = {"seed": seed, "residual": residual}
-        return _done(-residual, witness)
-
-    x = _drawn(base, trials, _gaussian_stack, 2, cls=AVector)
-    return _each(one, base, trials, *_schur_pairs(base, trials), x)
+        outcomes.append((-residual, witness))
+    return outcomes
 
 
 def _trial_oracle(base, trials, o):
     # kinds 0 and 1 draw a matrix from the trial's stream, kind 2 a vector
     pairs = iter(_drawn(base, [t for t in trials if t % 3 < 2], _positive_stack))
     vectors = iter(_drawn(base, [t for t in trials if t % 3 == 2], _gaussian_stack, cls=AVector))
-
-    def one(seed, t):
-        kind = t % 3
-        if kind == 0:
-            inst = next(pairs)[1]
-        elif kind == 1:
-            R = next(pairs)[0]
-            inst = 0.5 * (R + R.adjoint())
+    instances = []
+    for t in trials:
+        if t % 3 == 2:
+            instances.append(outer_product(next(vectors)))
         else:
-            inst = outer_product(next(vectors))
-
-        def finish(verdicts):
-            eig_rep = verdicts[0].report()
-            chol_rep = cholesky_psd_check(inst, o.tol)
-            agree = eig_rep.is_positive == chol_rep.is_positive
-            witness = None
-            if not agree:
-                witness = {
-                    "seed": seed,
-                    "kind": kind,
-                    "eig": eig_rep.to_json(),
-                    "cholesky": chol_rep.to_json(),
-                }
-            return (0.0 if agree else -1.0), witness
-
-        return _Drawn((_psd_request(inst, o.tol),), finish)
-
-    return _each(one, base, trials, trials)
+            R, M = next(pairs)
+            instances.append(M if t % 3 == 0 else 0.5 * (R + R.adjoint()))
+    verdicts = _oracle([inst.blocks for inst in instances], o.tol)
+    outcomes = []
+    for seed, t, inst, verdict in zip(_seeds(base, trials).tolist(), trials, instances, verdicts):
+        eig_rep = verdict.report()
+        chol_rep = cholesky_psd_check(inst, o.tol)
+        agree = eig_rep.is_positive == chol_rep.is_positive
+        witness = None
+        if not agree:
+            witness = {
+                "seed": seed,
+                "kind": t % 3,
+                "eig": eig_rep.to_json(),
+                "cholesky": chol_rep.to_json(),
+            }
+        outcomes.append((0.0 if agree else -1.0, witness))
+    return outcomes
 
 
 def _trial_row_sum(base, trials, o):
     # the bound never uses positivity of A, so alternate between positive
     # and general inputs and record the split
-    def one(seed, t, pair):
-        A = pair[1] if t % 2 == 0 else pair[0]
-        return _row_sum_bound(A, o.tol).then(
-            lambda rep, witness, positive: (
-                rep.margin, _seeded(witness, seed), {"inputs_positive": positive}
-            )
-        )
-
-    return _each(one, base, trials, trials, _drawn(base, trials, _positive_stack))
+    pairs = _drawn(base, trials, _positive_stack)
+    As = [pair[1] if t % 2 == 0 else pair[0] for t, pair in zip(trials, pairs)]
+    bounds = zip(_seeds(base, trials).tolist(), _row_sum_bounds(As, o.tol))
+    return [
+        (rep.margin, _seeded(witness, seed), {"inputs_positive": positive})
+        for seed, (rep, witness, positive) in bounds
+    ]
 
 
 def _trial_chain(base, trials, o):
     drawn = _drawn(base, trials, _gaussian_stack, range(2), cls=AMatrix)
-    return [_schur_chain(a, b, o.tol).then(_outcome) for a, b in zip(drawn[0::2], drawn[1::2])]
+    chains = _schur_chains(list(zip(drawn[0::2], drawn[1::2])), o.tol)
+    return [(margin, witness) for margin, witness, _ in chains]
 
 
 def _trial_diag(base, trials, o):
-    return [_diag_check(M, o.tol).then(_outcome) for _, M in _drawn(base, trials, _positive_stack)]
+    Ms = [M for _, M in _drawn(base, trials, _positive_stack)]
+    return [(rep.margin, witness) for rep, witness in _diag_bounds(Ms, o.tol, positive=True)]
 
 
 def _trial_unit_diag(base, trials, o):
-    drawn = _drawn(base, trials, _unit_diagonal_stack)
-    return [_unit_diag_check(M, o.tol).then(_outcome) for M in drawn]
+    Ms = _drawn(base, trials, _unit_diagonal_stack)
+    return [(margin, witness) for margin, witness, _ in _unit_diag_checks(Ms, o.tol)]
 
 
 def _trial_diag_probe(base, trials, o):
     # complex entries break the a = a* step of the diagonal-bound argument;
     # record how often without asserting anything
-    def one(seed, pair):
-        drawn = _diag_bound(pair[1], o.tol)
-        return drawn.then(lambda rep, witness: (rep.margin, _seeded(witness, seed)))
-
-    return _each(one, base, trials, _drawn(base, trials, _positive_stack))
+    Ms = [M for _, M in _drawn(base, trials, _positive_stack)]
+    bounds = zip(_seeds(base, trials).tolist(), _diag_bounds(Ms, o.tol))
+    return [(rep.margin, _seeded(witness, seed)) for seed, (rep, witness) in bounds]
 
 
 def _trial_novak(base, trials, o):
     n, d = base.n, o.d
     points = _commuting_points(base, trials, n * d, range(n), range(d))
     points = tuple(p.reshape(len(p), n, d, *p.shape[2:]) for p in points)
-    return [drawn.then(_outcome) for drawn in _novak(base.shape, points, o.tol)[1]]
+    return [(margin, witness) for margin, witness, _ in _novak(base.shape, points, o.tol)[1]]
 
 
 def _trial_cosine_gram(base, trials, o):
@@ -1501,7 +1389,7 @@ def _trial_cosine_gram(base, trials, o):
     # check's comes from probe_seed
     z = _commuting_points(base, trials, base.n, range(base.n))
     gens = _Streams(_seeds(base, trials))
-    return [drawn.then(_outcome) for drawn in _cosine_gram(base.shape, z, o.tol, gens)]
+    return [(margin, witness) for margin, witness, _ in _cosine_gram(base.shape, z, o.tol, gens)]
 
 
 def _trial_trig(base, trials, o):
@@ -1511,7 +1399,7 @@ def _trial_trig(base, trials, o):
     else:
         pairs = _drawn(base, trials, _family_stack, count=2, selfadjoint=True, norm_cap=5.0)
     reports = (check_trig_identities(x, y, TRIG_TOL) for x, y in pairs)
-    return [_done(r.worst_margin, r.witness) for r in reports]
+    return [(r.worst_margin, r.witness) for r in reports]
 
 
 def _trial_preserver(base, trials, o):
@@ -1521,63 +1409,63 @@ def _trial_preserver(base, trials, o):
     index = [(s, q + 1) for s, degree in zip(seeds.tolist(), degrees) for q in range(degree + 1)]
     gens = _Streams(_mix64s(*zip(*index)))
     coeffs = iter(_members(base.shape, _gaussian_stack(base, gens, Element)))
-
-    def one(seed, degree, pair):
-        series = SeriesSpec(tuple(g * g.adjoint() for g in islice(coeffs, degree + 1)))
-        return _preserver(series, pair[1], o.tol, o.entrywise_constant).then(_outcome)
-
-    return _each(one, base, trials, degrees, _drawn(base, trials, _positive_stack, 0))
+    instances = [
+        (SeriesSpec(tuple(g * g.adjoint() for g in islice(coeffs, degree + 1))), pair[1])
+        for degree, pair in zip(degrees, _drawn(base, trials, _positive_stack, 0))
+    ]
+    outcomes = _preservers(instances, o.tol, o.entrywise_constant)
+    return [(margin, witness) for margin, witness, _ in outcomes]
 
 
 def _trial_cauchy_schwarz(base, trials, o):
-    def one(seed, x, y):
-        gap = cauchy_schwarz_gap(x, y)
-
-        def finish(verdicts):
-            rep = verdicts[0].spectrum()
-            margin = rep.min_spectrum / max(1.0, gap.norm())
-            witness = None
-            if margin < -o.tol or not rep.is_selfadjoint:
-                witness = {
-                    "seed": seed,
-                    "x": x.to_json(),
-                    "y": y.to_json(),
-                    "min_spectrum": rep.min_spectrum,
-                }
-            return margin, witness
-
-        return _Drawn((_spectrum_request(gap, o.tol),), finish)
-
     vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
-    return _each(one, base, trials, vectors[0::2], vectors[1::2])
+    pairs = list(zip(vectors[0::2], vectors[1::2]))
+    gaps = [cauchy_schwarz_gap(x, y) for x, y in pairs]
+    # classify's verdict on a gap is the one on the 1x1 matrix [gap]
+    verdicts = _psd_stack(tuple(s[:, None, None] for s in _element_stacks(gaps)), o.tol)
+    outcomes = []
+    for i, (seed, (x, y), gap) in enumerate(zip(_seeds(base, trials).tolist(), pairs, gaps)):
+        rep = verdicts.spectrum(i)
+        margin = rep.min_spectrum / max(1.0, gap.norm())
+        witness = None
+        if margin < -o.tol or not rep.is_selfadjoint:
+            witness = {
+                "seed": seed,
+                "x": x.to_json(),
+                "y": y.to_json(),
+                "min_spectrum": rep.min_spectrum,
+            }
+        outcomes.append((margin, witness))
+    return outcomes
 
 
 def _trial_axioms(base, trials, o):
-    def one(seed, x, y, a):
+    vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
+    elements = _drawn(base, trials, _gaussian_stack, 2, cls=Element)
+    residuals = []
+    for x, y, a in zip(vectors[0::2], vectors[1::2], elements):
         sym_res = (inner_product(x, y) - inner_product(y, x).adjoint()).norm()
         lin_res = (
             inner_product(left_mul(a, x), y) - a * inner_product(x, y)
         ).norm()
         scale = max(1.0, a.norm() * inner_product(x, y).norm())
-        xx = inner_product(x, x)
-
-        def finish(verdicts):
-            pos_rep = verdicts[0].spectrum()
-            margin = _worst([
-                -sym_res / scale,
-                -lin_res / scale,
-                pos_rep.min_spectrum / max(1.0, xx.norm()),
-            ])
-            witness = None
-            if margin < -AXIOM_TOL:
-                witness = {"seed": seed, "sym": sym_res, "lin": lin_res}
-            return margin, witness
-
-        return _Drawn((_spectrum_request(xx, o.tol),), finish)
-
-    vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
-    elements = _drawn(base, trials, _gaussian_stack, 2, cls=Element)
-    return _each(one, base, trials, vectors[0::2], vectors[1::2], elements)
+        residuals.append((sym_res, lin_res, scale, inner_product(x, x)))
+    xxs = [xx for *_, xx in residuals]
+    verdicts = _psd_stack(tuple(s[:, None, None] for s in _element_stacks(xxs)), o.tol)
+    seeds = _seeds(base, trials).tolist()
+    outcomes = []
+    for i, (sym_res, lin_res, scale, xx) in enumerate(residuals):
+        pos_rep = verdicts.spectrum(i)
+        margin = _worst([
+            -sym_res / scale,
+            -lin_res / scale,
+            pos_rep.min_spectrum / max(1.0, xx.norm()),
+        ])
+        witness = None
+        if margin < -AXIOM_TOL:
+            witness = {"seed": seeds[i], "sym": sym_res, "lin": lin_res}
+        outcomes.append((margin, witness))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -559,6 +559,45 @@ def test_size_limit_is_on_n_times_the_largest_block():
             _validate_size(bad)
 
 
+def test_point_limit_is_on_n_times_d():
+    import argparse
+
+    from cstar_schur.cli import MAX_POINTS, _validate_points, _validate_size
+
+    _validate_points(MAX_POINTS)
+    with pytest.raises(StructureError, match=f"{MAX_POINTS + 1} points per instance"):
+        _validate_points(MAX_POINTS + 1)
+
+    def args(n, d, **suite):
+        return argparse.Namespace(shape="2", n=n, d=d, **suite)
+
+    for ok in (args(2, MAX_POINTS // 2), args(1, MAX_POINTS, suite="novak"),
+               args(2, MAX_POINTS, suite="schur")):
+        _validate_size(ok)
+    for bad in (args(2, MAX_POINTS // 2 + 1), args(MAX_POINTS, 2, suite="all")):
+        with pytest.raises(StructureError):
+            _validate_size(bad)
+
+
+@pytest.mark.parametrize("command", [["verify", "--suite", "novak"], ["novak", "--random"]])
+def test_too_many_points_is_usage_error(command, capsys):
+    # rejected before the (n d)^2 / 2 commuting pairs are formed
+    argv = [*command, "--shape", "2", "--n", "2", "--trials", "2", "--d", "100000"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "200000 points per instance (n * d) exceed the limit" in captured.err
+
+
+def test_points_file_over_the_point_limit_is_usage_error(tmp_path, capsys):
+    from cstar_schur.cli import MAX_POINTS
+
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"algebra": [1], "points": [[0.0] * (MAX_POINTS + 1)]}))
+    assert run(["novak", "--points", str(f)]) == 2
+    assert "points per instance (n * d) exceed the limit" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("trials", ["0", "1"])
 @pytest.mark.parametrize("suite", ["all", "schur"])
 @pytest.mark.parametrize("shape", ["1,1", "2"])

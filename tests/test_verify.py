@@ -775,7 +775,7 @@ def test_grid_catalogue_is_pinned():
 @pytest.mark.parametrize("nan_at", [0, 4])
 def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
     def trial(base, trials, opts):
-        return [verify._done(math.nan if t == nan_at else -1.0, None) for t in trials]
+        return [(math.nan if t == nan_at else -1.0, None) for t in trials]
 
     check = verify.Check("nan_margins", "none", trial)
     opts = verify._Options(trials=5, d=2, tol=1e-9, entrywise_constant=False, points=None)
@@ -823,7 +823,7 @@ def test_stacked_trials_equal_each_trial_alone(check, cfg):
 
     alone = []
     for t in range(OPTS.trials):
-        margin, witness, *_ = verify._alone(draw(range(t, t + 1))[0])
+        margin, witness, *_ = draw(range(t, t + 1))[0]
         alone.append((margin, None if witness is None else {**witness, "trial": t}))
     for size in (verify._chunk_size(base), 4):
         stacked = [o[:2] for o in verify._run_trials(draw, OPTS.trials, size)]
@@ -891,11 +891,7 @@ def test_failing_chunk_draw_is_redrawn_trial_by_trial():
     def trial(base, trials, opts):
         elements = [np.full((1, 2, 2), np.nan if t == 3 else 1.0, complex) for t in trials]
         generate._capped((np.concatenate(elements),), 1.0)
-
-        def drawn(t):
-            return verify._Drawn((), lambda verdicts: (finished.append(t), (-1.0, None))[1])
-
-        return [drawn(t) for t in trials]
+        return [(finished.append(t), (-1.0, None))[1] for t in trials]
 
     check = verify.Check("capped", "none", trial)
     base = check.base(GenConfig(seed=0, shape=M2, n=2))
@@ -915,17 +911,13 @@ def test_draw_error_is_raised_after_the_earlier_trials_finish(finish_error_at):
     def trial(base, trials, opts):
         if 3 in trials:
             raise NumericalError("draw 3")
-
-        def drawn(t):
-            def finish(verdicts):
-                finished.append(t)
-                if t == finish_error_at:
-                    raise DomainError("finish 1")
-                return -1.0, None
-
-            return verify._Drawn((), finish)
-
-        return [drawn(t) for t in trials]
+        outcomes = []
+        for t in trials:
+            finished.append(t)
+            if t == finish_error_at:
+                raise DomainError("finish 1")
+            outcomes.append((-1.0, None))
+        return outcomes
 
     check = verify.Check("ordered", "none", trial)
     # an earlier trial's finish error beats a later trial's draw error
@@ -933,6 +925,34 @@ def test_draw_error_is_raised_after_the_earlier_trials_finish(finish_error_at):
     with pytest.raises(error):
         check.report(GenConfig(seed=0, shape=SCALAR, n=2), OPTS)
     assert finished == ([0, 1] if finish_error_at is not None else [0, 1, 2])
+
+
+@pytest.mark.parametrize("positivity_at, algebra_at", [(2, 3), (3, 2)])
+def test_chunk_error_gives_way_to_the_first_trial_that_raises_alone(positivity_at, algebra_at):
+    # trial algebra_at draws a NaN element, so the chunk's norm cap raises
+    # NumericalError before any verdict is read; trial positivity_at asks for
+    # a matrix that is not positive, a DomainError in the trial loop
+    good = identity_matrix(M2, 2)
+
+    def trial(base, trials, opts):
+        elements = [np.full((1, 2, 2), np.nan if t == algebra_at else 1.0, complex) for t in trials]
+        generate._capped((np.concatenate(elements),), 1.0)
+        mats = [(-1.0 * good if t == positivity_at else good).blocks for t in trials]
+        outcomes = []
+        for verdict in verify._oracle(mats, opts.tol):
+            verify._require_positive("M", verdict)
+            outcomes.append((0.0, None))
+        return outcomes
+
+    check = verify.Check("first_alone", "none", trial)
+    base = check.base(GenConfig(seed=0, shape=M2, n=2))
+    error, match = (
+        (DomainError, "M is not positive") if positivity_at < algebra_at
+        else (NumericalError, "SVD did not converge")
+    )
+    for size in (verify._chunk_size(base), 4):
+        with pytest.raises(error, match=match):
+            verify._run_trials(lambda trials: check.trial(base, trials, OPTS), OPTS.trials, size)
 
 
 def test_failing_solve_in_a_stack_is_rerun_member_by_member():
@@ -944,21 +964,19 @@ def test_failing_solve_in_a_stack_is_rerun_member_by_member():
     read = []
 
     def trial(base, trials, opts):
-        def drawn(t):
-            M = bad if t == 2 else good
-
-            def finish(verdicts):
-                read.append(t)
-                return verdicts[0].report().margin, None
-
-            return verify._Drawn((verify._psd_request(M, opts.tol),), finish)
-
-        return [drawn(t) for t in trials]
+        mats = [(bad if t == 2 else good).blocks for t in trials]
+        outcomes = []
+        for t, verdict in zip(trials, verify._oracle(mats, opts.tol)):
+            read.append(t)
+            outcomes.append((verdict.report().margin, None))
+        return outcomes
 
     check = verify.Check("solve", "none", trial)
     with pytest.raises(NumericalError, match="SVD did not converge"):
-        check.report(cfg, OPTS)
+        check.trial(check.base(cfg), range(OPTS.trials), OPTS)
     assert read == [0, 1, 2]
+    with pytest.raises(NumericalError, match="SVD did not converge"):
+        check.report(cfg, OPTS)
     verdicts = verify._oracle([good.blocks, bad.blocks, good.blocks], 1e-9)
     assert [v.error is None for v in verdicts] == [True, False, True]
     assert verdicts[2].report() == psd_check(good)
@@ -1085,8 +1103,9 @@ def test_stacked_hypothesis_raises_the_first_failing_trial_alone(check_id, fault
         finished = []
 
         def draw(trials):
-            drawn = check.trial(base, trials, OPTS)
-            return [d.then(lambda *out, t=t: (finished.append(t), out)[1]) for t, d in zip(trials, drawn)]
+            outcomes = check.trial(base, trials, OPTS)
+            finished.extend(trials)
+            return outcomes
 
         with pytest.raises(DomainError) as stacked:
             verify._run_trials(draw, OPTS.trials, size)
