@@ -58,7 +58,9 @@ MAX_FLAT_SIZE = 8192
 # The n d points of a Novak instance make (n d)(n d - 1)/2 pairs, whose
 # commutators are formed in one stacked call: about 350 bytes a pair for one
 # trial (peak RSS 278 MB at 1200 points over M_2), so n d <= 2048 keeps one
-# trial within 1 GiB. Each further trial of a chunk adds about 250 bytes a pair.
+# trial within 1 GiB. The other trials of a chunk take later calls when their
+# pairs exceed verify._COMMUTATOR_PAIRS, so a chunk peaks near one trial
+# (147 MB at 800 points over M_2, with 1 trial or 4).
 MAX_POINTS = 2048
 
 
@@ -565,7 +567,8 @@ def build_parser(default_tol: float | None = None) -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--entrywise-constant",
         action="store_true",
-        help="also report the all-units convention for zeroth Schur powers",
+        help="mark the preserver report with entrywise_constant_reported; "
+        "the all-units convention for zeroth Schur powers is not evaluated",
     )
     p_verify.add_argument(
         "--points",

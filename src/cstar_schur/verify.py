@@ -41,16 +41,20 @@ group of equal block shapes, then reads each instance's verdicts in order; a
 requirement such as "M is positive" raises ``DomainError`` there. The public
 ``check_*`` function is the evaluator on a list of one, and the trial draws
 a chunk with ``generate``'s chunk forms (``_drawn``) and calls the same
-evaluator. To add a check, write these three and a table entry.
+evaluator. To add a check, write these three and a table entry. The trig
+check's evaluator, ``_trig_identities``, takes every sine and cosine of a
+chunk in two ``_sin_cos`` calls; its ``falsify`` form is the outcome of a
+``find_trig_breakdown`` trial.
 
 ``_run_trials`` evaluates a check's trials a chunk at a time. numpy's stacked
 linalg gives each member the bits it gets alone, so every report is the one
 that running each trial alone gives. When a chunk raises, its trials are
 evaluated again one at a time, in order: the first that raises alone raises,
 and if none does, the chunk's error is raised. The Novak suite's algebra is
-stacked too: one oracle call and one commutator call for the hypotheses, one
-``_trig_stack`` call per set of cosines, and Schur products, diagonal
-residuals and probe Gram residuals on (T, count, k, k) point stacks.
+stacked too: one oracle call and one commutator call per slice of trials
+(``_COMMUTATOR_PAIRS``) for the hypotheses, one ``_trig_stack`` call per set
+of cosines, and Schur products, diagonal residuals and probe Gram residuals
+on (T, count, k, k) point stacks.
 ``find_nonassociativity`` and ``find_trig_breakdown`` run their trials one
 after another, up to the first witness.
 
@@ -488,12 +492,18 @@ def _points_json(shape: AlgebraShape, blocks) -> list | dict:
     return [_points_json(shape, tuple(b[i] for b in blocks)) for i in range(len(blocks[0]))]
 
 
+# Trials x pairs of one ``_commutators`` call in ``_require_commuting_points``,
+# unless one trial has more pairs: about 250 bytes each over M_2, so about 16 MB.
+_COMMUTATOR_PAIRS = 1 << 16
+
+
 def _require_commuting_points(shape: AlgebraShape, points) -> None:
     """Raise ``DomainError`` at a point that is not self-adjoint, or else at a
     pair of points that do not commute; a trial's first, in its order, so a
     stack of one raises as that trial does. ``points`` holds one
     (T, count, k, k) stack per block: one oracle call takes all the points as
-    1x1 matrices, and one ``_commutators`` call all the pairs."""
+    1x1 matrices, and one ``_commutators`` call all the pairs of a slice of
+    trials, at most ``_COMMUTATOR_PAIRS`` trials x pairs or one trial."""
     T, count = points[0].shape[:2]
     flat = tuple(b.reshape(T * count, 1, 1, *b.shape[2:]) for b in points)
     try:
@@ -519,16 +529,27 @@ def _require_commuting_points(shape: AlgebraShape, points) -> None:
         scale = np.array([v.report().scale for v in verdicts])
     bounds = COMMUTING_TOL * np.fmax(scale.reshape(T, count).max(axis=1), 1.0)
     pairs = list(combinations(range(count), 2))
+    step = max(1, _COMMUTATOR_PAIRS // len(pairs))
+    for first in range(0, T, step):
+        part = tuple(b[first : first + step] for b in points)
+        _require_commuting(part, bounds[first : first + step, None], pairs)
+
+
+def _require_commuting(points, bounds, pairs: list) -> None:
+    """Raise ``DomainError`` at a pair whose commutator exceeds its trial's bound:
+    in a stack of one, the trial's first such pair. A function of its own, so
+    that one slice's commutators are freed before the next slice's are formed."""
     try:
-        comms = _commutators(points, pairs).T
+        columns = [(pairs, _commutators(points, pairs))]
     except NumericalError:
         # pair by pair, a solve that fails raises after the pairs before it
-        comms = (_commutators(points, [pair])[:, 0] for pair in pairs)
-    for pair, column in zip(pairs, comms):
-        ok = column <= bounds
-        if not ok.all():
-            c = float(column[ok.argmin()])
-            raise DomainError("elements do not commute", pair=pair, commutator=c)
+        columns = (([pair], _commutators(points, [pair])) for pair in pairs)
+    for group, comms in columns:
+        bad = np.argwhere(~(comms <= bounds))
+        if len(bad):
+            t, p = bad[0]
+            c = float(comms[t, p])
+            raise DomainError("elements do not commute", pair=group[p], commutator=c)
 
 
 def _cosine_matrices(shape: AlgebraShape, z) -> tuple:
@@ -707,10 +728,53 @@ def novak_check(
 
 def _sin_cos(members: list[Element]) -> list[Element]:
     """sin m, then cos m, of each member in order, from one ``_trig_stack`` call."""
+    if not members:
+        return []
     shape = members[0].shape
     stacks = _element_stacks([m for m in members for _ in range(2)])
     sine = np.arange(2 * len(members)) % 2 == 0
     return _members(shape, _trig_stack(shape, stacks, sine))
+
+
+def _trig_identities(pairs: list[tuple], tol: float, falsify: bool) -> list[tuple]:
+    """The trig check on each pair (x, y): (margin, witness, details), from one
+    ``_sin_cos`` call over every x, y, -x and x* and one over the x + y whose
+    addition formulas are checked. With ``falsify``, a breakdown search's trial."""
+    if any(x.shape != y.shape for x, y in pairs):
+        raise StructureError("algebra shapes differ")
+    scales = [max(1.0, x.norm(), y.norm()) for x, y in pairs]
+    trig = iter(_sin_cos([m for x, y in pairs for m in (x, y, -x, x.adjoint())]))
+    checked = []
+    for (x, y), scale in zip(pairs, scales):
+        sx, cx, sy, cy, s_neg, c_neg, s_adj, c_adj = islice(trig, 8)
+        residuals = {
+            "sin_odd": (s_neg + sx).norm(),
+            "cos_even": (c_neg - cx).norm(),
+            "sin_adjoint": (sx.adjoint() - s_adj).norm(),
+            "cos_adjoint": (cx.adjoint() - c_adj).norm(),
+            "pythagorean": (sx * sx + cx * cx - identity_element(x.shape)).norm(),
+        }
+        comm = commutator_norm(x, y)
+        checked.append((sx, cx, sy, cy, residuals, comm, comm <= COMMUTING_TOL * scale or falsify))
+    sums = iter(_sin_cos([x + y for (x, y), (*_, added) in zip(pairs, checked) if added]))
+    outcomes = []
+    for (x, y), scale, (sx, cx, sy, cy, residuals, comm, added) in zip(pairs, scales, checked):
+        if added:
+            s_sum, c_sum = next(sums), next(sums)
+            residuals["sin_addition"] = (s_sum - (sx * cy + cx * sy)).norm()
+            residuals["cos_addition"] = (c_sum - (cx * cy - sx * sy)).norm()
+        details = {"residuals": residuals, "commutator": comm, "addition_checked": added}
+        if falsify:
+            gap = residuals["cos_addition"]
+            margin, failed, shown = -gap, gap > BREAKDOWN_THRESHOLD, {"cos_addition_residual": gap}
+            details["search"] = True
+        else:
+            # addition residuals are only present here for commuting pairs
+            margin = -_largest(residuals.values()) / scale
+            failed, shown = not margin >= -tol, {"residuals": residuals}
+        witness = {"x": x.to_json(), "y": y.to_json(), **shown} if failed else None
+        outcomes.append((margin, witness, details))
+    return outcomes
 
 
 def check_trig_identities(
@@ -728,60 +792,19 @@ def check_trig_identities(
     formula.
     """
     t0 = time.perf_counter()
-    if x.shape != y.shape:
-        raise StructureError("algebra shapes differ")
-    scale = max(1.0, x.norm(), y.norm())
-    sx, cx, sy, cy, s_neg, c_neg, s_adj, c_adj = _sin_cos([x, y, -x, x.adjoint()])
-    unit = identity_element(x.shape)
-    residuals = {
-        "sin_odd": (s_neg + sx).norm(),
-        "cos_even": (c_neg - cx).norm(),
-        "sin_adjoint": (sx.adjoint() - s_adj).norm(),
-        "cos_adjoint": (cx.adjoint() - c_adj).norm(),
-        "pythagorean": (sx * sx + cx * cx - unit).norm(),
-    }
-    commutator = commutator_norm(x, y)
-    commuting = commutator <= COMMUTING_TOL * scale
-    if commuting or falsify:
-        s_sum, c_sum = _sin_cos([x + y])
-        residuals["sin_addition"] = (s_sum - (sx * cy + cx * sy)).norm()
-        residuals["cos_addition"] = (c_sum - (cx * cy - sx * sy)).norm()
-    details = {
-        "residuals": residuals,
-        "commutator": commutator,
-        "addition_checked": commuting or falsify,
-    }
-    if falsify:
-        gap = residuals.get("cos_addition", 0.0)
-        hit = gap > BREAKDOWN_THRESHOLD
-        witness = None
-        if hit:
-            witness = {
-                "x": x.to_json(),
-                "y": y.to_json(),
-                "cos_addition_residual": gap,
-            }
-        details["search"] = True
-        return _report(
-            "trig_addition_breakdown",
-            1,
-            0 if hit else 1,
-            -gap,
-            BREAKDOWN_THRESHOLD,
-            witness,
-            details,
-            t0,
-        )
-    # addition residuals are only present here for commuting pairs
-    margin = -_largest(residuals.values()) / scale
-    witness = None
-    if not margin >= -tol:
-        witness = {"x": x.to_json(), "y": y.to_json(), "residuals": residuals}
-    return _single("trig_identities", tol, t0, margin, witness, details)
+    outcome = _trig_identities([(x, y)], tol, falsify)[0]
+    if not falsify:
+        return _single("trig_identities", tol, t0, *outcome)
+    margin, witness, details = outcome
+    failures = int(witness is None)
+    return _report(
+        "trig_addition_breakdown", 1, failures, margin, BREAKDOWN_THRESHOLD, witness, details, t0
+    )
 
 
 def _preservers(instances: list[tuple], tol: float, report_both: bool) -> list[tuple]:
-    """The preserver check on each (series, M): (margin, witness, details)."""
+    """The preserver check on each (series, M): (margin, witness, details); with
+    ``report_both`` the details hold the all-units convention's verdict too."""
     if not instances[0][1].shape.is_commutative:
         raise DomainError("the preserver check needs a commutative algebra")
     mats = []
@@ -1116,7 +1139,10 @@ def counterexample_search(
     margins. ``violations`` holds the records (``search_witness``) of the
     deterministic witness, when it violates, and of the ``_TOP_WITNESSES``
     most negative random violations; the report's witness is the first
-    violation. Only these records are built.
+    violation. A record is built for every random violation that enters the
+    running top ``_TOP_WITNESSES`` as the chunks are read; a more negative
+    violation of a later chunk can displace it, so more records are built
+    than kept.
     """
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
@@ -1266,8 +1292,7 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
             sub = cfg.derive(t)
             x = random_selfadjoint_element(sub.derive(0), norm_cap=5.0)
             y = random_selfadjoint_element(sub.derive(1), norm_cap=5.0)
-        rep = check_trig_identities(x, y, falsify=True)
-        return rep.worst_margin, rep.witness
+        return _trig_identities([(x, y)], TRIG_TOL, falsify=True)[0][:2]
 
     return _hit_search(
         "trig_addition_breakdown", cfg, trials + 1, BREAKDOWN_THRESHOLD, trial, t0
@@ -1395,11 +1420,10 @@ def _trial_cosine_gram(base, trials, o):
 def _trial_trig(base, trials, o):
     if base.shape.is_commutative:
         drawn = _drawn(base, trials, _selfadjoint_stack, range(2), norm_cap=5.0)
-        pairs = zip(drawn[0::2], drawn[1::2])
+        pairs = list(zip(drawn[0::2], drawn[1::2]))
     else:
         pairs = _drawn(base, trials, _family_stack, count=2, selfadjoint=True, norm_cap=5.0)
-    reports = (check_trig_identities(x, y, TRIG_TOL) for x, y in pairs)
-    return [(r.worst_margin, r.witness) for r in reports]
+    return [(margin, witness) for margin, witness, _ in _trig_identities(pairs, TRIG_TOL, False)]
 
 
 def _trial_preserver(base, trials, o):
@@ -1413,8 +1437,8 @@ def _trial_preserver(base, trials, o):
         (SeriesSpec(tuple(g * g.adjoint() for g in islice(coeffs, degree + 1))), pair[1])
         for degree, pair in zip(degrees, _drawn(base, trials, _positive_stack, 0))
     ]
-    outcomes = _preservers(instances, o.tol, o.entrywise_constant)
-    return [(margin, witness) for margin, witness, _ in outcomes]
+    # the report records only that the all-units convention was asked for
+    return [(margin, witness) for margin, witness, _ in _preservers(instances, o.tol, False)]
 
 
 def _trial_cauchy_schwarz(base, trials, o):

@@ -1,10 +1,11 @@
-"""The benchmark's verdict check holds on the search reports at its seed.
+"""The benchmark's verdict check holds on every workload's reports at its seed.
 
 perfbench/workloads.py reads the report schema (the ``per_n`` counts and the
-trial-0 witness among ``details.violations``), so a schema change that
-breaks it would otherwise show only when the benchmark runs. workloads.py
-is read and executed here without importing it as a file, so nothing is
-written under perfbench/.
+trial-0 witness among ``details.violations`` of a search, each check's
+counts in a verify report) and compares fingerprints with
+perfbench/reference.json, so a change that breaks either would otherwise
+show only when the benchmark runs. workloads.py is read and executed here
+without importing it as a file, so nothing is written under perfbench/.
 """
 
 import json
@@ -25,8 +26,8 @@ def _workloads():
     return mod
 
 
-@pytest.mark.parametrize("workload", ["search_hits", "search_miss"])
-def test_search_workloads_pass_the_verdict_check(workload, tmp_path, capsys):
+@pytest.mark.parametrize("workload", ["suite_grid", "search_hits", "search_miss"])
+def test_workloads_pass_the_verdict_check(workload, tmp_path, capsys):
     w = _workloads()
     seed = w.REFERENCE_SEED
     reference = w.load_reference()

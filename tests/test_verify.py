@@ -285,6 +285,26 @@ def test_preserver_identity_vs_ones_convention():
     assert rep.details["ones_convention"]["is_positive"] is True
 
 
+def test_entrywise_constant_suite_forms_no_all_units_series(monkeypatch):
+    # the suite's report carries only the flag, so its trials skip that convention
+    calls = []
+    apply = verify.schur_series_apply
+
+    def counted(series, M, constant="identity"):
+        calls.append(constant)
+        return apply(series, M, constant=constant)
+
+    monkeypatch.setattr(verify, "schur_series_apply", counted)
+    cfg = GenConfig(seed=2024, shape=AlgebraShape((1, 1)), n=3)
+    (rep,) = run_suite("preserver", cfg, trials=5, entrywise_constant=True)
+    assert rep.details["entrywise_constant_reported"] is True
+    assert calls and "ones" not in calls
+    M = scalar_amatrix([[1.0, 0.8], [0.8, 1.0]])
+    unit = identity_element(AlgebraShape((1,)))
+    check_preserver(SeriesSpec((unit, unit)), M, report_both=True)
+    assert calls[-1] == "ones"
+
+
 def test_preserver_requires_positive_coefficients():
     shape = AlgebraShape((1,))
     M = scalar_amatrix([[1.0]])
@@ -883,6 +903,60 @@ def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
     assert len(calls) <= 30
 
 
+def test_trig_suite_takes_its_sines_and_cosines_once_per_chunk(monkeypatch):
+    calls = []
+    trig_stack = verify._trig_stack
+
+    def counted(shape, stacks, sine):
+        calls.append(len(sine))
+        return trig_stack(shape, stacks, sine)
+
+    monkeypatch.setattr(verify, "_trig_stack", counted)
+    for shape, n in GRID:
+        cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
+        run_suite("trig", cfg, trials=10)
+    # per grid point: x, y, -x, x* of the chunk, then x + y, and two for the
+    # breakdown search's Pauli pair, its first hit (28 calls; 154 per trial)
+    assert len(calls) <= 28
+
+
+def test_suite_grid_builds_one_report_per_reported_check(monkeypatch):
+    made = []
+    check_report = verify.CheckReport
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return check_report(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "CheckReport", counted)
+    reported = 0
+    for shape, n in GRID:
+        cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
+        reported += len(run_suites("all", cfg, trials=10))
+    # 111 reports; 188 reports made when trig trials ran the public check
+    assert len(made) == reported
+
+
+@pytest.mark.parametrize("budget", [40, 10])
+def test_novak_commutators_are_taken_a_slice_of_trials_at_a_time(budget, monkeypatch):
+    # 6 points over M_2 make 15 pairs a trial; the chunk of 10 trials holds 150
+    cfg = GenConfig(seed=2024, shape=M2, n=2)
+    expected = [r.to_json() for r in run_suite("novak", cfg, trials=10, d=3)]
+    sizes = []
+    commutators = verify._commutators
+
+    def counted(stacks, pairs):
+        sizes.append((len(stacks[0]), len(pairs)))
+        return commutators(stacks, pairs)
+
+    monkeypatch.setattr(verify, "_commutators", counted)
+    monkeypatch.setattr(verify, "_COMMUTATOR_PAIRS", budget)
+    got = [r.to_json() for r in run_suite("novak", cfg, trials=10, d=3)]
+    assert got == expected
+    assert max(t * p for t, p in sizes) <= max(15, budget)
+    assert sum(t for t, p in sizes if p == 15) == 10
+
+
 def test_failing_chunk_draw_is_redrawn_trial_by_trial():
     # trial 3 draws a NaN element, so the norm cap's SVD fails for any chunk
     # holding it; alone, only trial 3 fails
@@ -1047,6 +1121,21 @@ def test_nan_commutator_is_not_commuting(monkeypatch):
     monkeypatch.setattr(verify, "_commutators", nan)
     with pytest.raises(DomainError, match="do not commute"):
         verify._require_commuting_points(M2, points)
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 16])
+def test_noncommuting_points_raise_at_the_first_failing_trial(budget, monkeypatch):
+    # trial 1 fails first, at pair (0, 2); trial 2 fails at pair (0, 1)
+    x, z = pauli_pair(M2)
+    trials = [(x, x, x), (x, x, z), (z, x, x)]
+    points = (np.array([[p.blocks[0] for p in t] for t in trials]),)
+    monkeypatch.setattr(verify, "_COMMUTATOR_PAIRS", budget)
+    with pytest.raises(DomainError) as stacked:
+        verify._require_commuting_points(M2, points)
+    with pytest.raises(DomainError) as alone:
+        verify._require_commuting_points(M2, (points[0][1:2],))
+    assert stacked.value.details == alone.value.details
+    assert alone.value.details == {"pair": (0, 2), "commutator": pytest.approx(2.0)}
 
 
 def test_hypothesis_falls_back_to_each_point_alone_when_the_stack_fails(monkeypatch):
