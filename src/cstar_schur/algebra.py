@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -68,8 +68,14 @@ def _top_singular_values(mats: np.ndarray) -> np.ndarray:
 
     LAPACK returns the singular values in descending order, so the first one
     is the value ``np.linalg.norm(m, 2)`` takes the maximum of, without that
-    wrapper's cost. A solver that does not converge raises ``NumericalError``.
+    wrapper's cost. A NaN entry or a solver that does not converge raises
+    ``NumericalError``; a member with an infinite entry gets NaN, with no SVD.
     """
+    if not np.isfinite(mats).all():
+        if np.isnan(mats).any():
+            raise NumericalError("norm of a matrix with NaN entries")
+        finite = np.isfinite(mats).all(axis=(-1, -2))
+        return np.where(finite, _top_singular_values(np.where(np.isinf(mats), 0, mats)), np.nan)
     try:
         return np.linalg.svd(mats, compute_uv=False)[..., 0]
     except np.linalg.LinAlgError as exc:
@@ -114,13 +120,16 @@ def _hermitian_part(mats: np.ndarray) -> np.ndarray:
 
 def _eigh(mats: np.ndarray, vectors: bool = False, block: int | None = None, site: str | None = None):
     """Ascending eigenvalues (and with ``vectors`` eigenvectors) of the Hermitian
-    part of a matrix or of each member of a stack. A solver that does not
-    converge raises ``NumericalError`` naming ``site``, or else the block."""
+    part of a matrix or of each member of a stack. A part with a non-finite
+    entry, which never reaches LAPACK, or a solver that does not converge
+    raises ``NumericalError`` naming ``site``, or else the block."""
     sym = _hermitian_part(mats)
+    where = f"in {site}" if site is not None else f"on block {block}"
+    if not np.isfinite(sym).all():
+        raise NumericalError(f"non-finite entries {where}", block=block)
     try:
         return np.linalg.eigh(sym) if vectors else np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
-        where = f"in {site}" if site is not None else f"on block {block}"
         raise NumericalError(f"eigensolver failed {where}", block=block) from exc
 
 
@@ -247,9 +256,7 @@ class Element(_Blocks):
     def __mul__(self, other):
         if isinstance(other, Element):
             self._require_same(other)
-            return Element._wrap(
-                self.shape, tuple(a @ b for a, b in zip(self.blocks, other.blocks))
-            )
+            return Element._wrap(self.shape, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
         return super().__mul__(other)
 
     def adjoint(self) -> "Element":
@@ -267,11 +274,8 @@ class Element(_Blocks):
 
     @classmethod
     def from_json(cls, shape: AlgebraShape, data: dict) -> "Element":
-        blocks = []
-        for blk in data["blocks"]:
-            blocks.append(
-                np.array([[complex(re, im) for re, im in row] for row in blk])
-            )
+        blocks = [np.array([[complex(re, im) for re, im in row] for row in blk])
+                  for blk in data["blocks"]]
         # json reads NaN and Infinity; no verdict on them means anything
         if not all(np.isfinite(b).all() for b in blocks):
             raise StructureError("element entries must be finite numbers")
@@ -286,25 +290,19 @@ def identity_element(shape: AlgebraShape) -> Element:
 
 
 def zero_element(shape: AlgebraShape) -> Element:
-    return Element._wrap(
-        shape, tuple(np.zeros((k, k), dtype=np.complex128) for k in shape.blocks)
-    )
+    return Element._wrap(shape, tuple(np.zeros((k, k), dtype=np.complex128) for k in shape.blocks))
 
 
 def scalar_element(shape: AlgebraShape, value: complex) -> Element:
     """The multiple value * 1 of the unit."""
-    return Element._wrap(
-        shape, tuple(complex(value) * np.eye(k, dtype=np.complex128) for k in shape.blocks)
-    )
+    return Element._wrap(shape, tuple(complex(value) * b for b in identity_element(shape).blocks))
 
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Self-adjointness and positivity certificate for one element.
-
-    ``min_spectrum`` is the most negative eigenvalue of the symmetrized part
-    over all blocks; ``hermitian_defect`` is ||a - a*||.
-    """
+    """Self-adjointness and positivity certificate for one element: ``min_spectrum``
+    is the most negative eigenvalue of the symmetrized part over all blocks,
+    ``hermitian_defect`` is ||a - a*||."""
 
     is_selfadjoint: bool
     is_positive: bool
@@ -312,12 +310,7 @@ class SpectrumReport:
     hermitian_defect: float
 
     def to_json(self) -> dict:
-        return {
-            "is_selfadjoint": self.is_selfadjoint,
-            "is_positive": self.is_positive,
-            "min_spectrum": self.min_spectrum,
-            "hermitian_defect": self.hermitian_defect,
-        }
+        return asdict(self)
 
 
 def hermitian_defect(a: Element) -> float:
@@ -327,8 +320,8 @@ def hermitian_defect(a: Element) -> float:
 
 def _psd_prelude(flats: list[np.ndarray], tol: float):
     """Scale, Hermitian defect and cut tol * max(1, scale) of each member of a
-    stack of matrices over the algebra, given by one (T, m, m) stack per
-    block; one SVD call per block serves both norms."""
+    stack of matrices over the algebra, given by one (T, m, m) stack per block,
+    from one SVD call per block for both norms and none to an eigensolver."""
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tolerance must be finite and positive", tol=tol)
     norms = [_norms(np.concatenate([f, f - _adjoint(f)])) for f in flats]
@@ -343,9 +336,23 @@ def _psd_verdict(flats: list[np.ndarray], tol: float):
     """(is_positive, selfadjoint, defect, min_eigenvalues, scale) of each member
     of a stack given as for ``_psd_prelude``: self-adjoint when defect <= cut
     (NaN is not), positive when also every block's smallest eigenvalue, one
-    column per block and computed for every member, is >= -cut."""
-    scale, defect, cut = _psd_prelude(flats, tol)
-    mins = np.stack([_eigh(f, block=b)[..., 0] for b, f in enumerate(flats)], axis=-1)
+    column per block and computed for every member, is >= -cut. A member whose
+    blocks are finite and equal their adjoints exactly has defect 0 and scale
+    max|λ|, as accurate as the top singular value (eigvalsh is backward
+    stable); the others take ``_psd_prelude``'s. A NaN in a 1x1 block gives a
+    NaN verdict; a non-finite entry in a larger one raises ``NumericalError``."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise DomainError("tolerance must be finite and positive", tol=tol)
+    # a 1x1 block's eigenvalue is its real part, as LAPACK gives it, NaN included
+    eigs = [_hermitian_part(f).real[..., 0] if f.shape[-1] == 1 else _eigh(f, block=b)
+            for b, f in enumerate(flats)]
+    scale = _first_of([np.maximum(abs(w[:, 0]), abs(w[:, -1])) for w in eigs], np.greater)
+    exact = np.logical_and.reduce([(f == _adjoint(f)).all(axis=(-1, -2)) for f in flats])
+    other = ~(exact & np.isfinite(scale))
+    defect, cut = np.zeros(len(scale)), tol * np.fmax(scale, 1.0)
+    if other.any():
+        scale[other], defect[other], cut[other] = _psd_prelude([f[other] for f in flats], tol)
+    mins = np.stack([w[:, 0] for w in eigs], axis=-1)
     selfadjoint = defect <= cut
     positive = selfadjoint & (_first_of(list(mins.T), np.less) >= -cut)
     return positive, selfadjoint, defect, mins, scale
@@ -353,12 +360,8 @@ def _psd_verdict(flats: list[np.ndarray], tol: float):
 
 def _spectrum_report(positive, selfadjoint, defect, mins, i: int) -> SpectrumReport:
     """Member i of a ``_psd_verdict`` on 1x1 matrices, as ``classify`` reports it."""
-    return SpectrumReport(
-        bool(selfadjoint[i]),
-        bool(positive[i]),
-        float(_first_of(mins[i], np.less)),
-        float(defect[i]),
-    )
+    lowest = float(_first_of(mins[i], np.less))
+    return SpectrumReport(bool(selfadjoint[i]), bool(positive[i]), lowest, float(defect[i]))
 
 
 def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
@@ -382,11 +385,8 @@ def sqrt_positive(a: Element, tol: float = DEFAULT_TOL) -> Element:
     """
     report = classify(a, tol)
     if not report.is_positive:
-        raise DomainError(
-            "element is not positive",
-            min_spectrum=report.min_spectrum,
-            hermitian_defect=report.hermitian_defect,
-        )
+        details = {"min_spectrum": report.min_spectrum, "hermitian_defect": report.hermitian_defect}
+        raise DomainError("element is not positive", **details)
     roots = [_psd_sqrt(blk, b) for b, blk in enumerate(a.blocks)]
     return Element._wrap(a.shape, tuple(roots))
 

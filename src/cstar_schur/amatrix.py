@@ -289,8 +289,11 @@ class PsdReport:
     """Positivity certificate for a matrix over the algebra.
 
     ``scale`` is the norm of the flattened input; all tolerance comparisons
-    are relative to max(1, scale). When the Hermitian defect already exceeds
-    tolerance no eigenvalues are reported (the verdict is "not self-adjoint").
+    are relative to max(1, scale). For an input whose flattened blocks equal
+    their adjoints exactly it is max|λ| over the eigenvalues (and the defect
+    is 0); otherwise the top singular value. When the Hermitian defect already
+    exceeds tolerance no eigenvalues are reported (the verdict is "not
+    self-adjoint").
     """
 
     is_positive: bool
@@ -388,7 +391,10 @@ def psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
 
     Verdict: the Hermitian defect stays within tol * max(1, scale) and the
     smallest eigenvalue of every symmetrized flattened block stays above
-    -tol * max(1, scale). This is the stacked oracle on a stack of one.
+    -tol * max(1, scale). The scale of an exactly Hermitian M is max|λ| from
+    those eigenvalues, with no SVD. A non-finite entry in a 1x1 flattened
+    block gives "not positive" with a NaN margin; in a larger one it raises
+    ``NumericalError``. This is the stacked oracle on a stack of one.
     """
     return _psd_stack(_stacked(M), tol).report(0)
 
@@ -427,7 +433,8 @@ def cholesky_psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     Mirrors ``psd_check``'s tolerance handling but certifies via a
     factorization attempt instead of an eigendecomposition. The two verdicts
     must agree away from the tolerance boundary; ``min_eigenvalue_per_block``
-    is not populated here.
+    is not populated here. Its scale and defect always come from SVDs
+    (``_psd_prelude``), never from the eigensolver it is checked against.
     """
     flats = flatten(M)
     scale, defect, cut = _psd_prelude([f[None] for f in flats], tol)

@@ -1139,10 +1139,9 @@ def counterexample_search(
     margins. ``violations`` holds the records (``search_witness``) of the
     deterministic witness, when it violates, and of the ``_TOP_WITNESSES``
     most negative random violations; the report's witness is the first
-    violation. A record is built for every random violation that enters the
-    running top ``_TOP_WITNESSES`` as the chunks are read; a more negative
-    violation of a later chunk can displace it, so more records are built
-    than kept.
+    violation. The chunks give only margins; the records of the kept trials
+    are built once at the end, through ``_search_witnesses``, which gives the
+    bits of the chunks.
     """
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
@@ -1154,9 +1153,8 @@ def counterexample_search(
     validate_threads(threads)
 
     margins, violation_trials = [], []
-    first_witness, top = None, []  # top: (margin, trial, record), best first
-    for first, m_blocks, n_blocks, seeds in _search_chunks(cfg, trials):
-        product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
+    for first, m_blocks, n_blocks, _ in _search_chunks(cfg, trials):
+        _, verdicts = _schur_stack(m_blocks, n_blocks, tol)
         chunk = verdicts.margins()
         hits = np.flatnonzero(chunk < -VIOLATION_THRESHOLD).tolist()
         if stop_on_first and hits:
@@ -1165,24 +1163,15 @@ def counterexample_search(
         chunk = chunk.tolist()
         margins.extend(chunk)
         violation_trials.extend(first + i for i in hits)
-
-        def record(i):
-            return _search_record(
-                cfg.shape, first + i, i, seeds[i], m_blocks, n_blocks, product, verdicts
-            )
-
-        if hits and first_witness is None:
-            first_witness = record(hits[0])
-        random_hits = sorted((chunk[i], first + i, i) for i in hits if first + i > 0)
-        for margin, t, i in random_hits[:_TOP_WITNESSES]:
-            if len(top) == _TOP_WITNESSES and (margin, t) > top[-1][:2]:
-                break
-            top.append((margin, t, record(i)))
-            top.sort(key=lambda entry: entry[:2])
-            del top[_TOP_WITNESSES:]
         if stop_on_first and hits:
             break
 
+    # margins[t] is trial t's; ties between margins go to the earlier trial
+    ranked = sorted((margins[t], t) for t in violation_trials if t > 0)
+    top = [t for _, t in ranked[:_TOP_WITNESSES]]
+    kept = sorted(set(top).union(violation_trials[:1]))
+    records = dict(zip(kept, _search_witnesses(cfg, kept, tol)))
+    first_witness = records[violation_trials[0]] if violation_trials else None
     deterministic = violation_trials[:1] == [0]
     random_violations = len(violation_trials) - deterministic
     random_attempted = len(margins) - 1
@@ -1200,7 +1189,7 @@ def counterexample_search(
             "confidence": 0.95,
         },
         "margin_histogram": _margin_histogram(margins),
-        "violations": ([first_witness] if deterministic else []) + [r for _, _, r in top],
+        "violations": ([first_witness] if deterministic else []) + [records[t] for t in top],
     }
     return _report(
         "schur_counterexample_search",

@@ -269,6 +269,60 @@ def test_classify_nan_in_any_block_is_not_positive():
             assert np.isnan(rep.min_spectrum) and np.isnan(rep.hermitian_defect), (shape, pos)
 
 
+def _solver_inputs(monkeypatch) -> list:
+    """Every array numpy's svd, eigvalsh and eigh are called with, from now on."""
+    seen = []
+    for name in ("svd", "eigvalsh", "eigh"):
+        def spy(a, *args, _solver=getattr(np.linalg, name), **kwargs):
+            seen.append(np.asarray(a))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+# an infinity makes NaNs when a block is symmetrized; numpy warns about them
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [np.nan, complex(np.nan, 1.0), np.inf, -np.inf, complex(0, np.inf)])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+def test_non_finite_entries_never_reach_lapack(value, at, monkeypatch):
+    seen = _solver_inputs(monkeypatch)
+    shape, eye = AlgebraShape((1, 3)), np.eye(3, dtype=complex)
+    # in a 1x1 flattened block: not positive, with a NaN margin
+    odd = np.full((1, 1), value, dtype=complex)
+    rep = psd_check(AMatrix(shape, [odd[None, None], eye[None, None]]))
+    assert not rep.is_positive and np.isnan(rep.margin)
+    assert not classify(Element(shape, [odd, eye])).is_positive
+    # in a 3x3 one, even where the block still equals its adjoint: NumericalError
+    bad = eye.copy()
+    bad[at] = value
+    bad[at[::-1]] = np.conj(value)
+    with pytest.raises(NumericalError, match="^non-finite entries on block 1$"):
+        psd_check(AMatrix(shape, [np.ones((1, 1, 1, 1)), bad[None, None]]))
+    with pytest.raises(NumericalError, match="^non-finite entries on block 1$"):
+        classify(Element(shape, [np.ones((1, 1)), bad]))
+    # its norm: a NaN raises, an infinite entry gives NaN, as the SVD did
+    if np.isnan(value):
+        with pytest.raises(NumericalError, match="^norm of a matrix with NaN entries$"):
+            Element(shape, [np.ones((1, 1)), bad]).norm()
+    else:
+        assert np.isnan(Element(shape, [np.ones((1, 1)), bad]).norm())
+    assert seen and all(np.isfinite(a).all() for a in seen)
+
+
+def test_spectral_scale_agrees_with_the_top_singular_value():
+    # an exactly Hermitian member's scale is max|λ| from eigvalsh, not an SVD
+    rng = np.random.default_rng(16)
+    g = rng.standard_normal((200, 16, 16)) + 1j * rng.standard_normal((200, 16, 16))
+    gram = g @ g.conj().swapaxes(-1, -2)
+    m = (gram + gram.conj().swapaxes(-1, -2)) / 2
+    stack = _psd_stack([m[:, None, None]], DEFAULT_TOL)
+    assert stack.is_positive.all() and (stack.hermitian_defect == 0).all()
+    top = np.linalg.svd(m, compute_uv=False)[:, 0]
+    ulps = np.abs(stack.scale - top) / (np.finfo(float).eps * top)
+    assert ulps.max() <= 16
+
+
 @pytest.mark.parametrize("pos", [0, 1, 2])
 def test_element_norms_keep_a_nan_in_any_block(pos):
     # Python's max over the blocks dropped a NaN that is not first

@@ -307,6 +307,26 @@ def test_psd_check_nan_in_any_block_is_not_positive():
         assert np.isnan(rep.hermitian_defect), (shape, pos)
 
 
+def test_stack_of_exact_and_one_ulp_off_hermitian_members_matches_each_alone():
+    # exactly Hermitian members take their scale from the spectrum, the others
+    # from SVDs; in a stack of both, each member gets the report it gets alone
+    shape, n = AlgebraShape((2, 1)), 3
+    members = []
+    for seed in range(4):
+        M = random_positive_matrix(GenConfig(seed=seed, shape=shape, n=n))[1]
+        flats = [(f + f.conj().T) / 2 for f in flatten(M)]
+        if seed % 2:
+            # one ulp off in one entry of block 0 or 1
+            f = flats[seed // 2]
+            f[0, 1] = complex(np.nextafter(f[0, 1].real, np.inf), f[0, 1].imag)
+        members.append(unflatten(flats, shape, n))
+    stack = _psd_stack([np.stack(col) for col in zip(*(m.blocks for m in members))], 1e-9)
+    assert stack.hermitian_defect.tolist()[::2] == [0.0, 0.0]
+    assert (stack.hermitian_defect[1::2] > 0).all()
+    for i, M in enumerate(members):
+        assert stack.report(i) == psd_check(M)
+
+
 def test_psd_stack_nan_in_any_block_is_not_positive():
     shape = AlgebraShape((1, 1, 1))
     members = [_one_by_one(shape, pos) for pos in (None, 0, 1, 2)]

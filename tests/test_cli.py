@@ -103,11 +103,11 @@ def test_nan_bound_matrices_count_as_failures(tmp_path):
 
 @pytest.mark.parametrize("scale", ["1e200", "1e160"])
 def test_svd_breakdown_exits_three_without_traceback(scale, capsys):
-    # entries this large overflow the flattened blocks, and the SVD behind
-    # every norm stops converging
+    # entries this large overflow the flattened blocks, which are refused
+    # before they reach a solver
     assert run(["verify", "--suite", "schur", "--trials", "3", "--entry-scale", scale]) == 3
     err = capsys.readouterr().err
-    assert "numerical error: SVD did not converge" in err
+    assert "numerical error: non-finite entries on block 0" in err
     assert "Traceback" not in err
 
 
@@ -636,7 +636,33 @@ def test_overflow_leaks_no_numpy_warnings():
     done = _cli("search", "--shape", "2", "--n", "2", "--entry-scale", "1.2e154",
                 "--trials", "50", "--seed", "1")
     assert done.returncode == 3
-    assert done.stderr == "numerical error: SVD did not converge\n"
+    assert done.stderr == "numerical error: non-finite entries on block 0\n"
+
+
+def test_overflow_writes_no_lapack_lines_to_stdout():
+    # infinities in a 3x3 flattened block used to reach the SVD, whose LAPACK
+    # scaling printed " ** On entry to DLASCL ..." on stdout, 16 lines here
+    done = _cli("verify", "--suite", "corollaries", "--shape", "1", "--n", "3",
+                "--trials", "3", "--entry-scale", "1e200")
+    assert done.returncode == 3
+    assert "DLASCL" not in done.stdout and done.stdout == ""
+    assert done.stderr == "numerical error: non-finite entries on block 0\n"
+
+
+def test_search_oracle_takes_no_svd_at_n8(monkeypatch, capsys):
+    # every product at n = 8 is exactly Hermitian, so its scale comes from
+    # the spectrum the verdict solves anyway
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert run(["search", "--shape", "2", "--n", "8", "--trials", "200"]) == 0
+    assert "n=8: 1/201 violations" in capsys.readouterr().out
+    assert calls == []
 
 
 # -- startup ----------------------------------------------------------------------

@@ -593,6 +593,41 @@ def test_search_witnesses_in_stacks_match_each_alone():
         assert records[trials.index(t)] == verify.search_witness(cfg, t)
 
 
+def test_search_encodes_only_the_records_it_keeps(monkeypatch):
+    # the chunks keep margins and trials; the kept records are built at the end
+    from cstar_schur.cli import _canonical_json
+
+    calls = []
+    to_json = AMatrix.to_json
+
+    def counted(self):
+        calls.append(self)
+        return to_json(self)
+
+    for n in (2, 3):
+        cfg = GenConfig(seed=2024, shape=M2, n=n)
+        monkeypatch.setattr(AMatrix, "to_json", counted)
+        rep = counterexample_search(cfg, trials=1000)
+        monkeypatch.setattr(AMatrix, "to_json", to_json)
+        kept = rep.details["violations"]
+        assert kept[0] is rep.witness
+        # three matrices per kept record (57 calls for 36 at both n before)
+        assert len(calls) == 3 * len(kept) == 3 * (1 + verify._TOP_WITNESSES)
+        calls.clear()
+        # the records a search built from its chunks as it read them
+        trials = {w["trial"] for w in kept}
+        from_chunks = {}
+        for first, m_blocks, n_blocks, seeds in verify._search_chunks(cfg, 1000):
+            product, verdicts = verify._schur_stack(m_blocks, n_blocks, 1e-9)
+            for i in range(len(seeds)):
+                if first + i in trials:
+                    from_chunks[first + i] = verify._search_record(
+                        cfg.shape, first + i, i, seeds[i], m_blocks, n_blocks, product, verdicts
+                    )
+        expected = [from_chunks[w["trial"]] for w in kept]
+        assert _canonical_json(kept) == _canonical_json(expected)
+
+
 @pytest.mark.parametrize("scale", [1.0, 0.37])
 @pytest.mark.parametrize("style", STYLES)
 def test_search_draws_equal_each_pair_drawn_alone(style, scale):
@@ -870,6 +905,25 @@ def test_suite_grid_certifies_in_few_oracle_calls(monkeypatch):
     assert len(calls) <= 95
 
 
+def test_suite_grid_takes_few_singular_values(monkeypatch):
+    from cstar_schur import algebra
+
+    calls = []
+    top = algebra._top_singular_values
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return top(mats)
+
+    monkeypatch.setattr(algebra, "_top_singular_values", counted)
+    for shape, n in GRID:
+        run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
+    # the oracle solves first and takes the exactly Hermitian members' scale
+    # from their spectra (2 082 calls while it took an SVD of every member);
+    # most calls left are the single-instance norms of the evaluators
+    assert len(calls) <= 2030
+
+
 def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
     calls = []
     default_rng = np.random.default_rng
@@ -958,7 +1012,7 @@ def test_novak_commutators_are_taken_a_slice_of_trials_at_a_time(budget, monkeyp
 
 
 def test_failing_chunk_draw_is_redrawn_trial_by_trial():
-    # trial 3 draws a NaN element, so the norm cap's SVD fails for any chunk
+    # trial 3 draws a NaN element, so the norm cap fails for any chunk
     # holding it; alone, only trial 3 fails
     finished = []
 
@@ -973,7 +1027,7 @@ def test_failing_chunk_draw_is_redrawn_trial_by_trial():
         trial(base, range(OPTS.trials), OPTS)
     assert len(trial(base, range(3), OPTS) + trial(base, range(4, 10), OPTS)) == 9
     finished.clear()
-    with pytest.raises(NumericalError, match="SVD did not converge"):
+    with pytest.raises(NumericalError, match="norm of a matrix with NaN entries"):
         check.report(GenConfig(seed=0, shape=M2, n=2), OPTS)
     assert finished == [0, 1, 2]
 
@@ -1022,7 +1076,7 @@ def test_chunk_error_gives_way_to_the_first_trial_that_raises_alone(positivity_a
     base = check.base(GenConfig(seed=0, shape=M2, n=2))
     error, match = (
         (DomainError, "M is not positive") if positivity_at < algebra_at
-        else (NumericalError, "SVD did not converge")
+        else (NumericalError, "norm of a matrix with NaN entries")
     )
     for size in (verify._chunk_size(base), 4):
         with pytest.raises(error, match=match):
@@ -1030,7 +1084,7 @@ def test_chunk_error_gives_way_to_the_first_trial_that_raises_alone(positivity_a
 
 
 def test_failing_solve_in_a_stack_is_rerun_member_by_member():
-    # a NaN block makes the SVD of the stack fail; the members around it
+    # a NaN block makes the solve of the stack fail; the members around it
     # still get their own verdicts, and the failure is raised when read
     cfg = GenConfig(seed=0, shape=M2, n=2)
     good = identity_matrix(M2, 2)
@@ -1046,10 +1100,10 @@ def test_failing_solve_in_a_stack_is_rerun_member_by_member():
         return outcomes
 
     check = verify.Check("solve", "none", trial)
-    with pytest.raises(NumericalError, match="SVD did not converge"):
+    with pytest.raises(NumericalError, match="non-finite entries on block 0"):
         check.trial(check.base(cfg), range(OPTS.trials), OPTS)
     assert read == [0, 1, 2]
-    with pytest.raises(NumericalError, match="SVD did not converge"):
+    with pytest.raises(NumericalError, match="non-finite entries on block 0"):
         check.report(cfg, OPTS)
     verdicts = verify._oracle([good.blocks, bad.blocks, good.blocks], 1e-9)
     assert [v.error is None for v in verdicts] == [True, False, True]
