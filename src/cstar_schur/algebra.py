@@ -82,19 +82,15 @@ def _top_singular_values(mats: np.ndarray) -> np.ndarray:
         raise NumericalError("SVD did not converge") from exc
 
 
-def _spectral_norm(mat: np.ndarray) -> float:
-    # operator (2-)norm; cheap exact path for the ubiquitous 1x1 blocks
-    if mat.shape == (1, 1):
-        return float(abs(mat[0, 0]))
-    return float(_top_singular_values(mat))
-
-
-def _norms(mats: np.ndarray) -> np.ndarray:
-    """The operator norm of each matrix of a stack, as ``_spectral_norm`` computes it."""
+def _spectral_norm(mats: np.ndarray):
+    """The operator (2-)norm of a matrix, as a float, or of each member of a
+    stack, as an array. 1x1 blocks take the scalar abs: numpy's array abs can
+    differ from it in the last bit."""
     if mats.shape[-1] == 1:
-        # the scalar abs: numpy's array abs can differ from it in the last bit
-        return np.array([abs(z) for z in mats.reshape(-1)])
-    return _top_singular_values(mats)
+        norms = np.array([abs(z) for z in mats.reshape(-1)]).reshape(mats.shape[:-2])
+    else:
+        norms = _top_singular_values(mats)
+    return float(norms) if mats.ndim == 2 else norms
 
 
 def _first_of(values: list[np.ndarray], better) -> np.ndarray:
@@ -145,17 +141,24 @@ def _lock(arr: np.ndarray) -> np.ndarray:
 
 
 class _Blocks:
-    """One locked complex array per algebra block, with ``_lead`` leading axes of length n.
+    """One locked complex array per algebra block, of shape ``batch + (n,) * _lead + (k, k)``.
 
     Since M_n(M_{k_1} + ... + M_{k_B}) ~ M_{n k_1} + ... + M_{n k_B}, an
-    element (no leading axes), a vector in A^n (one) and a matrix in M_n(A)
-    (two) are stored alike, so they share the validation, the linear
-    structure and the JSON encoding here. Values are immutable; arithmetic
-    returns new objects of the same class through ``_like``.
+    element (no axes of length n), a vector in A^n (one) and a matrix in
+    M_n(A) (two) are stored alike, so they share the validation, the linear
+    structure and the JSON encoding here. Leading batch axes make one value a
+    stack of members, a trial axis first: every operation acts member by
+    member, and numpy's stacked products, einsums and SVDs give each member
+    the bits it gets alone. The validated constructor builds one value with
+    no batch axes; ``to_json`` and ``__repr__`` are for such values only.
+    Values are immutable; arithmetic returns new objects of the same class
+    through ``_wrap``.
     """
 
     __slots__ = ("shape", "blocks")
     _lead = 0
+    # numpy defers its operators to ours, so an array acts as a batch of scalars
+    __array_ufunc__ = None
 
     def __init__(self, shape: AlgebraShape, blocks):
         lead = self._lead
@@ -169,17 +172,48 @@ class _Blocks:
                 want = ", ".join(map(str, (n if b else "n",) * lead + (k, k)))
                 raise StructureError(f"block {b} must have shape ({want}), got {arr.shape}")
             _lock(arr)
-        if lead:
-            # only _SizedBlocks has leading axes, and the n slot
-            if n < 1:
-                raise StructureError(f"n must be >= 1, got {n}")
-            self.n = n
+        if lead and n < 1:
+            raise StructureError(f"n must be >= 1, got {n}")
         self.shape = shape
         self.blocks = tuple(mats)
 
+    @classmethod
+    def _wrap(cls, shape: AlgebraShape, blocks):
+        # fast path for internally computed blocks; trusts dtype and dims
+        obj = object.__new__(cls)
+        obj.shape = shape
+        obj.blocks = tuple(_lock(b) for b in blocks)
+        return obj
+
+    def _like(self, blocks):
+        return self._wrap(self.shape, blocks)
+
+    @property
+    def batch(self) -> tuple:
+        """The batch axes: () for one value."""
+        b = self.blocks[0]
+        return b.shape[: b.ndim - 2 - self._lead]
+
+    def _at(self, index):
+        """The members at a numpy index into the batch axes; None adds a batch axis of one."""
+        return self._like(tuple(b[index] for b in self.blocks))
+
+    def _reshape(self, batch: tuple):
+        """The members with the batch axes reshaped to ``batch``."""
+        cut = len(self.batch)
+        return self._like(tuple(b.reshape(batch + b.shape[cut:]) for b in self.blocks))
+
+    def _max_norm(self, norms):
+        """The largest of one norm per block, with ``_first_of``'s NaN rule: a
+        float for one value, an array for a batch."""
+        norm = _first_of(norms, np.greater)
+        return norm if self.batch else float(norm)
+
     def _require_same(self, other: "_Blocks") -> None:
-        # equal shapes and equal block-0 dims mean the same algebra and the same n
-        if self.shape != other.shape or self.blocks[0].shape != other.blocks[0].shape:
+        # equal shapes and equal block-0 dims past the batch mean the same
+        # algebra and the same n; the batch axes broadcast
+        tail = -2 - self._lead
+        if self.shape != other.shape or self.blocks[0].shape[tail:] != other.blocks[0].shape[tail:]:
             raise StructureError("operands differ in algebra shape or in size")
 
     def __add__(self, other):
@@ -198,11 +232,14 @@ class _Blocks:
         return self._like(tuple(-a for a in self.blocks))
 
     def __mul__(self, other):
-        # the scalar action
+        # the scalar action; an array of the batch shape scales member by member
         if isinstance(other, numbers.Complex):
             lam = complex(other)
-            return self._like(tuple(lam * a for a in self.blocks))
-        return NotImplemented
+        elif isinstance(other, np.ndarray):
+            lam = other.astype(np.complex128)[(...,) + (None,) * (self._lead + 2)]
+        else:
+            return NotImplemented
+        return self._like(tuple(lam * a for a in self.blocks))
 
     __rmul__ = __mul__
 
@@ -211,22 +248,23 @@ class _Blocks:
         return [np.stack((b.real, b.imag), -1).tolist() for b in self.blocks]
 
 
+def _stack(values: list, axis: int = 0):
+    """The values, of one algebra and size, as the members of a new batch axis
+    at position ``axis``."""
+    for v in values[1:]:
+        values[0]._require_same(v)
+    blocks = zip(*(v.blocks for v in values))
+    return values[0]._like(tuple(np.stack(b, axis) for b in blocks))
+
+
 class _SizedBlocks(_Blocks):
     """Blocks with leading axes of length n: vectors in A^n and matrices in M_n(A)."""
 
-    __slots__ = ("n",)
+    __slots__ = ()
 
-    @classmethod
-    def _wrap(cls, shape: AlgebraShape, n: int, blocks):
-        # fast path for internally computed blocks; trusts dtype and dims
-        obj = object.__new__(cls)
-        obj.shape = shape
-        obj.n = n
-        obj.blocks = tuple(_lock(b) for b in blocks)
-        return obj
-
-    def _like(self, blocks):
-        return self._wrap(self.shape, self.n, blocks)
+    @property
+    def n(self) -> int:
+        return self.blocks[0].shape[-3]
 
     def __repr__(self):
         return f"{type(self).__name__}(n={self.n}, shape={self.shape.blocks})"
@@ -242,29 +280,18 @@ class Element(_Blocks):
 
     __slots__ = ()
 
-    @classmethod
-    def _wrap(cls, shape: AlgebraShape, blocks: tuple[np.ndarray, ...]) -> "Element":
-        # fast path for internally computed blocks; trusts dtype and dims
-        obj = object.__new__(cls)
-        obj.shape = shape
-        obj.blocks = tuple(_lock(b) for b in blocks)
-        return obj
-
-    def _like(self, blocks) -> "Element":
-        return Element._wrap(self.shape, blocks)
-
     def __mul__(self, other):
         if isinstance(other, Element):
             self._require_same(other)
-            return Element._wrap(self.shape, tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
+            return self._like(tuple(a @ b for a, b in zip(self.blocks, other.blocks)))
         return super().__mul__(other)
 
     def adjoint(self) -> "Element":
-        return Element._wrap(self.shape, tuple(a.conj().T.copy() for a in self.blocks))
+        return self._like(tuple(_adjoint(a).copy() for a in self.blocks))
 
-    def norm(self) -> float:
+    def norm(self):
         # _first_of, unlike Python's max, keeps a NaN in any block
-        return float(_first_of([_spectral_norm(a) for a in self.blocks], np.greater))
+        return self._max_norm([_spectral_norm(a) for a in self.blocks])
 
     def block(self, i: int) -> np.ndarray:
         return self.blocks[i]
@@ -313,9 +340,9 @@ class SpectrumReport:
         return asdict(self)
 
 
-def hermitian_defect(a: Element) -> float:
+def hermitian_defect(a: Element):
     """||a - a*|| in the algebra norm; NaN when any block's is NaN."""
-    return float(_first_of([_spectral_norm(b - b.conj().T) for b in a.blocks], np.greater))
+    return a._max_norm([_spectral_norm(b - _adjoint(b)) for b in a.blocks])
 
 
 def _psd_prelude(flats: list[np.ndarray], tol: float):
@@ -324,7 +351,7 @@ def _psd_prelude(flats: list[np.ndarray], tol: float):
     from one SVD call per block for both norms and none to an eigensolver."""
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tolerance must be finite and positive", tol=tol)
-    norms = [_norms(np.concatenate([f, f - _adjoint(f)])) for f in flats]
+    norms = [_spectral_norm(np.concatenate([f, f - _adjoint(f)])) for f in flats]
     t = len(flats[0])
     scale = _first_of([v[:t] for v in norms], np.greater)
     defect = _first_of([v[t:] for v in norms], np.greater)
@@ -397,26 +424,7 @@ def _psd_sqrt(mat: np.ndarray, block: int) -> np.ndarray:
     return _hermitian_part(root)
 
 
-def _element_stacks(elems: list[Element]) -> list[np.ndarray]:
-    """The elements as a stack, one (T, k, k) array per block."""
-    shape = elems[0].shape
-    if any(e.shape != shape for e in elems):
-        raise StructureError("operands differ in algebra shape or in size")
-    return [np.stack([e.blocks[b] for e in elems]) for b in range(len(shape.blocks))]
-
-
-def _commutators(stacks, pairs) -> np.ndarray:
-    """||x_i x_j - x_j x_i|| of each pair (i, j) of each member of a stack of
-    element tuples, one (T, count, k, k) array per block: a (T, len(pairs))
-    array from one stacked product and one norm call per block, with the bits
-    of ``commutator_norm``, NaN where any block's norm is NaN."""
-    i, j = np.array(pairs).T
-    norms = [_norms((s[:, i] @ s[:, j] - s[:, j] @ s[:, i]).reshape(-1, *s.shape[2:])) for s in stacks]
-    return _first_of(norms, np.greater).reshape(len(stacks[0]), len(pairs))
-
-
-def commutator_norm(a: Element, b: Element) -> float:
+def commutator_norm(a: Element, b: Element):
     """||ab - ba||; NaN when any block's commutator norm is NaN."""
     a._require_same(b)
-    norms = [_spectral_norm(x @ y - y @ x) for x, y in zip(a.blocks, b.blocks)]
-    return float(_first_of(norms, np.greater))
+    return a._max_norm([_spectral_norm(x @ y - y @ x) for x, y in zip(a.blocks, b.blocks)])

@@ -1,7 +1,8 @@
 """Matrices over a finite-dimensional C*-algebra and their Schur calculus.
 
 An n x n matrix M over the algebra A = M_{k_1}(C) + ... + M_{k_B}(C) is
-stored blockwise as one (n, n, k_b, k_b) array per block. The key fact used
+stored blockwise as one (n, n, k_b, k_b) array per block, after any batch
+axes (see ``algebra._Blocks``). The key fact used
 throughout: M_n(A) is again a direct sum of matrix algebras, concretely
 
     M_n(M_{k_1} + ... + M_{k_B})  ~  M_{n k_1} + ... + M_{n k_B},
@@ -55,10 +56,11 @@ class AMatrix(_SizedBlocks):
             np.stack([np.stack([e.blocks[b] for e in row]) for row in rows])
             for b in range(len(shape.blocks))
         )
-        return cls._wrap(shape, n, blocks)
+        # the validated constructor: an entry with batch axes is rejected
+        return cls(shape, blocks)
 
     def entry(self, j: int, l: int) -> Element:
-        return Element._wrap(self.shape, tuple(b[j, l].copy() for b in self.blocks))
+        return Element._wrap(self.shape, tuple(b[..., j, l, :, :].copy() for b in self.blocks))
 
     def __matmul__(self, other):
         # the ring product: multiply flattened blocks, which is exact because
@@ -71,7 +73,7 @@ class AMatrix(_SizedBlocks):
                 fa = _flatten_block(a, n, k)
                 fb = _flatten_block(b, n, k)
                 out.append(_unflatten_block(fa @ fb, n, k))
-            return AMatrix._wrap(self.shape, n, tuple(out))
+            return self._like(tuple(out))
         if isinstance(other, AVector):
             if self.shape != other.shape or self.n != other.n:
                 raise StructureError("matrix and vector sizes differ")
@@ -79,23 +81,22 @@ class AMatrix(_SizedBlocks):
             out = []
             for k, a, x in zip(self.shape.blocks, self.blocks, other.blocks):
                 fa = _flatten_block(a, n, k)
-                fx = x.reshape(n * k, k)
-                out.append((fa @ fx).reshape(n, k, k))
-            return AVector._wrap(self.shape, n, tuple(out))
+                fx = x.reshape(*x.shape[:-3], n * k, k)
+                y = fa @ fx
+                out.append(y.reshape(*y.shape[:-2], n, k, k))
+            return other._like(tuple(out))
         return NotImplemented
 
     def adjoint(self) -> "AMatrix":
         """(M*)_{jl} = (m_{lj})^*."""
-        return self._like(tuple(b.conj().transpose(1, 0, 3, 2).copy() for b in self.blocks))
+        return self._like(tuple(_adjoint(b.swapaxes(-4, -3)).copy() for b in self.blocks))
 
     def transpose(self) -> "AMatrix":
         """Position transpose only; entries are neither moved inside nor conjugated."""
-        return self._like(tuple(b.transpose(1, 0, 2, 3).copy() for b in self.blocks))
+        return self._like(tuple(b.swapaxes(-4, -3).copy() for b in self.blocks))
 
     def trace(self) -> Element:
-        return Element._wrap(
-            self.shape, tuple(np.einsum("jjab->ab", b) for b in self.blocks)
-        )
+        return Element._wrap(self.shape, tuple(np.einsum("...jjab->...ab", b) for b in self.blocks))
 
     def to_json(self) -> dict:
         # entry (j, l) is Element.to_json of self.entry(j, l)
@@ -124,59 +125,61 @@ class AMatrix(_SizedBlocks):
 # constructors -------------------------------------------------------------
 
 
+def _require_size(n: int) -> None:
+    if n < 1:
+        raise StructureError("n must be >= 1")
+
+
 def identity_matrix(shape: AlgebraShape, n: int) -> AMatrix:
+    _require_size(n)
     blocks = []
     for k in shape.blocks:
         arr = np.zeros((n, n, k, k), dtype=np.complex128)
         idx = np.arange(n)
         arr[idx, idx] = np.eye(k)
         blocks.append(arr)
-    return AMatrix._wrap(shape, n, tuple(blocks))
+    return AMatrix._wrap(shape, tuple(blocks))
 
 
 def zero_matrix(shape: AlgebraShape, n: int) -> AMatrix:
-    return AMatrix._wrap(
-        shape, n, tuple(np.zeros((n, n, k, k), dtype=np.complex128) for k in shape.blocks)
-    )
+    _require_size(n)
+    return AMatrix._wrap(shape, tuple(np.zeros((n, n, k, k), np.complex128) for k in shape.blocks))
 
 
 def ones_matrix(shape: AlgebraShape, n: int) -> AMatrix:
     """E_n: every entry equals the unit of the algebra."""
+    _require_size(n)
     blocks = tuple(
         np.broadcast_to(np.eye(k, dtype=np.complex128), (n, n, k, k)).copy()
         for k in shape.blocks
     )
-    return AMatrix._wrap(shape, n, blocks)
+    return AMatrix._wrap(shape, blocks)
 
 
 def diag_matrix(x: AVector) -> AMatrix:
     n = x.n
     blocks = []
-    for k, xb in zip(x.shape.blocks, x.blocks):
-        arr = np.zeros((n, n, k, k), dtype=np.complex128)
+    for xb in x.blocks:
+        arr = np.zeros(xb.shape[:-3] + (n,) + xb.shape[-3:], dtype=np.complex128)
         idx = np.arange(n)
-        arr[idx, idx] = xb
+        arr[..., idx, idx, :, :] = xb
         blocks.append(arr)
-    return AMatrix._wrap(x.shape, n, tuple(blocks))
+    return AMatrix._wrap(x.shape, tuple(blocks))
 
 
 def diag_vector(M: AMatrix) -> AVector:
-    return AVector._wrap(
-        M.shape, M.n, tuple(np.einsum("jjab->jab", b).copy() for b in M.blocks)
-    )
+    return AVector._wrap(M.shape, tuple(np.einsum("...jjab->...jab", b).copy() for b in M.blocks))
 
 
 def row_sums(M: AMatrix) -> AVector:
     """y with y_j = sum_l m_{jl}."""
-    return AVector._wrap(M.shape, M.n, tuple(b.sum(axis=1) for b in M.blocks))
+    return AVector._wrap(M.shape, tuple(b.sum(axis=-3) for b in M.blocks))
 
 
 def outer_product(y: AVector) -> AMatrix:
     """(y y*)_{jl} = y_j y_l^*."""
     return AMatrix._wrap(
-        y.shape,
-        y.n,
-        tuple(np.einsum("jab,lcb->jlac", b, b.conj()) for b in y.blocks),
+        y.shape, tuple(np.einsum("...jab,...lcb->...jlac", b, b.conj()) for b in y.blocks)
     )
 
 
@@ -190,9 +193,7 @@ def schur_product(A: AMatrix, B: AMatrix) -> AMatrix:
     product over commutative algebras.
     """
     A._require_same(B)
-    return AMatrix._wrap(
-        A.shape, A.n, tuple(_schur_block(a, b) for a, b in zip(A.blocks, B.blocks))
-    )
+    return A._like(tuple(_schur_block(a, b) for a, b in zip(A.blocks, B.blocks)))
 
 
 def _schur_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -218,12 +219,8 @@ def element_scale(a: Element, M: AMatrix) -> AMatrix:
     """Left-multiply every entry: (a . M)_{jl} = a m_{jl}."""
     if a.shape != M.shape:
         raise StructureError("algebra shapes differ")
-    return AMatrix._wrap(
-        M.shape,
-        M.n,
-        tuple(
-            np.einsum("ab,jlbc->jlac", ab, mb) for ab, mb in zip(a.blocks, M.blocks)
-        ),
+    return M._like(
+        tuple(np.einsum("...ab,...jlbc->...jlac", ab, mb) for ab, mb in zip(a.blocks, M.blocks))
     )
 
 
@@ -251,11 +248,6 @@ def _gram_block(g: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(_unflatten_block(gram, n, k))
 
 
-def _stacked(M: "AMatrix") -> tuple[np.ndarray, ...]:
-    """The blocks of M as a stack of one."""
-    return tuple(b[None] for b in M.blocks)
-
-
 def flatten(M: AMatrix) -> list[np.ndarray]:
     """One (n k_b) x (n k_b) complex matrix per block; a *-isomorphism."""
     return [
@@ -265,6 +257,7 @@ def flatten(M: AMatrix) -> list[np.ndarray]:
 
 def unflatten(flats, shape: AlgebraShape, n: int) -> AMatrix:
     """Inverse of ``flatten``; bit-exact (pure memory relayout)."""
+    _require_size(n)
     flats = list(flats)
     if len(flats) != len(shape.blocks):
         raise StructureError("wrong number of flattened blocks")
@@ -274,14 +267,13 @@ def unflatten(flats, shape: AlgebraShape, n: int) -> AMatrix:
         if arr.shape != (n * k, n * k):
             raise StructureError(f"flattened block must be {n*k}x{n*k}, got {arr.shape}")
         blocks.append(_unflatten_block(arr, n, k).copy())
-    return AMatrix._wrap(shape, n, tuple(blocks))
+    return AMatrix._wrap(shape, tuple(blocks))
 
 
-def mat_norm(M: AMatrix) -> float:
+def mat_norm(M: AMatrix):
     """Operator norm of the flattened representation (max over blocks, NaN when
-    any block's is NaN)."""
-    norms = [_spectral_norm(_flatten_block(b, M.n, k)) for k, b in zip(M.shape.blocks, M.blocks)]
-    return float(_first_of(norms, np.greater))
+    any block's is NaN); an array over a batch."""
+    return M._max_norm([_spectral_norm(f) for f in flatten(M)])
 
 
 @dataclass(frozen=True)
@@ -375,14 +367,13 @@ class PsdStack:
         )
 
 
-def _psd_stack(blocks, tol: float) -> PsdStack:
-    """The positivity oracle on a stack of matrices over the algebra.
-
-    ``blocks`` holds one (T, n, n, k_b, k_b) array per block; the verdict
-    on the flattened blocks is ``algebra._psd_verdict``. Member i gets the
-    verdict ``psd_check`` gives that matrix alone, bit for bit.
+def _psd_stack(M: AMatrix, tol: float) -> PsdStack:
+    """The positivity oracle on the members of M, its batch axes read in C
+    order (one matrix is a stack of one): the verdict on the flattened blocks
+    is ``algebra._psd_verdict``. Member i gets the verdict ``psd_check``
+    gives that matrix alone, bit for bit.
     """
-    flats = [_flatten_block(b, b.shape[-3], b.shape[-1]) for b in blocks]
+    flats = [f.reshape(-1, *f.shape[-2:]) for f in flatten(M)]
     return PsdStack(*_psd_verdict(flats, tol), tol)
 
 
@@ -396,7 +387,7 @@ def psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     block gives "not positive" with a NaN margin; in a larger one it raises
     ``NumericalError``. This is the stacked oracle on a stack of one.
     """
-    return _psd_stack(_stacked(M), tol).report(0)
+    return _psd_stack(M, tol).report(0)
 
 
 def _pivoted_cholesky_psd(sym: np.ndarray, cut: float) -> bool:
@@ -459,7 +450,7 @@ def positive_sqrt(M: AMatrix, tol: float = DEFAULT_TOL) -> AMatrix:
         _unflatten_block(_psd_sqrt(_flatten_block(blk, n, k), b), n, k).copy()
         for b, (k, blk) in enumerate(zip(M.shape.blocks, M.blocks))
     ]
-    return AMatrix._wrap(M.shape, n, tuple(out))
+    return M._like(tuple(out))
 
 
 def schur_quadratic_form_oracle(

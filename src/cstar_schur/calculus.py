@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _eigh, _first_of, _norms, _spectral_apply
+from .algebra import AlgebraShape, Element, _eigh, _first_of, _spectral_apply, _spectral_norm
 from .amatrix import AMatrix, element_scale, identity_matrix, ones_matrix, schur_product, zero_matrix
 from .errors import NumericalError, RangeError, StructureError
 
@@ -78,7 +78,7 @@ def _spectral_stack(stacks, fn, name: str):
     # (w, v) per block with w ascending; a 1x1 block is its own eigenvalue
     eigs = [None if s.shape[-1] == 1 else _eigh(s, True, site=name) for s in stacks]
     norms = [
-        _norms(s) if e is None else _first_of([abs(e[0][:, 0]), abs(e[0][:, -1])], np.greater)
+        _spectral_norm(s) if e is None else _first_of([abs(e[0][:, 0]), abs(e[0][:, -1])], np.greater)
         for s, e in zip(stacks, eigs)
     ]
     values = [
@@ -198,24 +198,21 @@ def schur_series_apply(
     uses the identity matrix, "ones" uses the all-units matrix E_n so the
     constant term acts on every entry.
     """
+    return _series_sums(series.coefficients, M, constant)[-1]
+
+
+def _series_sums(coefficients, M: AMatrix, constant: str) -> list[AMatrix]:
+    """The partial sums of ``schur_series_apply``, sum_{q <= p} a_q M^(q) for
+    p = 0, 1, ...; the coefficients and M may be batches."""
     if constant not in ("identity", "ones"):
         raise StructureError(f"unknown constant-term convention {constant!r}")
-    if series.shape != M.shape:
+    if coefficients[0].shape != M.shape:
         raise StructureError("series coefficients do not match the matrix algebra")
-    result = zero_matrix(M.shape, M.n)
-    power = None
-    for q, a in enumerate(series.coefficients):
-        if q == 0:
-            base = (
-                identity_matrix(M.shape, M.n)
-                if constant == "identity"
-                else ones_matrix(M.shape, M.n)
-            )
-        elif q == 1:
-            power = M
-            base = power
-        else:
+    base = identity_matrix(M.shape, M.n) if constant == "identity" else ones_matrix(M.shape, M.n)
+    sums = [zero_matrix(M.shape, M.n) + element_scale(coefficients[0], base)]
+    power = M
+    for q, a in enumerate(coefficients[1:]):
+        if q:
             power = schur_product(power, M)
-            base = power
-        result = result + element_scale(a, base)
-    return result
+        sums.append(sums[-1] + element_scale(a, power))
+    return sums

@@ -10,10 +10,12 @@ of execution order or thread count.
 
 Searches and suite trials draw a chunk of instances at once, seeded in bulk
 (``_mix64s``, ``_Streams``; each stream is bitwise ``default_rng(seed)``'s).
-Each generator's chunk form takes one generator per instance and forms the
-complex stacks, Gram products, Haar frames, Hermitian parts and norm caps once
-per chunk, with the bits each instance gets alone; ``random_*`` and
-``haar_unitary`` are their chunk forms on the one stream ``cfg.rng()``.
+Each generator's chunk form takes one generator per instance and returns the
+instances as one batched value, instance t its member t (``algebra._Blocks``):
+the complex stacks, Gram products, Haar frames, Hermitian parts and norm caps
+are formed once per chunk, with the bits each instance gets alone.
+``random_*`` and ``haar_unitary`` are member 0 of their chunk forms on the one
+stream ``cfg.rng()``.
 
 Gaussian coefficients are used throughout for full-support coverage; the
 ``real_commutative`` style restricts draws to real coordinates, which
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _adjoint, _eigh, _hermitian_part, _norms
+from .algebra import AlgebraShape, Element, _adjoint, _eigh, _hermitian_part, _spectral_norm
 from .amatrix import AMatrix, _flatten_block, _gram_block, _unflatten_block, identity_matrix
 from .errors import DomainError, StructureError
 from .module_an import AVector
@@ -206,7 +208,7 @@ class _Streams:
 
 # ---------------------------------------------------------------------------
 # chunk forms: ``gens`` holds one generator per instance, and each form returns
-# one (T, ..., k, k) stack per block, or a tuple of such stacks
+# a value with the trial axis as its batch, or a tuple of such values
 # ---------------------------------------------------------------------------
 
 
@@ -221,61 +223,60 @@ def _normals(gens, shapes) -> list[np.ndarray]:
     return [part.reshape(len(x), *s) for part, s in zip(parts, shapes)]
 
 
-def _gaussian_stack(cfg: GenConfig, gens, cls: type) -> tuple:
-    """``random_element``, ``random_vector`` or ``random_matrix`` by ``cls``:
-    (T, n, ..., k, k) stacks with ``cls._lead`` axes of length n."""
+def _gaussian_stack(cfg: GenConfig, gens, cls: type):
+    """``random_element``, ``random_vector`` or ``random_matrix`` by ``cls``."""
     parts = () if cfg.style == "real_commutative" else (2,)
     lead = (cfg.n,) * cls._lead
     xs = _normals(gens, [parts + lead + (k, k) for k in cfg.shape.blocks])
-    return tuple(_from_normals(x, cfg.entry_scale, cfg.style) for x in xs)
+    return cls._wrap(cfg.shape, tuple(_from_normals(x, cfg.entry_scale, cfg.style) for x in xs))
 
 
 def _positive_stack(cfg: GenConfig, gens) -> tuple:
     """(G, M) of ``random_positive_matrix``, with M = G G* formed per block."""
     G = _gaussian_stack(cfg, gens, AMatrix)
-    return G, tuple(_gram_block(g) for g in G)
+    return G, G._like(tuple(_gram_block(g) for g in G.blocks))
 
 
 def _capped(blocks, cap: float) -> tuple:
-    """Each member of a stack of elements rescaled into norm <= cap, bit for bit
-    as alone: its norm is Python's ``max`` of its block norms."""
+    """Each member of a stack of elements, one (..., k, k) array per block,
+    rescaled into norm <= cap, bit for bit as alone: its norm is Python's
+    ``max`` of its block norms."""
     lead = blocks[0].shape[:-2]
-    norms = [_norms(b.reshape(-1, *b.shape[-2:])).reshape(lead) for b in blocks]
+    norms = [_spectral_norm(b.reshape(-1, *b.shape[-2:])).reshape(lead) for b in blocks]
     norm = functools.reduce(lambda acc, v: np.where(v > acc, v, acc), norms)
     over = (norm > cap)[..., None, None]
     factor = (cap / np.where(over, norm[..., None, None], cap)).astype(np.complex128)
     return tuple(np.where(over, factor * b, b) for b in blocks)
 
 
-def _selfadjoint_stack(cfg: GenConfig, gens, norm_cap: float | None = None) -> tuple:
-    """``random_selfadjoint_element``: (T, k, k) stacks."""
-    # complex(0.5) and a* as Element's scalar action and adjoint form them
-    sym = tuple(complex(0.5) * (a + _adjoint(a)) for a in _gaussian_stack(cfg, gens, Element))
-    return sym if norm_cap is None else _capped(sym, norm_cap)
+def _selfadjoint_stack(cfg: GenConfig, gens, norm_cap: float | None = None) -> Element:
+    """``random_selfadjoint_element``."""
+    a = _gaussian_stack(cfg, gens, Element)
+    sym = 0.5 * (a + a.adjoint())
+    return sym if norm_cap is None else sym._like(_capped(sym.blocks, norm_cap))
 
 
-def _points_stack(cfg: GenConfig, gens, d: int) -> tuple:
+def _points_stack(cfg: GenConfig, gens, d: int) -> Element:
     """``random_selfadjoint_points``: n * d generators per instance, one per
-    point in row order; (T, n * d, k, k) stacks."""
-    blocks = _selfadjoint_stack(cfg, gens, cfg.entry_scale * np.pi)
-    return tuple(b.reshape(-1, cfg.n * d, *b.shape[1:]) for b in blocks)
+    point in row order; the batch is (T, n * d)."""
+    return _selfadjoint_stack(cfg, gens, cfg.entry_scale * np.pi)._reshape((-1, cfg.n * d))
 
 
-def _unit_diagonal_stack(cfg: GenConfig, gens) -> tuple:
+def _unit_diagonal_stack(cfg: GenConfig, gens) -> AMatrix:
     """``random_unit_diagonal_positive``: S (G G* + _RIDGE I) S, with S the
     diagonal of inverse square roots of the diagonal entries."""
     n, idx = cfg.n, np.arange(cfg.n)
     _, grams = _positive_stack(cfg, gens)
     out = []
     units = identity_matrix(cfg.shape, n).blocks
-    for b, (k, gram, unit) in enumerate(zip(cfg.shape.blocks, grams, units)):
+    for b, (k, gram, unit) in enumerate(zip(cfg.shape.blocks, grams.blocks, units)):
         m = gram + complex(_RIDGE) * unit
         w, v = _eigh(np.einsum("...jjab->...jab", m), True, b)
         s = np.zeros_like(m)
         s[:, idx, idx] = (v * (1.0 / np.sqrt(w))[..., None, :]) @ _adjoint(v)
         fs = _flatten_block(s, n, k)
         out.append(_unflatten_block(fs @ _flatten_block(m, n, k) @ fs, n, k))
-    return tuple(out)
+    return grams._like(tuple(out))
 
 
 def _haar(x: np.ndarray) -> np.ndarray:
@@ -289,7 +290,7 @@ def _haar(x: np.ndarray) -> np.ndarray:
 
 
 def _family_stack(cfg: GenConfig, gens, count, selfadjoint=False, positive=False, norm_cap=None):
-    """``random_commuting_family``: (T, count, k, k) stacks."""
+    """``random_commuting_family``: the batch is (T, count)."""
     diagonal = () if selfadjoint or positive or cfg.style == "real_commutative" else (2,)
     shapes = [s for k in cfg.shape.blocks for s in ((2, k, k), diagonal + (count, k))]
     xs = _normals(gens, shapes)
@@ -305,11 +306,11 @@ def _family_stack(cfg: GenConfig, gens, count, selfadjoint=False, positive=False
             scaled = np.array([[wt * v for v in vt] for wt, vt in zip(w, vals)])
         mats = scaled.reshape(len(w), count, *w.shape[1:]) @ _adjoint(w)[:, None]
         out.append(_hermitian_part(mats) if selfadjoint or positive else mats)
-    return tuple(out) if norm_cap is None else _capped(out, norm_cap)
+    return Element._wrap(cfg.shape, out if norm_cap is None else _capped(out, norm_cap))
 
 
 def _spectral_pair_stack(cfg: GenConfig, gens) -> tuple:
-    """``random_commuting_spectral_pair``: the stacks of M, N, U, V, lam, mu."""
+    """``random_commuting_spectral_pair``: M, N, U, V, lam, mu."""
     n = cfg.n
     shapes = [[(2, k, k), (k, 2, n, n), (k, 2, n, n), (k, n), (k, n)] for k in cfg.shape.blocks]
     xs = _normals(gens, sum(shapes, []))
@@ -324,13 +325,15 @@ def _spectral_pair_stack(cfg: GenConfig, gens) -> tuple:
         for e in (lam, mu):
             values.append(np.einsum("...at,...tj,...ct->...jac", w, e.astype(np.complex128), wc))
         per_block.append(values)
-    return tuple(zip(*per_block))
+    kinds = (AMatrix,) * 4 + (AVector,) * 2
+    return tuple(cls._wrap(cfg.shape, blocks) for cls, blocks in zip(kinds, zip(*per_block)))
 
 
-def _drawn(cfg: GenConfig, trials, form, *indices, **kw) -> list:
+def _drawn(cfg: GenConfig, trials, form, *indices, **kw):
     """What chunk form ``form`` draws for each trial t from the stream of
-    ``cfg.derive(t, *indices)``, one value per trial, seeded in bulk."""
-    return _members(cfg.shape, form(cfg, _Streams(_seeds(cfg, trials, *indices)), **kw))
+    ``cfg.derive(t, *indices)``, seeded in bulk: member t of the value or
+    values returned, with the streams in ``_seeds`` order."""
+    return form(cfg, _Streams(_seeds(cfg, trials, *indices)), **kw)
 
 
 def _commuting_points(cfg: GenConfig, trials, count: int, *indices) -> tuple:
@@ -339,49 +342,39 @@ def _commuting_points(cfg: GenConfig, trials, count: int, *indices) -> tuple:
     over commutative shapes, element i from ``cfg.derive(t, *indices)`` at
     position i of the index product, else a commuting family."""
     if cfg.shape.is_commutative:
-        return _points_stack(cfg, _Streams(_seeds(cfg, trials, *indices)), count // cfg.n)
-    cap = cfg.entry_scale * np.pi
-    return _family_stack(cfg, _Streams(_seeds(cfg, trials)), count, selfadjoint=True, norm_cap=cap)
-
-
-def _members(shape: AlgebraShape, stacks) -> list:
-    """The instances of a chunk form's stacks, in order: Elements, AVectors or
-    AMatrices by the number of leading axes, tuples for a tuple of stacks."""
-    if isinstance(stacks[0], tuple):
-        return list(zip(*(_members(shape, s) for s in stacks)))
-    lead = stacks[0].ndim - 3
-    if lead == 0:
-        return [Element._wrap(shape, m) for m in zip(*stacks)]
-    cls = AVector if lead == 1 else AMatrix
-    return [cls._wrap(shape, stacks[0].shape[1], m) for m in zip(*stacks)]
+        points = _points_stack(cfg, _Streams(_seeds(cfg, trials, *indices)), count // cfg.n)
+    else:
+        gens, cap = _Streams(_seeds(cfg, trials)), cfg.entry_scale * np.pi
+        points = _family_stack(cfg, gens, count, selfadjoint=True, norm_cap=cap)
+    return points.blocks
 
 
 # ---------------------------------------------------------------------------
-# single draws: each is its chunk form on the one stream cfg.rng()
+# single draws: each is member 0 of its chunk form on the one stream cfg.rng()
 # ---------------------------------------------------------------------------
 
 
 def random_element(cfg: GenConfig) -> Element:
-    return _members(cfg.shape, _gaussian_stack(cfg, [cfg.rng()], Element))[0]
+    return _gaussian_stack(cfg, [cfg.rng()], Element)._at(0)
 
 
 def random_matrix(cfg: GenConfig) -> AMatrix:
     """A dense Gaussian matrix over the algebra (no structure imposed)."""
-    return _members(cfg.shape, _gaussian_stack(cfg, [cfg.rng()], AMatrix))[0]
+    return _gaussian_stack(cfg, [cfg.rng()], AMatrix)._at(0)
 
 
 def random_positive_matrix(cfg: GenConfig) -> tuple[AMatrix, AMatrix]:
     """(G, M) with M = G G*, positive by construction."""
-    return _members(cfg.shape, _positive_stack(cfg, [cfg.rng()]))[0]
+    return tuple(v._at(0) for v in _positive_stack(cfg, [cfg.rng()]))
 
 
 def random_vector(cfg: GenConfig) -> AVector:
-    return _members(cfg.shape, _gaussian_stack(cfg, [cfg.rng()], AVector))[0]
+    return _gaussian_stack(cfg, [cfg.rng()], AVector)._at(0)
 
 
 def random_selfadjoint_element(cfg: GenConfig, norm_cap: float | None = None) -> Element:
     """A symmetrized Gaussian draw, optionally rescaled into a norm cap."""
-    return _members(cfg.shape, _selfadjoint_stack(cfg, [cfg.rng()], norm_cap))[0]
+    return _selfadjoint_stack(cfg, [cfg.rng()], norm_cap)._at(0)
 
 
 def random_selfadjoint_points(cfg: GenConfig, d: int) -> list[list[Element]]:
@@ -390,8 +383,8 @@ def random_selfadjoint_points(cfg: GenConfig, d: int) -> list[list[Element]]:
     if d < 1:
         raise StructureError("d must be >= 1")
     gens = [cfg.derive(j, l).rng() for j in range(cfg.n) for l in range(d)]
-    flat = _members(cfg.shape, _points_stack(cfg, gens, d))[0]
-    return [[flat[j * d + l] for l in range(d)] for j in range(cfg.n)]
+    flat = _points_stack(cfg, gens, d)
+    return [[flat._at((0, j * d + l)) for l in range(d)] for j in range(cfg.n)]
 
 
 def random_unit_diagonal_positive(cfg: GenConfig) -> AMatrix:
@@ -400,7 +393,7 @@ def random_unit_diagonal_positive(cfg: GenConfig) -> AMatrix:
     Built as D^{-1/2} (G G* + _RIDGE I) D^{-1/2} where D collects the diagonal;
     the ridge keeps the diagonal safely invertible.
     """
-    return _members(cfg.shape, _unit_diagonal_stack(cfg, [cfg.rng()]))[0]
+    return _unit_diagonal_stack(cfg, [cfg.rng()])._at(0)
 
 
 def haar_unitary(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -423,8 +416,8 @@ def random_commuting_family(
     """
     if count < 1:
         raise StructureError("count must be >= 1")
-    stacks = _family_stack(cfg, [cfg.rng()], count, selfadjoint, positive, norm_cap)
-    return list(_members(cfg.shape, stacks)[0])
+    family = _family_stack(cfg, [cfg.rng()], count, selfadjoint, positive, norm_cap)
+    return [family._at((0, i)) for i in range(count)]
 
 
 def random_commuting_spectral_pair(cfg: GenConfig) -> dict:
@@ -440,5 +433,5 @@ def random_commuting_spectral_pair(cfg: GenConfig) -> dict:
 
     Returns a dict with AMatrix values M, N, U, V and AVector values lam, mu.
     """
-    values = _members(cfg.shape, _spectral_pair_stack(cfg, [cfg.rng()]))[0]
+    values = (v._at(0) for v in _spectral_pair_stack(cfg, [cfg.rng()]))
     return dict(zip(("M", "N", "U", "V", "lam", "mu"), values))

@@ -5,14 +5,15 @@ Vectors are n-tuples of algebra elements with the A-valued inner product
     <x, y> = sum_j x_j y_j^*,
 
 linear in the first slot. The induced scalar norm is ||<x,x>||^(1/2).
-Internally a vector stores one (n, k_b, k_b) array per block.
+Internally a vector stores one (n, k_b, k_b) array per block, after any batch
+axes (see ``algebra._Blocks``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _SizedBlocks
+from .algebra import AlgebraShape, Element, _SizedBlocks, _adjoint
 from .errors import StructureError
 
 
@@ -35,17 +36,18 @@ class AVector(_SizedBlocks):
             np.stack([e.blocks[b] for e in entries])
             for b in range(len(shape.blocks))
         )
-        return cls._wrap(shape, len(entries), blocks)
+        # the validated constructor: an entry with batch axes is rejected
+        return cls(shape, blocks)
 
     def __len__(self) -> int:
         return self.n
 
     def __getitem__(self, j: int) -> Element:
-        return Element._wrap(self.shape, tuple(b[j].copy() for b in self.blocks))
+        return Element._wrap(self.shape, tuple(b[..., j, :, :].copy() for b in self.blocks))
 
     def entrywise_adjoint(self) -> "AVector":
         """The vector (x_1^*, ..., x_n^*)."""
-        return self._like(tuple(b.conj().transpose(0, 2, 1) for b in self.blocks))
+        return self._like(tuple(_adjoint(b) for b in self.blocks))
 
     def to_json(self) -> dict:
         # entry j is Element.to_json of self[j]
@@ -62,22 +64,16 @@ def left_mul(a: Element, x: AVector) -> AVector:
     """The module action (a x)_j = a x_j."""
     if a.shape != x.shape:
         raise StructureError("algebra shapes differ")
-    return AVector._wrap(
-        x.shape,
-        x.n,
-        tuple(np.einsum("ab,jbc->jac", ab, xb) for ab, xb in zip(a.blocks, x.blocks)),
-    )
+    blocks = zip(a.blocks, x.blocks)
+    return x._like(tuple(np.einsum("...ab,...jbc->...jac", ab, xb) for ab, xb in blocks))
 
 
 def inner_product(x: AVector, y: AVector) -> Element:
     """<x, y> = sum_j x_j y_j^*."""
     x._require_same(y)
+    blocks = zip(x.blocks, y.blocks)
     return Element._wrap(
-        x.shape,
-        tuple(
-            np.einsum("jab,jcb->ac", xb, yb.conj())
-            for xb, yb in zip(x.blocks, y.blocks)
-        ),
+        x.shape, tuple(np.einsum("...jab,...jcb->...ac", xb, yb.conj()) for xb, yb in blocks)
     )
 
 
@@ -103,11 +99,11 @@ def ones_vector(shape: AlgebraShape, n: int) -> AVector:
         np.broadcast_to(np.eye(k, dtype=np.complex128), (n, k, k)).copy()
         for k in shape.blocks
     )
-    return AVector._wrap(shape, n, blocks)
+    return AVector._wrap(shape, blocks)
 
 
 def zero_vector(shape: AlgebraShape, n: int) -> AVector:
     if n < 1:
         raise StructureError("vectors need length >= 1")
     blocks = tuple(np.zeros((n, k, k), dtype=np.complex128) for k in shape.blocks)
-    return AVector._wrap(shape, n, blocks)
+    return AVector._wrap(shape, blocks)

@@ -34,34 +34,32 @@ entries of suite ``name`` in table order. A ``Check`` entry holds
   a witness counts at most -2 tol) and ``run``, which replaces the margin
   aggregation (the two hit searches, explicit Novak points).
 
-Each check has one evaluator, a function from a list (or a stack with a
-leading trial axis) of instances to their outcomes. It does each instance's
-algebra, asks the oracle for every verdict it needs in one stacked call per
-group of equal block shapes, then reads each instance's verdicts in order; a
-requirement such as "M is positive" raises ``DomainError`` there. The public
-``check_*`` function is the evaluator on a list of one, and the trial draws
-a chunk with ``generate``'s chunk forms (``_drawn``) and calls the same
-evaluator. To add a check, write these three and a table entry. The trig
-check's evaluator, ``_trig_identities``, takes every sine and cosine of a
-chunk in two ``_sin_cos`` calls; its ``falsify`` form is the outcome of a
-``find_trig_breakdown`` trial.
+Each check has one evaluator, a function from a batch of instances (values
+with a leading trial axis, ``algebra._Blocks``) to their outcomes. It does
+the batch's algebra once, as value arithmetic, asks the oracle for every
+verdict it needs in one stacked call per group of equal block shapes, then
+reads each instance's verdicts in order; a requirement such as "M is
+positive" raises ``DomainError`` there. The public ``check_*`` function is
+the evaluator on a batch of one, and the trial draws a chunk with
+``generate``'s chunk forms (``_drawn``) and calls the same evaluator. To add
+a check, write these three and a table entry. The trig evaluator takes every
+sine and cosine of a chunk in two ``_sin_cos`` calls; its ``falsify`` form is
+the outcome of a ``find_trig_breakdown`` trial.
 
 ``_run_trials`` evaluates a check's trials a chunk at a time. numpy's stacked
-linalg gives each member the bits it gets alone, so every report is the one
-that running each trial alone gives. When a chunk raises, its trials are
-evaluated again one at a time, in order: the first that raises alone raises,
-and if none does, the chunk's error is raised. The Novak suite's algebra is
-stacked too: one oracle call and one commutator call per slice of trials
-(``_COMMUTATOR_PAIRS``) for the hypotheses, one ``_trig_stack`` call per set
-of cosines, and Schur products, diagonal residuals and probe Gram residuals
-on (T, count, k, k) point stacks.
+products, einsums and linalg give each member the bits it gets alone, so
+every report is the one that running each trial alone gives. When a chunk
+raises, its trials are evaluated again one at a time, in order: the first
+that raises alone raises, and if none does, the chunk's error is raised. The
+Novak suite takes its points as (T, count, k, k) stacks: one oracle call and
+one commutator call per slice of trials (``_COMMUTATOR_PAIRS``) for the
+hypotheses and one ``_trig_stack`` call per set of cosines.
 ``find_nonassociativity`` and ``find_trig_breakdown`` run their trials one
 after another, up to the first witness.
 
 ``counterexample_search`` draws its pairs the same way (``_pairs``), and the
-Gram products, symmetrized products and positivity oracle run once per chunk
-over a leading trial axis (``_schur_stack``, which the Schur suite and
-``check_schur_positivity`` share). ``threads`` is only validated. The report
+Gram products, symmetrized products and positivity oracle run once per
+chunk. ``threads`` is only validated. The report
 is a summary: every violating trial index, the violation rate with a Wilson
 interval, a margin histogram, and the matrices of only a few violations (the
 deterministic one and the ``_TOP_WITNESSES`` most negative random ones).
@@ -73,7 +71,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Callable
 
 import numpy as np
@@ -84,10 +82,9 @@ from .algebra import (
     Element,
     SpectrumReport,
     _adjoint,
-    _commutators,
-    _element_stacks,
     _first_of,
-    _norms,
+    _spectral_norm,
+    _stack,
     commutator_norm,
     identity_element,
 )
@@ -107,10 +104,8 @@ from .amatrix import (
     schur_quadratic_form_oracle,
     _flatten_block,
     _psd_stack,
-    _schur_block,
-    _stacked,
 )
-from .calculus import SeriesSpec, _trig_stack, schur_series_apply
+from .calculus import SeriesSpec, _series_sums, _trig_stack
 from .errors import DomainError, NumericalError, StructureError
 from .generate import (
     GenConfig,
@@ -118,7 +113,6 @@ from .generate import (
     _drawn,
     _family_stack,
     _gaussian_stack,
-    _members,
     _mix64s,
     _normals,
     _positive_stack,
@@ -132,7 +126,7 @@ from .generate import (
     random_matrix,
     random_selfadjoint_element,
 )
-from .module_an import AVector, cauchy_schwarz_gap, inner_product, left_mul
+from .module_an import AVector, cauchy_schwarz_gap, inner_product, left_mul, ones_vector
 
 # searches only count violations well clear of verification noise
 VIOLATION_THRESHOLD = 1e-6
@@ -210,15 +204,16 @@ def _single(check_id, tol, t0, margin, witness, details) -> CheckReport:
     return _report(check_id, 1, failures, margin, tol, witness, details, t0)
 
 
-def _matrix_payload(**mats) -> dict:
-    return {name: m.to_json() for name, m in mats.items()}
+def _matrix_payload(t, **mats) -> dict:
+    """The JSON of member t of each batch of matrices; t = () for one matrix."""
+    return {name: m._at(t).to_json() for name, m in mats.items()}
 
 
-def _psd_witness(rep: PsdReport, **mats) -> dict | None:
-    """The matrices and certificate of a failed positivity verdict, else None."""
+def _psd_witness(rep: PsdReport, t, **mats) -> dict | None:
+    """Member t's matrices and certificate when its positivity verdict failed, else None."""
     if rep.is_positive:
         return None
-    return {**_matrix_payload(**mats), "psd": rep.to_json()}
+    return {**_matrix_payload(t, **mats), "psd": rep.to_json()}
 
 
 def _seeded(witness: dict | None, seed: int) -> dict | None:
@@ -247,21 +242,22 @@ class _Verdict:
         return self.stack.spectrum(self.i)
 
 
-def _oracle(members: list[tuple], tol: float) -> list[_Verdict]:
-    """The verdicts on matrices of equal block shapes, given by their blocks:
-    one stacked ``_psd_stack`` call, or when it raises, one call per member.
+def _oracle(X: AMatrix, tol: float) -> list[_Verdict]:
+    """The verdicts on the members of X, its batch axes read in C order: one
+    ``_psd_stack`` call, or when it raises, one call per member.
 
     A member of a stack gets the bits it gets alone, because numpy's linalg
     functions solve each matrix of a stack on its own (see "Linear algebra on
     several matrices at once" in numpy's ``linalg`` documentation).
     """
     try:
-        stack = _psd_stack(tuple(np.stack(b) for b in zip(*members)), tol)
-        return [_Verdict(stack, i) for i in range(len(members))]
+        stack = _psd_stack(X, tol)
+        return [_Verdict(stack, i) for i in range(len(stack.scale))]
     except (DomainError, NumericalError) as exc:
+        members = list(np.ndindex(X.batch))
         if len(members) == 1:
             return [_Verdict(None, error=exc)]
-        return [verdict for m in members for verdict in _oracle([m], tol)]
+        return [verdict for i in members for verdict in _oracle(X._at(i), tol)]
 
 
 def _require_positive(name: str, verdict: _Verdict) -> None:
@@ -285,27 +281,15 @@ def _largest(values) -> float:
     return max(values)
 
 
+def _one_by_one(a: Element) -> AMatrix:
+    """The 1x1 matrix [a] of each member: ``classify``'s verdict on a is the one on [a]."""
+    return AMatrix._wrap(a.shape, tuple(b[..., None, None, :, :] for b in a.blocks))
+
+
 # ---------------------------------------------------------------------------
-# checks: each evaluator, and its check_* that runs it on a list of one
+# checks: each evaluator takes its instances as values with a trial axis, and
+# its check_* runs it on a batch of one
 # ---------------------------------------------------------------------------
-
-
-def _schur_stack(m_blocks, n_blocks, tol: float):
-    """Evaluator of Schur positivity on a stack of pairs (M_i, N_i), given by
-    their blocks with the trial axis first: the blocks of every M_i o N_i and
-    the oracle's verdicts on them."""
-    product = tuple(_schur_block(a, b) for a, b in zip(m_blocks, n_blocks))
-    return product, _psd_stack(product, tol)
-
-
-def _schur_witness(shape, i, m_blocks, n_blocks, product, rep: PsdReport) -> dict:
-    """The matrices and certificate of member i of a stack."""
-    n = m_blocks[0].shape[-3]
-    mats = {
-        name: AMatrix._wrap(shape, n, tuple(b[i] for b in blocks))
-        for name, blocks in (("m", m_blocks), ("n", n_blocks), ("product", product))
-    }
-    return {**_matrix_payload(**mats), "psd": rep.to_json()}
 
 
 def check_schur_positivity(
@@ -319,27 +303,25 @@ def check_schur_positivity(
     """
     t0 = time.perf_counter()
     M._require_same(N)
-    for name, verdict in zip("MN", _oracle([M.blocks, N.blocks], tol)):
+    for name, verdict in zip("MN", _oracle(_stack([M, N]), tol)):
         _require_positive(name, verdict)
-    m_blocks, n_blocks = _stacked(M), _stacked(N)
-    product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
-    rep = verdicts.report(0)
-    witness = None
-    if not rep.is_positive:
-        witness = _schur_witness(M.shape, 0, m_blocks, n_blocks, product, rep)
+    product = schur_product(M, N)
+    rep = _psd_stack(product, tol).report(0)
+    witness = _psd_witness(rep, (), m=M, n=N, product=product)
+    if witness is not None:
         witness["min_eigenvalue"] = rep.min_eigenvalue
     details = {"commutative": M.shape.is_commutative}
     return _single("schur_product_positive", tol, t0, rep.margin, witness, details)
 
 
-def _row_sum_bounds(As: list[AMatrix], tol: float) -> list[tuple]:
-    """The row-sum bound on each A: its report, witness, and whether A is positive."""
-    bounds = [A @ A.adjoint() - (1.0 / A.n) * outer_product(row_sums(A)) for A in As]
-    verdicts = iter(_oracle([X.blocks for pair in zip(bounds, As) for X in pair], tol))
+def _row_sum_bounds(A: AMatrix, tol: float) -> list[tuple]:
+    """The row-sum bound on each member of A: its report, witness, and whether A is positive."""
+    bound = A @ A.adjoint() - (1.0 / A.n) * outer_product(row_sums(A))
+    verdicts = iter(_oracle(_stack([bound, A], 1), tol))
     outcomes = []
-    for A in As:
+    for t in range(A.batch[0]):
         rep = next(verdicts).report()
-        outcomes.append((rep, _psd_witness(rep, a=A), next(verdicts).report().is_positive))
+        outcomes.append((rep, _psd_witness(rep, t, a=A), next(verdicts).report().is_positive))
     return outcomes
 
 
@@ -350,40 +332,38 @@ def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     recorded but not required (the bound never uses it).
     """
     t0 = time.perf_counter()
-    rep, witness, input_positive = _row_sum_bounds([A], tol)[0]
+    rep, witness, input_positive = _row_sum_bounds(A._at(None), tol)[0]
     details = {"input_positive": input_positive}
     return _single("gram_row_sum_bound", tol, t0, rep.margin, witness, details)
 
 
-def _schur_chains(pairs: list[tuple], tol: float) -> list[tuple]:
-    """The chain check on each pair (A, B): (margin, witness, details)."""
-    chains = []
-    for A, B in pairs:
-        if not A.shape.is_commutative:
-            raise DomainError("the Schur chain bound needs a commutative algebra")
-        A._require_same(B)
-        M = A @ A.adjoint()
-        N = B @ B.adjoint()
-        C = schur_product(A, B)
-        y = row_sums(C)
-        product = schur_product(M, N)
-        gram = C @ C.adjoint()
-        lower = (1.0 / A.n) * outer_product(y)
-        chains.append({
-            "product_minus_gram": product - gram,
-            "gram_minus_lower": gram - lower,
-            "product": product,
-            "gram": gram,
-        })
-    verdicts = iter(_oracle([X.blocks for chain in chains for X in chain.values()], tol))
+def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
+    """The chain check on each member (A, B) of a batch: (margin, witness, details)."""
+    if not A.shape.is_commutative:
+        raise DomainError("the Schur chain bound needs a commutative algebra")
+    A._require_same(B)
+    M = A @ A.adjoint()
+    N = B @ B.adjoint()
+    C = schur_product(A, B)
+    y = row_sums(C)
+    product = schur_product(M, N)
+    gram = C @ C.adjoint()
+    lower = (1.0 / A.n) * outer_product(y)
+    chain = {
+        "product_minus_gram": product - gram,
+        "gram_minus_lower": gram - lower,
+        "product": product,
+        "gram": gram,
+    }
+    verdicts = iter(_oracle(_stack(list(chain.values()), 1), tol))
     outcomes = []
-    for (A, B), chain in zip(pairs, chains):
+    for t in range(A.batch[0]):
         reports = {k: next(verdicts).report() for k in chain}
         margin = _worst([r.margin for r in reports.values()])
         witness = None
         if not all(r.is_positive for r in reports.values()):
             witness = {
-                **_matrix_payload(a=A, b=B),
+                **_matrix_payload(t, a=A, b=B),
                 "psd": {k: r.to_json() for k, r in reports.items()},
             }
         outcomes.append((margin, witness, {}))
@@ -400,26 +380,23 @@ def check_schur_chain(
     checked (the full ordering, not only the differences).
     """
     t0 = time.perf_counter()
-    return _single("schur_chain_bound", tol, t0, *_schur_chains([(A, B)], tol)[0])
+    return _single("schur_chain_bound", tol, t0, *_schur_chains(A._at(None), B._at(None), tol)[0])
 
 
-def _diag_bounds(Ms: list[AMatrix], tol: float, positive: bool = False) -> list[tuple]:
-    """The report on M o M - (1/n) d d* of each M, d = diag M, and its witness.
-    With ``positive`` this is the diagonal-bound check, which requires a
-    commutative shape and each M positive."""
-    if positive and not Ms[0].shape.is_commutative:
+def _diag_bounds(M: AMatrix, tol: float, positive: bool = False) -> list[tuple]:
+    """The report on M o M - (1/n) d d* of each member M, d = diag M, and its
+    witness. With ``positive`` this is the diagonal-bound check, which
+    requires a commutative shape and each M positive."""
+    if positive and not M.shape.is_commutative:
         raise DomainError("the diagonal bound needs a commutative algebra")
-    requests = []
-    for M in Ms:
-        bound = schur_product(M, M) - (1.0 / M.n) * outer_product(diag_vector(M))
-        requests += [M.blocks, bound.blocks] if positive else [bound.blocks]
-    verdicts = iter(_oracle(requests, tol))
+    bound = schur_product(M, M) - (1.0 / M.n) * outer_product(diag_vector(M))
+    verdicts = iter(_oracle(_stack([M, bound], 1) if positive else bound, tol))
     outcomes = []
-    for M in Ms:
+    for t in range(M.batch[0]):
         if positive:
             _require_positive("M", next(verdicts))
         rep = next(verdicts).report()
-        outcomes.append((rep, _psd_witness(rep, m=M)))
+        outcomes.append((rep, _psd_witness(rep, t, m=M)))
     return outcomes
 
 
@@ -431,51 +408,41 @@ def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     only ever probed.
     """
     t0 = time.perf_counter()
-    rep, witness = _diag_bounds([M], tol, positive=True)[0]
+    rep, witness = _diag_bounds(M._at(None), tol, positive=True)[0]
     return _single("diag_outer_bound", tol, t0, rep.margin, witness, {})
 
 
-def _diag_residual(blocks) -> np.ndarray:
-    """The largest deviation of a diagonal entry from the unit, of each member of
-    a stack of matrices given by (T, n, n, k, k) blocks: one norm call per block,
-    NaN wherever an entry's norm is NaN in any block."""
-    n, idx = blocks[0].shape[1], np.arange(blocks[0].shape[1])
-    diffs = [b[:, idx, idx] - np.eye(b.shape[-1], dtype=complex) for b in blocks]
-    norms = [_norms(x.reshape(-1, *x.shape[-2:])) for x in diffs]
-    return _first_of(norms, np.greater).reshape(-1, n).max(axis=1)
+def _diag_residual(M: AMatrix) -> np.ndarray:
+    """The largest deviation of a diagonal entry from the unit, of each member
+    of a batch: one norm call per block, NaN where an entry's norm is NaN."""
+    offsets = diag_vector(M) - ones_vector(M.shape, M.n)
+    return Element._wrap(M.shape, offsets.blocks).norm().max(axis=-1)
 
 
-def _unit_bound(shape: AlgebraShape, blocks) -> tuple:
-    """The blocks of M o M - (1/n) E_n, the matrix of the unit-diagonal bound,
-    from those of M, over any leading stack axes."""
-    ones = (1.0 / blocks[0].shape[-3]) * ones_matrix(shape, blocks[0].shape[-3])
-    return tuple(_schur_block(b, b) - e for b, e in zip(blocks, ones.blocks))
-
-
-def _unit_diag_checks(Ms: list[AMatrix], tol: float) -> list[tuple]:
-    """The unit-diagonal check on each M: (margin, witness, details)."""
-    if not Ms[0].shape.is_commutative:
+def _unit_diag_checks(M: AMatrix, tol: float) -> list[tuple]:
+    """The unit-diagonal check on each member M: (margin, witness, details)."""
+    if not M.shape.is_commutative:
         raise DomainError("the unit-diagonal bound needs a commutative algebra")
-    requests = [X for M in Ms for X in (M.blocks, _unit_bound(M.shape, M.blocks))]
-    verdicts = iter(_oracle(requests, tol))
+    bound = schur_product(M, M) - (1.0 / M.n) * ones_matrix(M.shape, M.n)
+    verdicts = iter(_oracle(_stack([M, bound], 1), tol))
+    residuals = None
     outcomes = []
-    for M in Ms:
+    for t in range(M.batch[0]):
         _require_positive("M", next(verdicts))
-        diag_residual = float(_diag_residual(_stacked(M))[0])
+        if residuals is None:
+            # after the first verdict is read, as a trial alone reads it
+            residuals = _diag_residual(M).tolist()
         rep = next(verdicts).report()
-        if not diag_residual <= UNIT_DIAG_TOL:
-            raise DomainError(
-                "diagonal entries deviate from the unit", residual=diag_residual
-            )
-        details = {"diag_residual": diag_residual}
-        outcomes.append((rep.margin, _psd_witness(rep, m=M), details))
+        if not residuals[t] <= UNIT_DIAG_TOL:
+            raise DomainError("diagonal entries deviate from the unit", residual=residuals[t])
+        outcomes.append((rep.margin, _psd_witness(rep, t, m=M), {"diag_residual": residuals[t]}))
     return outcomes
 
 
 def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     """M o M >= (1/n) E_n for positive commutative M with unit diagonal."""
     t0 = time.perf_counter()
-    return _single("unit_diagonal_bound", tol, t0, *_unit_diag_checks([M], tol)[0])
+    return _single("unit_diagonal_bound", tol, t0, *_unit_diag_checks(M._at(None), tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +459,7 @@ def _points_json(shape: AlgebraShape, blocks) -> list | dict:
     return [_points_json(shape, tuple(b[i] for b in blocks)) for i in range(len(blocks[0]))]
 
 
-# Trials x pairs of one ``_commutators`` call in ``_require_commuting_points``,
+# Trials x pairs of one ``commutator_norm`` call in ``_require_commuting_points``,
 # unless one trial has more pairs: about 250 bytes each over M_2, so about 16 MB.
 _COMMUTATOR_PAIRS = 1 << 16
 
@@ -502,17 +469,17 @@ def _require_commuting_points(shape: AlgebraShape, points) -> None:
     pair of points that do not commute; a trial's first, in its order, so a
     stack of one raises as that trial does. ``points`` holds one
     (T, count, k, k) stack per block: one oracle call takes all the points as
-    1x1 matrices, and one ``_commutators`` call all the pairs of a slice of
+    1x1 matrices, and one ``commutator_norm`` call all the pairs of a slice of
     trials, at most ``_COMMUTATOR_PAIRS`` trials x pairs or one trial."""
     T, count = points[0].shape[:2]
-    flat = tuple(b.reshape(T * count, 1, 1, *b.shape[2:]) for b in points)
+    flat = AMatrix._wrap(shape, tuple(b.reshape(T * count, 1, 1, *b.shape[2:]) for b in points))
     try:
         stack = _psd_stack(flat, DEFAULT_TOL)
         verdicts = [] if stack.hermitian.all() else [_Verdict(stack, i) for i in range(T * count)]
         scale = stack.scale
     except NumericalError:
         # member by member, a solve that fails raises after the members before it
-        verdicts = _oracle(list(zip(*flat)), DEFAULT_TOL)
+        verdicts = _oracle(flat, DEFAULT_TOL)
         scale = None
     for i, verdict in enumerate(verdicts):
         rep = verdict.spectrum()
@@ -532,18 +499,22 @@ def _require_commuting_points(shape: AlgebraShape, points) -> None:
     step = max(1, _COMMUTATOR_PAIRS // len(pairs))
     for first in range(0, T, step):
         part = tuple(b[first : first + step] for b in points)
-        _require_commuting(part, bounds[first : first + step, None], pairs)
+        _require_commuting(shape, part, bounds[first : first + step, None], pairs)
 
 
-def _require_commuting(points, bounds, pairs: list) -> None:
+def _require_commuting(shape: AlgebraShape, points, bounds, pairs: list) -> None:
     """Raise ``DomainError`` at a pair whose commutator exceeds its trial's bound:
     in a stack of one, the trial's first such pair. A function of its own, so
     that one slice's commutators are freed before the next slice's are formed."""
+    x, y = (Element._wrap(shape, tuple(b[:, ends] for b in points)) for ends in np.array(pairs).T)
     try:
-        columns = [(pairs, _commutators(points, pairs))]
+        columns = [(pairs, commutator_norm(x, y))]
     except NumericalError:
         # pair by pair, a solve that fails raises after the pairs before it
-        columns = (([pair], _commutators(points, [pair])) for pair in pairs)
+        columns = (
+            ([pair], commutator_norm(x._at(np.s_[:, [p]]), y._at(np.s_[:, [p]])))
+            for p, pair in enumerate(pairs)
+        )
     for group, comms in columns:
         bad = np.argwhere(~(comms <= bounds))
         if len(bad):
@@ -587,8 +558,8 @@ def _gram_residuals(A, cos_sin, y) -> np.ndarray:
             for j in range(n):
                 acc = acc + part[:, j]
             grams.append(acc @ np.ascontiguousarray(_adjoint(acc)))
-        diffs.append(_norms(q - (grams[0] + grams[1])))
-        scales.append(_norms(q))
+        diffs.append(_spectral_norm(q - (grams[0] + grams[1])))
+        scales.append(_spectral_norm(q))
     return _first_of(diffs, np.greater) / np.fmax(_first_of(scales, np.greater), 1.0)
 
 
@@ -614,7 +585,7 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
         np.broadcast_to(np.eye(k, dtype=complex), (T, n, k, k)).copy() for k in shape.blocks
     )
     residuals = [_gram_residuals(A, cos_sin, y) for y in (units, mixed)]
-    verdicts = _psd_stack(A, tol)
+    verdicts = _psd_stack(AMatrix._wrap(shape, A), tol)
     outcomes = []
     for t in range(T):
         rep = verdicts.report(t)
@@ -646,26 +617,26 @@ def cosine_gram_check(
     z = list(z)
     if not z:
         raise StructureError("need at least one point")
-    stacks = tuple(s[None] for s in _element_stacks(z))
+    stacks = _stack(z)._at(None).blocks
     gens = [np.random.default_rng(probe_seed)]
     return _single("cosine_gram", tol, t0, *_cosine_gram(z[0].shape, stacks, tol, gens)[0])
 
 
-def _novak(shape: AlgebraShape, points, tol: float) -> tuple[tuple, list[tuple]]:
+def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple]]:
     """The Novak matrices of a stack of point arrays, one (T, n, d, k, k) array
     per block, and the outcome of ``novak_check``'s pipeline on each member."""
     T, n, d = points[0].shape[:3]
     _require_commuting_points(shape, tuple(b.reshape(T, n * d, *b.shape[3:]) for b in points))
     # the half-angle cosine matrices of every column in one call, column first
     steps = _cosine_matrices(shape, tuple(complex(0.5) * np.moveaxis(b, 2, 0) for b in points))
-    M = tuple(s[0] for s in steps)
-    for l in range(1, d):
-        M = tuple(_schur_block(m, s[l]) for m, s in zip(M, steps))
-    novak = _unit_bound(shape, M)
+    steps = [AMatrix._wrap(shape, tuple(s[l] for s in steps)) for l in range(d)]
+    M = steps[0]
+    for step in steps[1:]:
+        M = schur_product(M, step)
+    novak = schur_product(M, M) - (1.0 / n) * ones_matrix(shape, n)
     diag_residuals = _diag_residual(M).tolist()
     # per trial: the d cosine matrices, M, then the Novak matrix
-    mats = [*(tuple(s[l] for s in steps) for l in range(d)), M, novak]
-    verdicts = iter(_oracle([tuple(b[t] for b in m) for t in range(T) for m in mats], tol))
+    verdicts = iter(_oracle(_stack([*steps, M, novak], 1), tol))
     outcomes = []
     for t, diag_residual in enumerate(diag_residuals):
         step_margins = [next(verdicts).report().margin for _ in range(d)]
@@ -719,51 +690,57 @@ def novak_check(
     d = len(rows[0])
     if any(len(r) != d for r in rows):
         raise StructureError("point rows have unequal length")
-    shape = rows[0][0].shape
-    stacks = _element_stacks([p for r in rows for p in r])
-    novak, outcomes = _novak(shape, tuple(s.reshape(1, n, d, *s.shape[1:]) for s in stacks), tol)
+    points = _stack([p for r in rows for p in r])._reshape((1, n, d))
+    novak, outcomes = _novak(points.shape, points.blocks, tol)
     report = _single("novak_conjecture", tol, t0, *outcomes[0])
-    return AMatrix._wrap(shape, n, tuple(b[0] for b in novak)), report
+    return novak._at(0), report
 
 
-def _sin_cos(members: list[Element]) -> list[Element]:
-    """sin m, then cos m, of each member in order, from one ``_trig_stack`` call."""
-    if not members:
-        return []
-    shape = members[0].shape
-    stacks = _element_stacks([m for m in members for _ in range(2)])
-    sine = np.arange(2 * len(members)) % 2 == 0
-    return _members(shape, _trig_stack(shape, stacks, sine))
+def _sin_cos(x: Element) -> tuple[Element, Element]:
+    """sin and cos of each member of a batch, from one ``_trig_stack`` call
+    that takes each member twice, in order, the sine first."""
+    twice = [np.repeat(b.reshape(-1, *b.shape[-2:]), 2, axis=0) for b in x.blocks]
+    sine = np.arange(len(twice[0])) % 2 == 0
+    both = [v.reshape(x.batch + (2,) + v.shape[-2:]) for v in _trig_stack(x.shape, twice, sine)]
+    return tuple(x._like(tuple(b[..., i, :, :] for b in both)) for i in range(2))
 
 
-def _trig_identities(pairs: list[tuple], tol: float, falsify: bool) -> list[tuple]:
-    """The trig check on each pair (x, y): (margin, witness, details), from one
-    ``_sin_cos`` call over every x, y, -x and x* and one over the x + y whose
-    addition formulas are checked. With ``falsify``, a breakdown search's trial."""
-    if any(x.shape != y.shape for x, y in pairs):
+def _trig_identities(x: Element, y: Element, tol: float, falsify: bool) -> list[tuple]:
+    """The trig check on each member (x, y) of a batch: (margin, witness,
+    details), from one ``_sin_cos`` call over every x, y, -x and x* and one
+    over the x + y whose addition formulas are checked. With ``falsify``, a
+    breakdown search's trial."""
+    if x.shape != y.shape:
         raise StructureError("algebra shapes differ")
-    scales = [max(1.0, x.norm(), y.norm()) for x, y in pairs]
-    trig = iter(_sin_cos([m for x, y in pairs for m in (x, y, -x, x.adjoint())]))
-    checked = []
-    for (x, y), scale in zip(pairs, scales):
-        sx, cx, sy, cy, s_neg, c_neg, s_adj, c_adj = islice(trig, 8)
-        residuals = {
-            "sin_odd": (s_neg + sx).norm(),
-            "cos_even": (c_neg - cx).norm(),
-            "sin_adjoint": (sx.adjoint() - s_adj).norm(),
-            "cos_adjoint": (cx.adjoint() - c_adj).norm(),
-            "pythagorean": (sx * sx + cx * cx - identity_element(x.shape)).norm(),
-        }
-        comm = commutator_norm(x, y)
-        checked.append((sx, cx, sy, cy, residuals, comm, comm <= COMMUTING_TOL * scale or falsify))
-    sums = iter(_sin_cos([x + y for (x, y), (*_, added) in zip(pairs, checked) if added]))
+    # fmax, like Python's max, never takes a NaN norm
+    scales = np.fmax(np.fmax(x.norm(), 1.0), y.norm())
+    sines, cosines = _sin_cos(_stack([x, y, -x, x.adjoint()], 1))
+    sx, sy, s_neg, s_adj = (sines._at(np.s_[:, i]) for i in range(4))
+    cx, cy, c_neg, c_adj = (cosines._at(np.s_[:, i]) for i in range(4))
+    columns = {
+        "sin_odd": (s_neg + sx).norm(),
+        "cos_even": (c_neg - cx).norm(),
+        "sin_adjoint": (sx.adjoint() - s_adj).norm(),
+        "cos_adjoint": (cx.adjoint() - c_adj).norm(),
+        "pythagorean": (sx * sx + cx * cx - identity_element(x.shape)).norm(),
+    }
+    comms = commutator_norm(x, y)
+    added = (comms <= COMMUTING_TOL * scales) | falsify
+    sums = iter(())
+    if added.any():
+        s_sum, c_sum = _sin_cos((x + y)._at(added))
+        sx, cx, sy, cy = (v._at(added) for v in (sx, cx, sy, cy))
+        sin_add = (s_sum - (sx * cy + cx * sy)).norm()
+        cos_add = (c_sum - (cx * cy - sx * sy)).norm()
+        sums = zip(sin_add.tolist(), cos_add.tolist())
+    columns = {key: column.tolist() for key, column in columns.items()}
     outcomes = []
-    for (x, y), scale, (sx, cx, sy, cy, residuals, comm, added) in zip(pairs, scales, checked):
-        if added:
-            s_sum, c_sum = next(sums), next(sums)
-            residuals["sin_addition"] = (s_sum - (sx * cy + cx * sy)).norm()
-            residuals["cos_addition"] = (c_sum - (cx * cy - sx * sy)).norm()
-        details = {"residuals": residuals, "commutator": comm, "addition_checked": added}
+    rows = zip(scales.tolist(), comms.tolist(), added.tolist())
+    for t, (scale, comm, checked) in enumerate(rows):
+        residuals = {key: column[t] for key, column in columns.items()}
+        if checked:
+            residuals["sin_addition"], residuals["cos_addition"] = next(sums)
+        details = {"residuals": residuals, "commutator": comm, "addition_checked": checked}
         if falsify:
             gap = residuals["cos_addition"]
             margin, failed, shown = -gap, gap > BREAKDOWN_THRESHOLD, {"cos_addition_residual": gap}
@@ -772,7 +749,7 @@ def _trig_identities(pairs: list[tuple], tol: float, falsify: bool) -> list[tupl
             # addition residuals are only present here for commuting pairs
             margin = -_largest(residuals.values()) / scale
             failed, shown = not margin >= -tol, {"residuals": residuals}
-        witness = {"x": x.to_json(), "y": y.to_json(), **shown} if failed else None
+        witness = {"x": x._at(t).to_json(), "y": y._at(t).to_json(), **shown} if failed else None
         outcomes.append((margin, witness, details))
     return outcomes
 
@@ -792,7 +769,7 @@ def check_trig_identities(
     formula.
     """
     t0 = time.perf_counter()
-    outcome = _trig_identities([(x, y)], tol, falsify)[0]
+    outcome = _trig_identities(x._at(None), y._at(None), tol, falsify)[0]
     if not falsify:
         return _single("trig_identities", tol, t0, *outcome)
     margin, witness, details = outcome
@@ -802,23 +779,25 @@ def check_trig_identities(
     )
 
 
-def _preservers(instances: list[tuple], tol: float, report_both: bool) -> list[tuple]:
-    """The preserver check on each (series, M): (margin, witness, details); with
-    ``report_both`` the details hold the all-units convention's verdict too."""
-    if not instances[0][1].shape.is_commutative:
+def _preservers(coeffs: Element, degrees: list, M: AMatrix, tol, report_both: bool) -> list[tuple]:
+    """The preserver check on each member M of a batch, with the series whose
+    coefficients are the next degree + 1 members of ``coeffs``: (margin,
+    witness, details); with ``report_both`` the details hold the all-units
+    convention's verdict too."""
+    if not M.shape.is_commutative:
         raise DomainError("the preserver check needs a commutative algebra")
-    mats = []
-    for series, M in instances:
-        mats += [M, schur_series_apply(series, M, constant="identity")]
-        if report_both:
-            mats.append(schur_series_apply(series, M, constant="ones"))
-    # classify's verdict on a coefficient a is the one on the 1x1 matrix [a]
-    entries = [tuple(b[None, None] for b in a.blocks) for s, _ in instances for a in s.coefficients]
-    coefficients = iter(_oracle(entries, tol))
-    verdicts = iter(_oracle([X.blocks for X in mats], tol))
+    starts = np.cumsum([0] + degrees[:-1]) + np.arange(len(degrees))
+    # coefficient q of every member at once; past its degree a member repeats
+    # its last one, into partial sums that are never read
+    series = [coeffs._at(starts + np.minimum(q, degrees)) for q in range(max(degrees) + 1)]
+    picked = (np.arange(len(degrees)), degrees)
+    conventions = ("identity", "ones") if report_both else ("identity",)
+    mats = [M] + [_stack(_series_sums(series, M, c), 1)._at(picked) for c in conventions]
+    coefficients = iter(_oracle(_one_by_one(coeffs), tol))
+    verdicts = iter(_oracle(_stack(mats, 1), tol))
     outcomes = []
-    for series, M in instances:
-        for q in range(len(series.coefficients)):
+    for t, (start, degree) in enumerate(zip(starts.tolist(), degrees)):
+        for q in range(degree + 1):
             rep = next(coefficients).spectrum()
             if not rep.is_positive:
                 raise DomainError(
@@ -828,16 +807,17 @@ def _preservers(instances: list[tuple], tol: float, report_both: bool) -> list[t
                 )
         _require_positive("M", next(verdicts))
         rep = next(verdicts).report()
-        details = {"degree": series.degree}
+        details = {"degree": degree}
         if report_both:
             rep_ones = next(verdicts).report()
             details["ones_convention"] = {
                 "is_positive": rep_ones.is_positive,
                 "margin": rep_ones.margin,
             }
-        witness = _psd_witness(rep, m=M)
+        witness = _psd_witness(rep, t, m=M)
         if witness is not None:
-            witness["series"] = series.to_json()
+            series_t = SeriesSpec(tuple(coeffs._at(i) for i in range(start, start + degree + 1)))
+            witness["series"] = series_t.to_json()
         outcomes.append((rep.margin, witness, details))
     return outcomes
 
@@ -855,51 +835,48 @@ def check_preserver(
     all-units-matrix convention is evaluated as well and recorded.
     """
     t0 = time.perf_counter()
-    outcome = _preservers([(series, M)], tol, report_both)[0]
+    coeffs = _stack(series.coefficients)
+    outcome = _preservers(coeffs, [series.degree], M._at(None), tol, report_both)[0]
     return _single("schur_series_preserver", tol, t0, *outcome)
 
 
-def _commuting_spectral(instances: list[tuple], tol: float) -> list[tuple]:
-    """The check on each (M, N, U, V, lam, mu) drawn as
+def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
+    """The check on each member (M, N, U, V, lam, mu) of a batch drawn as
     ``random_commuting_spectral_pair`` draws it: (margin, witness, details)."""
-    checked = []
-    for M, N, U, V, lam, mu in instances:
-        n = M.n
-        ident = identity_matrix(M.shape, n)
-        unitary_residual = _largest(
-            (mat_norm(U @ U.adjoint() - ident), mat_norm(V @ V.adjoint() - ident))
-        )
-        # each norm is taken once, after its reconstruction defect, and reused below
-        (defect_m, norm_m), (defect_n, norm_n) = (
-            (mat_norm(X - W @ diag_matrix(d) @ W.adjoint()), mat_norm(X))
-            for X, W, d in ((M, U, lam), (N, V, mu))
-        )
-        recon_residual = _largest((defect_m / max(1.0, norm_m), defect_n / max(1.0, norm_n)))
-        sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
-        if n > 1:
-            sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
-        stacks = tuple(s[None] for s in _element_stacks(sample))
-        comm = _largest(_commutators(stacks, list(combinations(range(len(sample)), 2)))[0].tolist())
-        hypothesis_ok = (
-            unitary_residual <= UNITARY_TOL
-            and recon_residual <= RECONSTRUCTION_TOL
-            and comm <= FAMILY_COMMUTING_TOL * max(1.0, norm_m, norm_n)
-        )
+    n = M.n
+    ident = identity_matrix(M.shape, n)
+    unitary = _first_of([mat_norm(W @ W.adjoint() - ident) for W in (U, V)], np.greater)
+    # each norm is taken once, after its reconstruction defect, and reused below
+    (defect_m, norm_m), (defect_n, norm_n) = (
+        (mat_norm(X - W @ diag_matrix(d) @ W.adjoint()), mat_norm(X))
+        for X, W, d in ((M, U, lam), (N, V, mu))
+    )
+    # fmax, like Python's max, takes 1.0 over a NaN norm
+    recon = _first_of([defect_m / np.fmax(norm_m, 1.0), defect_n / np.fmax(norm_n, 1.0)], np.greater)
+    sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
+    if n > 1:
+        sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
+    points = _stack(sample, 1)
+    pairs = np.array(list(combinations(range(len(sample)), 2)))
+    x, y = (points._at(np.s_[:, ends]) for ends in pairs.T)
+    comms = _first_of(list(commutator_norm(x, y).T), np.greater)
+    bound = FAMILY_COMMUTING_TOL * np.fmax(np.fmax(norm_m, 1.0), norm_n)
+    hypothesis = (unitary <= UNITARY_TOL) & (recon <= RECONSTRUCTION_TOL) & (comms <= bound)
+    mats = {"m": M, "n": N, "product": schur_product(M, N)}
+    verdicts = iter(_oracle(_stack(list(mats.values()), 1), tol))
+    columns = zip(unitary.tolist(), recon.tolist(), comms.tolist(), hypothesis.tolist())
+    outcomes = []
+    for t, (unitary_residual, recon_residual, comm, hypothesis_ok) in enumerate(columns):
+        reports = {k: next(verdicts).report() for k in mats}
+        margin = _worst([r.margin for r in reports.values()])
         residuals = {
             "unitary_residual": unitary_residual,
             "reconstruction_residual": recon_residual,
         }
-        mats = {"m": M, "n": N, "product": schur_product(M, N)}
-        checked.append((residuals, comm, hypothesis_ok, mats))
-    verdicts = iter(_oracle([X.blocks for *_, mats in checked for X in mats.values()], tol))
-    outcomes = []
-    for residuals, comm, hypothesis_ok, mats in checked:
-        reports = {k: next(verdicts).report() for k in mats}
-        margin = _worst([r.margin for r in reports.values()])
         witness = None
         if not (hypothesis_ok and all(r.is_positive for r in reports.values())):
             witness = {
-                **_matrix_payload(m=mats["m"], n=mats["n"]),
+                **_matrix_payload(t, m=M, n=N),
                 "psd": {k: r.to_json() for k, r in reports.items()},
                 **residuals,
                 "commutator": comm,
@@ -919,8 +896,8 @@ def check_commuting_spectral_instance(
     positive. Over commutative shapes this reduces to plain Schur positivity.
     """
     t0 = time.perf_counter()
-    instance = tuple(random_commuting_spectral_pair(cfg).values())
-    return _single("commuting_spectral_schur", tol, t0, *_commuting_spectral([instance], tol)[0])
+    instance = (v._at(None) for v in random_commuting_spectral_pair(cfg).values())
+    return _single("commuting_spectral_schur", tol, t0, *_commuting_spectral(*instance, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1051,13 +1028,14 @@ def _margin_histogram(margins: list[float]) -> dict:
 
 
 def _random_pairs(cfg: GenConfig, trials):
-    """(M blocks, N blocks, seeds) of the given trials, stacked: trial t draws
-    M and N as ``random_positive_matrix`` on ``cfg.derive(t).derive(0)`` and
+    """(M, N, seeds) of the given trials, M and N batched: trial t draws M and
+    N as ``random_positive_matrix`` on ``cfg.derive(t).derive(0)`` and
     ``.derive(1)``, through its chunk form."""
     seeds = _seeds(cfg, trials)
-    # every derive(t, 0), then every derive(t, 1): the halves are M's and N's blocks
+    # every derive(t, 0), then every derive(t, 1): the halves are M and N
     _, grams = _positive_stack(cfg, _Streams(_mix64s(seeds, [[0], [1]]).ravel()))
-    return (*zip(*(np.split(b, 2) for b in grams)), seeds.tolist())
+    half = len(seeds)
+    return grams._at(np.s_[:half]), grams._at(np.s_[half:]), seeds.tolist()
 
 
 def _pairs(cfg: GenConfig, trials):
@@ -1065,24 +1043,24 @@ def _pairs(cfg: GenConfig, trials):
     deterministic witness and comes alone."""
     if trials[0] == 0:
         M, N = jordan_witness(cfg.shape, cfg.n)
-        return _stacked(M), _stacked(N), [cfg.seed]
+        return M._at(None), N._at(None), [cfg.seed]
     return _random_pairs(cfg, trials)
 
 
 def _search_chunks(cfg: GenConfig, trials: int):
-    """(first trial, M blocks, N blocks, seeds) of each chunk of the search:
-    the deterministic witness alone, then trials 1..trials in stacks."""
+    """(first trial, M, N, seeds) of each chunk of the search: the
+    deterministic witness alone, then trials 1..trials in batches."""
     yield 0, *_pairs(cfg, [0])
     size = _chunk_size(cfg)
     for first in range(1, trials + 1, size):
         yield first, *_pairs(cfg, range(first, min(first + size, trials + 1)))
 
 
-def _search_record(shape, trial, i, seed, m_blocks, n_blocks, product, verdicts) -> dict:
-    """The record of trial ``trial``, member i of a stack: its matrices,
+def _search_record(trial, i, seed, M, N, product, verdicts) -> dict:
+    """The record of trial ``trial``, member i of a batch: its matrices,
     certificate, seed and margin."""
     rep = verdicts.report(i)
-    record = _schur_witness(shape, i, m_blocks, n_blocks, product, rep)
+    record = {**_matrix_payload(i, m=M, n=N, product=product), "psd": rep.to_json()}
     record.update(
         trial=trial,
         seed=seed,
@@ -1105,10 +1083,11 @@ def _search_witnesses(cfg: GenConfig, trials: list[int], tol: float = DEFAULT_TO
     rest = trials[len(groups):]
     groups += [rest[i : i + size] for i in range(0, len(rest), size)]
     for group in groups:
-        m_blocks, n_blocks, seeds = _pairs(cfg, group)
-        product, verdicts = _schur_stack(m_blocks, n_blocks, tol)
+        M, N, seeds = _pairs(cfg, group)
+        product = schur_product(M, N)
+        verdicts = _psd_stack(product, tol)
         for i, t in enumerate(group):
-            yield _search_record(cfg.shape, t, i, seeds[i], m_blocks, n_blocks, product, verdicts)
+            yield _search_record(t, i, seeds[i], M, N, product, verdicts)
 
 
 def search_witness(cfg: GenConfig, trial: int, tol: float = DEFAULT_TOL) -> dict:
@@ -1153,9 +1132,8 @@ def counterexample_search(
     validate_threads(threads)
 
     margins, violation_trials = [], []
-    for first, m_blocks, n_blocks, _ in _search_chunks(cfg, trials):
-        _, verdicts = _schur_stack(m_blocks, n_blocks, tol)
-        chunk = verdicts.margins()
+    for first, M, N, _ in _search_chunks(cfg, trials):
+        chunk = _psd_stack(schur_product(M, N), tol).margins()
         hits = np.flatnonzero(chunk < -VIOLATION_THRESHOLD).tolist()
         if stop_on_first and hits:
             hits = hits[:1]
@@ -1250,7 +1228,7 @@ def find_nonassociativity(
         defect = mat_norm(left - right)
         witness = None
         if defect > threshold:
-            witness = {"seed": sub.seed, "defect": defect, **_matrix_payload(a=A, b=B, c=C)}
+            witness = {"seed": sub.seed, "defect": defect, **_matrix_payload((), a=A, b=B, c=C)}
         return -defect, witness
 
     return _hit_search("schur_nonassociativity", cfg, trials, threshold, trial, t0)
@@ -1281,7 +1259,7 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
             sub = cfg.derive(t)
             x = random_selfadjoint_element(sub.derive(0), norm_cap=5.0)
             y = random_selfadjoint_element(sub.derive(1), norm_cap=5.0)
-        return _trig_identities([(x, y)], TRIG_TOL, falsify=True)[0][:2]
+        return _trig_identities(x._at(None), y._at(None), TRIG_TOL, falsify=True)[0][:2]
 
     return _hit_search(
         "trig_addition_breakdown", cfg, trials + 1, BREAKDOWN_THRESHOLD, trial, t0
@@ -1295,49 +1273,41 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
 
 
 def _trial_schur(base, trials, o):
-    m_blocks, n_blocks, seeds = _random_pairs(base, trials)
-    product, verdicts = _schur_stack(m_blocks, n_blocks, o.tol)
+    M, N, seeds = _random_pairs(base, trials)
+    product = schur_product(M, N)
+    verdicts = _psd_stack(product, o.tol)
     outcomes = []
     for i, seed in enumerate(seeds):
         rep = verdicts.report(i)
-        witness = None
-        if not rep.is_positive:
-            witness = _schur_witness(base.shape, i, m_blocks, n_blocks, product, rep)
+        witness = _psd_witness(rep, i, m=M, n=N, product=product)
         outcomes.append((rep.margin, _seeded(witness, seed)))
     return outcomes
 
 
 def _trial_spectral(base, trials, o):
-    instances = _drawn(base, trials, _spectral_pair_stack)
-    return [(margin, witness) for margin, witness, _ in _commuting_spectral(instances, o.tol)]
+    outcomes = _commuting_spectral(*_drawn(base, trials, _spectral_pair_stack), o.tol)
+    return [(margin, witness) for margin, witness, _ in outcomes]
 
 
 def _trial_trace_form(base, trials, o):
-    m_blocks, n_blocks, seeds = _random_pairs(base, trials)
-    vectors = _drawn(base, trials, _gaussian_stack, 2, cls=AVector)
-    outcomes = []
-    for seed, (M, N), x in zip(seeds, _members(base.shape, (m_blocks, n_blocks)), vectors):
-        direct, trace_form = schur_quadratic_form_oracle(M, N, x)
-        residual = (direct - trace_form).norm() / max(1.0, direct.norm())
-        witness = None
-        if residual > ORACLE_TOL:
-            witness = {"seed": seed, "residual": residual}
-        outcomes.append((-residual, witness))
-    return outcomes
+    M, N, seeds = _random_pairs(base, trials)
+    x = _drawn(base, trials, _gaussian_stack, 2, cls=AVector)
+    direct, trace_form = schur_quadratic_form_oracle(M, N, x)
+    residuals = (direct - trace_form).norm() / np.fmax(direct.norm(), 1.0)
+    return [
+        (-residual, {"seed": seed, "residual": residual} if residual > ORACLE_TOL else None)
+        for seed, residual in zip(seeds, residuals.tolist())
+    ]
 
 
 def _trial_oracle(base, trials, o):
     # kinds 0 and 1 draw a matrix from the trial's stream, kind 2 a vector
-    pairs = iter(_drawn(base, [t for t in trials if t % 3 < 2], _positive_stack))
-    vectors = iter(_drawn(base, [t for t in trials if t % 3 == 2], _gaussian_stack, cls=AVector))
-    instances = []
-    for t in trials:
-        if t % 3 == 2:
-            instances.append(outer_product(next(vectors)))
-        else:
-            R, M = next(pairs)
-            instances.append(M if t % 3 == 0 else 0.5 * (R + R.adjoint()))
-    verdicts = _oracle([inst.blocks for inst in instances], o.tol)
+    R, M = _drawn(base, [t for t in trials if t % 3 < 2], _positive_stack)
+    x = _drawn(base, [t for t in trials if t % 3 == 2], _gaussian_stack, cls=AVector)
+    kinds = (M, 0.5 * (R + R.adjoint()), outer_product(x))
+    matrices, vectors = iter(range(len(trials))), iter(range(len(trials)))
+    instances = [kinds[t % 3]._at(next(vectors if t % 3 == 2 else matrices)) for t in trials]
+    verdicts = _oracle(_stack(instances), o.tol)
     outcomes = []
     for seed, t, inst, verdict in zip(_seeds(base, trials).tolist(), trials, instances, verdicts):
         eig_rep = verdict.report()
@@ -1358,9 +1328,9 @@ def _trial_oracle(base, trials, o):
 def _trial_row_sum(base, trials, o):
     # the bound never uses positivity of A, so alternate between positive
     # and general inputs and record the split
-    pairs = _drawn(base, trials, _positive_stack)
-    As = [pair[1] if t % 2 == 0 else pair[0] for t, pair in zip(trials, pairs)]
-    bounds = zip(_seeds(base, trials).tolist(), _row_sum_bounds(As, o.tol))
+    G, M = _drawn(base, trials, _positive_stack)
+    A = _stack([M, G], 1)._at((np.arange(len(trials)), np.asarray(trials) % 2))
+    bounds = zip(_seeds(base, trials).tolist(), _row_sum_bounds(A, o.tol))
     return [
         (rep.margin, _seeded(witness, seed), {"inputs_positive": positive})
         for seed, (rep, witness, positive) in bounds
@@ -1369,25 +1339,25 @@ def _trial_row_sum(base, trials, o):
 
 def _trial_chain(base, trials, o):
     drawn = _drawn(base, trials, _gaussian_stack, range(2), cls=AMatrix)
-    chains = _schur_chains(list(zip(drawn[0::2], drawn[1::2])), o.tol)
+    chains = _schur_chains(drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2]), o.tol)
     return [(margin, witness) for margin, witness, _ in chains]
 
 
 def _trial_diag(base, trials, o):
-    Ms = [M for _, M in _drawn(base, trials, _positive_stack)]
-    return [(rep.margin, witness) for rep, witness in _diag_bounds(Ms, o.tol, positive=True)]
+    _, M = _drawn(base, trials, _positive_stack)
+    return [(rep.margin, witness) for rep, witness in _diag_bounds(M, o.tol, positive=True)]
 
 
 def _trial_unit_diag(base, trials, o):
-    Ms = _drawn(base, trials, _unit_diagonal_stack)
-    return [(margin, witness) for margin, witness, _ in _unit_diag_checks(Ms, o.tol)]
+    M = _drawn(base, trials, _unit_diagonal_stack)
+    return [(margin, witness) for margin, witness, _ in _unit_diag_checks(M, o.tol)]
 
 
 def _trial_diag_probe(base, trials, o):
     # complex entries break the a = a* step of the diagonal-bound argument;
     # record how often without asserting anything
-    Ms = [M for _, M in _drawn(base, trials, _positive_stack)]
-    bounds = zip(_seeds(base, trials).tolist(), _diag_bounds(Ms, o.tol))
+    _, M = _drawn(base, trials, _positive_stack)
+    bounds = zip(_seeds(base, trials).tolist(), _diag_bounds(M, o.tol))
     return [(rep.margin, _seeded(witness, seed)) for seed, (rep, witness) in bounds]
 
 
@@ -1409,10 +1379,11 @@ def _trial_cosine_gram(base, trials, o):
 def _trial_trig(base, trials, o):
     if base.shape.is_commutative:
         drawn = _drawn(base, trials, _selfadjoint_stack, range(2), norm_cap=5.0)
-        pairs = list(zip(drawn[0::2], drawn[1::2]))
+        x, y = drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2])
     else:
-        pairs = _drawn(base, trials, _family_stack, count=2, selfadjoint=True, norm_cap=5.0)
-    return [(margin, witness) for margin, witness, _ in _trig_identities(pairs, TRIG_TOL, False)]
+        family = _drawn(base, trials, _family_stack, count=2, selfadjoint=True, norm_cap=5.0)
+        x, y = family._at(np.s_[:, 0]), family._at(np.s_[:, 1])
+    return [(margin, witness) for margin, witness, _ in _trig_identities(x, y, TRIG_TOL, False)]
 
 
 def _trial_preserver(base, trials, o):
@@ -1420,32 +1391,28 @@ def _trial_preserver(base, trials, o):
     degrees = [int(rng.integers(0, 5)) for rng in _Streams(seeds)]
     # coefficient q of trial t comes from the stream of base.derive(t, q + 1)
     index = [(s, q + 1) for s, degree in zip(seeds.tolist(), degrees) for q in range(degree + 1)]
-    gens = _Streams(_mix64s(*zip(*index)))
-    coeffs = iter(_members(base.shape, _gaussian_stack(base, gens, Element)))
-    instances = [
-        (SeriesSpec(tuple(g * g.adjoint() for g in islice(coeffs, degree + 1))), pair[1])
-        for degree, pair in zip(degrees, _drawn(base, trials, _positive_stack, 0))
-    ]
+    g = _gaussian_stack(base, _Streams(_mix64s(*zip(*index))), Element)
+    _, M = _drawn(base, trials, _positive_stack, 0)
     # the report records only that the all-units convention was asked for
-    return [(margin, witness) for margin, witness, _ in _preservers(instances, o.tol, False)]
+    outcomes = _preservers(g * g.adjoint(), degrees, M, o.tol, False)
+    return [(margin, witness) for margin, witness, _ in outcomes]
 
 
 def _trial_cauchy_schwarz(base, trials, o):
     vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
-    pairs = list(zip(vectors[0::2], vectors[1::2]))
-    gaps = [cauchy_schwarz_gap(x, y) for x, y in pairs]
-    # classify's verdict on a gap is the one on the 1x1 matrix [gap]
-    verdicts = _psd_stack(tuple(s[:, None, None] for s in _element_stacks(gaps)), o.tol)
+    x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
+    gap = cauchy_schwarz_gap(x, y)
+    verdicts = _psd_stack(_one_by_one(gap), o.tol)
+    margins = _first_of(list(verdicts.min_eigenvalues.T), np.less) / np.fmax(gap.norm(), 1.0)
     outcomes = []
-    for i, (seed, (x, y), gap) in enumerate(zip(_seeds(base, trials).tolist(), pairs, gaps)):
+    for i, (seed, margin) in enumerate(zip(_seeds(base, trials).tolist(), margins.tolist())):
         rep = verdicts.spectrum(i)
-        margin = rep.min_spectrum / max(1.0, gap.norm())
         witness = None
         if margin < -o.tol or not rep.is_selfadjoint:
             witness = {
                 "seed": seed,
-                "x": x.to_json(),
-                "y": y.to_json(),
+                "x": x._at(i).to_json(),
+                "y": y._at(i).to_json(),
                 "min_spectrum": rep.min_spectrum,
             }
         outcomes.append((margin, witness))
@@ -1454,31 +1421,24 @@ def _trial_cauchy_schwarz(base, trials, o):
 
 def _trial_axioms(base, trials, o):
     vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
-    elements = _drawn(base, trials, _gaussian_stack, 2, cls=Element)
-    residuals = []
-    for x, y, a in zip(vectors[0::2], vectors[1::2], elements):
-        sym_res = (inner_product(x, y) - inner_product(y, x).adjoint()).norm()
-        lin_res = (
-            inner_product(left_mul(a, x), y) - a * inner_product(x, y)
-        ).norm()
-        scale = max(1.0, a.norm() * inner_product(x, y).norm())
-        residuals.append((sym_res, lin_res, scale, inner_product(x, x)))
-    xxs = [xx for *_, xx in residuals]
-    verdicts = _psd_stack(tuple(s[:, None, None] for s in _element_stacks(xxs)), o.tol)
+    a = _drawn(base, trials, _gaussian_stack, 2, cls=Element)
+    x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
+    xy = inner_product(x, y)
+    sym_res = (xy - inner_product(y, x).adjoint()).norm()
+    lin_res = (inner_product(left_mul(a, x), y) - a * xy).norm()
+    scale = np.fmax(a.norm() * xy.norm(), 1.0)
+    xx = inner_product(x, x)
+    verdicts = _psd_stack(_one_by_one(xx), o.tol)
+    lowest = _first_of(list(verdicts.min_eigenvalues.T), np.less)
+    margins = _first_of(
+        [-sym_res / scale, -lin_res / scale, lowest / np.fmax(xx.norm(), 1.0)], np.less
+    )
     seeds = _seeds(base, trials).tolist()
-    outcomes = []
-    for i, (sym_res, lin_res, scale, xx) in enumerate(residuals):
-        pos_rep = verdicts.spectrum(i)
-        margin = _worst([
-            -sym_res / scale,
-            -lin_res / scale,
-            pos_rep.min_spectrum / max(1.0, xx.norm()),
-        ])
-        witness = None
-        if margin < -AXIOM_TOL:
-            witness = {"seed": seeds[i], "sym": sym_res, "lin": lin_res}
-        outcomes.append((margin, witness))
-    return outcomes
+    columns = zip(seeds, margins.tolist(), sym_res.tolist(), lin_res.tolist())
+    return [
+        (margin, {"seed": seed, "sym": sym, "lin": lin} if margin < -AXIOM_TOL else None)
+        for seed, margin, sym, lin in columns
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from cstar_schur import (
     zero_element,
 )
 from cstar_schur.algebra import DEFAULT_TOL
-from cstar_schur.amatrix import _psd_stack, _stacked
+from cstar_schur.amatrix import _psd_stack
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES, comm_element
 
 ALL_SHAPES = COMMUTATIVE_SHAPES + NONCOMMUTATIVE_SHAPES
@@ -216,7 +216,7 @@ def test_classify_is_psd_check_of_the_one_by_one_matrix(shape):
             M = AMatrix.from_entries([[x]])
             psd = psd_check(M)
             # psd_check's report leaves out the eigenvalues of a non-self-adjoint matrix
-            lowest = min(_psd_stack(_stacked(M), DEFAULT_TOL).min_eigenvalues[0])
+            lowest = min(_psd_stack(M, DEFAULT_TOL).min_eigenvalues[0])
             assert rep.is_selfadjoint == bool(psd.min_eigenvalue_per_block)
             assert rep.is_positive == psd.is_positive
             assert bits(rep.hermitian_defect) == bits(psd.hermitian_defect)
@@ -316,7 +316,7 @@ def test_spectral_scale_agrees_with_the_top_singular_value():
     g = rng.standard_normal((200, 16, 16)) + 1j * rng.standard_normal((200, 16, 16))
     gram = g @ g.conj().swapaxes(-1, -2)
     m = (gram + gram.conj().swapaxes(-1, -2)) / 2
-    stack = _psd_stack([m[:, None, None]], DEFAULT_TOL)
+    stack = _psd_stack(AMatrix._wrap(AlgebraShape((16,)), [m[:, None, None]]), DEFAULT_TOL)
     assert stack.is_positive.all() and (stack.hermitian_defect == 0).all()
     top = np.linalg.svd(m, compute_uv=False)[:, 0]
     ulps = np.abs(stack.scale - top) / (np.finfo(float).eps * top)

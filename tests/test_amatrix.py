@@ -13,6 +13,7 @@ from cstar_schur import (
     Element,
     GenConfig,
     PsdReport,
+    StructureError,
     cholesky_psd_check,
     diag_matrix,
     diag_vector,
@@ -34,6 +35,7 @@ from cstar_schur import (
     unflatten,
     zero_matrix,
 )
+from cstar_schur.algebra import _stack
 from cstar_schur.amatrix import _psd_stack
 from conftest import (
     COMMUTATIVE_SHAPES,
@@ -320,7 +322,7 @@ def test_stack_of_exact_and_one_ulp_off_hermitian_members_matches_each_alone():
             f = flats[seed // 2]
             f[0, 1] = complex(np.nextafter(f[0, 1].real, np.inf), f[0, 1].imag)
         members.append(unflatten(flats, shape, n))
-    stack = _psd_stack([np.stack(col) for col in zip(*(m.blocks for m in members))], 1e-9)
+    stack = _psd_stack(_stack(members), 1e-9)
     assert stack.hermitian_defect.tolist()[::2] == [0.0, 0.0]
     assert (stack.hermitian_defect[1::2] > 0).all()
     for i, M in enumerate(members):
@@ -330,7 +332,7 @@ def test_stack_of_exact_and_one_ulp_off_hermitian_members_matches_each_alone():
 def test_psd_stack_nan_in_any_block_is_not_positive():
     shape = AlgebraShape((1, 1, 1))
     members = [_one_by_one(shape, pos) for pos in (None, 0, 1, 2)]
-    stack = _psd_stack([np.stack(col) for col in zip(*members)], 1e-9)
+    stack = _psd_stack(AMatrix._wrap(shape, [np.stack(col) for col in zip(*members)]), 1e-9)
     assert stack.is_positive.tolist() == [True, False, False, False]
     margins = stack.margins()
     assert margins[0] == 1.0 and np.isnan(margins[1:]).all()
@@ -430,3 +432,20 @@ def test_mat_norm_keeps_a_nan_in_any_block(pos):
     assert mat_norm(AMatrix(shape, blocks)) == 2.0
     blocks[pos] = np.full((1, 1, 1, 1), np.nan, complex)
     assert np.isnan(mat_norm(AMatrix(shape, blocks)))
+
+
+def _unflatten_zeros(shape, n):
+    return unflatten([np.zeros((max(n, 0) * k,) * 2) for k in shape.blocks], shape, n)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize(
+    "make",
+    [identity_matrix, zero_matrix, ones_matrix, _unflatten_zeros],
+    ids=["identity", "zero", "ones", "unflatten"],
+)
+def test_matrix_constructors_need_n_at_least_one(make, n):
+    # n = 0 used to give an AMatrix the validated constructor rejects, on which
+    # psd_check and mat_norm raised IndexError; n = -1 a bare numpy ValueError
+    with pytest.raises(StructureError, match="n must be >= 1"):
+        make(AlgebraShape((2,)), n)

@@ -1,8 +1,10 @@
 """The blockwise storage that Element, AVector and AMatrix share: construction
-checks, same-operand checks, the linear structure and the [re, im] encoding."""
+checks, same-operand checks, the linear structure, the [re, im] encoding, and
+values with batch axes."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cstar_schur import (
     AlgebraShape,
@@ -10,13 +12,26 @@ from cstar_schur import (
     AVector,
     Element,
     GenConfig,
+    NumericalError,
     StructureError,
+    commutator_norm,
+    diag_matrix,
+    diag_vector,
+    element_scale,
+    hermitian_defect,
     identity_element,
     identity_matrix,
+    inner_product,
+    left_mul,
+    mat_norm,
     ones_vector,
+    outer_product,
     random_matrix,
     random_vector,
+    row_sums,
+    schur_product,
 )
+from cstar_schur.algebra import _spectral_norm
 
 SHAPE = AlgebraShape((2, 1))
 
@@ -157,3 +172,113 @@ def test_vector_json_is_the_element_encoding_of_each_entry(shape):
     # repr tells -0.0 from 0.0 and NaN from a number
     assert repr(x.to_json()) == repr(want)
     assert type(x.to_json()["entries"][0]["blocks"][0][0][0][0]) is float
+
+
+# -- values with batch axes ---------------------------------------------------
+
+# every batched operation and reduction, on (elements x, y, vectors u, v,
+# matrices M, N, scalars lam): member i of its result on a batch must be its
+# result on the members i alone
+BATCHED_OPS = {
+    "add": lambda a: a["M"] + a["N"],
+    "sub": lambda a: a["x"] - a["y"],
+    "neg": lambda a: -a["u"],
+    "scalar": lambda a: (0.5 - 2j) * a["M"],
+    "scalar per member": lambda a: a["lam"] * a["M"],
+    "element product": lambda a: a["x"] * a["y"],
+    "matrix product": lambda a: a["M"] @ a["N"],
+    "matrix on vector": lambda a: a["M"] @ a["u"],
+    "element adjoint": lambda a: a["x"].adjoint(),
+    "matrix adjoint": lambda a: a["M"].adjoint(),
+    "transpose": lambda a: a["M"].transpose(),
+    "trace": lambda a: a["M"].trace(),
+    "schur product": lambda a: schur_product(a["M"], a["N"]),
+    "element scale": lambda a: element_scale(a["x"], a["M"]),
+    "diag matrix": lambda a: diag_matrix(a["u"]),
+    "diag vector": lambda a: diag_vector(a["M"]),
+    "row sums": lambda a: row_sums(a["M"]),
+    "outer product": lambda a: outer_product(a["u"]),
+    "inner product": lambda a: inner_product(a["u"], a["v"]),
+    "left mul": lambda a: left_mul(a["x"], a["u"]),
+    "entry": lambda a: a["M"].entry(0, a["M"].n - 1),
+    "norm": lambda a: a["x"].norm(),
+    "mat norm": lambda a: mat_norm(a["M"]),
+    "hermitian defect": lambda a: hermitian_defect(a["x"]),
+    "commutator norm": lambda a: commutator_norm(a["x"], a["y"]),
+}
+
+
+def _bits(value):
+    """The float64 words of a value or a number, NaNs zeroed, and where the NaNs are."""
+    arrays = value.blocks if hasattr(value, "blocks") else (value,)
+    words = [np.atleast_1d(np.asarray(a, np.complex128)).view(np.float64) for a in arrays]
+    return [(np.where(np.isnan(w), 0.0, w).tobytes(), np.isnan(w).tobytes()) for w in words]
+
+
+def _batched_values(shape, n, size, seed, special):
+    rng = np.random.default_rng(seed)
+
+    def draw(lead, cls):
+        blocks = []
+        for k in shape.blocks:
+            dims = (size,) + (n,) * lead + (k, k)
+            blocks.append(rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+        if special == "nan":
+            # in a later block of the last member: a 1x1 block's norm is NaN,
+            # a larger block's raises, alone as in the batch
+            blocks[-1][-1].flat[0] = np.nan
+        elif special == "signed zeros":
+            # member 0 is zero with signed zeros, so every block norm ties at 0
+            for b in blocks:
+                signs = rng.random(b[0].shape) < 0.5
+                b[0] = np.where(signs, -0.0, 0.0) + 1j * np.where(signs, 0.0, -0.0)
+        return cls._wrap(shape, blocks)
+
+    values = {"x": draw(0, Element), "y": draw(0, Element), "u": draw(1, AVector),
+              "v": draw(1, AVector), "M": draw(2, AMatrix), "N": draw(2, AMatrix)}
+    values["lam"] = rng.standard_normal(size)
+    return values
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    shape=st.sampled_from([(1,), (1, 1), (2,), (2, 1), (3,)]),
+    n=st.integers(1, 3),
+    size=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+    special=st.sampled_from([None, "nan", "signed zeros"]),
+)
+def test_batched_values_give_each_member_its_alone_bits(shape, n, size, seed, special):
+    batch = _batched_values(AlgebraShape(shape), n, size, seed, special)
+    members = [
+        {key: v[i] if key == "lam" else v._at(i) for key, v in batch.items()} for i in range(size)
+    ]
+    for name, op in BATCHED_OPS.items():
+        alone = []
+        for member in members:
+            try:
+                alone.append(op(member))
+            except NumericalError:
+                alone.append(None)
+        try:
+            got = op(batch)
+        except NumericalError:
+            assert None in alone, name
+            continue
+        assert None not in alone, name
+        for i, want in enumerate(alone):
+            mine = got._at(i) if hasattr(got, "blocks") else got[i]
+            assert _bits(mine) == _bits(want), (name, i)
+            assert type(mine) is type(want) or isinstance(want, float), name
+    stack = batch["M"].blocks[-1].reshape(-1, *batch["M"].blocks[-1].shape[-2:])
+    if special != "nan" or stack.shape[-1] == 1:
+        norms = _spectral_norm(stack)
+        assert _bits(norms) == _bits(np.array([_spectral_norm(m) for m in stack]))
+    # the validated constructors take one value, never a batch
+    x = batch["x"]
+    with pytest.raises(StructureError):
+        Element(x.shape, x.blocks)
+    with pytest.raises(StructureError):
+        AMatrix.from_entries([[x]])
+    with pytest.raises(StructureError):
+        AVector.from_elements([x])

@@ -321,6 +321,13 @@ def _chunk_cases(cfg, d):
     return cases
 
 
+def _members(drawn):
+    """The members of a batched value in order, or tuples of those of a tuple of values."""
+    if isinstance(drawn, tuple):
+        return list(zip(*(_members(v) for v in drawn)))
+    return [drawn._at(t) for t in range(drawn.batch[0])]
+
+
 def test_chunk_forms_equal_each_instance_drawn_alone():
     # member i of a chunk form on bulk-seeded streams is the public generator
     # on cfg.derive(t), over a trial range that crosses a chunk boundary; the
@@ -333,11 +340,11 @@ def test_chunk_forms_equal_each_instance_drawn_alone():
         for name, form, public, indices in _chunk_cases(cfg, 3):
             for trials in (range(size - 4, size), range(size, size + 4)):
                 drawn = form(cfg, _Streams(generate._seeds(cfg, trials, *indices)))
-                members = list(drawn) if name == "haar" else generate._members(cfg.shape, drawn)
+                members = list(drawn) if name == "haar" else _members(drawn)
                 assert len(members) == len(trials), name
                 for t, member in zip(trials, members):
                     if name == "points" or "family" in name:
-                        member = list(member)
+                        member = _members(member)
                     want = _bytes(public(cfg.derive(t)))
                     assert _bytes(member) == want, (name, shape, style, scale, t)
                     alone[name, t] = want

@@ -58,6 +58,7 @@ from cstar_schur import (
     schur_product,
 )
 from cstar_schur import generate, verify
+from cstar_schur.algebra import _stack
 from cstar_schur.generate import STYLES
 from cstar_schur.verify import SUITES, counts_as_failure
 from conftest import comm_element, scalar_amatrix, as_numpy
@@ -288,13 +289,13 @@ def test_preserver_identity_vs_ones_convention():
 def test_entrywise_constant_suite_forms_no_all_units_series(monkeypatch):
     # the suite's report carries only the flag, so its trials skip that convention
     calls = []
-    apply = verify.schur_series_apply
+    sums = verify._series_sums
 
-    def counted(series, M, constant="identity"):
+    def counted(coefficients, M, constant):
         calls.append(constant)
-        return apply(series, M, constant=constant)
+        return sums(coefficients, M, constant)
 
-    monkeypatch.setattr(verify, "schur_series_apply", counted)
+    monkeypatch.setattr(verify, "_series_sums", counted)
     cfg = GenConfig(seed=2024, shape=AlgebraShape((1, 1)), n=3)
     (rep,) = run_suite("preserver", cfg, trials=5, entrywise_constant=True)
     assert rep.details["entrywise_constant_reported"] is True
@@ -444,8 +445,8 @@ def test_stacked_search_matches_per_trial_reference(shape, n, stop_on_first, mon
     margins, violations = _reference_search(cfg, trials, stop_on_first)
 
     stacked = []
-    for _, m_blocks, n_blocks, _ in verify._search_chunks(cfg, trials):
-        stacked.extend(verify._schur_stack(m_blocks, n_blocks, 1e-9)[1].margins().tolist())
+    for _, M, N, _ in verify._search_chunks(cfg, trials):
+        stacked.extend(verify._psd_stack(schur_product(M, N), 1e-9).margins().tolist())
     assert np.array(stacked[: len(margins)]).tobytes() == np.array(margins).tobytes()
 
     rep = counterexample_search(cfg, trials, stop_on_first=stop_on_first)
@@ -470,8 +471,8 @@ def test_stacked_search_matches_per_trial_reference_at_other_styles_and_scales(
     margins, violations = _reference_search(cfg, trials)
 
     stacked = []
-    for _, m_blocks, n_blocks, _ in verify._search_chunks(cfg, trials):
-        stacked.extend(verify._schur_stack(m_blocks, n_blocks, 1e-9)[1].margins().tolist())
+    for _, M, N, _ in verify._search_chunks(cfg, trials):
+        stacked.extend(verify._psd_stack(schur_product(M, N), 1e-9).margins().tolist())
     assert np.array(stacked).tobytes() == np.array(margins).tobytes()
 
     rep = counterexample_search(cfg, trials)
@@ -545,8 +546,8 @@ def test_search_keeps_the_most_negative_witnesses_in_order():
     cfg = GenConfig(seed=2024, shape=M2, n=3)
     rep = counterexample_search(cfg, trials=600)
     margins = []
-    for _, m_blocks, n_blocks, _ in verify._search_chunks(cfg, 600):
-        margins.extend(verify._schur_stack(m_blocks, n_blocks, 1e-9)[1].margins().tolist())
+    for _, M, N, _ in verify._search_chunks(cfg, 600):
+        margins.extend(verify._psd_stack(schur_product(M, N), 1e-9).margins().tolist())
     hits = sorted((m, t) for t, m in enumerate(margins) if t > 0 and m < -1e-6)
     kept = rep.details["violations"]
     assert kept[0]["trial"] == 0 and kept[0] is rep.witness
@@ -563,7 +564,7 @@ def test_search_breaks_margin_ties_by_trial(monkeypatch):
             return real(cfg, [0])
         m, n, seeds = real(cfg, [1])
         count = len(trials)
-        m, n = (tuple(np.repeat(b, count, axis=0) for b in blocks) for blocks in (m, n))
+        m, n = (v._at([0] * count) for v in (m, n))
         return m, n, seeds * count
 
     monkeypatch.setattr(verify, "_pairs", same_pair)
@@ -617,12 +618,13 @@ def test_search_encodes_only_the_records_it_keeps(monkeypatch):
         # the records a search built from its chunks as it read them
         trials = {w["trial"] for w in kept}
         from_chunks = {}
-        for first, m_blocks, n_blocks, seeds in verify._search_chunks(cfg, 1000):
-            product, verdicts = verify._schur_stack(m_blocks, n_blocks, 1e-9)
+        for first, M, N, seeds in verify._search_chunks(cfg, 1000):
+            product = schur_product(M, N)
+            verdicts = verify._psd_stack(product, 1e-9)
             for i in range(len(seeds)):
                 if first + i in trials:
                     from_chunks[first + i] = verify._search_record(
-                        cfg.shape, first + i, i, seeds[i], m_blocks, n_blocks, product, verdicts
+                        first + i, i, seeds[i], M, N, product, verdicts
                     )
         expected = [from_chunks[w["trial"]] for w in kept]
         assert _canonical_json(kept) == _canonical_json(expected)
@@ -637,12 +639,12 @@ def test_search_draws_equal_each_pair_drawn_alone(style, scale):
     trials = range(size - 2, size + 3)
     chunks = [range(size - 2, size + 1), range(size + 1, size + 3)]
     for group in [trials, *chunks]:
-        m_blocks, n_blocks, seeds = verify._pairs(cfg, group)
+        M, N, seeds = verify._pairs(cfg, group)
         for i, t in enumerate(group):
             sub = cfg.derive(t)
             assert seeds[i] == sub.seed
             pairs = (random_positive_matrix(sub.derive(j)) for j in (0, 1))
-            for stacks, (_, alone) in zip((m_blocks, n_blocks), pairs):
+            for stacks, (_, alone) in zip((M.blocks, N.blocks), pairs):
                 for stack, block in zip(stacks, alone.blocks):
                     assert stack[i].tobytes() == block.tobytes()
 
@@ -919,9 +921,28 @@ def test_suite_grid_takes_few_singular_values(monkeypatch):
     for shape, n in GRID:
         run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
     # the oracle solves first and takes the exactly Hermitian members' scale
-    # from their spectra (2 082 calls while it took an SVD of every member);
-    # most calls left are the single-instance norms of the evaluators
-    assert len(calls) <= 2030
+    # from their spectra (2 082 calls while it took an SVD of every member),
+    # and the evaluators take their norms once per chunk on batched values
+    # (2 030 calls while they took them one instance at a time)
+    assert len(calls) <= 518
+
+
+def test_suite_grid_builds_few_blockwise_values(monkeypatch):
+    from cstar_schur import algebra
+
+    built = []
+    wrap = algebra._Blocks._wrap.__func__
+
+    def counted(cls, shape, blocks):
+        built.append(cls)
+        return wrap(cls, shape, blocks)
+
+    monkeypatch.setattr(algebra._Blocks, "_wrap", classmethod(counted))
+    for shape, n in GRID:
+        run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
+    # every value operation builds one value for a whole chunk (9 786 values
+    # while the evaluators built them one instance at a time)
+    assert len(built) <= 1922
 
 
 def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
@@ -997,13 +1018,13 @@ def test_novak_commutators_are_taken_a_slice_of_trials_at_a_time(budget, monkeyp
     cfg = GenConfig(seed=2024, shape=M2, n=2)
     expected = [r.to_json() for r in run_suite("novak", cfg, trials=10, d=3)]
     sizes = []
-    commutators = verify._commutators
+    commutators = verify.commutator_norm
 
-    def counted(stacks, pairs):
-        sizes.append((len(stacks[0]), len(pairs)))
-        return commutators(stacks, pairs)
+    def counted(x, y):
+        sizes.append(x.batch)
+        return commutators(x, y)
 
-    monkeypatch.setattr(verify, "_commutators", counted)
+    monkeypatch.setattr(verify, "commutator_norm", counted)
     monkeypatch.setattr(verify, "_COMMUTATOR_PAIRS", budget)
     got = [r.to_json() for r in run_suite("novak", cfg, trials=10, d=3)]
     assert got == expected
@@ -1065,7 +1086,7 @@ def test_chunk_error_gives_way_to_the_first_trial_that_raises_alone(positivity_a
     def trial(base, trials, opts):
         elements = [np.full((1, 2, 2), np.nan if t == algebra_at else 1.0, complex) for t in trials]
         generate._capped((np.concatenate(elements),), 1.0)
-        mats = [(-1.0 * good if t == positivity_at else good).blocks for t in trials]
+        mats = _stack([-1.0 * good if t == positivity_at else good for t in trials])
         outcomes = []
         for verdict in verify._oracle(mats, opts.tol):
             verify._require_positive("M", verdict)
@@ -1088,11 +1109,11 @@ def test_failing_solve_in_a_stack_is_rerun_member_by_member():
     # still get their own verdicts, and the failure is raised when read
     cfg = GenConfig(seed=0, shape=M2, n=2)
     good = identity_matrix(M2, 2)
-    bad = AMatrix._wrap(M2, 2, (np.full((2, 2, 2, 2), np.nan, complex),))
+    bad = AMatrix._wrap(M2, (np.full((2, 2, 2, 2), np.nan, complex),))
     read = []
 
     def trial(base, trials, opts):
-        mats = [(bad if t == 2 else good).blocks for t in trials]
+        mats = _stack([bad if t == 2 else good for t in trials])
         outcomes = []
         for t, verdict in zip(trials, verify._oracle(mats, opts.tol)):
             read.append(t)
@@ -1105,7 +1126,7 @@ def test_failing_solve_in_a_stack_is_rerun_member_by_member():
     assert read == [0, 1, 2]
     with pytest.raises(NumericalError, match="non-finite entries on block 0"):
         check.report(cfg, OPTS)
-    verdicts = verify._oracle([good.blocks, bad.blocks, good.blocks], 1e-9)
+    verdicts = verify._oracle(_stack([good, bad, good]), 1e-9)
     assert [v.error is None for v in verdicts] == [True, False, True]
     assert verdicts[2].report() == psd_check(good)
 
@@ -1152,8 +1173,8 @@ def test_nan_diagonal_residual_is_found_and_rejected(monkeypatch):
     M = identity_matrix(AlgebraShape((1, 1)), 3)
     blocks = [b.copy()[None] for b in M.blocks]
     blocks[1][0, 1, 1] = math.nan
-    assert math.isnan(verify._diag_residual(blocks)[0])
-    assert verify._diag_residual(verify._stacked(M)).tolist() == [0.0]
+    assert math.isnan(verify._diag_residual(AMatrix._wrap(M.shape, blocks))[0])
+    assert verify._diag_residual(M._at(None)).tolist() == [0.0]
     monkeypatch.setattr(verify, "_diag_residual", lambda blocks: np.array([math.nan]))
     with pytest.raises(DomainError, match="diagonal entries deviate"):
         check_unit_diagonal_bound(M)
@@ -1171,8 +1192,8 @@ def test_nan_commutator_is_not_commuting(monkeypatch):
     x, z = pauli_pair(M2)
     points = tuple(b[None, None].repeat(2, axis=1) for b in x.blocks)
     verify._require_commuting_points(M2, points)
-    nan = lambda stacks, pairs: np.full((len(stacks[0]), len(pairs)), math.nan)
-    monkeypatch.setattr(verify, "_commutators", nan)
+    nan = lambda x, y: np.full(x.batch, math.nan)
+    monkeypatch.setattr(verify, "commutator_norm", nan)
     with pytest.raises(DomainError, match="do not commute"):
         verify._require_commuting_points(M2, points)
 
@@ -1201,10 +1222,10 @@ def test_hypothesis_falls_back_to_each_point_alone_when_the_stack_fails(monkeypa
         verify._require_commuting_points(M2, noncommuting)
     psd_stack = verify._psd_stack
 
-    def alone_only(blocks, tol):
-        if len(blocks[0]) > 1:
+    def alone_only(M, tol):
+        if len(M.blocks[0]) > 1:
             raise NumericalError("stacked solve failed")
-        return psd_stack(blocks, tol)
+        return psd_stack(M, tol)
 
     monkeypatch.setattr(verify, "_psd_stack", alone_only)
     verify._require_commuting_points(M2, commuting)
