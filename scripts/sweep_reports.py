@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Hash the suite reports of 840 configurations, one line each, for diffing.
+"""Hash the suite or search reports of many configurations, one line each, for diffing.
 
 A change that must not move any report, errors included, is checked by
 running this on the old checkout and on the new one, on the same machine, and
@@ -17,6 +17,14 @@ values, each at seed 2024 with 5 trials. A line holds the configuration and eith
 JSON of its reports or the class and message of the error it raised. At entry
 scale 1e200 every configuration raises in the first suite, so ``--suite NAME``
 sweeps one suite alone, to reach the errors of the later ones.
+
+``--search`` sweeps the searches instead: ``counterexample_search`` with and
+without ``stop_on_first``, ``find_nonassociativity`` and ``find_trig_breakdown``,
+one line each, at seed 2024 with 250 random trials, over the shapes (2,),
+(2, 1), (3,) and (2, 2), n from 1 to 3, entry scales 1, 0.37, 1e-100, 1.2e154
+and 1e200, and both styles. A chunk holds 101 to 2 048 trials there, so the
+searches at n = 3, and over (3,) at n = 2, that run their trials span two
+chunks or more.
 """
 
 import argparse
@@ -34,7 +42,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 from cstar_schur import AlgebraShape, GenConfig  # noqa: E402
 from cstar_schur.cli import _canonical_json  # noqa: E402
 from cstar_schur.generate import STYLES  # noqa: E402
-from cstar_schur.verify import run_suites  # noqa: E402
+from cstar_schur.verify import (  # noqa: E402
+    counterexample_search,
+    find_nonassociativity,
+    find_trig_breakdown,
+    run_suites,
+)
 from run_verification_suites import GRID  # noqa: E402
 
 SIZES = (1, 2, 3)
@@ -44,38 +57,71 @@ CONSTANTS = (False, True)
 SEED = 2024
 TRIALS = 5
 
+SEARCH_SHAPES = ("2", "2,1", "3", "2,2")
+SEARCH_SCALES = (1.0, 0.37, 1e-100, 1.2e154, 1e200)
+SEARCH_TRIALS = 250
+SEARCHES = {
+    "counterexample": lambda cfg: counterexample_search(cfg, SEARCH_TRIALS),
+    "counterexample_stop": lambda cfg: counterexample_search(
+        cfg, SEARCH_TRIALS, stop_on_first=True
+    ),
+    "nonassociativity": lambda cfg: find_nonassociativity(cfg, SEARCH_TRIALS),
+    "trig_breakdown": lambda cfg: find_trig_breakdown(cfg, SEARCH_TRIALS),
+}
 
-def sweep_result(suite: str, shape: str, n: int, scale: float, style: str, d: int,
-                 constant: bool) -> tuple[str, bool]:
-    """The result of one configuration, a hash or an error, and whether it raised."""
+
+def _result(run) -> tuple[str, bool]:
+    """The sha256 of the canonical JSON of the reports ``run()`` returns, or the
+    error it raised, and whether it raised."""
     try:
-        cfg = GenConfig(seed=SEED, shape=AlgebraShape.parse(shape), n=n,
-                        entry_scale=scale, style=style)
-        reports = run_suites(suite, cfg, trials=TRIALS, d=d, entrywise_constant=constant)
+        reports = run()
     except Exception as exc:  # every error is a result to compare
         return f"{type(exc).__name__}: {exc}", True
     text = _canonical_json({"reports": [r.to_json() for r in reports]})
     return hashlib.sha256(text.encode()).hexdigest(), False
 
 
+def _config(shape: str, n: int, scale: float, style: str) -> GenConfig:
+    return GenConfig(seed=SEED, shape=AlgebraShape.parse(shape), n=n, entry_scale=scale,
+                     style=style)
+
+
+def suite_lines(suite: str):
+    """(line, raised) of every configuration of the suite sweep."""
+    shapes = [shape for shape, _ in GRID]
+    for shape, n, scale, style, d, constant in itertools.product(
+        shapes, SIZES, SCALES, STYLES, DS, CONSTANTS
+    ):
+        result, error = _result(lambda: run_suites(
+            suite, _config(shape, n, scale, style), trials=TRIALS, d=d, entrywise_constant=constant
+        ))
+        yield (
+            f"shape={shape} n={n} scale={scale!r} style={style} d={d}"
+            f" constant={int(constant)}  {result}"
+        ), error
+
+
+def search_lines():
+    """(line, raised) of every configuration and search of the search sweep."""
+    for shape, n, scale, style, (name, search) in itertools.product(
+        SEARCH_SHAPES, SIZES, SEARCH_SCALES, STYLES, SEARCHES.items()
+    ):
+        result, error = _result(lambda: [search(_config(shape, n, scale, style))])
+        yield f"search={name} shape={shape} n={n} scale={scale!r} style={style}  {result}", error
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("out", type=Path, help="file the lines are written to")
     ap.add_argument("--suite", default="all")
+    ap.add_argument("--search", action="store_true", help="sweep the searches instead")
     args = ap.parse_args()
     # numpy's overflow warnings at the extreme scales would only clutter stderr
     warnings.simplefilter("ignore", RuntimeWarning)
-    shapes = [shape for shape, _ in GRID]
     lines, raised = [], 0
-    for shape, n, scale, style, d, constant in itertools.product(
-        shapes, SIZES, SCALES, STYLES, DS, CONSTANTS
-    ):
-        result, error = sweep_result(args.suite, shape, n, scale, style, d, constant)
+    for line, error in search_lines() if args.search else suite_lines(args.suite):
         raised += error
-        lines.append(
-            f"shape={shape} n={n} scale={scale!r} style={style} d={d}"
-            f" constant={int(constant)}  {result}"
-        )
+        lines.append(line)
     args.out.write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} configurations, {raised} raised, written to {args.out}")
     return 0

@@ -135,6 +135,12 @@ def _spectral_apply(mat: np.ndarray, fn, block: int | None = None, site: str | N
     return (v * fn(w)) @ v.conj().T
 
 
+def _exactly_hermitian(stacks) -> np.ndarray:
+    """Which members of a stack, given by one (T, m, m) array per block, have
+    every block exactly equal to its adjoint."""
+    return np.logical_and.reduce([(s == _adjoint(s)).all(axis=(-2, -1)) for s in stacks])
+
+
 def _lock(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -150,7 +156,7 @@ class _Blocks:
     stack of members, a trial axis first: every operation acts member by
     member, and numpy's stacked products, einsums and SVDs give each member
     the bits it gets alone. The validated constructor builds one value with
-    no batch axes; ``to_json`` and ``__repr__`` are for such values only.
+    no batch axes; ``to_json`` is for such values only.
     Values are immutable; arithmetic returns new objects of the same class
     through ``_wrap``.
     """
@@ -267,7 +273,8 @@ class _SizedBlocks(_Blocks):
         return self.blocks[0].shape[-3]
 
     def __repr__(self):
-        return f"{type(self).__name__}(n={self.n}, shape={self.shape.blocks})"
+        batch = f", batch={self.batch}" if self.batch else ""
+        return f"{type(self).__name__}(n={self.n}, shape={self.shape.blocks}{batch})"
 
 
 class Element(_Blocks):
@@ -309,6 +316,8 @@ class Element(_Blocks):
         return cls(shape, blocks)
 
     def __repr__(self):
+        if self.batch:
+            return f"Element(shape={self.shape.blocks}, batch={self.batch})"
         return f"Element(shape={self.shape.blocks}, norm={self.norm():.6g})"
 
 
@@ -362,7 +371,7 @@ def _psd_prelude(flats: list[np.ndarray], tol: float):
 def _psd_verdict(flats: list[np.ndarray], tol: float):
     """(is_positive, selfadjoint, defect, min_eigenvalues, scale) of each member
     of a stack given as for ``_psd_prelude``: self-adjoint when defect <= cut
-    (NaN is not), positive when also every block's smallest eigenvalue, one
+    and finite, positive when also every block's smallest eigenvalue, one
     column per block and computed for every member, is >= -cut. A member whose
     blocks are finite and equal their adjoints exactly has defect 0 and scale
     max|λ|, as accurate as the top singular value (eigvalsh is backward
@@ -374,13 +383,13 @@ def _psd_verdict(flats: list[np.ndarray], tol: float):
     eigs = [_hermitian_part(f).real[..., 0] if f.shape[-1] == 1 else _eigh(f, block=b)
             for b, f in enumerate(flats)]
     scale = _first_of([np.maximum(abs(w[:, 0]), abs(w[:, -1])) for w in eigs], np.greater)
-    exact = np.logical_and.reduce([(f == _adjoint(f)).all(axis=(-1, -2)) for f in flats])
-    other = ~(exact & np.isfinite(scale))
+    other = ~(_exactly_hermitian(flats) & np.isfinite(scale))
     defect, cut = np.zeros(len(scale)), tol * np.fmax(scale, 1.0)
     if other.any():
         scale[other], defect[other], cut[other] = _psd_prelude([f[other] for f in flats], tol)
     mins = np.stack([w[:, 0] for w in eigs], axis=-1)
-    selfadjoint = defect <= cut
+    # an infinite defect is not within an infinite cut
+    selfadjoint = (defect <= cut) & np.isfinite(defect)
     positive = selfadjoint & (_first_of(list(mins.T), np.less) >= -cut)
     return positive, selfadjoint, defect, mins, scale
 

@@ -9,7 +9,10 @@ self-adjoint x. An x whose every block equals its adjoint exactly takes the
 spectral route instead: one Hermitian eigendecomposition x = V diag(w) V*
 per block and V sin(w) V* (1x1 blocks apply sin or cos to the entry), which
 is the same function (Higham, Functions of Matrices, 2008, sec. 1.2). Every
-other element goes through the exponential formula.
+other element goes through the exponential formula. ``_trig_stack`` takes a
+stack of elements, its exactly self-adjoint members in one
+eigendecomposition per block; ``elem_sin`` and ``elem_cos`` are that call on
+a stack of one.
 
 Power series act entrywise on matrices through iterated Schur products,
 with the convention that the zeroth Schur power is the identity matrix (an
@@ -23,7 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _eigh, _first_of, _spectral_apply, _spectral_norm
+from .algebra import (
+    AlgebraShape, Element, _eigh, _exactly_hermitian, _first_of, _spectral_apply, _spectral_norm
+)
 from .amatrix import AMatrix, element_scale, identity_matrix, ones_matrix, schur_product, zero_matrix
 from .errors import NumericalError, RangeError, StructureError
 
@@ -42,7 +47,7 @@ def _check_cap(x: Element, norm_cap: float) -> None:
 def _exp_block(blk: np.ndarray) -> np.ndarray:
     if blk.shape == (1, 1):
         return np.exp(blk)
-    if _hermitian_members([blk[None]])[0]:
+    if _exactly_hermitian([blk[None]])[0]:
         return _spectral_apply(blk, np.exp, site="exp")
     # the only user of scipy: importing it here keeps it off the startup path
     import scipy.linalg
@@ -60,14 +65,6 @@ def elem_exp(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """
     _check_cap(x, norm_cap)
     return Element._wrap(x.shape, tuple(_exp_block(b) for b in x.blocks))
-
-
-def _hermitian_members(stacks) -> np.ndarray:
-    """Which members of a stack of elements, one (T, k, k) array per block,
-    have every block exactly equal to its adjoint."""
-    return np.logical_and.reduce(
-        [(s == s.conj().swapaxes(-1, -2)).all(axis=(-2, -1)) for s in stacks]
-    )
 
 
 def _spectral_stack(stacks, fn, name: str):
@@ -88,71 +85,69 @@ def _spectral_stack(stacks, fn, name: str):
     return values, _first_of(norms, np.greater)
 
 
-def _selfadjoint_apply(x: Element, norm_cap: float, fn, name: str) -> Element | None:
-    """fn(x) blockwise when every block of x equals its adjoint, else None:
-    ``_spectral_stack`` on a stack of one, whose norm is checked against the cap."""
-    stacks = tuple(b[None] for b in x.blocks)
-    if not _hermitian_members(stacks)[0]:
-        _check_cap(x, norm_cap)
-        return None
-    values, norms = _spectral_stack(stacks, fn, name)
-    _raise_over_cap(float(norms[0]), norm_cap)
-    return Element._wrap(x.shape, tuple(v[0] for v in values))
-
-
-def _trig_stack(shape: AlgebraShape, stacks, sine: np.ndarray) -> list[np.ndarray]:
+def _trig_stack(shape: AlgebraShape, stacks, sine, norm_cap=DEFAULT_NORM_CAP) -> list:
     """cos of each member of a stack of elements, one (T, k, k) array per block,
     or sin of the members where the boolean array ``sine`` is set.
 
-    The members whose blocks all equal their adjoints share one
-    ``_spectral_stack`` call; every other member, one over the cap, or all of
-    them when that call raises, goes through ``elem_cos`` or ``elem_sin`` in
-    order. So each member gets the bits that function gives it alone, and the
-    first error raised is the one it raises first in member order.
+    The members whose blocks all equal their adjoints exactly share one
+    ``_spectral_stack`` call, and one over the cap raises ``RangeError`` with
+    the norm it gives. When that call raises, each of them is solved alone,
+    under the name of its function. Every other member is checked against the
+    cap with its norm and takes the exponential formula. Members are finished
+    in order, so each gets the bits it gets alone, and the first error raised
+    is the one it raises first in member order.
     """
     out = [np.empty_like(s) for s in stacks]
-    fast = _hermitian_members(stacks)
-    picked = sine[fast]
+    exact = _exactly_hermitian(stacks)
+    # a solved member's norm is never NaN; NaN marks the members left to solve
+    norms = np.full(len(sine), np.nan)
 
-    def fn(w):
-        return np.where(picked.reshape((-1,) + (1,) * (w.ndim - 1)), np.sin(w), np.cos(w))
+    def solve(members, name: str) -> None:
+        # sin or cos of the members from one _spectral_stack call, into out and norms
+        picked = sine[members]
+
+        def fn(w):
+            return np.where(picked.reshape((-1,) + (1,) * (w.ndim - 1)), np.sin(w), np.cos(w))
+
+        values, norms[members] = _spectral_stack([s[members] for s in stacks], fn, name)
+        for o, v in zip(out, values):
+            o[members] = v
 
     try:
-        values, norms = _spectral_stack([s[fast] for s in stacks], fn, "cos")
-        within = ~(norms > DEFAULT_NORM_CAP)
-        for o, v in zip(out, values):
-            o[np.flatnonzero(fast)[within]] = v[within]
-        fast[fast] = within
+        solve(exact, "cos")
     except NumericalError:
-        fast[:] = False
-    for i in np.flatnonzero(~fast):
-        elem_fn = elem_sin if sine[i] else elem_cos
-        value = elem_fn(Element._wrap(shape, tuple(s[i] for s in stacks)))
+        pass
+    for i in np.flatnonzero(~(exact & (norms <= norm_cap))):
+        if exact[i]:
+            if np.isnan(norms[i]):
+                solve([i], "sin" if sine[i] else "cos")
+            _raise_over_cap(float(norms[i]), norm_cap)
+            continue
+        x = Element._wrap(shape, tuple(s[i] for s in stacks))
+        _check_cap(x, norm_cap)
+        plus, minus = elem_exp(1j * x, norm_cap), elem_exp(-1j * x, norm_cap)
+        value = (plus - minus) * (-0.5j) if sine[i] else (plus + minus) * 0.5
         for o, b in zip(out, value.blocks):
             o[i] = b
     return out
 
 
+def _trig(x: Element, sine: bool, norm_cap: float) -> Element:
+    """``_trig_stack`` on a stack of one."""
+    blocks = _trig_stack(x.shape, [b[None] for b in x.blocks], np.array([sine]), norm_cap)
+    return x._like(tuple(b[0] for b in blocks))
+
+
 def elem_sin(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """sin x = (e^{ix} - e^{-ix}) / 2i; one eigendecomposition per block when
     x is self-adjoint."""
-    out = _selfadjoint_apply(x, norm_cap, np.sin, "sin")
-    if out is not None:
-        return out
-    plus = elem_exp(1j * x, norm_cap)
-    minus = elem_exp(-1j * x, norm_cap)
-    return (plus - minus) * (-0.5j)
+    return _trig(x, True, norm_cap)
 
 
 def elem_cos(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """cos x = (e^{ix} + e^{-ix}) / 2; one eigendecomposition per block when
     x is self-adjoint."""
-    out = _selfadjoint_apply(x, norm_cap, np.cos, "cos")
-    if out is not None:
-        return out
-    plus = elem_exp(1j * x, norm_cap)
-    minus = elem_exp(-1j * x, norm_cap)
-    return (plus + minus) * 0.5
+    return _trig(x, False, norm_cap)
 
 
 @dataclass(frozen=True)

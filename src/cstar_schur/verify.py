@@ -54,10 +54,12 @@ that raises alone raises, and if none does, the chunk's error is raised. The
 Novak suite takes its points as (T, count, k, k) stacks: one oracle call and
 one commutator call per slice of trials (``_COMMUTATOR_PAIRS``) for the
 hypotheses and one ``_trig_stack`` call per set of cosines.
-``find_nonassociativity`` and ``find_trig_breakdown`` run their trials one
-after another, up to the first witness.
 
-``counterexample_search`` draws its pairs the same way (``_pairs``), and the
+The searches run through ``_run_trials`` too, trial 0 alone before the
+chunks. The hit searches, and ``counterexample_search`` with
+``stop_on_first``, end the run at the first trial with a witness, even when
+a later trial of its chunk raises. The hit searches draw their chunks with
+``_drawn``, ``counterexample_search`` its pairs with ``_pairs``, and the
 Gram products, symmetrized products and positivity oracle run once per
 chunk. ``threads`` is only validated. The report
 is a summary: every violating trial index, the violation rate with a Wilson
@@ -123,8 +125,6 @@ from .generate import (
     _unit_diagonal_stack,
     fnv1a64,
     random_commuting_spectral_pair,
-    random_matrix,
-    random_selfadjoint_element,
 )
 from .module_an import AVector, cauchy_schwarz_gap, inner_product, left_mul, ones_vector
 
@@ -932,27 +932,46 @@ def _chunk_size(cfg: GenConfig) -> int:
     return max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
 
 
-def _run_trials(evaluate, count: int, size: int) -> list:
-    """The outcomes of trials 0 .. count - 1, ``size`` trials at a time.
+def _chunks(trials, size: int, search: bool = False):
+    """The given ascending trials, a range or a list, ``size`` at a time; in a
+    search, trial 0 comes alone first."""
+    alone = int(search and len(trials) > 0 and trials[0] == 0)
+    if alone:
+        yield trials[:1]
+    for first in range(alone, len(trials), size):
+        yield trials[first : first + size]
+
+
+def _run_trials(evaluate, count: int, size: int, search: bool = False, stop: bool = False) -> list:
+    """The outcomes of trials 0 .. count - 1 in the chunks of ``_chunks``.
 
     ``evaluate(trials)`` returns the outcome ``(margin, witness, *extras)`` of
-    each trial of a range; each witness gets the key ``trial``. When a chunk
-    raises, its trials are evaluated again one at a time, in order: the first
-    that raises alone raises, and if none does, the chunk's error is raised.
+    each trial of a range; each witness gets the key ``trial``. With ``stop``
+    the run ends at the first trial with a witness, and the outcomes may end
+    there too. When a chunk raises, its trials are evaluated again one at a
+    time, in order: a trial that raises alone raises, unless ``stop`` ended
+    the run at a witness before it, and if none does, the chunk's error is
+    raised.
     """
     outcomes = []
-    for first in range(0, count, size):
-        chunk = range(first, min(first + size, count))
+
+    def add(t, margin, witness, *extras) -> bool:
+        if witness is not None:
+            witness = {**witness, "trial": t}
+        outcomes.append((margin, witness, *extras))
+        return stop and witness is not None
+
+    for chunk in _chunks(range(count), size, search):
         try:
             found = evaluate(chunk)
         except Exception:
             for t in chunk:
-                evaluate(range(t, t + 1))
+                if add(t, *evaluate(range(t, t + 1))[0]):
+                    return outcomes
             raise
-        for t, (margin, witness, *extras) in enumerate(found, first):
-            if witness is not None:
-                witness = {**witness, "trial": t}
-            outcomes.append((margin, witness, *extras))
+        for t, outcome in zip(chunk, found):
+            if add(t, *outcome):
+                return outcomes
     return outcomes
 
 
@@ -1029,8 +1048,8 @@ def _margin_histogram(margins: list[float]) -> dict:
 
 def _random_pairs(cfg: GenConfig, trials):
     """(M, N, seeds) of the given trials, M and N batched: trial t draws M and
-    N as ``random_positive_matrix`` on ``cfg.derive(t).derive(0)`` and
-    ``.derive(1)``, through its chunk form."""
+    N as ``random_positive_matrix`` on the substreams (t, 0) and (t, 1) of
+    ``cfg``, through its chunk form."""
     seeds = _seeds(cfg, trials)
     # every derive(t, 0), then every derive(t, 1): the halves are M and N
     _, grams = _positive_stack(cfg, _Streams(_mix64s(seeds, [[0], [1]]).ravel()))
@@ -1045,15 +1064,6 @@ def _pairs(cfg: GenConfig, trials):
         M, N = jordan_witness(cfg.shape, cfg.n)
         return M._at(None), N._at(None), [cfg.seed]
     return _random_pairs(cfg, trials)
-
-
-def _search_chunks(cfg: GenConfig, trials: int):
-    """(first trial, M, N, seeds) of each chunk of the search: the
-    deterministic witness alone, then trials 1..trials in batches."""
-    yield 0, *_pairs(cfg, [0])
-    size = _chunk_size(cfg)
-    for first in range(1, trials + 1, size):
-        yield first, *_pairs(cfg, range(first, min(first + size, trials + 1)))
 
 
 def _search_record(trial, i, seed, M, N, product, verdicts) -> dict:
@@ -1078,11 +1088,7 @@ def _search_witnesses(cfg: GenConfig, trials: list[int], tol: float = DEFAULT_TO
     one the search keeps of that trial when it violates."""
     if trials and trials[0] < 0:
         raise StructureError(f"trial must be >= 0, got {trials[0]}")
-    size = _chunk_size(cfg)
-    groups = [trials[:1]] if trials[:1] == [0] else []
-    rest = trials[len(groups):]
-    groups += [rest[i : i + size] for i in range(0, len(rest), size)]
-    for group in groups:
+    for group in _chunks(trials, _chunk_size(cfg), search=True):
         M, N, seeds = _pairs(cfg, group)
         product = schur_product(M, N)
         verdicts = _psd_stack(product, tol)
@@ -1109,8 +1115,8 @@ def counterexample_search(
     Trial zero is the deterministic witness above; trials 1..trials draw
     Gram-positive pairs from per-trial substreams. Violations are counted
     once the relative margin drops below -1e-6, comfortably beyond
-    verification noise. Trials are evaluated in stacked chunks
-    (``_search_chunks``); ``threads`` is validated and otherwise unused.
+    verification noise. Trials run through ``_run_trials`` as a search, in
+    stacked chunks; ``threads`` is validated and otherwise unused.
 
     The details summarize the violations: every violating trial
     (``violation_trials``), the random violation rate with a 95 % Wilson
@@ -1131,19 +1137,15 @@ def counterexample_search(
     validate_trials(trials)
     validate_threads(threads)
 
-    margins, violation_trials = [], []
-    for first, M, N, _ in _search_chunks(cfg, trials):
-        chunk = _psd_stack(schur_product(M, N), tol).margins()
-        hits = np.flatnonzero(chunk < -VIOLATION_THRESHOLD).tolist()
-        if stop_on_first and hits:
-            hits = hits[:1]
-            chunk = chunk[: hits[0] + 1]
-        chunk = chunk.tolist()
-        margins.extend(chunk)
-        violation_trials.extend(first + i for i in hits)
-        if stop_on_first and hits:
-            break
+    def evaluate(chunk):
+        # margins only: a violation's witness is the trial index it gets
+        M, N, _ = _pairs(cfg, chunk)
+        margins = _psd_stack(schur_product(M, N), tol).margins().tolist()
+        return [(m, {} if m < -VIOLATION_THRESHOLD else None) for m in margins]
 
+    outcomes = _run_trials(evaluate, trials + 1, _chunk_size(cfg), search=True, stop=stop_on_first)
+    margins = [m for m, _ in outcomes]
+    violation_trials = [w["trial"] for _, w in outcomes if w is not None]
     # margins[t] is trial t's; ties between margins go to the earlier trial
     ranked = sorted((margins[t], t) for t in violation_trials if t > 0)
     top = [t for _, t in ranked[:_TOP_WITNESSES]]
@@ -1182,30 +1184,18 @@ def counterexample_search(
 
 
 def _hit_search(check_id, cfg, count, threshold, trial, t0) -> CheckReport:
-    """Run trials up to the first witness; failures = 0 exactly when one is found."""
-    margins, witness = [], None
-    for t in range(count):
-        margin, witness = trial(t)
-        margins.append(margin)
-        if witness is not None:
-            witness = {**witness, "trial": t}
-            break
-    return _report(
-        check_id,
-        len(margins),
-        0 if witness is not None else 1,
-        _worst(margins),
-        threshold,
-        witness,
-        {
-            "search": True,
-            "expect_hit": True,
-            "threshold": threshold,
-            "found_trial": None if witness is None else witness["trial"],
-            "shape": list(cfg.shape.blocks),
-        },
-        t0,
-    )
+    """The report on trials 0 .. count - 1 of ``trial`` run as a search up to
+    the first witness; failures = 0 exactly when one is found."""
+    outcomes = _run_trials(trial, count, _chunk_size(cfg), search=True, stop=True)
+    margins = [margin for margin, *_ in outcomes]
+    witness = outcomes[-1][1] if outcomes else None
+    found = None if witness is None else witness["trial"]
+    details = {
+        "search": True, "expect_hit": True, "threshold": threshold, "found_trial": found,
+        "shape": list(cfg.shape.blocks),
+    }
+    worst, failures = _worst(margins), int(witness is None)
+    return _report(check_id, len(margins), failures, worst, threshold, witness, details, t0)
 
 
 def find_nonassociativity(
@@ -1218,18 +1208,21 @@ def find_nonassociativity(
     if cfg.shape.is_commutative:
         raise DomainError("the Schur product is associative over commutative shapes")
 
-    def trial(t: int):
-        sub = cfg.derive(t)
-        A = random_matrix(sub.derive(0))
-        B = random_matrix(sub.derive(1))
-        C = random_matrix(sub.derive(2))
+    def trial(chunk):
+        # A, B and C of trial t from the substreams (t, 0), (t, 1) and (t, 2)
+        drawn = _drawn(cfg, chunk, _gaussian_stack, range(3), cls=AMatrix)
+        A, B, C = (drawn._at(np.s_[i::3]) for i in range(3))
         left = schur_product(schur_product(A, B), C)
         right = schur_product(A, schur_product(B, C))
-        defect = mat_norm(left - right)
-        witness = None
-        if defect > threshold:
-            witness = {"seed": sub.seed, "defect": defect, **_matrix_payload((), a=A, b=B, c=C)}
-        return -defect, witness
+        defects = mat_norm(left - right).tolist()
+        outcomes = []
+        for i, (seed, defect) in enumerate(zip(_seeds(cfg, chunk).tolist(), defects)):
+            if defect > threshold:
+                # the search ends at this trial: the later ones need no witness
+                witness = {"seed": seed, "defect": defect, **_matrix_payload(i, a=A, b=B, c=C)}
+                return outcomes + [(-defect, witness)]
+            outcomes.append((-defect, None))
+        return outcomes
 
     return _hit_search("schur_nonassociativity", cfg, trials, threshold, trial, t0)
 
@@ -1252,14 +1245,14 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
     if cfg.shape.is_commutative:
         raise DomainError("addition formulas hold over commutative shapes")
 
-    def trial(t: int):
-        if t == 0:
-            x, y = pauli_pair(cfg.shape)
+    def trial(chunk):
+        # trial 0 comes alone; x and y of trial t from the substreams (t, 0) and (t, 1)
+        if chunk[0] == 0:
+            x, y = (v._at(None) for v in pauli_pair(cfg.shape))
         else:
-            sub = cfg.derive(t)
-            x = random_selfadjoint_element(sub.derive(0), norm_cap=5.0)
-            y = random_selfadjoint_element(sub.derive(1), norm_cap=5.0)
-        return _trig_identities(x._at(None), y._at(None), TRIG_TOL, falsify=True)[0][:2]
+            drawn = _drawn(cfg, chunk, _selfadjoint_stack, range(2), norm_cap=5.0)
+            x, y = drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2])
+        return _trig_identities(x, y, TRIG_TOL, falsify=True)
 
     return _hit_search(
         "trig_addition_breakdown", cfg, trials + 1, BREAKDOWN_THRESHOLD, trial, t0

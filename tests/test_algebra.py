@@ -310,6 +310,20 @@ def test_non_finite_entries_never_reach_lapack(value, at, monkeypatch):
     assert seen and all(np.isfinite(a).all() for a in seen)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("value", [complex(0, np.inf), complex(1, np.inf)])
+def test_infinite_hermitian_defect_is_not_selfadjoint(value):
+    # the cut tol * max(1, scale) is infinite too, and inf <= inf
+    shape = AlgebraShape((1,))
+    rep = classify(Element(shape, [[[value]]]))
+    assert not rep.is_selfadjoint and not rep.is_positive
+    assert rep.hermitian_defect == np.inf
+    rep = psd_check(AMatrix(shape, [[[[[value]]]]]))
+    assert not rep.is_positive and rep.hermitian_defect == np.inf
+    # no eigenvalues are listed for a matrix that is not self-adjoint
+    assert rep.min_eigenvalue_per_block == () and rep.min_eigenvalue is None
+
+
 def test_spectral_scale_agrees_with_the_top_singular_value():
     # an exactly Hermitian member's scale is max|λ| from eigvalsh, not an SVD
     rng = np.random.default_rng(16)

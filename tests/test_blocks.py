@@ -31,7 +31,7 @@ from cstar_schur import (
     row_sums,
     schur_product,
 )
-from cstar_schur.algebra import _spectral_norm
+from cstar_schur.algebra import _spectral_norm, _stack
 
 SHAPE = AlgebraShape((2, 1))
 
@@ -75,6 +75,16 @@ def test_wrong_entry_dims(cls, lead):
     for arr in (np.ones(lead + (1, 2, 2)),) + ((np.ones((2, 2)),) if lead else ()):
         with pytest.raises(StructureError):
             cls(SHAPE, [arr, np.ones(lead + (1, 1))])
+
+
+@pytest.mark.parametrize("cls, lead", KINDS, ids=KIND_IDS)
+def test_repr_shows_the_batch_and_the_norm_of_one_value_only(cls, lead):
+    x = cls(SHAPE, _blocks(lead))
+    sized = f"n={x.n}, " if lead else ""
+    alone = f"{cls.__name__}({sized}shape=(2, 1)"
+    assert repr(x) == alone + (", norm=2)" if cls is Element else ")")
+    assert repr(_stack([x, x])) == alone + ", batch=(2,))"
+    assert repr(_stack([x, x])._reshape((1, 2))) == alone + ", batch=(1, 2))"
 
 
 def test_matrix_needs_square_leading_axes():

@@ -8,6 +8,7 @@ from cstar_schur import (
     AlgebraShape,
     Element,
     GenConfig,
+    NumericalError,
     RangeError,
     SeriesSpec,
     StructureError,
@@ -26,6 +27,7 @@ from cstar_schur import (
     schur_product,
     scalar_element,
 )
+from cstar_schur.calculus import _trig_stack
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES, comm_element, scalar_amatrix
 
 ALL_SHAPES = COMMUTATIVE_SHAPES + NONCOMMUTATIVE_SHAPES
@@ -178,6 +180,33 @@ def test_selfadjoint_trig_takes_its_cap_norm_from_the_eigensolve(shape, monkeypa
             fn(big)
         assert str(err.value) == str(exp_err.value)
     assert calls == []
+
+
+# an infinity makes NaNs when a block is symmetrized; numpy warns about them
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_trig_stack_gives_each_member_its_alone_value_and_first_error():
+    shape = AlgebraShape((2, 1))
+    x = random_selfadjoint_element(GenConfig(seed=5, shape=shape), norm_cap=5.0)
+    y = random_element(GenConfig(seed=6, shape=shape))
+    big = (60.0 / x.norm()) * x
+    # exactly Hermitian, so it joins the stacked solve, which it makes fail
+    bad = Element(shape, [np.diag([np.inf, 1.0]), np.ones((1, 1))])
+
+    def trig(members, sine):
+        stacks = [np.stack([m.blocks[b] for m in members]) for b in range(2)]
+        return _trig_stack(shape, stacks, np.array(sine))
+
+    got = trig([x, y, x], [True, False, False])
+    for i, want in enumerate((elem_sin(x), elem_cos(y), elem_cos(x))):
+        assert all(g[i].tobytes() == w.tobytes() for g, w in zip(got, want.blocks))
+    # after the stacked solve fails each member is solved alone, under its own name
+    with pytest.raises(NumericalError, match="^non-finite entries in sin$"):
+        trig([x, bad, y], [False, True, False])
+    # and the first member in order that raises alone raises
+    with pytest.raises(RangeError):
+        trig([y, big, bad], [False, False, True])
+    with pytest.raises(NumericalError, match="^non-finite entries in cos$"):
+        trig([bad, big], [False, False])
 
 
 def test_exp_of_selfadjoint_is_positive(m2_shape):

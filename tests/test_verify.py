@@ -40,6 +40,8 @@ from cstar_schur import (
     check_unit_diagonal_bound,
     cosine_gram_check,
     counterexample_search,
+    elem_cos,
+    elem_sin,
     find_nonassociativity,
     find_trig_breakdown,
     flatten,
@@ -51,8 +53,10 @@ from cstar_schur import (
     pauli_pair,
     psd_check,
     random_commuting_family,
+    random_matrix,
     random_positive_matrix,
     random_selfadjoint_element,
+    random_selfadjoint_points,
     run_suite,
     run_suites,
     schur_product,
@@ -412,6 +416,20 @@ def _reference_search(cfg, trials, stop_on_first=False):
     return margins, violations
 
 
+def _search_schedule(cfg, trials):
+    """The chunks a search of ``trials`` random trials evaluates."""
+    return verify._chunks(range(trials + 1), verify._chunk_size(cfg), search=True)
+
+
+def _search_margins(cfg, trials):
+    """The margins of every trial of a search, a chunk at a time."""
+    margins = []
+    for chunk in _search_schedule(cfg, trials):
+        M, N, _ = verify._pairs(cfg, chunk)
+        margins.extend(verify._psd_stack(schur_product(M, N), 1e-9).margins().tolist())
+    return margins
+
+
 def _assert_summary_matches(rep, cfg, violations):
     """The search's summary against the per-trial reference: the violating
     trials, the record of each rebuilt alone, and the records kept."""
@@ -444,9 +462,7 @@ def test_stacked_search_matches_per_trial_reference(shape, n, stop_on_first, mon
         monkeypatch.setattr(verify, "jordan_witness", lambda shape, n: (ident, ident))
     margins, violations = _reference_search(cfg, trials, stop_on_first)
 
-    stacked = []
-    for _, M, N, _ in verify._search_chunks(cfg, trials):
-        stacked.extend(verify._psd_stack(schur_product(M, N), 1e-9).margins().tolist())
+    stacked = _search_margins(cfg, trials)
     assert np.array(stacked[: len(margins)]).tobytes() == np.array(margins).tobytes()
 
     rep = counterexample_search(cfg, trials, stop_on_first=stop_on_first)
@@ -470,9 +486,7 @@ def test_stacked_search_matches_per_trial_reference_at_other_styles_and_scales(
     trials = chunk + 3  # trial 0 alone, one full chunk, then a chunk of 3
     margins, violations = _reference_search(cfg, trials)
 
-    stacked = []
-    for _, M, N, _ in verify._search_chunks(cfg, trials):
-        stacked.extend(verify._psd_stack(schur_product(M, N), 1e-9).margins().tolist())
+    stacked = _search_margins(cfg, trials)
     assert np.array(stacked).tobytes() == np.array(margins).tobytes()
 
     rep = counterexample_search(cfg, trials)
@@ -545,9 +559,7 @@ def test_search_keeps_the_most_negative_witnesses_in_order():
     # n = 3 runs in chunks of 227 trials, so the top 5 is carried across chunks
     cfg = GenConfig(seed=2024, shape=M2, n=3)
     rep = counterexample_search(cfg, trials=600)
-    margins = []
-    for _, M, N, _ in verify._search_chunks(cfg, 600):
-        margins.extend(verify._psd_stack(schur_product(M, N), 1e-9).margins().tolist())
+    margins = _search_margins(cfg, 600)
     hits = sorted((m, t) for t, m in enumerate(margins) if t > 0 and m < -1e-6)
     kept = rep.details["violations"]
     assert kept[0]["trial"] == 0 and kept[0] is rep.witness
@@ -618,7 +630,8 @@ def test_search_encodes_only_the_records_it_keeps(monkeypatch):
         # the records a search built from its chunks as it read them
         trials = {w["trial"] for w in kept}
         from_chunks = {}
-        for first, M, N, seeds in verify._search_chunks(cfg, 1000):
+        for chunk in _search_schedule(cfg, 1000):
+            first, (M, N, seeds) = chunk[0], verify._pairs(cfg, chunk)
             product = schur_product(M, N)
             verdicts = verify._psd_stack(product, 1e-9)
             for i in range(len(seeds)):
@@ -672,6 +685,173 @@ def test_nonassociativity_witness_found_quickly():
         schur_product(schur_product(A, B), C) - schur_product(A, schur_product(B, C))
     )
     assert defect == pytest.approx(rep.witness["defect"], rel=1e-12)
+
+
+def test_hit_searches_without_trials():
+    cfg = GenConfig(seed=3, shape=M2, n=2)
+    rep = find_nonassociativity(cfg, 0)
+    assert (rep.trials, rep.failures, rep.worst_margin, rep.witness) == (0, 1, 0.0, None)
+    rep = find_trig_breakdown(cfg, 0)
+    assert (rep.trials, rep.failures, rep.witness["trial"]) == (1, 0, 0)
+
+
+def _search_evaluator(monkeypatch, search, *args):
+    """The chunk evaluator ``search(*args)`` hands to ``_run_trials``."""
+    evaluators = []
+    run = verify._run_trials
+
+    def spy(evaluate, *args, **kwargs):
+        evaluators.append(evaluate)
+        return run(evaluate, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_run_trials", spy)
+    search(*args)
+    monkeypatch.setattr(verify, "_run_trials", run)
+    return evaluators[0]
+
+
+def _schedule_outcomes(evaluate, count, cfg):
+    """The outcomes of trials 0 .. count - 1, evaluated in a search's chunks."""
+    return [outcome for chunk in _search_schedule(cfg, count - 1) for outcome in evaluate(chunk)]
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def _nonassociativity_alone(cfg, t):
+    """Trial t of ``find_nonassociativity`` drawn and evaluated alone, with its witness."""
+    sub = cfg.derive(t)
+    A, B, C = (random_matrix(sub.derive(i)) for i in range(3))
+    defect = mat_norm(
+        schur_product(schur_product(A, B), C) - schur_product(A, schur_product(B, C))
+    )
+    witness = {"seed": sub.seed, "defect": defect}
+    return -defect, {**witness, "a": A.to_json(), "b": B.to_json(), "c": C.to_json()}
+
+
+def _breakdown_alone(cfg, t):
+    """Trial t of ``find_trig_breakdown`` drawn alone: (x, y) and the residual of
+    the cosine addition formula, from ``elem_sin`` and ``elem_cos``."""
+    if t == 0:
+        x, y = pauli_pair(cfg.shape)
+    else:
+        sub = cfg.derive(t)
+        x, y = (random_selfadjoint_element(sub.derive(i), norm_cap=5.0) for i in range(2))
+    gap = (elem_cos(x + y) - (elem_cos(x) * elem_cos(y) - elem_sin(x) * elem_sin(y))).norm()
+    return x, y, gap
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("shape", ["2", "2,1"])
+def test_nonassociativity_search_matches_each_trial_alone(shape, style, monkeypatch):
+    # n = 8 runs in chunks of 32 trials: trial 0 alone, then 1..32 and 33..39
+    cfg = GenConfig(seed=7, shape=AlgebraShape.parse(shape), n=8, style=style)
+    count = verify._chunk_size(cfg) + 8
+    alone = [_nonassociativity_alone(cfg, t) for t in range(count)]
+    rep = find_nonassociativity(cfg, count, threshold=math.inf)
+    assert (rep.trials, rep.failures, rep.witness) == (count, 1, None)
+    assert _bits(rep.worst_margin) == _bits(min(m for m, _ in alone))
+    evaluate = _search_evaluator(monkeypatch, find_nonassociativity, cfg, 1, math.inf)
+    chunked = _schedule_outcomes(evaluate, count, cfg)
+    assert _bits([m for m, _ in chunked]) == _bits([m for m, _ in alone])
+    assert all(w is None for _, w in chunked)
+    # a threshold below every defect: a chunk's outcomes end at its first witness
+    evaluate = _search_evaluator(monkeypatch, find_nonassociativity, cfg, 1, -math.inf)
+    for t in (0, 1, count - 1):
+        assert evaluate(range(t, count)) == [alone[t]]
+
+
+@pytest.mark.parametrize("shape", ["2", "2,1"])
+def test_breakdown_search_matches_each_trial_alone(shape, monkeypatch):
+    cfg = GenConfig(seed=7, shape=AlgebraShape.parse(shape), n=8)
+    count = verify._chunk_size(cfg) + 8
+    alone = [_breakdown_alone(cfg, t) for t in range(count)]
+    monkeypatch.setattr(verify, "BREAKDOWN_THRESHOLD", math.inf)
+    rep = find_trig_breakdown(cfg, count - 1)
+    assert (rep.trials, rep.failures, rep.witness) == (count, 1, None)
+    assert _bits(rep.worst_margin) == _bits(-max(gap for *_, gap in alone))
+    monkeypatch.setattr(verify, "BREAKDOWN_THRESHOLD", -math.inf)
+    evaluate = _search_evaluator(monkeypatch, find_trig_breakdown, cfg, 0)
+    chunked = _schedule_outcomes(evaluate, count, cfg)
+    assert _bits([m for m, *_ in chunked]) == _bits([-gap for *_, gap in alone])
+    for (x, y, gap), (_, witness, details) in zip(alone, chunked):
+        assert witness == {"x": x.to_json(), "y": y.to_json(), "cos_addition_residual": gap}
+    # the details are those of the trial evaluated alone, as the search did trial by trial
+    per_trial = [
+        verify._trig_identities(x._at(None), y._at(None), verify.TRIG_TOL, True)[0]
+        for x, y, _ in alone
+    ]
+    assert chunked == per_trial
+
+
+def _poison_trial(monkeypatch, name, bad):
+    """Replace ``verify.<name>`` (``_drawn`` or ``_pairs``) by a draw in which every
+    instance of trial ``bad`` holds NaN entries, so any chunk holding it raises."""
+    real = getattr(verify, name)
+
+    def poisoned(cfg, trials, *args, **kwargs):
+        drawn = real(cfg, trials, *args, **kwargs)
+        first = drawn[0] if isinstance(drawn, tuple) else drawn
+        per = len(first.blocks[0]) // len(trials)
+        blocks = [b.copy() for b in first.blocks]
+        for i, t in enumerate(trials):
+            if t == bad:
+                blocks[0][i * per : (i + 1) * per] = np.nan
+        value = first._like(tuple(blocks))
+        return (value, *drawn[1:]) if isinstance(drawn, tuple) else value
+
+    monkeypatch.setattr(verify, name, poisoned)
+
+
+def _stopping_rule(monkeypatch, name, search, error):
+    """``search()`` with its first witness at a trial k >= 2 inside a chunk: a trial
+    poisoned after k leaves the report as it was, one poisoned before k raises
+    ``error``, the error that trial raises alone."""
+    clean = search()
+    k = clean.witness["trial"]
+    assert 2 <= k < verify._chunk_size(GenConfig(seed=0, shape=M2, n=2))
+    _poison_trial(monkeypatch, name, k + 1)
+    assert search().to_json() == clean.to_json()
+    monkeypatch.undo()
+    _poison_trial(monkeypatch, name, k - 1)
+    with pytest.raises(NumericalError, match=error):
+        search()
+    monkeypatch.undo()
+
+
+def test_hit_searches_stop_at_a_witness_before_a_raising_trial(monkeypatch):
+    # both first witnesses are trial 3 at this seed
+    cfg = GenConfig(seed=7, shape=M2, n=2)
+    defects = [-_nonassociativity_alone(cfg, t)[0] for t in range(3)]
+
+    def nonassociativity():
+        # trials 0, 1 and 2 miss; the first defect above theirs is the witness
+        return find_nonassociativity(cfg, 40, threshold=max(defects))
+
+    assert nonassociativity().witness == {**_nonassociativity_alone(cfg, 3)[1], "trial": 3}
+    _stopping_rule(monkeypatch, "_drawn", nonassociativity, "NaN entries")
+    gaps = [_breakdown_alone(cfg, t)[2] for t in range(3)]
+
+    def breakdown():
+        # the Pauli pair of trial 0 misses too
+        monkeypatch.setattr(verify, "BREAKDOWN_THRESHOLD", max(gaps))
+        return find_trig_breakdown(cfg, 40)
+
+    _stopping_rule(monkeypatch, "_drawn", breakdown, "NaN entries")
+
+
+def test_counterexample_search_stops_at_a_violation_before_a_raising_trial(monkeypatch):
+    # the first random violation is trial 2 at this seed
+    cfg = GenConfig(seed=2021, shape=M2, n=2)
+    ident = identity_matrix(M2, 2)
+
+    def search():
+        # a positive pair in place of the Jordan witness moves the first hit to a random trial
+        monkeypatch.setattr(verify, "jordan_witness", lambda shape, n: (ident, ident))
+        return counterexample_search(cfg, 40, stop_on_first=True)
+
+    _stopping_rule(monkeypatch, "_pairs", search, "^non-finite entries on block 0$")
 
 
 def test_nonassociativity_rejects_commutative():
@@ -941,8 +1121,9 @@ def test_suite_grid_builds_few_blockwise_values(monkeypatch):
     for shape, n in GRID:
         run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
     # every value operation builds one value for a whole chunk (9 786 values
-    # while the evaluators built them one instance at a time)
-    assert len(built) <= 1922
+    # while the evaluators built them one instance at a time; 1 922 while the
+    # hit searches drew and evaluated one trial at a time)
+    assert len(built) <= 1908
 
 
 def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
@@ -956,9 +1137,9 @@ def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     for shape, n in GRID:
         run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
-    # left: the nonassociativity search, 3 matrices per trial, 21 calls; the
+    # the nonassociativity search drew 3 matrices per trial alone, 21 calls; the
     # cosine-Gram probes made 70 more, one stream per draw 1 757
-    assert len(calls) <= 25
+    assert len(calls) == 0
 
 
 def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
@@ -1276,6 +1457,19 @@ def test_stacked_hypothesis_raises_the_first_failing_trial_alone(check_id, fault
         assert str(stacked.value) == str(alone.value)
         assert stacked.value.details == alone.value.details
         assert finished == list(range(bad))
+
+
+def test_novak_witnesses_hold_the_points_as_json():
+    # no golden reaches these witnesses; at tol 1e-300 the round-off fails both checks
+    points = random_selfadjoint_points(GenConfig(seed=0, shape=SCALAR, n=3), 2)
+    _, rep = novak_check(points, 1e-300)
+    assert rep.witness is not None
+    assert rep.witness["points"] == [[p.to_json() for p in row] for row in points]
+    cfg = GenConfig(seed=1, shape=AlgebraShape((2, 1)), n=3)
+    z = random_commuting_family(cfg, 3, selfadjoint=True, norm_cap=3.0)
+    rep = cosine_gram_check(z, 1e-300)
+    assert rep.witness is not None
+    assert rep.witness["points"] == [p.to_json() for p in z]
 
 
 def test_public_novak_checks_reject_malformed_points():
