@@ -21,10 +21,11 @@ sweeps one suite alone, to reach the errors of the later ones.
 ``--search`` sweeps the searches instead: ``counterexample_search`` with and
 without ``stop_on_first``, ``find_nonassociativity`` and ``find_trig_breakdown``,
 one line each, at seed 2024 with 250 random trials, over the shapes (2,),
-(2, 1), (3,) and (2, 2), n from 1 to 3, entry scales 1, 0.37, 1e-100, 1.2e154
-and 1e200, and both styles. A chunk holds 101 to 2 048 trials there, so the
-searches at n = 3, and over (3,) at n = 2, that run their trials span two
-chunks or more.
+(2, 1), (3,) and (2, 2), n 1, 2, 3 and 8, entry scales 1, 0.37, 1e-100,
+1.2e154 and 1e200, and both styles. A chunk holds 14 to 2 048 trials there, so
+the searches at n = 3 and 8, and over (3,) at n = 2, that run their trials
+span two chunks or more; at n = 8 over (2,) a chunk is 32 trials of 16 x 16
+flattened blocks, the shape of the ``search_miss`` benchmark's stacks.
 """
 
 import argparse
@@ -58,6 +59,7 @@ SEED = 2024
 TRIALS = 5
 
 SEARCH_SHAPES = ("2", "2,1", "3", "2,2")
+SEARCH_SIZES = (1, 2, 3, 8)
 SEARCH_SCALES = (1.0, 0.37, 1e-100, 1.2e154, 1e200)
 SEARCH_TRIALS = 250
 SEARCHES = {
@@ -104,7 +106,7 @@ def suite_lines(suite: str):
 def search_lines():
     """(line, raised) of every configuration and search of the search sweep."""
     for shape, n, scale, style, (name, search) in itertools.product(
-        SEARCH_SHAPES, SIZES, SEARCH_SCALES, STYLES, SEARCHES.items()
+        SEARCH_SHAPES, SEARCH_SIZES, SEARCH_SCALES, STYLES, SEARCHES.items()
     ):
         result, error = _result(lambda: [search(_config(shape, n, scale, style))])
         yield f"search={name} shape={shape} n={n} scale={scale!r} style={style}  {result}", error

@@ -196,11 +196,19 @@ def schur_product(A: AMatrix, B: AMatrix) -> AMatrix:
     return A._like(tuple(_schur_block(a, b) for a, b in zip(A.blocks, B.blocks)))
 
 
+# ``order="F"`` makes numpy's iterator run its inner loop along the leading
+# stack axes (trial, j, l) instead of the k x k axes, several times faster on a
+# search chunk. The bits stay: each entry is a sum over the one summed index b,
+# taken in the same order in any layout. An einsum with two summed indices
+# must not take it: it moved bits in 40 of 111 ``inner_product`` calls and 5 of
+# 26 ``tjab,tjcb->tac`` calls over the suite grid. The product is copied back
+# to C order because later reductions read it by layout: left F-ordered, it
+# moved 8 of the 24 goldens (the verify runs over commutative shapes).
 def _schur_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One block of the symmetrized product, over any leading stack axes."""
-    ab = np.einsum("...jlab,...jlbc->...jlac", a, b)
-    ba = np.einsum("...jlab,...jlbc->...jlac", b, a)
-    return 0.5 * (ab + ba)
+    ab = np.einsum("...jlab,...jlbc->...jlac", a, b, order="F")
+    ba = np.einsum("...jlab,...jlbc->...jlac", b, a, order="F")
+    return np.ascontiguousarray(0.5 * (ab + ba))
 
 
 def schur_power(M: AMatrix, p: int) -> AMatrix:
@@ -237,15 +245,11 @@ def _unflatten_block(flat: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def _gram_block(g: np.ndarray) -> np.ndarray:
-    """The block of G G* from the block g of G; the same bits as ``G @ G.adjoint()``.
-
-    The result is C-contiguous: the einsum of a Schur product over a stack
-    of such blocks takes about 30 % less time than over the strided view.
-    """
+    """The block of G G* from the block g of G; the same bits as ``G @ G.adjoint()``."""
     n, k = g.shape[-3], g.shape[-1]
     f = _flatten_block(g, n, k)
     gram = f @ np.ascontiguousarray(_adjoint(f))
-    return np.ascontiguousarray(_unflatten_block(gram, n, k))
+    return _unflatten_block(gram, n, k)
 
 
 def flatten(M: AMatrix) -> list[np.ndarray]:

@@ -932,14 +932,18 @@ def _chunk_size(cfg: GenConfig) -> int:
     return max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
 
 
-def _chunks(trials, size: int, search: bool = False):
+def _chunks(trials, size: int, search: bool = False, grow: bool = False):
     """The given ascending trials, a range or a list, ``size`` at a time; in a
-    search, trial 0 comes alone first."""
+    search, trial 0 comes alone first. With ``grow`` the chunks after it hold
+    1, 2, 4, ... trials up to ``size``, so a run that stops at an early trial
+    draws only about twice as many trials as it reaches."""
     alone = int(search and len(trials) > 0 and trials[0] == 0)
     if alone:
         yield trials[:1]
-    for first in range(alone, len(trials), size):
-        yield trials[first : first + size]
+    first, step = alone, 1 if grow else size
+    while first < len(trials):
+        yield trials[first : first + step]
+        first, step = first + step, min(2 * step, size)
 
 
 def _run_trials(evaluate, count: int, size: int, search: bool = False, stop: bool = False) -> list:
@@ -948,7 +952,10 @@ def _run_trials(evaluate, count: int, size: int, search: bool = False, stop: boo
     ``evaluate(trials)`` returns the outcome ``(margin, witness, *extras)`` of
     each trial of a range; each witness gets the key ``trial``. With ``stop``
     the run ends at the first trial with a witness, and the outcomes may end
-    there too. When a chunk raises, its trials are evaluated again one at a
+    there too; its chunks grow from one trial (``_chunks``' ``grow``), so a
+    witness soon after trial 0 costs a few trials, not a whole chunk. A
+    member of a stack gets its alone bits, so the schedule moves no outcome.
+    When a chunk raises, its trials are evaluated again one at a
     time, in order: a trial that raises alone raises, unless ``stop`` ended
     the run at a witness before it, and if none does, the chunk's error is
     raised.
@@ -961,7 +968,7 @@ def _run_trials(evaluate, count: int, size: int, search: bool = False, stop: boo
         outcomes.append((margin, witness, *extras))
         return stop and witness is not None
 
-    for chunk in _chunks(range(count), size, search):
+    for chunk in _chunks(range(count), size, search, grow=stop):
         try:
             found = evaluate(chunk)
         except Exception:

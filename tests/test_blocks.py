@@ -32,6 +32,8 @@ from cstar_schur import (
     schur_product,
 )
 from cstar_schur.algebra import _spectral_norm, _stack
+from cstar_schur.amatrix import _gram_block, _schur_block
+from cstar_schur.verify import _random_pairs
 
 SHAPE = AlgebraShape((2, 1))
 
@@ -292,3 +294,62 @@ def test_batched_values_give_each_member_its_alone_bits(shape, n, size, seed, sp
         AMatrix.from_entries([[x]])
     with pytest.raises(StructureError):
         AVector.from_elements([x])
+
+
+SCHUR_SUBSCRIPTS = "...jlab,...jlbc->...jlac"
+
+
+def _c_ordered_schur_block(a, b):
+    """The reference: the symmetrized product's block from C-ordered einsums."""
+    return 0.5 * (np.einsum(SCHUR_SUBSCRIPTS, a, b) + np.einsum(SCHUR_SUBSCRIPTS, b, a))
+
+
+def _assert_same_words(a, b):
+    got = _schur_block(a, b)
+    want = _c_ordered_schur_block(a, b)
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
+
+
+def _special_block(rng, lead, n, k, layout, special):
+    dims = lead + (n, n, k, k)
+    x = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+    if layout == "gram":
+        x = _gram_block(x)  # a strided view, as the draws hand it on
+    cells = rng.random(dims) < 0.3
+    if special == "signed zeros":
+        parts = np.where(rng.random((cells.sum(), 2)) < 0.5, -0.0, 0.0)
+        x[cells] = parts.view(np.complex128).ravel()
+    elif special == "nan":
+        x[cells] = complex(np.nan, 1.0)
+    elif special == "inf":
+        x[cells] = np.where(rng.random(cells.sum()) < 0.5, np.inf, -np.inf) + 1j
+    elif special == "huge":
+        x *= 1e300
+    return x
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lead=st.sampled_from([(), (3,), (17,)]),
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    layouts=st.tuples(*[st.sampled_from(["c", "gram"])] * 2),
+    specials=st.tuples(*[st.sampled_from([None, "signed zeros", "nan", "inf", "huge"])] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schur_block_keeps_the_c_ordered_bits(lead, n, k, layouts, specials, seed):
+    # numpy's F-ordered iteration sums each entry's k terms in the C order
+    rng = np.random.default_rng(seed)
+    a, b = (_special_block(rng, lead, n, k, *ls) for ls in zip(layouts, specials))
+    with np.errstate(all="ignore"):
+        _assert_same_words(a, b)
+
+
+def test_schur_block_keeps_the_bits_of_a_search_chunk():
+    # trials 1..32 of the search at n = 8: the (32, 8, 8, 2, 2) Gram views it stacks
+    cfg = GenConfig(seed=2024, shape=AlgebraShape((2,)), n=8)
+    M, N, _ = _random_pairs(cfg, range(1, 33))
+    assert M.blocks[0].shape == (32, 8, 8, 2, 2) and not M.blocks[0].flags.c_contiguous
+    _assert_same_words(M.blocks[0], N.blocks[0])

@@ -1493,3 +1493,33 @@ def test_cosine_gram_probe_is_the_default_rng_stream():
         assert got[0].tobytes() == want.tobytes()
         (bulk,) = generate._normals(generate._Streams([seed]), [(2, n)])
         assert bulk[0].tobytes() == want.tobytes()
+
+
+def test_stopping_searches_grow_their_chunks_from_one_trial():
+    sizes = [len(c) for c in verify._chunks(range(600), 512, search=True, grow=True)]
+    assert sizes == [1, 1, 2, 4, 8, 16, 32, 64, 128, 256, 88]
+    grown = [t for c in verify._chunks(range(600), 512, search=True, grow=True) for t in c]
+    assert grown == list(range(600))
+    sizes = [len(c) for c in verify._chunks(range(600), 512, search=True)]
+    assert sizes == [1, 512, 87]
+
+
+def test_hit_search_draws_few_trials_past_an_early_witness(monkeypatch):
+    # trial 0 misses and trial 2 is the first witness, at a chunk of 512
+    cfg = GenConfig(seed=7, shape=M2, n=2)
+    d0 = -find_nonassociativity(cfg, 1, threshold=1e300).worst_margin
+    received = []
+    run = verify._run_trials
+
+    def counting(evaluate, *args, **kwargs):
+        def counted(trials):
+            received.extend(trials)
+            return evaluate(trials)
+
+        return run(counted, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_run_trials", counting)
+    rep = find_nonassociativity(cfg, 600, threshold=d0)
+    assert verify._chunk_size(cfg) == 512
+    assert rep.witness["trial"] == 2
+    assert len(received) <= 4
