@@ -26,7 +26,10 @@ against reports written earlier into REF_DIR by the old checkout:
 
 For each file this prints "identical", or the largest |delta worst_margin|
 of each check id whose margin moved. The exit code is also 1 when any
-report's (check_id, trials, failures, skipped, witness is None) differs.
+report's (check_id, trials, failures, skipped, witness is None) differs, or,
+for a search, its ``details.violation_trials`` or ``details.found_trial``: a
+search whose violating trials swap at an equal count, or whose first hit
+moves, has moved a verdict.
 """
 
 import argparse
@@ -89,7 +92,8 @@ def golden_commands() -> dict[str, list[str]]:
 def _verdicts(payload: dict) -> list[tuple]:
     return [
         (r["check_id"], r["trials"], r["failures"], "skipped" in r["details"],
-         r["witness"] is None)
+         r["witness"] is None, r["details"].get("violation_trials"),
+         r["details"].get("found_trial"))
         for r in payload["reports"]
     ]
 

@@ -110,8 +110,10 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
 
 
 def _hermitian_part(mats: np.ndarray) -> np.ndarray:
-    """(m + m*) / 2 of a matrix, or of each member of a stack."""
-    return (mats + _adjoint(mats)) / 2.0
+    """(m + m*) / 2 of a matrix, or of each member of a stack. The halving is
+    a product with 0.5, several times faster than a complex division by 2 and
+    with the same bits up to the signs of zero parts."""
+    return 0.5 * (mats + _adjoint(mats))
 
 
 def _eigh(mats: np.ndarray, vectors: bool = False, block: int | None = None, site: str | None = None):
@@ -375,8 +377,10 @@ def _psd_verdict(flats: list[np.ndarray], tol: float):
     column per block and computed for every member, is >= -cut. A member whose
     blocks are finite and equal their adjoints exactly has defect 0 and scale
     max|λ|, as accurate as the top singular value (eigvalsh is backward
-    stable); the others take ``_psd_prelude``'s. A NaN in a 1x1 block gives a
-    NaN verdict; a non-finite entry in a larger one raises ``NumericalError``."""
+    stable); every Gram draw is such a member, and so is the symmetrized
+    product of two. The others take ``_psd_prelude``'s. A NaN in a 1x1 block
+    gives a NaN verdict; a non-finite entry in a larger one raises
+    ``NumericalError``."""
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tolerance must be finite and positive", tol=tol)
     # a 1x1 block's eigenvalue is its real part, as LAPACK gives it, NaN included

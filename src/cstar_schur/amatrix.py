@@ -245,11 +245,17 @@ def _unflatten_block(flat: np.ndarray, n: int, k: int) -> np.ndarray:
 
 
 def _gram_block(g: np.ndarray) -> np.ndarray:
-    """The block of G G* from the block g of G; the same bits as ``G @ G.adjoint()``."""
+    """The block of G G* from the block g of G, as the Hermitian part
+    (P + P*)/2 of the product P that ``G @ G.adjoint()`` forms. P alone need
+    not equal its adjoint bit for bit (at n = 3 over M_2 none of the drawn
+    ones does); its Hermitian part does when finite, up to the signs of zero
+    parts, since entry (j, l) and the conjugate of entry (l, j) are the same
+    commutative sum. So the oracle reads every Gram draw from its spectrum,
+    with no SVD."""
     n, k = g.shape[-3], g.shape[-1]
     f = _flatten_block(g, n, k)
     gram = f @ np.ascontiguousarray(_adjoint(f))
-    return _unflatten_block(gram, n, k)
+    return _unflatten_block(_hermitian_part(gram), n, k)
 
 
 def flatten(M: AMatrix) -> list[np.ndarray]:

@@ -232,7 +232,8 @@ def _gaussian_stack(cfg: GenConfig, gens, cls: type):
 
 
 def _positive_stack(cfg: GenConfig, gens) -> tuple:
-    """(G, M) of ``random_positive_matrix``, with M = G G* formed per block."""
+    """(G, M) of ``random_positive_matrix``, with M = G G* formed per block
+    as ``amatrix._gram_block`` forms it, exactly Hermitian."""
     G = _gaussian_stack(cfg, gens, AMatrix)
     return G, G._like(tuple(_gram_block(g) for g in G.blocks))
 
@@ -364,7 +365,8 @@ def random_matrix(cfg: GenConfig) -> AMatrix:
 
 
 def random_positive_matrix(cfg: GenConfig) -> tuple[AMatrix, AMatrix]:
-    """(G, M) with M = G G*, positive by construction."""
+    """(G, M) with M = G G*, positive by construction and exactly Hermitian:
+    M is the Hermitian part of ``G @ G.adjoint()``, bit for bit."""
     return tuple(v._at(0) for v in _positive_stack(cfg, [cfg.rng()]))
 
 

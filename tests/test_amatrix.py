@@ -35,7 +35,7 @@ from cstar_schur import (
     unflatten,
     zero_matrix,
 )
-from cstar_schur.algebra import _stack
+from cstar_schur.algebra import _exactly_hermitian, _hermitian_part, _stack, classify
 from cstar_schur.amatrix import _psd_stack
 from conftest import (
     COMMUTATIVE_SHAPES,
@@ -311,12 +311,19 @@ def test_psd_check_nan_in_any_block_is_not_positive():
 
 def test_stack_of_exact_and_one_ulp_off_hermitian_members_matches_each_alone():
     # exactly Hermitian members take their scale from the spectrum, the others
-    # from SVDs; in a stack of both, each member gets the report it gets alone
+    # from SVDs; in a stack of both, each member gets the report it gets alone.
+    # The first has -0 real parts below the diagonal, where the eigensolver
+    # reads them and their sign picks LAPACK's reflector.
     shape, n = AlgebraShape((2, 1)), 3
     members = []
     for seed in range(4):
         M = random_positive_matrix(GenConfig(seed=seed, shape=shape, n=n))[1]
         flats = [(f + f.conj().T) / 2 for f in flatten(M)]
+        if seed == 0:
+            f = flats[0]
+            for j in range(1, f.shape[0]):
+                f[j, j - 1] = complex(-0.0, abs(f[j, j - 1].imag))
+                f[j - 1, j] = np.conj(f[j, j - 1])
         if seed % 2:
             # one ulp off in one entry of block 0 or 1
             f = flats[seed // 2]
@@ -348,6 +355,90 @@ def test_psd_report_min_eigenvalue_keeps_nan():
     assert bits == np.float64(-0.0).tobytes()
     bits = np.float64(PsdReport(True, 0.0, (0.0, -0.0), 1e-9, 1.0).min_eigenvalue).tobytes()
     assert bits == np.float64(0.0).tobytes()
+
+
+# -- both sides of the line ------------------------------------------------------
+
+NEAR_TOL = 1e-9
+# (algebra shape, n): 1x1 flattened blocks, 2x2 and 1x1 ones, one 6x6 one
+NEAR_CASES = [(AlgebraShape((1, 1)), 1), (AlgebraShape((2, 1)), 1), (AlgebraShape((2,)), 3)]
+# c -> the verdict of a matrix planted c * tol * max(1, scale) past the line
+NEAR_SIDES = {1e3: False, 10.0: False, 0.1: True, -0.1: True}
+
+
+def _planted(shape, n, scale, lowest, defect=0.0, ulp=False, seed=0):
+    """Flattened blocks of an n x n matrix over ``shape`` whose Hermitian part
+    has smallest eigenvalue ``lowest`` (in block 0) and largest ``scale``, up
+    to rounding. It is exactly Hermitian, unless it carries the Hermitian
+    defect ``defect`` = ||f - f*|| or, with ``ulp``, one entry one ulp off."""
+    rng = np.random.default_rng(seed)
+    flats = []
+    for b, k in enumerate(shape.blocks):
+        m = n * k
+        w = np.linspace(scale / 2, scale, m)
+        if b == 0:
+            w[0] = lowest
+        z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        q = np.linalg.qr(z)[0]
+        flats.append(_hermitian_part((q * w) @ q.conj().T))
+    assert _exactly_hermitian([f[None] for f in flats])[0]
+    f = flats[0]
+    if f.shape == (1, 1):
+        f[0, 0] += 0.5j * defect
+        if ulp:
+            f[0, 0] = complex(f[0, 0].real, np.nextafter(0.0, 1.0))
+    else:
+        f[0, 1] += 0.5 * defect
+        f[1, 0] -= 0.5 * defect
+        if ulp:
+            f[0, 1] = complex(np.nextafter(f[0, 1].real, np.inf), f[0, 1].imag)
+    return flats
+
+
+def _verdicts(entry, shape, n, members):
+    """(is_positive, self-adjoint) of each member, given by its flattened
+    blocks, from ``classify``, ``psd_check`` or one ``_psd_stack`` call."""
+    if entry == "classify":
+        reports = [classify(Element(shape, flats), NEAR_TOL) for flats in members]
+        return [(r.is_positive, r.is_selfadjoint) for r in reports]
+    matrices = [unflatten(flats, shape, n) for flats in members]
+    if entry == "psd_check":
+        reports = [psd_check(M, NEAR_TOL) for M in matrices]
+        return [(r.is_positive, bool(r.min_eigenvalue_per_block)) for r in reports]
+    stack = _psd_stack(_stack(matrices), NEAR_TOL)
+    return list(zip(stack.is_positive.tolist(), stack.hermitian.tolist()))
+
+
+def _near_line_cases():
+    for shape, n in NEAR_CASES:
+        for entry in ("classify", "psd_check", "_psd_stack"):
+            if entry != "classify" or n == 1:
+                yield pytest.param(entry, shape, n, id=f"{entry}-{shape.blocks}-{n}")
+
+
+@pytest.mark.parametrize("entry, shape, n", _near_line_cases())
+@pytest.mark.parametrize("scale", [0.25, 1e3])
+def test_oracle_sees_a_smallest_eigenvalue_just_past_the_cut(entry, shape, n, scale):
+    # exactly Hermitian members take the spectrum path (every search member
+    # does), one-ulp-off ones the prelude's SVDs; a cut ten times too wide on
+    # either path calls lambda_min = -10 tol max(1, scale) positive
+    cut = NEAR_TOL * max(1.0, scale)
+    for ulp in (False, True):
+        members = [_planted(shape, n, scale, -c * cut, ulp=ulp) for c in NEAR_SIDES]
+        assert all(_exactly_hermitian([f[None] for f in m])[0] != ulp for m in members)
+        got = _verdicts(entry, shape, n, members)
+        assert got == [(side, True) for side in NEAR_SIDES.values()], (ulp, got)
+
+
+@pytest.mark.parametrize("entry, shape, n", _near_line_cases())
+@pytest.mark.parametrize("scale", [0.25, 1e3])
+def test_oracle_sees_a_hermitian_defect_just_past_the_cut(entry, shape, n, scale):
+    # the Hermitian part is positive definite; only the defect decides
+    cut = NEAR_TOL * max(1.0, scale)
+    sides = {c: side for c, side in NEAR_SIDES.items() if c > 0}
+    members = [_planted(shape, n, scale, scale / 2, defect=c * cut) for c in sides]
+    got = _verdicts(entry, shape, n, members)
+    assert got == [(side, side) for side in sides.values()], got
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -0.0])

@@ -32,7 +32,8 @@ from cstar_schur import (
     random_vector,
     schur_product,
 )
-from cstar_schur.amatrix import diag_matrix
+from cstar_schur.algebra import _exactly_hermitian, _hermitian_part
+from cstar_schur.amatrix import diag_matrix, flatten
 from cstar_schur import generate, verify
 from cstar_schur.generate import STYLES, _from_normals, _mix64s, _normals, _Streams
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES
@@ -193,12 +194,36 @@ def test_commuting_spectral_pair_structure():
     assert psd_check(schur_product(M, N)).is_positive
 
 
+def _uint64(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**63 - 1))
 def test_gram_positive_matrices(seed):
     G, M = random_positive_matrix(GenConfig(seed=seed, shape=AlgebraShape((2, 1)), n=3))
     assert psd_check(M).is_positive
-    assert mat_norm(M - G @ G.adjoint()) == 0.0
+    # M is the Hermitian part of G G*, bit for bit, so it equals its adjoint
+    # exactly (the product alone does not at this size)
+    for m, gram in zip(flatten(M), flatten(G @ G.adjoint())):
+        assert np.array_equal(_uint64(m), _uint64(_hermitian_part(gram)))
+    assert _exactly_hermitian([f[None] for f in flatten(M)])[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1,), (3,), (2, 1), (2, 2)]),
+    st.integers(1, 8),
+    st.sampled_from(STYLES),
+    st.sampled_from([0.37, 1.0, 2.5]),
+    st.integers(0, 2**63 - 1),
+)
+def test_every_gram_draw_is_exactly_hermitian(shape, n, style, scale, seed):
+    # the oracle then reads every member from its spectrum, with no SVD
+    cfg = GenConfig(seed=seed, shape=AlgebraShape(shape), n=n, entry_scale=scale, style=style)
+    _, M = generate._positive_stack(cfg, _Streams(generate._seeds(cfg, range(3))))
+    flats = [f.reshape(-1, *f.shape[-2:]) for f in flatten(M)]
+    assert _exactly_hermitian(flats).all()
 
 
 def test_vector_and_element_shapes():

@@ -1087,7 +1087,8 @@ def test_suite_grid_certifies_in_few_oracle_calls(monkeypatch):
     assert len(calls) <= 95
 
 
-def test_suite_grid_takes_few_singular_values(monkeypatch):
+def _counted_singular_values(monkeypatch) -> list:
+    """The shapes of the ``_top_singular_values`` calls made from here on."""
     from cstar_schur import algebra
 
     calls = []
@@ -1098,13 +1099,30 @@ def test_suite_grid_takes_few_singular_values(monkeypatch):
         return top(mats)
 
     monkeypatch.setattr(algebra, "_top_singular_values", counted)
+    return calls
+
+
+def test_suite_grid_takes_few_singular_values(monkeypatch):
+    calls = _counted_singular_values(monkeypatch)
     for shape, n in GRID:
         run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
     # the oracle solves first and takes the exactly Hermitian members' scale
     # from their spectra (2 082 calls while it took an SVD of every member),
     # and the evaluators take their norms once per chunk on batched values
-    # (2 030 calls while they took them one instance at a time)
-    assert len(calls) <= 518
+    # (2 030 calls while they took them one instance at a time; 518 while the
+    # Gram draws were not exactly Hermitian)
+    assert len(calls) <= 492
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("shape", [(2,), (2, 1)], ids=str)
+def test_counterexample_search_takes_no_singular_values(monkeypatch, shape, n):
+    # every Gram draw and every symmetrized product of two is exactly
+    # Hermitian, so the oracle reads each member's scale from its spectrum
+    calls = _counted_singular_values(monkeypatch)
+    rep = counterexample_search(GenConfig(seed=2024, shape=AlgebraShape(shape), n=n), trials=100)
+    assert rep.trials == 101
+    assert calls == []
 
 
 def test_suite_grid_builds_few_blockwise_values(monkeypatch):
