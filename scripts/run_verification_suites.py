@@ -1,18 +1,17 @@
 #!/usr/bin/env python3
 """Run every verification suite over a grid of algebra shapes and sizes.
 
-Prints one row per (shape, n, check) and a final tally. Useful as a broader
-regression sweep than the default CLI invocation, e.g.
+Runs the CLI's ``verify --suite all`` at each (shape, n) of ``GRID`` and exits
+with the largest of their exit codes. A broader regression sweep than the
+default CLI invocation, e.g.
 
     python scripts/run_verification_suites.py --trials 100 --seed 7
 """
 
 import argparse
 import sys
-import time
 
-from cstar_schur import AlgebraShape, GenConfig
-from cstar_schur.verify import counts_as_failure, run_suites
+from cstar_schur import cli
 
 GRID = [
     ("1", 6),
@@ -32,30 +31,14 @@ def main() -> int:
     ap.add_argument("--d", type=int, default=2)
     args = ap.parse_args()
 
-    t0 = time.perf_counter()
-    total = failures = 0
-    for shape_text, n in GRID:
-        shape = AlgebraShape.parse(shape_text)
-        cfg = GenConfig(seed=args.seed, shape=shape, n=n)
-        reports = run_suites("all", cfg, trials=args.trials, d=args.d)
-        for r in reports:
-            total += 1
-            status = "skip" if "skipped" in r.details else (
-                "probe" if r.details.get("probe") else (
-                    "pass" if not counts_as_failure(r) else "FAIL"
-                )
-            )
-            if status == "FAIL":
-                failures += 1
-            print(
-                f"{shape_text:10s} n={n}  {r.check_id:32s} {status:5s}"
-                f" worst_margin={r.worst_margin:+.2e}"
-            )
-    print(
-        f"\n{total} checks over {len(GRID)} configurations,"
-        f" {failures} failures, {time.perf_counter() - t0:.1f}s"
-    )
-    return 1 if failures else 0
+    codes = []
+    for shape, n in GRID:
+        print(f"== shape {shape}, n={n}")
+        codes.append(cli.main([
+            "verify", "--suite", "all", "--shape", shape, "--n", str(n),
+            "--seed", str(args.seed), "--trials", str(args.trials), "--d", str(args.d),
+        ]))
+    return max(codes)
 
 
 if __name__ == "__main__":

@@ -2,20 +2,21 @@
 """How often does positivity of M, N fail to survive the symmetrized Schur
 product, and how does that depend on the matrix size and the algebra?
 
-Sweeps n over a range for several noncommutative shapes and prints the
-random violation rate with its 95 % Wilson score interval and the worst
-relative margin. Random inputs are Gram matrices G G* with i.i.d. complex
-Gaussian G, so every trial starts from genuinely positive inputs.
+For each shape and each n from 1 to --n-max, runs the CLI's ``search`` with
+the seed of GenConfig(seed, shape, n).derive(n). Each line gives the random
+violation rate with its 95 % Wilson score interval and the worst relative
+margin. Random inputs are Gram matrices G G* with i.i.d. complex Gaussian G,
+so every trial starts from genuinely positive inputs. Exits with the largest
+exit code of the searches.
 
     python scripts/search_schur_counterexamples.py --trials 2000 --n-max 4
 """
 
 import argparse
 import sys
-import time
 
-from cstar_schur import AlgebraShape, GenConfig
-from cstar_schur.verify import counterexample_search
+from cstar_schur import cli
+from cstar_schur.generate import derive_seed
 
 SHAPES = ["2", "2,1", "3"]
 
@@ -28,28 +29,20 @@ def main() -> int:
     ap.add_argument("--shapes", nargs="*", default=SHAPES)
     args = ap.parse_args()
 
-    print(
-        f"{'shape':8s} {'n':>2s} {'rate':>7s} {'95% Wilson':>14s}"
-        f" {'min margin':>12s} {'time':>7s}"
-    )
-    for shape_text in args.shapes:
-        shape = AlgebraShape.parse(shape_text)
+    codes = [0]
+    for shape in args.shapes:
+        print(f"== shape {shape}")
         for n in range(1, args.n_max + 1):
-            cfg = GenConfig(seed=args.seed, shape=shape, n=n).derive(n)
-            t0 = time.perf_counter()
-            rep = counterexample_search(cfg, trials=args.trials)
-            dt = time.perf_counter() - t0
-            rate = rep.details["violation_rate"]
-            low, high = rate["interval"]
-            print(
-                f"{shape_text:8s} {n:2d} {rate['rate']:7.3f} [{low:.3f}, {high:.3f}]"
-                f" {rep.worst_margin:+12.3e} {dt:6.1f}s"
-            )
+            seed = derive_seed(args.seed, n)
+            codes.append(cli.main([
+                "search", "--shape", shape, "--n", str(n), "--seed", str(seed),
+                "--trials", str(args.trials),
+            ]))
     print(
         "\nrates shrink as n grows: random Gram pairs concentrate, while the"
         "\ndeterministic diag(1, eps) / all-units witness violates at every n."
     )
-    return 0
+    return max(codes)
 
 
 if __name__ == "__main__":

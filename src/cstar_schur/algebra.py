@@ -323,17 +323,29 @@ class Element(_Blocks):
         return f"Element(shape={self.shape.blocks}, norm={self.norm():.6g})"
 
 
+def _units(shape: AlgebraShape, lead: tuple = (), value: complex = 1.0) -> tuple:
+    """value * 1 of each block, repeated over the axes ``lead`` of length n >= 1:
+    the blocks of an element, of a vector with ``lead`` (n,), of a matrix with
+    (n, n)."""
+    if any(n < 1 for n in lead):
+        raise StructureError("n must be >= 1")
+    return tuple(
+        np.broadcast_to(complex(value) * np.eye(k, dtype=np.complex128), lead + (k, k)).copy()
+        for k in shape.blocks
+    )
+
+
 def identity_element(shape: AlgebraShape) -> Element:
-    return Element._wrap(shape, tuple(np.eye(k, dtype=np.complex128) for k in shape.blocks))
+    return Element._wrap(shape, _units(shape))
 
 
 def zero_element(shape: AlgebraShape) -> Element:
-    return Element._wrap(shape, tuple(np.zeros((k, k), dtype=np.complex128) for k in shape.blocks))
+    return Element._wrap(shape, _units(shape, value=0.0))
 
 
 def scalar_element(shape: AlgebraShape, value: complex) -> Element:
     """The multiple value * 1 of the unit."""
-    return Element._wrap(shape, tuple(complex(value) * b for b in identity_element(shape).blocks))
+    return Element._wrap(shape, _units(shape, value=value))
 
 
 @dataclass(frozen=True)

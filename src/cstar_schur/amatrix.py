@@ -29,7 +29,7 @@ import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraShape, Element, SpectrumReport, _SizedBlocks
 from .algebra import _adjoint, _first_of, _hermitian_part, _psd_prelude, _psd_sqrt, _psd_verdict
-from .algebra import _spectral_norm, _spectrum_report
+from .algebra import _spectral_norm, _spectrum_report, _units
 from .errors import DomainError, StructureError
 from .module_an import AVector, inner_product
 
@@ -125,46 +125,31 @@ class AMatrix(_SizedBlocks):
 # constructors -------------------------------------------------------------
 
 
-def _require_size(n: int) -> None:
-    if n < 1:
-        raise StructureError("n must be >= 1")
-
-
 def identity_matrix(shape: AlgebraShape, n: int) -> AMatrix:
-    _require_size(n)
-    blocks = []
-    for k in shape.blocks:
-        arr = np.zeros((n, n, k, k), dtype=np.complex128)
-        idx = np.arange(n)
-        arr[idx, idx] = np.eye(k)
-        blocks.append(arr)
-    return AMatrix._wrap(shape, tuple(blocks))
+    """I_n: the units on the diagonal, zeros off it."""
+    return AMatrix._wrap(shape, tuple(map(_diag_block, _units(shape, (n,)))))
 
 
 def zero_matrix(shape: AlgebraShape, n: int) -> AMatrix:
-    _require_size(n)
-    return AMatrix._wrap(shape, tuple(np.zeros((n, n, k, k), np.complex128) for k in shape.blocks))
+    return AMatrix._wrap(shape, _units(shape, (n, n), 0.0))
 
 
 def ones_matrix(shape: AlgebraShape, n: int) -> AMatrix:
     """E_n: every entry equals the unit of the algebra."""
-    _require_size(n)
-    blocks = tuple(
-        np.broadcast_to(np.eye(k, dtype=np.complex128), (n, n, k, k)).copy()
-        for k in shape.blocks
-    )
-    return AMatrix._wrap(shape, blocks)
+    return AMatrix._wrap(shape, _units(shape, (n, n)))
 
 
 def diag_matrix(x: AVector) -> AMatrix:
-    n = x.n
-    blocks = []
-    for xb in x.blocks:
-        arr = np.zeros(xb.shape[:-3] + (n,) + xb.shape[-3:], dtype=np.complex128)
-        idx = np.arange(n)
-        arr[..., idx, idx, :, :] = xb
-        blocks.append(arr)
-    return AMatrix._wrap(x.shape, tuple(blocks))
+    return AMatrix._wrap(x.shape, tuple(map(_diag_block, x.blocks)))
+
+
+def _diag_block(xb: np.ndarray) -> np.ndarray:
+    """The block of diag(x) from the block xb of x, over any leading stack axes."""
+    n = xb.shape[-3]
+    arr = np.zeros(xb.shape[:-3] + (n,) + xb.shape[-3:], dtype=np.complex128)
+    idx = np.arange(n)
+    arr[..., idx, idx, :, :] = xb
+    return arr
 
 
 def diag_vector(M: AMatrix) -> AVector:
@@ -267,17 +252,17 @@ def flatten(M: AMatrix) -> list[np.ndarray]:
 
 def unflatten(flats, shape: AlgebraShape, n: int) -> AMatrix:
     """Inverse of ``flatten``; bit-exact (pure memory relayout)."""
-    _require_size(n)
+    # the zero blocks it fills in, which also checks n
+    blocks = _units(shape, (n, n), 0.0)
     flats = list(flats)
-    if len(flats) != len(shape.blocks):
+    if len(flats) != len(blocks):
         raise StructureError("wrong number of flattened blocks")
-    blocks = []
-    for k, f in zip(shape.blocks, flats):
-        arr = np.array(f, dtype=np.complex128)
+    for k, out, f in zip(shape.blocks, blocks, flats):
+        arr = np.asarray(f, dtype=np.complex128)
         if arr.shape != (n * k, n * k):
             raise StructureError(f"flattened block must be {n*k}x{n*k}, got {arr.shape}")
-        blocks.append(_unflatten_block(arr, n, k).copy())
-    return AMatrix._wrap(shape, tuple(blocks))
+        out[...] = _unflatten_block(arr, n, k)
+    return AMatrix._wrap(shape, blocks)
 
 
 def mat_norm(M: AMatrix):

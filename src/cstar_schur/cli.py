@@ -210,6 +210,24 @@ def _summarize(reports: list[CheckReport]) -> int:
     return failures
 
 
+def _finish(args, cfg: GenConfig, reports: list[CheckReport], config: dict, **extra) -> int:
+    """Print the summary of ``reports``, write them to ``--json`` with the run's
+    config, the ``config`` keys and the ``extra`` top-level keys, and return
+    the exit code."""
+    failures = _summarize(reports)
+    if args.json:
+        payload = {
+            "command": args.command,
+            "config": _config_payload(cfg, trials=args.trials, d=args.d, tol=args.tol, **config),
+            "reports": [r.to_json() for r in reports],
+            "failures": failures,
+            "passed": failures == 0,
+            **extra,
+        }
+        _emit_json(payload, args.json)
+    return 0 if failures == 0 else 1
+
+
 def _build_config(args) -> GenConfig:
     shape = AlgebraShape.parse(args.shape)
     return GenConfig(
@@ -244,7 +262,6 @@ def cmd_verify(args) -> int:
         trials=args.trials,
         d=args.d,
         tol=args.tol,
-        threads=args.threads,
         entrywise_constant=args.entrywise_constant,
         points=points,
     )
@@ -252,19 +269,7 @@ def cmd_verify(args) -> int:
         _print_report(r)
         if points is not None and "min_eigenvalue" in r.details:
             _print_novak_line(r)
-    failures = _summarize(reports)
-    if args.json:
-        payload = {
-            "command": "verify",
-            "config": _config_payload(
-                cfg, suite=args.suite, trials=args.trials, d=args.d, tol=args.tol
-            ),
-            "reports": [r.to_json() for r in reports],
-            "failures": failures,
-            "passed": failures == 0,
-        }
-        _emit_json(payload, args.json)
-    return 0 if failures == 0 else 1
+    return _finish(args, cfg, reports, {"suite": args.suite})
 
 
 def _reverify_witness(path: str, tol: float) -> int:
@@ -322,7 +327,6 @@ def cmd_search(args) -> int:
             trials=args.trials,
             tol=args.tol,
             stop_on_first=args.stop_on_first,
-            threads=args.threads,
         )
         reports.append(rep)
         d = rep.details
@@ -427,7 +431,7 @@ def cmd_novak(args) -> int:
     cfg = _build_config(args)
     if args.points is not None and args.random:
         raise StructureError("--points and --random are mutually exclusive")
-    novak_payload = None
+    novak_payload = {}
     if args.points is not None:
         points = _load_points(args.points)
         novak, report = novak_check(points, args.tol)
@@ -439,31 +443,10 @@ def cmd_novak(args) -> int:
             "psd": psd_check(novak, args.tol).to_json(),
         }
     else:
-        reports = run_suites(
-            ("novak",),
-            cfg,
-            trials=args.trials,
-            d=args.d,
-            tol=args.tol,
-            threads=args.threads,
-        )
+        reports = run_suites("novak", cfg, trials=args.trials, d=args.d, tol=args.tol)
         for r in reports:
             _print_report(r)
-    failures = _summarize(reports)
-    if args.json:
-        payload = {
-            "command": "novak",
-            "config": _config_payload(
-                cfg, trials=args.trials, d=args.d, tol=args.tol
-            ),
-            "reports": [r.to_json() for r in reports],
-            "failures": failures,
-            "passed": failures == 0,
-        }
-        if novak_payload is not None:
-            payload.update(novak_payload)
-        _emit_json(payload, args.json)
-    return 0 if failures == 0 else 1
+    return _finish(args, cfg, reports, {}, **novak_payload)
 
 
 def cmd_demo(args) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _SizedBlocks, _adjoint
+from .algebra import AlgebraShape, Element, _SizedBlocks, _adjoint, _units
 from .errors import StructureError
 
 
@@ -93,17 +93,8 @@ def cauchy_schwarz_gap(x: AVector, y: AVector) -> Element:
 
 def ones_vector(shape: AlgebraShape, n: int) -> AVector:
     """e_n = (1, 1, ..., 1), the all-units vector."""
-    if n < 1:
-        raise StructureError("vectors need length >= 1")
-    blocks = tuple(
-        np.broadcast_to(np.eye(k, dtype=np.complex128), (n, k, k)).copy()
-        for k in shape.blocks
-    )
-    return AVector._wrap(shape, blocks)
+    return AVector._wrap(shape, _units(shape, (n,)))
 
 
 def zero_vector(shape: AlgebraShape, n: int) -> AVector:
-    if n < 1:
-        raise StructureError("vectors need length >= 1")
-    blocks = tuple(np.zeros((n, k, k), dtype=np.complex128) for k in shape.blocks)
-    return AVector._wrap(shape, blocks)
+    return AVector._wrap(shape, _units(shape, (n,), 0.0))

@@ -87,6 +87,7 @@ from .algebra import (
     _first_of,
     _spectral_norm,
     _stack,
+    _units,
     commutator_norm,
     identity_element,
 )
@@ -581,10 +582,7 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
     trig = _trig_stack(shape, scaled, np.tile([False, True], T * n))
     terms = [c.reshape(T, n, 2, *c.shape[1:]) for c in trig]
     mixed = tuple(c[:, :, 0] + c[:, :, 1] for c in terms)
-    units = tuple(
-        np.broadcast_to(np.eye(k, dtype=complex), (T, n, k, k)).copy() for k in shape.blocks
-    )
-    residuals = [_gram_residuals(A, cos_sin, y) for y in (units, mixed)]
+    residuals = [_gram_residuals(A, cos_sin, y) for y in (_units(shape, (T, n)), mixed)]
     verdicts = _psd_stack(AMatrix._wrap(shape, A), tol)
     outcomes = []
     for t in range(T):
@@ -1603,34 +1601,13 @@ def run_suite(
     return [r for r in reports if r is not None]
 
 
-def run_suites(
-    names,
-    cfg: GenConfig,
-    *,
-    trials: int = 200,
-    d: int = 2,
-    tol: float = DEFAULT_TOL,
-    threads: int = 1,
-    entrywise_constant: bool = False,
-    points=None,
-) -> list[CheckReport]:
+def run_suites(names, cfg: GenConfig, **options) -> list[CheckReport]:
+    """Run ``"all"`` suites, one named suite, or a sequence of names, and return
+    their reports in order. ``options`` go to ``run_suite`` unchanged: ``trials``,
+    ``d``, ``tol``, ``threads``, ``entrywise_constant`` and ``points``."""
     if isinstance(names, str):
         names = SUITES if names == "all" else (names,)
-    reports = []
-    for name in names:
-        reports.extend(
-            run_suite(
-                name,
-                cfg,
-                trials=trials,
-                d=d,
-                tol=tol,
-                threads=threads,
-                entrywise_constant=entrywise_constant,
-                points=points,
-            )
-        )
-    return reports
+    return [r for name in names for r in run_suite(name, cfg, **options)]
 
 
 def counts_as_failure(report: CheckReport) -> bool:

@@ -529,6 +529,15 @@ def _unflatten_zeros(shape, n):
     return unflatten([np.zeros((max(n, 0) * k,) * 2) for k in shape.blocks], shape, n)
 
 
+def test_cholesky_oracle_rejects_a_matrix_that_is_not_self_adjoint():
+    # [[1, 1], [0, 1]] is a unit away from its adjoint, far past the cut
+    entry = Element(AlgebraShape((2,)), [np.array([[1.0, 1.0], [0.0, 1.0]])])
+    rep = cholesky_psd_check(AMatrix.from_entries([[entry]]))
+    assert rep.is_positive is False
+    assert rep.hermitian_defect == 1.0
+    assert rep.min_eigenvalue_per_block == ()
+
+
 @pytest.mark.parametrize("n", [0, -1])
 @pytest.mark.parametrize(
     "make",

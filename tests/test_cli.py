@@ -224,6 +224,22 @@ def test_search_sweep_has_per_size_stats(tmp_path):
     assert all(e["trials"] == 41 for e in payload["per_n"])
 
 
+def test_search_n_max_below_n_is_usage_error(capsys):
+    assert run(["search", "--shape", "2", "--n", "3", "--n-max", "2"]) == 2
+    assert "--n-max must be >= --n" in capsys.readouterr().err
+
+
+def test_hit_search_that_finds_nothing_prints_a_miss(capsys):
+    # at entry scale 1e-100 the associator underflows far below the hit threshold
+    argv = ["verify", "--suite", "schur", "--shape", "2", "--n", "2", "--trials", "2",
+            "--entry-scale", "1e-100"]
+    assert run(argv) == 1
+    out = capsys.readouterr().out
+    miss = next(line for line in out.splitlines() if "schur_nonassociativity" in line)
+    assert miss.startswith("[MISS]  schur_nonassociativity")
+    assert "trials=2 best=3.037e-300" in miss
+
+
 def test_search_stop_on_first(capsys):
     code = run(
         ["search", "--shape", "2", "--n", "1", "--trials", "500",
@@ -361,6 +377,31 @@ def test_novak_random_mode(capsys):
     )
     assert code == 0
     assert "novak_conjecture" in capsys.readouterr().out
+
+
+def test_novak_random_writes_the_reports_of_the_novak_suite(tmp_path):
+    flags = ["--shape", "2,1", "--n", "2", "--d", "2", "--trials", "6", "--seed", "5"]
+    novak, suite = tmp_path / "novak.json", tmp_path / "suite.json"
+    assert run(["novak", "--random", *flags, "--json", str(novak)]) == 0
+    assert run(["verify", "--suite", "novak", *flags, "--json", str(suite)]) == 0
+    a, b = json.loads(novak.read_text()), json.loads(suite.read_text())
+    assert a["command"] == "novak" and b["command"] == "verify"
+    for key in ("reports", "failures", "passed"):
+        assert a[key] == b[key], key
+    assert b["config"].pop("suite") == "novak"
+    assert a["config"] == b["config"]
+
+
+def test_novak_points_json_holds_the_matrix_and_its_verdict(tmp_path):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"algebra": [1], "points": [[0.0], [np.pi]]}))
+    out = tmp_path / "novak.json"
+    assert run(["novak", "--points", str(f), "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {
+        "command", "config", "reports", "failures", "passed", "novak_matrix", "psd"
+    }
+    assert payload["command"] == "novak" and "suite" not in payload["config"]
 
 
 def test_novak_rejects_non_selfadjoint_points(tmp_path, capsys):

@@ -91,6 +91,15 @@ def test_schur_positivity_requires_positive_inputs():
         check_schur_positivity(bad, good)
 
 
+def test_schur_positivity_check_keeps_the_jordan_witness():
+    M, N = jordan_witness(M2)
+    rep = check_schur_positivity(M, N)
+    assert rep.failures == 1 and not rep.passed
+    assert set(rep.witness) == {"m", "n", "product", "psd", "min_eigenvalue"}
+    assert rep.witness["min_eigenvalue"] == pytest.approx(JORDAN_MIN_EIG, abs=1e-12)
+    assert rep.worst_margin < 0
+
+
 def test_row_sum_bound_explicit_instance():
     # A = [[1, 0], [1, 1]]: M = AA* = [[1, 1], [1, 2]], y = (1, 2),
     # M - yy*/2 = [[.5, 0], [0, 0]]
@@ -1026,6 +1035,7 @@ def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
     [
         ("run_verification_suites.py", ["--trials", "0"]),
         ("search_schur_counterexamples.py", ["--trials", "0", "--n-max", "1"]),
+        ("probe_identities.py", ["--trials", "0"]),
     ],
 )
 def test_scripts_take_no_threads_flag(name, argv, monkeypatch):
@@ -1035,6 +1045,33 @@ def test_scripts_take_no_threads_flag(name, argv, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     assert exc.value.code == 2
+
+
+def _run_script(name, argv, monkeypatch) -> int:
+    script = Path(__file__).resolve().parents[1] / "scripts" / name
+    monkeypatch.setattr(sys, "argv", [name, *argv])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    return exc.value.code
+
+
+@pytest.mark.parametrize("n_max", [1, 2])
+def test_search_script_derives_each_sizes_seed(n_max, monkeypatch, capsys):
+    argv = ["--shapes", "2", "--n-max", str(n_max), "--trials", "20"]
+    assert _run_script("search_schur_counterexamples.py", argv, monkeypatch) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n=")]
+    assert len(lines) == n_max
+    for n, line in zip(range(1, n_max + 1), lines):
+        rep = counterexample_search(GenConfig(seed=2024, shape=M2, n=n).derive(n), 20)
+        trials = rep.details["trials_attempted"]
+        assert line.startswith(f"n={n}: {rep.failures}/{trials} violations"), line
+
+
+def test_suite_grid_script_passes(monkeypatch, capsys):
+    assert _run_script("run_verification_suites.py", ["--trials", "2"], monkeypatch) == 0
+    out = capsys.readouterr().out
+    assert out.count("checks: ") == len(GRID_CATALOGUES)
+    assert " 0 failed," in out
 
 
 # -- stacked trials ---------------------------------------------------------------
@@ -1434,6 +1471,22 @@ def test_hypothesis_falls_back_to_each_point_alone_when_the_stack_fails(monkeypa
     assert alone.value.details == stacked.value.details
 
 
+def test_noncommuting_pair_is_found_pair_by_pair_when_stacked_commutators_overflow():
+    # pair (1, 2) commutes, but its products overflow, so its stacked commutator
+    # is NaN; pair (0, 1) fails first, so the error is a domain error (exit 2)
+    x, _ = pauli_pair(M2)
+    big = [1e200 * np.diag(d).astype(complex) for d in ((1.0, 2.0), (3.0, 4.0))]
+    points = (np.stack([x.blocks[0], *big])[None],)
+    # pairs (0, 1) and (1, 2) as one stack of left and one of right points
+    left, right = (Element._wrap(M2, (points[0][:, ends],)) for ends in ([0, 1], [1, 2]))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError):
+            verify.commutator_norm(left, right)
+        with pytest.raises(DomainError, match="elements do not commute") as exc:
+            verify._require_commuting_points(M2, points)
+    assert exc.value.details["pair"] == (0, 1)
+
+
 # a point's block 0 over (2, 1): not self-adjoint, or self-adjoint but not
 # commuting with the commuting family it replaces a member of
 _FAULTS = {
@@ -1475,6 +1528,20 @@ def test_stacked_hypothesis_raises_the_first_failing_trial_alone(check_id, fault
         assert str(stacked.value) == str(alone.value)
         assert stacked.value.details == alone.value.details
         assert finished == list(range(bad))
+
+
+def test_run_trials_raises_the_chunk_error_when_no_trial_raises_alone():
+    seen = []
+
+    def evaluate(trials):
+        seen.append(list(trials))
+        if len(trials) > 1:
+            raise NumericalError("only the chunk fails")
+        return [(1.0, None)]
+
+    with pytest.raises(NumericalError, match="only the chunk fails"):
+        verify._run_trials(evaluate, 3, 3)
+    assert seen == [[0, 1, 2], [0], [1], [2]]
 
 
 def test_novak_witnesses_hold_the_points_as_json():
