@@ -27,9 +27,10 @@ against reports written earlier into REF_DIR by the old checkout:
 For each file this prints "identical", or the largest |delta worst_margin|
 of each check id whose margin moved. The exit code is also 1 when any
 report's (check_id, trials, failures, skipped, witness is None) differs, or,
-for a search, its ``details.violation_trials`` or ``details.found_trial``: a
-search whose violating trials swap at an equal count, or whose first hit
-moves, has moved a verdict.
+for a search, its ``details.violation_trials``, ``details.found_trial`` or the
+trials of its kept ``details.violations``: a search whose violating trials
+swap at an equal count, whose first hit moves, or whose most negative
+witnesses reorder, has moved a verdict.
 """
 
 import argparse
@@ -89,11 +90,18 @@ def golden_commands() -> dict[str, list[str]]:
     return runs
 
 
+def _kept_trials(details: dict) -> list[int] | None:
+    """The trials of the violations a search report keeps, in order."""
+    if not details.get("search"):
+        return None
+    return [v["trial"] for v in details.get("violations", [])]
+
+
 def _verdicts(payload: dict) -> list[tuple]:
     return [
         (r["check_id"], r["trials"], r["failures"], "skipped" in r["details"],
          r["witness"] is None, r["details"].get("violation_trials"),
-         r["details"].get("found_trial"))
+         r["details"].get("found_trial"), _kept_trials(r["details"]))
         for r in payload["reports"]
     ]
 

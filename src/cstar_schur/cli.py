@@ -340,6 +340,7 @@ def cmd_search(args) -> int:
         )
         entry = {
             "n": n,
+            "seed": sub.seed,
             "trials": d["trials_attempted"],
             "violations": rep.failures,
             "random_violations": d["random_violations"],
@@ -575,7 +576,8 @@ def build_parser(default_tol: float | None = None) -> argparse.ArgumentParser:
         "--n-max",
         type=int,
         default=None,
-        help="sweep matrix sizes n..n-max with per-size statistics",
+        help="sweep matrix sizes n..n-max with per-size statistics; each size draws"
+        " from its own seed, derived from --seed and n and recorded in per_n",
     )
     p_search.add_argument(
         "--stop-on-first",

@@ -63,9 +63,11 @@ a later trial of its chunk raises. The hit searches draw their chunks with
 Gram products, symmetrized products and positivity oracle run once per
 chunk. ``threads`` is only validated. The report
 is a summary: every violating trial index, the violation rate with a Wilson
-interval, a margin histogram, and the matrices of only a few violations (the
-deterministic one and the ``_TOP_WITNESSES`` most negative random ones).
-``search_witness`` rebuilds the record of any trial alone.
+interval, a margin histogram, the stubs (trial, seed, margin, smallest
+eigenvalue) of a few violations (the deterministic one and the
+``_TOP_WITNESSES`` most negative random ones), and the matrices of only the
+first violation. ``search_witness`` rebuilds the full record of any trial
+alone, with the bits of its stub.
 """
 
 from __future__ import annotations
@@ -1013,7 +1015,7 @@ def jordan_witness(shape: AlgebraShape, n: int = 1) -> tuple[AMatrix, AMatrix]:
     )
 
 
-# Random violations a search report keeps with their matrices, besides the
+# Random violations a search report keeps as stubs, besides the
 # deterministic one: the most negative margins, ties broken by trial.
 _TOP_WITNESSES = 5
 
@@ -1071,26 +1073,35 @@ def _pairs(cfg: GenConfig, trials):
     return _random_pairs(cfg, trials)
 
 
+def _search_stub(trial, seed, rep: PsdReport) -> dict:
+    """What a search report keeps of a violating trial besides its index:
+    its seed, margin and smallest eigenvalue."""
+    return {
+        "seed": seed,
+        "margin": rep.margin,
+        "min_eigenvalue": rep.min_eigenvalue,
+        "deterministic_witness": trial == 0,
+    }
+
+
 def _search_record(trial, i, seed, M, N, product, verdicts) -> dict:
-    """The record of trial ``trial``, member i of a batch: its matrices,
-    certificate, seed and margin."""
+    """The full record of trial ``trial``, member i of a batch: its stub with
+    its matrices and certificate."""
     rep = verdicts.report(i)
-    record = {**_matrix_payload(i, m=M, n=N, product=product), "psd": rep.to_json()}
-    record.update(
-        trial=trial,
-        seed=seed,
-        deterministic_witness=trial == 0,
-        min_eigenvalue=rep.min_eigenvalue,
-        margin=rep.margin,
-    )
-    return record
+    return {
+        **_matrix_payload(i, m=M, n=N, product=product),
+        "psd": rep.to_json(),
+        "trial": trial,
+        **_search_stub(trial, seed, rep),
+    }
 
 
 def _search_witnesses(cfg: GenConfig, trials: list[int], tol: float = DEFAULT_TOL):
-    """The records of the given ascending trials, in order, drawn as the
+    """The full records of the given ascending trials, in order, drawn as the
     search draws them and evaluated in stacks of at most a search chunk.
     A member of a stack gets the bits it gets alone, so each record is the
-    one the search keeps of that trial when it violates."""
+    report's witness when its trial is the first violation, and extends the
+    stub the report keeps of it."""
     if trials and trials[0] < 0:
         raise StructureError(f"trial must be >= 0, got {trials[0]}")
     for group in _chunks(trials, _chunk_size(cfg), search=True):
@@ -1102,9 +1113,11 @@ def _search_witnesses(cfg: GenConfig, trials: list[int], tol: float = DEFAULT_TO
 
 
 def search_witness(cfg: GenConfig, trial: int, tol: float = DEFAULT_TOL) -> dict:
-    """The record ``counterexample_search`` keeps of trial ``trial`` when it
-    violates: the pair drawn as the search draws it, evaluated alone, which
-    gives the bits it gets inside a chunk."""
+    """The full record of trial ``trial`` of ``counterexample_search``: the
+    pair drawn as the search draws it, evaluated alone, which gives the bits
+    it gets inside a chunk. Of a violating trial it is the report's witness
+    when the trial is the first violation, and otherwise expands the trial's
+    stub in ``violations``."""
     return next(_search_witnesses(cfg, [trial], tol))
 
 
@@ -1126,12 +1139,14 @@ def counterexample_search(
     The details summarize the violations: every violating trial
     (``violation_trials``), the random violation rate with a 95 % Wilson
     interval over the random trials attempted, and a histogram of all
-    margins. ``violations`` holds the records (``search_witness``) of the
-    deterministic witness, when it violates, and of the ``_TOP_WITNESSES``
-    most negative random violations; the report's witness is the first
-    violation. The chunks give only margins; the records of the kept trials
-    are built once at the end, through ``_search_witnesses``, which gives the
-    bits of the chunks.
+    margins. ``violations`` holds the stubs (``_search_stub``: trial, seed,
+    margin, smallest eigenvalue) of the deterministic witness, when it
+    violates, and of the ``_TOP_WITNESSES`` most negative random violations,
+    by margin and then by trial. The chunks build the stub of every
+    violation as they read its verdict. The report's witness is the full
+    record of the first violation (``search_witness``), rebuilt once at the
+    end with the bits of the chunks; ``search_witness`` expands any other
+    stub the same way.
     """
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
@@ -1143,21 +1158,23 @@ def counterexample_search(
     validate_threads(threads)
 
     def evaluate(chunk):
-        # margins only: a violation's witness is the trial index it gets
-        M, N, _ = _pairs(cfg, chunk)
-        margins = _psd_stack(schur_product(M, N), tol).margins().tolist()
-        return [(m, {} if m < -VIOLATION_THRESHOLD else None) for m in margins]
+        # a violation's witness is its stub; _run_trials adds the trial
+        M, N, seeds = _pairs(cfg, chunk)
+        verdicts = _psd_stack(schur_product(M, N), tol)
+        return [
+            (m, _search_stub(t, seed, verdicts.report(i)) if m < -VIOLATION_THRESHOLD else None)
+            for i, (t, seed, m) in enumerate(zip(chunk, seeds, verdicts.margins().tolist()))
+        ]
 
     outcomes = _run_trials(evaluate, trials + 1, _chunk_size(cfg), search=True, stop=stop_on_first)
     margins = [m for m, _ in outcomes]
-    violation_trials = [w["trial"] for _, w in outcomes if w is not None]
+    stubs = {w["trial"]: w for _, w in outcomes if w is not None}
+    violation_trials = list(stubs)
     # margins[t] is trial t's; ties between margins go to the earlier trial
     ranked = sorted((margins[t], t) for t in violation_trials if t > 0)
-    top = [t for _, t in ranked[:_TOP_WITNESSES]]
-    kept = sorted(set(top).union(violation_trials[:1]))
-    records = dict(zip(kept, _search_witnesses(cfg, kept, tol)))
-    first_witness = records[violation_trials[0]] if violation_trials else None
     deterministic = violation_trials[:1] == [0]
+    kept = ([0] if deterministic else []) + [t for _, t in ranked[:_TOP_WITNESSES]]
+    first_witness = search_witness(cfg, violation_trials[0], tol) if violation_trials else None
     random_violations = len(violation_trials) - deterministic
     random_attempted = len(margins) - 1
     low, high = _wilson_interval(random_violations, random_attempted)
@@ -1174,7 +1191,7 @@ def counterexample_search(
             "confidence": 0.95,
         },
         "margin_histogram": _margin_histogram(margins),
-        "violations": ([first_witness] if deterministic else []) + [records[t] for t in top],
+        "violations": [stubs[t] for t in kept],
     }
     return _report(
         "schur_counterexample_search",

@@ -397,7 +397,8 @@ def _planted(shape, n, scale, lowest, defect=0.0, ulp=False, seed=0):
 
 def _verdicts(entry, shape, n, members):
     """(is_positive, self-adjoint) of each member, given by its flattened
-    blocks, from ``classify``, ``psd_check`` or one ``_psd_stack`` call."""
+    blocks, from ``classify``, ``psd_check``, ``cholesky_psd_check`` or one
+    ``_psd_stack`` call."""
     if entry == "classify":
         reports = [classify(Element(shape, flats), NEAR_TOL) for flats in members]
         return [(r.is_positive, r.is_selfadjoint) for r in reports]
@@ -405,13 +406,18 @@ def _verdicts(entry, shape, n, members):
     if entry == "psd_check":
         reports = [psd_check(M, NEAR_TOL) for M in matrices]
         return [(r.is_positive, bool(r.min_eigenvalue_per_block)) for r in reports]
+    if entry == "cholesky_psd_check":
+        # it reports no eigenvalues: self-adjoint is a defect within the cut
+        reports = [cholesky_psd_check(M, NEAR_TOL) for M in matrices]
+        cuts = [NEAR_TOL * max(1.0, r.scale) for r in reports]
+        return [(r.is_positive, r.hermitian_defect <= cut) for r, cut in zip(reports, cuts)]
     stack = _psd_stack(_stack(matrices), NEAR_TOL)
     return list(zip(stack.is_positive.tolist(), stack.hermitian.tolist()))
 
 
 def _near_line_cases():
     for shape, n in NEAR_CASES:
-        for entry in ("classify", "psd_check", "_psd_stack"):
+        for entry in ("classify", "psd_check", "cholesky_psd_check", "_psd_stack"):
             if entry != "classify" or n == 1:
                 yield pytest.param(entry, shape, n, id=f"{entry}-{shape.blocks}-{n}")
 

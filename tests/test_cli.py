@@ -189,9 +189,13 @@ def test_witness_files_match_stdlib_encoding(tmp_path):
     for t in trials:
         w = search_witness(cfg, t)
         assert path(t).read_text() == json.dumps(w, sort_keys=True, indent=2) + "\n"
+    # each kept stub is the file of its trial cut to the stub's keys
     for w in details["violations"]:
-        assert path(w["trial"]).read_text() == json.dumps(w, sort_keys=True, indent=2) + "\n"
+        stored = json.loads(path(w["trial"]).read_text())
+        assert {key: stored[key] for key in w} == w
     text = out.read_text()
+    witness = json.loads(text)["reports"][0]["witness"]
+    assert path(trials[0]).read_text() == json.dumps(witness, sort_keys=True, indent=2) + "\n"
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
 
 
@@ -222,6 +226,23 @@ def test_search_sweep_has_per_size_stats(tmp_path):
     payload = json.loads(out.read_text())
     assert [e["n"] for e in payload["per_n"]] == [1, 2, 3]
     assert all(e["trials"] == 41 for e in payload["per_n"])
+
+
+def test_search_reruns_one_size_of_a_sweep_from_its_seed(tmp_path):
+    # a sweep draws each n from its own derived seed, which per_n records
+    sweep, alone = tmp_path / "sweep.json", tmp_path / "alone.json"
+    argv = ["search", "--shape", "2", "--n", "2", "--trials", "300"]
+    assert run(argv + ["--n-max", "3", "--json", str(sweep)]) == 0
+    swept = json.loads(sweep.read_text())
+    seed = swept["per_n"][0]["seed"]
+    assert seed == GenConfig(seed=2024, shape=AlgebraShape((2,)), n=2).derive(2).seed
+    assert run(argv + ["--seed", str(seed), "--json", str(alone)]) == 0
+    rerun = json.loads(alone.read_text())
+    assert rerun["per_n"][0]["seed"] == seed
+    for key in ("violations", "random_violations"):
+        assert rerun["per_n"][0][key] == swept["per_n"][0][key]
+    trials = [p["reports"][0]["details"]["violation_trials"] for p in (rerun, swept)]
+    assert trials[0] == trials[1]
 
 
 def test_search_n_max_below_n_is_usage_error(capsys):

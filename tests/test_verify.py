@@ -375,9 +375,11 @@ def test_counterexample_search_counts_witness_and_random_hits():
     assert rep.details["violations"][0]["deterministic_witness"] is True
     assert rep.details["random_violations"] >= 1
     assert rep.worst_margin < -1e-6
-    # every recorded violation carries its substream seed and certificates
-    for v in rep.details["violations"][:3]:
-        assert {"trial", "seed", "min_eigenvalue", "m", "n", "product"} <= set(v)
+    # every kept violation is a stub with its substream seed; the witness
+    # alone carries the matrices and the certificate
+    for v in rep.details["violations"]:
+        assert set(v) == STUB_KEYS
+    assert {"trial", "seed", "min_eigenvalue", "m", "n", "product", "psd"} <= set(rep.witness)
 
 
 def test_counterexample_search_stop_on_first():
@@ -439,15 +441,23 @@ def _search_margins(cfg, trials):
     return margins
 
 
+STUB_KEYS = {"trial", "seed", "margin", "min_eigenvalue", "deterministic_witness"}
+
+
+def _stub(record):
+    """The keys of a full search record that the report's stubs keep."""
+    return {k: record[k] for k in STUB_KEYS}
+
+
 def _assert_summary_matches(rep, cfg, violations):
     """The search's summary against the per-trial reference: the violating
-    trials, the record of each rebuilt alone, and the records kept."""
+    trials, the record of each rebuilt alone, the stubs kept, and the witness."""
     by_trial = {v["trial"]: v for v in violations}
     assert rep.details["violation_trials"] == list(by_trial)
     for t, v in by_trial.items():
         assert verify.search_witness(cfg, t) == v
     kept = rep.details["violations"]
-    assert all(w == by_trial[w["trial"]] for w in kept)
+    assert all(w == _stub(by_trial[w["trial"]]) for w in kept)
     random = sorted(
         (v for v in violations if v["trial"] > 0), key=lambda v: (v["margin"], v["trial"])
     )
@@ -571,7 +581,7 @@ def test_search_keeps_the_most_negative_witnesses_in_order():
     margins = _search_margins(cfg, 600)
     hits = sorted((m, t) for t, m in enumerate(margins) if t > 0 and m < -1e-6)
     kept = rep.details["violations"]
-    assert kept[0]["trial"] == 0 and kept[0] is rep.witness
+    assert kept[0]["trial"] == 0 and kept[0] == _stub(rep.witness)
     assert [(w["margin"], w["trial"]) for w in kept[1:]] == hits[: verify._TOP_WITNESSES]
     assert len({w["trial"] for w in kept}) == len(kept) == 1 + verify._TOP_WITNESSES
 
@@ -599,7 +609,7 @@ def test_search_stop_on_first_is_a_one_trial_summary():
     d = rep.details
     assert d["violation_trials"] == [0]
     assert [w["trial"] for w in d["violations"]] == [0]
-    assert d["violations"][0] is rep.witness
+    assert d["violations"] == [_stub(rep.witness)]
     assert sum(d["margin_histogram"]["counts"]) == d["trials_attempted"] == 1
     assert d["violation_rate"]["interval"] == [0.0, 1.0]
 
@@ -616,7 +626,7 @@ def test_search_witnesses_in_stacks_match_each_alone():
 
 
 def test_search_encodes_only_the_records_it_keeps(monkeypatch):
-    # the chunks keep margins and trials; the kept records are built at the end
+    # the chunks build stubs; only the witness's record is built, at the end
     from cstar_schur.cli import _canonical_json
 
     calls = []
@@ -632,9 +642,9 @@ def test_search_encodes_only_the_records_it_keeps(monkeypatch):
         rep = counterexample_search(cfg, trials=1000)
         monkeypatch.setattr(AMatrix, "to_json", to_json)
         kept = rep.details["violations"]
-        assert kept[0] is rep.witness
-        # three matrices per kept record (57 calls for 36 at both n before)
-        assert len(calls) == 3 * len(kept) == 3 * (1 + verify._TOP_WITNESSES)
+        assert len(kept) == 1 + verify._TOP_WITNESSES
+        # the witness's three matrices; the stubs encode none
+        assert len(calls) == 3
         calls.clear()
         # the records a search built from its chunks as it read them
         trials = {w["trial"] for w in kept}
@@ -648,8 +658,30 @@ def test_search_encodes_only_the_records_it_keeps(monkeypatch):
                     from_chunks[first + i] = verify._search_record(
                         first + i, i, seeds[i], M, N, product, verdicts
                     )
-        expected = [from_chunks[w["trial"]] for w in kept]
+        expected = [_stub(from_chunks[w["trial"]]) for w in kept]
         assert _canonical_json(kept) == _canonical_json(expected)
+        assert _canonical_json(rep.witness) == _canonical_json(from_chunks[0])
+
+
+@pytest.mark.parametrize("stop_on_first", [False, True])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("shape", ["2", "2,1"])
+def test_search_stubs_equal_the_records_rebuilt_alone(shape, n, stop_on_first, monkeypatch):
+    cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
+    if stop_on_first:
+        # a positive pair in place of the Jordan witness: the search stops at
+        # a random trial inside a growing chunk
+        ident = identity_matrix(cfg.shape, n)
+        monkeypatch.setattr(verify, "jordan_witness", lambda shape, n: (ident, ident))
+    rep = counterexample_search(cfg, verify._chunk_size(cfg) + 3, stop_on_first=stop_on_first)
+    d = rep.details
+    assert len(d["violations"]) == (1 if stop_on_first else 1 + verify._TOP_WITNESSES)
+    for stub in d["violations"]:
+        assert set(stub) == STUB_KEYS
+        record = verify.search_witness(cfg, stub["trial"])
+        for key in STUB_KEYS:
+            assert np.array(stub[key]).tobytes() == np.array(record[key]).tobytes(), key
+    assert rep.witness == verify.search_witness(cfg, d["violation_trials"][0])
 
 
 @pytest.mark.parametrize("scale", [1.0, 0.37])
@@ -1053,6 +1085,26 @@ def _run_script(name, argv, monkeypatch) -> int:
     with pytest.raises(SystemExit) as exc:
         runpy.run_path(str(script), run_name="__main__")
     return exc.value.code
+
+
+def test_golden_compare_counts_reordered_kept_witnesses(tmp_path):
+    # last bits may move in a margin, but the kept witnesses may not reorder
+    script = Path(__file__).resolve().parents[1] / "scripts" / "golden_reports.py"
+    compare = runpy.run_path(str(script))["compare"]
+    rep = counterexample_search(GenConfig(seed=2024, shape=M2, n=2), trials=300)
+    text = json.dumps({"reports": [rep.to_json()]})
+    shifted, moved = json.loads(text), json.loads(text)
+    kept = shifted["reports"][0]["details"]["violations"]
+    kept[1]["margin"] = float(np.nextafter(kept[1]["margin"], 0.0))
+    kept = moved["reports"][0]["details"]["violations"]
+    kept[1], kept[2] = kept[2], kept[1]
+    for d in ("new", "ref"):
+        (tmp_path / d).mkdir()
+    for name, ref in [("shifted.json", shifted), ("moved.json", moved)]:
+        (tmp_path / "new" / name).write_text(text)
+        (tmp_path / "ref" / name).write_text(json.dumps(ref))
+    assert compare(tmp_path / "new", tmp_path / "ref", ["shifted.json"]) == 0
+    assert compare(tmp_path / "new", tmp_path / "ref", ["moved.json"]) == 1
 
 
 @pytest.mark.parametrize("n_max", [1, 2])
