@@ -11,31 +11,24 @@ Three experiments at desk scale:
    series applied with the identity convention vs the all-units convention
    disagree about positivity? (Never, for positive inputs — both shifts are
    positive — but the margins differ; record both.)
+
+Experiments 1 and 2 are the checks ``diag_outer_bound_complex_probe`` and
+``diag_outer_bound`` of ``run_suite("corollaries", ...)`` over the shape
+(1, 1); experiment 3 is ``check_preserver(..., report_both=True)``.
 """
 
 import argparse
 import sys
 
-import numpy as np
-
 from cstar_schur import (
     AlgebraShape,
     GenConfig,
     SeriesSpec,
-    diag_vector,
-    outer_product,
-    psd_check,
+    check_preserver,
     random_element,
     random_positive_matrix,
-    schur_product,
-    schur_series_apply,
+    run_suite,
 )
-
-
-def diag_bound_margin(M):
-    d = diag_vector(M)
-    gap = schur_product(M, M) - (1.0 / M.n) * outer_product(d)
-    return psd_check(gap).margin
 
 
 def main() -> int:
@@ -44,37 +37,36 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=2024)
     ap.add_argument("--n", type=int, default=4)
     args = ap.parse_args()
+    if args.trials < 1:
+        ap.error("--trials must be >= 1")
 
     shape = AlgebraShape((1, 1))
 
-    for style in ("complex", "real_commutative"):
-        cfg = GenConfig(seed=args.seed, shape=shape, n=args.n, style=style)
-        margins = []
-        for t in range(args.trials):
-            _, M = random_positive_matrix(cfg.derive(t))
-            margins.append(diag_bound_margin(M))
-        margins = np.array(margins)
-        violations = int((margins < -1e-9).sum())
+    cfg = GenConfig(seed=args.seed, shape=shape, n=args.n)
+    reports = {r.check_id: r for r in run_suite("corollaries", cfg, trials=args.trials)}
+    for style, check_id in (
+        ("complex", "diag_outer_bound_complex_probe"),
+        ("real_commutative", "diag_outer_bound"),
+    ):
+        rep = reports[check_id]
         print(
-            f"diag bound, style={style:16s}: {violations}/{args.trials} violations,"
-            f" worst margin {margins.min():+.3e}"
+            f"diag bound, style={style:16s}: {rep.failures}/{args.trials} violations,"
+            f" worst margin {rep.worst_margin:+.3e}"
         )
 
     cfg = GenConfig(seed=args.seed + 1, shape=shape, n=args.n)
-    worst_id, worst_ones = 0.0, 0.0
+    margins_id, margins_ones = [], []
     for t in range(args.trials):
         sub = cfg.derive(t)
         g = random_element(sub.derive(1))
         a0 = g * g.adjoint()
-        series = SeriesSpec((a0, a0, a0))
         _, M = random_positive_matrix(sub.derive(0))
-        m_id = psd_check(schur_series_apply(series, M, constant="identity")).margin
-        m_ones = psd_check(schur_series_apply(series, M, constant="ones")).margin
-        worst_id = min(worst_id, m_id)
-        worst_ones = min(worst_ones, m_ones)
+        rep = check_preserver(SeriesSpec((a0, a0, a0)), M, report_both=True)
+        margins_id.append(rep.worst_margin)
+        margins_ones.append(rep.details["ones_convention"]["margin"])
     print(
-        f"series conventions: worst margin identity {worst_id:+.3e},"
-        f" all-units {worst_ones:+.3e} (both stay positive on positive input)"
+        f"series conventions: worst margin identity {min(margins_id):+.3e},"
+        f" all-units {min(margins_ones):+.3e} (both stay positive on positive input)"
     )
     return 0
 

@@ -31,7 +31,12 @@ class AlgebraShape:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        blocks = tuple(int(k) for k in self.blocks)
+        # every reader of a block list comes through here: JSON's true, "3"
+        # and 2.7 are not block sizes, though int() would take each
+        blocks = tuple(self.blocks)
+        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in blocks):
+            raise StructureError(f"block sizes must be integers, got {self.blocks!r}")
+        blocks = tuple(int(k) for k in blocks)
         if not blocks:
             raise StructureError("an algebra needs at least one block")
         if any(k < 1 for k in blocks):
@@ -51,7 +56,7 @@ class AlgebraShape:
 
     @classmethod
     def from_json(cls, data: dict) -> "AlgebraShape":
-        return cls(tuple(data["blocks"]))
+        return cls(data["blocks"])
 
     @classmethod
     def parse(cls, text: str) -> "AlgebraShape":
@@ -310,7 +315,7 @@ class Element(_Blocks):
 
     @classmethod
     def from_json(cls, shape: AlgebraShape, data: dict) -> "Element":
-        blocks = [np.array([[complex(re, im) for re, im in row] for row in blk])
+        blocks = [np.array([[_complex(re, im) for re, im in row] for row in blk])
                   for blk in data["blocks"]]
         # json reads NaN and Infinity; no verdict on them means anything
         if not all(np.isfinite(b).all() for b in blocks):
@@ -321,6 +326,13 @@ class Element(_Blocks):
         if self.batch:
             return f"Element(shape={self.shape.blocks}, batch={self.batch})"
         return f"Element(shape={self.shape.blocks}, norm={self.norm():.6g})"
+
+
+def _complex(re, im) -> complex:
+    # json reads true and false as bools, which complex() takes as 1 and 0
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise StructureError(f"element entries must be numbers, got {[re, im]!r}")
+    return complex(re, im)
 
 
 def _units(shape: AlgebraShape, lead: tuple = (), value: complex = 1.0) -> tuple:

@@ -72,7 +72,10 @@ def _validate_tol(tol: float, source: str) -> None:
 
 def _validate_size(args) -> None:
     """Reject a size whose largest flattened block exceeds ``MAX_FLAT_SIZE``
-    before anything is drawn or allocated."""
+    before anything is drawn or allocated. An explicit points file sets its
+    own size, which ``_load_points`` checks."""
+    if getattr(args, "points", None) is not None:
+        return
     n = max(args.n, getattr(args, "n_max", None) or 0)
     k = max(AlgebraShape.parse(args.shape).blocks)
     if n * k > MAX_FLAT_SIZE:
@@ -149,25 +152,28 @@ def _canonical_json(payload: dict) -> str:
     return _encode(payload, "") + "\n"
 
 
+def _write(path: Path, text: str, mkdir: bool = False) -> None:
+    """Write ``text`` to ``path``, making its directory first with ``mkdir``;
+    a path that cannot be written is a usage error, not a traceback."""
+    try:
+        if mkdir:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise StructureError(f"cannot write {path}: {exc.strerror or exc}")
+
+
 def _emit_json(payload: dict, dest: str) -> None:
     text = _canonical_json(payload)
     if dest == "-":
         sys.stdout.write(text)
     else:
-        Path(dest).write_text(text)
+        _write(Path(dest), text)
 
 
 def _config_payload(cfg: GenConfig, **extra) -> dict:
     # thread count deliberately left out: it must not affect the report
-    data = {
-        "shape": list(cfg.shape.blocks),
-        "n": cfg.n,
-        "seed": cfg.seed,
-        "style": cfg.style,
-        "entry_scale": cfg.entry_scale,
-    }
-    data.update(extra)
-    return data
+    return {**cfg.to_json(), **extra}
 
 
 def _print_report(report: CheckReport) -> None:
@@ -212,13 +218,14 @@ def _summarize(reports: list[CheckReport]) -> int:
 
 def _finish(args, cfg: GenConfig, reports: list[CheckReport], config: dict, **extra) -> int:
     """Print the summary of ``reports``, write them to ``--json`` with the run's
-    config, the ``config`` keys and the ``extra`` top-level keys, and return
-    the exit code."""
+    config, updated by the ``config`` keys, and the ``extra`` top-level keys,
+    and return the exit code."""
     failures = _summarize(reports)
     if args.json:
+        config = {"trials": args.trials, "d": args.d, "tol": args.tol, **config}
         payload = {
             "command": args.command,
-            "config": _config_payload(cfg, trials=args.trials, d=args.d, tol=args.tol, **config),
+            "config": _config_payload(cfg, **config),
             "reports": [r.to_json() for r in reports],
             "failures": failures,
             "passed": failures == 0,
@@ -246,15 +253,7 @@ def _build_config(args) -> GenConfig:
 
 def cmd_verify(args) -> int:
     if args.from_witness is not None:
-        if args.points is not None:
-            raise StructureError("--from-witness and --points are mutually exclusive")
         return _reverify_witness(args.from_witness, args.tol)
-    points = None
-    if args.points is not None:
-        selected = SUITES if args.suite == "all" else (args.suite,)
-        if "novak" not in selected:
-            raise StructureError("--points applies to the novak suite only")
-        points = _load_points(args.points)
     cfg = _build_config(args)
     reports = run_suites(
         args.suite,
@@ -263,12 +262,9 @@ def cmd_verify(args) -> int:
         d=args.d,
         tol=args.tol,
         entrywise_constant=args.entrywise_constant,
-        points=points,
     )
     for r in reports:
         _print_report(r)
-        if points is not None and "min_eigenvalue" in r.details:
-            _print_novak_line(r)
     return _finish(args, cfg, reports, {"suite": args.suite})
 
 
@@ -347,14 +343,13 @@ def cmd_search(args) -> int:
             "min_margin": rep.worst_margin,
         }
         if args.witness_dir:
-            out = Path(args.witness_dir)
-            out.mkdir(parents=True, exist_ok=True)
             shape_tag = "-".join(str(k) for k in cfg.shape.blocks)
             paths = []
             for w in _search_witnesses(sub, d["violation_trials"], args.tol):
                 name = f"witness_shape{shape_tag}_n{n}_seed{cfg.seed}_trial{w['trial']}.json"
-                (out / name).write_text(_canonical_json(w))
-                paths.append(str(out / name))
+                path = Path(args.witness_dir) / name
+                _write(path, _canonical_json(w), mkdir=True)
+                paths.append(str(path))
             entry["witness_files"] = paths
         sweeps.append(entry)
 
@@ -385,7 +380,8 @@ def _print_novak_line(report: CheckReport) -> None:
 
 def _finite(cell) -> float:
     value = float(cell)
-    if not math.isfinite(value):
+    # json reads true and false as bools, which float() takes as 1 and 0
+    if isinstance(cell, bool) or not math.isfinite(value):
         raise StructureError(f"point entries must be finite numbers, got {cell!r}")
     return value
 
@@ -404,7 +400,7 @@ def _load_points(path: str) -> list[list[Element]]:
     try:
         algebra = data["algebra"]
         blocks = algebra["blocks"] if isinstance(algebra, dict) else algebra
-        shape = AlgebraShape(tuple(int(k) for k in blocks))
+        shape = AlgebraShape(blocks)
         points = [
             [
                 scalar_element(shape, _finite(cell))
@@ -432,22 +428,22 @@ def cmd_novak(args) -> int:
     cfg = _build_config(args)
     if args.points is not None and args.random:
         raise StructureError("--points and --random are mutually exclusive")
-    novak_payload = {}
     if args.points is not None:
         points = _load_points(args.points)
         novak, report = novak_check(points, args.tol)
         _print_report(report)
         _print_novak_line(report)
-        reports = [report]
-        novak_payload = {
-            "novak_matrix": novak.to_json(),
-            "psd": psd_check(novak, args.tol).to_json(),
-        }
-    else:
-        reports = run_suites("novak", cfg, trials=args.trials, d=args.d, tol=args.tol)
-        for r in reports:
-            _print_report(r)
-    return _finish(args, cfg, reports, {}, **novak_payload)
+        # the run is the file's one instance, not the size and draws of the flags
+        cfg = replace(cfg, shape=points[0][0].shape, n=len(points))
+        config = {"trials": report.trials, "d": len(points[0])}
+        return _finish(
+            args, cfg, [report], config,
+            novak_matrix=novak.to_json(), psd=psd_check(novak, args.tol).to_json(),
+        )
+    reports = run_suites("novak", cfg, trials=args.trials, d=args.d, tol=args.tol)
+    for r in reports:
+        _print_report(r)
+    return _finish(args, cfg, reports, {})
 
 
 def cmd_demo(args) -> int:
@@ -527,9 +523,8 @@ def _add_common(p: argparse.ArgumentParser, default_tol: float) -> None:
     )
 
 
-def build_parser(default_tol: float | None = None) -> argparse.ArgumentParser:
-    if default_tol is None:
-        default_tol = _env_tol()
+def build_parser() -> argparse.ArgumentParser:
+    default_tol = _env_tol()
     parser = argparse.ArgumentParser(
         prog="cstar-schur",
         description=(
@@ -553,12 +548,6 @@ def build_parser(default_tol: float | None = None) -> argparse.ArgumentParser:
         action="store_true",
         help="mark the preserver report with entrywise_constant_reported; "
         "the all-units convention for zeroth Schur powers is not evaluated",
-    )
-    p_verify.add_argument(
-        "--points",
-        metavar="FILE",
-        default=None,
-        help="explicit points for the novak suite (JSON file)",
     )
     p_verify.add_argument(
         "--from-witness",

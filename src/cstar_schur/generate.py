@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _adjoint, _eigh, _hermitian_part, _spectral_norm
+from .algebra import AlgebraShape, Element, _adjoint, _eigh, _first_of, _hermitian_part, _spectral_norm
 from .amatrix import AMatrix, _flatten_block, _gram_block, _unflatten_block, identity_matrix
 from .errors import DomainError, StructureError
 from .module_an import AVector
@@ -92,9 +92,11 @@ class GenConfig:
         return replace(self, seed=derive_seed(self.seed, *indices))
 
     def to_json(self) -> dict:
+        """The ``config`` of a CLI report, without its run-wide keys; the
+        shape is its block list."""
         return {
             "seed": self.seed,
-            "shape": self.shape.to_json(),
+            "shape": list(self.shape.blocks),
             "n": self.n,
             "entry_scale": self.entry_scale,
             "style": self.style,
@@ -102,9 +104,11 @@ class GenConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "GenConfig":
+        """The config ``to_json`` wrote, such as a report's ``config``; other
+        keys (trials, tol, ...) are ignored."""
         return cls(
             seed=int(data["seed"]),
-            shape=AlgebraShape.from_json(data["shape"]),
+            shape=AlgebraShape(data["shape"]),
             n=int(data.get("n", 2)),
             entry_scale=float(data.get("entry_scale", 1.0)),
             style=data.get("style", "complex"),
@@ -240,11 +244,11 @@ def _positive_stack(cfg: GenConfig, gens) -> tuple:
 
 def _capped(blocks, cap: float) -> tuple:
     """Each member of a stack of elements, one (..., k, k) array per block,
-    rescaled into norm <= cap, bit for bit as alone: its norm is Python's
-    ``max`` of its block norms."""
+    rescaled into norm <= cap, bit for bit as alone: its norm is
+    ``Element.norm``'s, so a NaN in any block leaves it unscaled."""
     lead = blocks[0].shape[:-2]
     norms = [_spectral_norm(b.reshape(-1, *b.shape[-2:])).reshape(lead) for b in blocks]
-    norm = functools.reduce(lambda acc, v: np.where(v > acc, v, acc), norms)
+    norm = _first_of(norms, np.greater)
     over = (norm > cap)[..., None, None]
     factor = (cap / np.where(over, norm[..., None, None], cap)).astype(np.complex128)
     return tuple(np.where(over, factor * b, b) for b in blocks)

@@ -32,7 +32,7 @@ entries of suite ``name`` in table order. A ``Check`` entry holds
   ``(margin, witness, counts)`` with counts summed into the details;
 * ``tol`` (fixed instead of the run's), ``details``, ``clamp`` (a trial with
   a witness counts at most -2 tol) and ``run``, which replaces the margin
-  aggregation (the two hit searches, explicit Novak points).
+  aggregation (the two hit searches).
 
 Each check has one evaluator, a function from a batch of instances (values
 with a leading trial axis, ``algebra._Blocks``) to their outcomes. It does
@@ -173,8 +173,8 @@ class CheckReport:
     def passed(self) -> bool:
         return self.failures == 0
 
-    def to_json(self, include_elapsed: bool = False) -> dict:
-        data = {
+    def to_json(self) -> dict:
+        return {
             "check_id": self.check_id,
             "trials": self.trials,
             "failures": self.failures,
@@ -183,9 +183,6 @@ class CheckReport:
             "witness": self.witness,
             "details": self.details,
         }
-        if include_elapsed:
-            data["elapsed"] = self.elapsed
-        return data
 
 
 def _report(check_id, trials, failures, worst, tol, witness, details, t0) -> CheckReport:
@@ -1469,7 +1466,6 @@ class _Options:
     d: int
     tol: float
     entrywise_constant: bool
-    points: list[list[Element]] | None
 
 
 def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
@@ -1501,13 +1497,6 @@ def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
     return _report(
         check.check_id, o.trials, failures, _worst(margins), tol, witness, details, t0
     )
-
-
-def _run_novak(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
-    # explicit points replace the random trials with one pipeline run
-    if o.points is not None:
-        return novak_check(o.points, o.tol)[1]
-    return _margin_report(check, base, o)
 
 
 def _commutative(cfg, o) -> bool:
@@ -1580,10 +1569,8 @@ CHECKS = (
           style="real_commutative"),
     Check("diag_outer_bound_complex_probe", "corollaries", _trial_diag_probe, _commutative,
           style="complex", details=lambda o: {"probe": True}),
-    Check("novak_conjecture", "novak", _trial_novak, clamp=True,
-          details=lambda o: {"d": o.d}, run=_run_novak),
-    Check("cosine_gram", "novak", _trial_cosine_gram, lambda cfg, o: o.points is None,
-          clamp=True),
+    Check("novak_conjecture", "novak", _trial_novak, clamp=True, details=lambda o: {"d": o.d}),
+    Check("cosine_gram", "novak", _trial_cosine_gram, clamp=True),
     Check("trig_identities", "trig", _trial_trig, tol=TRIG_TOL),
     Check("trig_addition_breakdown", "trig", fallback={"shape": AlgebraShape((2,))},
           run=lambda check, base, o: find_trig_breakdown(base, o.trials)),
@@ -1603,7 +1590,6 @@ def run_suite(
     tol: float = DEFAULT_TOL,
     threads: int = 1,
     entrywise_constant: bool = False,
-    points: list[list[Element]] | None = None,
 ) -> list[CheckReport]:
     """Run one named suite and return its reports in table order.
 
@@ -1613,7 +1599,7 @@ def run_suite(
         raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
     validate_trials(trials)
     validate_threads(threads)
-    o = _Options(trials, d, tol, entrywise_constant, points)
+    o = _Options(trials, d, tol, entrywise_constant)
     reports = (check.report(cfg, o) for check in CHECKS if check.suite == name)
     return [r for r in reports if r is not None]
 
@@ -1621,7 +1607,7 @@ def run_suite(
 def run_suites(names, cfg: GenConfig, **options) -> list[CheckReport]:
     """Run ``"all"`` suites, one named suite, or a sequence of names, and return
     their reports in order. ``options`` go to ``run_suite`` unchanged: ``trials``,
-    ``d``, ``tol``, ``threads``, ``entrywise_constant`` and ``points``."""
+    ``d``, ``tol``, ``threads`` and ``entrywise_constant``."""
     if isinstance(names, str):
         names = SUITES if names == "all" else (names,)
     return [r for name in names for r in run_suite(name, cfg, **options)]

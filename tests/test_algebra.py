@@ -50,6 +50,16 @@ def test_shape_parse_and_json():
         AlgebraShape.parse("2,x")
 
 
+@pytest.mark.parametrize("blocks", ["21", ("2", 1), (2.0,), (2.7,), (True,), (2, False)])
+def test_block_sizes_must_be_integers(blocks):
+    # int() would read each of these as a size; JSON block lists come through here
+    with pytest.raises(StructureError, match="block sizes must be integers"):
+        AlgebraShape(blocks)
+    with pytest.raises(StructureError, match="block sizes must be integers"):
+        AlgebraShape.from_json({"blocks": blocks})
+    assert AlgebraShape((np.int64(2), 1)).blocks == (2, 1)
+
+
 def test_element_block_validation(m2_shape):
     with pytest.raises(StructureError):
         Element(m2_shape, [[[1.0]]])  # 1x1 block where 2x2 expected
@@ -134,6 +144,12 @@ def test_element_json_roundtrip(mixed_shape):
     a = Element(mixed_shape, [[[1 + 2j, 0], [3, 4j]], [[5 - 1j]]])
     back = Element.from_json(mixed_shape, a.to_json())
     assert all(np.array_equal(x, y) for x, y in zip(a.blocks, back.blocks))
+
+
+@pytest.mark.parametrize("pair", [[True, 0.0], [0.0, False]])
+def test_element_json_entries_are_not_bools(pair):
+    with pytest.raises(StructureError, match="must be numbers"):
+        Element.from_json(AlgebraShape((1,)), {"blocks": [[[pair]]]})
 
 
 def test_blocks_are_immutable(m2_shape):

@@ -2,8 +2,10 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,13 +20,24 @@ from cstar_schur import (
     counterexample_search,
     identity_matrix,
 )
-from cstar_schur.cli import _canonical_json, main
+from cstar_schur.cli import _canonical_json, build_parser, main
 from cstar_schur.verify import search_witness
 from test_verify import GRID, _reference_search
 
 
 def run(argv):
     return main(argv)
+
+
+def test_every_golden_command_parses():
+    # a flag that a golden report runs with cannot be removed unnoticed
+    script = Path(__file__).resolve().parents[1] / "scripts" / "golden_reports.py"
+    commands = runpy.run_path(str(script))["golden_commands"]()
+    assert len(commands) == 24
+    parser = build_parser()
+    for name, argv in commands.items():
+        args = parser.parse_args([*argv, "--json", name])
+        assert args.command == argv[0]
 
 
 # -- verify ---------------------------------------------------------------------
@@ -316,6 +329,10 @@ _UNIT = identity_matrix(AlgebraShape((2,)), 1).to_json()
         {"m": _UNIT, "n": {**_UNIT, "algebra": {"blocks": "x"}}},
         {"m": _UNIT, "n": {**_UNIT, "entries": [[{"blocks": [[[1.0]]]}]]}},
         {"m": _UNIT, "n": {**_UNIT, "entries": [[{"blocks": [[["a", 1.0]]]}]]}},
+        {"m": _UNIT, "n": {**_UNIT, "algebra": {"blocks": "2"}}},
+        {"m": _UNIT, "n": {**_UNIT, "algebra": {"blocks": [2.0]}}},
+        {"m": _UNIT, "n": {**_UNIT, "entries": [[{"blocks": [[[[True, False], [0, 0]],
+                                                               [[0, 0], [1, 0]]]]}]]}},
     ],
 )
 def test_from_witness_malformed_structure(data, tmp_path, capsys):
@@ -360,19 +377,6 @@ def test_novak_points_short_form(tmp_path, capsys):
     assert "min eigenvalue" in capsys.readouterr().out
 
 
-def test_verify_suite_novak_with_points(tmp_path, capsys):
-    f = tmp_path / "pts.json"
-    f.write_text(json.dumps({"algebra": [1], "points": [[0.0], [np.pi]]}))
-    code = run(
-        ["verify", "--suite", "novak", "--shape", "1", "--n", "2", "--d", "1",
-         "--points", str(f)]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "novak_conjecture" in out
-    assert "min eigenvalue of the shifted matrix +" in out
-
-
 def test_points_file_structural_errors(tmp_path, capsys):
     missing = tmp_path / "missing.json"
     missing.write_text(json.dumps({"points": [[0.0]]}))
@@ -382,13 +386,6 @@ def test_points_file_structural_errors(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"algebra": [1], "points": []}))
     assert run(["novak", "--points", str(empty)]) == 2
-
-
-def test_verify_points_flag_conflicts(tmp_path):
-    f = tmp_path / "pts.json"
-    f.write_text(json.dumps({"algebra": [1], "points": [[0.0]]}))
-    assert run(["verify", "--suite", "schur", "--points", str(f)]) == 2
-    assert run(["verify", "--points", str(f), "--from-witness", str(f)]) == 2
 
 
 def test_novak_random_mode(capsys):
@@ -435,6 +432,55 @@ def test_novak_rejects_non_selfadjoint_points(tmp_path, capsys):
     assert run(["novak", "--points", str(f)]) == 2
     err = capsys.readouterr().err
     assert "self-adjoint" in err and "index=0" in err
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        {"algebra": "21", "points": [[0.0], [1.0]]},
+        {"algebra": [2.7], "points": [[0.0], [1.0]]},
+        {"algebra": {"blocks": "3"}, "points": [[0.0], [1.0]]},
+        {"algebra": [True], "points": [[0.0], [1.0]]},
+        {"algebra": [1], "points": [[True], [False]]},
+        {"algebra": [1], "points": [[{"blocks": [[[[True, False]]]]}], [0.0]]},
+    ],
+    ids=["str_list", "float_block", "str_blocks", "bool_block", "bool_cells", "bool_entry"],
+)
+def test_points_take_integer_blocks_and_real_numbers_only(points, tmp_path, capsys):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps(points))
+    assert run(["novak", "--points", str(f)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_novak_points_config_records_the_points_run(tmp_path):
+    entry = {"blocks": [[[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-0.5, 0.0]]]]}
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"algebra": [2], "points": [[entry, 0.0]] * 3}))
+    out = tmp_path / "novak.json"
+    # the flags' size is not the run's, so it is neither checked nor recorded
+    argv = ["novak", "--points", str(f), "--n", "3000", "--trials", "7", "--json", str(out)]
+    assert run(argv) == 0
+    config = json.loads(out.read_text())["config"]
+    assert (config["shape"], config["n"], config["d"], config["trials"]) == ([2], 3, 2, 1)
+    assert GenConfig.from_json(config) == GenConfig(seed=2024, shape=AlgebraShape((2,)), n=3)
+
+
+def test_report_config_reads_back_into_the_runs_config(tmp_path):
+    out = tmp_path / "r.json"
+    flags = ["--shape", "2,1", "--n", "3", "--seed", "9", "--entry-scale", "0.5"]
+    cfg = GenConfig(seed=9, shape=AlgebraShape((2, 1)), n=3, entry_scale=0.5)
+    real = ["--style", "real_commutative"]
+    for argv, want in [
+        (["verify", "--suite", "module", "--trials", "2", *flags], cfg),
+        (["verify", "--suite", "module", "--trials", "2", *real, *flags],
+         replace(cfg, style="real_commutative")),
+        (["search", "--trials", "2", *flags], cfg),
+    ]:
+        assert run([*argv, "--json", str(out)]) == 0
+        assert GenConfig.from_json(json.loads(out.read_text())["config"]) == want
 
 
 def test_novak_points_and_random_conflict(tmp_path):
@@ -604,6 +650,22 @@ def test_witness_product_must_be_a_matrix(product, tmp_path, capsys):
 def test_size_above_the_limit_is_usage_error(argv, capsys):
     assert run(argv) == 2
     assert "exceeds the limit 8192" in capsys.readouterr().err
+
+
+def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
+    taken = tmp_path / "file"
+    taken.write_text("")
+    for argv in (
+        ["search", "--shape", "2", "--n", "2", "--trials", "5", "--witness-dir", str(taken)],
+        ["verify", "--suite", "module", "--trials", "2",
+         "--json", str(tmp_path / "missing" / "x.json")],
+        ["verify", "--suite", "module", "--trials", "2", "--json", str(tmp_path)],
+        ["novak", "--random", "--trials", "2", "--json", str(taken / "x.json")],
+    ):
+        assert run(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+    assert taken.read_text() == ""
 
 
 def test_size_limit_is_on_n_times_the_largest_block():

@@ -92,6 +92,18 @@ def test_genconfig_json_roundtrip():
         seed=42, shape=AlgebraShape((2, 1)), n=3, entry_scale=0.5, style="real_commutative"
     )
     assert GenConfig.from_json(cfg.to_json()) == cfg
+    # the form of a report's config: a block list, other keys ignored
+    assert cfg.to_json()["shape"] == [2, 1]
+    assert GenConfig.from_json({**cfg.to_json(), "trials": 5, "tol": 1e-9}) == cfg
+
+
+def test_capped_leaves_a_member_with_a_nan_block_unscaled():
+    # the norm of a member is Element.norm's: a NaN in a later block is not
+    # dropped for an earlier block's norm over the cap
+    blocks = (np.array([[[[4.0 + 0j]]], [[[4.0]]]]), np.array([[[[np.nan + 0j]]], [[[1.0]]]]))
+    capped = generate._capped(blocks, 2.0)
+    assert capped[0][0, 0, 0, 0] == 4.0 and np.isnan(capped[1][0, 0, 0, 0])
+    assert capped[0][1, 0, 0, 0] == 2.0 and capped[1][1, 0, 0, 0] == 0.5
 
 
 def test_draws_are_deterministic():

@@ -957,7 +957,6 @@ def test_report_json_excludes_timing():
     rep = run_suite("module", cfg, trials=3)[0]
     data = rep.to_json()
     assert "elapsed" not in data
-    assert "elapsed" in rep.to_json(include_elapsed=True)
     json.dumps(data)  # canonical payloads must be plain-JSON serializable
 
 
@@ -1056,7 +1055,7 @@ def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
         return [(math.nan if t == nan_at else -1.0, None) for t in trials]
 
     check = verify.Check("nan_margins", "none", trial)
-    opts = verify._Options(trials=5, d=2, tol=1e-9, entrywise_constant=False, points=None)
+    opts = verify._Options(trials=5, d=2, tol=1e-9, entrywise_constant=False)
     rep = check.report(GenConfig(seed=0, shape=SCALAR, n=2), opts)
     assert math.isnan(rep.worst_margin)
     assert rep.failures == 5
@@ -1119,6 +1118,21 @@ def test_search_script_derives_each_sizes_seed(n_max, monkeypatch, capsys):
         assert line.startswith(f"n={n}: {rep.failures}/{trials} violations"), line
 
 
+def test_probe_script_reads_the_corollaries_suite(monkeypatch, capsys):
+    argv = ["--trials", "5", "--seed", "3"]
+    assert _run_script("probe_identities.py", argv, monkeypatch) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    cfg = GenConfig(seed=3, shape=AlgebraShape((1, 1)), n=4)
+    reports = {r.check_id: r for r in run_suite("corollaries", cfg, trials=5)}
+    probe = reports["diag_outer_bound_complex_probe"]
+    assert lines[0].startswith("diag bound, style=complex")
+    assert f": {probe.failures}/5 violations, worst margin {probe.worst_margin:+.3e}" in lines[0]
+    assert f"worst margin {reports['diag_outer_bound'].worst_margin:+.3e}" in lines[1]
+    # the smallest margins of positive series, not a floor at zero
+    assert "+0.000e+00" not in lines[2]
+
+
 def test_suite_grid_script_passes(monkeypatch, capsys):
     assert _run_script("run_verification_suites.py", ["--trials", "2"], monkeypatch) == 0
     out = capsys.readouterr().out
@@ -1129,14 +1143,14 @@ def test_suite_grid_script_passes(monkeypatch, capsys):
 # -- stacked trials ---------------------------------------------------------------
 
 GRID = list(GRID_CATALOGUES)
-OPTS = verify._Options(trials=10, d=2, tol=1e-9, entrywise_constant=False, points=None)
+OPTS = verify._Options(trials=10, d=2, tol=1e-9, entrywise_constant=False)
 
 
 def _margin_checks_on_the_grid():
     for shape, n in GRID:
         cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
         for c in verify.CHECKS:
-            if c.run in (verify._margin_report, verify._run_novak) and c.applies(cfg, OPTS):
+            if c.run is verify._margin_report and c.applies(cfg, OPTS):
                 yield pytest.param(c, cfg, id=f"{c.check_id}-{shape}-{n}")
 
 
