@@ -24,6 +24,12 @@ from .errors import DomainError, NumericalError, StructureError
 DEFAULT_TOL = 1e-9
 
 
+def _is_integer(value) -> bool:
+    """Whether a value read from outside is an integer: JSON's true, "3" and
+    2.7 are not, though int() would take each."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class AlgebraShape:
     """Block dimensions (k_1, ..., k_B) of a direct sum of matrix algebras."""
@@ -31,10 +37,9 @@ class AlgebraShape:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        # every reader of a block list comes through here: JSON's true, "3"
-        # and 2.7 are not block sizes, though int() would take each
+        # every reader of a block list comes through here
         blocks = tuple(self.blocks)
-        if not all(isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in blocks):
+        if not all(map(_is_integer, blocks)):
             raise StructureError(f"block sizes must be integers, got {self.blocks!r}")
         blocks = tuple(int(k) for k in blocks)
         if not blocks:

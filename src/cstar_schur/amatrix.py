@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraShape, Element, SpectrumReport, _SizedBlocks
-from .algebra import _adjoint, _first_of, _hermitian_part, _psd_prelude, _psd_sqrt, _psd_verdict
-from .algebra import _spectral_norm, _spectrum_report, _units
+from .algebra import _adjoint, _first_of, _hermitian_part, _is_integer, _psd_prelude, _psd_sqrt
+from .algebra import _psd_verdict, _spectral_norm, _spectrum_report, _units
 from .errors import DomainError, StructureError
 from .module_an import AVector, inner_product
 
@@ -113,7 +113,9 @@ class AMatrix(_SizedBlocks):
     @classmethod
     def from_json(cls, data: dict) -> "AMatrix":
         shape = AlgebraShape.from_json(data["algebra"])
-        n = int(data["n"])
+        n = data["n"]
+        if not _is_integer(n):
+            raise StructureError(f"matrix size must be an integer, got {n!r}")
         entries = [
             [Element.from_json(shape, cell) for cell in row] for row in data["entries"]
         ]
@@ -329,7 +331,8 @@ class PsdStack:
 
     Member i has the report ``report(i)``. ``min_eigenvalues`` holds one
     column per block; the rows of members whose Hermitian defect exceeds
-    the cut are computed but left out of their reports and margins.
+    the cut are computed but left out of their reports and margins. The
+    Cholesky oracle's stacks have no columns.
     """
 
     is_positive: np.ndarray
@@ -342,6 +345,9 @@ class PsdStack:
     def margins(self) -> np.ndarray:
         """``PsdReport.margin`` of every member, bit for bit."""
         denom = np.fmax(self.scale, 1.0)
+        if not self.min_eigenvalues.shape[-1]:
+            # a stack without eigenvalues (``_cholesky_stack``'s) reports none
+            return -self.hermitian_defect / denom
         lowest = _first_of(list(self.min_eigenvalues.T), np.less)
         return np.where(self.hermitian, lowest / denom, -self.hermitian_defect / denom)
 
@@ -413,6 +419,25 @@ def _pivoted_cholesky_psd(sym: np.ndarray, cut: float) -> bool:
     return True
 
 
+def _cholesky_stack(M: AMatrix, tol: float) -> PsdStack:
+    """The Cholesky oracle on the members of M, its batch axes read in C
+    order: one ``_psd_prelude`` for the stack, then a pivoted Cholesky attempt
+    per self-adjoint member and block. Member i gets the report
+    ``cholesky_psd_check`` gives that matrix alone, bit for bit; no
+    eigenvalues are taken, so the stack holds none.
+    """
+    flats = [f.reshape(-1, *f.shape[-2:]) for f in flatten(M)]
+    scale, defect, cut = _psd_prelude(flats, tol)
+    selfadjoint = defect <= cut
+    syms = [_hermitian_part(f) for f in flats]
+    positive = [
+        ok and all(_pivoted_cholesky_psd(s[i], c) for s in syms)
+        for i, (ok, c) in enumerate(zip(selfadjoint.tolist(), cut.tolist()))
+    ]
+    mins = np.empty((len(scale), 0))
+    return PsdStack(np.array(positive, dtype=bool), selfadjoint, defect, mins, scale, tol)
+
+
 def cholesky_psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     """Independent positivity oracle: pivoted Cholesky attempt per block.
 
@@ -421,14 +446,10 @@ def cholesky_psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     must agree away from the tolerance boundary; ``min_eigenvalue_per_block``
     is not populated here. Its scale and defect always come from SVDs
     (``_psd_prelude``), never from the eigensolver it is checked against.
+    This is the stacked Cholesky oracle, ``_cholesky_stack``, on a stack of
+    one.
     """
-    flats = flatten(M)
-    scale, defect, cut = _psd_prelude([f[None] for f in flats], tol)
-    scale, defect, cut = float(scale[0]), float(defect[0]), float(cut[0])
-    if not defect <= cut:
-        return PsdReport(False, defect, (), tol, scale)
-    verdict = all(_pivoted_cholesky_psd(_hermitian_part(f), cut) for f in flats)
-    return PsdReport(verdict, defect, (), tol, scale)
+    return _cholesky_stack(M, tol).report(0)
 
 
 def positive_sqrt(M: AMatrix, tol: float = DEFAULT_TOL) -> AMatrix:

@@ -19,6 +19,7 @@ sequentially in one thread; --threads is accepted and must be >= 1.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -489,7 +490,7 @@ def cmd_demo(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, default_tol: float) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shape", default="1,1", help="algebra block sizes, e.g. '2,1'")
     p.add_argument("--n", type=int, default=2, help="matrix size over the algebra")
     p.add_argument("--trials", type=int, default=200, help="random trials per check")
@@ -497,7 +498,7 @@ def _add_common(p: argparse.ArgumentParser, default_tol: float) -> None:
     p.add_argument(
         "--tol",
         type=float,
-        default=default_tol,
+        default=None,
         help=f"relative tolerance (env {_TOL_ENV} overrides the default)",
     )
     p.add_argument(
@@ -523,8 +524,11 @@ def _add_common(p: argparse.ArgumentParser, default_tol: float) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    default_tol = _env_tol()
+    """The parser of every command, built once per process. It holds no
+    environment: ``--tol`` defaults to None, which ``main`` replaces by the
+    tolerance from ``CSTAR_SCHUR_TOL`` read at each call."""
     parser = argparse.ArgumentParser(
         prog="cstar-schur",
         description=(
@@ -535,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
-    _add_common(p_verify, default_tol)
+    _add_common(p_verify)
     p_verify.add_argument(
         "--suite",
         default="all",
@@ -560,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser(
         "search", help="randomized counterexample search (noncommutative shapes)"
     )
-    _add_common(p_search, default_tol)
+    _add_common(p_search)
     p_search.add_argument(
         "--n-max",
         type=int,
@@ -583,7 +587,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.set_defaults(func=cmd_search)
 
     p_novak = sub.add_parser("novak", help="cosine-matrix positivity pipeline")
-    _add_common(p_novak, default_tol)
+    _add_common(p_novak)
     p_novak.add_argument("--d", type=int, default=2, help="points per row")
     p_novak.add_argument(
         "--points",
@@ -600,16 +604,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="deterministic tour of the phenomena")
     p_demo.add_argument("--seed", type=int, default=2024)
-    p_demo.add_argument("--tol", type=float, default=default_tol)
+    p_demo.add_argument("--tol", type=float, default=None)
     p_demo.set_defaults(func=cmd_demo)
 
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Reject a ``--json`` or ``--witness-dir`` path that cannot be written
+    before the run pays for it; ``_write`` still maps a failure that comes
+    later (the directory removed meanwhile) to a usage error."""
+    if getattr(args, "json", None) not in (None, "-"):
+        path = Path(args.json)
+        if not path.parent.is_dir():
+            raise StructureError(f"cannot write {path}: {path.parent} is not a directory")
+        if path.is_dir():
+            raise StructureError(f"cannot write {path}: it is a directory")
+    witness_dir = getattr(args, "witness_dir", None)
+    if witness_dir is not None and Path(witness_dir).exists() and not Path(witness_dir).is_dir():
+        raise StructureError(f"cannot write {witness_dir}: it is not a directory")
+
+
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        # read at each call, so a change between two calls in one process counts
+        env_tol = _env_tol()
+        args = build_parser().parse_args(argv)
+        if args.tol is None:
+            args.tol = env_tol
         if "threads" in vars(args):
             validate_threads(args.threads)
         if "d" in vars(args) and args.d < 1:
@@ -619,6 +641,7 @@ def main(argv=None) -> int:
         _validate_tol(args.tol, "--tol")
         if "shape" in vars(args):
             _validate_size(args)
+        _check_outputs(args)
         # overflow and NaN reach the verdicts, which count them as not
         # positive; numpy's warnings about them would only clutter stderr
         with np.errstate(all="ignore"):

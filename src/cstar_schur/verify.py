@@ -39,7 +39,11 @@ with a leading trial axis, ``algebra._Blocks``) to their outcomes. It does
 the batch's algebra once, as value arithmetic, asks the oracle for every
 verdict it needs in one stacked call per group of equal block shapes, then
 reads each instance's verdicts in order; a requirement such as "M is
-positive" raises ``DomainError`` there. The public ``check_*`` function is
+positive" raises ``DomainError`` there. The verdicts are read as arrays:
+positivity and margins come from the oracle's stack (``_Verdict``), and a
+``PsdReport`` is built only for a witness, a detail that records one, or a
+failed requirement. The oracle-agreement check asks the Cholesky oracle
+(``_cholesky_stack``) once per chunk as well. The public ``check_*`` function is
 the evaluator on a batch of one, and the trial draws a chunk with
 ``generate``'s chunk forms (``_drawn``) and calls the same evaluator. To add
 a check, write these three and a table entry. The trig evaluator takes every
@@ -97,7 +101,6 @@ from .amatrix import (
     AMatrix,
     PsdReport,
     PsdStack,
-    cholesky_psd_check,
     diag_matrix,
     diag_vector,
     identity_matrix,
@@ -107,6 +110,7 @@ from .amatrix import (
     row_sums,
     schur_product,
     schur_quadratic_form_oracle,
+    _cholesky_stack,
     _flatten_block,
     _psd_stack,
 )
@@ -209,11 +213,11 @@ def _matrix_payload(t, **mats) -> dict:
     return {name: m._at(t).to_json() for name, m in mats.items()}
 
 
-def _psd_witness(rep: PsdReport, t, **mats) -> dict | None:
+def _psd_witness(verdict: "_Verdict", t, **mats) -> dict | None:
     """Member t's matrices and certificate when its positivity verdict failed, else None."""
-    if rep.is_positive:
+    if verdict.is_positive:
         return None
-    return {**_matrix_payload(t, **mats), "psd": rep.to_json()}
+    return {**_matrix_payload(t, **mats), "psd": verdict.report().to_json()}
 
 
 def _seeded(witness: dict | None, seed: int) -> dict | None:
@@ -222,48 +226,63 @@ def _seeded(witness: dict | None, seed: int) -> dict | None:
 
 @dataclass(frozen=True)
 class _Verdict:
-    """The oracle's verdict on one matrix: member i of ``stack``, or the error
-    its solve raised alone, which is raised when the verdict is read. A trial
-    that reads its verdicts in the order it needs them raises the error it
-    raises alone."""
+    """The oracle's verdict on one matrix: member i of ``stack``, whose
+    ``margins`` (the stack's, as a list) it shares, or the error its solve
+    raised alone, which is raised when the verdict is read. A trial that
+    reads its verdicts in the order it needs them raises the error it raises
+    alone. Positivity and margin come from the stack's arrays; a
+    ``PsdReport`` is built only when ``report`` is called."""
 
     stack: PsdStack | None
     i: int = 0
     error: Exception | None = None
+    margins: list | None = None
+
+    def _read(self) -> PsdStack:
+        if self.error is not None:
+            raise self.error
+        return self.stack
+
+    @property
+    def is_positive(self) -> bool:
+        return bool(self._read().is_positive[self.i])
+
+    @property
+    def margin(self) -> float:
+        """``PsdReport.margin``, bit for bit."""
+        self._read()
+        return self.margins[self.i]
 
     def report(self) -> PsdReport:
-        if self.error is not None:
-            raise self.error
-        return self.stack.report(self.i)
+        return self._read().report(self.i)
 
     def spectrum(self) -> SpectrumReport:
-        if self.error is not None:
-            raise self.error
-        return self.stack.spectrum(self.i)
+        return self._read().spectrum(self.i)
 
 
-def _oracle(X: AMatrix, tol: float) -> list[_Verdict]:
-    """The verdicts on the members of X, its batch axes read in C order: one
-    ``_psd_stack`` call, or when it raises, one call per member.
+def _oracle(X: AMatrix, tol: float, oracle: Callable = _psd_stack) -> list[_Verdict]:
+    """The verdicts of ``oracle`` (``_psd_stack``, or ``_cholesky_stack``) on
+    the members of X, its batch axes read in C order: one call, or when it
+    raises, one call per member.
 
     A member of a stack gets the bits it gets alone, because numpy's linalg
     functions solve each matrix of a stack on its own (see "Linear algebra on
     several matrices at once" in numpy's ``linalg`` documentation).
     """
     try:
-        stack = _psd_stack(X, tol)
-        return [_Verdict(stack, i) for i in range(len(stack.scale))]
+        stack = oracle(X, tol)
     except (DomainError, NumericalError) as exc:
         members = list(np.ndindex(X.batch))
         if len(members) == 1:
             return [_Verdict(None, error=exc)]
-        return [verdict for i in members for verdict in _oracle(X._at(i), tol)]
+        return [verdict for i in members for verdict in _oracle(X._at(i), tol, oracle)]
+    margins = stack.margins().tolist()
+    return [_Verdict(stack, i, margins=margins) for i in range(len(margins))]
 
 
 def _require_positive(name: str, verdict: _Verdict) -> None:
-    rep = verdict.report()
-    if not rep.is_positive:
-        raise DomainError(f"{name} is not positive", report=rep)
+    if not verdict.is_positive:
+        raise DomainError(f"{name} is not positive", report=verdict.report())
 
 
 def _worst(margins: list[float]) -> float:
@@ -306,22 +325,23 @@ def check_schur_positivity(
     for name, verdict in zip("MN", _oracle(_stack([M, N]), tol)):
         _require_positive(name, verdict)
     product = schur_product(M, N)
-    rep = _psd_stack(product, tol).report(0)
-    witness = _psd_witness(rep, (), m=M, n=N, product=product)
+    (verdict,) = _oracle(product, tol)
+    witness = _psd_witness(verdict, (), m=M, n=N, product=product)
     if witness is not None:
-        witness["min_eigenvalue"] = rep.min_eigenvalue
+        witness["min_eigenvalue"] = verdict.report().min_eigenvalue
     details = {"commutative": M.shape.is_commutative}
-    return _single("schur_product_positive", tol, t0, rep.margin, witness, details)
+    return _single("schur_product_positive", tol, t0, verdict.margin, witness, details)
 
 
 def _row_sum_bounds(A: AMatrix, tol: float) -> list[tuple]:
-    """The row-sum bound on each member of A: its report, witness, and whether A is positive."""
+    """The row-sum bound on each member of A: its margin, witness, and whether A is positive."""
     bound = A @ A.adjoint() - (1.0 / A.n) * outer_product(row_sums(A))
     verdicts = iter(_oracle(_stack([bound, A], 1), tol))
     outcomes = []
     for t in range(A.batch[0]):
-        rep = next(verdicts).report()
-        outcomes.append((rep, _psd_witness(rep, t, a=A), next(verdicts).report().is_positive))
+        verdict = next(verdicts)
+        margin, witness = verdict.margin, _psd_witness(verdict, t, a=A)
+        outcomes.append((margin, witness, next(verdicts).is_positive))
     return outcomes
 
 
@@ -332,9 +352,9 @@ def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     recorded but not required (the bound never uses it).
     """
     t0 = time.perf_counter()
-    rep, witness, input_positive = _row_sum_bounds(A._at(None), tol)[0]
+    margin, witness, input_positive = _row_sum_bounds(A._at(None), tol)[0]
     details = {"input_positive": input_positive}
-    return _single("gram_row_sum_bound", tol, t0, rep.margin, witness, details)
+    return _single("gram_row_sum_bound", tol, t0, margin, witness, details)
 
 
 def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
@@ -358,13 +378,13 @@ def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
     verdicts = iter(_oracle(_stack(list(chain.values()), 1), tol))
     outcomes = []
     for t in range(A.batch[0]):
-        reports = {k: next(verdicts).report() for k in chain}
-        margin = _worst([r.margin for r in reports.values()])
+        taken = {k: next(verdicts) for k in chain}
+        margin = _worst([v.margin for v in taken.values()])
         witness = None
-        if not all(r.is_positive for r in reports.values()):
+        if not all(v.is_positive for v in taken.values()):
             witness = {
                 **_matrix_payload(t, a=A, b=B),
-                "psd": {k: r.to_json() for k, r in reports.items()},
+                "psd": {k: v.report().to_json() for k, v in taken.items()},
             }
         outcomes.append((margin, witness, {}))
     return outcomes
@@ -384,7 +404,7 @@ def check_schur_chain(
 
 
 def _diag_bounds(M: AMatrix, tol: float, positive: bool = False) -> list[tuple]:
-    """The report on M o M - (1/n) d d* of each member M, d = diag M, and its
+    """The margin of M o M - (1/n) d d* of each member M, d = diag M, and its
     witness. With ``positive`` this is the diagonal-bound check, which
     requires a commutative shape and each M positive."""
     if positive and not M.shape.is_commutative:
@@ -395,8 +415,8 @@ def _diag_bounds(M: AMatrix, tol: float, positive: bool = False) -> list[tuple]:
     for t in range(M.batch[0]):
         if positive:
             _require_positive("M", next(verdicts))
-        rep = next(verdicts).report()
-        outcomes.append((rep, _psd_witness(rep, t, m=M)))
+        verdict = next(verdicts)
+        outcomes.append((verdict.margin, _psd_witness(verdict, t, m=M)))
     return outcomes
 
 
@@ -408,8 +428,8 @@ def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
     only ever probed.
     """
     t0 = time.perf_counter()
-    rep, witness = _diag_bounds(M._at(None), tol, positive=True)[0]
-    return _single("diag_outer_bound", tol, t0, rep.margin, witness, {})
+    margin, witness = _diag_bounds(M._at(None), tol, positive=True)[0]
+    return _single("diag_outer_bound", tol, t0, margin, witness, {})
 
 
 def _diag_residual(M: AMatrix) -> np.ndarray:
@@ -432,10 +452,12 @@ def _unit_diag_checks(M: AMatrix, tol: float) -> list[tuple]:
         if residuals is None:
             # after the first verdict is read, as a trial alone reads it
             residuals = _diag_residual(M).tolist()
-        rep = next(verdicts).report()
+        verdict = next(verdicts)
+        # read first: a solve that failed raises before the residual check
+        margin = verdict.margin
         if not residuals[t] <= UNIT_DIAG_TOL:
             raise DomainError("diagonal entries deviate from the unit", residual=residuals[t])
-        outcomes.append((rep.margin, _psd_witness(rep, t, m=M), {"diag_residual": residuals[t]}))
+        outcomes.append((margin, _psd_witness(verdict, t, m=M), {"diag_residual": residuals[t]}))
     return outcomes
 
 
@@ -582,19 +604,18 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
     terms = [c.reshape(T, n, 2, *c.shape[1:]) for c in trig]
     mixed = tuple(c[:, :, 0] + c[:, :, 1] for c in terms)
     residuals = [_gram_residuals(A, cos_sin, y) for y in (_units(shape, (T, n)), mixed)]
-    verdicts = _psd_stack(AMatrix._wrap(shape, A), tol)
+    verdicts = _oracle(AMatrix._wrap(shape, A), tol)
     outcomes = []
-    for t in range(T):
-        rep = verdicts.report(t)
+    for t, verdict in enumerate(verdicts):
         worst_residual = _largest(float(r[t]) for r in residuals)
         # the residual margin is rescaled so a single pass criterion
         # (margin >= -tol) enforces residual <= 1e-10
-        margin = _worst([rep.margin, -worst_residual * (tol / ORACLE_TOL)])
+        margin = _worst([verdict.margin, -worst_residual * (tol / ORACLE_TOL)])
         witness = None
-        if not (rep.is_positive and worst_residual <= ORACLE_TOL):
+        if not (verdict.is_positive and worst_residual <= ORACLE_TOL):
             witness = {
                 "points": _points_json(shape, tuple(b[t] for b in z)),
-                "psd": rep.to_json(),
+                "psd": verdict.report().to_json(),
                 "gram_residual": worst_residual,
             }
         outcomes.append((margin, witness, {"gram_residual": worst_residual}))
@@ -636,13 +657,15 @@ def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple
     verdicts = iter(_oracle(_stack([*steps, M, novak], 1), tol))
     outcomes = []
     for t, diag_residual in enumerate(diag_residuals):
-        step_margins = [next(verdicts).report().margin for _ in range(d)]
-        rep_m = next(verdicts).report()
-        rep_final = next(verdicts).report()
-        margin = _worst([*step_margins, rep_m.margin, rep_final.margin])
+        step_margins = [next(verdicts).margin for _ in range(d)]
+        verdict_m = next(verdicts)
+        verdict_final = next(verdicts)
+        margin = _worst([*step_margins, verdict_m.margin, verdict_final.margin])
+        # the details record the final matrix's smallest eigenvalue
+        rep_final = verdict_final.report()
         ok = (
             all(m >= -tol for m in step_margins)
-            and rep_m.is_positive
+            and verdict_m.is_positive
             and diag_residual <= UNIT_DIAG_TOL
             and rep_final.is_positive
         )
@@ -795,27 +818,25 @@ def _preservers(coeffs: Element, degrees: list, M: AMatrix, tol, report_both: bo
     outcomes = []
     for t, (start, degree) in enumerate(zip(starts.tolist(), degrees)):
         for q in range(degree + 1):
-            rep = next(coefficients).spectrum()
-            if not rep.is_positive:
+            coefficient = next(coefficients)
+            if not coefficient.is_positive:
                 raise DomainError(
                     "series coefficient is not positive",
                     index=q,
-                    min_spectrum=rep.min_spectrum,
+                    min_spectrum=coefficient.spectrum().min_spectrum,
                 )
         _require_positive("M", next(verdicts))
-        rep = next(verdicts).report()
+        verdict = next(verdicts)
+        margin = verdict.margin
         details = {"degree": degree}
         if report_both:
-            rep_ones = next(verdicts).report()
-            details["ones_convention"] = {
-                "is_positive": rep_ones.is_positive,
-                "margin": rep_ones.margin,
-            }
-        witness = _psd_witness(rep, t, m=M)
+            ones = next(verdicts)
+            details["ones_convention"] = {"is_positive": ones.is_positive, "margin": ones.margin}
+        witness = _psd_witness(verdict, t, m=M)
         if witness is not None:
             series_t = SeriesSpec(tuple(coeffs._at(i) for i in range(start, start + degree + 1)))
             witness["series"] = series_t.to_json()
-        outcomes.append((rep.margin, witness, details))
+        outcomes.append((margin, witness, details))
     return outcomes
 
 
@@ -864,17 +885,17 @@ def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
     columns = zip(unitary.tolist(), recon.tolist(), comms.tolist(), hypothesis.tolist())
     outcomes = []
     for t, (unitary_residual, recon_residual, comm, hypothesis_ok) in enumerate(columns):
-        reports = {k: next(verdicts).report() for k in mats}
-        margin = _worst([r.margin for r in reports.values()])
+        taken = {k: next(verdicts) for k in mats}
+        margin = _worst([v.margin for v in taken.values()])
         residuals = {
             "unitary_residual": unitary_residual,
             "reconstruction_residual": recon_residual,
         }
         witness = None
-        if not (hypothesis_ok and all(r.is_positive for r in reports.values())):
+        if not (hypothesis_ok and all(v.is_positive for v in taken.values())):
             witness = {
                 **_matrix_payload(t, m=M, n=N),
-                "psd": {k: r.to_json() for k, r in reports.items()},
+                "psd": {k: v.report().to_json() for k, v in taken.items()},
                 **residuals,
                 "commutator": comm,
             }
@@ -1287,13 +1308,11 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
 def _trial_schur(base, trials, o):
     M, N, seeds = _random_pairs(base, trials)
     product = schur_product(M, N)
-    verdicts = _psd_stack(product, o.tol)
-    outcomes = []
-    for i, seed in enumerate(seeds):
-        rep = verdicts.report(i)
-        witness = _psd_witness(rep, i, m=M, n=N, product=product)
-        outcomes.append((rep.margin, _seeded(witness, seed)))
-    return outcomes
+    verdicts = _oracle(product, o.tol)
+    return [
+        (verdict.margin, _seeded(_psd_witness(verdict, i, m=M, n=N, product=product), seed))
+        for i, (seed, verdict) in enumerate(zip(seeds, verdicts))
+    ]
 
 
 def _trial_spectral(base, trials, o):
@@ -1319,19 +1338,19 @@ def _trial_oracle(base, trials, o):
     kinds = (M, 0.5 * (R + R.adjoint()), outer_product(x))
     matrices, vectors = iter(range(len(trials))), iter(range(len(trials)))
     instances = [kinds[t % 3]._at(next(vectors if t % 3 == 2 else matrices)) for t in trials]
-    verdicts = _oracle(_stack(instances), o.tol)
+    stacked = _stack(instances)
+    verdicts = _oracle(stacked, o.tol)
+    factored = _oracle(stacked, o.tol, _cholesky_stack)
     outcomes = []
-    for seed, t, inst, verdict in zip(_seeds(base, trials).tolist(), trials, instances, verdicts):
-        eig_rep = verdict.report()
-        chol_rep = cholesky_psd_check(inst, o.tol)
-        agree = eig_rep.is_positive == chol_rep.is_positive
+    for seed, t, verdict, chol in zip(_seeds(base, trials).tolist(), trials, verdicts, factored):
+        agree = verdict.is_positive == chol.is_positive
         witness = None
         if not agree:
             witness = {
                 "seed": seed,
                 "kind": t % 3,
-                "eig": eig_rep.to_json(),
-                "cholesky": chol_rep.to_json(),
+                "eig": verdict.report().to_json(),
+                "cholesky": chol.report().to_json(),
             }
         outcomes.append((0.0 if agree else -1.0, witness))
     return outcomes
@@ -1344,8 +1363,8 @@ def _trial_row_sum(base, trials, o):
     A = _stack([M, G], 1)._at((np.arange(len(trials)), np.asarray(trials) % 2))
     bounds = zip(_seeds(base, trials).tolist(), _row_sum_bounds(A, o.tol))
     return [
-        (rep.margin, _seeded(witness, seed), {"inputs_positive": positive})
-        for seed, (rep, witness, positive) in bounds
+        (margin, _seeded(witness, seed), {"inputs_positive": positive})
+        for seed, (margin, witness, positive) in bounds
     ]
 
 
@@ -1357,7 +1376,7 @@ def _trial_chain(base, trials, o):
 
 def _trial_diag(base, trials, o):
     _, M = _drawn(base, trials, _positive_stack)
-    return [(rep.margin, witness) for rep, witness in _diag_bounds(M, o.tol, positive=True)]
+    return _diag_bounds(M, o.tol, positive=True)
 
 
 def _trial_unit_diag(base, trials, o):
@@ -1370,7 +1389,7 @@ def _trial_diag_probe(base, trials, o):
     # record how often without asserting anything
     _, M = _drawn(base, trials, _positive_stack)
     bounds = zip(_seeds(base, trials).tolist(), _diag_bounds(M, o.tol))
-    return [(rep.margin, _seeded(witness, seed)) for seed, (rep, witness) in bounds]
+    return [(margin, _seeded(witness, seed)) for seed, (margin, witness) in bounds]
 
 
 def _trial_novak(base, trials, o):
@@ -1417,15 +1436,15 @@ def _trial_cauchy_schwarz(base, trials, o):
     verdicts = _psd_stack(_one_by_one(gap), o.tol)
     margins = _first_of(list(verdicts.min_eigenvalues.T), np.less) / np.fmax(gap.norm(), 1.0)
     outcomes = []
-    for i, (seed, margin) in enumerate(zip(_seeds(base, trials).tolist(), margins.tolist())):
-        rep = verdicts.spectrum(i)
+    columns = zip(_seeds(base, trials).tolist(), margins.tolist(), verdicts.hermitian.tolist())
+    for i, (seed, margin, selfadjoint) in enumerate(columns):
         witness = None
-        if margin < -o.tol or not rep.is_selfadjoint:
+        if margin < -o.tol or not selfadjoint:
             witness = {
                 "seed": seed,
                 "x": x._at(i).to_json(),
                 "y": y._at(i).to_json(),
-                "min_spectrum": rep.min_spectrum,
+                "min_spectrum": verdicts.spectrum(i).min_spectrum,
             }
         outcomes.append((margin, witness))
     return outcomes

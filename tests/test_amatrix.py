@@ -36,7 +36,9 @@ from cstar_schur import (
     zero_matrix,
 )
 from cstar_schur.algebra import _exactly_hermitian, _hermitian_part, _stack, classify
-from cstar_schur.amatrix import _psd_stack
+from cstar_schur.amatrix import _cholesky_stack, _psd_stack
+from cstar_schur.errors import NumericalError
+from cstar_schur.verify import _oracle
 from conftest import (
     COMMUTATIVE_SHAPES,
     NONCOMMUTATIVE_SHAPES,
@@ -477,6 +479,37 @@ def test_cholesky_oracle_agrees_with_eigenvalues(idx, seed, n):
     else:
         M = outer_product(random_vector(cfg))
     assert psd_check(M).is_positive == cholesky_psd_check(M).is_positive
+
+
+def _outcome(check, M):
+    """The repr of ``check(M)``, which shows signed zeros, or the error it raises."""
+    try:
+        return repr(check(M))
+    except NumericalError as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (2, 2)], ids=str)
+def test_stacked_cholesky_gives_each_member_its_alone_report(shape, n):
+    cfg = GenConfig(seed=5, shape=AlgebraShape(shape), n=n)
+    _, gram = random_positive_matrix(cfg.derive(0))
+    R = random_matrix(cfg.derive(1))
+    # a Gram matrix, a Hermitian part, an outer product, and R itself, whose
+    # defect is far beyond the self-adjoint cut
+    members = [gram, 0.5 * (R + R.adjoint()), outer_product(random_vector(cfg.derive(2))), R]
+    alone = [cholesky_psd_check(M) for M in members]
+    assert not alone[3].is_positive and alone[3].hermitian_defect > 1e-3
+    stack = _cholesky_stack(_stack(members), 1e-9)
+    assert [repr(stack.report(i)) for i in range(len(members))] == list(map(repr, alone))
+    assert stack.margins().tolist() == [r.margin for r in alone]
+    # a NaN member: where it raises alone the stack raises, and the oracle
+    # falls back member by member
+    members.insert(1, float("nan") * gram)
+    verdicts = _oracle(_stack(members), 1e-9, _cholesky_stack)
+    got = [_outcome(lambda v: v.report(), v) for v in verdicts]
+    assert got == [_outcome(cholesky_psd_check, M) for M in members]
+    assert ("NumericalError" in got[1]) == (max(shape) * n > 1)
 
 
 def test_outer_products_are_positive(mixed_shape):

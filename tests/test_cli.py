@@ -149,6 +149,25 @@ def test_env_tolerance_must_be_finite_and_positive(raw, monkeypatch, capsys):
     assert "CSTAR_SCHUR_TOL must be finite and positive" in capsys.readouterr().err
 
 
+def test_parser_is_built_once_and_the_env_tolerance_read_per_call(monkeypatch, capsys, tmp_path):
+    build_parser.cache_clear()
+    out = tmp_path / "report.json"
+    argv = ["verify", "--suite", "module", "--trials", "1", "--json", str(out)]
+    for raw in ("1e-7", "1e-8"):
+        monkeypatch.setenv("CSTAR_SCHUR_TOL", raw)
+        assert run(argv) == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["tol"] == float(raw)
+        # a check without a fixed tolerance takes the run's
+        assert payload["reports"][0]["tol"] == float(raw)
+    monkeypatch.setenv("CSTAR_SCHUR_TOL", "nonsense")
+    capsys.readouterr()
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: CSTAR_SCHUR_TOL") and err.count("\n") == 1, err
+    assert build_parser.cache_info().misses == 1
+
+
 def test_env_tolerance_override(monkeypatch, capsys):
     monkeypatch.setenv("CSTAR_SCHUR_TOL", "nonsense")
     assert run(["verify", "--suite", "module", "--trials", "1"]) == 2
@@ -307,6 +326,23 @@ def test_from_witness_rejects_fabricated_instance(tmp_path, capsys):
     path.write_text(json.dumps({"m": I.to_json(), "n": I.to_json()}))
     assert run(["verify", "--from-witness", str(path)]) == 1
     assert "NOT reproduced" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", [True, "1", 1.7, 1.0])
+def test_from_witness_takes_only_an_integer_size(size, tmp_path, capsys):
+    # int() took each of these as the size 1, and the witness reproduced
+    wdir = tmp_path / "wit"
+    argv = ["search", "--shape", "2", "--n", "1", "--trials", "0", "--witness-dir", str(wdir)]
+    assert run(argv) == 0
+    path = next(wdir.glob("*.json"))
+    assert run(["verify", "--from-witness", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["m"]["n"] = data["n"]["n"] = size
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert run(["verify", "--from-witness", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed witness file") and "must be an integer" in err
 
 
 def test_from_witness_malformed_file(tmp_path):
@@ -663,8 +699,10 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
         ["novak", "--random", "--trials", "2", "--json", str(taken / "x.json")],
     ):
         assert run(argv) == 2, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+        # found before the run: no check ran and no summary was printed
+        assert out == "", out
     assert taken.read_text() == ""
 
 

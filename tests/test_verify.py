@@ -1213,8 +1213,43 @@ def test_suite_grid_takes_few_singular_values(monkeypatch):
     # from their spectra (2 082 calls while it took an SVD of every member),
     # and the evaluators take their norms once per chunk on batched values
     # (2 030 calls while they took them one instance at a time; 518 while the
-    # Gram draws were not exactly Hermitian)
-    assert len(calls) <= 492
+    # Gram draws were not exactly Hermitian; 492 while the Cholesky oracle
+    # took one prelude per instance)
+    assert len(calls) <= 375
+
+
+def _grid_calls(monkeypatch, name, *owners) -> list:
+    """The calls to ``name``, which each of ``owners`` holds, over the suite
+    grid at 10 trials."""
+    calls = []
+    real = getattr(owners[0], name)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+
+    for owner in owners:
+        monkeypatch.setattr(owner, name, counted)
+    for shape, n in GRID:
+        run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
+    return calls
+
+
+def test_suite_grid_takes_one_prelude_per_oracle_chunk(monkeypatch):
+    from cstar_schur import algebra, amatrix
+
+    # the oracle and the Cholesky oracle of psd_oracle_agreement take one per
+    # chunk (101 while the Cholesky oracle took one per instance)
+    assert len(_grid_calls(monkeypatch, "_psd_prelude", algebra, amatrix)) <= 38
+
+
+def test_suite_grid_builds_reports_only_for_witnesses_and_details(monkeypatch):
+    from cstar_schur import amatrix
+
+    # the evaluators read positivity and margins from the stacks' arrays; the
+    # Novak details and the witnesses take reports (1 170 while every verdict
+    # was read as a report)
+    assert len(_grid_calls(monkeypatch, "report", amatrix.PsdStack)) <= 119
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -1434,19 +1469,24 @@ def test_failing_solve_in_a_stack_is_rerun_member_by_member():
 
 
 def _nan_report_at(monkeypatch, position):
-    """Make the verdict read at `position` a NaN certificate."""
-    real = verify._Verdict.report
+    """Make the verdict the oracle returns at `position` a NaN certificate."""
+    real = verify._oracle
     reads = []
 
-    def report(self):
-        rep = real(self)
-        reads.append(None)
-        if len(reads) - 1 == position:
-            nans = (math.nan,) * len(rep.min_eigenvalue_per_block)
-            return dataclasses.replace(rep, is_positive=False, min_eigenvalue_per_block=nans)
-        return rep
+    def oracle(X, tol, *args):
+        verdicts = []
+        for verdict in real(X, tol, *args):
+            if len(reads) == position:
+                stack, i = verdict.stack, verdict.i
+                mins, positive = stack.min_eigenvalues.copy(), stack.is_positive.copy()
+                mins[i], positive[i] = math.nan, False
+                stack = dataclasses.replace(stack, is_positive=positive, min_eigenvalues=mins)
+                verdict = verify._Verdict(stack, i, margins=stack.margins().tolist())
+            reads.append(None)
+            verdicts.append(verdict)
+        return verdicts
 
-    monkeypatch.setattr(verify._Verdict, "report", report)
+    monkeypatch.setattr(verify, "_oracle", oracle)
     return reads
 
 
