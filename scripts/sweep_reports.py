@@ -43,12 +43,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "scripts")]
 from cstar_schur import AlgebraShape, GenConfig  # noqa: E402
 from cstar_schur.cli import _canonical_json  # noqa: E402
 from cstar_schur.generate import STYLES  # noqa: E402
-from cstar_schur.verify import (  # noqa: E402
-    counterexample_search,
-    find_nonassociativity,
-    find_trig_breakdown,
-    run_suites,
-)
+from cstar_schur.suites import find_nonassociativity, find_trig_breakdown  # noqa: E402
+from cstar_schur.verify import counterexample_search, run_suites  # noqa: E402
 from run_verification_suites import GRID  # noqa: E402
 
 SIZES = (1, 2, 3)

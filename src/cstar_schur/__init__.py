@@ -69,23 +69,38 @@ from .module_an import (
 from .verify import (
     CheckReport,
     SUITES,
-    check_commuting_spectral_instance,
-    check_diag_bound,
-    check_preserver,
-    check_row_sum_bound,
-    check_schur_chain,
-    check_schur_positivity,
-    check_trig_identities,
-    check_unit_diagonal_bound,
-    cosine_gram_check,
     counterexample_search,
-    find_nonassociativity,
-    find_trig_breakdown,
     jordan_witness,
-    novak_check,
-    pauli_pair,
     run_suite,
     run_suites,
 )
+
+# Defined in ``suites``, which is imported on first access (PEP 562), so that
+# ``import cstar_schur.cli`` for a search does not compile the suite code.
+_SUITE_NAMES = frozenset({
+    "check_commuting_spectral_instance",
+    "check_diag_bound",
+    "check_preserver",
+    "check_row_sum_bound",
+    "check_schur_chain",
+    "check_schur_positivity",
+    "check_trig_identities",
+    "check_unit_diagonal_bound",
+    "cosine_gram_check",
+    "find_nonassociativity",
+    "find_trig_breakdown",
+    "novak_check",
+    "pauli_pair",
+})
+
+
+def __getattr__(name: str):
+    if name in _SUITE_NAMES:
+        from . import suites
+
+        value = globals()[name] = getattr(suites, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

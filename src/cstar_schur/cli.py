@@ -19,11 +19,13 @@ sequentially in one thread; --threads is accepted and must be >= 1.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
 import os
 import sys
+import time
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -39,12 +41,12 @@ from .verify import (
     DEFAULT_TOL,
     SUITES,
     VIOLATION_THRESHOLD,
+    _CHUNK_ENTRIES,
+    _report,
     _search_witnesses,
     counterexample_search,
     counts_as_failure,
-    find_trig_breakdown,
     jordan_witness,
-    novak_check,
     run_suites,
     validate_threads,
     validate_trials,
@@ -254,7 +256,7 @@ def _build_config(args) -> GenConfig:
 
 def cmd_verify(args) -> int:
     if args.from_witness is not None:
-        return _reverify_witness(args.from_witness, args.tol)
+        return _reverify_witness(args)
     cfg = _build_config(args)
     reports = run_suites(
         args.suite,
@@ -269,8 +271,11 @@ def cmd_verify(args) -> int:
     return _finish(args, cfg, reports, {"suite": args.suite})
 
 
-def _reverify_witness(path: str, tol: float) -> int:
-    """Recompute the product of a stored violation and confirm it still violates."""
+def _reverify_witness(args) -> int:
+    """Recompute the product of a stored violation and confirm it still
+    violates: a one-check report that passes when the violation reproduces.
+    The route reads only the file, ``--tol`` and ``--json``."""
+    path, tol = args.from_witness, args.tol
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -286,21 +291,66 @@ def _reverify_witness(path: str, tol: float) -> int:
             f"malformed witness file {path} (expected instance matrices 'm' and"
             f" 'n', and optionally 'product', in AMatrix.to_json form): {exc!r}"
         )
+    t0 = time.perf_counter()
     product = schur_product(M, N)
     rep_m = psd_check(M, tol)
     rep_n = psd_check(N, tol)
     rep = psd_check(product, tol)
+    inputs_positive = rep_m.is_positive and rep_n.is_positive
     bitwise = stored is None or product.to_json() == stored
     violation = rep.margin < -VIOLATION_THRESHOLD
-    reproduced = rep_m.is_positive and rep_n.is_positive and violation and bitwise
-    print(f"inputs positive: {rep_m.is_positive and rep_n.is_positive}")
+    reproduced = inputs_positive and violation and bitwise
+    print(f"inputs positive: {inputs_positive}")
     print(f"product recomputed bitwise-identically: {bitwise}")
     print(
         f"product min eigenvalue: {rep.min_eigenvalue}"
         f" (margin {rep.margin:+.3e}, threshold {-VIOLATION_THRESHOLD:+.0e})"
     )
     print("witness reproduced" if reproduced else "witness NOT reproduced")
-    return 0 if reproduced else 1
+    details = {
+        "inputs_positive": inputs_positive,
+        "product_bitwise": bitwise,
+        "min_eigenvalue": rep.min_eigenvalue,
+        "violation_threshold": VIOLATION_THRESHOLD,
+    }
+    report = _report(
+        "witness_reproduced", 1, int(not reproduced), rep.margin, tol, None, details, t0
+    )
+    # the run is the file's one instance: no seed, draw or suite flag was read
+    cfg = GenConfig(seed=0, shape=M.shape, n=M.n)
+    unread = {"seed": None, "entry_scale": None, "style": None, "d": None}
+    return _finish(args, cfg, [report], {"trials": 1, **unread})
+
+
+# glibc's mallopt(3) parameter numbers, from <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+# A search chunk's stacks are one to a few stacked blocks of about
+# _CHUNK_ENTRIES complex entries each; requests below this many bytes come
+# from the heap.
+_HEAP_BLOCK_BYTES = 8 * _CHUNK_ENTRIES * np.dtype(np.complex128).itemsize
+
+
+@functools.cache
+def _set_heap_policy() -> None:
+    """Serve a search chunk's stacks from the heap, once per process.
+
+    A stack of ``_CHUNK_ENTRIES`` complex entries is exactly glibc's default
+    mmap threshold (128 KiB), so each would be a fresh mapping, paid for in
+    page faults, until the free of a larger mapped block happens to raise the
+    dynamic thresholds (mallopt(3)). Fixing the mmap threshold above a chunk's
+    stacks, and the trim threshold above that, lets them reuse freed heap
+    memory whatever ran before. Where the C library has no ``mallopt``,
+    nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _HEAP_BLOCK_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _HEAP_BLOCK_BYTES)
 
 
 def cmd_search(args) -> int:
@@ -309,6 +359,7 @@ def cmd_search(args) -> int:
         raise DomainError(
             "the search needs a noncommutative algebra shape, e.g. --shape 2"
         )
+    _set_heap_policy()
     sizes = [args.n]
     if args.n_max is not None:
         if args.n_max < args.n:
@@ -429,6 +480,8 @@ def cmd_novak(args) -> int:
     cfg = _build_config(args)
     if args.points is not None and args.random:
         raise StructureError("--points and --random are mutually exclusive")
+    from .suites import novak_check
+
     if args.points is not None:
         points = _load_points(args.points)
         novak, report = novak_check(points, args.tol)
@@ -448,6 +501,8 @@ def cmd_novak(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .suites import find_trig_breakdown, novak_check
+
     tol = args.tol
     print("== symmetrized Schur product can break positivity ==")
     shape = AlgebraShape((2,))
@@ -632,15 +687,17 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.tol is None:
             args.tol = env_tol
-        if "threads" in vars(args):
-            validate_threads(args.threads)
-        if "d" in vars(args) and args.d < 1:
-            raise StructureError(f"--d must be >= 1, got {args.d}")
-        if "trials" in vars(args):
-            validate_trials(args.trials)
         _validate_tol(args.tol, "--tol")
-        if "shape" in vars(args):
-            _validate_size(args)
+        # a witness sets its own size, and its route reads no run flag
+        if getattr(args, "from_witness", None) is None:
+            if "threads" in vars(args):
+                validate_threads(args.threads)
+            if "d" in vars(args) and args.d < 1:
+                raise StructureError(f"--d must be >= 1, got {args.d}")
+            if "trials" in vars(args):
+                validate_trials(args.trials)
+            if "shape" in vars(args):
+                _validate_size(args)
         _check_outputs(args)
         # overflow and NaN reach the verdicts, which count them as not
         # positive; numpy's warnings about them would only clutter stderr

@@ -1,4 +1,4 @@
-"""Verification checks, randomized searches, and the check table behind the suites.
+"""Check reports, the trial loop, the Schur counterexample search and the suite runner.
 
 Every check produces a ``CheckReport`` whose ``worst_margin`` is a relative
 quantity: eigenvalue checks report min-eigenvalue / max(1, scale), residual
@@ -8,147 +8,51 @@ checks report -residual / max(1, scale), so "pass" uniformly means
 of canonical JSON so reruns with different thread counts serialize
 identically.
 
-Two kinds of checks appear:
+This module holds what the ``search`` command runs, and nothing it does
+not: the check evaluators, the hit searches and the check table live in
+``suites``, which ``run_suite`` imports when it first runs a suite. So a
+process that only searches never compiles them.
 
-* verification checks assert a theorem on generated instances and count
-  violations as failures;
-* searches hunt for phenomena expected to exist over noncommutative shapes
-  (Schur-product positivity violations, non-associativity witnesses,
-  breakdown of the cosine addition formula). A search that is expected to
-  find a hit reports failures = 0 when it does.
-
-The suites are one table, ``CHECKS``: ``run_suite(name, ...)`` reports the
-entries of suite ``name`` in table order. A ``Check`` entry holds
-
-* ``check_id``, ``suite``, and ``applies(cfg, opts)`` with ``skip``, the
-  reason reported when it is false (without one the check is left out);
-* the config its trials derive from, ``base``: the substream named ``key``
-  (default: the check id), restyled to ``style`` (recorded in the details),
-  with ``fallback`` fields replaced over commutative shapes (the hit
-  searches move to the shape ``(2,)``);
-* ``trial(base, trials, opts)``, which draws the instances of a range of
-  trials together, instance t from the substream ``base.derive(t)``, and
-  returns the outcome of each trial, ``(margin, witness)`` or
-  ``(margin, witness, counts)`` with counts summed into the details;
-* ``tol`` (fixed instead of the run's), ``details``, ``clamp`` (a trial with
-  a witness counts at most -2 tol) and ``run``, which replaces the margin
-  aggregation (the two hit searches).
-
-Each check has one evaluator, a function from a batch of instances (values
-with a leading trial axis, ``algebra._Blocks``) to their outcomes. It does
-the batch's algebra once, as value arithmetic, asks the oracle for every
-verdict it needs in one stacked call per group of equal block shapes, then
-reads each instance's verdicts in order; a requirement such as "M is
-positive" raises ``DomainError`` there. The verdicts are read as arrays:
-positivity and margins come from the oracle's stack (``_Verdict``), and a
-``PsdReport`` is built only for a witness, a detail that records one, or a
-failed requirement. The oracle-agreement check asks the Cholesky oracle
-(``_cholesky_stack``) once per chunk as well. The public ``check_*`` function is
-the evaluator on a batch of one, and the trial draws a chunk with
-``generate``'s chunk forms (``_drawn``) and calls the same evaluator. To add
-a check, write these three and a table entry. The trig evaluator takes every
-sine and cosine of a chunk in two ``_sin_cos`` calls; its ``falsify`` form is
-the outcome of a ``find_trig_breakdown`` trial.
-
-``_run_trials`` evaluates a check's trials a chunk at a time. numpy's stacked
+``_run_trials`` evaluates a check's trials a chunk at a time, chunks of
+about ``_CHUNK_ENTRIES`` complex entries per stacked block. numpy's stacked
 products, einsums and linalg give each member the bits it gets alone, so
 every report is the one that running each trial alone gives. When a chunk
 raises, its trials are evaluated again one at a time, in order: the first
-that raises alone raises, and if none does, the chunk's error is raised. The
-Novak suite takes its points as (T, count, k, k) stacks: one oracle call and
-one commutator call per slice of trials (``_COMMUTATOR_PAIRS``) for the
-hypotheses and one ``_trig_stack`` call per set of cosines.
+that raises alone raises, and if none does, the chunk's error is raised.
 
-The searches run through ``_run_trials`` too, trial 0 alone before the
-chunks. The hit searches, and ``counterexample_search`` with
-``stop_on_first``, end the run at the first trial with a witness, even when
-a later trial of its chunk raises. The hit searches draw their chunks with
-``_drawn``, ``counterexample_search`` its pairs with ``_pairs``, and the
-Gram products, symmetrized products and positivity oracle run once per
-chunk. ``threads`` is only validated. The report
-is a summary: every violating trial index, the violation rate with a Wilson
-interval, a margin histogram, the stubs (trial, seed, margin, smallest
-eigenvalue) of a few violations (the deterministic one and the
-``_TOP_WITNESSES`` most negative random ones), and the matrices of only the
-first violation. ``search_witness`` rebuilds the full record of any trial
-alone, with the bits of its stub.
+``counterexample_search`` hunts for positive M, N over a noncommutative
+shape whose symmetrized Schur product is not positive, the open question of
+the paper. It runs through ``_run_trials`` as a search, trial 0 (the
+deterministic ``jordan_witness``) alone before the chunks; with
+``stop_on_first`` it ends the run at the first trial with a witness, even
+when a later trial of its chunk raises. It draws its pairs with ``_pairs``,
+and the symmetrized products and the positivity oracle run once per chunk.
+``threads`` is only validated. The report is a summary: every violating
+trial index, the violation rate with a Wilson interval, a margin histogram,
+the stubs (trial, seed, margin, smallest eigenvalue) of a few violations
+(the deterministic one and the ``_TOP_WITNESSES`` most negative random ones),
+and the matrices of only the first violation. ``search_witness`` rebuilds
+the full record of any trial alone, with the bits of its stub.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
-from itertools import combinations
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    DEFAULT_TOL,
-    AlgebraShape,
-    Element,
-    SpectrumReport,
-    _adjoint,
-    _first_of,
-    _spectral_norm,
-    _stack,
-    _units,
-    commutator_norm,
-    identity_element,
-)
-from .amatrix import (
-    AMatrix,
-    PsdReport,
-    PsdStack,
-    diag_matrix,
-    diag_vector,
-    identity_matrix,
-    mat_norm,
-    ones_matrix,
-    outer_product,
-    row_sums,
-    schur_product,
-    schur_quadratic_form_oracle,
-    _cholesky_stack,
-    _flatten_block,
-    _psd_stack,
-)
-from .calculus import SeriesSpec, _series_sums, _trig_stack
-from .errors import DomainError, NumericalError, StructureError
-from .generate import (
-    GenConfig,
-    _commuting_points,
-    _drawn,
-    _family_stack,
-    _gaussian_stack,
-    _mix64s,
-    _normals,
-    _positive_stack,
-    _seeds,
-    _selfadjoint_stack,
-    _spectral_pair_stack,
-    _Streams,
-    _unit_diagonal_stack,
-    fnv1a64,
-    random_commuting_spectral_pair,
-)
-from .module_an import AVector, cauchy_schwarz_gap, inner_product, left_mul, ones_vector
+from .algebra import DEFAULT_TOL, AlgebraShape, Element, identity_element
+from .amatrix import AMatrix, PsdReport, diag_matrix, schur_product, _psd_stack
+from .errors import DomainError, StructureError
+from .generate import GenConfig, _mix64s, _positive_stack, _seeds, _Streams
+from .module_an import AVector
 
 # searches only count violations well clear of verification noise
 VIOLATION_THRESHOLD = 1e-6
-NONASSOC_THRESHOLD = 1e-6
-BREAKDOWN_THRESHOLD = 1e-3
 
-TRIG_TOL = 1e-10
-ORACLE_TOL = 1e-10
-UNIT_DIAG_TOL = 1e-8
-COMMUTING_TOL = 1e-10
-FAMILY_COMMUTING_TOL = 1e-12
-UNITARY_TOL = 1e-10
-RECONSTRUCTION_TOL = 1e-9
-AXIOM_TOL = 1e-12
-
+# the suites of ``suites.CHECKS``, in the order ``run_suites("all", ...)`` runs them
 SUITES = (
     "schur",
     "lowerbound",
@@ -202,87 +106,9 @@ def _report(check_id, trials, failures, worst, tol, witness, details, t0) -> Che
     )
 
 
-def _single(check_id, tol, t0, margin, witness, details) -> CheckReport:
-    """The report on one instance, which fails exactly when it has a witness."""
-    failures = 0 if witness is None else 1
-    return _report(check_id, 1, failures, margin, tol, witness, details, t0)
-
-
 def _matrix_payload(t, **mats) -> dict:
     """The JSON of member t of each batch of matrices; t = () for one matrix."""
     return {name: m._at(t).to_json() for name, m in mats.items()}
-
-
-def _psd_witness(verdict: "_Verdict", t, **mats) -> dict | None:
-    """Member t's matrices and certificate when its positivity verdict failed, else None."""
-    if verdict.is_positive:
-        return None
-    return {**_matrix_payload(t, **mats), "psd": verdict.report().to_json()}
-
-
-def _seeded(witness: dict | None, seed: int) -> dict | None:
-    return None if witness is None else {"seed": seed, **witness}
-
-
-@dataclass(frozen=True)
-class _Verdict:
-    """The oracle's verdict on one matrix: member i of ``stack``, whose
-    ``margins`` (the stack's, as a list) it shares, or the error its solve
-    raised alone, which is raised when the verdict is read. A trial that
-    reads its verdicts in the order it needs them raises the error it raises
-    alone. Positivity and margin come from the stack's arrays; a
-    ``PsdReport`` is built only when ``report`` is called."""
-
-    stack: PsdStack | None
-    i: int = 0
-    error: Exception | None = None
-    margins: list | None = None
-
-    def _read(self) -> PsdStack:
-        if self.error is not None:
-            raise self.error
-        return self.stack
-
-    @property
-    def is_positive(self) -> bool:
-        return bool(self._read().is_positive[self.i])
-
-    @property
-    def margin(self) -> float:
-        """``PsdReport.margin``, bit for bit."""
-        self._read()
-        return self.margins[self.i]
-
-    def report(self) -> PsdReport:
-        return self._read().report(self.i)
-
-    def spectrum(self) -> SpectrumReport:
-        return self._read().spectrum(self.i)
-
-
-def _oracle(X: AMatrix, tol: float, oracle: Callable = _psd_stack) -> list[_Verdict]:
-    """The verdicts of ``oracle`` (``_psd_stack``, or ``_cholesky_stack``) on
-    the members of X, its batch axes read in C order: one call, or when it
-    raises, one call per member.
-
-    A member of a stack gets the bits it gets alone, because numpy's linalg
-    functions solve each matrix of a stack on its own (see "Linear algebra on
-    several matrices at once" in numpy's ``linalg`` documentation).
-    """
-    try:
-        stack = oracle(X, tol)
-    except (DomainError, NumericalError) as exc:
-        members = list(np.ndindex(X.batch))
-        if len(members) == 1:
-            return [_Verdict(None, error=exc)]
-        return [verdict for i in members for verdict in _oracle(X._at(i), tol, oracle)]
-    margins = stack.margins().tolist()
-    return [_Verdict(stack, i, margins=margins) for i in range(len(margins))]
-
-
-def _require_positive(name: str, verdict: _Verdict) -> None:
-    if not verdict.is_positive:
-        raise DomainError(f"{name} is not positive", report=verdict.report())
 
 
 def _worst(margins: list[float]) -> float:
@@ -290,632 +116,6 @@ def _worst(margins: list[float]) -> float:
     if any(math.isnan(m) for m in margins):
         return math.nan
     return min(margins, default=0.0)
-
-
-def _largest(values) -> float:
-    """The largest of some residuals; NaN if any is NaN, whatever its position."""
-    values = list(values)
-    if any(math.isnan(v) for v in values):
-        return math.nan
-    return max(values)
-
-
-def _one_by_one(a: Element) -> AMatrix:
-    """The 1x1 matrix [a] of each member: ``classify``'s verdict on a is the one on [a]."""
-    return AMatrix._wrap(a.shape, tuple(b[..., None, None, :, :] for b in a.blocks))
-
-
-# ---------------------------------------------------------------------------
-# checks: each evaluator takes its instances as values with a trial axis, and
-# its check_* runs it on a batch of one
-# ---------------------------------------------------------------------------
-
-
-def check_schur_positivity(
-    M: AMatrix, N: AMatrix, tol: float = DEFAULT_TOL
-) -> CheckReport:
-    """Is M o N positive for positive M, N?
-
-    Guaranteed over commutative shapes; over noncommutative shapes the
-    outcome is evidence for or against the open positivity question, so the
-    caller decides whether a failure is alarming.
-    """
-    t0 = time.perf_counter()
-    M._require_same(N)
-    for name, verdict in zip("MN", _oracle(_stack([M, N]), tol)):
-        _require_positive(name, verdict)
-    product = schur_product(M, N)
-    (verdict,) = _oracle(product, tol)
-    witness = _psd_witness(verdict, (), m=M, n=N, product=product)
-    if witness is not None:
-        witness["min_eigenvalue"] = verdict.report().min_eigenvalue
-    details = {"commutative": M.shape.is_commutative}
-    return _single("schur_product_positive", tol, t0, verdict.margin, witness, details)
-
-
-def _row_sum_bounds(A: AMatrix, tol: float) -> list[tuple]:
-    """The row-sum bound on each member of A: its margin, witness, and whether A is positive."""
-    bound = A @ A.adjoint() - (1.0 / A.n) * outer_product(row_sums(A))
-    verdicts = iter(_oracle(_stack([bound, A], 1), tol))
-    outcomes = []
-    for t in range(A.batch[0]):
-        verdict = next(verdicts)
-        margin, witness = verdict.margin, _psd_witness(verdict, t, a=A)
-        outcomes.append((margin, witness, next(verdicts).is_positive))
-    return outcomes
-
-
-def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
-    """M = A A* dominates (1/n) y y* where y collects the row sums of A.
-
-    Holds for arbitrary A over any shape; whether A itself was positive is
-    recorded but not required (the bound never uses it).
-    """
-    t0 = time.perf_counter()
-    margin, witness, input_positive = _row_sum_bounds(A._at(None), tol)[0]
-    details = {"input_positive": input_positive}
-    return _single("gram_row_sum_bound", tol, t0, margin, witness, details)
-
-
-def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
-    """The chain check on each member (A, B) of a batch: (margin, witness, details)."""
-    if not A.shape.is_commutative:
-        raise DomainError("the Schur chain bound needs a commutative algebra")
-    A._require_same(B)
-    M = A @ A.adjoint()
-    N = B @ B.adjoint()
-    C = schur_product(A, B)
-    y = row_sums(C)
-    product = schur_product(M, N)
-    gram = C @ C.adjoint()
-    lower = (1.0 / A.n) * outer_product(y)
-    chain = {
-        "product_minus_gram": product - gram,
-        "gram_minus_lower": gram - lower,
-        "product": product,
-        "gram": gram,
-    }
-    verdicts = iter(_oracle(_stack(list(chain.values()), 1), tol))
-    outcomes = []
-    for t in range(A.batch[0]):
-        taken = {k: next(verdicts) for k in chain}
-        margin = _worst([v.margin for v in taken.values()])
-        witness = None
-        if not all(v.is_positive for v in taken.values()):
-            witness = {
-                **_matrix_payload(t, a=A, b=B),
-                "psd": {k: v.report().to_json() for k, v in taken.items()},
-            }
-        outcomes.append((margin, witness, {}))
-    return outcomes
-
-
-def check_schur_chain(
-    A: AMatrix, B: AMatrix, tol: float = DEFAULT_TOL
-) -> CheckReport:
-    """The commutative chain M o N >= C C* >= (1/n) y y*.
-
-    Here M = A A*, N = B B*, C = A o B and y holds the row sums of C. Both
-    difference certificates and the positivity of each chain member are
-    checked (the full ordering, not only the differences).
-    """
-    t0 = time.perf_counter()
-    return _single("schur_chain_bound", tol, t0, *_schur_chains(A._at(None), B._at(None), tol)[0])
-
-
-def _diag_bounds(M: AMatrix, tol: float, positive: bool = False) -> list[tuple]:
-    """The margin of M o M - (1/n) d d* of each member M, d = diag M, and its
-    witness. With ``positive`` this is the diagonal-bound check, which
-    requires a commutative shape and each M positive."""
-    if positive and not M.shape.is_commutative:
-        raise DomainError("the diagonal bound needs a commutative algebra")
-    bound = schur_product(M, M) - (1.0 / M.n) * outer_product(diag_vector(M))
-    verdicts = iter(_oracle(_stack([M, bound], 1) if positive else bound, tol))
-    outcomes = []
-    for t in range(M.batch[0]):
-        if positive:
-            _require_positive("M", next(verdicts))
-        verdict = next(verdicts)
-        outcomes.append((verdict.margin, _psd_witness(verdict, t, m=M)))
-    return outcomes
-
-
-def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
-    """M o M dominates (1/n) (diag M)(diag M)* for positive commutative M.
-
-    The underlying argument needs entries with a = a*, so random suites feed
-    this check real instances; complex instances genuinely violate it and are
-    only ever probed.
-    """
-    t0 = time.perf_counter()
-    margin, witness = _diag_bounds(M._at(None), tol, positive=True)[0]
-    return _single("diag_outer_bound", tol, t0, margin, witness, {})
-
-
-def _diag_residual(M: AMatrix) -> np.ndarray:
-    """The largest deviation of a diagonal entry from the unit, of each member
-    of a batch: one norm call per block, NaN where an entry's norm is NaN."""
-    offsets = diag_vector(M) - ones_vector(M.shape, M.n)
-    return Element._wrap(M.shape, offsets.blocks).norm().max(axis=-1)
-
-
-def _unit_diag_checks(M: AMatrix, tol: float) -> list[tuple]:
-    """The unit-diagonal check on each member M: (margin, witness, details)."""
-    if not M.shape.is_commutative:
-        raise DomainError("the unit-diagonal bound needs a commutative algebra")
-    bound = schur_product(M, M) - (1.0 / M.n) * ones_matrix(M.shape, M.n)
-    verdicts = iter(_oracle(_stack([M, bound], 1), tol))
-    residuals = None
-    outcomes = []
-    for t in range(M.batch[0]):
-        _require_positive("M", next(verdicts))
-        if residuals is None:
-            # after the first verdict is read, as a trial alone reads it
-            residuals = _diag_residual(M).tolist()
-        verdict = next(verdicts)
-        # read first: a solve that failed raises before the residual check
-        margin = verdict.margin
-        if not residuals[t] <= UNIT_DIAG_TOL:
-            raise DomainError("diagonal entries deviate from the unit", residual=residuals[t])
-        outcomes.append((margin, _psd_witness(verdict, t, m=M), {"diag_residual": residuals[t]}))
-    return outcomes
-
-
-def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
-    """M o M >= (1/n) E_n for positive commutative M with unit diagonal."""
-    t0 = time.perf_counter()
-    return _single("unit_diagonal_bound", tol, t0, *_unit_diag_checks(M._at(None), tol)[0])
-
-
-# ---------------------------------------------------------------------------
-# the Novak pipeline, on stacks of points with a leading trial axis: a public
-# check runs it on a stack of one, a suite trial on a chunk of trials
-# ---------------------------------------------------------------------------
-
-
-def _points_json(shape: AlgebraShape, blocks) -> list | dict:
-    """The JSON of an array of points given by one (..., k, k) array per block,
-    nested as the array."""
-    if blocks[0].ndim == 2:
-        return Element._wrap(shape, blocks).to_json()
-    return [_points_json(shape, tuple(b[i] for b in blocks)) for i in range(len(blocks[0]))]
-
-
-# Trials x pairs of one ``commutator_norm`` call in ``_require_commuting_points``,
-# unless one trial has more pairs: about 250 bytes each over M_2, so about 16 MB.
-_COMMUTATOR_PAIRS = 1 << 16
-
-
-def _require_commuting_points(shape: AlgebraShape, points) -> None:
-    """Raise ``DomainError`` at a point that is not self-adjoint, or else at a
-    pair of points that do not commute; a trial's first, in its order, so a
-    stack of one raises as that trial does. ``points`` holds one
-    (T, count, k, k) stack per block: one oracle call takes all the points as
-    1x1 matrices, and one ``commutator_norm`` call all the pairs of a slice of
-    trials, at most ``_COMMUTATOR_PAIRS`` trials x pairs or one trial."""
-    T, count = points[0].shape[:2]
-    flat = AMatrix._wrap(shape, tuple(b.reshape(T * count, 1, 1, *b.shape[2:]) for b in points))
-    try:
-        stack = _psd_stack(flat, DEFAULT_TOL)
-        verdicts = [] if stack.hermitian.all() else [_Verdict(stack, i) for i in range(T * count)]
-        scale = stack.scale
-    except NumericalError:
-        # member by member, a solve that fails raises after the members before it
-        verdicts = _oracle(flat, DEFAULT_TOL)
-        scale = None
-    for i, verdict in enumerate(verdicts):
-        rep = verdict.spectrum()
-        if not rep.is_selfadjoint:
-            raise DomainError(
-                "element is not self-adjoint",
-                index=i % count,
-                hermitian_defect=rep.hermitian_defect,
-            )
-    # commutative shapes commute exactly, so only self-adjointness is checked there
-    if shape.is_commutative or count < 2:
-        return
-    if scale is None:
-        scale = np.array([v.report().scale for v in verdicts])
-    bounds = COMMUTING_TOL * np.fmax(scale.reshape(T, count).max(axis=1), 1.0)
-    pairs = list(combinations(range(count), 2))
-    step = max(1, _COMMUTATOR_PAIRS // len(pairs))
-    for first in range(0, T, step):
-        part = tuple(b[first : first + step] for b in points)
-        _require_commuting(shape, part, bounds[first : first + step, None], pairs)
-
-
-def _require_commuting(shape: AlgebraShape, points, bounds, pairs: list) -> None:
-    """Raise ``DomainError`` at a pair whose commutator exceeds its trial's bound:
-    in a stack of one, the trial's first such pair. A function of its own, so
-    that one slice's commutators are freed before the next slice's are formed."""
-    x, y = (Element._wrap(shape, tuple(b[:, ends] for b in points)) for ends in np.array(pairs).T)
-    try:
-        columns = [(pairs, commutator_norm(x, y))]
-    except NumericalError:
-        # pair by pair, a solve that fails raises after the pairs before it
-        columns = (
-            ([pair], commutator_norm(x._at(np.s_[:, [p]]), y._at(np.s_[:, [p]])))
-            for p, pair in enumerate(pairs)
-        )
-    for group, comms in columns:
-        bad = np.argwhere(~(comms <= bounds))
-        if len(bad):
-            t, p = bad[0]
-            c = float(comms[t, p])
-            raise DomainError("elements do not commute", pair=group[p], commutator=c)
-
-
-def _cosine_matrices(shape: AlgebraShape, z) -> tuple:
-    """The blocks of [cos(z_j - z_k)] of each row of points in a stack, given by
-    one (..., n, k, k) array per block: from the differences in the upper
-    triangle because cos is even, all of them in one ``_trig_stack`` call."""
-    lead, n = z[0].shape[:-3], z[0].shape[-3]
-    j, k = np.triu_indices(n)
-    diffs = [(s[..., j, :, :] - s[..., k, :, :]).reshape(-1, *s.shape[-2:]) for s in z]
-    out = []
-    for s, c in zip(z, _trig_stack(shape, diffs, np.zeros(len(diffs[0]), bool))):
-        m = np.empty(lead + (n, n) + s.shape[-2:], dtype=np.complex128)
-        c = c.reshape(lead + (len(j),) + s.shape[-2:])
-        m[..., j, k, :, :] = c
-        m[..., k, j, :, :] = c
-        out.append(m)
-    return tuple(out)
-
-
-def _gram_residuals(A, cos_sin, y) -> np.ndarray:
-    """||<Ay, y> - (S_c S_c* + S_s S_s*)|| / max(1, ||<Ay, y>||) of each member
-    of a stack, with S_c = sum_j cos(z_j) y_j and S_s = sum_j sin(z_j) y_j
-    summed in order of j: A, cos_sin (cos z_j, then sin z_j) and the probe y
-    hold one (T, n, n, k, k), (T, 2n, k, k) and (T, n, k, k) array per block."""
-    T, n = y[0].shape[:2]
-    diffs, scales = [], []
-    for a, cs, v in zip(A, cos_sin, y):
-        k = v.shape[-1]
-        av = (_flatten_block(a, n, k) @ v.reshape(T, n * k, k)).reshape(v.shape)
-        q = np.einsum("tjab,tjcb->tac", av, v.conj())
-        terms = cs @ np.concatenate([v, v], 1)
-        grams = []
-        for part in (terms[:, :n], terms[:, n:]):
-            acc = np.zeros_like(q)
-            for j in range(n):
-                acc = acc + part[:, j]
-            grams.append(acc @ np.ascontiguousarray(_adjoint(acc)))
-        diffs.append(_spectral_norm(q - (grams[0] + grams[1])))
-        scales.append(_spectral_norm(q))
-    return _first_of(diffs, np.greater) / np.fmax(_first_of(scales, np.greater), 1.0)
-
-
-def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
-    """The cosine-Gram check on each member of a stack of points, one (T, n, k, k)
-    array per block, with the probe of member t drawn from generator t of ``gens``."""
-    T, n = z[0].shape[:2]
-    _require_commuting_points(shape, z)
-    # cos z_j, then sin z_j, of every trial in one call
-    both = [np.concatenate([s, s], 1).reshape(-1, *s.shape[2:]) for s in z]
-    trig = _trig_stack(shape, both, np.tile(np.arange(2 * n) >= n, T))
-    cos_sin = [c.reshape(T, 2 * n, *c.shape[1:]) for c in trig]
-    A = _cosine_matrices(shape, z)
-    # probe vectors: the all-units vector plus cos(alpha_j z_j) + sin(beta_j z_j),
-    # which stay inside the commutative subalgebra the z generate
-    (normals,) = _normals(gens, [(2, n)])
-    coefs = normals.transpose(0, 2, 1).astype(np.complex128)[..., None, None]
-    scaled = [(coefs * s[:, :, None]).reshape(-1, *s.shape[2:]) for s in z]
-    trig = _trig_stack(shape, scaled, np.tile([False, True], T * n))
-    terms = [c.reshape(T, n, 2, *c.shape[1:]) for c in trig]
-    mixed = tuple(c[:, :, 0] + c[:, :, 1] for c in terms)
-    residuals = [_gram_residuals(A, cos_sin, y) for y in (_units(shape, (T, n)), mixed)]
-    verdicts = _oracle(AMatrix._wrap(shape, A), tol)
-    outcomes = []
-    for t, verdict in enumerate(verdicts):
-        worst_residual = _largest(float(r[t]) for r in residuals)
-        # the residual margin is rescaled so a single pass criterion
-        # (margin >= -tol) enforces residual <= 1e-10
-        margin = _worst([verdict.margin, -worst_residual * (tol / ORACLE_TOL)])
-        witness = None
-        if not (verdict.is_positive and worst_residual <= ORACLE_TOL):
-            witness = {
-                "points": _points_json(shape, tuple(b[t] for b in z)),
-                "psd": verdict.report().to_json(),
-                "gram_residual": worst_residual,
-            }
-        outcomes.append((margin, witness, {"gram_residual": worst_residual}))
-    return outcomes
-
-
-def cosine_gram_check(
-    z: list[Element], tol: float = DEFAULT_TOL, probe_seed: int = 0xC05
-) -> CheckReport:
-    """[cos(z_j - z_k)] is positive for commuting self-adjoint z.
-
-    Cross-checked against the Gram decomposition: for probe vectors y the
-    quadratic form <Ay, y> must equal S_c S_c* + S_s S_s* with
-    S_c = sum_j cos(z_j) y_j and S_s = sum_j sin(z_j) y_j, within 1e-10.
-    """
-    t0 = time.perf_counter()
-    z = list(z)
-    if not z:
-        raise StructureError("need at least one point")
-    stacks = _stack(z)._at(None).blocks
-    gens = [np.random.default_rng(probe_seed)]
-    return _single("cosine_gram", tol, t0, *_cosine_gram(z[0].shape, stacks, tol, gens)[0])
-
-
-def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple]]:
-    """The Novak matrices of a stack of point arrays, one (T, n, d, k, k) array
-    per block, and the outcome of ``novak_check``'s pipeline on each member."""
-    T, n, d = points[0].shape[:3]
-    _require_commuting_points(shape, tuple(b.reshape(T, n * d, *b.shape[3:]) for b in points))
-    # the half-angle cosine matrices of every column in one call, column first
-    steps = _cosine_matrices(shape, tuple(complex(0.5) * np.moveaxis(b, 2, 0) for b in points))
-    steps = [AMatrix._wrap(shape, tuple(s[l] for s in steps)) for l in range(d)]
-    M = steps[0]
-    for step in steps[1:]:
-        M = schur_product(M, step)
-    novak = schur_product(M, M) - (1.0 / n) * ones_matrix(shape, n)
-    diag_residuals = _diag_residual(M).tolist()
-    # per trial: the d cosine matrices, M, then the Novak matrix
-    verdicts = iter(_oracle(_stack([*steps, M, novak], 1), tol))
-    outcomes = []
-    for t, diag_residual in enumerate(diag_residuals):
-        step_margins = [next(verdicts).margin for _ in range(d)]
-        verdict_m = next(verdicts)
-        verdict_final = next(verdicts)
-        margin = _worst([*step_margins, verdict_m.margin, verdict_final.margin])
-        # the details record the final matrix's smallest eigenvalue
-        rep_final = verdict_final.report()
-        ok = (
-            all(m >= -tol for m in step_margins)
-            and verdict_m.is_positive
-            and diag_residual <= UNIT_DIAG_TOL
-            and rep_final.is_positive
-        )
-        witness = None
-        if not ok:
-            witness = {
-                "points": _points_json(shape, tuple(b[t] for b in points)),
-                "psd_final": rep_final.to_json(),
-                "diag_residual": diag_residual,
-            }
-        details = {
-            "n": n,
-            "d": d,
-            "cosine_step_margins": step_margins,
-            "diag_residual": diag_residual,
-            "min_eigenvalue": rep_final.min_eigenvalue,
-        }
-        outcomes.append((margin, witness, details))
-    return novak, outcomes
-
-
-def novak_check(
-    points: list[list[Element]], tol: float = DEFAULT_TOL
-) -> tuple[AMatrix, CheckReport]:
-    """Verify the Novak-type positivity through its full proof pipeline.
-
-    For self-adjoint commuting points x_{j,l} (n rows, d columns) the
-    pipeline builds the half-angle cosine matrices
-    M_l = [cos((x_{j,l} - x_{k,l}) / 2)], their left-nested Schur product M,
-    and verdicts: every M_l positive, M positive, diag(M) the units, and
-
-        M o M - (1/n) E_n >= 0.
-
-    The left-hand side is the Novak matrix [prod_l (1 + cos(x_j - x_k))/2]
-    shifted by -1/n; it is returned together with the report.
-    """
-    t0 = time.perf_counter()
-    rows = [list(r) for r in points]
-    n = len(rows)
-    if n < 1 or any(not r for r in rows):
-        raise StructureError("points must form a nonempty n x d array")
-    d = len(rows[0])
-    if any(len(r) != d for r in rows):
-        raise StructureError("point rows have unequal length")
-    points = _stack([p for r in rows for p in r])._reshape((1, n, d))
-    novak, outcomes = _novak(points.shape, points.blocks, tol)
-    report = _single("novak_conjecture", tol, t0, *outcomes[0])
-    return novak._at(0), report
-
-
-def _sin_cos(x: Element) -> tuple[Element, Element]:
-    """sin and cos of each member of a batch, from one ``_trig_stack`` call
-    that takes each member twice, in order, the sine first."""
-    twice = [np.repeat(b.reshape(-1, *b.shape[-2:]), 2, axis=0) for b in x.blocks]
-    sine = np.arange(len(twice[0])) % 2 == 0
-    both = [v.reshape(x.batch + (2,) + v.shape[-2:]) for v in _trig_stack(x.shape, twice, sine)]
-    return tuple(x._like(tuple(b[..., i, :, :] for b in both)) for i in range(2))
-
-
-def _trig_identities(x: Element, y: Element, tol: float, falsify: bool) -> list[tuple]:
-    """The trig check on each member (x, y) of a batch: (margin, witness,
-    details), from one ``_sin_cos`` call over every x, y, -x and x* and one
-    over the x + y whose addition formulas are checked. With ``falsify``, a
-    breakdown search's trial."""
-    if x.shape != y.shape:
-        raise StructureError("algebra shapes differ")
-    # fmax, like Python's max, never takes a NaN norm
-    scales = np.fmax(np.fmax(x.norm(), 1.0), y.norm())
-    sines, cosines = _sin_cos(_stack([x, y, -x, x.adjoint()], 1))
-    sx, sy, s_neg, s_adj = (sines._at(np.s_[:, i]) for i in range(4))
-    cx, cy, c_neg, c_adj = (cosines._at(np.s_[:, i]) for i in range(4))
-    columns = {
-        "sin_odd": (s_neg + sx).norm(),
-        "cos_even": (c_neg - cx).norm(),
-        "sin_adjoint": (sx.adjoint() - s_adj).norm(),
-        "cos_adjoint": (cx.adjoint() - c_adj).norm(),
-        "pythagorean": (sx * sx + cx * cx - identity_element(x.shape)).norm(),
-    }
-    comms = commutator_norm(x, y)
-    added = (comms <= COMMUTING_TOL * scales) | falsify
-    sums = iter(())
-    if added.any():
-        s_sum, c_sum = _sin_cos((x + y)._at(added))
-        sx, cx, sy, cy = (v._at(added) for v in (sx, cx, sy, cy))
-        sin_add = (s_sum - (sx * cy + cx * sy)).norm()
-        cos_add = (c_sum - (cx * cy - sx * sy)).norm()
-        sums = zip(sin_add.tolist(), cos_add.tolist())
-    columns = {key: column.tolist() for key, column in columns.items()}
-    outcomes = []
-    rows = zip(scales.tolist(), comms.tolist(), added.tolist())
-    for t, (scale, comm, checked) in enumerate(rows):
-        residuals = {key: column[t] for key, column in columns.items()}
-        if checked:
-            residuals["sin_addition"], residuals["cos_addition"] = next(sums)
-        details = {"residuals": residuals, "commutator": comm, "addition_checked": checked}
-        if falsify:
-            gap = residuals["cos_addition"]
-            margin, failed, shown = -gap, gap > BREAKDOWN_THRESHOLD, {"cos_addition_residual": gap}
-            details["search"] = True
-        else:
-            # addition residuals are only present here for commuting pairs
-            margin = -_largest(residuals.values()) / scale
-            failed, shown = not margin >= -tol, {"residuals": residuals}
-        witness = {"x": x._at(t).to_json(), "y": y._at(t).to_json(), **shown} if failed else None
-        outcomes.append((margin, witness, details))
-    return outcomes
-
-
-def check_trig_identities(
-    x: Element,
-    y: Element,
-    tol: float = TRIG_TOL,
-    falsify: bool = False,
-) -> CheckReport:
-    """Seven residuals of the exponential-based trigonometry.
-
-    Parity, adjoint compatibility, and the Pythagorean identity hold for all
-    elements; the addition formulas need xy = yx and are skipped for
-    noncommuting pairs unless ``falsify`` is set, in which case the check
-    becomes a search for a breakdown beyond 1e-3 of the cosine addition
-    formula.
-    """
-    t0 = time.perf_counter()
-    outcome = _trig_identities(x._at(None), y._at(None), tol, falsify)[0]
-    if not falsify:
-        return _single("trig_identities", tol, t0, *outcome)
-    margin, witness, details = outcome
-    failures = int(witness is None)
-    return _report(
-        "trig_addition_breakdown", 1, failures, margin, BREAKDOWN_THRESHOLD, witness, details, t0
-    )
-
-
-def _preservers(coeffs: Element, degrees: list, M: AMatrix, tol, report_both: bool) -> list[tuple]:
-    """The preserver check on each member M of a batch, with the series whose
-    coefficients are the next degree + 1 members of ``coeffs``: (margin,
-    witness, details); with ``report_both`` the details hold the all-units
-    convention's verdict too."""
-    if not M.shape.is_commutative:
-        raise DomainError("the preserver check needs a commutative algebra")
-    starts = np.cumsum([0] + degrees[:-1]) + np.arange(len(degrees))
-    # coefficient q of every member at once; past its degree a member repeats
-    # its last one, into partial sums that are never read
-    series = [coeffs._at(starts + np.minimum(q, degrees)) for q in range(max(degrees) + 1)]
-    picked = (np.arange(len(degrees)), degrees)
-    conventions = ("identity", "ones") if report_both else ("identity",)
-    mats = [M] + [_stack(_series_sums(series, M, c), 1)._at(picked) for c in conventions]
-    coefficients = iter(_oracle(_one_by_one(coeffs), tol))
-    verdicts = iter(_oracle(_stack(mats, 1), tol))
-    outcomes = []
-    for t, (start, degree) in enumerate(zip(starts.tolist(), degrees)):
-        for q in range(degree + 1):
-            coefficient = next(coefficients)
-            if not coefficient.is_positive:
-                raise DomainError(
-                    "series coefficient is not positive",
-                    index=q,
-                    min_spectrum=coefficient.spectrum().min_spectrum,
-                )
-        _require_positive("M", next(verdicts))
-        verdict = next(verdicts)
-        margin = verdict.margin
-        details = {"degree": degree}
-        if report_both:
-            ones = next(verdicts)
-            details["ones_convention"] = {"is_positive": ones.is_positive, "margin": ones.margin}
-        witness = _psd_witness(verdict, t, m=M)
-        if witness is not None:
-            series_t = SeriesSpec(tuple(coeffs._at(i) for i in range(start, start + degree + 1)))
-            witness["series"] = series_t.to_json()
-        outcomes.append((margin, witness, details))
-    return outcomes
-
-
-def check_preserver(
-    series: SeriesSpec,
-    M: AMatrix,
-    tol: float = DEFAULT_TOL,
-    report_both: bool = False,
-) -> CheckReport:
-    """Entrywise power series with positive coefficients preserve positivity.
-
-    Commutative shapes only. The asserted verdict uses the identity-matrix
-    convention for the zeroth Schur power; with ``report_both`` the
-    all-units-matrix convention is evaluated as well and recorded.
-    """
-    t0 = time.perf_counter()
-    coeffs = _stack(series.coefficients)
-    outcome = _preservers(coeffs, [series.degree], M._at(None), tol, report_both)[0]
-    return _single("schur_series_preserver", tol, t0, *outcome)
-
-
-def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
-    """The check on each member (M, N, U, V, lam, mu) of a batch drawn as
-    ``random_commuting_spectral_pair`` draws it: (margin, witness, details)."""
-    n = M.n
-    ident = identity_matrix(M.shape, n)
-    unitary = _first_of([mat_norm(W @ W.adjoint() - ident) for W in (U, V)], np.greater)
-    # each norm is taken once, after its reconstruction defect, and reused below
-    (defect_m, norm_m), (defect_n, norm_n) = (
-        (mat_norm(X - W @ diag_matrix(d) @ W.adjoint()), mat_norm(X))
-        for X, W, d in ((M, U, lam), (N, V, mu))
-    )
-    # fmax, like Python's max, takes 1.0 over a NaN norm
-    recon = _first_of([defect_m / np.fmax(norm_m, 1.0), defect_n / np.fmax(norm_n, 1.0)], np.greater)
-    sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
-    if n > 1:
-        sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
-    points = _stack(sample, 1)
-    pairs = np.array(list(combinations(range(len(sample)), 2)))
-    x, y = (points._at(np.s_[:, ends]) for ends in pairs.T)
-    comms = _first_of(list(commutator_norm(x, y).T), np.greater)
-    bound = FAMILY_COMMUTING_TOL * np.fmax(np.fmax(norm_m, 1.0), norm_n)
-    hypothesis = (unitary <= UNITARY_TOL) & (recon <= RECONSTRUCTION_TOL) & (comms <= bound)
-    mats = {"m": M, "n": N, "product": schur_product(M, N)}
-    verdicts = iter(_oracle(_stack(list(mats.values()), 1), tol))
-    columns = zip(unitary.tolist(), recon.tolist(), comms.tolist(), hypothesis.tolist())
-    outcomes = []
-    for t, (unitary_residual, recon_residual, comm, hypothesis_ok) in enumerate(columns):
-        taken = {k: next(verdicts) for k in mats}
-        margin = _worst([v.margin for v in taken.values()])
-        residuals = {
-            "unitary_residual": unitary_residual,
-            "reconstruction_residual": recon_residual,
-        }
-        witness = None
-        if not (hypothesis_ok and all(v.is_positive for v in taken.values())):
-            witness = {
-                **_matrix_payload(t, m=M, n=N),
-                "psd": {k: v.report().to_json() for k, v in taken.items()},
-                **residuals,
-                "commutator": comm,
-            }
-        outcomes.append((margin, witness, {**residuals, "max_commutator": comm}))
-    return outcomes
-
-
-def check_commuting_spectral_instance(
-    cfg: GenConfig, tol: float = DEFAULT_TOL
-) -> CheckReport:
-    """Schur products of positive matrices with commuting spectral data.
-
-    Generates M = U diag(lam) U*, N = V diag(mu) V* whose unitary entries and
-    eigenvalue elements all commute, verifies the construction (unitarity,
-    reconstruction, commutation), and certifies that M, N, and M o N are
-    positive. Over commutative shapes this reduces to plain Schur positivity.
-    """
-    t0 = time.perf_counter()
-    instance = (v._at(None) for v in random_commuting_spectral_pair(cfg).values())
-    return _single("commuting_spectral_schur", tol, t0, *_commuting_spectral(*instance, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -1223,381 +423,9 @@ def counterexample_search(
     )
 
 
-def _hit_search(check_id, cfg, count, threshold, trial, t0) -> CheckReport:
-    """The report on trials 0 .. count - 1 of ``trial`` run as a search up to
-    the first witness; failures = 0 exactly when one is found."""
-    outcomes = _run_trials(trial, count, _chunk_size(cfg), search=True, stop=True)
-    margins = [margin for margin, *_ in outcomes]
-    witness = outcomes[-1][1] if outcomes else None
-    found = None if witness is None else witness["trial"]
-    details = {
-        "search": True, "expect_hit": True, "threshold": threshold, "found_trial": found,
-        "shape": list(cfg.shape.blocks),
-    }
-    worst, failures = _worst(margins), int(witness is None)
-    return _report(check_id, len(margins), failures, worst, threshold, witness, details, t0)
-
-
-def find_nonassociativity(
-    cfg: GenConfig, trials: int, threshold: float = NONASSOC_THRESHOLD
-) -> CheckReport:
-    """Search for (A o B) o C != A o (B o C); expected to succeed quickly
-    over noncommutative shapes. Reports failures = 0 exactly when a witness
-    beyond the threshold was found."""
-    t0 = time.perf_counter()
-    if cfg.shape.is_commutative:
-        raise DomainError("the Schur product is associative over commutative shapes")
-
-    def trial(chunk):
-        # A, B and C of trial t from the substreams (t, 0), (t, 1) and (t, 2)
-        drawn = _drawn(cfg, chunk, _gaussian_stack, range(3), cls=AMatrix)
-        A, B, C = (drawn._at(np.s_[i::3]) for i in range(3))
-        left = schur_product(schur_product(A, B), C)
-        right = schur_product(A, schur_product(B, C))
-        defects = mat_norm(left - right).tolist()
-        outcomes = []
-        for i, (seed, defect) in enumerate(zip(_seeds(cfg, chunk).tolist(), defects)):
-            if defect > threshold:
-                # the search ends at this trial: the later ones need no witness
-                witness = {"seed": seed, "defect": defect, **_matrix_payload(i, a=A, b=B, c=C)}
-                return outcomes + [(-defect, witness)]
-            outcomes.append((-defect, None))
-        return outcomes
-
-    return _hit_search("schur_nonassociativity", cfg, trials, threshold, trial, t0)
-
-
-def pauli_pair(shape: AlgebraShape) -> tuple[Element, Element]:
-    """sigma_x, sigma_z embedded in the first block of size >= 2."""
-    b = _first_big_block(shape)
-    xs = [np.zeros((k, k), dtype=np.complex128) for k in shape.blocks]
-    zs = [np.zeros((k, k), dtype=np.complex128) for k in shape.blocks]
-    xs[b][0, 1] = xs[b][1, 0] = 1.0
-    zs[b][0, 0] = 1.0
-    zs[b][1, 1] = -1.0
-    return Element._wrap(shape, tuple(xs)), Element._wrap(shape, tuple(zs))
-
-
-def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
-    """Exhibit a noncommuting self-adjoint pair where the cosine addition
-    formula fails by more than 1e-3. Trial zero is the Pauli pair."""
-    t0 = time.perf_counter()
-    if cfg.shape.is_commutative:
-        raise DomainError("addition formulas hold over commutative shapes")
-
-    def trial(chunk):
-        # trial 0 comes alone; x and y of trial t from the substreams (t, 0) and (t, 1)
-        if chunk[0] == 0:
-            x, y = (v._at(None) for v in pauli_pair(cfg.shape))
-        else:
-            drawn = _drawn(cfg, chunk, _selfadjoint_stack, range(2), norm_cap=5.0)
-            x, y = drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2])
-        return _trig_identities(x, y, TRIG_TOL, falsify=True)
-
-    return _hit_search(
-        "trig_addition_breakdown", cfg, trials + 1, BREAKDOWN_THRESHOLD, trial, t0
-    )
-
-
 # ---------------------------------------------------------------------------
-# suite trials: the outcomes of a range of trials of a check, drawn and
-# evaluated a chunk at a time; instance t comes from the substream base.derive(t)
+# the suite runner; the check table is in ``suites``
 # ---------------------------------------------------------------------------
-
-
-def _trial_schur(base, trials, o):
-    M, N, seeds = _random_pairs(base, trials)
-    product = schur_product(M, N)
-    verdicts = _oracle(product, o.tol)
-    return [
-        (verdict.margin, _seeded(_psd_witness(verdict, i, m=M, n=N, product=product), seed))
-        for i, (seed, verdict) in enumerate(zip(seeds, verdicts))
-    ]
-
-
-def _trial_spectral(base, trials, o):
-    outcomes = _commuting_spectral(*_drawn(base, trials, _spectral_pair_stack), o.tol)
-    return [(margin, witness) for margin, witness, _ in outcomes]
-
-
-def _trial_trace_form(base, trials, o):
-    M, N, seeds = _random_pairs(base, trials)
-    x = _drawn(base, trials, _gaussian_stack, 2, cls=AVector)
-    direct, trace_form = schur_quadratic_form_oracle(M, N, x)
-    residuals = (direct - trace_form).norm() / np.fmax(direct.norm(), 1.0)
-    return [
-        (-residual, {"seed": seed, "residual": residual} if residual > ORACLE_TOL else None)
-        for seed, residual in zip(seeds, residuals.tolist())
-    ]
-
-
-def _trial_oracle(base, trials, o):
-    # kinds 0 and 1 draw a matrix from the trial's stream, kind 2 a vector
-    R, M = _drawn(base, [t for t in trials if t % 3 < 2], _positive_stack)
-    x = _drawn(base, [t for t in trials if t % 3 == 2], _gaussian_stack, cls=AVector)
-    kinds = (M, 0.5 * (R + R.adjoint()), outer_product(x))
-    matrices, vectors = iter(range(len(trials))), iter(range(len(trials)))
-    instances = [kinds[t % 3]._at(next(vectors if t % 3 == 2 else matrices)) for t in trials]
-    stacked = _stack(instances)
-    verdicts = _oracle(stacked, o.tol)
-    factored = _oracle(stacked, o.tol, _cholesky_stack)
-    outcomes = []
-    for seed, t, verdict, chol in zip(_seeds(base, trials).tolist(), trials, verdicts, factored):
-        agree = verdict.is_positive == chol.is_positive
-        witness = None
-        if not agree:
-            witness = {
-                "seed": seed,
-                "kind": t % 3,
-                "eig": verdict.report().to_json(),
-                "cholesky": chol.report().to_json(),
-            }
-        outcomes.append((0.0 if agree else -1.0, witness))
-    return outcomes
-
-
-def _trial_row_sum(base, trials, o):
-    # the bound never uses positivity of A, so alternate between positive
-    # and general inputs and record the split
-    G, M = _drawn(base, trials, _positive_stack)
-    A = _stack([M, G], 1)._at((np.arange(len(trials)), np.asarray(trials) % 2))
-    bounds = zip(_seeds(base, trials).tolist(), _row_sum_bounds(A, o.tol))
-    return [
-        (margin, _seeded(witness, seed), {"inputs_positive": positive})
-        for seed, (margin, witness, positive) in bounds
-    ]
-
-
-def _trial_chain(base, trials, o):
-    drawn = _drawn(base, trials, _gaussian_stack, range(2), cls=AMatrix)
-    chains = _schur_chains(drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2]), o.tol)
-    return [(margin, witness) for margin, witness, _ in chains]
-
-
-def _trial_diag(base, trials, o):
-    _, M = _drawn(base, trials, _positive_stack)
-    return _diag_bounds(M, o.tol, positive=True)
-
-
-def _trial_unit_diag(base, trials, o):
-    M = _drawn(base, trials, _unit_diagonal_stack)
-    return [(margin, witness) for margin, witness, _ in _unit_diag_checks(M, o.tol)]
-
-
-def _trial_diag_probe(base, trials, o):
-    # complex entries break the a = a* step of the diagonal-bound argument;
-    # record how often without asserting anything
-    _, M = _drawn(base, trials, _positive_stack)
-    bounds = zip(_seeds(base, trials).tolist(), _diag_bounds(M, o.tol))
-    return [(margin, _seeded(witness, seed)) for seed, (margin, witness) in bounds]
-
-
-def _trial_novak(base, trials, o):
-    n, d = base.n, o.d
-    points = _commuting_points(base, trials, n * d, range(n), range(d))
-    points = tuple(p.reshape(len(p), n, d, *p.shape[2:]) for p in points)
-    return [(margin, witness) for margin, witness, _ in _novak(base.shape, points, o.tol)[1]]
-
-
-def _trial_cosine_gram(base, trials, o):
-    # each trial's probe comes from the stream of its own seed, as a public
-    # check's comes from probe_seed
-    z = _commuting_points(base, trials, base.n, range(base.n))
-    gens = _Streams(_seeds(base, trials))
-    return [(margin, witness) for margin, witness, _ in _cosine_gram(base.shape, z, o.tol, gens)]
-
-
-def _trial_trig(base, trials, o):
-    if base.shape.is_commutative:
-        drawn = _drawn(base, trials, _selfadjoint_stack, range(2), norm_cap=5.0)
-        x, y = drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2])
-    else:
-        family = _drawn(base, trials, _family_stack, count=2, selfadjoint=True, norm_cap=5.0)
-        x, y = family._at(np.s_[:, 0]), family._at(np.s_[:, 1])
-    return [(margin, witness) for margin, witness, _ in _trig_identities(x, y, TRIG_TOL, False)]
-
-
-def _trial_preserver(base, trials, o):
-    seeds = _seeds(base, trials)
-    degrees = [int(rng.integers(0, 5)) for rng in _Streams(seeds)]
-    # coefficient q of trial t comes from the stream of base.derive(t, q + 1)
-    index = [(s, q + 1) for s, degree in zip(seeds.tolist(), degrees) for q in range(degree + 1)]
-    g = _gaussian_stack(base, _Streams(_mix64s(*zip(*index))), Element)
-    _, M = _drawn(base, trials, _positive_stack, 0)
-    # the report records only that the all-units convention was asked for
-    outcomes = _preservers(g * g.adjoint(), degrees, M, o.tol, False)
-    return [(margin, witness) for margin, witness, _ in outcomes]
-
-
-def _trial_cauchy_schwarz(base, trials, o):
-    vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
-    x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
-    gap = cauchy_schwarz_gap(x, y)
-    verdicts = _psd_stack(_one_by_one(gap), o.tol)
-    margins = _first_of(list(verdicts.min_eigenvalues.T), np.less) / np.fmax(gap.norm(), 1.0)
-    outcomes = []
-    columns = zip(_seeds(base, trials).tolist(), margins.tolist(), verdicts.hermitian.tolist())
-    for i, (seed, margin, selfadjoint) in enumerate(columns):
-        witness = None
-        if margin < -o.tol or not selfadjoint:
-            witness = {
-                "seed": seed,
-                "x": x._at(i).to_json(),
-                "y": y._at(i).to_json(),
-                "min_spectrum": verdicts.spectrum(i).min_spectrum,
-            }
-        outcomes.append((margin, witness))
-    return outcomes
-
-
-def _trial_axioms(base, trials, o):
-    vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
-    a = _drawn(base, trials, _gaussian_stack, 2, cls=Element)
-    x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
-    xy = inner_product(x, y)
-    sym_res = (xy - inner_product(y, x).adjoint()).norm()
-    lin_res = (inner_product(left_mul(a, x), y) - a * xy).norm()
-    scale = np.fmax(a.norm() * xy.norm(), 1.0)
-    xx = inner_product(x, x)
-    verdicts = _psd_stack(_one_by_one(xx), o.tol)
-    lowest = _first_of(list(verdicts.min_eigenvalues.T), np.less)
-    margins = _first_of(
-        [-sym_res / scale, -lin_res / scale, lowest / np.fmax(xx.norm(), 1.0)], np.less
-    )
-    seeds = _seeds(base, trials).tolist()
-    columns = zip(seeds, margins.tolist(), sym_res.tolist(), lin_res.tolist())
-    return [
-        (margin, {"seed": seed, "sym": sym, "lin": lin} if margin < -AXIOM_TOL else None)
-        for seed, margin, sym, lin in columns
-    ]
-
-
-# ---------------------------------------------------------------------------
-# the check table
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Options:
-    """The run-wide settings every entry of a suite sees."""
-
-    trials: int
-    d: int
-    tol: float
-    entrywise_constant: bool
-
-
-def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
-    """Aggregate trials 0..trials-1 of a check; pass means margin >= -tol.
-
-    Without trials the check is reported as skipped: nothing was verified.
-    """
-    if o.trials < 1:
-        return check.skipped(o, "no trials requested")
-    t0 = time.perf_counter()
-    tol = check.tol or o.tol
-    outcomes = _run_trials(lambda trials: check.trial(base, trials, o), o.trials, _chunk_size(base))
-    details = check.details(o)
-    if check.style:
-        details["style"] = check.style
-    margins = []
-    witness = None
-    for margin, trial_witness, *counts in outcomes:
-        if trial_witness is not None:
-            if witness is None:
-                witness = trial_witness
-            if check.clamp:
-                margin = min(margin, -2 * tol)
-        margins.append(margin)
-        for extra in counts:
-            for key, value in extra.items():
-                details[key] += value
-    failures = sum(1 for m in margins if not (m >= -tol))
-    return _report(
-        check.check_id, o.trials, failures, _worst(margins), tol, witness, details, t0
-    )
-
-
-def _commutative(cfg, o) -> bool:
-    return cfg.shape.is_commutative
-
-
-def _noncommutative(cfg, o) -> bool:
-    return not cfg.shape.is_commutative
-
-
-@dataclass(frozen=True)
-class Check:
-    """One entry of the check table; see the module docstring for the fields."""
-
-    check_id: str
-    suite: str
-    trial: Callable | None = None
-    applies: Callable = lambda cfg, o: True
-    skip: str | None = None
-    key: str | None = None
-    style: str | None = None
-    fallback: dict = field(default_factory=dict)
-    tol: float | None = None
-    clamp: bool = False
-    details: Callable = lambda o: {}
-    run: Callable = _margin_report
-
-    def base(self, cfg: GenConfig) -> GenConfig:
-        base = cfg.derive(fnv1a64(self.key or self.check_id))
-        if self.style:
-            base = replace(base, style=self.style)
-        if cfg.shape.is_commutative and self.fallback:
-            base = replace(base, **self.fallback)
-        return base
-
-    def report(self, cfg: GenConfig, o: _Options) -> CheckReport | None:
-        if self.applies(cfg, o):
-            return self.run(self, self.base(cfg), o)
-        if self.skip is None:
-            return None
-        return self.skipped(o, self.skip)
-
-    def skipped(self, o: _Options, reason: str) -> CheckReport:
-        tol = self.tol or o.tol
-        return CheckReport(self.check_id, 0, 0, 0.0, tol, None, {"skipped": reason}, 0.0)
-
-
-# the skip reason of the commutative-only checks
-_COMM = "requires a commutative algebra"
-
-CHECKS = (
-    Check("schur_product_positive", "schur", _trial_schur, _commutative),
-    Check("schur_product_probe", "schur", _trial_schur, _noncommutative,
-          key="schur_product_positive",
-          details=lambda o: {"probe": True, "note": "evidence on the open question"}),
-    Check("commuting_spectral_schur", "schur", _trial_spectral, clamp=True),
-    Check("schur_trace_form_agreement", "schur", _trial_trace_form, _commutative,
-          tol=ORACLE_TOL),
-    Check("psd_oracle_agreement", "schur", _trial_oracle),
-    # associativity is exact over commutative shapes, so the witness search
-    # falls back to the smallest noncommutative one
-    Check("schur_nonassociativity", "schur", fallback={"shape": AlgebraShape((2,)), "n": 2},
-          run=lambda check, base, o: find_nonassociativity(base, max(o.trials, 1))),
-    Check("gram_row_sum_bound", "lowerbound", _trial_row_sum,
-          details=lambda o: {"inputs_positive": 0}),
-    Check("schur_chain_bound", "lowerbound", _trial_chain, _commutative, _COMM),
-    Check("diag_outer_bound", "corollaries", _trial_diag, _commutative, _COMM,
-          style="real_commutative"),
-    Check("unit_diagonal_bound", "corollaries", _trial_unit_diag, _commutative, _COMM,
-          style="real_commutative"),
-    Check("diag_outer_bound_complex_probe", "corollaries", _trial_diag_probe, _commutative,
-          style="complex", details=lambda o: {"probe": True}),
-    Check("novak_conjecture", "novak", _trial_novak, clamp=True, details=lambda o: {"d": o.d}),
-    Check("cosine_gram", "novak", _trial_cosine_gram, clamp=True),
-    Check("trig_identities", "trig", _trial_trig, tol=TRIG_TOL),
-    Check("trig_addition_breakdown", "trig", fallback={"shape": AlgebraShape((2,))},
-          run=lambda check, base, o: find_trig_breakdown(base, o.trials)),
-    Check("schur_series_preserver", "preserver", _trial_preserver, _commutative, _COMM,
-          details=lambda o: {"entrywise_constant_reported": o.entrywise_constant}),
-    Check("cauchy_schwarz_gap", "module", _trial_cauchy_schwarz, clamp=True),
-    Check("inner_product_axioms", "module", _trial_axioms, tol=AXIOM_TOL),
-)
 
 
 def run_suite(
@@ -1610,7 +438,7 @@ def run_suite(
     threads: int = 1,
     entrywise_constant: bool = False,
 ) -> list[CheckReport]:
-    """Run one named suite and return its reports in table order.
+    """Run one named suite and return its reports in ``suites.CHECKS`` order.
 
     ``threads`` is validated and otherwise unused (see ``validate_threads``).
     """
@@ -1618,6 +446,9 @@ def run_suite(
         raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
     validate_trials(trials)
     validate_threads(threads)
+    # the check table is compiled by the first suite run, never by a search
+    from .suites import CHECKS, _Options
+
     o = _Options(trials, d, tol, entrywise_constant)
     reports = (check.report(cfg, o) for check in CHECKS if check.suite == name)
     return [r for r in reports if r is not None]

@@ -38,7 +38,7 @@ from cstar_schur import (
 from cstar_schur.algebra import _exactly_hermitian, _hermitian_part, _stack, classify
 from cstar_schur.amatrix import _cholesky_stack, _psd_stack
 from cstar_schur.errors import NumericalError
-from cstar_schur.verify import _oracle
+from cstar_schur.suites import _oracle
 from conftest import (
     COMMUTATIVE_SHAPES,
     NONCOMMUTATIVE_SHAPES,

@@ -351,6 +351,67 @@ def test_from_witness_malformed_file(tmp_path):
     assert run(["verify", "--from-witness", str(path)]) == 2
 
 
+def _jordan_witness_file(tmp_path) -> Path:
+    wdir = tmp_path / "wit"
+    argv = ["search", "--shape", "2", "--n", "1", "--trials", "0", "--witness-dir", str(wdir)]
+    assert run(argv) == 0
+    return next(wdir.glob("*.json"))
+
+
+@pytest.mark.parametrize(
+    "unread",
+    [
+        ["--n", "5000", "--shape", "2"],
+        ["--shape", "x"],
+        ["--trials", "-1"],
+        ["--threads", "0"],
+        ["--d", "0"],
+        ["--entry-scale", "nan"],
+    ],
+)
+def test_from_witness_ignores_the_flags_it_does_not_read(unread, tmp_path, capsys):
+    # the size check took --n 5000 --shape 2 past the limit and exited 2,
+    # although the witness sets its own size
+    path = _jordan_witness_file(tmp_path)
+    assert run(["verify", "--from-witness", str(path), *unread]) == 0
+    assert "witness reproduced" in capsys.readouterr().out
+
+
+def test_from_witness_still_checks_the_flags_it_reads(tmp_path, capsys):
+    path = _jordan_witness_file(tmp_path)
+    assert run(["verify", "--from-witness", str(path), "--tol", "nan"]) == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+    out = tmp_path / "missing" / "r.json"
+    assert run(["verify", "--from-witness", str(path), "--json", str(out)]) == 2
+
+
+def test_from_witness_writes_its_verdict_to_json(tmp_path):
+    # --json was ignored: the command exited 0 and wrote nothing
+    path, out = _jordan_witness_file(tmp_path), tmp_path / "r.json"
+    assert run(["verify", "--from-witness", str(path), "--json", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert (payload["command"], payload["failures"], payload["passed"]) == ("verify", 0, True)
+    assert payload["config"] == {
+        "seed": None, "shape": [2], "n": 1, "entry_scale": None, "style": None,
+        "trials": 1, "d": None, "tol": 1e-9,
+    }
+    (report,) = payload["reports"]
+    assert (report["check_id"], report["trials"], report["failures"]) == ("witness_reproduced", 1, 0)
+    # the margin and eigenvalue the search recorded in the witness, bit for bit
+    stored = json.loads(path.read_text())
+    assert report["worst_margin"] == stored["margin"] < 0
+    assert report["details"]["min_eigenvalue"] == stored["min_eigenvalue"]
+    assert report["details"]["inputs_positive"] and report["details"]["product_bitwise"]
+    # a fabricated instance does not reproduce: the file and the exit code agree
+    I = identity_matrix(AlgebraShape((2,)), 2)
+    fake = tmp_path / "fake.json"
+    fake.write_text(json.dumps({"m": I.to_json(), "n": I.to_json()}))
+    assert run(["verify", "--from-witness", str(fake), "--json", str(out)]) == 1
+    payload = json.loads(out.read_text())
+    assert (payload["failures"], payload["passed"], payload["config"]["n"]) == (1, False, 2)
+    assert payload["reports"][0]["failures"] == 1
+
+
 _UNIT = identity_matrix(AlgebraShape((2,)), 1).to_json()
 
 

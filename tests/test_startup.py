@@ -1,0 +1,99 @@
+"""What a process pays for before and during a search, each in a fresh interpreter.
+
+``search`` and ``verify --from-witness`` must not import ``cstar_schur.suites``,
+while ``import cstar_schur.cli`` must still load every module that
+perfbench/spans.py wraps, or ``perfbench/run.py --trace 1`` misses the layers
+of a suite that imports them later. A search's chunk stacks must reuse heap
+memory rather than map fresh pages for each chunk, whatever was compiled
+before it.
+"""
+
+import ctypes
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def _python(code: str, env: dict | None = None) -> str:
+    """The stdout of ``code`` run in a fresh interpreter importing this checkout."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1", **(env or {})}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_every_traced_module_and_not_the_suites():
+    # spans.py is executed from its source, so nothing is written under perfbench/
+    out = _python(f"""
+        import sys, types
+        import cstar_schur.cli
+        spans = types.ModuleType("perfbench_spans")
+        exec(compile(open({str(SPANS)!r}).read(), {str(SPANS)!r}, "exec"), spans.__dict__)
+        targets = [*spans.FUNCTION_TARGETS.values(), *spans.METHOD_TARGETS.values()]
+        targets += spans.generate_targets().values()
+        missing = sorted({{t[0] for t in targets}} - set(sys.modules))
+        print(missing, len(spans.generate_targets()) > 0, "cstar_schur.suites" in sys.modules)
+    """)
+    assert out.split() == ["[]", "True", "False"]
+
+
+def test_search_and_from_witness_leave_the_suites_unimported(tmp_path):
+    out = _python(f"""
+        import contextlib, io, sys
+        from pathlib import Path
+        from cstar_schur.cli import main
+        wdir = Path({str(tmp_path)!r}) / "wit"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["search", "--shape", "2", "--n", "2", "--trials", "50",
+                         "--witness-dir", str(wdir)]) == 0
+            witness = str(next(wdir.glob("*.json")))
+            report = str(wdir / "r.json")
+            assert main(["verify", "--from-witness", witness, "--json", report]) == 0
+        print("cstar_schur.suites" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["verify", "--suite", "module", "--trials", "1"]) == 0
+        print("cstar_schur.suites" in sys.modules)
+    """)
+    assert out.split() == ["False", "True"]
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_search_chunks_reuse_heap_memory_with_a_bytecode_cache(tmp_path):
+    # An installed copy imports from a bytecode cache, so no compile frees the
+    # large block that would raise glibc's dynamic mmap threshold; without a
+    # fixed heap policy every 128 KiB chunk stack is then a fresh mapping,
+    # about 16 000 minor faults per 2 000-trial search_miss pass.
+    env = {"PYTHONPYCACHEPREFIX": str(tmp_path / "pycache"), "PYTHONDONTWRITEBYTECODE": ""}
+    _python("import cstar_schur.cli, cstar_schur.suites", env)
+    out = _python("""
+        import contextlib, io, os, resource
+        from cstar_schur.cli import main
+
+        def faults():
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+        argv = ["search", "--shape", "2", "--n", "8", "--trials", "500", "--json", os.devnull]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+            before = faults()
+            assert main(argv) == 0
+        print(faults() - before)
+    """, env)
+    assert int(out) < 1000

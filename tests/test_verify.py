@@ -61,7 +61,7 @@ from cstar_schur import (
     run_suites,
     schur_product,
 )
-from cstar_schur import generate, verify
+from cstar_schur import generate, suites, verify
 from cstar_schur.algebra import _stack
 from cstar_schur.generate import STYLES
 from cstar_schur.verify import SUITES, counts_as_failure
@@ -302,13 +302,13 @@ def test_preserver_identity_vs_ones_convention():
 def test_entrywise_constant_suite_forms_no_all_units_series(monkeypatch):
     # the suite's report carries only the flag, so its trials skip that convention
     calls = []
-    sums = verify._series_sums
+    sums = suites._series_sums
 
     def counted(coefficients, M, constant):
         calls.append(constant)
         return sums(coefficients, M, constant)
 
-    monkeypatch.setattr(verify, "_series_sums", counted)
+    monkeypatch.setattr(suites, "_series_sums", counted)
     cfg = GenConfig(seed=2024, shape=AlgebraShape((1, 1)), n=3)
     (rep,) = run_suite("preserver", cfg, trials=5, entrywise_constant=True)
     assert rep.details["entrywise_constant_reported"] is True
@@ -737,17 +737,17 @@ def test_hit_searches_without_trials():
 
 
 def _search_evaluator(monkeypatch, search, *args):
-    """The chunk evaluator ``search(*args)`` hands to ``_run_trials``."""
+    """The chunk evaluator the hit search ``search(*args)`` hands to ``_run_trials``."""
     evaluators = []
-    run = verify._run_trials
+    run = suites._run_trials
 
     def spy(evaluate, *args, **kwargs):
         evaluators.append(evaluate)
         return run(evaluate, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "_run_trials", spy)
+    monkeypatch.setattr(suites, "_run_trials", spy)
     search(*args)
-    monkeypatch.setattr(verify, "_run_trials", run)
+    monkeypatch.setattr(suites, "_run_trials", run)
     return evaluators[0]
 
 
@@ -808,11 +808,11 @@ def test_breakdown_search_matches_each_trial_alone(shape, monkeypatch):
     cfg = GenConfig(seed=7, shape=AlgebraShape.parse(shape), n=8)
     count = verify._chunk_size(cfg) + 8
     alone = [_breakdown_alone(cfg, t) for t in range(count)]
-    monkeypatch.setattr(verify, "BREAKDOWN_THRESHOLD", math.inf)
+    monkeypatch.setattr(suites, "BREAKDOWN_THRESHOLD", math.inf)
     rep = find_trig_breakdown(cfg, count - 1)
     assert (rep.trials, rep.failures, rep.witness) == (count, 1, None)
     assert _bits(rep.worst_margin) == _bits(-max(gap for *_, gap in alone))
-    monkeypatch.setattr(verify, "BREAKDOWN_THRESHOLD", -math.inf)
+    monkeypatch.setattr(suites, "BREAKDOWN_THRESHOLD", -math.inf)
     evaluate = _search_evaluator(monkeypatch, find_trig_breakdown, cfg, 0)
     chunked = _schedule_outcomes(evaluate, count, cfg)
     assert _bits([m for m, *_ in chunked]) == _bits([-gap for *_, gap in alone])
@@ -820,16 +820,17 @@ def test_breakdown_search_matches_each_trial_alone(shape, monkeypatch):
         assert witness == {"x": x.to_json(), "y": y.to_json(), "cos_addition_residual": gap}
     # the details are those of the trial evaluated alone, as the search did trial by trial
     per_trial = [
-        verify._trig_identities(x._at(None), y._at(None), verify.TRIG_TOL, True)[0]
+        suites._trig_identities(x._at(None), y._at(None), suites.TRIG_TOL, True)[0]
         for x, y, _ in alone
     ]
     assert chunked == per_trial
 
 
-def _poison_trial(monkeypatch, name, bad):
-    """Replace ``verify.<name>`` (``_drawn`` or ``_pairs``) by a draw in which every
-    instance of trial ``bad`` holds NaN entries, so any chunk holding it raises."""
-    real = getattr(verify, name)
+def _poison_trial(monkeypatch, module, name, bad):
+    """Replace ``module.<name>`` (``suites._drawn`` or ``verify._pairs``) by a draw in
+    which every instance of trial ``bad`` holds NaN entries, so any chunk holding it
+    raises."""
+    real = getattr(module, name)
 
     def poisoned(cfg, trials, *args, **kwargs):
         drawn = real(cfg, trials, *args, **kwargs)
@@ -842,20 +843,20 @@ def _poison_trial(monkeypatch, name, bad):
         value = first._like(tuple(blocks))
         return (value, *drawn[1:]) if isinstance(drawn, tuple) else value
 
-    monkeypatch.setattr(verify, name, poisoned)
+    monkeypatch.setattr(module, name, poisoned)
 
 
-def _stopping_rule(monkeypatch, name, search, error):
+def _stopping_rule(monkeypatch, module, name, search, error):
     """``search()`` with its first witness at a trial k >= 2 inside a chunk: a trial
     poisoned after k leaves the report as it was, one poisoned before k raises
     ``error``, the error that trial raises alone."""
     clean = search()
     k = clean.witness["trial"]
     assert 2 <= k < verify._chunk_size(GenConfig(seed=0, shape=M2, n=2))
-    _poison_trial(monkeypatch, name, k + 1)
+    _poison_trial(monkeypatch, module, name, k + 1)
     assert search().to_json() == clean.to_json()
     monkeypatch.undo()
-    _poison_trial(monkeypatch, name, k - 1)
+    _poison_trial(monkeypatch, module, name, k - 1)
     with pytest.raises(NumericalError, match=error):
         search()
     monkeypatch.undo()
@@ -871,15 +872,15 @@ def test_hit_searches_stop_at_a_witness_before_a_raising_trial(monkeypatch):
         return find_nonassociativity(cfg, 40, threshold=max(defects))
 
     assert nonassociativity().witness == {**_nonassociativity_alone(cfg, 3)[1], "trial": 3}
-    _stopping_rule(monkeypatch, "_drawn", nonassociativity, "NaN entries")
+    _stopping_rule(monkeypatch, suites, "_drawn", nonassociativity, "NaN entries")
     gaps = [_breakdown_alone(cfg, t)[2] for t in range(3)]
 
     def breakdown():
         # the Pauli pair of trial 0 misses too
-        monkeypatch.setattr(verify, "BREAKDOWN_THRESHOLD", max(gaps))
+        monkeypatch.setattr(suites, "BREAKDOWN_THRESHOLD", max(gaps))
         return find_trig_breakdown(cfg, 40)
 
-    _stopping_rule(monkeypatch, "_drawn", breakdown, "NaN entries")
+    _stopping_rule(monkeypatch, suites, "_drawn", breakdown, "NaN entries")
 
 
 def test_counterexample_search_stops_at_a_violation_before_a_raising_trial(monkeypatch):
@@ -892,7 +893,7 @@ def test_counterexample_search_stops_at_a_violation_before_a_raising_trial(monke
         monkeypatch.setattr(verify, "jordan_witness", lambda shape, n: (ident, ident))
         return counterexample_search(cfg, 40, stop_on_first=True)
 
-    _stopping_rule(monkeypatch, "_pairs", search, "^non-finite entries on block 0$")
+    _stopping_rule(monkeypatch, verify, "_pairs", search, "^non-finite entries on block 0$")
 
 
 def test_nonassociativity_rejects_commutative():
@@ -1054,8 +1055,8 @@ def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
     def trial(base, trials, opts):
         return [(math.nan if t == nan_at else -1.0, None) for t in trials]
 
-    check = verify.Check("nan_margins", "none", trial)
-    opts = verify._Options(trials=5, d=2, tol=1e-9, entrywise_constant=False)
+    check = suites.Check("nan_margins", "none", trial)
+    opts = suites._Options(trials=5, d=2, tol=1e-9, entrywise_constant=False)
     rep = check.report(GenConfig(seed=0, shape=SCALAR, n=2), opts)
     assert math.isnan(rep.worst_margin)
     assert rep.failures == 5
@@ -1143,14 +1144,14 @@ def test_suite_grid_script_passes(monkeypatch, capsys):
 # -- stacked trials ---------------------------------------------------------------
 
 GRID = list(GRID_CATALOGUES)
-OPTS = verify._Options(trials=10, d=2, tol=1e-9, entrywise_constant=False)
+OPTS = suites._Options(trials=10, d=2, tol=1e-9, entrywise_constant=False)
 
 
 def _margin_checks_on_the_grid():
     for shape, n in GRID:
         cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
-        for c in verify.CHECKS:
-            if c.run is verify._margin_report and c.applies(cfg, OPTS):
+        for c in suites.CHECKS:
+            if c.run is suites._margin_report and c.applies(cfg, OPTS):
                 yield pytest.param(c, cfg, id=f"{c.check_id}-{shape}-{n}")
 
 
@@ -1300,13 +1301,13 @@ def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
 
 def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
     calls = []
-    trig_stack = verify._trig_stack
+    trig_stack = suites._trig_stack
 
     def counted(shape, stacks, sine):
         calls.append(len(sine))
         return trig_stack(shape, stacks, sine)
 
-    monkeypatch.setattr(verify, "_trig_stack", counted)
+    monkeypatch.setattr(suites, "_trig_stack", counted)
     for shape, n in GRID:
         cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
         run_suite("novak", cfg, trials=10)
@@ -1317,13 +1318,13 @@ def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
 
 def test_trig_suite_takes_its_sines_and_cosines_once_per_chunk(monkeypatch):
     calls = []
-    trig_stack = verify._trig_stack
+    trig_stack = suites._trig_stack
 
     def counted(shape, stacks, sine):
         calls.append(len(sine))
         return trig_stack(shape, stacks, sine)
 
-    monkeypatch.setattr(verify, "_trig_stack", counted)
+    monkeypatch.setattr(suites, "_trig_stack", counted)
     for shape, n in GRID:
         cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
         run_suite("trig", cfg, trials=10)
@@ -1341,6 +1342,7 @@ def test_suite_grid_builds_one_report_per_reported_check(monkeypatch):
         return check_report(*args, **kwargs)
 
     monkeypatch.setattr(verify, "CheckReport", counted)
+    monkeypatch.setattr(suites, "CheckReport", counted)
     reported = 0
     for shape, n in GRID:
         cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
@@ -1355,14 +1357,14 @@ def test_novak_commutators_are_taken_a_slice_of_trials_at_a_time(budget, monkeyp
     cfg = GenConfig(seed=2024, shape=M2, n=2)
     expected = [r.to_json() for r in run_suite("novak", cfg, trials=10, d=3)]
     sizes = []
-    commutators = verify.commutator_norm
+    commutators = suites.commutator_norm
 
     def counted(x, y):
         sizes.append(x.batch)
         return commutators(x, y)
 
-    monkeypatch.setattr(verify, "commutator_norm", counted)
-    monkeypatch.setattr(verify, "_COMMUTATOR_PAIRS", budget)
+    monkeypatch.setattr(suites, "commutator_norm", counted)
+    monkeypatch.setattr(suites, "_COMMUTATOR_PAIRS", budget)
     got = [r.to_json() for r in run_suite("novak", cfg, trials=10, d=3)]
     assert got == expected
     assert max(t * p for t, p in sizes) <= max(15, budget)
@@ -1379,7 +1381,7 @@ def test_failing_chunk_draw_is_redrawn_trial_by_trial():
         generate._capped((np.concatenate(elements),), 1.0)
         return [(finished.append(t), (-1.0, None))[1] for t in trials]
 
-    check = verify.Check("capped", "none", trial)
+    check = suites.Check("capped", "none", trial)
     base = check.base(GenConfig(seed=0, shape=M2, n=2))
     with pytest.raises(NumericalError):
         trial(base, range(OPTS.trials), OPTS)
@@ -1405,7 +1407,7 @@ def test_draw_error_is_raised_after_the_earlier_trials_finish(finish_error_at):
             outcomes.append((-1.0, None))
         return outcomes
 
-    check = verify.Check("ordered", "none", trial)
+    check = suites.Check("ordered", "none", trial)
     # an earlier trial's finish error beats a later trial's draw error
     error = DomainError if finish_error_at is not None else NumericalError
     with pytest.raises(error):
@@ -1425,12 +1427,12 @@ def test_chunk_error_gives_way_to_the_first_trial_that_raises_alone(positivity_a
         generate._capped((np.concatenate(elements),), 1.0)
         mats = _stack([-1.0 * good if t == positivity_at else good for t in trials])
         outcomes = []
-        for verdict in verify._oracle(mats, opts.tol):
-            verify._require_positive("M", verdict)
+        for verdict in suites._oracle(mats, opts.tol):
+            suites._require_positive("M", verdict)
             outcomes.append((0.0, None))
         return outcomes
 
-    check = verify.Check("first_alone", "none", trial)
+    check = suites.Check("first_alone", "none", trial)
     base = check.base(GenConfig(seed=0, shape=M2, n=2))
     error, match = (
         (DomainError, "M is not positive") if positivity_at < algebra_at
@@ -1452,25 +1454,25 @@ def test_failing_solve_in_a_stack_is_rerun_member_by_member():
     def trial(base, trials, opts):
         mats = _stack([bad if t == 2 else good for t in trials])
         outcomes = []
-        for t, verdict in zip(trials, verify._oracle(mats, opts.tol)):
+        for t, verdict in zip(trials, suites._oracle(mats, opts.tol)):
             read.append(t)
             outcomes.append((verdict.report().margin, None))
         return outcomes
 
-    check = verify.Check("solve", "none", trial)
+    check = suites.Check("solve", "none", trial)
     with pytest.raises(NumericalError, match="non-finite entries on block 0"):
         check.trial(check.base(cfg), range(OPTS.trials), OPTS)
     assert read == [0, 1, 2]
     with pytest.raises(NumericalError, match="non-finite entries on block 0"):
         check.report(cfg, OPTS)
-    verdicts = verify._oracle(_stack([good, bad, good]), 1e-9)
+    verdicts = suites._oracle(_stack([good, bad, good]), 1e-9)
     assert [v.error is None for v in verdicts] == [True, False, True]
     assert verdicts[2].report() == psd_check(good)
 
 
 def _nan_report_at(monkeypatch, position):
     """Make the verdict the oracle returns at `position` a NaN certificate."""
-    real = verify._oracle
+    real = suites._oracle
     reads = []
 
     def oracle(X, tol, *args):
@@ -1481,12 +1483,12 @@ def _nan_report_at(monkeypatch, position):
                 mins, positive = stack.min_eigenvalues.copy(), stack.is_positive.copy()
                 mins[i], positive[i] = math.nan, False
                 stack = dataclasses.replace(stack, is_positive=positive, min_eigenvalues=mins)
-                verdict = verify._Verdict(stack, i, margins=stack.margins().tolist())
+                verdict = suites._Verdict(stack, i, margins=stack.margins().tolist())
             reads.append(None)
             verdicts.append(verdict)
         return verdicts
 
-    monkeypatch.setattr(verify, "_oracle", oracle)
+    monkeypatch.setattr(suites, "_oracle", oracle)
     return reads
 
 
@@ -1496,7 +1498,7 @@ def _nan_report_at(monkeypatch, position):
 )
 def test_nan_certificate_in_any_position_fails_the_trial(check_id, reads, monkeypatch):
     # Python's min drops a NaN that is not first; the sub-margins must not
-    check = next(c for c in verify.CHECKS if c.check_id == check_id)
+    check = next(c for c in suites.CHECKS if c.check_id == check_id)
     opts = dataclasses.replace(OPTS, trials=1)
     cfg = GenConfig(seed=2024, shape=SCALAR, n=3)
     assert check.report(cfg, opts).failures == 0
@@ -1515,9 +1517,9 @@ def test_nan_diagonal_residual_is_found_and_rejected(monkeypatch):
     M = identity_matrix(AlgebraShape((1, 1)), 3)
     blocks = [b.copy()[None] for b in M.blocks]
     blocks[1][0, 1, 1] = math.nan
-    assert math.isnan(verify._diag_residual(AMatrix._wrap(M.shape, blocks))[0])
-    assert verify._diag_residual(M._at(None)).tolist() == [0.0]
-    monkeypatch.setattr(verify, "_diag_residual", lambda blocks: np.array([math.nan]))
+    assert math.isnan(suites._diag_residual(AMatrix._wrap(M.shape, blocks))[0])
+    assert suites._diag_residual(M._at(None)).tolist() == [0.0]
+    monkeypatch.setattr(suites, "_diag_residual", lambda blocks: np.array([math.nan]))
     with pytest.raises(DomainError, match="diagonal entries deviate"):
         check_unit_diagonal_bound(M)
 
@@ -1526,18 +1528,18 @@ def test_nan_diagonal_residual_is_found_and_rejected(monkeypatch):
     "values", [[math.nan, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.nan]]
 )
 def test_residual_maximum_lets_nan_win(values):
-    assert math.isnan(verify._largest(values))
+    assert math.isnan(suites._largest(values))
     assert math.isnan(verify._worst(values))
 
 
 def test_nan_commutator_is_not_commuting(monkeypatch):
     x, z = pauli_pair(M2)
     points = tuple(b[None, None].repeat(2, axis=1) for b in x.blocks)
-    verify._require_commuting_points(M2, points)
+    suites._require_commuting_points(M2, points)
     nan = lambda x, y: np.full(x.batch, math.nan)
-    monkeypatch.setattr(verify, "commutator_norm", nan)
+    monkeypatch.setattr(suites, "commutator_norm", nan)
     with pytest.raises(DomainError, match="do not commute"):
-        verify._require_commuting_points(M2, points)
+        suites._require_commuting_points(M2, points)
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 16])
@@ -1546,11 +1548,11 @@ def test_noncommuting_points_raise_at_the_first_failing_trial(budget, monkeypatc
     x, z = pauli_pair(M2)
     trials = [(x, x, x), (x, x, z), (z, x, x)]
     points = (np.array([[p.blocks[0] for p in t] for t in trials]),)
-    monkeypatch.setattr(verify, "_COMMUTATOR_PAIRS", budget)
+    monkeypatch.setattr(suites, "_COMMUTATOR_PAIRS", budget)
     with pytest.raises(DomainError) as stacked:
-        verify._require_commuting_points(M2, points)
+        suites._require_commuting_points(M2, points)
     with pytest.raises(DomainError) as alone:
-        verify._require_commuting_points(M2, (points[0][1:2],))
+        suites._require_commuting_points(M2, (points[0][1:2],))
     assert stacked.value.details == alone.value.details
     assert alone.value.details == {"pair": (0, 2), "commutator": pytest.approx(2.0)}
 
@@ -1561,18 +1563,18 @@ def test_hypothesis_falls_back_to_each_point_alone_when_the_stack_fails(monkeypa
     commuting = tuple(b[None, None].repeat(2, axis=1) for b in x.blocks)
     noncommuting = tuple(np.stack([u, v])[None] for u, v in zip(x.blocks, z.blocks))
     with pytest.raises(DomainError) as stacked:
-        verify._require_commuting_points(M2, noncommuting)
-    psd_stack = verify._psd_stack
+        suites._require_commuting_points(M2, noncommuting)
+    psd_stack = suites._psd_stack
 
     def alone_only(M, tol):
         if len(M.blocks[0]) > 1:
             raise NumericalError("stacked solve failed")
         return psd_stack(M, tol)
 
-    monkeypatch.setattr(verify, "_psd_stack", alone_only)
-    verify._require_commuting_points(M2, commuting)
+    monkeypatch.setattr(suites, "_psd_stack", alone_only)
+    suites._require_commuting_points(M2, commuting)
     with pytest.raises(DomainError) as alone:
-        verify._require_commuting_points(M2, noncommuting)
+        suites._require_commuting_points(M2, noncommuting)
     assert stacked.value.details["pair"] == (0, 1)
     assert alone.value.details == stacked.value.details
 
@@ -1587,9 +1589,9 @@ def test_noncommuting_pair_is_found_pair_by_pair_when_stacked_commutators_overfl
     left, right = (Element._wrap(M2, (points[0][:, ends],)) for ends in ([0, 1], [1, 2]))
     with np.errstate(all="ignore"):
         with pytest.raises(NumericalError):
-            verify.commutator_norm(left, right)
+            suites.commutator_norm(left, right)
         with pytest.raises(DomainError, match="elements do not commute") as exc:
-            verify._require_commuting_points(M2, points)
+            suites._require_commuting_points(M2, points)
     assert exc.value.details["pair"] == (0, 1)
 
 
@@ -1606,7 +1608,7 @@ _FAULTS = {
 def test_stacked_hypothesis_raises_the_first_failing_trial_alone(check_id, fault, monkeypatch):
     key, where, corrupt = _FAULTS[fault]
     bad = 6
-    draw_points = verify._commuting_points
+    draw_points = suites._commuting_points
 
     def faulty(cfg, trials, count, *indices):
         points = [b.copy() for b in draw_points(cfg, trials, count, *indices)]
@@ -1615,8 +1617,8 @@ def test_stacked_hypothesis_raises_the_first_failing_trial_alone(check_id, fault
                 points[0][i, 1] = corrupt(points[0][i, 1])
         return tuple(points)
 
-    monkeypatch.setattr(verify, "_commuting_points", faulty)
-    check = next(c for c in verify.CHECKS if c.check_id == check_id)
+    monkeypatch.setattr(suites, "_commuting_points", faulty)
+    check = next(c for c in suites.CHECKS if c.check_id == check_id)
     base = check.base(GenConfig(seed=2024, shape=AlgebraShape((2, 1)), n=2))
     with pytest.raises(DomainError) as alone:
         check.trial(base, range(bad, bad + 1), OPTS)
@@ -1700,7 +1702,7 @@ def test_hit_search_draws_few_trials_past_an_early_witness(monkeypatch):
     cfg = GenConfig(seed=7, shape=M2, n=2)
     d0 = -find_nonassociativity(cfg, 1, threshold=1e300).worst_margin
     received = []
-    run = verify._run_trials
+    run = suites._run_trials
 
     def counting(evaluate, *args, **kwargs):
         def counted(trials):
@@ -1709,7 +1711,7 @@ def test_hit_search_draws_few_trials_past_an_early_witness(monkeypatch):
 
         return run(counted, *args, **kwargs)
 
-    monkeypatch.setattr(verify, "_run_trials", counting)
+    monkeypatch.setattr(suites, "_run_trials", counting)
     rep = find_nonassociativity(cfg, 600, threshold=d0)
     assert verify._chunk_size(cfg) == 512
     assert rep.witness["trial"] == 2
