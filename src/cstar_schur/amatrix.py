@@ -183,6 +183,9 @@ def schur_product(A: AMatrix, B: AMatrix) -> AMatrix:
     return A._like(tuple(_schur_block(a, b) for a, b in zip(A.blocks, B.blocks)))
 
 
+_SCHUR_SUBSCRIPTS = "...jlab,...jlbc->...jlac"
+
+
 # ``order="F"`` makes numpy's iterator run its inner loop along the leading
 # stack axes (trial, j, l) instead of the k x k axes, several times faster on a
 # search chunk. The bits stay: each entry is a sum over the one summed index b,
@@ -191,11 +194,19 @@ def schur_product(A: AMatrix, B: AMatrix) -> AMatrix:
 # 26 ``tjab,tjcb->tac`` calls over the suite grid. The product is copied back
 # to C order because later reductions read it by layout: left F-ordered, it
 # moved 8 of the 24 goldens (the verify runs over commutative shapes).
+# The F order does not keep a NaN's sign bit: an inf times a NaN, or inf - inf,
+# gives a NaN whose sign follows the inner loop's kernel, so a product with a
+# NaN in it is formed again in the default order.
 def _schur_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One block of the symmetrized product, over any leading stack axes."""
-    ab = np.einsum("...jlab,...jlbc->...jlac", a, b, order="F")
-    ba = np.einsum("...jlab,...jlbc->...jlac", b, a, order="F")
-    return np.ascontiguousarray(0.5 * (ab + ba))
+    ab = np.einsum(_SCHUR_SUBSCRIPTS, a, b, order="F")
+    ba = np.einsum(_SCHUR_SUBSCRIPTS, b, a, order="F")
+    out = np.ascontiguousarray(0.5 * (ab + ba))
+    if np.isnan(out).any():
+        ab = np.einsum(_SCHUR_SUBSCRIPTS, a, b)
+        ba = np.einsum(_SCHUR_SUBSCRIPTS, b, a)
+        out = np.ascontiguousarray(0.5 * (ab + ba))
+    return out
 
 
 def schur_power(M: AMatrix, p: int) -> AMatrix:
