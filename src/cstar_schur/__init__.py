@@ -15,8 +15,6 @@ from .algebra import (
     hermitian_defect,
     identity_element,
     scalar_element,
-    sqrt_positive,
-    zero_element,
 )
 from .amatrix import (
     AMatrix,
@@ -30,10 +28,8 @@ from .amatrix import (
     mat_norm,
     ones_matrix,
     outer_product,
-    positive_sqrt,
     psd_check,
     row_sums,
-    schur_power,
     schur_product,
     schur_quadratic_form_oracle,
     unflatten,
@@ -63,8 +59,6 @@ from .module_an import (
     inner_product,
     left_mul,
     ones_vector,
-    vector_norm,
-    zero_vector,
 )
 from .verify import (
     CheckReport,
@@ -78,15 +72,8 @@ from .verify import (
 # Defined in ``suites``, which is imported on first access (PEP 562), so that
 # ``import cstar_schur.cli`` for a search does not compile the suite code.
 _SUITE_NAMES = frozenset({
-    "check_commuting_spectral_instance",
-    "check_diag_bound",
     "check_preserver",
-    "check_row_sum_bound",
-    "check_schur_chain",
-    "check_schur_positivity",
     "check_trig_identities",
-    "check_unit_diagonal_bound",
-    "cosine_gram_check",
     "find_nonassociativity",
     "find_trig_breakdown",
     "novak_check",

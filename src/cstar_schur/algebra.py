@@ -141,9 +141,9 @@ def _eigh(mats: np.ndarray, vectors: bool = False, block: int | None = None, sit
         raise NumericalError(f"eigensolver failed {where}", block=block) from exc
 
 
-def _spectral_apply(mat: np.ndarray, fn, block: int | None = None, site: str | None = None):
+def _spectral_apply(mat: np.ndarray, fn, site: str | None = None):
     """V fn(Λ) V* from the eigendecomposition of the Hermitian part of ``mat``."""
-    w, v = _eigh(mat, True, block, site)
+    w, v = _eigh(mat, True, site=site)
     return (v * fn(w)) @ v.conj().T
 
 
@@ -356,10 +356,6 @@ def identity_element(shape: AlgebraShape) -> Element:
     return Element._wrap(shape, _units(shape))
 
 
-def zero_element(shape: AlgebraShape) -> Element:
-    return Element._wrap(shape, _units(shape, value=0.0))
-
-
 def scalar_element(shape: AlgebraShape, value: complex) -> Element:
     """The multiple value * 1 of the unit."""
     return Element._wrap(shape, _units(shape, value=value))
@@ -443,27 +439,6 @@ def classify(a: Element, tol: float = DEFAULT_TOL) -> SpectrumReport:
     """
     positive, selfadjoint, defect, mins, _ = _psd_verdict([b[None] for b in a.blocks], tol)
     return _spectrum_report(positive, selfadjoint, defect, mins, 0)
-
-
-def sqrt_positive(a: Element, tol: float = DEFAULT_TOL) -> Element:
-    """The positive square root of a positive element.
-
-    Blockwise Hermitian eigendecomposition; eigenvalues in [-tol*scale, 0)
-    are clamped to zero before taking square roots. Raises ``DomainError``
-    for inputs that fail ``classify``.
-    """
-    report = classify(a, tol)
-    if not report.is_positive:
-        details = {"min_spectrum": report.min_spectrum, "hermitian_defect": report.hermitian_defect}
-        raise DomainError("element is not positive", **details)
-    roots = [_psd_sqrt(blk, b) for b, blk in enumerate(a.blocks)]
-    return Element._wrap(a.shape, tuple(roots))
-
-
-def _psd_sqrt(mat: np.ndarray, block: int) -> np.ndarray:
-    """Square root of the Hermitian part of ``mat``; negative eigenvalues clamp to zero."""
-    root = _spectral_apply(mat, lambda w: np.sqrt(np.where(w < 0.0, 0.0, w)), block)
-    return _hermitian_part(root)
 
 
 def commutator_norm(a: Element, b: Element):

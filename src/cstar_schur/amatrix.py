@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraShape, Element, SpectrumReport, _SizedBlocks
-from .algebra import _adjoint, _first_of, _hermitian_part, _is_integer, _psd_prelude, _psd_sqrt
+from .algebra import _adjoint, _first_of, _hermitian_part, _is_integer, _psd_prelude
 from .algebra import _psd_verdict, _spectral_norm, _spectrum_report, _units
 from .errors import DomainError, StructureError
 from .module_an import AVector, inner_product
@@ -207,18 +207,6 @@ def _schur_block(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ba = np.einsum(_SCHUR_SUBSCRIPTS, b, a)
         out = np.ascontiguousarray(0.5 * (ab + ba))
     return out
-
-
-def schur_power(M: AMatrix, p: int) -> AMatrix:
-    """The p-fold Schur product of M with itself, nested left; p = 0 gives the identity."""
-    if p < 0:
-        raise DomainError("Schur powers need p >= 0", p=p)
-    if p == 0:
-        return identity_matrix(M.shape, M.n)
-    acc = M
-    for _ in range(p - 1):
-        acc = schur_product(acc, M)
-    return acc
 
 
 def element_scale(a: Element, M: AMatrix) -> AMatrix:
@@ -461,23 +449,6 @@ def cholesky_psd_check(M: AMatrix, tol: float = DEFAULT_TOL) -> PsdReport:
     one.
     """
     return _cholesky_stack(M, tol).report(0)
-
-
-def positive_sqrt(M: AMatrix, tol: float = DEFAULT_TOL) -> AMatrix:
-    """The positive square root of a positive matrix, blockwise via eigh.
-
-    Eigenvalues in [-tol*scale, 0) are clamped to zero. Raises ``DomainError``
-    with the failing report attached when M is not positive.
-    """
-    report = psd_check(M, tol)
-    if not report.is_positive:
-        raise DomainError("matrix is not positive", report=report)
-    n = M.n
-    out = [
-        _unflatten_block(_psd_sqrt(_flatten_block(blk, n, k), b), n, k).copy()
-        for b, (k, blk) in enumerate(zip(M.shape.blocks, M.blocks))
-    ]
-    return M._like(tuple(out))
 
 
 def schur_quadratic_form_oracle(

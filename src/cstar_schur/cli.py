@@ -62,7 +62,7 @@ MAX_FLAT_SIZE = 8192
 # commutators are formed in one stacked call: about 350 bytes a pair for one
 # trial (peak RSS 278 MB at 1200 points over M_2), so n d <= 2048 keeps one
 # trial within 1 GiB. The other trials of a chunk take later calls when their
-# pairs exceed verify._COMMUTATOR_PAIRS, so a chunk peaks near one trial
+# pairs exceed suites._COMMUTATOR_PAIRS, so a chunk peaks near one trial
 # (147 MB at 800 points over M_2, with 1 trial or 4).
 MAX_POINTS = 2048
 

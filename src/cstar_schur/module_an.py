@@ -77,11 +77,6 @@ def inner_product(x: AVector, y: AVector) -> Element:
     )
 
 
-def vector_norm(x: AVector) -> float:
-    """||x|| = ||<x, x>||^(1/2)."""
-    return float(np.sqrt(inner_product(x, x).norm()))
-
-
 def cauchy_schwarz_gap(x: AVector, y: AVector) -> Element:
     """The element ||<y,y>|| <x,x> - <x,y><y,x>, positive for every x, y."""
     x._require_same(y)
@@ -94,7 +89,3 @@ def cauchy_schwarz_gap(x: AVector, y: AVector) -> Element:
 def ones_vector(shape: AlgebraShape, n: int) -> AVector:
     """e_n = (1, 1, ..., 1), the all-units vector."""
     return AVector._wrap(shape, _units(shape, (n,)))
-
-
-def zero_vector(shape: AlgebraShape, n: int) -> AVector:
-    return AVector._wrap(shape, _units(shape, (n,), 0.0))

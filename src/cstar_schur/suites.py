@@ -41,12 +41,12 @@ positive" raises ``DomainError`` there. The verdicts are read as arrays:
 positivity and margins come from the oracle's stack (``_Verdict``), and a
 ``PsdReport`` is built only for a witness, a detail that records one, or a
 failed requirement. The oracle-agreement check asks the Cholesky oracle
-(``_cholesky_stack``) once per chunk as well. The public ``check_*`` function is
-the evaluator on a batch of one, and the trial draws a chunk with
-``generate``'s chunk forms (``_drawn``) and calls the same evaluator. To add
-a check, write these three and a table entry. The trig evaluator takes every
-sine and cosine of a chunk in two ``_sin_cos`` calls; its ``falsify`` form is
-the outcome of a ``find_trig_breakdown`` trial.
+(``_cholesky_stack``) once per chunk as well. The trial draws a chunk with
+``generate``'s chunk forms (``_drawn``) and calls the evaluator; ``novak_check``,
+``check_trig_identities`` and ``check_preserver`` run the same evaluator on a
+batch of one. To add a check, write an evaluator, a trial and a table entry.
+The trig evaluator takes every sine and cosine of a chunk in two ``_sin_cos``
+calls; its ``falsify`` form is the outcome of a ``find_trig_breakdown`` trial.
 
 The Novak suite takes its points as (T, count, k, k) stacks: one oracle call
 and one commutator call per slice of trials (``_COMMUTATOR_PAIRS``) for the
@@ -113,7 +113,6 @@ from .generate import (
     _Streams,
     _unit_diagonal_stack,
     fnv1a64,
-    random_commuting_spectral_pair,
 )
 from .module_an import AVector, cauchy_schwarz_gap, inner_product, left_mul, ones_vector
 from .verify import (
@@ -139,6 +138,11 @@ FAMILY_COMMUTING_TOL = 1e-12
 UNITARY_TOL = 1e-10
 RECONSTRUCTION_TOL = 1e-9
 AXIOM_TOL = 1e-12
+
+# c of the c/n lower bounds: the row-sum bound, the chain, the diagonal
+# corollaries and Novak's. Each holds with equality at some instance (A = B =
+# all-ones, M = I_n), so no larger c holds
+VYBIRAL_CONSTANT = 1.0
 
 
 def _single(check_id, tol, t0, margin, witness, details) -> CheckReport:
@@ -232,36 +236,14 @@ def _one_by_one(a: Element) -> AMatrix:
 
 
 # ---------------------------------------------------------------------------
-# checks: each evaluator takes its instances as values with a trial axis, and
-# its check_* runs it on a batch of one
+# checks: each evaluator takes its instances as values with a trial axis
 # ---------------------------------------------------------------------------
 
 
-def check_schur_positivity(
-    M: AMatrix, N: AMatrix, tol: float = DEFAULT_TOL
-) -> CheckReport:
-    """Is M o N positive for positive M, N?
-
-    Guaranteed over commutative shapes; over noncommutative shapes the
-    outcome is evidence for or against the open positivity question, so the
-    caller decides whether a failure is alarming.
-    """
-    t0 = time.perf_counter()
-    M._require_same(N)
-    for name, verdict in zip("MN", _oracle(_stack([M, N]), tol)):
-        _require_positive(name, verdict)
-    product = schur_product(M, N)
-    (verdict,) = _oracle(product, tol)
-    witness = _psd_witness(verdict, (), m=M, n=N, product=product)
-    if witness is not None:
-        witness["min_eigenvalue"] = verdict.report().min_eigenvalue
-    details = {"commutative": M.shape.is_commutative}
-    return _single("schur_product_positive", tol, t0, verdict.margin, witness, details)
-
-
 def _row_sum_bounds(A: AMatrix, tol: float) -> list[tuple]:
-    """The row-sum bound on each member of A: its margin, witness, and whether A is positive."""
-    bound = A @ A.adjoint() - (1.0 / A.n) * outer_product(row_sums(A))
+    """A A* >= (1/n) y y*, y the row sums of A, on each member of A: its margin,
+    witness, and whether A is positive (recorded, never required)."""
+    bound = A @ A.adjoint() - (VYBIRAL_CONSTANT / A.n) * outer_product(row_sums(A))
     verdicts = iter(_oracle(_stack([bound, A], 1), tol))
     outcomes = []
     for t in range(A.batch[0]):
@@ -271,20 +253,9 @@ def _row_sum_bounds(A: AMatrix, tol: float) -> list[tuple]:
     return outcomes
 
 
-def check_row_sum_bound(A: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
-    """M = A A* dominates (1/n) y y* where y collects the row sums of A.
-
-    Holds for arbitrary A over any shape; whether A itself was positive is
-    recorded but not required (the bound never uses it).
-    """
-    t0 = time.perf_counter()
-    margin, witness, input_positive = _row_sum_bounds(A._at(None), tol)[0]
-    details = {"input_positive": input_positive}
-    return _single("gram_row_sum_bound", tol, t0, margin, witness, details)
-
-
 def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
-    """The chain check on each member (A, B) of a batch: (margin, witness, details)."""
+    """M o N >= C C* >= (1/n) y y* with M = A A*, N = B B*, C = A o B and y the row
+    sums of C, on each member (A, B) of a batch: (margin, witness, details)."""
     if not A.shape.is_commutative:
         raise DomainError("the Schur chain bound needs a commutative algebra")
     A._require_same(B)
@@ -294,7 +265,7 @@ def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
     y = row_sums(C)
     product = schur_product(M, N)
     gram = C @ C.adjoint()
-    lower = (1.0 / A.n) * outer_product(y)
+    lower = (VYBIRAL_CONSTANT / A.n) * outer_product(y)
     chain = {
         "product_minus_gram": product - gram,
         "gram_minus_lower": gram - lower,
@@ -316,26 +287,13 @@ def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
     return outcomes
 
 
-def check_schur_chain(
-    A: AMatrix, B: AMatrix, tol: float = DEFAULT_TOL
-) -> CheckReport:
-    """The commutative chain M o N >= C C* >= (1/n) y y*.
-
-    Here M = A A*, N = B B*, C = A o B and y holds the row sums of C. Both
-    difference certificates and the positivity of each chain member are
-    checked (the full ordering, not only the differences).
-    """
-    t0 = time.perf_counter()
-    return _single("schur_chain_bound", tol, t0, *_schur_chains(A._at(None), B._at(None), tol)[0])
-
-
 def _diag_bounds(M: AMatrix, tol: float, positive: bool = False) -> list[tuple]:
     """The margin of M o M - (1/n) d d* of each member M, d = diag M, and its
     witness. With ``positive`` this is the diagonal-bound check, which
     requires a commutative shape and each M positive."""
     if positive and not M.shape.is_commutative:
         raise DomainError("the diagonal bound needs a commutative algebra")
-    bound = schur_product(M, M) - (1.0 / M.n) * outer_product(diag_vector(M))
+    bound = schur_product(M, M) - (VYBIRAL_CONSTANT / M.n) * outer_product(diag_vector(M))
     verdicts = iter(_oracle(_stack([M, bound], 1) if positive else bound, tol))
     outcomes = []
     for t in range(M.batch[0]):
@@ -346,18 +304,6 @@ def _diag_bounds(M: AMatrix, tol: float, positive: bool = False) -> list[tuple]:
     return outcomes
 
 
-def check_diag_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
-    """M o M dominates (1/n) (diag M)(diag M)* for positive commutative M.
-
-    The underlying argument needs entries with a = a*, so random suites feed
-    this check real instances; complex instances genuinely violate it and are
-    only ever probed.
-    """
-    t0 = time.perf_counter()
-    margin, witness = _diag_bounds(M._at(None), tol, positive=True)[0]
-    return _single("diag_outer_bound", tol, t0, margin, witness, {})
-
-
 def _diag_residual(M: AMatrix) -> np.ndarray:
     """The largest deviation of a diagonal entry from the unit, of each member
     of a batch: one norm call per block, NaN where an entry's norm is NaN."""
@@ -366,10 +312,10 @@ def _diag_residual(M: AMatrix) -> np.ndarray:
 
 
 def _unit_diag_checks(M: AMatrix, tol: float) -> list[tuple]:
-    """The unit-diagonal check on each member M: (margin, witness, details)."""
+    """M o M >= (1/n) E_n for unit-diagonal M, on each member M: (margin, witness, details)."""
     if not M.shape.is_commutative:
         raise DomainError("the unit-diagonal bound needs a commutative algebra")
-    bound = schur_product(M, M) - (1.0 / M.n) * ones_matrix(M.shape, M.n)
+    bound = schur_product(M, M) - (VYBIRAL_CONSTANT / M.n) * ones_matrix(M.shape, M.n)
     verdicts = iter(_oracle(_stack([M, bound], 1), tol))
     residuals = None
     outcomes = []
@@ -385,12 +331,6 @@ def _unit_diag_checks(M: AMatrix, tol: float) -> list[tuple]:
             raise DomainError("diagonal entries deviate from the unit", residual=residuals[t])
         outcomes.append((margin, _psd_witness(verdict, t, m=M), {"diag_residual": residuals[t]}))
     return outcomes
-
-
-def check_unit_diagonal_bound(M: AMatrix, tol: float = DEFAULT_TOL) -> CheckReport:
-    """M o M >= (1/n) E_n for positive commutative M with unit diagonal."""
-    t0 = time.perf_counter()
-    return _single("unit_diagonal_bound", tol, t0, *_unit_diag_checks(M._at(None), tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -548,24 +488,6 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
     return outcomes
 
 
-def cosine_gram_check(
-    z: list[Element], tol: float = DEFAULT_TOL, probe_seed: int = 0xC05
-) -> CheckReport:
-    """[cos(z_j - z_k)] is positive for commuting self-adjoint z.
-
-    Cross-checked against the Gram decomposition: for probe vectors y the
-    quadratic form <Ay, y> must equal S_c S_c* + S_s S_s* with
-    S_c = sum_j cos(z_j) y_j and S_s = sum_j sin(z_j) y_j, within 1e-10.
-    """
-    t0 = time.perf_counter()
-    z = list(z)
-    if not z:
-        raise StructureError("need at least one point")
-    stacks = _stack(z)._at(None).blocks
-    gens = [np.random.default_rng(probe_seed)]
-    return _single("cosine_gram", tol, t0, *_cosine_gram(z[0].shape, stacks, tol, gens)[0])
-
-
 def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple]]:
     """The Novak matrices of a stack of point arrays, one (T, n, d, k, k) array
     per block, and the outcome of ``novak_check``'s pipeline on each member."""
@@ -577,7 +499,7 @@ def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple
     M = steps[0]
     for step in steps[1:]:
         M = schur_product(M, step)
-    novak = schur_product(M, M) - (1.0 / n) * ones_matrix(shape, n)
+    novak = schur_product(M, M) - (VYBIRAL_CONSTANT / n) * ones_matrix(shape, n)
     diag_residuals = _diag_residual(M).tolist()
     # per trial: the d cosine matrices, M, then the Novak matrix
     verdicts = iter(_oracle(_stack([*steps, M, novak], 1), tol))
@@ -829,21 +751,6 @@ def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
     return outcomes
 
 
-def check_commuting_spectral_instance(
-    cfg: GenConfig, tol: float = DEFAULT_TOL
-) -> CheckReport:
-    """Schur products of positive matrices with commuting spectral data.
-
-    Generates M = U diag(lam) U*, N = V diag(mu) V* whose unitary entries and
-    eigenvalue elements all commute, verifies the construction (unitarity,
-    reconstruction, commutation), and certifies that M, N, and M o N are
-    positive. Over commutative shapes this reduces to plain Schur positivity.
-    """
-    t0 = time.perf_counter()
-    instance = (v._at(None) for v in random_commuting_spectral_pair(cfg).values())
-    return _single("commuting_spectral_schur", tol, t0, *_commuting_spectral(*instance, tol)[0])
-
-
 # ---------------------------------------------------------------------------
 # hit searches: run to the first witness, which is expected to exist
 # ---------------------------------------------------------------------------
@@ -1026,8 +933,7 @@ def _trial_novak(base, trials, o):
 
 
 def _trial_cosine_gram(base, trials, o):
-    # each trial's probe comes from the stream of its own seed, as a public
-    # check's comes from probe_seed
+    # each trial's probe comes from the stream of its own seed
     z = _commuting_points(base, trials, base.n, range(base.n))
     gens = _Streams(_seeds(base, trials))
     return [(margin, witness) for margin, witness, _ in _cosine_gram(base.shape, z, o.tol, gens)]

@@ -27,12 +27,12 @@ deterministic ``jordan_witness``) alone before the chunks; with
 ``stop_on_first`` it ends the run at the first trial with a witness, even
 when a later trial of its chunk raises. It draws its pairs with ``_pairs``,
 and the symmetrized products and the positivity oracle run once per chunk.
-``threads`` is only validated. The report is a summary: every violating
-trial index, the violation rate with a Wilson interval, a margin histogram,
-the stubs (trial, seed, margin, smallest eigenvalue) of a few violations
-(the deterministic one and the ``_TOP_WITNESSES`` most negative random ones),
-and the matrices of only the first violation. ``search_witness`` rebuilds
-the full record of any trial alone, with the bits of its stub.
+The report is a summary: every violating trial index, the violation rate
+with a Wilson interval, a margin histogram, the stubs (trial, seed, margin,
+smallest eigenvalue) of a few violations (the deterministic one and the
+``_TOP_WITNESSES`` most negative random ones), and the matrices of only the
+first violation. ``search_witness`` rebuilds the full record of any trial
+alone, with the bits of its stub.
 """
 
 from __future__ import annotations
@@ -344,7 +344,6 @@ def counterexample_search(
     trials: int,
     tol: float = DEFAULT_TOL,
     stop_on_first: bool = False,
-    threads: int = 1,
 ) -> CheckReport:
     """Hunt for positive M, N over a noncommutative shape with M o N not positive.
 
@@ -352,7 +351,7 @@ def counterexample_search(
     Gram-positive pairs from per-trial substreams. Violations are counted
     once the relative margin drops below -1e-6, comfortably beyond
     verification noise. Trials run through ``_run_trials`` as a search, in
-    stacked chunks; ``threads`` is validated and otherwise unused.
+    stacked chunks.
 
     The details summarize the violations: every violating trial
     (``violation_trials``), the random violation rate with a 95 % Wilson
@@ -373,7 +372,6 @@ def counterexample_search(
             "the search needs a noncommutative one"
         )
     validate_trials(trials)
-    validate_threads(threads)
 
     def evaluate(chunk):
         # a violation's witness is its stub; _run_trials adds the trial

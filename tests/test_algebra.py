@@ -15,15 +15,12 @@ from cstar_schur import (
     elem_sin,
     hermitian_defect,
     identity_element,
-    positive_sqrt,
     psd_check,
     random_element,
     random_positive_matrix,
     random_selfadjoint_element,
     random_unit_diagonal_positive,
     scalar_element,
-    sqrt_positive,
-    zero_element,
 )
 from cstar_schur.algebra import DEFAULT_TOL
 from cstar_schur.amatrix import _psd_stack
@@ -89,7 +86,7 @@ def test_adjoint_and_norm():
 
 def test_identity_and_zero(mixed_shape):
     e = identity_element(mixed_shape)
-    z = zero_element(mixed_shape)
+    z = scalar_element(mixed_shape, 0.0)
     a = Element(mixed_shape, [np.arange(4).reshape(2, 2), [[5]]])
     assert np.array_equal((a * e).block(0), a.block(0))
     assert np.array_equal((e * a).block(0), a.block(0))
@@ -120,24 +117,6 @@ def test_classify_rejects_bad_tol(m2_shape):
     for tol in (0.0, -0.0, float("inf"), float("nan")):
         with pytest.raises(DomainError, match="finite and positive"):
             classify(identity_element(m2_shape), tol=tol)
-
-
-def test_sqrt_positive_oracles():
-    shape = AlgebraShape((1, 1))
-    a = comm_element(shape, 4.0, 9.0)
-    r = sqrt_positive(a)
-    assert np.allclose([r.block(0)[0, 0], r.block(1)[0, 0]], [2.0, 3.0])
-
-    m2 = AlgebraShape((2,))
-    b = Element(m2, [[[2, 1], [1, 2]]])
-    root = sqrt_positive(b)
-    # eigenvalues of the root are sqrt(1), sqrt(3)
-    eigs = np.linalg.eigvalsh(root.block(0))
-    assert np.allclose(eigs, [1.0, np.sqrt(3.0)], atol=1e-12)
-    assert (root * root - b).norm() < 1e-12
-
-    with pytest.raises(DomainError):
-        sqrt_positive(Element(m2, [[[1, 0], [0, -1]]]))
 
 
 def test_element_json_roundtrip(mixed_shape):
@@ -257,8 +236,6 @@ def _eig_calls():
     return {
         "psd_check": ("eigvalsh", lambda: psd_check(M), 0),
         "classify": ("eigvalsh", lambda: classify(x * x), 0),
-        "sqrt_positive": ("eigh", lambda: sqrt_positive(x * x), 0),
-        "positive_sqrt": ("eigh", lambda: positive_sqrt(M), 0),
         "elem_sin": ("eigh", lambda: elem_sin(x), None),
         "random_unit_diagonal_positive": ("eigh", lambda: random_unit_diagonal_positive(cfg), 0),
     }

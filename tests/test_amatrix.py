@@ -23,13 +23,11 @@ from cstar_schur import (
     mat_norm,
     ones_matrix,
     outer_product,
-    positive_sqrt,
     psd_check,
     random_matrix,
     random_positive_matrix,
     random_vector,
     row_sums,
-    schur_power,
     schur_product,
     schur_quadratic_form_oracle,
     unflatten,
@@ -234,17 +232,6 @@ def test_schur_identity_for_units():
     M = random_matrix(GenConfig(seed=2, shape=shape, n=3))
     E = ones_matrix(shape, 3)
     assert mat_norm(schur_product(M, E) - M) < 1e-13
-
-
-def test_schur_power_conventions(m2_shape):
-    M = random_matrix(GenConfig(seed=14, shape=m2_shape, n=2))
-    assert mat_norm(schur_power(M, 0) - identity_matrix(m2_shape, 2)) == 0.0
-    assert mat_norm(schur_power(M, 1) - M) == 0.0
-    p3 = schur_power(M, 3)
-    expected = schur_product(schur_product(M, M), M)
-    assert all(np.array_equal(a, b) for a, b in zip(p3.blocks, expected.blocks))
-    with pytest.raises(DomainError):
-        schur_power(M, -1)
 
 
 def test_element_scale(mixed_shape):
@@ -515,15 +502,6 @@ def test_stacked_cholesky_gives_each_member_its_alone_report(shape, n):
 def test_outer_products_are_positive(mixed_shape):
     y = random_vector(GenConfig(seed=33, shape=mixed_shape, n=4))
     assert psd_check(outer_product(y)).is_positive
-
-
-def test_positive_sqrt_roundtrip(mixed_shape):
-    _, M = random_positive_matrix(GenConfig(seed=12, shape=mixed_shape, n=3))
-    R = positive_sqrt(M)
-    assert psd_check(R).is_positive
-    assert mat_norm(R @ R - M) <= 1e-10 * max(1.0, mat_norm(M))
-    with pytest.raises(DomainError):
-        positive_sqrt(scalar_amatrix([[0, 1], [1, 0]]))
 
 
 def test_zero_and_identity_psd(mixed_shape):

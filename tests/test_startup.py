@@ -1,7 +1,8 @@
 """What a process pays for before and during a search, each in a fresh interpreter.
 
-``search`` and ``verify --from-witness`` must not import ``cstar_schur.suites``,
-while ``import cstar_schur.cli`` must still load every module that
+``import cstar_schur`` defers ``cstar_schur.suites`` to the first use of a name
+it exports from there. ``search`` and ``verify --from-witness`` must not import
+it at all, while ``import cstar_schur.cli`` must still load every module that
 perfbench/spans.py wraps, or ``perfbench/run.py --trace 1`` misses the layers
 of a suite that imports them later. A search's chunk stacks must reuse heap
 memory rather than map fresh pages for each chunk, whatever was compiled
@@ -45,6 +46,18 @@ def test_cli_import_loads_every_traced_module_and_not_the_suites():
         print(missing, len(spans.generate_targets()) > 0, "cstar_schur.suites" in sys.modules)
     """)
     assert out.split() == ["[]", "True", "False"]
+
+
+def test_package_exports_the_suite_names_lazily():
+    out = _python("""
+        import sys
+        import cstar_schur
+        print("cstar_schur.suites" in sys.modules)
+        values = {name: getattr(cstar_schur, name) for name in cstar_schur._SUITE_NAMES}
+        suites = sys.modules["cstar_schur.suites"]
+        print(len(values) > 0 and all(v is getattr(suites, k) for k, v in values.items()))
+    """)
+    assert out.split() == ["False", "True"]
 
 
 def test_search_and_from_witness_leave_the_suites_unimported(tmp_path):

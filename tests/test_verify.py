@@ -30,15 +30,8 @@ from cstar_schur import (
     NumericalError,
     SeriesSpec,
     StructureError,
-    check_commuting_spectral_instance,
-    check_diag_bound,
     check_preserver,
-    check_row_sum_bound,
-    check_schur_chain,
-    check_schur_positivity,
     check_trig_identities,
-    check_unit_diagonal_bound,
-    cosine_gram_check,
     counterexample_search,
     elem_cos,
     elem_sin,
@@ -50,6 +43,7 @@ from cstar_schur import (
     jordan_witness,
     mat_norm,
     novak_check,
+    ones_matrix,
     pauli_pair,
     psd_check,
     random_commuting_family,
@@ -62,7 +56,7 @@ from cstar_schur import (
     schur_product,
 )
 from cstar_schur import generate, suites, verify
-from cstar_schur.algebra import _stack
+from cstar_schur.algebra import DEFAULT_TOL, _stack
 from cstar_schur.generate import STYLES
 from cstar_schur.verify import SUITES, counts_as_failure
 from conftest import comm_element, scalar_amatrix, as_numpy
@@ -74,60 +68,58 @@ JORDAN_MIN_EIG = (1.01 - np.sqrt(2.0002)) / 2.0
 PAULI_COS_GAP = np.sqrt((np.cos(np.sqrt(2.0)) - np.cos(1.0) ** 2) ** 2 + np.sin(1.0) ** 4)
 
 
-# -- single-instance checks ---------------------------------------------------
+# -- evaluators on a batch of one ---------------------------------------------
 
 
-def test_schur_positivity_check_commutative():
+def _schur_trial(monkeypatch, M, N):
+    """``_trial_schur``'s outcome on the pair (M, N), planted as its one draw."""
+    pair = (M._at(None), N._at(None), [0])
+    monkeypatch.setattr(suites, "_random_pairs", lambda base, trials: pair)
+    (outcome,) = suites._trial_schur(None, [0], OPTS)
+    return outcome
+
+
+def test_schur_positivity_check_commutative(monkeypatch):
     M = scalar_amatrix([[2, 1], [1, 2]])
-    rep = check_schur_positivity(M, M)
-    assert rep.passed and rep.worst_margin >= 0
-    assert rep.details["commutative"] is True
+    margin, witness = _schur_trial(monkeypatch, M, M)
+    assert witness is None and margin >= 0
 
 
-def test_schur_positivity_requires_positive_inputs():
-    bad = scalar_amatrix([[1, 2], [2, 1]])
-    good = scalar_amatrix([[1, 0], [0, 1]])
-    with pytest.raises(DomainError):
-        check_schur_positivity(bad, good)
-
-
-def test_schur_positivity_check_keeps_the_jordan_witness():
+def test_schur_positivity_check_keeps_the_jordan_witness(monkeypatch):
     M, N = jordan_witness(M2)
-    rep = check_schur_positivity(M, N)
-    assert rep.failures == 1 and not rep.passed
-    assert set(rep.witness) == {"m", "n", "product", "psd", "min_eigenvalue"}
-    assert rep.witness["min_eigenvalue"] == pytest.approx(JORDAN_MIN_EIG, abs=1e-12)
-    assert rep.worst_margin < 0
+    margin, witness = _schur_trial(monkeypatch, M, N)
+    assert set(witness) == {"seed", "m", "n", "product", "psd"}
+    lowest = min(witness["psd"]["min_eigenvalue_per_block"])
+    assert lowest == pytest.approx(JORDAN_MIN_EIG, abs=1e-12)
+    assert margin < 0
 
 
 def test_row_sum_bound_explicit_instance():
     # A = [[1, 0], [1, 1]]: M = AA* = [[1, 1], [1, 2]], y = (1, 2),
     # M - yy*/2 = [[.5, 0], [0, 0]]
     A = scalar_amatrix([[1, 0], [1, 1]])
-    rep = check_row_sum_bound(A)
-    assert rep.passed
+    margin, witness, input_positive = suites._row_sum_bounds(A._at(None), DEFAULT_TOL)[0]
+    assert witness is None and margin >= -DEFAULT_TOL
     M = as_numpy(A) @ as_numpy(A).conj().T
     y = as_numpy(A).sum(axis=1)
     gap = M - np.outer(y, y.conj()) / 2.0
     assert np.allclose(gap, [[0.5, 0.0], [0.0, 0.0]], atol=1e-14)
-    assert rep.details["input_positive"] is False  # A itself is not Hermitian
+    assert input_positive is False  # A itself is not Hermitian
 
 
 def test_row_sum_bound_never_needs_positive_input(mixed_shape):
     # arbitrary A over a noncommutative shape still satisfies the bound
-    from cstar_schur import random_matrix
-
     for seed in range(10):
         A = random_matrix(GenConfig(seed=seed, shape=mixed_shape, n=3))
-        rep = check_row_sum_bound(A)
-        assert rep.passed, rep.worst_margin
+        margin, witness, _ = suites._row_sum_bounds(A._at(None), DEFAULT_TOL)[0]
+        assert witness is None and margin >= -DEFAULT_TOL, margin
 
 
 def test_schur_chain_explicit_instance():
     A = scalar_amatrix([[1, 0], [1, 1]])
     B = scalar_amatrix([[1, 1], [0, 1]])
-    rep = check_schur_chain(A, B)
-    assert rep.passed
+    margin, witness, _ = suites._schur_chains(A._at(None), B._at(None), DEFAULT_TOL)[0]
+    assert witness is None and margin >= -DEFAULT_TOL
     # independent oracle with plain numpy
     a, b = as_numpy(A), as_numpy(B)
     m = a @ a.conj().T
@@ -143,13 +135,13 @@ def test_schur_chain_explicit_instance():
 def test_schur_chain_rejects_noncommutative(m2_shape):
     _, M = random_positive_matrix(GenConfig(seed=0, shape=m2_shape, n=2))
     with pytest.raises(DomainError):
-        check_schur_chain(M, M)
+        suites._schur_chains(M._at(None), M._at(None), DEFAULT_TOL)
 
 
 def test_diag_bound_real_instance():
     M = scalar_amatrix([[2.0, 1.0], [1.0, 2.0]])
-    rep = check_diag_bound(M)
-    assert rep.passed
+    margin, witness = suites._diag_bounds(M._at(None), DEFAULT_TOL, positive=True)[0]
+    assert witness is None and margin >= -DEFAULT_TOL
 
 
 def test_diag_bound_complex_violation():
@@ -158,8 +150,8 @@ def test_diag_bound_complex_violation():
     z = 0.9j
     M = scalar_amatrix([[1.0, z], [np.conj(z), 1.0]])
     assert psd_check(M).is_positive
-    rep = check_diag_bound(M)
-    assert not rep.passed
+    margin, witness = suites._diag_bounds(M._at(None), DEFAULT_TOL, positive=True)[0]
+    assert witness is not None and margin < -DEFAULT_TOL
     # cross-check with numpy: (M o M) - diag diag*/2 has a negative eigenvalue
     m = as_numpy(M)
     gap = m * m - np.outer(np.diag(m), np.diag(m).conj()) / 2.0
@@ -169,8 +161,8 @@ def test_diag_bound_complex_violation():
 def test_unit_diagonal_bound_explicit():
     # real unit-diagonal M: M o M - E_2 / 2 has eigenvalues {.25, .75} at rho=.5
     M = scalar_amatrix([[1.0, 0.5], [0.5, 1.0]])
-    rep = check_unit_diagonal_bound(M)
-    assert rep.passed
+    margin, witness, _ = suites._unit_diag_checks(M._at(None), DEFAULT_TOL)[0]
+    assert witness is None and margin >= -DEFAULT_TOL
     m = as_numpy(M)
     gap = m * m - np.ones((2, 2)) / 2.0
     assert np.allclose(sorted(np.linalg.eigvalsh(gap)), [0.25, 0.75], atol=1e-12)
@@ -179,7 +171,39 @@ def test_unit_diagonal_bound_explicit():
 def test_unit_diagonal_bound_rejects_bad_diagonal():
     M = scalar_amatrix([[2.0, 0.1], [0.1, 1.0]])
     with pytest.raises(DomainError):
-        check_unit_diagonal_bound(M)
+        suites._unit_diag_checks(M._at(None), DEFAULT_TOL)
+
+
+# -- sharpness of Vybíral's constant -------------------------------------------
+
+
+def _equality_outcomes(shape, n):
+    """Check id -> (margin, witness) of each c/n bound that applies over ``shape``,
+    at its equality instance of size n: A = B = all-ones, M = I_n."""
+    ones = ones_matrix(shape, n)._at(None)
+    ident = identity_matrix(shape, n)._at(None)
+    outcomes = {"gram_row_sum_bound": suites._row_sum_bounds(ones, DEFAULT_TOL)[0][:2]}
+    if shape.is_commutative:
+        outcomes["schur_chain_bound"] = suites._schur_chains(ones, ones, DEFAULT_TOL)[0][:2]
+        outcomes["diag_outer_bound"] = suites._diag_bounds(ident, DEFAULT_TOL, positive=True)[0]
+        outcomes["unit_diagonal_bound"] = suites._unit_diag_checks(ident, DEFAULT_TOL)[0][:2]
+    return outcomes
+
+
+def test_vybiral_constant_is_one():
+    assert suites.VYBIRAL_CONSTANT == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("blocks", [(1,), (1, 1), (2,)])
+def test_lower_bounds_are_sharp_at_their_equality_instances(blocks, n, monkeypatch):
+    # each bound passes at the constant and fails with it raised by 1e-6, so
+    # code with a weaker constant, such as a halved 1/n, fails this test
+    for check_id, (margin, witness) in _equality_outcomes(AlgebraShape(blocks), n).items():
+        assert witness is None and margin >= -DEFAULT_TOL, check_id
+    monkeypatch.setattr(suites, "VYBIRAL_CONSTANT", suites.VYBIRAL_CONSTANT * (1 + 1e-6))
+    for check_id, (margin, witness) in _equality_outcomes(AlgebraShape(blocks), n).items():
+        assert witness is not None and margin <= -1e-7, check_id
 
 
 # -- novak pipeline -----------------------------------------------------------
@@ -230,11 +254,17 @@ def test_novak_rejects_ragged_points():
         novak_check([[comm_element(SCALAR, 0.0)], []])
 
 
+def _cosine_gram(points, tol=DEFAULT_TOL):
+    """The cosine-Gram outcome on one set of points, probed from ``default_rng(0xC05)``."""
+    stacks = _stack(points)._at(None).blocks
+    return suites._cosine_gram(points[0].shape, stacks, tol, [np.random.default_rng(0xC05)])[0]
+
+
 def test_cosine_gram_scalar_points():
     pts = [comm_element(SCALAR, v) for v in (0.0, 1.0, 2.5, -0.5)]
-    rep = cosine_gram_check(pts)
-    assert rep.passed
-    assert rep.details["gram_residual"] <= 1e-10
+    margin, witness, details = _cosine_gram(pts)
+    assert witness is None and margin >= -DEFAULT_TOL
+    assert details["gram_residual"] <= 1e-10
 
 
 # -- trigonometry -------------------------------------------------------------
@@ -332,10 +362,12 @@ def test_preserver_requires_positive_coefficients():
 
 def test_commuting_spectral_instance_passes():
     for shape in (AlgebraShape((1, 1)), M2, AlgebraShape((2, 1))):
-        rep = check_commuting_spectral_instance(GenConfig(seed=5, shape=shape, n=3))
-        assert rep.passed, (shape, rep.details)
-        assert rep.details["unitary_residual"] <= 1e-10
-        assert rep.details["max_commutator"] <= 1e-12
+        pair = generate.random_commuting_spectral_pair(GenConfig(seed=5, shape=shape, n=3))
+        instance = (v._at(None) for v in pair.values())
+        margin, witness, details = suites._commuting_spectral(*instance, DEFAULT_TOL)[0]
+        assert witness is None and margin >= -DEFAULT_TOL, (shape, details)
+        assert details["unitary_residual"] <= 1e-10
+        assert details["max_commutator"] <= 1e-12
 
 
 # -- searches -------------------------------------------------------------------
@@ -387,13 +419,6 @@ def test_counterexample_search_stop_on_first():
     rep = counterexample_search(cfg, trials=500, stop_on_first=True)
     assert rep.details["trials_attempted"] == 1  # trial 0 is already a hit
     assert rep.failures == 1
-
-
-def test_counterexample_search_thread_determinism():
-    cfg = GenConfig(seed=31, shape=M2, n=2)
-    a = counterexample_search(cfg, trials=60, threads=1)
-    b = counterexample_search(cfg, trials=60, threads=4)
-    assert a.to_json() == b.to_json()
 
 
 def _reference_search(cfg, trials, stop_on_first=False):
@@ -1521,7 +1546,7 @@ def test_nan_diagonal_residual_is_found_and_rejected(monkeypatch):
     assert suites._diag_residual(M._at(None)).tolist() == [0.0]
     monkeypatch.setattr(suites, "_diag_residual", lambda blocks: np.array([math.nan]))
     with pytest.raises(DomainError, match="diagonal entries deviate"):
-        check_unit_diagonal_bound(M)
+        suites._unit_diag_checks(M._at(None), DEFAULT_TOL)
 
 
 @pytest.mark.parametrize(
@@ -1660,9 +1685,9 @@ def test_novak_witnesses_hold_the_points_as_json():
     assert rep.witness["points"] == [[p.to_json() for p in row] for row in points]
     cfg = GenConfig(seed=1, shape=AlgebraShape((2, 1)), n=3)
     z = random_commuting_family(cfg, 3, selfadjoint=True, norm_cap=3.0)
-    rep = cosine_gram_check(z, 1e-300)
-    assert rep.witness is not None
-    assert rep.witness["points"] == [p.to_json() for p in z]
+    _, witness, _ = _cosine_gram(z, 1e-300)
+    assert witness is not None
+    assert witness["points"] == [p.to_json() for p in z]
 
 
 def test_public_novak_checks_reject_malformed_points():
@@ -1671,14 +1696,10 @@ def test_public_novak_checks_reject_malformed_points():
                           ([[a, a], [a]], "unequal length"), ([[a], [b]], "differ in algebra shape")]:
         with pytest.raises(StructureError, match=match):
             novak_check(points)
-    with pytest.raises(StructureError, match="at least one point"):
-        cosine_gram_check([])
-    with pytest.raises(StructureError, match="differ in algebra shape"):
-        cosine_gram_check([a, b])
 
 
 def test_cosine_gram_probe_is_the_default_rng_stream():
-    # alphas, then betas, each standard_normal(n) of default_rng(probe_seed)
+    # alphas, then betas, each standard_normal(n) of default_rng(seed)
     for seed, n in [(0xC05, 4), (2**64 - 1, 1), (7, 3)]:
         rng = np.random.default_rng(seed)
         want = np.stack([rng.standard_normal(n), rng.standard_normal(n)])
