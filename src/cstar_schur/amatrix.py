@@ -341,13 +341,18 @@ class PsdStack:
     scale: np.ndarray
     tol: float
 
+    def lowest_eigenvalues(self) -> np.ndarray:
+        """``PsdReport.min_eigenvalue`` of every self-adjoint member, bit for
+        bit; the entries of the other members are computed but not reported."""
+        return _first_of(list(self.min_eigenvalues.T), np.less)
+
     def margins(self) -> np.ndarray:
         """``PsdReport.margin`` of every member, bit for bit."""
         denom = np.fmax(self.scale, 1.0)
         if not self.min_eigenvalues.shape[-1]:
             # a stack without eigenvalues (``_cholesky_stack``'s) reports none
             return -self.hermitian_defect / denom
-        lowest = _first_of(list(self.min_eigenvalues.T), np.less)
+        lowest = self.lowest_eigenvalues()
         return np.where(self.hermitian, lowest / denom, -self.hermitian_defect / denom)
 
     def report(self, i: int) -> PsdReport:

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import DEFAULT_TOL, AlgebraShape, Element, identity_element
-from .amatrix import AMatrix, PsdReport, diag_matrix, schur_product, _psd_stack
+from .amatrix import AMatrix, diag_matrix, schur_product, _psd_stack
 from .errors import DomainError, StructureError
 from .generate import GenConfig, _mix64s, _positive_stack, _seeds, _Streams
 from .module_an import AVector
@@ -180,23 +180,30 @@ def _run_trials(evaluate, count: int, size: int, search: bool = False, stop: boo
     """
     outcomes = []
 
-    def add(t, margin, witness, *extras) -> bool:
-        if witness is not None:
-            witness = {**witness, "trial": t}
-        outcomes.append((margin, witness, *extras))
-        return stop and witness is not None
+    def take(trials, found) -> bool:
+        # the outcomes of a chunk in one step; with stop, up to its first
+        # witness, and True when that ends the run
+        hits = [i for i, outcome in enumerate(found) if outcome[1] is not None]
+        ended = stop and bool(hits)
+        if ended:
+            hits, found = hits[:1], found[: hits[0] + 1]
+        start = len(outcomes)
+        outcomes.extend(found)
+        for i in hits:
+            margin, witness, *extras = outcomes[start + i]
+            outcomes[start + i] = (margin, {**witness, "trial": trials[i]}, *extras)
+        return ended
 
     for chunk in _chunks(range(count), size, search, grow=stop):
         try:
             found = evaluate(chunk)
         except Exception:
             for t in chunk:
-                if add(t, *evaluate(range(t, t + 1))[0]):
+                if take([t], evaluate(range(t, t + 1))):
                     return outcomes
             raise
-        for t, outcome in zip(chunk, found):
-            if add(t, *outcome):
-                return outcomes
+        if take(chunk, found):
+            return outcomes
     return outcomes
 
 
@@ -291,13 +298,14 @@ def _pairs(cfg: GenConfig, trials):
     return _random_pairs(cfg, trials)
 
 
-def _search_stub(trial, seed, rep: PsdReport) -> dict:
+def _search_stub(trial, seed, margin, min_eigenvalue) -> dict:
     """What a search report keeps of a violating trial besides its index:
-    its seed, margin and smallest eigenvalue."""
+    its seed, margin and smallest eigenvalue (None when the product is not
+    self-adjoint), as its ``PsdReport`` gives them."""
     return {
         "seed": seed,
-        "margin": rep.margin,
-        "min_eigenvalue": rep.min_eigenvalue,
+        "margin": margin,
+        "min_eigenvalue": min_eigenvalue,
         "deterministic_witness": trial == 0,
     }
 
@@ -310,7 +318,7 @@ def _search_record(trial, i, seed, M, N, product, verdicts) -> dict:
         **_matrix_payload(i, m=M, n=N, product=product),
         "psd": rep.to_json(),
         "trial": trial,
-        **_search_stub(trial, seed, rep),
+        **_search_stub(trial, seed, rep.margin, rep.min_eigenvalue),
     }
 
 
@@ -359,11 +367,13 @@ def counterexample_search(
     margins. ``violations`` holds the stubs (``_search_stub``: trial, seed,
     margin, smallest eigenvalue) of the deterministic witness, when it
     violates, and of the ``_TOP_WITNESSES`` most negative random violations,
-    by margin and then by trial. The chunks build the stub of every
-    violation as they read its verdict. The report's witness is the full
-    record of the first violation (``search_witness``), rebuilt once at the
-    end with the bits of the chunks; ``search_witness`` expands any other
-    stub the same way.
+    by margin and then by trial. The chunks read each trial's margin,
+    smallest eigenvalue and self-adjointness from the stack's arrays, and
+    the stubs are built from these arrays, only for the violations kept.
+    Only the witness gets a ``PsdReport``: it is the full record of the
+    first violation (``search_witness``), rebuilt once at the end with the
+    bits of the chunks; ``search_witness`` expands any other stub the same
+    way.
     """
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
@@ -374,22 +384,33 @@ def counterexample_search(
     validate_trials(trials)
 
     def evaluate(chunk):
-        # a violation's witness is its stub; _run_trials adds the trial
+        # a trial's outcome: its margin, a witness only where a stopping run
+        # ends, and for a violation what its stub needs besides the margin,
+        # read from the stack's arrays: the seed and the smallest eigenvalue
+        # (None when the product is not self-adjoint)
         M, N, seeds = _pairs(cfg, chunk)
         verdicts = _psd_stack(schur_product(M, N), tol)
-        return [
-            (m, _search_stub(t, seed, verdicts.report(i)) if m < -VIOLATION_THRESHOLD else None)
-            for i, (t, seed, m) in enumerate(zip(chunk, seeds, verdicts.margins().tolist()))
-        ]
+        margins = verdicts.margins()
+        lowest, hermitian = verdicts.lowest_eigenvalues().tolist(), verdicts.hermitian.tolist()
+        hits = np.flatnonzero(margins < -VIOLATION_THRESHOLD).tolist()
+        stops, violations = [None] * len(seeds), [None] * len(seeds)
+        for i in hits:
+            violations[i] = seeds[i], lowest[i] if hermitian[i] else None
+        if stop_on_first and hits:
+            stops[hits[0]] = {}
+        return list(zip(margins.tolist(), stops, violations))
 
     outcomes = _run_trials(evaluate, trials + 1, _chunk_size(cfg), search=True, stop=stop_on_first)
-    margins = [m for m, _ in outcomes]
-    stubs = {w["trial"]: w for _, w in outcomes if w is not None}
-    violation_trials = list(stubs)
-    # margins[t] is trial t's; ties between margins go to the earlier trial
-    ranked = sorted((margins[t], t) for t in violation_trials if t > 0)
+    margins, _, violations = zip(*outcomes)
+    violation_trials = [t for t, v in enumerate(violations) if v is not None]
     deterministic = violation_trials[:1] == [0]
-    kept = ([0] if deterministic else []) + [t for _, t in ranked[:_TOP_WITNESSES]]
+    drawn = violation_trials[1:] if deterministic else violation_trials
+    # the most negative random margins; the stable sort gives ties to the earlier trial
+    top = sorted(drawn, key=margins.__getitem__)[:_TOP_WITNESSES]
+    kept = []
+    for t in ([0] if deterministic else []) + top:
+        seed, min_eigenvalue = violations[t]
+        kept.append({**_search_stub(t, seed, margins[t], min_eigenvalue), "trial": t})
     first_witness = search_witness(cfg, violation_trials[0], tol) if violation_trials else None
     random_violations = len(violation_trials) - deterministic
     random_attempted = len(margins) - 1
@@ -407,7 +428,7 @@ def counterexample_search(
             "confidence": 0.95,
         },
         "margin_histogram": _margin_histogram(margins),
-        "violations": [stubs[t] for t in kept],
+        "violations": kept,
     }
     return _report(
         "schur_counterexample_search",

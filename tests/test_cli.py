@@ -1,16 +1,19 @@
 """Command-line contract: exit codes, JSON reports, determinism, witnesses."""
 
+import contextlib
+import io
 import json
 import os
 import runpy
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cstar_schur import (
     AlgebraShape,
@@ -300,6 +303,60 @@ def test_search_stop_on_first(capsys):
     )
     assert code == 0
     assert "1/1 violations" in capsys.readouterr().out
+
+
+# Values that a search's numeric flags and CSTAR_SCHUR_TOL take, the valid
+# ones repeated so that most runs reach the search; the sizes keep n * k <= 16
+# and the trials <= 20, so no run allocates more than a few MB.
+_SEARCH_TOLS = ["1e-9"] * 6 + ["1e-6", "1e-300", "nan", "0", "-1", "inf", "junk", ""]
+_SEARCH_SCALES = ["1", "0.37", "1e-300", "1e200"] * 4 + ["0", "-1", "nan", "inf", "x"]
+_SEARCH_SHAPES = ["2", "2,1", "3", "2,2"] * 5 + ["1", "1,1", "0", "", "a", "2,", "-2", "4,4"]
+
+
+@st.composite
+def _search_argv(draw, witness_dir):
+    """A ``search`` command line and a CSTAR_SCHUR_TOL value (None: unset)."""
+    shape = draw(st.sampled_from(_SEARCH_SHAPES))
+    k = max((int(b) for b in shape.split(",") if b.lstrip("-").isdigit()), default=1)
+    top = 16 // max(k, 1)
+    n = draw(st.integers(1, top) | st.integers(-1, top))
+    argv = [
+        "search", "--shape", shape, "--n", str(n),
+        "--trials", str(draw(st.integers(0, 20) | st.integers(-1, 20))),
+        "--entry-scale", draw(st.sampled_from(_SEARCH_SCALES)),
+    ]
+    if draw(st.booleans()):
+        argv += ["--n-max", str(draw(st.integers(n - 1, max(n - 1, top))))]
+    if draw(st.booleans()):
+        argv.append("--stop-on-first")
+    if draw(st.booleans()):
+        argv += ["--witness-dir", str(witness_dir)]
+    tol = draw(st.none() | st.sampled_from(_SEARCH_TOLS))
+    if tol is not None:
+        argv += ["--tol", tol]
+    return argv, draw(st.none() | st.sampled_from(_SEARCH_TOLS))
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_search_exits_with_a_documented_code_and_no_traceback(data, tmp_path):
+    with tempfile.TemporaryDirectory(dir=tmp_path) as run_dir:
+        argv, env_tol = data.draw(_search_argv(Path(run_dir) / "witnesses"))
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            if env_tol is None:
+                mp.delenv("CSTAR_SCHUR_TOL", raising=False)
+            else:
+                mp.setenv("CSTAR_SCHUR_TOL", env_tol)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a malformed flag
+                code = exc.code
+    assert code in (0, 1, 2, 3), (argv, env_tol, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, env_tol)
 
 
 def test_witness_reverifies_via_from_witness(tmp_path, capsys):

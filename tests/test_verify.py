@@ -709,6 +709,70 @@ def test_search_stubs_equal_the_records_rebuilt_alone(shape, n, stop_on_first, m
     assert rep.witness == verify.search_witness(cfg, d["violation_trials"][0])
 
 
+def _plant_search_pairs(monkeypatch, products):
+    """Random trial t of a search over M_2 at n = 1 draws M = 1 and N =
+    products[t - 1], a 2x2 array, with its real seed; the symmetrized product
+    of the pair is N. ``search_witness`` draws the same pairs."""
+    def amatrix(block):
+        return AMatrix(M2, [np.asarray(block, dtype=complex).reshape(1, 1, 2, 2)])
+
+    ident, planted = amatrix(np.eye(2)), [amatrix(p) for p in products]
+
+    def pairs(cfg, trials):
+        seeds = [cfg.derive(t).seed for t in trials]
+        return _stack([ident] * len(trials)), _stack([planted[t - 1] for t in trials]), seeds
+
+    monkeypatch.setattr(verify, "_random_pairs", pairs)
+
+
+def _assert_stubs_are_the_records(rep, cfg):
+    for stub in rep.details["violations"]:
+        assert set(stub) == STUB_KEYS
+        record = verify.search_witness(cfg, stub["trial"])
+        for key in STUB_KEYS:
+            assert np.array(stub[key]).tobytes() == np.array(record[key]).tobytes(), key
+
+
+def test_search_counts_violations_strictly_beyond_the_threshold(monkeypatch):
+    # N = diag(1, -c * VIOLATION_THRESHOLD) has scale 1, so its margin is
+    # -c * VIOLATION_THRESHOLD: c = 1 sits on the line, which is not crossed,
+    # and c = 0.1 fails the oracle at tol 1e-9 without counting
+    cs = [1e3, 10.0, 1.0, 0.1, -0.1]
+    line = verify.VIOLATION_THRESHOLD
+    _plant_search_pairs(monkeypatch, [np.diag([1.0, -c * line]) for c in cs])
+    cfg = GenConfig(seed=2024, shape=M2, n=1)
+    rep = counterexample_search(cfg, len(cs))
+    d = rep.details
+    assert _search_margins(cfg, len(cs))[1:] == [-c * line for c in cs]
+    assert d["violation_trials"] == [0, 1, 2]
+    assert (rep.failures, d["random_violations"]) == (3, 2)
+    assert [w["trial"] for w in d["violations"]] == [0, 1, 2]
+    _assert_stubs_are_the_records(rep, cfg)
+    assert verify.search_witness(cfg, 4)["psd"]["is_positive"] is False
+    assert verify.search_witness(cfg, 5)["psd"]["is_positive"] is True
+
+
+def test_search_stub_of_a_product_that_is_not_self_adjoint(monkeypatch):
+    from cstar_schur.amatrix import PsdReport
+
+    # [[1, 1], [0, 1]] has Hermitian defect 1, far past the cut, so the oracle
+    # reports no eigenvalue; it shares its chunk with a self-adjoint violation
+    _plant_search_pairs(monkeypatch, [[[1, 1], [0, 1]], np.diag([1.0, -0.5])])
+    cfg = GenConfig(seed=2024, shape=M2, n=1)
+    rep = counterexample_search(cfg, 2)
+    assert rep.details["violation_trials"] == [0, 1, 2]
+    _assert_stubs_are_the_records(rep, cfg)
+    stub = rep.details["violations"][1]
+    psd = PsdReport.from_json(verify.search_witness(cfg, 1)["psd"])
+    assert stub["trial"] == 1 and stub["min_eigenvalue"] is None
+    assert psd.min_eigenvalue_per_block == () and psd.hermitian_defect > psd.tol_used
+    margin = -psd.hermitian_defect / max(1.0, psd.scale)
+    assert np.array(stub["margin"]).tobytes() == np.array(margin).tobytes()
+    expected = verify._search_stub(1, stub["seed"], psd.margin, psd.min_eigenvalue)
+    assert stub == {**expected, "trial": 1}
+    assert rep.details["violations"][2]["min_eigenvalue"] == -0.5
+
+
 @pytest.mark.parametrize("scale", [1.0, 0.37])
 @pytest.mark.parametrize("style", STYLES)
 def test_search_draws_equal_each_pair_drawn_alone(style, scale):
@@ -1276,6 +1340,26 @@ def test_suite_grid_builds_reports_only_for_witnesses_and_details(monkeypatch):
     # Novak details and the witnesses take reports (1 170 while every verdict
     # was read as a report)
     assert len(_grid_calls(monkeypatch, "report", amatrix.PsdStack)) <= 119
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_search_builds_a_report_only_for_its_witness(monkeypatch, n):
+    from cstar_schur import amatrix
+
+    calls = []
+    report = amatrix.PsdStack.report
+
+    def counted(self, i):
+        calls.append(i)
+        return report(self, i)
+
+    monkeypatch.setattr(amatrix.PsdStack, "report", counted)
+    rep = counterexample_search(GenConfig(seed=2024, shape=M2, n=n), trials=1000)
+    # the chunks read their stubs from the stacks' arrays, and only the witness
+    # is rebuilt with its certificate (438 and 196 reports, 437 and 195
+    # violations, while every violation took one)
+    assert rep.failures == {2: 437, 3: 195}[n]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
