@@ -271,15 +271,23 @@ def cmd_verify(args) -> int:
     return _finish(args, cfg, reports, {"suite": args.suite})
 
 
+def _read_json(path: str, kind: str):
+    """The JSON value in the input file ``path``, decoded as UTF-8 (RFC 8259).
+    A file that cannot be read, decoded or parsed, holds an integer past
+    Python's digit limit or nests past its recursion limit is a usage error."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers UnicodeDecodeError and json.JSONDecodeError
+        raise StructureError(f"cannot read {kind} file {path}: {exc}")
+
+
 def _reverify_witness(args) -> int:
     """Recompute the product of a stored violation and confirm it still
     violates: a one-check report that passes when the violation reproduces.
     The route reads only the file, ``--tol`` and ``--json``."""
     path, tol = args.from_witness, args.tol
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StructureError(f"cannot read witness file {path}: {exc}")
+    data = _read_json(path, "witness")
     try:
         M = AMatrix.from_json(data["m"])
         N = AMatrix.from_json(data["n"])
@@ -445,10 +453,7 @@ def _load_points(path: str) -> list[list[Element]]:
     either a plain number, meaning that multiple of the unit, or a full
     element in ``Element.to_json`` form. Every number must be finite.
     """
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise StructureError(f"cannot read points file {path}: {exc}")
+    data = _read_json(path, "points")
     try:
         algebra = data["algebra"]
         blocks = algebra["blocks"] if isinstance(algebra, dict) else algebra

@@ -9,7 +9,10 @@ Identical configs therefore produce bitwise-identical instances regardless
 of execution order or thread count.
 
 Searches and suite trials draw a chunk of instances at once, seeded in bulk
-(``_mix64s``, ``_Streams``; each stream is bitwise ``default_rng(seed)``'s).
+(``_mix64s``, ``_Streams``; each stream is bitwise ``default_rng(seed)``'s):
+``_Streams`` computes SeedSequence's hash of every seed in one pass, and each
+member's PCG64 seeds itself from its row of that hash, through numpy's
+seed-sequence protocol, as it would from ``SeedSequence(seed)``.
 Each generator's chunk form takes one generator per instance and returns the
 instances as one batched value, instance t its member t (``algebra._Blocks``):
 the complex stacks, Gram products, Haar frames, Hermitian parts and norm caps
@@ -144,11 +147,10 @@ def _seeds(cfg: GenConfig, trials, *indices) -> np.ndarray:
     return seeds.ravel()
 
 
-# numpy's SeedSequence hash constants (O'Neill's seed_seq redesign) and PCG64's multiplier
+# numpy's SeedSequence hash constants (O'Neill's seed_seq redesign)
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_MASK32 = (1 << 32) - 1
 
 
 def _hash_constants(const: int, mult: int, calls: int):
@@ -170,11 +172,33 @@ def _hashmix(value: np.ndarray, xors: np.ndarray, mults: np.ndarray) -> np.ndarr
     return value ^ (value >> np.uint32(16))
 
 
+@functools.cache
+def _hashed_seed() -> type:
+    """The seed type that hands PCG64 an already hashed state: a
+    ``numpy.random.bit_generator.ISeedSequence`` whose ``generate_state``
+    returns its row. numpy.random is imported here, on the first draw, so
+    that importing the package does not load it."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        __slots__ = ("row",)
+
+        def __init__(self, row: np.ndarray):
+            self.row = row
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            # PCG64 makes one request, generate_state(4, np.uint64)
+            return self.row
+
+    return HashedSeed
+
+
 class _Streams:
     """One generator per seed, in order, each with the stream of
     ``np.random.default_rng(seed)``: ``SeedSequence(seed).generate_state(4,
-    np.uint64)`` computed for all seeds at once, then set as PCG64 state on one
-    reused generator. Use each generator before taking the next."""
+    np.uint64)`` is computed for all seeds at once, one row of ``states`` per
+    seed, and each row seeds its own PCG64 in C as SeedSequence's output
+    would. Each yielded generator is a new object, so they may be kept."""
 
     def __init__(self, seeds):
         seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
@@ -191,23 +215,18 @@ class _Streams:
             x = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * h
             pool[dst] = x ^ (x >> np.uint32(16))
         # generate_state(4, uint64): eight uint32 words cycling over the pool,
-        # paired into uint64 words low word first
+        # paired into uint64 words low word first; PCG64 reads the four words
+        # from the row's memory, so the rows must be C-contiguous
         out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
-        self.words = (out[0::2] | out[1::2] << np.uint64(32)).tolist()
+        self.states = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
 
     def __len__(self) -> int:
-        return len(self.words[0])
+        return len(self.states)
 
     def __iter__(self):
-        bit_gen = np.random.PCG64(0)
-        gen = np.random.Generator(bit_gen)
-        for s_hi, s_lo, i_hi, i_lo in zip(*self.words):
-            # pcg64_set_seed: inc = 2 initseq + 1, two LCG steps from state 0
-            inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-            state = (((s_hi << 64 | s_lo) + inc) * _PCG_MULT + inc) & _MASK128
-            bit_gen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                             "has_uint32": 0, "uinteger": 0}
-            yield gen
+        hashed, generator, pcg64 = _hashed_seed(), np.random.Generator, np.random.PCG64
+        for row in self.states:
+            yield generator(pcg64(hashed(row)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import contextlib
 import io
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
 import tempfile
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ from cstar_schur import (
     StructureError,
     counterexample_search,
     identity_matrix,
+    random_commuting_family,
 )
 from cstar_schur.cli import _canonical_json, build_parser, main
 from cstar_schur.verify import search_witness
@@ -789,6 +792,99 @@ def test_witness_product_must_be_a_matrix(product, tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert run(["verify", "--from-witness", str(path)]) == 0
     assert "bitwise-identically: True" in capsys.readouterr().out
+
+
+_INPUT_COMMANDS = {"witness": ["verify", "--from-witness"], "points": ["novak", "--points"]}
+
+
+@pytest.mark.parametrize("kind", sorted(_INPUT_COMMANDS))
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe[1]", b"[" * 100_000 + b"]" * 100_000, b"[" + b"1" * 5000 + b"]"],
+    ids=["utf16_bom", "nested_1e5", "int_past_digit_limit"],
+)
+def test_unreadable_input_files_are_usage_errors(kind, content, tmp_path, capsys):
+    # json.loads raised UnicodeDecodeError, RecursionError and the int digit
+    # limit's ValueError past the handler: a traceback with exit 1
+    path = tmp_path / "in.json"
+    path.write_bytes(content)
+    assert run([*_INPUT_COMMANDS[kind], str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {kind} file ") and err.count("\n") == 1
+
+
+@cache
+def _input_file(kind: str) -> bytes:
+    """A witness file of a search (n = 2 over M_2), or a points file of three
+    commuting self-adjoint points over M_2 that ``novak --points`` accepts."""
+    if kind == "points":
+        cfg = GenConfig(seed=5, shape=AlgebraShape((2,)))
+        family = random_commuting_family(cfg, 2, selfadjoint=True, norm_cap=np.pi)
+        cells = [[x.to_json()] for x in family] + [[0.5]]
+        return json.dumps({"algebra": [2], "points": cells}).encode()
+    with tempfile.TemporaryDirectory() as wdir, contextlib.redirect_stdout(io.StringIO()):
+        argv = ["search", "--shape", "2", "--n", "2", "--trials", "0", "--witness-dir", wdir]
+        assert main(argv) == 0
+        return next(Path(wdir).glob("*.json")).read_bytes()
+
+
+_NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+_MUTATIONS = ["truncate", "byte", "encode", "nest", "non_finite", "top_level"]
+
+
+@st.composite
+def _mutated(draw, data: bytes) -> bytes:
+    """``data`` after one or two of: a cut at a random offset, one byte set to
+    any value, a re-encoding, nesting up to 10^5 deep, a number made
+    non-finite, and a top-level value of the wrong type."""
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2)):
+        if kind == "truncate":
+            data = data[: draw(st.integers(0, max(len(data) - 1, 0)))]
+        elif kind == "byte" and data:
+            i = draw(st.integers(0, len(data) - 1))
+            data = data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+        elif kind == "encode":
+            try:
+                text = data.decode()
+            except UnicodeDecodeError:
+                text = data.decode("latin-1")
+            # a non-ASCII key, so that latin-1 differs from UTF-8
+            if text.startswith("{"):
+                text = '{"note": "Schur \u00e9", ' + text[1:]
+            codec = draw(st.sampled_from(["utf-16", "utf-16-le", "utf-32", "latin-1", "utf-8-sig"]))
+            data = text.encode(codec, errors="replace")
+        elif kind == "nest":
+            depth = draw(st.integers(1, 2000) | st.sampled_from([10**4, 10**5]))
+            left, right = draw(st.sampled_from([(b"[", b"]"), (b'{"a": ', b"}")]))
+            data = left * depth + data + right * depth
+        elif kind == "non_finite":
+            numbers = list(_NUMBER.finditer(data))
+            if numbers:
+                m = numbers[draw(st.integers(0, len(numbers) - 1))]
+                token = draw(st.sampled_from([b"NaN", b"Infinity", b"-Infinity", b"1e999", b"-1e999"]))
+                data = data[: m.start()] + token + data[m.end() :]
+        elif kind == "top_level":
+            value = draw(st.sampled_from([[], 5, -1.5, "x", None, True, {}]))
+            data = json.dumps(value).encode()
+    return data
+
+
+@pytest.mark.parametrize("kind", sorted(_INPUT_COMMANDS))
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_input_files_exit_with_a_documented_code_and_no_traceback(kind, data, tmp_path, monkeypatch):
+    monkeypatch.delenv("CSTAR_SCHUR_TOL", raising=False)
+    content = data.draw(_mutated(_input_file(kind)))
+    with tempfile.TemporaryDirectory(dir=tmp_path) as run_dir:
+        path = Path(run_dir) / "in.json"
+        path.write_bytes(content)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main([*_INPUT_COMMANDS[kind], str(path)])
+    assert code in (0, 1, 2, 3), (content[:200], err.getvalue())
+    assert "Traceback" not in err.getvalue(), content[:200]
 
 
 @pytest.mark.parametrize(

@@ -295,6 +295,33 @@ def test_bulk_streams_equal_default_rng_bitwise():
     assert got == [np.random.default_rng(s).standard_normal(3).tobytes() for s in seeds]
 
 
+def test_stream_states_equal_default_rng():
+    # the full PCG64 state, not only the first draws: state, increment and the
+    # buffered 32-bit half all start as default_rng(seed) starts them
+    seeds = EDGE_SEEDS + [derive_seed(2024, t, j) for t in (0, 1, 999) for j in (0, 1)]
+    got = [g.bit_generator.state for g in _Streams(seeds)]
+    assert got == [np.random.default_rng(s).bit_generator.state for s in seeds]
+
+
+def test_empty_streams_yield_nothing():
+    streams = _Streams([])
+    assert len(streams) == 0
+    assert list(streams) == []
+
+
+def test_kept_generators_each_keep_their_own_stream():
+    # collected before any is used, each generator still draws its own seed's
+    # stream, in any order of use
+    seeds = EDGE_SEEDS + [derive_seed(7, t) for t in range(20)]
+    streams = _Streams(seeds)
+    gens = list(streams)
+    assert len({id(g) for g in gens}) == len({id(g.bit_generator) for g in gens}) == len(seeds)
+    got = [g.standard_normal(5).tobytes() for g in reversed(gens)][::-1]
+    assert got == [np.random.default_rng(s).standard_normal(5).tobytes() for s in seeds]
+    # the draws leave the streams object as it was: a second pass starts over
+    assert [g.standard_normal(5).tobytes() for g in streams] == got
+
+
 def test_vectorized_mix64_equals_derive_seed():
     seeds = EDGE_SEEDS + [2**63, 2024]
     indices = [0, 1, 2, 2**32 - 1, 2**32, 2**64 - 2, 2**64 - 1]

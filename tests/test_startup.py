@@ -4,9 +4,9 @@
 it exports from there. ``search`` and ``verify --from-witness`` must not import
 it at all, while ``import cstar_schur.cli`` must still load every module that
 perfbench/spans.py wraps, or ``perfbench/run.py --trace 1`` misses the layers
-of a suite that imports them later. A search's chunk stacks must reuse heap
-memory rather than map fresh pages for each chunk, whatever was compiled
-before it.
+of a suite that imports them later; ``numpy.random`` waits for the first
+draw. A search's chunk stacks must reuse heap memory rather than map fresh
+pages for each chunk, whatever was compiled before it.
 """
 
 import ctypes
@@ -110,3 +110,17 @@ def test_search_chunks_reuse_heap_memory_with_a_bytecode_cache(tmp_path):
         print(faults() - before)
     """, env)
     assert int(out) < 1000
+
+
+def test_cli_import_leaves_numpy_random_to_the_first_draw():
+    # numpy.random costs a process about 10 ms and 6 MB; a command that draws
+    # nothing should not pay for it
+    out = _python("""
+        import contextlib, io, sys
+        from cstar_schur.cli import main
+        print("numpy.random" in sys.modules)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["search", "--shape", "2", "--n", "2", "--trials", "5"]) == 0
+        print("numpy.random" in sys.modules)
+    """)
+    assert out.split() == ["False", "True"]
