@@ -13,11 +13,11 @@ with BLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``). The runs cover
 ``verify --suite all`` over the grid of ``run_verification_suites.py`` at 10
 and 100 trials, five searches (a sweep with many random hits, a large size
 with only the deterministic hit, ``--stop-on-first``, and random trials over
-the multi-block shape (2, 1) at a non-unit entry scale in both styles), ``novak
---random``, two verify runs at a non-unit entry scale (one with ``--d 3``,
-one in the ``real_commutative`` style with ``--entrywise-constant``), and one
-verify run at ``--threads 1`` and ``--threads 4``. The exit code is 1 when any
-run exits non-zero.
+the multi-block shape (2, 1) at a non-unit entry scale in both styles),
+``verify --suite novak`` at ``--d 3``, two verify runs at a non-unit entry
+scale (one with ``--d 3``, one in the ``real_commutative`` style with
+``--entrywise-constant``), and one verify run at ``--threads 1`` and
+``--threads 4``. The exit code is 1 when any run exits non-zero.
 
 A change that may move the last bits of margins, but no verdict, is checked
 against reports written earlier into REF_DIR by the old checkout:
@@ -70,8 +70,8 @@ def golden_commands() -> dict[str, list[str]]:
             "search", "--shape", "2,1", "--n", "3", "--trials", "300",
             "--entry-scale", "0.37", "--style", style,
         ]
-    runs["novak_random.json"] = [
-        "novak", "--random", "--n", "4", "--d", "3", "--trials", "20"
+    runs["verify_novak_n4_d3_t20.json"] = [
+        "verify", "--suite", "novak", "--n", "4", "--d", "3", "--trials", "20"
     ]
     # the non-unit scale, --d, the real style and --entrywise-constant in verify
     runs["verify_s2,1_n3_scale2.5_d3.json"] = [

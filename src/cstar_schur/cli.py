@@ -5,8 +5,8 @@ Four commands:
 * ``verify``  -- run named verification suites over a configurable algebra;
 * ``search``  -- randomized hunt for Schur-positivity violations over a
   noncommutative algebra, optionally sweeping matrix sizes;
-* ``novak``   -- the cosine-matrix positivity pipeline on random or supplied
-  point arrays;
+* ``novak``   -- the cosine-matrix positivity pipeline on the point array of
+  a file (``verify --suite novak`` draws random ones);
 * ``demo``    -- a short deterministic tour of the main phenomena.
 
 Exit codes: 0 success, 1 verification failure (or a witness that fails to
@@ -75,17 +75,14 @@ def _validate_tol(tol: float, source: str) -> None:
 
 def _validate_size(args) -> None:
     """Reject a size whose largest flattened block exceeds ``MAX_FLAT_SIZE``
-    before anything is drawn or allocated. An explicit points file sets its
-    own size, which ``_load_points`` checks."""
-    if getattr(args, "points", None) is not None:
-        return
+    before anything is drawn or allocated."""
     n = max(args.n, getattr(args, "n_max", None) or 0)
     k = max(AlgebraShape.parse(args.shape).blocks)
     if n * k > MAX_FLAT_SIZE:
         raise StructureError(
             f"n * (largest block size) = {n} * {k} exceeds the limit {MAX_FLAT_SIZE}"
         )
-    if "d" in vars(args) and getattr(args, "suite", "novak") in ("all", "novak"):
+    if "d" in vars(args) and args.suite in ("all", "novak"):
         _validate_points(args.n * args.d)
 
 
@@ -221,14 +218,13 @@ def _summarize(reports: list[CheckReport]) -> int:
 
 def _finish(args, cfg: GenConfig, reports: list[CheckReport], config: dict, **extra) -> int:
     """Print the summary of ``reports``, write them to ``--json`` with the run's
-    config, updated by the ``config`` keys, and the ``extra`` top-level keys,
-    and return the exit code."""
+    config, updated by the ``config`` keys (``trials`` and ``d`` among them),
+    and the ``extra`` top-level keys, and return the exit code."""
     failures = _summarize(reports)
     if args.json:
-        config = {"trials": args.trials, "d": args.d, "tol": args.tol, **config}
         payload = {
             "command": args.command,
-            "config": _config_payload(cfg, **config),
+            "config": _config_payload(cfg, tol=args.tol, **config),
             "reports": [r.to_json() for r in reports],
             "failures": failures,
             "passed": failures == 0,
@@ -268,7 +264,7 @@ def cmd_verify(args) -> int:
     )
     for r in reports:
         _print_report(r)
-    return _finish(args, cfg, reports, {"suite": args.suite})
+    return _finish(args, cfg, reports, {"trials": args.trials, "d": args.d, "suite": args.suite})
 
 
 def _read_json(path: str, kind: str):
@@ -280,6 +276,10 @@ def _read_json(path: str, kind: str):
     except (OSError, ValueError, RecursionError) as exc:
         # ValueError covers UnicodeDecodeError and json.JSONDecodeError
         raise StructureError(f"cannot read {kind} file {path}: {exc}")
+
+
+# the config keys a run on a file's one instance leaves null: nothing is drawn
+_UNDRAWN = {"seed": None, "entry_scale": None, "style": None}
 
 
 def _reverify_witness(args) -> int:
@@ -324,10 +324,8 @@ def _reverify_witness(args) -> int:
     report = _report(
         "witness_reproduced", 1, int(not reproduced), rep.margin, tol, None, details, t0
     )
-    # the run is the file's one instance: no seed, draw or suite flag was read
     cfg = GenConfig(seed=0, shape=M.shape, n=M.n)
-    unread = {"seed": None, "entry_scale": None, "style": None, "d": None}
-    return _finish(args, cfg, [report], {"trials": 1, **unread})
+    return _finish(args, cfg, [report], {"trials": 1, "d": None, **_UNDRAWN})
 
 
 # glibc's mallopt(3) parameter numbers, from <malloc.h>
@@ -482,27 +480,18 @@ def _load_points(path: str) -> list[list[Element]]:
 
 
 def cmd_novak(args) -> int:
-    cfg = _build_config(args)
-    if args.points is not None and args.random:
-        raise StructureError("--points and --random are mutually exclusive")
     from .suites import novak_check
 
-    if args.points is not None:
-        points = _load_points(args.points)
-        novak, report = novak_check(points, args.tol)
-        _print_report(report)
-        _print_novak_line(report)
-        # the run is the file's one instance, not the size and draws of the flags
-        cfg = replace(cfg, shape=points[0][0].shape, n=len(points))
-        config = {"trials": report.trials, "d": len(points[0])}
-        return _finish(
-            args, cfg, [report], config,
-            novak_matrix=novak.to_json(), psd=psd_check(novak, args.tol).to_json(),
-        )
-    reports = run_suites("novak", cfg, trials=args.trials, d=args.d, tol=args.tol)
-    for r in reports:
-        _print_report(r)
-    return _finish(args, cfg, reports, {})
+    points = _load_points(args.points)
+    novak, report = novak_check(points, args.tol)
+    _print_report(report)
+    _print_novak_line(report)
+    cfg = GenConfig(seed=0, shape=points[0][0].shape, n=len(points))
+    config = {"trials": report.trials, "d": len(points[0]), **_UNDRAWN}
+    return _finish(
+        args, cfg, [report], config,
+        novak_matrix=novak.to_json(), psd=psd_check(novak, args.tol).to_json(),
+    )
 
 
 def cmd_demo(args) -> int:
@@ -551,16 +540,11 @@ def cmd_demo(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    """The flags of a run that draws its instances, and ``_add_output``'s."""
     p.add_argument("--shape", default="1,1", help="algebra block sizes, e.g. '2,1'")
     p.add_argument("--n", type=int, default=2, help="matrix size over the algebra")
     p.add_argument("--trials", type=int, default=200, help="random trials per check")
     p.add_argument("--seed", type=int, default=2024, help="base seed")
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help=f"relative tolerance (env {_TOL_ENV} overrides the default)",
-    )
     p.add_argument(
         "--entry-scale", type=float, default=1.0, help="scale of random entries"
     )
@@ -569,6 +553,17 @@ def _add_common(p: argparse.ArgumentParser) -> None:
         choices=STYLES,
         default="complex",
         help="entry distribution for random draws",
+    )
+    _add_output(p)
+
+
+def _add_output(p: argparse.ArgumentParser) -> None:
+    """The flags of every run command: tolerance, threads and the report path."""
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=None,
+        help=f"relative tolerance (env {_TOL_ENV} overrides the default)",
     )
     p.add_argument(
         "--threads",
@@ -646,20 +641,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_search.set_defaults(func=cmd_search)
 
-    p_novak = sub.add_parser("novak", help="cosine-matrix positivity pipeline")
-    _add_common(p_novak)
-    p_novak.add_argument("--d", type=int, default=2, help="points per row")
+    p_novak = sub.add_parser(
+        "novak", help="cosine-matrix positivity pipeline on an explicit point array"
+    )
     p_novak.add_argument(
         "--points",
         metavar="FILE",
-        default=None,
-        help="JSON file with explicit self-adjoint points (single run)",
+        required=True,
+        help="JSON file with explicit self-adjoint points; it sets the shape, n and d",
     )
-    p_novak.add_argument(
-        "--random",
-        action="store_true",
-        help="draw random point arrays (the default when --points is absent)",
-    )
+    _add_output(p_novak)
     p_novak.set_defaults(func=cmd_novak)
 
     p_demo = sub.add_parser("demo", help="deterministic tour of the phenomena")

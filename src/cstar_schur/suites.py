@@ -164,16 +164,17 @@ def _seeded(witness: dict | None, seed: int) -> dict | None:
 @dataclass(frozen=True)
 class _Verdict:
     """The oracle's verdict on one matrix: member i of ``stack``, whose
-    ``margins`` (the stack's, as a list) it shares, or the error its solve
-    raised alone, which is raised when the verdict is read. A trial that
-    reads its verdicts in the order it needs them raises the error it raises
-    alone. Positivity and margin come from the stack's arrays; a
+    ``margins`` and ``lowest`` eigenvalues (the stack's lists) it shares, or
+    the error its solve raised alone, which is raised when the verdict is
+    read. A trial that reads its verdicts in the order it needs them raises
+    the error it raises alone. Verdicts are read from the stack's arrays; a
     ``PsdReport`` is built only when ``report`` is called."""
 
     stack: PsdStack | None
     i: int = 0
     error: Exception | None = None
     margins: list | None = None
+    lowest: list | None = None
 
     def _read(self) -> PsdStack:
         if self.error is not None:
@@ -189,6 +190,12 @@ class _Verdict:
         """``PsdReport.margin``, bit for bit."""
         self._read()
         return self.margins[self.i]
+
+    @property
+    def min_eigenvalue(self) -> float | None:
+        """``PsdReport.min_eigenvalue``, bit for bit: None for a member that
+        is not self-adjoint."""
+        return self.lowest[self.i] if self._read().hermitian[self.i] else None
 
     def report(self) -> PsdReport:
         return self._read().report(self.i)
@@ -214,7 +221,9 @@ def _oracle(X: AMatrix, tol: float, oracle: Callable = _psd_stack) -> list[_Verd
             return [_Verdict(None, error=exc)]
         return [verdict for i in members for verdict in _oracle(X._at(i), tol, oracle)]
     margins = stack.margins().tolist()
-    return [_Verdict(stack, i, margins=margins) for i in range(len(margins))]
+    # a stack without eigenvalues (``_cholesky_stack``'s) has no lowest ones
+    lowest = stack.lowest_eigenvalues().tolist() if stack.min_eigenvalues.shape[-1] else None
+    return [_Verdict(stack, i, margins=margins, lowest=lowest) for i in range(len(margins))]
 
 
 def _require_positive(name: str, verdict: _Verdict) -> None:
@@ -509,19 +518,17 @@ def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple
         verdict_m = next(verdicts)
         verdict_final = next(verdicts)
         margin = _worst([*step_margins, verdict_m.margin, verdict_final.margin])
-        # the details record the final matrix's smallest eigenvalue
-        rep_final = verdict_final.report()
         ok = (
             all(m >= -tol for m in step_margins)
             and verdict_m.is_positive
             and diag_residual <= UNIT_DIAG_TOL
-            and rep_final.is_positive
+            and verdict_final.is_positive
         )
         witness = None
         if not ok:
             witness = {
                 "points": _points_json(shape, tuple(b[t] for b in points)),
-                "psd_final": rep_final.to_json(),
+                "psd_final": verdict_final.report().to_json(),
                 "diag_residual": diag_residual,
             }
         details = {
@@ -529,7 +536,7 @@ def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple
             "d": d,
             "cosine_step_margins": step_margins,
             "diag_residual": diag_residual,
-            "min_eigenvalue": rep_final.min_eigenvalue,
+            "min_eigenvalue": verdict_final.min_eigenvalue,
         }
         outcomes.append((margin, witness, details))
     return novak, outcomes

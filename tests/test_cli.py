@@ -27,7 +27,8 @@ from cstar_schur import (
     random_commuting_family,
 )
 from cstar_schur.cli import _canonical_json, build_parser, main
-from cstar_schur.verify import search_witness
+from cstar_schur.generate import STYLES
+from cstar_schur.verify import SUITES, search_witness
 from test_verify import GRID, _reference_search
 
 
@@ -139,7 +140,7 @@ def test_svd_breakdown_exits_three_without_traceback(scale, capsys):
         ["verify", "--suite", "schur", "--trials", "2", "--tol", "nan"],
         ["verify", "--suite", "module", "--trials", "2", "--tol", "inf"],
         ["verify", "--suite", "module", "--trials", "2", "--tol", "0"],
-        ["novak", "--random", "--trials", "2", "--tol", "nan"],
+        ["verify", "--suite", "novak", "--trials", "2", "--tol", "nan"],
         ["demo", "--tol=-inf"],
     ],
 )
@@ -545,28 +546,6 @@ def test_points_file_structural_errors(tmp_path, capsys):
     assert run(["novak", "--points", str(empty)]) == 2
 
 
-def test_novak_random_mode(capsys):
-    code = run(
-        ["novak", "--shape", "1,1", "--n", "3", "--d", "2", "--trials", "10",
-         "--seed", "2", "--random"]
-    )
-    assert code == 0
-    assert "novak_conjecture" in capsys.readouterr().out
-
-
-def test_novak_random_writes_the_reports_of_the_novak_suite(tmp_path):
-    flags = ["--shape", "2,1", "--n", "2", "--d", "2", "--trials", "6", "--seed", "5"]
-    novak, suite = tmp_path / "novak.json", tmp_path / "suite.json"
-    assert run(["novak", "--random", *flags, "--json", str(novak)]) == 0
-    assert run(["verify", "--suite", "novak", *flags, "--json", str(suite)]) == 0
-    a, b = json.loads(novak.read_text()), json.loads(suite.read_text())
-    assert a["command"] == "novak" and b["command"] == "verify"
-    for key in ("reports", "failures", "passed"):
-        assert a[key] == b[key], key
-    assert b["config"].pop("suite") == "novak"
-    assert a["config"] == b["config"]
-
-
 def test_novak_points_json_holds_the_matrix_and_its_verdict(tmp_path):
     f = tmp_path / "pts.json"
     f.write_text(json.dumps({"algebra": [1], "points": [[0.0], [np.pi]]}))
@@ -617,12 +596,49 @@ def test_novak_points_config_records_the_points_run(tmp_path):
     f = tmp_path / "pts.json"
     f.write_text(json.dumps({"algebra": [2], "points": [[entry, 0.0]] * 3}))
     out = tmp_path / "novak.json"
-    # the flags' size is not the run's, so it is neither checked nor recorded
-    argv = ["novak", "--points", str(f), "--n", "3000", "--trials", "7", "--json", str(out)]
-    assert run(argv) == 0
-    config = json.loads(out.read_text())["config"]
-    assert (config["shape"], config["n"], config["d"], config["trials"]) == ([2], 3, 2, 1)
-    assert GenConfig.from_json(config) == GenConfig(seed=2024, shape=AlgebraShape((2,)), n=3)
+    assert run(["novak", "--points", str(f), "--json", str(out)]) == 0
+    # the file sets the size; nothing is drawn, so seed, scale and style are
+    # null, as in a --from-witness report
+    assert json.loads(out.read_text())["config"] == {
+        "seed": None, "shape": [2], "n": 3, "entry_scale": None, "style": None,
+        "trials": 1, "d": 2, "tol": 1e-9,
+    }
+
+
+def test_novak_help_lists_a_required_points_file_and_the_flags_it_reads(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(["novak", "--help"])
+    assert exit_info.value.code == 0
+    help_text = capsys.readouterr().out
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", help_text))
+    assert flags == {"--help", "--points", "--tol", "--threads", "--json"}
+    # a required flag is not bracketed in the usage line
+    assert " --points FILE " in help_text and "[--points" not in help_text
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--random"], ["--points", "{f}", "--random"], ["--points", "{f}", "--n", "3"],
+     ["--points", "{f}", "--seed", "-5"], ["--points", "{f}", "--trials", "-1"]],
+    ids=["no_points", "random", "points_random", "points_n", "points_seed", "points_trials"],
+)
+def test_novak_without_a_points_file_or_with_a_draw_flag_is_usage_error(flags, tmp_path, capsys):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"algebra": [1], "points": [[0.0], [np.pi]]}))
+    with pytest.raises(SystemExit) as exit_info:
+        run(["novak", *(flag.format(f=f) for flag in flags)])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage: cstar-schur")
+    assert "error: " in captured.err and "Traceback" not in captured.err
+
+
+def test_novak_still_checks_the_flags_it_reads(tmp_path, capsys):
+    f = tmp_path / "pts.json"
+    f.write_text(json.dumps({"algebra": [1], "points": [[0.0], [np.pi]]}))
+    assert run(["novak", "--points", str(f), "--tol", "nan"]) == 2
+    assert "--tol must be finite and positive" in capsys.readouterr().err
+    assert run(["novak", "--points", str(f), "--json", str(tmp_path / "missing" / "r.json")]) == 2
 
 
 def test_report_config_reads_back_into_the_runs_config(tmp_path):
@@ -640,12 +656,6 @@ def test_report_config_reads_back_into_the_runs_config(tmp_path):
         assert GenConfig.from_json(json.loads(out.read_text())["config"]) == want
 
 
-def test_novak_points_and_random_conflict(tmp_path):
-    f = tmp_path / "pts.json"
-    f.write_text("{}")
-    assert run(["novak", "--points", str(f), "--random"]) == 2
-
-
 # -- demo -------------------------------------------------------------------------
 
 
@@ -654,6 +664,79 @@ def test_demo_runs_clean(capsys):
     out = capsys.readouterr().out
     assert "-0.202142" in out  # the deterministic violation
     assert "0 failed" in out
+
+
+# -- any flag values ------------------------------------------------------------
+
+# the lines verify prints: one per check, then the summary
+_CHECK_LINE = re.compile(
+    r"(\[PASS\] |\[FAIL\] |\[probe\]) \S+ +trials=\d+ failures=\d+ worst_margin=\S+ \(\d+\.\d\ds\)"
+    r"|\[SKIP\]  \S+ +\S.*"
+    r"|\[FOUND\] \S+ +trial=\S+ magnitude=\S+ \(\d+\.\d\ds\)"
+    r"|\[MISS\]  \S+ +trials=\d+ best=\S+ \(\d+\.\d\ds\)"
+    r"|\d+ checks: \d+ passed, \d+ failed, \d+ skipped, \d+ probe \(\d+\.\d\ds\)"
+)
+_EDGE_FLOATS = ["nan", "inf", "0", "-1", "1e-100", "1e200"]
+# n k <= 8 and at most 3 trials, so that a run that starts stays small
+_VERIFY_FLAGS = {
+    "--suite": st.sampled_from(["all", *SUITES]),
+    "--shape": st.sampled_from(["1", "2", "1,1", "2,1", "1,1,1,1", "0", "-1", "x", "2,,1", ""]),
+    "--n": st.sampled_from(["1", "2", "3", "0", "-1"]),
+    "--d": st.sampled_from(["1", "2", "3", "0", "-1"]),
+    "--entry-scale": st.sampled_from(["1", "0.37", "2.5", *_EDGE_FLOATS]),
+    "--style": st.sampled_from([*STYLES, "real"]),
+    "--tol": st.sampled_from(["1e-9", "1e-6", *_EDGE_FLOATS]),
+    "--threads": st.sampled_from(["1", "4", "0", "-1"]),
+}
+
+
+def _run_captured(argv, env_tol):
+    """main(argv) with CSTAR_SCHUR_TOL set to ``env_tol`` (unset for None):
+    the exit code, an argparse exit included, and the captured stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch:
+        if env_tol is None:
+            patch.delenv("CSTAR_SCHUR_TOL", raising=False)
+        else:
+            patch.setenv("CSTAR_SCHUR_TOL", env_tol)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    flags=st.fixed_dictionaries({}, optional=_VERIFY_FLAGS),
+    trials=st.sampled_from(["0", "1", "3", "-1"]),
+    entrywise_constant=st.booleans(),
+    env_tol=st.none() | st.sampled_from(["1e-9", "x", *_EDGE_FLOATS]),
+)
+def test_verify_with_any_flag_values_exits_documented_and_prints_only_its_lines(
+    flags, trials, entrywise_constant, env_tol
+):
+    argv = ["verify", f"--trials={trials}", *(f"{k}={v}" for k, v in flags.items())]
+    if entrywise_constant:
+        argv.append("--entrywise-constant")
+    code, out, err = _run_captured(argv, env_tol)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+    for line in out.splitlines():
+        assert _CHECK_LINE.fullmatch(line), (argv, line)
+
+
+@pytest.mark.parametrize("tol", [None, "1e-9", "1e-100", "1e200", "nan", "0", "-1"])
+@pytest.mark.parametrize("seed", ["0", "-5", str(2**70)])
+def test_demo_with_edge_seed_and_tol_exits_documented(seed, tol):
+    argv = ["demo", f"--seed={seed}", *([] if tol is None else [f"--tol={tol}"])]
+    code, out, err = _run_captured(argv, None)
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv
+    # an error ends the tour with one line on stderr, whatever it printed before
+    if code in (2, 3):
+        assert err.startswith(("error: ", "numerical error: ")) and err.count("\n") == 1, argv
 
 
 # -- threads ----------------------------------------------------------------------
@@ -678,7 +761,7 @@ def test_threads_below_one_is_usage_error(threads, tmp_path, capsys):
     [
         ["verify", "--suite", "trig"],
         ["verify", "--suite", "preserver", "--shape", "2"],
-        ["novak", "--random"],
+        ["verify", "--suite", "novak"],
         ["search", "--shape", "2"],
     ],
 )
@@ -894,7 +977,7 @@ def test_input_files_exit_with_a_documented_code_and_no_traceback(kind, data, tm
         ["search", "--shape", "2", "--n", "100000", "--trials", "0"],
         ["search", "--shape", "2", "--n", "1000000000", "--trials", "0"],
         ["search", "--shape", "2", "--n", "2", "--n-max", "100000", "--trials", "0"],
-        ["novak", "--random", "--shape", "1,1", "--n", "100000", "--trials", "0"],
+        ["verify", "--suite", "novak", "--shape", "1,1", "--n", "100000", "--trials", "0"],
     ],
 )
 def test_size_above_the_limit_is_usage_error(argv, capsys):
@@ -910,7 +993,7 @@ def test_unwritable_output_paths_are_usage_errors(tmp_path, capsys):
         ["verify", "--suite", "module", "--trials", "2",
          "--json", str(tmp_path / "missing" / "x.json")],
         ["verify", "--suite", "module", "--trials", "2", "--json", str(tmp_path)],
-        ["novak", "--random", "--trials", "2", "--json", str(taken / "x.json")],
+        ["verify", "--suite", "novak", "--trials", "2", "--json", str(taken / "x.json")],
     ):
         assert run(argv) == 2, argv
         out, err = capsys.readouterr()
@@ -944,10 +1027,10 @@ def test_point_limit_is_on_n_times_d():
     with pytest.raises(StructureError, match=f"{MAX_POINTS + 1} points per instance"):
         _validate_points(MAX_POINTS + 1)
 
-    def args(n, d, **suite):
-        return argparse.Namespace(shape="2", n=n, d=d, **suite)
+    def args(n, d, suite="novak"):
+        return argparse.Namespace(shape="2", n=n, d=d, suite=suite)
 
-    for ok in (args(2, MAX_POINTS // 2), args(1, MAX_POINTS, suite="novak"),
+    for ok in (args(2, MAX_POINTS // 2), args(1, MAX_POINTS),
                args(2, MAX_POINTS, suite="schur")):
         _validate_size(ok)
     for bad in (args(2, MAX_POINTS // 2 + 1), args(MAX_POINTS, 2, suite="all")):
@@ -955,7 +1038,7 @@ def test_point_limit_is_on_n_times_d():
             _validate_size(bad)
 
 
-@pytest.mark.parametrize("command", [["verify", "--suite", "novak"], ["novak", "--random"]])
+@pytest.mark.parametrize("command", [["verify", "--suite", "novak"], ["verify", "--suite", "all"]])
 def test_too_many_points_is_usage_error(command, capsys):
     # rejected before the (n d)^2 / 2 commuting pairs are formed
     argv = [*command, "--shape", "2", "--n", "2", "--trials", "2", "--d", "100000"]
@@ -987,7 +1070,7 @@ def test_nonpositive_d_is_usage_error(shape, suite, trials, capsys):
 
 
 def test_novak_nonpositive_d_is_usage_error(capsys):
-    assert run(["novak", "--random", "--n", "2", "--d", "0", "--trials", "1"]) == 2
+    assert run(["verify", "--suite", "novak", "--n", "2", "--d", "0", "--trials", "1"]) == 2
     assert "--d must be >= 1" in capsys.readouterr().err
 
 
@@ -1051,7 +1134,8 @@ small = ["--n", "2", "--trials", "3", "--seed", "5"]
 runs = [["verify", "--suite", "all", "--shape", s] + small for s in ("1", "2", "2,1")]
 runs += [
     ["search", "--shape", "2", "--n", "8", "--trials", "40"],
-    ["novak", "--random", "--n", "3", "--d", "2", "--trials", "3"],
+    ["verify", "--suite", "novak", "--n", "3", "--d", "2", "--trials", "3"],
+    ["novak", "--points", sys.argv[1]],
 ]
 for argv in runs:
     assert main(argv) in (0, 1), argv
@@ -1060,14 +1144,39 @@ assert not loaded, loaded
 """
 
 
-def test_cli_runs_never_import_scipy():
+def _points_2x2(off_diagonal: float) -> dict:
+    """Two points over M_2, the first with ``off_diagonal`` below its diagonal
+    and 0 above: self-adjoint within tolerance, exactly so only at 0."""
+    x = {"blocks": [[[[0.5, 0.0], [off_diagonal, 0.0]], [[0.0, 0.0], [-0.3, 0.0]]]]}
+    return {"algebra": [2], "points": [[x], [0.7]]}
+
+
+def test_cli_runs_never_import_scipy(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    points = tmp_path / "pts.json"
+    points.write_text(json.dumps(_points_2x2(0.0)))
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_RUNS], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _NO_SCIPY_RUNS, str(points)], env=env, capture_output=True,
+        text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_novak_points_within_tolerance_of_self_adjoint_agree_with_their_exact_twin(tmp_path):
+    # the inexact point takes calculus._trig_stack's exponential route, and
+    # with it scipy's expm; the verdicts agree all the same
+    payloads = []
+    for off_diagonal in (1e-12, 0.0):
+        f, out = tmp_path / "pts.json", tmp_path / "novak.json"
+        f.write_text(json.dumps(_points_2x2(off_diagonal)))
+        assert run(["novak", "--points", str(f), "--json", str(out)]) == 0
+        payloads.append(json.loads(out.read_text()))
+    (inexact,), (exact,) = (p["reports"] for p in payloads)
+    assert (inexact["failures"], exact["failures"]) == (0, 0)
+    assert inexact["worst_margin"] == pytest.approx(exact["worst_margin"], rel=0, abs=1e-12)
+    assert exact["worst_margin"] == pytest.approx(0.002504172577142347, rel=0, abs=1e-15)
 
 
 @pytest.mark.parametrize("shape, n", GRID)

@@ -1,12 +1,16 @@
-"""The prose around the code: module references resolve, and the README's library example runs."""
+"""The prose around the code: module references resolve, the README's
+command lines parse, and its library example runs."""
 
 import contextlib
 import importlib
 import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from cstar_schur.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = ("verify", "suites", "algebra", "amatrix", "calculus", "generate", "module_an", "cli")
@@ -39,3 +43,19 @@ def test_readme_library_example_prints_its_comments():
     positive, min_eigenvalue, passed = out.getvalue().splitlines()
     assert positive == "True" and passed == "True"
     assert float(min_eigenvalue) == pytest.approx(-0.2021421, abs=1e-6)
+
+
+def test_readme_command_lines_parse():
+    # a command line the README shows must not name a flag the CLI dropped
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = [
+        line.strip()
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.strip().startswith("cstar-schur ")
+    ]
+    assert len(lines) >= 6
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        assert parser.parse_args(argv).command == argv[0], line

@@ -1336,10 +1336,11 @@ def test_suite_grid_takes_one_prelude_per_oracle_chunk(monkeypatch):
 def test_suite_grid_builds_reports_only_for_witnesses_and_details(monkeypatch):
     from cstar_schur import amatrix
 
-    # the evaluators read positivity and margins from the stacks' arrays; the
-    # Novak details and the witnesses take reports (1 170 while every verdict
-    # was read as a report)
-    assert len(_grid_calls(monkeypatch, "report", amatrix.PsdStack)) <= 119
+    # the evaluators read positivity, margins and the Novak details' smallest
+    # eigenvalues from the stacks' arrays; only the witnesses take reports
+    # (1 170 while every verdict was read as a report, 119 while each Novak
+    # trial took one for its details)
+    assert len(_grid_calls(monkeypatch, "report", amatrix.PsdStack)) <= 49
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1592,7 +1593,8 @@ def _nan_report_at(monkeypatch, position):
                 mins, positive = stack.min_eigenvalues.copy(), stack.is_positive.copy()
                 mins[i], positive[i] = math.nan, False
                 stack = dataclasses.replace(stack, is_positive=positive, min_eigenvalues=mins)
-                verdict = suites._Verdict(stack, i, margins=stack.margins().tolist())
+                margins, lowest = stack.margins().tolist(), stack.lowest_eigenvalues().tolist()
+                verdict = suites._Verdict(stack, i, margins=margins, lowest=lowest)
             reads.append(None)
             verdicts.append(verdict)
         return verdicts
