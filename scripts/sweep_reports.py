@@ -20,12 +20,15 @@ sweeps one suite alone, to reach the errors of the later ones.
 
 ``--search`` sweeps the searches instead: ``counterexample_search`` with and
 without ``stop_on_first``, ``find_nonassociativity`` and ``find_trig_breakdown``,
-one line each, at seed 2024 with 250 random trials, over the shapes (2,),
-(2, 1), (3,) and (2, 2), n 1, 2, 3 and 8, entry scales 1, 0.37, 1e-100,
-1.2e154 and 1e200, and both styles. A chunk holds 14 to 2 048 trials there, so
-the searches at n = 3 and 8, and over (3,) at n = 2, that run their trials
-span two chunks or more; at n = 8 over (2,) a chunk is 32 trials of 16 x 16
-flattened blocks, the shape of the ``search_miss`` benchmark's stacks.
+one line each, at seed 2024 with 250 random trials (``--trials N`` sets
+another count), over the shapes (2,), (2, 1), (3,) and (2, 2), n 1, 2, 3 and
+8, entry scales 1, 0.37, 1e-100, 1.2e154 and 1e200, and both styles. A chunk
+holds 14 to 2 048 trials there, so the searches at n = 3 and 8, and over (3,)
+at n = 2, that run their trials span two chunks or more; at n = 8 over (2,) a
+chunk is 32 trials of 16 x 16 flattened blocks, the shape of the
+``search_miss`` benchmark's stacks. The 250 trials fit in one window of the
+searches' stream hashing (``verify._WINDOW_TRIALS``, 1 024 trials), so
+``--search --trials 2500`` is a sweep whose searches cross windows.
 """
 
 import argparse
@@ -59,12 +62,12 @@ SEARCH_SIZES = (1, 2, 3, 8)
 SEARCH_SCALES = (1.0, 0.37, 1e-100, 1.2e154, 1e200)
 SEARCH_TRIALS = 250
 SEARCHES = {
-    "counterexample": lambda cfg: counterexample_search(cfg, SEARCH_TRIALS),
-    "counterexample_stop": lambda cfg: counterexample_search(
-        cfg, SEARCH_TRIALS, stop_on_first=True
+    "counterexample": counterexample_search,
+    "counterexample_stop": lambda cfg, trials: counterexample_search(
+        cfg, trials, stop_on_first=True
     ),
-    "nonassociativity": lambda cfg: find_nonassociativity(cfg, SEARCH_TRIALS),
-    "trig_breakdown": lambda cfg: find_trig_breakdown(cfg, SEARCH_TRIALS),
+    "nonassociativity": find_nonassociativity,
+    "trig_breakdown": find_trig_breakdown,
 }
 
 
@@ -99,12 +102,12 @@ def suite_lines(suite: str):
         ), error
 
 
-def search_lines():
+def search_lines(trials: int):
     """(line, raised) of every configuration and search of the search sweep."""
     for shape, n, scale, style, (name, search) in itertools.product(
         SEARCH_SHAPES, SEARCH_SIZES, SEARCH_SCALES, STYLES, SEARCHES.items()
     ):
-        result, error = _result(lambda: [search(_config(shape, n, scale, style))])
+        result, error = _result(lambda: [search(_config(shape, n, scale, style), trials)])
         yield f"search={name} shape={shape} n={n} scale={scale!r} style={style}  {result}", error
 
 
@@ -113,11 +116,13 @@ def main() -> int:
     ap.add_argument("out", type=Path, help="file the lines are written to")
     ap.add_argument("--suite", default="all")
     ap.add_argument("--search", action="store_true", help="sweep the searches instead")
+    ap.add_argument("--trials", type=int, default=SEARCH_TRIALS,
+                    help="random trials of each search (default: %(default)s)")
     args = ap.parse_args()
     # numpy's overflow warnings at the extreme scales would only clutter stderr
     warnings.simplefilter("ignore", RuntimeWarning)
     lines, raised = [], 0
-    for line, error in search_lines() if args.search else suite_lines(args.suite):
+    for line, error in search_lines(args.trials) if args.search else suite_lines(args.suite):
         raised += error
         lines.append(line)
     args.out.write_text("\n".join(lines) + "\n")

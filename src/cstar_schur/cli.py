@@ -67,10 +67,21 @@ MAX_FLAT_SIZE = 8192
 MAX_POINTS = 2048
 
 
+# The smallest tolerance, 64 float epsilons (about 1.4e-14). Below roundoff a
+# matrix that is positive by construction, such as a Gram draw, fails the
+# oracle, and the run would end on that requirement rather than on the flag;
+# the suite grid passes every requirement and every check at this floor.
+MIN_TOL = 64 * sys.float_info.epsilon
+
+
 def _validate_tol(tol: float, source: str) -> None:
     # NaN fails every comparison, so a bare "tol <= 0" would let it through
     if not (math.isfinite(tol) and tol > 0):
         raise StructureError(f"{source} must be finite and positive, got {tol!r}")
+    if tol < MIN_TOL:
+        raise StructureError(
+            f"{source} must be at least {MIN_TOL!r} (64 float epsilons), got {tol!r}"
+        )
 
 
 def _validate_size(args) -> None:

@@ -12,7 +12,12 @@ Searches and suite trials draw a chunk of instances at once, seeded in bulk
 (``_mix64s``, ``_Streams``; each stream is bitwise ``default_rng(seed)``'s):
 ``_Streams`` computes SeedSequence's hash of every seed in one pass, and each
 member's PCG64 seeds itself from its row of that hash, through numpy's
-seed-sequence protocol, as it would from ``SeedSequence(seed)``.
+seed-sequence protocol, as it would from ``SeedSequence(seed)``. The hash
+costs about as much for ten seeds as for a thousand, so it is taken for many
+draws at once and its rows are sliced out (``_Streams.__getitem__``): a suite
+trial hashes every substream of its chunk once, and a search hashes the
+substreams of a window of trials (``_streams``, ``verify._Window``) whose
+rows its chunks take.
 Each generator's chunk form takes one generator per instance and returns the
 instances as one batched value, instance t its member t (``algebra._Blocks``):
 the complex stacks, Gram products, Haar frames, Hermitian parts and norm caps
@@ -127,24 +132,37 @@ def _from_normals(x: np.ndarray, scale: float, style: str) -> np.ndarray:
     return (re + 1j * im) * (scale / np.sqrt(2.0))
 
 
+# mix64's constants as uint64 scalars: the golden ratio, the (shift,
+# multiplier) of each of its two rounds, and its last shift
+_ONE, _GOLDEN64, _LAST = np.uint64(1), np.uint64(_GOLDEN), np.uint64(31)
+_ROUNDS = (
+    (np.uint64(30), np.uint64(0xBF58476D1CE4E5B9)),
+    (np.uint64(27), np.uint64(0x94D049BB133111EB)),
+)
+
+
 def _mix64s(seeds, indices) -> np.ndarray:
-    """``mix64`` over uint64 arrays, broadcast; arrays wrap mod 2^64 silently."""
-    u64 = np.uint64
-    seeds, indices = (np.atleast_1d(np.asarray(a, u64)) for a in (seeds, indices))
-    z = seeds + (indices + u64(1)) * u64(_GOLDEN)
-    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
-    return z ^ (z >> u64(31))
+    """``mix64`` over uint64 arrays, broadcast; arrays wrap mod 2^64 silently.
+    The rounds work in place: a chunk derives seeds for a few dozen trials,
+    where numpy's cost per call dominates."""
+    z = np.atleast_1d(np.asarray(indices, np.uint64)) + _ONE
+    z *= _GOLDEN64
+    z = z + np.asarray(seeds, np.uint64)
+    for shift, mult in _ROUNDS:
+        z ^= z >> shift
+        z *= mult
+    z ^= z >> _LAST
+    return z
 
 
 def _seeds(cfg: GenConfig, trials, *indices) -> np.ndarray:
     """The seeds of ``cfg.derive(t, *indices)`` for each trial t, as a uint64
-    array; an index that is a range takes each of its values, and the seeds
-    are flattened in C order over (trial, index, ...)."""
+    array with one axis for the trials and one per index; an index that is a
+    range takes each of its values, an integer gives an axis of length 1."""
     seeds = _mix64s(cfg.seed, np.asarray(trials, np.uint64))
     for index in indices:
         seeds = _mix64s(seeds[..., None], np.asarray(index, np.uint64))
-    return seeds.ravel()
+    return seeds
 
 
 # numpy's SeedSequence hash constants (O'Neill's seed_seq redesign)
@@ -194,18 +212,21 @@ def _hashed_seed() -> type:
 
 
 class _Streams:
-    """One generator per seed, in order, each with the stream of
-    ``np.random.default_rng(seed)``: ``SeedSequence(seed).generate_state(4,
+    """One generator per seed, in C order over the seeds' axes, each with the
+    stream of ``np.random.default_rng(seed)``: ``SeedSequence(seed).generate_state(4,
     np.uint64)`` is computed for all seeds at once, one row of ``states`` per
-    seed, and each row seeds its own PCG64 in C as SeedSequence's output
-    would. Each yielded generator is a new object, so they may be kept."""
+    seed (its axes, then 4), and each row seeds its own PCG64 in C as
+    SeedSequence's output would. Indexing the seeds' axes gives the streams of
+    those rows, with nothing hashed again. Each yielded generator is a new
+    object, so they may be kept."""
 
     def __init__(self, seeds):
         seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
+        flat = seeds.ravel()
         # the entropy words, low first; a seed below 2^32 has one word, and the
         # pool pads it with zero words, so its high word 0 gives the same pool
-        words = np.zeros((4, len(seeds)), np.uint32)
-        words[0], words[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
+        words = np.zeros((4, len(flat)), np.uint32)
+        words[0], words[1] = flat & np.uint64(_MASK32), flat >> np.uint64(32)
         xors, mults = _HASH_A
         pool = _hashmix(words, xors[:4], mults[:4])
         # each word mixes into the other three in turn, with the next three calls
@@ -216,17 +237,34 @@ class _Streams:
             pool[dst] = x ^ (x >> np.uint32(16))
         # generate_state(4, uint64): eight uint32 words cycling over the pool,
         # paired into uint64 words low word first; PCG64 reads the four words
-        # from the row's memory, so the rows must be C-contiguous
+        # from the row's memory, so each row must be contiguous
         out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
-        self.states = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+        states = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
+        self.states = states.reshape(seeds.shape + (4,))
+
+    @classmethod
+    def _of(cls, states: np.ndarray) -> "_Streams":
+        """The streams of rows that are already hashed."""
+        streams = cls.__new__(cls)
+        streams.states = states
+        return streams
+
+    def __getitem__(self, rows) -> "_Streams":
+        return _Streams._of(self.states[rows])
 
     def __len__(self) -> int:
-        return len(self.states)
+        return self.states.size // 4
 
     def __iter__(self):
         hashed, generator, pcg64 = _hashed_seed(), np.random.Generator, np.random.PCG64
-        for row in self.states:
+        for row in self.states.reshape(-1, 4):
             yield generator(pcg64(hashed(row)))
+
+
+def _streams(cfg: GenConfig, trials, *indices) -> _Streams:
+    """The streams of ``cfg.derive(t, *indices)`` for each trial t and each
+    value of the indices, hashed at once, with the axes of ``_seeds``."""
+    return _Streams(_seeds(cfg, trials, *indices))
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +391,12 @@ def _spectral_pair_stack(cfg: GenConfig, gens) -> tuple:
     return tuple(cls._wrap(cfg.shape, blocks) for cls, blocks in zip(kinds, zip(*per_block)))
 
 
-def _drawn(cfg: GenConfig, trials, form, *indices, **kw):
+def _drawn(cfg: GenConfig, trials, form, *indices, streams=None, **kw):
     """What chunk form ``form`` draws for each trial t from the stream of
-    ``cfg.derive(t, *indices)``, seeded in bulk: member t of the value or
-    values returned, with the streams in ``_seeds`` order."""
-    return form(cfg, _Streams(_seeds(cfg, trials, *indices)), **kw)
+    ``cfg.derive(t, *indices)``: member t of the value or values returned,
+    with the streams in ``_seeds`` order. ``streams`` holds them already
+    hashed, such as a window's rows; without it they are hashed here."""
+    return form(cfg, _streams(cfg, trials, *indices) if streams is None else streams, **kw)
 
 
 def _commuting_points(cfg: GenConfig, trials, count: int, *indices) -> tuple:
@@ -366,9 +405,9 @@ def _commuting_points(cfg: GenConfig, trials, count: int, *indices) -> tuple:
     over commutative shapes, element i from ``cfg.derive(t, *indices)`` at
     position i of the index product, else a commuting family."""
     if cfg.shape.is_commutative:
-        points = _points_stack(cfg, _Streams(_seeds(cfg, trials, *indices)), count // cfg.n)
+        points = _points_stack(cfg, _streams(cfg, trials, *indices), count // cfg.n)
     else:
-        gens, cap = _Streams(_seeds(cfg, trials)), cfg.entry_scale * np.pi
+        gens, cap = _streams(cfg, trials), cfg.entry_scale * np.pi
         points = _family_stack(cfg, gens, count, selfadjoint=True, norm_cap=cap)
     return points.blocks
 

@@ -42,7 +42,11 @@ positivity and margins come from the oracle's stack (``_Verdict``), and a
 ``PsdReport`` is built only for a witness, a detail that records one, or a
 failed requirement. The oracle-agreement check asks the Cholesky oracle
 (``_cholesky_stack``) once per chunk as well. The trial draws a chunk with
-``generate``'s chunk forms (``_drawn``) and calls the evaluator; ``novak_check``,
+``generate``'s chunk forms and calls the evaluator. It hashes the streams of
+all its draws' substreams at once and hands each form its rows (a trial's
+own stream and its substreams (t, i)), with two exceptions: the preserver's
+coefficients, whose count its degree draw sets, and the cosine-Gram probes,
+drawn apart from its points (``_commuting_points``). ``novak_check``,
 ``check_trig_identities`` and ``check_preserver`` run the same evaluator on a
 batch of one. To add a check, write an evaluator, a trial and a table entry.
 The trig evaluator takes every sine and cosine of a chunk in two ``_sin_cos``
@@ -52,8 +56,8 @@ The Novak suite takes its points as (T, count, k, k) stacks: one oracle call
 and one commutator call per slice of trials (``_COMMUTATOR_PAIRS``) for the
 hypotheses and one ``_trig_stack`` call per set of cosines. The hit searches
 run through ``verify._run_trials`` as searches, trial 0 alone before the
-chunks, and end the run at the first trial with a witness; they draw their
-chunks with ``_drawn``.
+chunks, and end the run at the first trial with a witness; their chunks
+take their streams as rows of the search's windows (``verify._Window``).
 """
 
 from __future__ import annotations
@@ -110,6 +114,7 @@ from .generate import (
     _seeds,
     _selfadjoint_stack,
     _spectral_pair_stack,
+    _streams,
     _Streams,
     _unit_diagonal_stack,
     fnv1a64,
@@ -123,6 +128,7 @@ from .verify import (
     _random_pairs,
     _report,
     _run_trials,
+    _Window,
     _worst,
 )
 
@@ -788,9 +794,11 @@ def find_nonassociativity(
     if cfg.shape.is_commutative:
         raise DomainError("the Schur product is associative over commutative shapes")
 
+    # A, B and C of trial t from the substreams (t, 0), (t, 1) and (t, 2)
+    window = _Window(cfg, trials, range(3))
+
     def trial(chunk):
-        # A, B and C of trial t from the substreams (t, 0), (t, 1) and (t, 2)
-        drawn = _drawn(cfg, chunk, _gaussian_stack, range(3), cls=AMatrix)
+        drawn = _drawn(cfg, chunk, _gaussian_stack, streams=window(chunk), cls=AMatrix)
         A, B, C = (drawn._at(np.s_[i::3]) for i in range(3))
         left = schur_product(schur_product(A, B), C)
         right = schur_product(A, schur_product(B, C))
@@ -825,12 +833,14 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
     if cfg.shape.is_commutative:
         raise DomainError("addition formulas hold over commutative shapes")
 
+    # trial 0 comes alone; x and y of trial t from the substreams (t, 0) and (t, 1)
+    window = _Window(cfg, trials + 1, range(2))
+
     def trial(chunk):
-        # trial 0 comes alone; x and y of trial t from the substreams (t, 0) and (t, 1)
         if chunk[0] == 0:
             x, y = (v._at(None) for v in pauli_pair(cfg.shape))
         else:
-            drawn = _drawn(cfg, chunk, _selfadjoint_stack, range(2), norm_cap=5.0)
+            drawn = _drawn(cfg, chunk, _selfadjoint_stack, streams=window(chunk), norm_cap=5.0)
             x, y = drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2])
         return _trig_identities(x, y, TRIG_TOL, falsify=True)
 
@@ -861,8 +871,10 @@ def _trial_spectral(base, trials, o):
 
 
 def _trial_trace_form(base, trials, o):
-    M, N, seeds = _random_pairs(base, trials)
-    x = _drawn(base, trials, _gaussian_stack, 2, cls=AVector)
+    # M and N from the substreams (t, 0) and (t, 1), x from (t, 2)
+    streams = _streams(base, trials, range(3))
+    M, N, seeds = _random_pairs(base, trials, streams[:, :2])
+    x = _gaussian_stack(base, streams[:, 2], AVector)
     direct, trace_form = schur_quadratic_form_oracle(M, N, x)
     residuals = (direct - trace_form).norm() / np.fmax(direct.norm(), 1.0)
     return [
@@ -873,8 +885,10 @@ def _trial_trace_form(base, trials, o):
 
 def _trial_oracle(base, trials, o):
     # kinds 0 and 1 draw a matrix from the trial's stream, kind 2 a vector
-    R, M = _drawn(base, [t for t in trials if t % 3 < 2], _positive_stack)
-    x = _drawn(base, [t for t in trials if t % 3 == 2], _gaussian_stack, cls=AVector)
+    seeds = _seeds(base, trials)
+    streams, matrix = _Streams(seeds), np.asarray(trials) % 3 < 2
+    R, M = _positive_stack(base, streams[matrix])
+    x = _gaussian_stack(base, streams[~matrix], AVector)
     kinds = (M, 0.5 * (R + R.adjoint()), outer_product(x))
     matrices, vectors = iter(range(len(trials))), iter(range(len(trials)))
     instances = [kinds[t % 3]._at(next(vectors if t % 3 == 2 else matrices)) for t in trials]
@@ -882,7 +896,7 @@ def _trial_oracle(base, trials, o):
     verdicts = _oracle(stacked, o.tol)
     factored = _oracle(stacked, o.tol, _cholesky_stack)
     outcomes = []
-    for seed, t, verdict, chol in zip(_seeds(base, trials).tolist(), trials, verdicts, factored):
+    for seed, t, verdict, chol in zip(seeds.tolist(), trials, verdicts, factored):
         agree = verdict.is_positive == chol.is_positive
         witness = None
         if not agree:
@@ -899,9 +913,10 @@ def _trial_oracle(base, trials, o):
 def _trial_row_sum(base, trials, o):
     # the bound never uses positivity of A, so alternate between positive
     # and general inputs and record the split
-    G, M = _drawn(base, trials, _positive_stack)
+    seeds = _seeds(base, trials)
+    G, M = _positive_stack(base, _Streams(seeds))
     A = _stack([M, G], 1)._at((np.arange(len(trials)), np.asarray(trials) % 2))
-    bounds = zip(_seeds(base, trials).tolist(), _row_sum_bounds(A, o.tol))
+    bounds = zip(seeds.tolist(), _row_sum_bounds(A, o.tol))
     return [
         (margin, _seeded(witness, seed), {"inputs_positive": positive})
         for seed, (margin, witness, positive) in bounds
@@ -927,8 +942,9 @@ def _trial_unit_diag(base, trials, o):
 def _trial_diag_probe(base, trials, o):
     # complex entries break the a = a* step of the diagonal-bound argument;
     # record how often without asserting anything
-    _, M = _drawn(base, trials, _positive_stack)
-    bounds = zip(_seeds(base, trials).tolist(), _diag_bounds(M, o.tol))
+    seeds = _seeds(base, trials)
+    _, M = _positive_stack(base, _Streams(seeds))
+    bounds = zip(seeds.tolist(), _diag_bounds(M, o.tol))
     return [(margin, _seeded(witness, seed)) for seed, (margin, witness) in bounds]
 
 
@@ -942,7 +958,7 @@ def _trial_novak(base, trials, o):
 def _trial_cosine_gram(base, trials, o):
     # each trial's probe comes from the stream of its own seed
     z = _commuting_points(base, trials, base.n, range(base.n))
-    gens = _Streams(_seeds(base, trials))
+    gens = _streams(base, trials)
     return [(margin, witness) for margin, witness, _ in _cosine_gram(base.shape, z, o.tol, gens)]
 
 
@@ -957,25 +973,28 @@ def _trial_trig(base, trials, o):
 
 
 def _trial_preserver(base, trials, o):
+    # the degree of trial t from its own stream, M from the substream (t, 0)
     seeds = _seeds(base, trials)
-    degrees = [int(rng.integers(0, 5)) for rng in _Streams(seeds)]
+    streams = _Streams(np.column_stack([seeds, _mix64s(seeds, 0)]))
+    degrees = [int(rng.integers(0, 5)) for rng in streams[:, 0]]
+    _, M = _positive_stack(base, streams[:, 1])
     # coefficient q of trial t comes from the stream of base.derive(t, q + 1)
     index = [(s, q + 1) for s, degree in zip(seeds.tolist(), degrees) for q in range(degree + 1)]
     g = _gaussian_stack(base, _Streams(_mix64s(*zip(*index))), Element)
-    _, M = _drawn(base, trials, _positive_stack, 0)
     # the report records only that the all-units convention was asked for
     outcomes = _preservers(g * g.adjoint(), degrees, M, o.tol, False)
     return [(margin, witness) for margin, witness, _ in outcomes]
 
 
 def _trial_cauchy_schwarz(base, trials, o):
-    vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
+    seeds = _seeds(base, trials)
+    vectors = _gaussian_stack(base, _Streams(_mix64s(seeds[:, None], range(2))), AVector)
     x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
     gap = cauchy_schwarz_gap(x, y)
     verdicts = _psd_stack(_one_by_one(gap), o.tol)
     margins = _first_of(list(verdicts.min_eigenvalues.T), np.less) / np.fmax(gap.norm(), 1.0)
     outcomes = []
-    columns = zip(_seeds(base, trials).tolist(), margins.tolist(), verdicts.hermitian.tolist())
+    columns = zip(seeds.tolist(), margins.tolist(), verdicts.hermitian.tolist())
     for i, (seed, margin, selfadjoint) in enumerate(columns):
         witness = None
         if margin < -o.tol or not selfadjoint:
@@ -990,8 +1009,11 @@ def _trial_cauchy_schwarz(base, trials, o):
 
 
 def _trial_axioms(base, trials, o):
-    vectors = _drawn(base, trials, _gaussian_stack, range(2), cls=AVector)
-    a = _drawn(base, trials, _gaussian_stack, 2, cls=Element)
+    # x and y from the substreams (t, 0) and (t, 1), a from (t, 2)
+    seeds = _seeds(base, trials)
+    streams = _Streams(_mix64s(seeds[:, None], range(3)))
+    vectors = _gaussian_stack(base, streams[:, :2], AVector)
+    a = _gaussian_stack(base, streams[:, 2], Element)
     x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
     xy = inner_product(x, y)
     sym_res = (xy - inner_product(y, x).adjoint()).norm()
@@ -1003,8 +1025,7 @@ def _trial_axioms(base, trials, o):
     margins = _first_of(
         [-sym_res / scale, -lin_res / scale, lowest / np.fmax(xx.norm(), 1.0)], np.less
     )
-    seeds = _seeds(base, trials).tolist()
-    columns = zip(seeds, margins.tolist(), sym_res.tolist(), lin_res.tolist())
+    columns = zip(seeds.tolist(), margins.tolist(), sym_res.tolist(), lin_res.tolist())
     return [
         (margin, {"seed": seed, "sym": sym, "lin": lin} if margin < -AXIOM_TOL else None)
         for seed, margin, sym, lin in columns

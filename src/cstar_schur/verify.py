@@ -27,6 +27,12 @@ deterministic ``jordan_witness``) alone before the chunks; with
 ``stop_on_first`` it ends the run at the first trial with a witness, even
 when a later trial of its chunk raises. It draws its pairs with ``_pairs``,
 and the symmetrized products and the positivity oracle run once per chunk.
+The streams of the pairs are hashed a window of ``_WINDOW_TRIALS`` trials at
+a time, not a chunk at a time (``_Window``): the hash costs about as much
+for a few seeds as for a thousand, and a chunk at n = 8 holds 32 trials.
+Each chunk takes its generators as rows of the windows that hold its
+trials, so the draws are those of each trial alone; the hit searches of
+``suites`` draw the same way.
 The report is a summary: every violating trial index, the violation rate
 with a Wilson interval, a margin histogram, the stubs (trial, seed, margin,
 smallest eigenvalue) of a few violations (the deterministic one and the
@@ -46,7 +52,7 @@ import numpy as np
 from .algebra import DEFAULT_TOL, AlgebraShape, Element, identity_element
 from .amatrix import AMatrix, diag_matrix, schur_product, _psd_stack
 from .errors import DomainError, StructureError
-from .generate import GenConfig, _mix64s, _positive_stack, _seeds, _Streams
+from .generate import GenConfig, _positive_stack, _seeds, _streams, _Streams
 from .module_an import AVector
 
 # searches only count violations well clear of verification noise
@@ -146,8 +152,46 @@ def validate_trials(trials: int) -> None:
 _CHUNK_ENTRIES = 8192
 
 
+# Trials per window of a search: the search hashes the stream states of its
+# trials (``generate._Streams``) this many trials at a time, and its chunks
+# take their generators as rows of the window. On a 2-core x86 box the hash
+# takes about 125 us for a few seeds and 250 us for the 2 048 seeds of a pair
+# search's window, while a chunk at n = 8 and k_max = 2 holds 64 seeds.
+_WINDOW_TRIALS = 1024
+
+
 def _chunk_size(cfg: GenConfig) -> int:
     return max(1, _CHUNK_ENTRIES // (cfg.n * max(cfg.shape.blocks)) ** 2)
+
+
+class _Window:
+    """The streams of the substreams (t, *indices) of a run's trials t <
+    ``end``, hashed ``_WINDOW_TRIALS`` trials at a time. Called on the
+    ascending trials of a chunk, it returns their rows, (trial, index, ...):
+    a trial t outside the window held starts a new one, [t, t +
+    _WINDOW_TRIALS) cut at ``end``, or at the chunk's last trial when the
+    chunk goes past ``end``. So the states held at once cover at most
+    ``_WINDOW_TRIALS`` trials, and a chunk may take its rows from several
+    windows."""
+
+    def __init__(self, cfg: GenConfig, end: int, *indices):
+        self.cfg, self.end, self.indices = cfg, end, indices
+        self.first = self.stop = 0
+        self.held = None
+
+    def __call__(self, trials) -> _Streams:
+        trials = np.asarray(trials)
+        rows, i = [], 0
+        while i < len(trials):
+            if not self.first <= trials[i] < self.stop:
+                self.first = int(trials[i])
+                last = max(self.end, int(trials[-1]) + 1)
+                self.stop = min(self.first + _WINDOW_TRIALS, last)
+                self.held = _streams(self.cfg, range(self.first, self.stop), *self.indices)
+            taken = i + int(np.searchsorted(trials[i:], self.stop))
+            rows.append(self.held.states[trials[i:taken] - self.first])
+            i = taken
+        return _Streams._of(np.concatenate(rows))
 
 
 def _chunks(trials, size: int, search: bool = False, grow: bool = False):
@@ -278,24 +322,27 @@ def _margin_histogram(margins: list[float]) -> dict:
     return {"edges": list(MARGIN_BIN_EDGES), "counts": counts.tolist(), "nan": int(nan.sum())}
 
 
-def _random_pairs(cfg: GenConfig, trials):
+def _random_pairs(cfg: GenConfig, trials, streams=None):
     """(M, N, seeds) of the given trials, M and N batched: trial t draws M and
     N as ``random_positive_matrix`` on the substreams (t, 0) and (t, 1) of
-    ``cfg``, through its chunk form."""
-    seeds = _seeds(cfg, trials)
+    ``cfg``, through its chunk form. ``streams`` holds the trials' rows of
+    those substreams, (trial, index), such as a window gives; without it they
+    are hashed here."""
+    if streams is None:
+        streams = _streams(cfg, trials, range(2))
     # every derive(t, 0), then every derive(t, 1): the halves are M and N
-    _, grams = _positive_stack(cfg, _Streams(_mix64s(seeds, [[0], [1]]).ravel()))
-    half = len(seeds)
-    return grams._at(np.s_[:half]), grams._at(np.s_[half:]), seeds.tolist()
+    _, grams = _positive_stack(cfg, _Streams._of(streams.states.swapaxes(0, 1)))
+    half = len(trials)
+    return grams._at(np.s_[:half]), grams._at(np.s_[half:]), _seeds(cfg, trials).tolist()
 
 
-def _pairs(cfg: GenConfig, trials):
-    """The pairs of the search's trials as ``_random_pairs``; trial 0 is the
-    deterministic witness and comes alone."""
+def _pairs(cfg: GenConfig, trials, window: _Window | None = None):
+    """The pairs of the search's trials as ``_random_pairs``, from their rows
+    of ``window``; trial 0 is the deterministic witness and comes alone."""
     if trials[0] == 0:
         M, N = jordan_witness(cfg.shape, cfg.n)
         return M._at(None), N._at(None), [cfg.seed]
-    return _random_pairs(cfg, trials)
+    return _random_pairs(cfg, trials, None if window is None else window(trials))
 
 
 def _search_stub(trial, seed, margin, min_eigenvalue) -> dict:
@@ -330,8 +377,9 @@ def _search_witnesses(cfg: GenConfig, trials: list[int], tol: float = DEFAULT_TO
     stub the report keeps of it."""
     if trials and trials[0] < 0:
         raise StructureError(f"trial must be >= 0, got {trials[0]}")
+    window = _Window(cfg, trials[-1] + 1 if trials else 0, range(2))
     for group in _chunks(trials, _chunk_size(cfg), search=True):
-        M, N, seeds = _pairs(cfg, group)
+        M, N, seeds = _pairs(cfg, group, window)
         product = schur_product(M, N)
         verdicts = _psd_stack(product, tol)
         for i, t in enumerate(group):
@@ -382,13 +430,14 @@ def counterexample_search(
             "the search needs a noncommutative one"
         )
     validate_trials(trials)
+    window = _Window(cfg, trials + 1, range(2))
 
     def evaluate(chunk):
         # a trial's outcome: its margin, a witness only where a stopping run
         # ends, and for a violation what its stub needs besides the margin,
         # read from the stack's arrays: the seed and the smallest eigenvalue
         # (None when the product is not self-adjoint)
-        M, N, seeds = _pairs(cfg, chunk)
+        M, N, seeds = _pairs(cfg, chunk, window)
         verdicts = _psd_stack(schur_product(M, N), tol)
         margins = verdicts.margins()
         lowest, hermitian = verdicts.lowest_eigenvalues().tolist(), verdicts.hermitian.tolist()

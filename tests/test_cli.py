@@ -26,7 +26,7 @@ from cstar_schur import (
     identity_matrix,
     random_commuting_family,
 )
-from cstar_schur.cli import _canonical_json, build_parser, main
+from cstar_schur.cli import MIN_TOL, _canonical_json, build_parser, main
 from cstar_schur.generate import STYLES
 from cstar_schur.verify import SUITES, search_witness
 from test_verify import GRID, _reference_search
@@ -181,6 +181,46 @@ def test_env_tolerance_override(monkeypatch, capsys):
     assert "CSTAR_SCHUR_TOL" in capsys.readouterr().err
     monkeypatch.setenv("CSTAR_SCHUR_TOL", "1e-7")
     assert run(["verify", "--suite", "module", "--trials", "2"]) == 0
+
+
+def _floor_message(source: str, tol: str) -> str:
+    return f"error: {source} must be at least {MIN_TOL!r} (64 float epsilons), got {tol}\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "demo", "search", "novak"])
+@pytest.mark.parametrize("tol", ["1e-100", "5e-324", repr(MIN_TOL / 2)])
+def test_tolerance_below_the_floor_names_its_flag(command, tol, tmp_path, capsys):
+    # below roundoff a Gram draw fails the oracle: verify ended on "M is not
+    # positive" and demo printed three sections first; the flag is named instead
+    points = tmp_path / "pts.json"
+    points.write_text(json.dumps({"algebra": [1], "points": [[0.0], [np.pi]]}))
+    argv = {
+        "verify": ["verify", "--trials", "3"],
+        "demo": ["demo"],
+        "search": ["search", "--shape", "2", "--trials", "3"],
+        "novak": ["novak", "--points", str(points)],
+    }[command]
+    assert run([*argv, "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", _floor_message("--tol", repr(float(tol))))
+
+
+def test_env_tolerance_below_the_floor_names_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("CSTAR_SCHUR_TOL", "1e-100")
+    # read before the flags, as any invalid value of the variable is
+    for argv in (["verify", "--trials", "1"], ["verify", "--trials", "1", "--tol", "1e-9"]):
+        assert run(argv) == 2
+        assert capsys.readouterr() == ("", _floor_message("CSTAR_SCHUR_TOL", "1e-100"))
+
+
+def test_suite_grid_passes_at_the_tolerance_floor(monkeypatch, capsys):
+    # every requirement and every check holds at the floor, here and at 100
+    # trials with seeds 2024 and 7
+    monkeypatch.setenv("CSTAR_SCHUR_TOL", repr(MIN_TOL))
+    for shape, n in GRID:
+        argv = ["verify", "--suite", "all", "--shape", shape, "--n", str(n), "--trials", "10"]
+        assert run(argv) == 0
+    assert MIN_TOL == 64 * np.finfo(float).eps
 
 
 # -- search ---------------------------------------------------------------------

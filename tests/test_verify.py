@@ -615,7 +615,7 @@ def test_search_breaks_margin_ties_by_trial(monkeypatch):
     # every random trial gets the violating pair of trial 1: equal margins
     real = verify._pairs
 
-    def same_pair(cfg, trials):
+    def same_pair(cfg, trials, window=None):
         if trials[0] == 0:
             return real(cfg, [0])
         m, n, seeds = real(cfg, [1])
@@ -718,7 +718,7 @@ def _plant_search_pairs(monkeypatch, products):
 
     ident, planted = amatrix(np.eye(2)), [amatrix(p) for p in products]
 
-    def pairs(cfg, trials):
+    def pairs(cfg, trials, streams=None):
         seeds = [cfg.derive(t).seed for t in trials]
         return _stack([ident] * len(trials)), _stack([planted[t - 1] for t in trials]), seeds
 
@@ -983,6 +983,81 @@ def test_counterexample_search_stops_at_a_violation_before_a_raising_trial(monke
         return counterexample_search(cfg, 40, stop_on_first=True)
 
     _stopping_rule(monkeypatch, verify, "_pairs", search, "^non-finite entries on block 0$")
+
+
+def _window_runs(cfg, monkeypatch) -> str:
+    """The canonical JSON of the searches that draw through windows: both
+    counterexample searches, witnesses on both sides of the edges of 3-trial
+    windows, and both hit searches, stopping at their first hit and run to
+    their end."""
+    from cstar_schur.cli import _canonical_json
+
+    trials = 40  # a chunk of 32 trials at n = 8, so both edges meet windows of 3
+    reports = [
+        counterexample_search(cfg, trials),
+        counterexample_search(cfg, trials, stop_on_first=True),
+        find_nonassociativity(cfg, trials),
+        find_nonassociativity(cfg, trials, threshold=math.inf),
+        find_trig_breakdown(cfg, trials),
+    ]
+    threshold = suites.BREAKDOWN_THRESHOLD
+    monkeypatch.setattr(suites, "BREAKDOWN_THRESHOLD", math.inf)
+    reports.append(find_trig_breakdown(cfg, trials))
+    monkeypatch.setattr(suites, "BREAKDOWN_THRESHOLD", threshold)
+    witnesses = [0, 2, 3, 4, 5, 9, 33]
+    records = [*verify._search_witnesses(cfg, witnesses), verify.search_witness(cfg, 3)]
+    return _canonical_json([[r.to_json() for r in reports], records])
+
+
+@pytest.mark.parametrize("style", STYLES)
+@pytest.mark.parametrize("n", [2, 3, 8])
+@pytest.mark.parametrize("shape", ["2", "2,1"])
+def test_search_windows_move_no_report_byte(shape, n, style, monkeypatch):
+    cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n, style=style)
+    runs = []
+    for window in (1, 3):
+        monkeypatch.setattr(verify, "_WINDOW_TRIALS", window)
+        runs.append(_window_runs(cfg, monkeypatch))
+    assert runs[1] == runs[0]
+
+
+def test_search_hashes_its_streams_once_per_window(monkeypatch):
+    # 63 hashes while each chunk of 32 trials hashed its own 64 seeds
+    sizes = []
+    init = generate._Streams.__init__
+
+    def counted(self, seeds):
+        sizes.append(np.size(seeds))
+        init(self, seeds)
+
+    monkeypatch.setattr(generate._Streams, "__init__", counted)
+    counterexample_search(GenConfig(seed=2024, shape=M2, n=8), 2000)
+    assert len(sizes) <= math.ceil(2000 / verify._WINDOW_TRIALS) + 1
+    assert sum(sizes) == 2 * 2000
+
+
+@pytest.mark.parametrize("window", [5, 32, None])
+def test_search_holds_at_most_one_window_of_states(window, monkeypatch):
+    window = window or verify._WINDOW_TRIALS
+    monkeypatch.setattr(verify, "_WINDOW_TRIALS", window)
+    held = []
+    streams = verify._streams
+
+    def counted(cfg, trials, *indices):
+        held.append(len(trials))
+        return streams(cfg, trials, *indices)
+
+    monkeypatch.setattr(verify, "_streams", counted)
+    for n, trials in [(8, 3), (8, 5), (8, 70), (2, 1200)]:
+        cfg = GenConfig(seed=7, shape=M2, n=n)
+        held.clear()
+        rep = counterexample_search(cfg, trials)
+        assert max(held) <= window and sum(held) == trials
+        # the records of every violating trial, as --witness-dir writes them
+        held.clear()
+        violations = rep.details["violation_trials"]
+        assert len(list(verify._search_witnesses(cfg, violations))) == rep.failures
+        assert max(held, default=0) <= window
 
 
 def test_nonassociativity_rejects_commutative():
@@ -1407,6 +1482,13 @@ def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
     # the nonassociativity search drew 3 matrices per trial alone, 21 calls; the
     # cosine-Gram probes made 70 more, one stream per draw 1 757
     assert len(calls) == 0
+
+
+def test_suite_grid_hashes_each_chunks_streams_once(monkeypatch):
+    # one hash per chunk of a check, and one per window of a hit search (118
+    # while each draw of a chunk hashed its own substreams); the cosine-Gram
+    # trial still hashes its points and its probes apart, 14 of the 98
+    assert len(_grid_calls(monkeypatch, "__init__", generate._Streams)) <= 98
 
 
 def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
