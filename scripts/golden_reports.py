@@ -31,6 +31,17 @@ for a search, its ``details.violation_trials``, ``details.found_trial`` or the
 trials of its kept ``details.violations``: a search whose violating trials
 swap at an equal count, whose first hit moves, or whose most negative
 witnesses reorder, has moved a verdict.
+
+The committed manifest ``tests/golden_manifest.json``, which
+``tests/test_goldens.py`` checks the reports against, is rewritten from the
+fresh reports with
+
+    python3 scripts/golden_reports.py OUT_DIR --write-manifest tests/golden_manifest.json
+
+For each golden it holds the argv, the sha256 of the report's bytes and its
+fingerprint (``fingerprint``): the verdicts above, a search's per-n counts,
+and each report's tolerance and worst margin. It also holds the environment
+key the bytes were written under (``environment_key``).
 """
 
 import argparse
@@ -106,6 +117,50 @@ def _verdicts(payload: dict) -> list[tuple]:
     ]
 
 
+def environment_key() -> dict:
+    """What a report's last bits depend on besides the code: the numpy
+    version, the BLAS library numpy names, and the machine."""
+    import platform
+
+    import numpy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": numpy.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "machine": platform.machine(),
+    }
+
+
+def fingerprint(payload: dict) -> dict:
+    """What the manifest keeps of a report besides its bytes: its verdicts
+    (``_verdicts``), a search's (n, trials, violations, random_violations) per
+    n, and each report's tolerance and worst margin, as JSON values."""
+    return json.loads(json.dumps({
+        "verdicts": _verdicts(payload),
+        "per_n": [
+            [p["n"], p["trials"], p["violations"], p["random_violations"]]
+            for p in payload.get("per_n", [])
+        ],
+        "tolerances": [r["tol"] for r in payload["reports"]],
+        "worst_margins": [r["worst_margin"] for r in payload["reports"]],
+    }))
+
+
+def write_manifest(out_dir: Path, path: Path) -> None:
+    """Write the manifest of the reports in ``out_dir`` to ``path``."""
+    goldens = {}
+    for name, argv in sorted(golden_commands().items()):
+        data = (out_dir / name).read_bytes()
+        digest = hashlib.sha256(data).hexdigest()
+        goldens[name] = {"argv": argv, "sha256": digest, **fingerprint(json.loads(data))}
+    # one line per golden, so that a diff of the file names the goldens that moved
+    lines = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in goldens.items())
+    env = json.dumps(environment_key())
+    path.write_text(f'{{\n "environment": {env},\n "goldens": {{\n{lines}\n }}\n}}\n')
+
+
 def _margin_moves(new: dict, ref: dict) -> dict[str, float]:
     """Largest |delta worst_margin| per check id, for the check ids whose margin moved."""
     moves: dict[str, float] = {}
@@ -152,6 +207,13 @@ def main() -> int:
         default=None,
         help="compare the fresh reports with those in REF_DIR",
     )
+    ap.add_argument(
+        "--write-manifest",
+        metavar="PATH",
+        type=Path,
+        default=None,
+        help="write the manifest of the fresh reports to PATH (tests/golden_manifest.json)",
+    )
     args = ap.parse_args()
     args.out_dir.mkdir(parents=True, exist_ok=True)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
@@ -169,6 +231,8 @@ def main() -> int:
         print(f"{digest}  {name}")
     if args.against is not None:
         failed += compare(args.out_dir, args.against, sorted(golden_commands()))
+    if args.write_manifest is not None and not failed:
+        write_manifest(args.out_dir, args.write_manifest)
     return 1 if failed else 0
 
 

@@ -15,9 +15,10 @@ member's PCG64 seeds itself from its row of that hash, through numpy's
 seed-sequence protocol, as it would from ``SeedSequence(seed)``. The hash
 costs about as much for ten seeds as for a thousand, so it is taken for many
 draws at once and its rows are sliced out (``_Streams.__getitem__``): a suite
-trial hashes every substream of its chunk once, and a search hashes the
-substreams of a window of trials (``_streams``, ``verify._Window``) whose
-rows its chunks take.
+run hashes the substreams of the first chunk of every check it runs in one
+pass (``_Streams._apart``, each check's rows an array of its own), a later
+chunk of a check hashes its own, and a search hashes the substreams of a
+window of trials (``_streams``, ``verify._Window``) whose rows its chunks take.
 Each generator's chunk form takes one generator per instance and returns the
 instances as one batched value, instance t its member t (``algebra._Blocks``):
 the complex stacks, Gram products, Haar frames, Hermitian parts and norm caps
@@ -211,6 +212,43 @@ def _hashed_seed() -> type:
     return HashedSeed
 
 
+def _hash(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed of a flat
+    uint64 array, one column of four words per seed."""
+    # the entropy words, low first; a seed below 2^32 has one word, and the
+    # pool pads it with zero words, so its high word 0 gives the same pool
+    words = np.zeros((4, len(seeds)), np.uint32)
+    words[0], words[1] = seeds & np.uint64(_MASK32), seeds >> np.uint64(32)
+    xors, mults = _HASH_A
+    pool = _hashmix(words, xors[:4], mults[:4])
+    # each word mixes into the other three in turn, with the next three calls
+    for src in range(4):
+        dst, calls = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
+        h = _hashmix(pool[src], xors[calls], mults[calls])
+        x = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * h
+        pool[dst] = x ^ (x >> np.uint32(16))
+    # generate_state(4, uint64): eight uint32 words cycling over the pool,
+    # paired into uint64 words low word first
+    out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
+    return out[0::2] | out[1::2] << np.uint64(32)
+
+
+def _states(seeds: list) -> list[np.ndarray]:
+    """The hashed states of each of several seed arrays, from one ``_hash`` of
+    all their seeds: one array per seed array, with its axes, then 4. Each is
+    an array of its own, so each is freed with its streams, and each row is
+    contiguous, since PCG64 reads the four words from the row's memory."""
+    seeds = [np.atleast_1d(np.asarray(s, np.uint64)) for s in seeds]
+    if not seeds:
+        return []
+    words = _hash(np.concatenate([s.ravel() for s in seeds]))
+    ends = np.cumsum([s.size for s in seeds]).tolist()
+    return [
+        np.ascontiguousarray(words[:, end - s.size : end].T).reshape(s.shape + (4,))
+        for s, end in zip(seeds, ends)
+    ]
+
+
 class _Streams:
     """One generator per seed, in C order over the seeds' axes, each with the
     stream of ``np.random.default_rng(seed)``: ``SeedSequence(seed).generate_state(4,
@@ -218,29 +256,10 @@ class _Streams:
     seed (its axes, then 4), and each row seeds its own PCG64 in C as
     SeedSequence's output would. Indexing the seeds' axes gives the streams of
     those rows, with nothing hashed again. Each yielded generator is a new
-    object, so they may be kept."""
+    object, so they may be kept, and iterating twice gives the same streams."""
 
     def __init__(self, seeds):
-        seeds = np.atleast_1d(np.asarray(seeds, np.uint64))
-        flat = seeds.ravel()
-        # the entropy words, low first; a seed below 2^32 has one word, and the
-        # pool pads it with zero words, so its high word 0 gives the same pool
-        words = np.zeros((4, len(flat)), np.uint32)
-        words[0], words[1] = flat & np.uint64(_MASK32), flat >> np.uint64(32)
-        xors, mults = _HASH_A
-        pool = _hashmix(words, xors[:4], mults[:4])
-        # each word mixes into the other three in turn, with the next three calls
-        for src in range(4):
-            dst, calls = [d for d in range(4) if d != src], slice(4 + 3 * src, 7 + 3 * src)
-            h = _hashmix(pool[src], xors[calls], mults[calls])
-            x = np.uint32(_MIX_L) * pool[dst] - np.uint32(_MIX_R) * h
-            pool[dst] = x ^ (x >> np.uint32(16))
-        # generate_state(4, uint64): eight uint32 words cycling over the pool,
-        # paired into uint64 words low word first; PCG64 reads the four words
-        # from the row's memory, so each row must be contiguous
-        out = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], *_HASH_B).astype(np.uint64)
-        states = np.ascontiguousarray((out[0::2] | out[1::2] << np.uint64(32)).T)
-        self.states = states.reshape(seeds.shape + (4,))
+        (self.states,) = _states([seeds])
 
     @classmethod
     def _of(cls, states: np.ndarray) -> "_Streams":
@@ -248,6 +267,12 @@ class _Streams:
         streams = cls.__new__(cls)
         streams.states = states
         return streams
+
+    @classmethod
+    def _apart(cls, seeds: list) -> list["_Streams"]:
+        """``[_Streams(s) for s in seeds]``, bit for bit, from one hash of all
+        the seeds; nothing is hashed when there are no seed arrays."""
+        return [cls._of(states) for states in _states(seeds)]
 
     def __getitem__(self, rows) -> "_Streams":
         return _Streams._of(self.states[rows])
@@ -391,24 +416,17 @@ def _spectral_pair_stack(cfg: GenConfig, gens) -> tuple:
     return tuple(cls._wrap(cfg.shape, blocks) for cls, blocks in zip(kinds, zip(*per_block)))
 
 
-def _drawn(cfg: GenConfig, trials, form, *indices, streams=None, **kw):
-    """What chunk form ``form`` draws for each trial t from the stream of
-    ``cfg.derive(t, *indices)``: member t of the value or values returned,
-    with the streams in ``_seeds`` order. ``streams`` holds them already
-    hashed, such as a window's rows; without it they are hashed here."""
-    return form(cfg, _streams(cfg, trials, *indices) if streams is None else streams, **kw)
-
-
-def _commuting_points(cfg: GenConfig, trials, count: int, *indices) -> tuple:
-    """``count`` commuting self-adjoint elements of norm <= entry_scale * pi per
-    trial, one (T, count, k, k) stack per block: as ``random_selfadjoint_points``
-    over commutative shapes, element i from ``cfg.derive(t, *indices)`` at
-    position i of the index product, else a commuting family."""
+def _commuting_points(cfg: GenConfig, trials, count: int, *, streams: _Streams) -> tuple:
+    """``count`` commuting self-adjoint elements of norm <= entry_scale * pi for
+    each of the given trials, one (T, count, k, k) stack per block, from
+    ``streams``: over commutative shapes as ``random_selfadjoint_points``,
+    element i from row i of the trial's rows (a substream (t, j, l) per
+    point), else a commuting family from the trial's own row."""
     if cfg.shape.is_commutative:
-        points = _points_stack(cfg, _streams(cfg, trials, *indices), count // cfg.n)
+        points = _points_stack(cfg, streams, count // cfg.n)
     else:
-        gens, cap = _streams(cfg, trials), cfg.entry_scale * np.pi
-        points = _family_stack(cfg, gens, count, selfadjoint=True, norm_cap=cap)
+        cap = cfg.entry_scale * np.pi
+        points = _family_stack(cfg, streams, count, selfadjoint=True, norm_cap=cap)
     return points.blocks
 
 

@@ -24,10 +24,17 @@ reports the entries of suite ``name`` in table order. A ``Check`` entry holds
   (default: the check id), restyled to ``style`` (recorded in the details),
   with ``fallback`` fields replaced over commutative shapes (the hit
   searches move to the shape ``(2,)``);
-* ``trial(base, trials, opts)``, which draws the instances of a range of
-  trials together, instance t from the substream ``base.derive(t)``, and
-  returns the outcome of each trial, ``(margin, witness)`` or
-  ``(margin, witness, counts)`` with counts summed into the details;
+* ``draws(base, opts)``, the substreams its trials draw from, each a tuple
+  of indices: () is the trial's own stream ``base.derive(t)``, (range(2),)
+  its substreams (t, 0) and (t, 1), and so on;
+* ``evaluate(base, trials, opts, *streams)``, which draws the instances of a
+  range of trials together from ``streams``, the trials' rows of each of
+  those substreams, and returns the outcome of each trial,
+  ``(margin, witness)`` or ``(margin, witness, counts)`` with counts summed
+  into the details (``Check.trial`` hashes the rows when none are given);
+* ``first_trials(base, opts)``, the trials of its first chunk: a suite run
+  hashes their substreams with those of the other checks' first chunks, in
+  one pass (``_first_streams``);
 * ``tol`` (fixed instead of the run's), ``details``, ``clamp`` (a trial with
   a witness counts at most -2 tol) and ``run``, which replaces the margin
   aggregation (the two hit searches).
@@ -42,13 +49,13 @@ positivity and margins come from the oracle's stack (``_Verdict``), and a
 ``PsdReport`` is built only for a witness, a detail that records one, or a
 failed requirement. The oracle-agreement check asks the Cholesky oracle
 (``_cholesky_stack``) once per chunk as well. The trial draws a chunk with
-``generate``'s chunk forms and calls the evaluator. It hashes the streams of
-all its draws' substreams at once and hands each form its rows (a trial's
-own stream and its substreams (t, i)), with two exceptions: the preserver's
-coefficients, whose count its degree draw sets, and the cosine-Gram probes,
-drawn apart from its points (``_commuting_points``). ``novak_check``,
+``generate``'s chunk forms from the rows it is handed, and calls the
+evaluator; it hashes nothing itself. The rows of a check's first chunk come
+from its suite run's one hash; each later chunk's rows are hashed in one
+pass (``Check.trial``). ``novak_check``,
 ``check_trig_identities`` and ``check_preserver`` run the same evaluator on a
-batch of one. To add a check, write an evaluator, a trial and a table entry.
+batch of one. To add a check, write an evaluator, a trial and a table entry
+that names the trial's draws.
 The trig evaluator takes every sine and cosine of a chunk in two ``_sin_cos``
 calls; its ``falsify`` form is the outcome of a ``find_trig_breakdown`` trial.
 
@@ -57,7 +64,9 @@ and one commutator call per slice of trials (``_COMMUTATOR_PAIRS``) for the
 hypotheses and one ``_trig_stack`` call per set of cosines. The hit searches
 run through ``verify._run_trials`` as searches, trial 0 alone before the
 chunks, and end the run at the first trial with a witness; their chunks
-take their streams as rows of the search's windows (``verify._Window``).
+take their streams as rows of the search's windows (``verify._Window``);
+in a suite run, the nonassociativity search's window starts out holding
+the rows of its trial 0, hashed with the other checks' first chunks.
 """
 
 from __future__ import annotations
@@ -105,16 +114,13 @@ from .errors import DomainError, NumericalError, StructureError
 from .generate import (
     GenConfig,
     _commuting_points,
-    _drawn,
     _family_stack,
     _gaussian_stack,
-    _mix64s,
     _normals,
     _positive_stack,
     _seeds,
     _selfadjoint_stack,
     _spectral_pair_stack,
-    _streams,
     _Streams,
     _unit_diagonal_stack,
     fnv1a64,
@@ -785,20 +791,24 @@ def _hit_search(check_id, cfg, count, threshold, trial, t0) -> CheckReport:
 
 
 def find_nonassociativity(
-    cfg: GenConfig, trials: int, threshold: float = NONASSOC_THRESHOLD
+    cfg: GenConfig,
+    trials: int,
+    threshold: float = NONASSOC_THRESHOLD,
+    window: _Window | None = None,
 ) -> CheckReport:
     """Search for (A o B) o C != A o (B o C); expected to succeed quickly
     over noncommutative shapes. Reports failures = 0 exactly when a witness
-    beyond the threshold was found."""
+    beyond the threshold was found. A, B and C of trial t come from the
+    substreams (t, 0), (t, 1) and (t, 2), whose rows the chunks take from
+    ``window`` (by default, a new ``_Window`` over the trials)."""
     t0 = time.perf_counter()
     if cfg.shape.is_commutative:
         raise DomainError("the Schur product is associative over commutative shapes")
-
-    # A, B and C of trial t from the substreams (t, 0), (t, 1) and (t, 2)
-    window = _Window(cfg, trials, range(3))
+    if window is None:
+        window = _Window(cfg, trials, range(3))
 
     def trial(chunk):
-        drawn = _drawn(cfg, chunk, _gaussian_stack, streams=window(chunk), cls=AMatrix)
+        drawn = _gaussian_stack(cfg, window(chunk), AMatrix)
         A, B, C = (drawn._at(np.s_[i::3]) for i in range(3))
         left = schur_product(schur_product(A, B), C)
         right = schur_product(A, schur_product(B, C))
@@ -840,7 +850,7 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
         if chunk[0] == 0:
             x, y = (v._at(None) for v in pauli_pair(cfg.shape))
         else:
-            drawn = _drawn(cfg, chunk, _selfadjoint_stack, streams=window(chunk), norm_cap=5.0)
+            drawn = _selfadjoint_stack(cfg, window(chunk), norm_cap=5.0)
             x, y = drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2])
         return _trig_identities(x, y, TRIG_TOL, falsify=True)
 
@@ -851,12 +861,19 @@ def find_trig_breakdown(cfg: GenConfig, trials: int) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # suite trials: the outcomes of a range of trials of a check, drawn and
-# evaluated a chunk at a time; instance t comes from the substream base.derive(t)
+# evaluated a chunk at a time; instance t comes from the substreams of
+# base.derive(t) that the check's table entry names (``draws``), handed in
+# as the chunk's rows of each, in that order
 # ---------------------------------------------------------------------------
 
+# the largest degree of the preserver's series: trial t draws its degree from
+# (t), M from (t, 0) and coefficient q from (t, q + 1)
+_MAX_DEGREE = 4
 
-def _trial_schur(base, trials, o):
-    M, N, seeds = _random_pairs(base, trials)
+
+def _trial_schur(base, trials, o, pairs):
+    # M and N from the substreams (t, 0) and (t, 1)
+    M, N, seeds = _random_pairs(base, trials, pairs)
     product = schur_product(M, N)
     verdicts = _oracle(product, o.tol)
     return [
@@ -865,14 +882,13 @@ def _trial_schur(base, trials, o):
     ]
 
 
-def _trial_spectral(base, trials, o):
-    outcomes = _commuting_spectral(*_drawn(base, trials, _spectral_pair_stack), o.tol)
+def _trial_spectral(base, trials, o, own):
+    outcomes = _commuting_spectral(*_spectral_pair_stack(base, own), o.tol)
     return [(margin, witness) for margin, witness, _ in outcomes]
 
 
-def _trial_trace_form(base, trials, o):
+def _trial_trace_form(base, trials, o, streams):
     # M and N from the substreams (t, 0) and (t, 1), x from (t, 2)
-    streams = _streams(base, trials, range(3))
     M, N, seeds = _random_pairs(base, trials, streams[:, :2])
     x = _gaussian_stack(base, streams[:, 2], AVector)
     direct, trace_form = schur_quadratic_form_oracle(M, N, x)
@@ -883,12 +899,11 @@ def _trial_trace_form(base, trials, o):
     ]
 
 
-def _trial_oracle(base, trials, o):
+def _trial_oracle(base, trials, o, own):
     # kinds 0 and 1 draw a matrix from the trial's stream, kind 2 a vector
-    seeds = _seeds(base, trials)
-    streams, matrix = _Streams(seeds), np.asarray(trials) % 3 < 2
-    R, M = _positive_stack(base, streams[matrix])
-    x = _gaussian_stack(base, streams[~matrix], AVector)
+    matrix = np.asarray(trials) % 3 < 2
+    R, M = _positive_stack(base, own[matrix])
+    x = _gaussian_stack(base, own[~matrix], AVector)
     kinds = (M, 0.5 * (R + R.adjoint()), outer_product(x))
     matrices, vectors = iter(range(len(trials))), iter(range(len(trials)))
     instances = [kinds[t % 3]._at(next(vectors if t % 3 == 2 else matrices)) for t in trials]
@@ -896,7 +911,7 @@ def _trial_oracle(base, trials, o):
     verdicts = _oracle(stacked, o.tol)
     factored = _oracle(stacked, o.tol, _cholesky_stack)
     outcomes = []
-    for seed, t, verdict, chol in zip(seeds.tolist(), trials, verdicts, factored):
+    for seed, t, verdict, chol in zip(_seeds(base, trials).tolist(), trials, verdicts, factored):
         agree = verdict.is_positive == chol.is_positive
         witness = None
         if not agree:
@@ -910,91 +925,87 @@ def _trial_oracle(base, trials, o):
     return outcomes
 
 
-def _trial_row_sum(base, trials, o):
+def _trial_row_sum(base, trials, o, own):
     # the bound never uses positivity of A, so alternate between positive
     # and general inputs and record the split
-    seeds = _seeds(base, trials)
-    G, M = _positive_stack(base, _Streams(seeds))
+    G, M = _positive_stack(base, own)
     A = _stack([M, G], 1)._at((np.arange(len(trials)), np.asarray(trials) % 2))
-    bounds = zip(seeds.tolist(), _row_sum_bounds(A, o.tol))
+    bounds = zip(_seeds(base, trials).tolist(), _row_sum_bounds(A, o.tol))
     return [
         (margin, _seeded(witness, seed), {"inputs_positive": positive})
         for seed, (margin, witness, positive) in bounds
     ]
 
 
-def _trial_chain(base, trials, o):
-    drawn = _drawn(base, trials, _gaussian_stack, range(2), cls=AMatrix)
+def _trial_chain(base, trials, o, pairs):
+    drawn = _gaussian_stack(base, pairs, AMatrix)
     chains = _schur_chains(drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2]), o.tol)
     return [(margin, witness) for margin, witness, _ in chains]
 
 
-def _trial_diag(base, trials, o):
-    _, M = _drawn(base, trials, _positive_stack)
+def _trial_diag(base, trials, o, own):
+    _, M = _positive_stack(base, own)
     return _diag_bounds(M, o.tol, positive=True)
 
 
-def _trial_unit_diag(base, trials, o):
-    M = _drawn(base, trials, _unit_diagonal_stack)
+def _trial_unit_diag(base, trials, o, own):
+    M = _unit_diagonal_stack(base, own)
     return [(margin, witness) for margin, witness, _ in _unit_diag_checks(M, o.tol)]
 
 
-def _trial_diag_probe(base, trials, o):
+def _trial_diag_probe(base, trials, o, own):
     # complex entries break the a = a* step of the diagonal-bound argument;
     # record how often without asserting anything
-    seeds = _seeds(base, trials)
-    _, M = _positive_stack(base, _Streams(seeds))
-    bounds = zip(seeds.tolist(), _diag_bounds(M, o.tol))
+    _, M = _positive_stack(base, own)
+    bounds = zip(_seeds(base, trials).tolist(), _diag_bounds(M, o.tol))
     return [(margin, _seeded(witness, seed)) for seed, (margin, witness) in bounds]
 
 
-def _trial_novak(base, trials, o):
+def _trial_novak(base, trials, o, points):
     n, d = base.n, o.d
-    points = _commuting_points(base, trials, n * d, range(n), range(d))
+    points = _commuting_points(base, trials, n * d, streams=points)
     points = tuple(p.reshape(len(p), n, d, *p.shape[2:]) for p in points)
     return [(margin, witness) for margin, witness, _ in _novak(base.shape, points, o.tol)[1]]
 
 
-def _trial_cosine_gram(base, trials, o):
-    # each trial's probe comes from the stream of its own seed
-    z = _commuting_points(base, trials, base.n, range(base.n))
-    gens = _streams(base, trials)
-    return [(margin, witness) for margin, witness, _ in _cosine_gram(base.shape, z, o.tol, gens)]
+def _trial_cosine_gram(base, trials, o, own, points=None):
+    # each trial's probe comes from the stream of its own seed, and so do its
+    # points over noncommutative shapes
+    z = _commuting_points(base, trials, base.n, streams=own if points is None else points)
+    return [(margin, witness) for margin, witness, _ in _cosine_gram(base.shape, z, o.tol, own)]
 
 
-def _trial_trig(base, trials, o):
+def _trial_trig(base, trials, o, streams):
     if base.shape.is_commutative:
-        drawn = _drawn(base, trials, _selfadjoint_stack, range(2), norm_cap=5.0)
+        # x and y from the substreams (t, 0) and (t, 1)
+        drawn = _selfadjoint_stack(base, streams, norm_cap=5.0)
         x, y = drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2])
     else:
-        family = _drawn(base, trials, _family_stack, count=2, selfadjoint=True, norm_cap=5.0)
+        family = _family_stack(base, streams, count=2, selfadjoint=True, norm_cap=5.0)
         x, y = family._at(np.s_[:, 0]), family._at(np.s_[:, 1])
     return [(margin, witness) for margin, witness, _ in _trig_identities(x, y, TRIG_TOL, False)]
 
 
-def _trial_preserver(base, trials, o):
-    # the degree of trial t from its own stream, M from the substream (t, 0)
-    seeds = _seeds(base, trials)
-    streams = _Streams(np.column_stack([seeds, _mix64s(seeds, 0)]))
-    degrees = [int(rng.integers(0, 5)) for rng in streams[:, 0]]
-    _, M = _positive_stack(base, streams[:, 1])
-    # coefficient q of trial t comes from the stream of base.derive(t, q + 1)
-    index = [(s, q + 1) for s, degree in zip(seeds.tolist(), degrees) for q in range(degree + 1)]
-    g = _gaussian_stack(base, _Streams(_mix64s(*zip(*index))), Element)
+def _trial_preserver(base, trials, o, own, series):
+    degrees = [int(rng.integers(0, _MAX_DEGREE + 1)) for rng in own]
+    _, M = _positive_stack(base, series[:, 0])
+    counts = np.add(degrees, 1)
+    members = np.repeat(np.arange(len(degrees)), counts)
+    coefficients = np.concatenate([np.arange(1, count + 1) for count in counts])
+    g = _gaussian_stack(base, series[members, coefficients], Element)
     # the report records only that the all-units convention was asked for
     outcomes = _preservers(g * g.adjoint(), degrees, M, o.tol, False)
     return [(margin, witness) for margin, witness, _ in outcomes]
 
 
-def _trial_cauchy_schwarz(base, trials, o):
-    seeds = _seeds(base, trials)
-    vectors = _gaussian_stack(base, _Streams(_mix64s(seeds[:, None], range(2))), AVector)
+def _trial_cauchy_schwarz(base, trials, o, pairs):
+    vectors = _gaussian_stack(base, pairs, AVector)
     x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
     gap = cauchy_schwarz_gap(x, y)
     verdicts = _psd_stack(_one_by_one(gap), o.tol)
     margins = _first_of(list(verdicts.min_eigenvalues.T), np.less) / np.fmax(gap.norm(), 1.0)
     outcomes = []
-    columns = zip(seeds.tolist(), margins.tolist(), verdicts.hermitian.tolist())
+    columns = zip(_seeds(base, trials).tolist(), margins.tolist(), verdicts.hermitian.tolist())
     for i, (seed, margin, selfadjoint) in enumerate(columns):
         witness = None
         if margin < -o.tol or not selfadjoint:
@@ -1008,10 +1019,8 @@ def _trial_cauchy_schwarz(base, trials, o):
     return outcomes
 
 
-def _trial_axioms(base, trials, o):
+def _trial_axioms(base, trials, o, streams):
     # x and y from the substreams (t, 0) and (t, 1), a from (t, 2)
-    seeds = _seeds(base, trials)
-    streams = _Streams(_mix64s(seeds[:, None], range(3)))
     vectors = _gaussian_stack(base, streams[:, :2], AVector)
     a = _gaussian_stack(base, streams[:, 2], Element)
     x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
@@ -1025,7 +1034,8 @@ def _trial_axioms(base, trials, o):
     margins = _first_of(
         [-sym_res / scale, -lin_res / scale, lowest / np.fmax(xx.norm(), 1.0)], np.less
     )
-    columns = zip(seeds.tolist(), margins.tolist(), sym_res.tolist(), lin_res.tolist())
+    seeds = _seeds(base, trials).tolist()
+    columns = zip(seeds, margins.tolist(), sym_res.tolist(), lin_res.tolist())
     return [
         (margin, {"seed": seed, "sym": sym, "lin": lin} if margin < -AXIOM_TOL else None)
         for seed, margin, sym, lin in columns
@@ -1047,8 +1057,12 @@ class _Options:
     entrywise_constant: bool
 
 
-def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
+def _margin_report(
+    check: "Check", base: GenConfig, o: _Options, first_streams: dict
+) -> CheckReport:
     """Aggregate trials 0..trials-1 of a check; pass means margin >= -tol.
+    The first chunk takes its rows out of ``first_streams`` when the run
+    hashed them (``_first_streams``); every other chunk hashes its own.
 
     Without trials the check is reported as skipped: nothing was verified.
     """
@@ -1056,7 +1070,13 @@ def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
         return check.skipped(o, "no trials requested")
     t0 = time.perf_counter()
     tol = check.tol or o.tol
-    outcomes = _run_trials(lambda trials: check.trial(base, trials, o), o.trials, _chunk_size(base))
+
+    def evaluate(trials):
+        # the first call, the first chunk, takes the rows the run hashed, and
+        # frees them when it returns; the later calls find none and hash their own
+        return check.trial(base, trials, o, first_streams.pop(check.check_id, None))
+
+    outcomes = _run_trials(evaluate, o.trials, _chunk_size(base))
     details = check.details(o)
     if check.style:
         details["style"] = check.style
@@ -1078,6 +1098,34 @@ def _margin_report(check: "Check", base: GenConfig, o: _Options) -> CheckReport:
     )
 
 
+def _first_chunk(base: GenConfig, o: _Options) -> range:
+    return range(min(o.trials, _chunk_size(base)))
+
+
+def _draws(*indices) -> Callable:
+    """The ``draws`` of a check whose trials draw from the one substream (t, *indices)."""
+    return lambda base, o: (indices,)
+
+
+def _novak_draws(base, o) -> tuple:
+    # a point per substream (t, j, l) over commutative shapes, else a family from (t)
+    return ((range(base.n), range(o.d)),) if base.shape.is_commutative else ((),)
+
+
+def _cosine_gram_draws(base, o) -> tuple:
+    # the probes from (t), and the points from (t, j) over commutative shapes
+    return ((), (range(base.n),)) if base.shape.is_commutative else ((),)
+
+
+def _trig_draws(base, o) -> tuple:
+    return ((range(2),),) if base.shape.is_commutative else ((),)
+
+
+def _nonassociativity_run(check, base, o, first_streams: dict) -> CheckReport:
+    trials = max(o.trials, 1)
+    return find_nonassociativity(base, trials, window=check.window(base, o, trials, first_streams))
+
+
 def _commutative(cfg, o) -> bool:
     return cfg.shape.is_commutative
 
@@ -1092,12 +1140,14 @@ class Check:
 
     check_id: str
     suite: str
-    trial: Callable | None = None
+    evaluate: Callable | None = None
     applies: Callable = lambda cfg, o: True
     skip: str | None = None
     key: str | None = None
     style: str | None = None
     fallback: dict = field(default_factory=dict)
+    draws: Callable = lambda base, o: ()
+    first_trials: Callable = _first_chunk
     tol: float | None = None
     clamp: bool = False
     details: Callable = lambda o: {}
@@ -1111,9 +1161,35 @@ class Check:
             base = replace(base, **self.fallback)
         return base
 
-    def report(self, cfg: GenConfig, o: _Options) -> CheckReport | None:
+    def seeds(self, base: GenConfig, trials, o: _Options) -> list[np.ndarray]:
+        """The seeds of the substreams ``draws`` names, for the given trials."""
+        return [_seeds(base, trials, *indices) for indices in self.draws(base, o)]
+
+    def trial(self, base: GenConfig, trials, o: _Options, streams=None) -> list:
+        """The outcomes of the given trials, drawn from ``streams``, their rows
+        of the substreams ``draws`` names, in its order; without them, these
+        are hashed here, in one pass."""
+        if streams is None:
+            streams = _Streams._apart(self.seeds(base, trials, o))
+        return self.evaluate(base, trials, o, *streams)
+
+    def window(self, base: GenConfig, o: _Options, end: int, first_streams: dict) -> _Window:
+        """The window of a hit search over trials 0 .. end - 1, on its one
+        substream; it starts out holding the rows of the first trials, taken
+        out of ``first_streams``, when the run hashed them."""
+        (indices,) = self.draws(base, o)
+        first = first_streams.pop(self.check_id, None)
+        return _Window(base, end, *indices, held=None if first is None else first[0])
+
+    def report(
+        self, cfg: GenConfig, o: _Options, first_streams: dict | None = None
+    ) -> CheckReport | None:
+        """The check's report, or None when it is left out. ``first_streams``
+        maps check ids to the rows of their first trials (``_first_streams``);
+        the check takes its own out of the map when it first draws, so they
+        are freed with the draws."""
         if self.applies(cfg, o):
-            return self.run(self, self.base(cfg), o)
+            return self.run(self, self.base(cfg), o, {} if first_streams is None else first_streams)
         if self.skip is None:
             return None
         return self.skipped(o, self.skip)
@@ -1123,38 +1199,59 @@ class Check:
         return CheckReport(self.check_id, 0, 0, 0.0, tol, None, {"skipped": reason}, 0.0)
 
 
+def _first_streams(checks, cfg: GenConfig, o: _Options) -> dict:
+    """The rows of the first trials of each of the checks that apply
+    (``first_trials``: a margin check's first chunk, the nonassociativity
+    search's trial 0), by check id, one ``_Streams`` per substream the check
+    ``draws``: all of them from one hash."""
+    seeds = {}
+    for check in checks:
+        if check.applies(cfg, o):
+            base = check.base(cfg)
+            first = check.first_trials(base, o)
+            if len(first):
+                seeds[check.check_id] = check.seeds(base, first, o)
+    streams = iter(_Streams._apart([s for parts in seeds.values() for s in parts]))
+    return {check_id: tuple(next(streams) for _ in parts) for check_id, parts in seeds.items()}
+
+
 # the skip reason of the commutative-only checks
 _COMM = "requires a commutative algebra"
 
 CHECKS = (
-    Check("schur_product_positive", "schur", _trial_schur, _commutative),
+    Check("schur_product_positive", "schur", _trial_schur, _commutative, draws=_draws(range(2))),
     Check("schur_product_probe", "schur", _trial_schur, _noncommutative,
-          key="schur_product_positive",
+          key="schur_product_positive", draws=_draws(range(2)),
           details=lambda o: {"probe": True, "note": "evidence on the open question"}),
-    Check("commuting_spectral_schur", "schur", _trial_spectral, clamp=True),
+    Check("commuting_spectral_schur", "schur", _trial_spectral, draws=_draws(), clamp=True),
     Check("schur_trace_form_agreement", "schur", _trial_trace_form, _commutative,
-          tol=ORACLE_TOL),
-    Check("psd_oracle_agreement", "schur", _trial_oracle),
+          draws=_draws(range(3)), tol=ORACLE_TOL),
+    Check("psd_oracle_agreement", "schur", _trial_oracle, draws=_draws()),
     # associativity is exact over commutative shapes, so the witness search
-    # falls back to the smallest noncommutative one
+    # falls back to the smallest noncommutative one; trial 0 comes alone
     Check("schur_nonassociativity", "schur", fallback={"shape": AlgebraShape((2,)), "n": 2},
-          run=lambda check, base, o: find_nonassociativity(base, max(o.trials, 1))),
-    Check("gram_row_sum_bound", "lowerbound", _trial_row_sum,
+          draws=_draws(range(3)), first_trials=lambda base, o: range(1),
+          run=_nonassociativity_run),
+    Check("gram_row_sum_bound", "lowerbound", _trial_row_sum, draws=_draws(),
           details=lambda o: {"inputs_positive": 0}),
-    Check("schur_chain_bound", "lowerbound", _trial_chain, _commutative, _COMM),
+    Check("schur_chain_bound", "lowerbound", _trial_chain, _commutative, _COMM,
+          draws=_draws(range(2))),
     Check("diag_outer_bound", "corollaries", _trial_diag, _commutative, _COMM,
-          style="real_commutative"),
+          style="real_commutative", draws=_draws()),
     Check("unit_diagonal_bound", "corollaries", _trial_unit_diag, _commutative, _COMM,
-          style="real_commutative"),
+          style="real_commutative", draws=_draws()),
     Check("diag_outer_bound_complex_probe", "corollaries", _trial_diag_probe, _commutative,
-          style="complex", details=lambda o: {"probe": True}),
-    Check("novak_conjecture", "novak", _trial_novak, clamp=True, details=lambda o: {"d": o.d}),
-    Check("cosine_gram", "novak", _trial_cosine_gram, clamp=True),
-    Check("trig_identities", "trig", _trial_trig, tol=TRIG_TOL),
+          style="complex", draws=_draws(), details=lambda o: {"probe": True}),
+    Check("novak_conjecture", "novak", _trial_novak, draws=_novak_draws, clamp=True,
+          details=lambda o: {"d": o.d}),
+    Check("cosine_gram", "novak", _trial_cosine_gram, draws=_cosine_gram_draws, clamp=True),
+    Check("trig_identities", "trig", _trial_trig, draws=_trig_draws, tol=TRIG_TOL),
     Check("trig_addition_breakdown", "trig", fallback={"shape": AlgebraShape((2,))},
-          run=lambda check, base, o: find_trig_breakdown(base, o.trials)),
+          run=lambda check, base, o, first_streams: find_trig_breakdown(base, o.trials)),
     Check("schur_series_preserver", "preserver", _trial_preserver, _commutative, _COMM,
+          draws=lambda base, o: ((), (range(_MAX_DEGREE + 2),)),
           details=lambda o: {"entrywise_constant_reported": o.entrywise_constant}),
-    Check("cauchy_schwarz_gap", "module", _trial_cauchy_schwarz, clamp=True),
-    Check("inner_product_axioms", "module", _trial_axioms, tol=AXIOM_TOL),
+    Check("cauchy_schwarz_gap", "module", _trial_cauchy_schwarz, draws=_draws(range(2)),
+          clamp=True),
+    Check("inner_product_axioms", "module", _trial_axioms, draws=_draws(range(3)), tol=AXIOM_TOL),
 )

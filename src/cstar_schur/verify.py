@@ -32,7 +32,9 @@ a time, not a chunk at a time (``_Window``): the hash costs about as much
 for a few seeds as for a thousand, and a chunk at n = 8 holds 32 trials.
 Each chunk takes its generators as rows of the windows that hold its
 trials, so the draws are those of each trial alone; the hit searches of
-``suites`` draw the same way.
+``suites`` draw the same way. ``run_suites`` hashes the substreams of the
+first chunk of every check it runs at once (``suites._first_streams``), and
+hands each check its rows: a hit search's window starts out holding them.
 The report is a summary: every violating trial index, the violation rate
 with a Wilson interval, a margin histogram, the stubs (trial, seed, margin,
 smallest eigenvalue) of a few violations (the deterministic one and the
@@ -172,12 +174,13 @@ class _Window:
     _WINDOW_TRIALS) cut at ``end``, or at the chunk's last trial when the
     chunk goes past ``end``. So the states held at once cover at most
     ``_WINDOW_TRIALS`` trials, and a chunk may take its rows from several
-    windows."""
+    windows. ``held`` holds the rows of trials 0 .. len - 1 when they are
+    hashed already, as a suite run hashes them with its other checks'."""
 
-    def __init__(self, cfg: GenConfig, end: int, *indices):
+    def __init__(self, cfg: GenConfig, end: int, *indices, held: _Streams | None = None):
         self.cfg, self.end, self.indices = cfg, end, indices
-        self.first = self.stop = 0
-        self.held = None
+        self.held = held
+        self.first, self.stop = 0, 0 if held is None else len(held.states)
 
     def __call__(self, trials) -> _Streams:
         trials = np.asarray(trials)
@@ -496,39 +499,59 @@ def counterexample_search(
 # ---------------------------------------------------------------------------
 
 
-def run_suite(
-    name: str,
-    cfg: GenConfig,
-    *,
+def _suite_options(
     trials: int = 200,
     d: int = 2,
     tol: float = DEFAULT_TOL,
     threads: int = 1,
     entrywise_constant: bool = False,
-) -> list[CheckReport]:
-    """Run one named suite and return its reports in ``suites.CHECKS`` order.
-
-    ``threads`` is validated and otherwise unused (see ``validate_threads``).
-    """
-    if name not in SUITES:
-        raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+):
+    """The run-wide settings every check of a suite run sees, validated.
+    ``threads`` is validated and otherwise unused (see ``validate_threads``)."""
     validate_trials(trials)
     validate_threads(threads)
     # the check table is compiled by the first suite run, never by a search
-    from .suites import CHECKS, _Options
+    from .suites import _Options
 
-    o = _Options(trials, d, tol, entrywise_constant)
-    reports = (check.report(cfg, o) for check in CHECKS if check.suite == name)
+    return _Options(trials, d, tol, entrywise_constant)
+
+
+def run_suite(
+    name: str, cfg: GenConfig, *, first_streams: dict | None = None, **options
+) -> list[CheckReport]:
+    """Run one named suite and return its reports in ``suites.CHECKS`` order.
+
+    ``options`` are ``trials`` (default 200), ``d`` (2), ``tol``, ``threads``
+    (1) and ``entrywise_constant`` (False), as ``_suite_options`` takes them.
+    The rows of the first chunks of the suite's checks are hashed together
+    (``suites._first_streams``), or taken out of ``first_streams``, the map
+    by check id in which ``run_suites`` hashed those of all its suites at once.
+    """
+    if name not in SUITES:
+        raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
+    o = _suite_options(**options)
+    from .suites import CHECKS, _first_streams
+
+    checks = [check for check in CHECKS if check.suite == name]
+    if first_streams is None:
+        first_streams = _first_streams(checks, cfg, o)
+    reports = (check.report(cfg, o, first_streams) for check in checks)
     return [r for r in reports if r is not None]
 
 
 def run_suites(names, cfg: GenConfig, **options) -> list[CheckReport]:
     """Run ``"all"`` suites, one named suite, or a sequence of names, and return
     their reports in order. ``options`` go to ``run_suite`` unchanged: ``trials``,
-    ``d``, ``tol``, ``threads`` and ``entrywise_constant``."""
+    ``d``, ``tol``, ``threads`` and ``entrywise_constant``. The first chunks of
+    all the checks run are hashed together, once, before the first suite; an
+    unknown name matches no check, and raises when its turn comes."""
     if isinstance(names, str):
         names = SUITES if names == "all" else (names,)
-    return [r for name in names for r in run_suite(name, cfg, **options)]
+    o = _suite_options(**options)
+    from .suites import CHECKS, _first_streams
+
+    first = _first_streams([check for check in CHECKS if check.suite in names], cfg, o)
+    return [r for name in names for r in run_suite(name, cfg, first_streams=first, **options)]
 
 
 def counts_as_failure(report: CheckReport) -> bool:

@@ -566,3 +566,58 @@ def test_matrix_constructors_need_n_at_least_one(make, n):
     # psd_check and mat_norm raised IndexError; n = -1 a bare numpy ValueError
     with pytest.raises(StructureError, match="n must be >= 1"):
         make(AlgebraShape((2,)), n)
+
+
+# -- metamorphic relations of the symmetrized product --------------------------
+
+
+def _hermitian_pair(cfg: GenConfig) -> tuple[AMatrix, AMatrix]:
+    """A Gram-positive M and a Hermitian N that is indefinite in general."""
+    _, M = random_positive_matrix(cfg)
+    G = random_matrix(cfg.derive(1))
+    return M, 0.5 * (G + G.adjoint())
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
+def test_schur_product_is_commutative_bit_for_bit(shape, n):
+    for seed in range(5):
+        cfg = GenConfig(seed=seed, shape=shape, n=n, entry_scale=[1.0, 0.37, 3.0][seed % 3])
+        M, N = random_matrix(cfg), random_matrix(cfg.derive(1))
+        for a, b in zip(schur_product(M, N).blocks, schur_product(N, M).blocks):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_schur_product_over_scalars_is_numpys_entrywise_product():
+    shape, tol = AlgebraShape((1, 1, 1)), 1e-9
+    signs = set()
+    for seed in range(40):
+        M, N = _hermitian_pair(GenConfig(seed=seed, shape=shape, n=1 + seed % 5))
+        P = schur_product(M, N)
+        # einsum's complex products may round apart from numpy's a * b in the
+        # last bit, each within a few units of |a b|
+        for p, a, b in zip(P.blocks, M.blocks, N.blocks):
+            assert np.all(np.abs(p - a * b) <= 4 * np.finfo(float).eps * np.abs(a) * np.abs(b))
+        eigenvalues = [np.linalg.eigvalsh(p[..., 0, 0]) for p in P.blocks]
+        lowest = min(float(w.min()) for w in eigenvalues)
+        scale = max(float(np.abs(w).max()) for w in eigenvalues)
+        margin = lowest / max(1.0, scale)
+        if abs(margin) > 10 * tol:
+            assert psd_check(P, tol).is_positive == (margin >= -tol)
+            signs.add(margin > 0)
+    assert signs == {True, False}
+
+
+def test_schur_product_lowest_eigenvalue_is_the_least_of_its_blocks():
+    shape = AlgebraShape((2, 1))
+    for seed in range(20):
+        cfg = GenConfig(seed=seed, shape=shape, n=1 + seed % 4)
+        _, positive = random_positive_matrix(cfg.derive(2))
+        for M, N in (_hermitian_pair(cfg), (positive, positive)):
+            whole = psd_check(schur_product(M, N)).min_eigenvalue
+            alone = []
+            for a, b, k in zip(M.blocks, N.blocks, shape.blocks):
+                one = AlgebraShape((k,))
+                product = schur_product(AMatrix(one, [a]), AMatrix(one, [b]))
+                alone.append(psd_check(product).min_eigenvalue)
+            assert np.array(whole).tobytes() == np.array(min(alone)).tobytes()

@@ -60,6 +60,16 @@ def test_verify_commutative_all_passes(capsys):
     assert "[PASS]" in out and "0 failed" in out
 
 
+def test_exp_cap_exits_two_with_its_message(capsys):
+    # the one RangeError: a norm above calculus's exp cap, here of the Novak points
+    code = run(["verify", "--suite", "novak", "--shape", "1", "--n", "2", "--trials", "3",
+                "--entry-scale", "1e200"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "exceeds the exp cap 50" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_verify_lowerbound_skips_chain_on_noncommutative(capsys):
     code = run(
         ["verify", "--suite", "lowerbound", "--shape", "2,1", "--n", "4",

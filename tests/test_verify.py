@@ -74,8 +74,8 @@ PAULI_COS_GAP = np.sqrt((np.cos(np.sqrt(2.0)) - np.cos(1.0) ** 2) ** 2 + np.sin(
 def _schur_trial(monkeypatch, M, N):
     """``_trial_schur``'s outcome on the pair (M, N), planted as its one draw."""
     pair = (M._at(None), N._at(None), [0])
-    monkeypatch.setattr(suites, "_random_pairs", lambda base, trials: pair)
-    (outcome,) = suites._trial_schur(None, [0], OPTS)
+    monkeypatch.setattr(suites, "_random_pairs", lambda base, trials, pairs: pair)
+    (outcome,) = suites._trial_schur(None, [0], OPTS, None)
     return outcome
 
 
@@ -916,13 +916,23 @@ def test_breakdown_search_matches_each_trial_alone(shape, monkeypatch):
 
 
 def _poison_trial(monkeypatch, module, name, bad):
-    """Replace ``module.<name>`` (``suites._drawn`` or ``verify._pairs``) by a draw in
-    which every instance of trial ``bad`` holds NaN entries, so any chunk holding it
-    raises."""
+    """Replace ``module.<name>`` (a chunk form a hit search draws with, or
+    ``verify._pairs``) by a draw in which every instance of trial ``bad`` holds NaN
+    entries, so any chunk holding it raises. A chunk form is handed the rows of its
+    trials, which are those last asked of the search's window."""
     real = getattr(module, name)
+    asked = []
 
-    def poisoned(cfg, trials, *args, **kwargs):
-        drawn = real(cfg, trials, *args, **kwargs)
+    class Window(verify._Window):
+        def __call__(self, trials):
+            asked[:] = [list(trials)]
+            return super().__call__(trials)
+
+    monkeypatch.setattr(suites, "_Window", Window)
+
+    def poisoned(cfg, drawn_from, *args, **kwargs):
+        drawn = real(cfg, drawn_from, *args, **kwargs)
+        trials = asked[0] if isinstance(drawn_from, generate._Streams) else drawn_from
         first = drawn[0] if isinstance(drawn, tuple) else drawn
         per = len(first.blocks[0]) // len(trials)
         blocks = [b.copy() for b in first.blocks]
@@ -961,7 +971,7 @@ def test_hit_searches_stop_at_a_witness_before_a_raising_trial(monkeypatch):
         return find_nonassociativity(cfg, 40, threshold=max(defects))
 
     assert nonassociativity().witness == {**_nonassociativity_alone(cfg, 3)[1], "trial": 3}
-    _stopping_rule(monkeypatch, suites, "_drawn", nonassociativity, "NaN entries")
+    _stopping_rule(monkeypatch, suites, "_gaussian_stack", nonassociativity, "NaN entries")
     gaps = [_breakdown_alone(cfg, t)[2] for t in range(3)]
 
     def breakdown():
@@ -969,7 +979,7 @@ def test_hit_searches_stop_at_a_witness_before_a_raising_trial(monkeypatch):
         monkeypatch.setattr(suites, "BREAKDOWN_THRESHOLD", max(gaps))
         return find_trig_breakdown(cfg, 40)
 
-    _stopping_rule(monkeypatch, suites, "_drawn", breakdown, "NaN entries")
+    _stopping_rule(monkeypatch, suites, "_selfadjoint_stack", breakdown, "NaN entries")
 
 
 def test_counterexample_search_stops_at_a_violation_before_a_raising_trial(monkeypatch):
@@ -1485,10 +1495,56 @@ def test_suite_grid_seeds_its_draws_in_bulk(monkeypatch):
 
 
 def test_suite_grid_hashes_each_chunks_streams_once(monkeypatch):
-    # one hash per chunk of a check, and one per window of a hit search (118
-    # while each draw of a chunk hashed its own substreams); the cosine-Gram
-    # trial still hashes its points and its probes apart, 14 of the 98
-    assert len(_grid_calls(monkeypatch, "__init__", generate._Streams)) <= 98
+    # one hash per grid command: the first chunks of all its checks, the
+    # nonassociativity search's trial 0 included, at once (118 while each draw
+    # of a chunk hashed its own substreams, 98 while each chunk and each hit
+    # search window hashed its own); every _Streams hashes through _hash
+    assert len(_grid_calls(monkeypatch, "_hash", generate)) <= 7
+
+
+@pytest.mark.parametrize("shape, n, trials", [("1", 3, 10), ("1", 16, 40), ("2", 2, 10),
+                                              ("2", 8, 40), ("2,1", 2, 10)])
+def test_joint_hash_moves_no_report_byte(monkeypatch, shape, n, trials):
+    # n = 16 over (1,) and n = 8 over (2,) run two chunks of 32 trials
+    from cstar_schur.cli import _canonical_json
+
+    cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
+    joint = run_suites("all", cfg, trials=trials)
+    # an empty map of first chunks: every check hashes its own rows
+    monkeypatch.setattr(suites, "_first_streams", lambda checks, cfg, o: {})
+    own = run_suites("all", cfg, trials=trials)
+    assert _canonical_json([r.to_json() for r in joint]) == _canonical_json(
+        [r.to_json() for r in own]
+    )
+
+
+def test_novak_run_holds_no_more_states_than_its_first_chunks(monkeypatch, tmp_path, capsys):
+    import weakref
+
+    from cstar_schur.cli import main
+
+    # each hash's arrays, by the array that owns their memory, while alive
+    owners, hashed, held = [], [], []
+    states = generate._states
+
+    def counted(seeds):
+        out = states(seeds)
+        hashed.append(sum(a.size // 4 for a in out))
+        owners.extend(weakref.ref(a if a.base is None else a.base) for a in out)
+        held.append(sum(a().size // 4 for a in owners if a() is not None))
+        return out
+
+    monkeypatch.setattr(generate, "_states", counted)
+    argv = ["verify", "--suite", "novak", "--shape", "1", "--n", "32", "--d", "32",
+            "--trials", "12", "--json", str(tmp_path / "novak.json")]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # chunks of 8 trials; a trial draws 32 x 32 Novak points, 32 cosine-Gram
+    # points and a probe
+    chunk, rows = verify._chunk_size(GenConfig(seed=0, shape=SCALAR, n=32)), 32 * 32 + 32 + 1
+    assert (chunk, hashed[0]) == (8, chunk * rows)
+    assert sum(hashed) == 12 * rows
+    assert max(held) <= chunk * rows
 
 
 def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
@@ -1803,8 +1859,8 @@ def test_stacked_hypothesis_raises_the_first_failing_trial_alone(check_id, fault
     bad = 6
     draw_points = suites._commuting_points
 
-    def faulty(cfg, trials, count, *indices):
-        points = [b.copy() for b in draw_points(cfg, trials, count, *indices)]
+    def faulty(cfg, trials, count, *indices, **kw):
+        points = [b.copy() for b in draw_points(cfg, trials, count, *indices, **kw)]
         for i, t in enumerate(trials):
             if t == bad:
                 points[0][i, 1] = corrupt(points[0][i, 1])
