@@ -176,8 +176,8 @@ def outer_product(y: AVector) -> AMatrix:
 def schur_product(A: AMatrix, B: AMatrix) -> AMatrix:
     """Entrywise symmetrized product (m_jl n_jl + n_jl m_jl) / 2.
 
-    Commutative with B exactly; collapses bitwise to the plain entrywise
-    product over commutative algebras.
+    Commutative with B exactly. Over commutative algebras it is the plain
+    entrywise product within rounding, at most 4 eps |a| |b| per entry.
     """
     A._require_same(B)
     return A._like(tuple(_schur_block(a, b) for a, b in zip(A.blocks, B.blocks)))

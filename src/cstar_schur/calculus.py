@@ -44,22 +44,37 @@ def _check_cap(x: Element, norm_cap: float) -> None:
     _raise_over_cap(x.norm(), norm_cap)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by scaling and squaring (Moler and Van Loan, SIAM Review 45, 2003):
+    the degree-18 Taylor polynomial of a / 2^s, for the smallest s >= 0 with
+    ||a / 2^s||_1 <= 1/2, squared s times. A non-finite entry gives NaNs."""
+    norm = np.abs(a).sum(axis=0).max()
+    if not np.isfinite(norm):
+        return np.full_like(a, np.nan)
+    mantissa, exponent = np.frexp(norm)  # norm = mantissa 2^exponent, 1/2 <= mantissa < 1
+    s = max(0, int(exponent + (mantissa > 0.5)))
+    term = out = np.identity(len(a), a.dtype)
+    for j in range(1, 19):
+        term = term @ a / (2.0**s * j)
+        out = out + term
+    for _ in range(s):
+        out = out @ out
+    return out
+
+
 def _exp_block(blk: np.ndarray) -> np.ndarray:
     if blk.shape == (1, 1):
         return np.exp(blk)
     if _exactly_hermitian([blk[None]])[0]:
         return _spectral_apply(blk, np.exp, site="exp")
-    # the only user of scipy: importing it here keeps it off the startup path
-    import scipy.linalg
-
-    return scipy.linalg.expm(blk)
+    return _expm(blk)
 
 
 def elem_exp(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """Blockwise matrix exponential.
 
     Blocks equal to their adjoint go through a Hermitian eigendecomposition,
-    everything else through ``scipy.linalg.expm``, imported on first use.
+    everything else through scaling and squaring of a Taylor polynomial.
     Inputs with ||x|| beyond ``norm_cap`` are rejected to keep results inside
     a trustworthy range.
     """

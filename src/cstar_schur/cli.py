@@ -121,12 +121,12 @@ _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _encode(node, indent: str) -> str:
     """One node of ``json.dumps(node, sort_keys=True, indent=2)`` at ``indent``.
 
-    The stdlib runs its generator-based pure-Python encoder whenever an
-    indent is set; joining strings per container is about 1.7 times as fast
-    on a 10 MB search report. Each container's body is joined once and then
-    wrapped in its brackets by a second join, so a large report is held at
-    most twice over. Nodes this does not know, such as dicts with non-str
-    keys, are left to the stdlib and re-indented.
+    The stdlib runs its generator-based pure-Python encoder whenever an indent
+    is set. Joining strings per container took 6.8 ms against its 10.7 ms over
+    the suite grid's seven 10-trial reports (214 KB, best of 30, CPython 3.11,
+    Xeon). Each container's body is joined once and then wrapped in its brackets
+    by a second join, so a large report is held at most twice over. Nodes this
+    does not know, such as dicts with non-str keys, go to the stdlib, re-indented.
     """
     if isinstance(node, str):
         return encode_basestring_ascii(node)

@@ -1003,7 +1003,7 @@ def _trial_cauchy_schwarz(base, trials, o, pairs):
     x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
     gap = cauchy_schwarz_gap(x, y)
     verdicts = _psd_stack(_one_by_one(gap), o.tol)
-    margins = _first_of(list(verdicts.min_eigenvalues.T), np.less) / np.fmax(gap.norm(), 1.0)
+    margins = verdicts.lowest_eigenvalues() / np.fmax(gap.norm(), 1.0)
     outcomes = []
     columns = zip(_seeds(base, trials).tolist(), margins.tolist(), verdicts.hermitian.tolist())
     for i, (seed, margin, selfadjoint) in enumerate(columns):
@@ -1030,7 +1030,7 @@ def _trial_axioms(base, trials, o, streams):
     scale = np.fmax(a.norm() * xy.norm(), 1.0)
     xx = inner_product(x, x)
     verdicts = _psd_stack(_one_by_one(xx), o.tol)
-    lowest = _first_of(list(verdicts.min_eigenvalues.T), np.less)
+    lowest = verdicts.lowest_eigenvalues()
     margins = _first_of(
         [-sym_res / scale, -lin_res / scale, lowest / np.fmax(xx.norm(), 1.0)], np.less
     )

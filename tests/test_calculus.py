@@ -27,7 +27,7 @@ from cstar_schur import (
     schur_product,
     scalar_element,
 )
-from cstar_schur.calculus import _trig_stack
+from cstar_schur.calculus import _exp_block, _trig_stack
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES, comm_element, scalar_amatrix
 
 ALL_SHAPES = COMMUTATIVE_SHAPES + NONCOMMUTATIVE_SHAPES
@@ -138,9 +138,53 @@ def test_one_ulp_off_hermitian_takes_the_exponential_formula():
     blk[0, 1] = complex(np.nextafter(blk[0, 1].real, np.inf), blk[0, 1].imag)
     y = Element(x.shape, [blk])
     assert 0.0 < hermitian_defect(y) <= 1e-15
-    assert elem_exp(y).block(0).tobytes() == scipy.linalg.expm(blk).tobytes()
+    want = scipy.linalg.expm(blk)
+    assert np.linalg.norm(elem_exp(y).block(0) - want) <= 1e-12 * np.linalg.norm(want)
     for got, want in ((elem_sin(y), _sin_by_exp(y)), (elem_cos(y), _cos_by_exp(y))):
         assert got.block(0).tobytes() == want.block(0).tobytes()
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_exp_of_a_non_hermitian_block_is_scipys_expm_within_rounding(k):
+    # scipy's degree-13 Pade approximant is the reference. The Taylor
+    # polynomial's truncation error is below 1e-22 at ||A / 2^s||_1 <= 1/2, so
+    # the difference is rounding, most of it from the s <= 9 squarings.
+    import scipy.linalg
+
+    rng = np.random.default_rng(k)
+    for trial in range(15):
+        z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        if trial % 3 == 1:  # normal, with complex eigenvalues
+            q = np.linalg.qr(z)[0]
+            z = (q * (rng.standard_normal(k) + 1j * rng.standard_normal(k))) @ q.conj().T
+        elif trial % 3 == 2:  # strongly non-normal: the strict upper triangle 30 times the diagonal
+            z = np.diag(np.diag(z)) + 30 * np.triu(z, 1)
+        for norm in (1e-3, 0.7, 8.0, 49.9):
+            x = Element(AlgebraShape((k,)), [z * (norm / np.linalg.norm(z, 2))])
+            assert hermitian_defect(x) > 0
+            want = scipy.linalg.expm(x.block(0))
+            assert np.linalg.norm(elem_exp(x).block(0) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_exp_closed_forms_off_the_hermitian_route(k):
+    rng = np.random.default_rng(k)
+    shape = AlgebraShape((k,))
+    # nonzero entries only in the top-right corner make N @ N = 0 exactly
+    n = np.zeros((k, k), complex)
+    n[: k // 2, k // 2 :] = rng.standard_normal((k // 2, k - k // 2)) + 1j
+    n *= 49.0 / np.linalg.norm(n, 2)
+    assert np.array_equal(elem_exp(Element(shape, [n])).block(0), np.eye(k) + n)
+    d = 3 * rng.standard_normal(k) + 10j * rng.standard_normal(k)
+    got = elem_exp(Element(shape, [np.diag(d)])).block(0)
+    assert np.array_equal(got, np.diag(np.diag(got)))
+    assert np.abs(np.diag(got) / np.exp(d) - 1).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+def test_exp_of_a_block_with_a_non_finite_entry_is_nan(bad):
+    blk = np.array([[1.0, bad], [0.0, 2.0]], complex)
+    assert np.isnan(_exp_block(blk)).all()
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)

@@ -1186,6 +1186,7 @@ runs += [
     ["search", "--shape", "2", "--n", "8", "--trials", "40"],
     ["verify", "--suite", "novak", "--n", "3", "--d", "2", "--trials", "3"],
     ["novak", "--points", sys.argv[1]],
+    ["novak", "--points", sys.argv[2]],
 ]
 for argv in runs:
     assert main(argv) in (0, 1), argv
@@ -1205,10 +1206,13 @@ def test_cli_runs_never_import_scipy(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    points = tmp_path / "pts.json"
-    points.write_text(json.dumps(_points_2x2(0.0)))
+    # the second point file is self-adjoint only within tolerance, so its
+    # run takes the exponential formula
+    points = [tmp_path / "exact.json", tmp_path / "inexact.json"]
+    for path, off_diagonal in zip(points, (0.0, 1e-12)):
+        path.write_text(json.dumps(_points_2x2(off_diagonal)))
     done = subprocess.run(
-        [sys.executable, "-c", _NO_SCIPY_RUNS, str(points)], env=env, capture_output=True,
+        [sys.executable, "-c", _NO_SCIPY_RUNS, *map(str, points)], env=env, capture_output=True,
         text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -1216,7 +1220,7 @@ def test_cli_runs_never_import_scipy(tmp_path):
 
 def test_novak_points_within_tolerance_of_self_adjoint_agree_with_their_exact_twin(tmp_path):
     # the inexact point takes calculus._trig_stack's exponential route, and
-    # with it scipy's expm; the verdicts agree all the same
+    # with it calculus._expm; the verdicts agree all the same
     payloads = []
     for off_diagonal in (1e-12, 0.0):
         f, out = tmp_path / "pts.json", tmp_path / "novak.json"

@@ -6,11 +6,14 @@ it at all, while ``import cstar_schur.cli`` must still load every module that
 perfbench/spans.py wraps, or ``perfbench/run.py --trace 1`` misses the layers
 of a suite that imports them later; ``numpy.random`` waits for the first
 draw. A search's chunk stacks must reuse heap memory rather than map fresh
-pages for each chunk, whatever was compiled before it.
+pages for each chunk, whatever was compiled before it. The package's only
+runtime dependency is numpy.
 """
 
+import ast
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -124,3 +127,25 @@ def test_cli_import_leaves_numpy_random_to_the_first_draw():
         print("numpy.random" in sys.modules)
     """)
     assert out.split() == ["False", "True"]
+
+
+def test_the_package_imports_no_scipy_and_depends_on_numpy_alone():
+    # the CLI runs of test_cli_runs_never_import_scipy sample routes; this
+    # reads every import statement, lazy ones included
+    imports = []
+    for path in sorted((ROOT / "src" / "cstar_schur").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imports.append((path.name, node.module))
+    assert imports and not [i for i in imports if i[1].split(".")[0] == "scipy"]
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is in the stdlib from Python 3.11")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        project = tomllib.load(f)["project"]
+
+    def names(requirements):
+        return [re.match(r"[\w.-]+", r).group().lower() for r in requirements]
+
+    assert names(project["dependencies"]) == ["numpy"]
+    assert "scipy" in names(project["optional-dependencies"]["test"])

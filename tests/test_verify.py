@@ -24,6 +24,7 @@ import pytest
 from cstar_schur import (
     AlgebraShape,
     AMatrix,
+    AVector,
     DomainError,
     Element,
     GenConfig,
@@ -204,6 +205,53 @@ def test_lower_bounds_are_sharp_at_their_equality_instances(blocks, n, monkeypat
     monkeypatch.setattr(suites, "VYBIRAL_CONSTANT", suites.VYBIRAL_CONSTANT * (1 + 1e-6))
     for check_id, (margin, witness) in _equality_outcomes(AlgebraShape(blocks), n).items():
         assert witness is not None and margin <= -1e-7, check_id
+
+
+# -- named thresholds, planted on both sides --------------------------------------
+
+
+def _unit_diag_passes(residual: float) -> bool:
+    """Whether the unit-diagonal bound takes the positive 2x2 scalar matrix
+    whose first diagonal entry is 1 + ``residual``; a DomainError rejects it."""
+    M = scalar_amatrix([[1.0 + residual, 0.5], [0.5, 1.0]])
+    try:
+        ((margin, witness, details),) = suites._unit_diag_checks(M._at(None), DEFAULT_TOL)
+    except DomainError:
+        return False
+    assert witness is None and margin >= -DEFAULT_TOL
+    assert details["diag_residual"] == pytest.approx(residual, rel=1e-6)
+    return True
+
+
+def _reconstruction_passes(defect: float) -> bool:
+    """Whether the commuting spectral check holds its hypothesis for
+    M = U diag(lam) U* + E with U = I, ||E|| = ``defect`` and ||M|| < 1, and N
+    exactly V diag(mu) V*; a failed hypothesis leaves a witness."""
+    def vector(*values):
+        return AVector.from_elements([comm_element(SCALAR, v) for v in values])
+
+    ident = identity_matrix(SCALAR, 2)
+    M = scalar_amatrix([[0.5, defect], [defect, 0.3]])
+    N = scalar_amatrix([[0.4, 0.0], [0.0, 0.2]])
+    instance = (M, N, ident, ident, vector(0.5, 0.3), vector(0.4, 0.2))
+    ((margin, witness, details),) = suites._commuting_spectral(
+        *(v._at(None) for v in instance), DEFAULT_TOL
+    )
+    assert margin >= -DEFAULT_TOL
+    assert details["reconstruction_residual"] == pytest.approx(defect, rel=1e-6)
+    return witness is None
+
+
+@pytest.mark.parametrize(
+    "passes, threshold",
+    [(_unit_diag_passes, 1e-8), (_reconstruction_passes, 1e-9)],
+    ids=["UNIT_DIAG_TOL", "RECONSTRUCTION_TOL"],
+)
+def test_named_threshold_holds_from_both_sides(passes, threshold):
+    # the threshold is written here, not read from suites, so code with a
+    # loosened or tightened constant fails one side
+    assert passes(threshold * (1 - 1e-3))
+    assert not passes(threshold * (1 + 1e-3))
 
 
 # -- novak pipeline -----------------------------------------------------------
