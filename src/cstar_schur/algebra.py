@@ -141,12 +141,6 @@ def _eigh(mats: np.ndarray, vectors: bool = False, block: int | None = None, sit
         raise NumericalError(f"eigensolver failed {where}", block=block) from exc
 
 
-def _spectral_apply(mat: np.ndarray, fn, site: str | None = None):
-    """V fn(Λ) V* from the eigendecomposition of the Hermitian part of ``mat``."""
-    w, v = _eigh(mat, True, site=site)
-    return (v * fn(w)) @ v.conj().T
-
-
 def _exactly_hermitian(stacks) -> np.ndarray:
     """Which members of a stack, given by one (T, m, m) array per block, have
     every block exactly equal to its adjoint."""

@@ -7,12 +7,14 @@ sin and cos are defined through the exponential map,
 so both make sense for arbitrary elements and are self-adjoint for
 self-adjoint x. An x whose every block equals its adjoint exactly takes the
 spectral route instead: one Hermitian eigendecomposition x = V diag(w) V*
-per block and V sin(w) V* (1x1 blocks apply sin or cos to the entry), which
-is the same function (Higham, Functions of Matrices, 2008, sec. 1.2). Every
-other element goes through the exponential formula. ``_trig_stack`` takes a
-stack of elements, its exactly self-adjoint members in one
-eigendecomposition per block; ``elem_sin`` and ``elem_cos`` are that call on
-a stack of one.
+per block gives both V sin(w) V* and V cos(w) V* (1x1 blocks apply sin and
+cos to the entry), the same functions (Higham, Functions of Matrices, 2008,
+sec. 1.2). Every other element takes the exponential formula, one pair
+e^{ix}, e^{-ix} for both. ``_trig_stack`` gives sin and cos of each member of
+a stack of elements, its exactly self-adjoint members from one
+eigendecomposition per block; ``elem_sin`` and ``elem_cos`` read theirs from
+that call on a stack of one. ``_spectral_stack`` forms every V f(w) V*, the
+Hermitian blocks of ``elem_exp`` included.
 
 Power series act entrywise on matrices through iterated Schur products,
 with the convention that the zeroth Schur power is the identity matrix (an
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    AlgebraShape, Element, _eigh, _exactly_hermitian, _first_of, _spectral_apply, _spectral_norm
+    AlgebraShape, Element, _eigh, _exactly_hermitian, _first_of, _spectral_norm
 )
 from .amatrix import AMatrix, element_scale, identity_matrix, ones_matrix, schur_product, zero_matrix
 from .errors import NumericalError, RangeError, StructureError
@@ -62,11 +64,35 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _spectral_stack(stacks, fns, name: str):
+    """(each function of ``fns`` of each member, its norm) for a stack of
+    elements whose blocks are Hermitian, one (T, k, k) array per block: one
+    eigendecomposition per block for the whole stack, V f(Λ) V* per member and
+    function f, and the norm max|λ| over the blocks. A 1x1 block applies f to
+    the entry and takes the entry's abs. The values come one list of blocks
+    per function; this is the package's only V f(Λ) V*."""
+    # (w, v) per block with w ascending; a 1x1 block is its own eigenvalue
+    eigs = [None if s.shape[-1] == 1 else _eigh(s, True, site=name) for s in stacks]
+    norms = [
+        _spectral_norm(s) if e is None else _first_of([abs(e[0][:, 0]), abs(e[0][:, -1])], np.greater)
+        for s, e in zip(stacks, eigs)
+    ]
+    values = tuple(
+        [
+            f(s) if e is None else (e[1] * f(e[0])[:, None, :]) @ e[1].conj().swapaxes(-1, -2)
+            for s, e in zip(stacks, eigs)
+        ]
+        for f in fns
+    )
+    return values, _first_of(norms, np.greater)
+
+
 def _exp_block(blk: np.ndarray) -> np.ndarray:
     if blk.shape == (1, 1):
         return np.exp(blk)
     if _exactly_hermitian([blk[None]])[0]:
-        return _spectral_apply(blk, np.exp, site="exp")
+        ((value,),), _ = _spectral_stack([blk[None]], (np.exp,), "exp")
+        return value[0]
     return _expm(blk)
 
 
@@ -82,87 +108,63 @@ def elem_exp(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     return Element._wrap(x.shape, tuple(_exp_block(b) for b in x.blocks))
 
 
-def _spectral_stack(stacks, fn, name: str):
-    """(fn of each member, its norm) for a stack of elements whose blocks are
-    Hermitian, one (T, k, k) array per block: one eigendecomposition per block
-    for the whole stack, V fn(Λ) V* per member, and the norm max|λ| over the
-    blocks. A 1x1 block applies fn to the entry and takes the entry's abs."""
-    # (w, v) per block with w ascending; a 1x1 block is its own eigenvalue
-    eigs = [None if s.shape[-1] == 1 else _eigh(s, True, site=name) for s in stacks]
-    norms = [
-        _spectral_norm(s) if e is None else _first_of([abs(e[0][:, 0]), abs(e[0][:, -1])], np.greater)
-        for s, e in zip(stacks, eigs)
-    ]
-    values = [
-        fn(s) if e is None else (e[1] * fn(e[0])[:, None, :]) @ e[1].conj().swapaxes(-1, -2)
-        for s, e in zip(stacks, eigs)
-    ]
-    return values, _first_of(norms, np.greater)
-
-
-def _trig_stack(shape: AlgebraShape, stacks, sine, norm_cap=DEFAULT_NORM_CAP) -> list:
-    """cos of each member of a stack of elements, one (T, k, k) array per block,
-    or sin of the members where the boolean array ``sine`` is set.
+def _trig_stack(shape: AlgebraShape, stacks, name: str, norm_cap=DEFAULT_NORM_CAP) -> tuple:
+    """(sines, cosines) of each member of a stack of elements, one (T, k, k)
+    array per block in each.
 
     The members whose blocks all equal their adjoints exactly share one
-    ``_spectral_stack`` call, and one over the cap raises ``RangeError`` with
-    the norm it gives. When that call raises, each of them is solved alone,
-    under the name of its function. Every other member is checked against the
-    cap with its norm and takes the exponential formula. Members are finished
-    in order, so each gets the bits it gets alone, and the first error raised
-    is the one it raises first in member order.
+    ``_spectral_stack`` call for both functions, and one over the cap raises
+    ``RangeError`` with the norm it gives. When that call raises, each of them
+    is solved alone. Every other member is checked against the cap with its
+    norm and takes the exponential formula, from one pair exp(ix), exp(-ix).
+    ``name`` only labels the eigensolver site in an error. Members are
+    finished in order, so each gets the bits it gets alone, and the first
+    error raised is the one it raises first in member order.
     """
-    out = [np.empty_like(s) for s in stacks]
+    sines, cosines = [np.empty_like(s) for s in stacks], [np.empty_like(s) for s in stacks]
     exact = _exactly_hermitian(stacks)
     # a solved member's norm is never NaN; NaN marks the members left to solve
-    norms = np.full(len(sine), np.nan)
+    norms = np.full(len(exact), np.nan)
 
-    def solve(members, name: str) -> None:
-        # sin or cos of the members from one _spectral_stack call, into out and norms
-        picked = sine[members]
+    def put(i, values) -> None:
+        # the sine and cosine blocks of member (or members) i, into the outputs
+        for outs, blocks in zip((sines, cosines), values):
+            for o, b in zip(outs, blocks):
+                o[i] = b
 
-        def fn(w):
-            return np.where(picked.reshape((-1,) + (1,) * (w.ndim - 1)), np.sin(w), np.cos(w))
-
-        values, norms[members] = _spectral_stack([s[members] for s in stacks], fn, name)
-        for o, v in zip(out, values):
-            o[members] = v
+    def solve(members) -> None:
+        values, norms[members] = _spectral_stack([s[members] for s in stacks], (np.sin, np.cos), name)
+        put(members, values)
 
     try:
-        solve(exact, "cos")
+        solve(exact)
     except NumericalError:
         pass
     for i in np.flatnonzero(~(exact & (norms <= norm_cap))):
         if exact[i]:
             if np.isnan(norms[i]):
-                solve([i], "sin" if sine[i] else "cos")
+                solve([i])
             _raise_over_cap(float(norms[i]), norm_cap)
             continue
         x = Element._wrap(shape, tuple(s[i] for s in stacks))
         _check_cap(x, norm_cap)
         plus, minus = elem_exp(1j * x, norm_cap), elem_exp(-1j * x, norm_cap)
-        value = (plus - minus) * (-0.5j) if sine[i] else (plus + minus) * 0.5
-        for o, b in zip(out, value.blocks):
-            o[i] = b
-    return out
-
-
-def _trig(x: Element, sine: bool, norm_cap: float) -> Element:
-    """``_trig_stack`` on a stack of one."""
-    blocks = _trig_stack(x.shape, [b[None] for b in x.blocks], np.array([sine]), norm_cap)
-    return x._like(tuple(b[0] for b in blocks))
+        put(i, (((plus - minus) * (-0.5j)).blocks, ((plus + minus) * 0.5).blocks))
+    return sines, cosines
 
 
 def elem_sin(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """sin x = (e^{ix} - e^{-ix}) / 2i; one eigendecomposition per block when
     x is self-adjoint."""
-    return _trig(x, True, norm_cap)
+    sines, _ = _trig_stack(x.shape, [b[None] for b in x.blocks], "sin", norm_cap)
+    return x._like(tuple(b[0] for b in sines))
 
 
 def elem_cos(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """cos x = (e^{ix} + e^{-ix}) / 2; one eigendecomposition per block when
     x is self-adjoint."""
-    return _trig(x, False, norm_cap)
+    _, cosines = _trig_stack(x.shape, [b[None] for b in x.blocks], "cos", norm_cap)
+    return x._like(tuple(b[0] for b in cosines))
 
 
 @dataclass(frozen=True)

@@ -57,16 +57,19 @@ pass (``Check.trial``). ``novak_check``,
 batch of one. To add a check, write an evaluator, a trial and a table entry
 that names the trial's draws.
 The trig evaluator takes every sine and cosine of a chunk in two ``_sin_cos``
-calls; its ``falsify`` form is the outcome of a ``find_trig_breakdown`` trial.
+calls, one ``_trig_stack`` call each; its ``falsify`` form is the outcome of
+a ``find_trig_breakdown`` trial.
 
 The Novak suite takes its points as (T, count, k, k) stacks: one oracle call
 and one commutator call per slice of trials (``_COMMUTATOR_PAIRS``) for the
-hypotheses and one ``_trig_stack`` call per set of cosines. The hit searches
-run through ``verify._run_trials`` as searches, trial 0 alone before the
-chunks, and end the run at the first trial with a witness; their chunks
-take their streams as rows of the search's windows (``verify._Window``);
-in a suite run, the nonassociativity search's window starts out holding
-the rows of its trial 0, hashed with the other checks' first chunks.
+hypotheses, one ``_trig_stack`` call per set of cosine matrices, and in the
+cosine-Gram check one for sin z and cos z and one for the probes. The hit
+searches run through ``verify._run_trials`` as searches, trial 0 alone
+before the chunks, and end the run at the first trial with a witness; their
+chunks take their streams as rows of the search's windows
+(``verify._Window``); in a suite run, the nonassociativity search's window
+starts out holding the rows of its trial 0, hashed with the other checks'
+first chunks.
 """
 
 from __future__ import annotations
@@ -440,7 +443,7 @@ def _cosine_matrices(shape: AlgebraShape, z) -> tuple:
     j, k = np.triu_indices(n)
     diffs = [(s[..., j, :, :] - s[..., k, :, :]).reshape(-1, *s.shape[-2:]) for s in z]
     out = []
-    for s, c in zip(z, _trig_stack(shape, diffs, np.zeros(len(diffs[0]), bool))):
+    for s, c in zip(z, _trig_stack(shape, diffs, "cos")[1]):
         m = np.empty(lead + (n, n) + s.shape[-2:], dtype=np.complex128)
         c = c.reshape(lead + (len(j),) + s.shape[-2:])
         m[..., j, k, :, :] = c
@@ -449,20 +452,19 @@ def _cosine_matrices(shape: AlgebraShape, z) -> tuple:
     return tuple(out)
 
 
-def _gram_residuals(A, cos_sin, y) -> np.ndarray:
+def _gram_residuals(A, cos, sin, y) -> np.ndarray:
     """||<Ay, y> - (S_c S_c* + S_s S_s*)|| / max(1, ||<Ay, y>||) of each member
     of a stack, with S_c = sum_j cos(z_j) y_j and S_s = sum_j sin(z_j) y_j
-    summed in order of j: A, cos_sin (cos z_j, then sin z_j) and the probe y
-    hold one (T, n, n, k, k), (T, 2n, k, k) and (T, n, k, k) array per block."""
+    summed in order of j: A holds one (T, n, n, k, k) array per block, and
+    cos z, sin z and the probe y one (T, n, k, k) array per block each."""
     T, n = y[0].shape[:2]
     diffs, scales = [], []
-    for a, cs, v in zip(A, cos_sin, y):
+    for a, c, s, v in zip(A, cos, sin, y):
         k = v.shape[-1]
         av = (_flatten_block(a, n, k) @ v.reshape(T, n * k, k)).reshape(v.shape)
         q = np.einsum("tjab,tjcb->tac", av, v.conj())
-        terms = cs @ np.concatenate([v, v], 1)
         grams = []
-        for part in (terms[:, :n], terms[:, n:]):
+        for part in (c @ v, s @ v):
             acc = np.zeros_like(q)
             for j in range(n):
                 acc = acc + part[:, j]
@@ -477,20 +479,19 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
     array per block, with the probe of member t drawn from generator t of ``gens``."""
     T, n = z[0].shape[:2]
     _require_commuting_points(shape, z)
-    # cos z_j, then sin z_j, of every trial in one call
-    both = [np.concatenate([s, s], 1).reshape(-1, *s.shape[2:]) for s in z]
-    trig = _trig_stack(shape, both, np.tile(np.arange(2 * n) >= n, T))
-    cos_sin = [c.reshape(T, 2 * n, *c.shape[1:]) for c in trig]
+    # sin z_j and cos z_j of every trial in one call
+    trig = _trig_stack(shape, [s.reshape(-1, *s.shape[2:]) for s in z], "cos")
+    sin_z, cos_z = ([v.reshape(s.shape) for v, s in zip(values, z)] for values in trig)
     A = _cosine_matrices(shape, z)
     # probe vectors: the all-units vector plus cos(alpha_j z_j) + sin(beta_j z_j),
     # which stay inside the commutative subalgebra the z generate
     (normals,) = _normals(gens, [(2, n)])
     coefs = normals.transpose(0, 2, 1).astype(np.complex128)[..., None, None]
     scaled = [(coefs * s[:, :, None]).reshape(-1, *s.shape[2:]) for s in z]
-    trig = _trig_stack(shape, scaled, np.tile([False, True], T * n))
-    terms = [c.reshape(T, n, 2, *c.shape[1:]) for c in trig]
-    mixed = tuple(c[:, :, 0] + c[:, :, 1] for c in terms)
-    residuals = [_gram_residuals(A, cos_sin, y) for y in (_units(shape, (T, n)), mixed)]
+    trig = _trig_stack(shape, scaled, "cos")
+    sines, cosines = ([v.reshape(T, n, 2, *v.shape[1:]) for v in values] for values in trig)
+    mixed = tuple(c[:, :, 0] + s[:, :, 1] for s, c in zip(sines, cosines))
+    residuals = [_gram_residuals(A, cos_z, sin_z, y) for y in (_units(shape, (T, n)), mixed)]
     verdicts = _oracle(AMatrix._wrap(shape, A), tol)
     outcomes = []
     for t, verdict in enumerate(verdicts):
@@ -584,12 +585,9 @@ def novak_check(
 
 
 def _sin_cos(x: Element) -> tuple[Element, Element]:
-    """sin and cos of each member of a batch, from one ``_trig_stack`` call
-    that takes each member twice, in order, the sine first."""
-    twice = [np.repeat(b.reshape(-1, *b.shape[-2:]), 2, axis=0) for b in x.blocks]
-    sine = np.arange(len(twice[0])) % 2 == 0
-    both = [v.reshape(x.batch + (2,) + v.shape[-2:]) for v in _trig_stack(x.shape, twice, sine)]
-    return tuple(x._like(tuple(b[..., i, :, :] for b in both)) for i in range(2))
+    """sin and cos of each member of a batch, from one ``_trig_stack`` call."""
+    trig = _trig_stack(x.shape, [b.reshape(-1, *b.shape[-2:]) for b in x.blocks], "sin")
+    return tuple(x._like(tuple(v.reshape(b.shape) for v, b in zip(values, x.blocks))) for values in trig)
 
 
 def _trig_identities(x: Element, y: Element, tol: float, falsify: bool) -> list[tuple]:

@@ -1,5 +1,7 @@
 """Exponential-based trigonometry on algebra elements and entrywise series."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +17,7 @@ from cstar_schur import (
     elem_cos,
     elem_exp,
     elem_sin,
+    haar_unitary,
     hermitian_defect,
     identity_element,
     identity_matrix,
@@ -204,8 +207,6 @@ def test_trig_norm_cap_matches_exp(shape):
 
 @pytest.mark.parametrize("shape", [AlgebraShape((2,)), AlgebraShape((2, 1))], ids=str)
 def test_selfadjoint_trig_takes_its_cap_norm_from_the_eigensolve(shape, monkeypatch):
-    from cstar_schur.algebra import _spectral_apply
-
     x = random_selfadjoint_element(GenConfig(seed=4, shape=shape), norm_cap=5.0)
     big = (60.0 / x.norm()) * x
     with pytest.raises(RangeError) as exp_err:
@@ -217,9 +218,10 @@ def test_selfadjoint_trig_takes_its_cap_norm_from_the_eigensolve(shape, monkeypa
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    w, v = np.linalg.eigh(x.block(0))
     for fn, f in ((elem_sin, np.sin), (elem_cos, np.cos)):
         got = fn(x)
-        assert got.block(0).tobytes() == _spectral_apply(x.block(0), f).tobytes()
+        assert got.block(0).tobytes() == ((v * f(w)) @ v.conj().T).tobytes()
         with pytest.raises(RangeError) as err:
             fn(big)
         assert str(err.value) == str(exp_err.value)
@@ -236,21 +238,22 @@ def test_trig_stack_gives_each_member_its_alone_value_and_first_error():
     # exactly Hermitian, so it joins the stacked solve, which it makes fail
     bad = Element(shape, [np.diag([np.inf, 1.0]), np.ones((1, 1))])
 
-    def trig(members, sine):
+    def trig(members, name):
         stacks = [np.stack([m.blocks[b] for m in members]) for b in range(2)]
-        return _trig_stack(shape, stacks, np.array(sine))
+        return _trig_stack(shape, stacks, name)
 
-    got = trig([x, y, x], [True, False, False])
-    for i, want in enumerate((elem_sin(x), elem_cos(y), elem_cos(x))):
-        assert all(g[i].tobytes() == w.tobytes() for g, w in zip(got, want.blocks))
-    # after the stacked solve fails each member is solved alone, under its own name
+    sines, cosines = trig([x, y, x], "sin")
+    for i, m in enumerate((x, y, x)):
+        for got, want in ((sines, elem_sin(m)), (cosines, elem_cos(m))):
+            assert all(g[i].tobytes() == w.tobytes() for g, w in zip(got, want.blocks))
+    # after the stacked solve fails each member is solved alone, under the name
     with pytest.raises(NumericalError, match="^non-finite entries in sin$"):
-        trig([x, bad, y], [False, True, False])
+        trig([x, bad, y], "sin")
     # and the first member in order that raises alone raises
     with pytest.raises(RangeError):
-        trig([y, big, bad], [False, False, True])
+        trig([y, big, bad], "sin")
     with pytest.raises(NumericalError, match="^non-finite entries in cos$"):
-        trig([bad, big], [False, False])
+        trig([bad, big], "cos")
 
 
 def test_exp_of_selfadjoint_is_positive(m2_shape):
@@ -258,6 +261,34 @@ def test_exp_of_selfadjoint_is_positive(m2_shape):
     from cstar_schur import classify
 
     assert classify(elem_exp(x)).is_positive
+
+
+# -- *-automorphisms -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("blocks", [(2, 2), (3, 3, 1), (2, 1)], ids=str)
+def test_calculus_commutes_with_the_automorphisms(blocks):
+    # the *-automorphisms of the direct sum permute blocks of equal size and
+    # conjugate each block by a unitary, and f(a(x)) = a(f(x)) for f = sin,
+    # cos and exp. A conjugated Hermitian block is Hermitian only up to
+    # rounding, so the conjugation also holds the spectral route to the
+    # exponential one
+    shape = AlgebraShape(blocks)
+    swaps = [(a, b) for a, b in combinations(range(len(blocks)), 2) if blocks[a] == blocks[b]]
+    for seed in range(30):
+        cfg, rng = GenConfig(seed=seed, shape=shape), np.random.default_rng(seed)
+        W = [haar_unitary(rng, k) for k in shape.blocks]
+        for x in (random_selfadjoint_element(cfg, norm_cap=5.0), random_element(cfg)):
+            for fn in (elem_sin, elem_cos, elem_exp):
+                fx = fn(x)
+                for a, b in swaps:
+                    order = list(range(len(blocks)))
+                    order[a], order[b] = b, a
+                    swapped = fn(Element(shape, [x.blocks[i] for i in order])).blocks
+                    assert [v.tobytes() for v in swapped] == [fx.blocks[i].tobytes() for i in order]
+                got = fn(Element(shape, [w @ v @ w.conj().T for w, v in zip(W, x.blocks)]))
+                want = Element(shape, [w @ v @ w.conj().T for w, v in zip(W, fx.blocks)])
+                assert (got - want).norm() <= 1e-12 * max(1.0, fx.norm()), (seed, fn.__name__)
 
 
 # -- entrywise series ---------------------------------------------------------

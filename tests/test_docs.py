@@ -23,6 +23,7 @@ def test_module_references_resolve():
     paths = [
         *sorted((ROOT / "src" / "cstar_schur").glob("*.py")),
         *sorted((ROOT / "scripts").glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
         ROOT / "README.md",
     ]
     stale = []

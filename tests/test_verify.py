@@ -223,29 +223,83 @@ def _unit_diag_passes(residual: float) -> bool:
     return True
 
 
-def _reconstruction_passes(defect: float) -> bool:
-    """Whether the commuting spectral check holds its hypothesis for
-    M = U diag(lam) U* + E with U = I, ||E|| = ``defect`` and ||M|| < 1, and N
-    exactly V diag(mu) V*; a failed hypothesis leaves a witness."""
+def _spectral_outcome(M: AMatrix, U: AMatrix) -> tuple:
+    """The commuting spectral check's (witness, details) on the given M and U,
+    with lam = (0.5, 0.3), V = I, mu = (0.4, 0.2) and N exactly diag(mu); M,
+    N and their product are positive, so only the hypothesis can fail."""
     def vector(*values):
         return AVector.from_elements([comm_element(SCALAR, v) for v in values])
 
     ident = identity_matrix(SCALAR, 2)
-    M = scalar_amatrix([[0.5, defect], [defect, 0.3]])
     N = scalar_amatrix([[0.4, 0.0], [0.0, 0.2]])
-    instance = (M, N, ident, ident, vector(0.5, 0.3), vector(0.4, 0.2))
+    instance = (M, N, U, ident, vector(0.5, 0.3), vector(0.4, 0.2))
     ((margin, witness, details),) = suites._commuting_spectral(
         *(v._at(None) for v in instance), DEFAULT_TOL
     )
     assert margin >= -DEFAULT_TOL
+    return witness, details
+
+
+def _reconstruction_passes(defect: float) -> bool:
+    """Whether the commuting spectral check holds its hypothesis for
+    M = U diag(lam) U* + E with U = I, ||E|| = ``defect`` and ||M|| < 1; a
+    failed hypothesis leaves a witness."""
+    M = scalar_amatrix([[0.5, defect], [defect, 0.3]])
+    witness, details = _spectral_outcome(M, identity_matrix(SCALAR, 2))
     assert details["reconstruction_residual"] == pytest.approx(defect, rel=1e-6)
     return witness is None
 
 
+def _unitary_passes(residual: float) -> bool:
+    """Whether the commuting spectral check holds its hypothesis for U =
+    (1 + eps) I with (1 + eps)^2 - 1 = ``residual`` and M exactly diag(lam):
+    ||U U* - I|| is the residual, and the reconstruction defect of M about
+    half of it, far below its own threshold."""
+    U = math.sqrt(1.0 + residual) * identity_matrix(SCALAR, 2)
+    witness, details = _spectral_outcome(scalar_amatrix([[0.5, 0.0], [0.0, 0.3]]), U)
+    assert details["unitary_residual"] == pytest.approx(residual, rel=1e-5)
+    assert details["reconstruction_residual"] == pytest.approx(residual / 2, rel=1e-3)
+    return witness is None
+
+
+def _planted_commutator(comm: float) -> tuple[Element, Element]:
+    """x = diag(1, -1) and y = [[0.3, comm/2], [comm/2, 0.1]] over M_2:
+    ||[x, y]|| = ``comm`` and the larger norm is 1."""
+    return (
+        Element(M2, [np.diag([1.0, -1.0])]),
+        Element(M2, [[[0.3, comm / 2], [comm / 2, 0.1]]]),
+    )
+
+
+def _trig_addition_checked(comm: float) -> bool:
+    """Whether the trig check takes the addition formulas for the planted pair."""
+    x, y = _planted_commutator(comm)
+    ((margin, witness, details),) = suites._trig_identities(x._at(None), y._at(None), suites.TRIG_TOL, False)
+    assert witness is None and details["commutator"] == pytest.approx(comm, rel=1e-6)
+    return details["addition_checked"]
+
+
+def _novak_points_commute(comm: float) -> bool:
+    """Whether the Novak hypothesis takes the planted pair as commuting points;
+    a DomainError rejects it."""
+    try:
+        suites._require_commuting_points(M2, _stack(list(_planted_commutator(comm)))._at(None).blocks)
+    except DomainError as exc:
+        assert str(exc).startswith("elements do not commute")
+        return False
+    return True
+
+
 @pytest.mark.parametrize(
     "passes, threshold",
-    [(_unit_diag_passes, 1e-8), (_reconstruction_passes, 1e-9)],
-    ids=["UNIT_DIAG_TOL", "RECONSTRUCTION_TOL"],
+    [
+        (_unit_diag_passes, 1e-8),
+        (_reconstruction_passes, 1e-9),
+        (_trig_addition_checked, 1e-10),
+        (_novak_points_commute, 1e-10),
+        (_unitary_passes, 1e-10),
+    ],
+    ids=["UNIT_DIAG_TOL", "RECONSTRUCTION_TOL", "COMMUTING_TOL-trig", "COMMUTING_TOL-novak", "UNITARY_TOL"],
 )
 def test_named_threshold_holds_from_both_sides(passes, threshold):
     # the threshold is written here, not read from suites, so code with a
@@ -1595,38 +1649,55 @@ def test_novak_run_holds_no_more_states_than_its_first_chunks(monkeypatch, tmp_p
     assert max(held) <= chunk * rows
 
 
-def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
+def _grid_trig_calls(monkeypatch, suite: str) -> list:
+    """The grid point of each ``suites._trig_stack`` call that runs of ``suite``
+    over the grid make at 10 trials."""
     calls = []
     trig_stack = suites._trig_stack
 
-    def counted(shape, stacks, sine):
-        calls.append(len(sine))
-        return trig_stack(shape, stacks, sine)
+    def counted(shape, stacks, name):
+        calls.append(point)
+        return trig_stack(shape, stacks, name)
 
     monkeypatch.setattr(suites, "_trig_stack", counted)
-    for shape, n in GRID:
-        cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
-        run_suite("novak", cfg, trials=10)
-    # per grid point and chunk: the Novak steps, then the cosine-Gram cos/sin z,
-    # its cosine matrix and its probes (28 calls; 420 per trial)
-    assert len(calls) <= 30
+    for point in GRID:
+        shape, n = point
+        run_suite(suite, GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
+    return calls
+
+
+def test_novak_suite_takes_its_cosines_once_per_chunk(monkeypatch):
+    calls = _grid_trig_calls(monkeypatch, "novak")
+    # every grid point counts, so a call the patch cannot see fails here
+    assert set(calls) == set(GRID)
+    # per grid point and chunk: the Novak steps, then the cosine-Gram sin and
+    # cos z, its cosine matrix and its probes (28 calls; 420 per trial)
+    assert len(calls) <= 28
 
 
 def test_trig_suite_takes_its_sines_and_cosines_once_per_chunk(monkeypatch):
-    calls = []
-    trig_stack = suites._trig_stack
-
-    def counted(shape, stacks, sine):
-        calls.append(len(sine))
-        return trig_stack(shape, stacks, sine)
-
-    monkeypatch.setattr(suites, "_trig_stack", counted)
-    for shape, n in GRID:
-        cfg = GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n)
-        run_suite("trig", cfg, trials=10)
+    calls = _grid_trig_calls(monkeypatch, "trig")
+    assert set(calls) == set(GRID)
     # per grid point: x, y, -x, x* of the chunk, then x + y, and two for the
     # breakdown search's Pauli pair, its first hit (28 calls; 154 per trial)
     assert len(calls) <= 28
+
+
+def test_suite_grid_eigendecomposes_each_trig_member_once(monkeypatch):
+    members = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        members.append(math.prod(np.shape(a)[:-2]))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for shape, n in GRID:
+        run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
+    # sin and cos of a member share one eigendecomposition (1 690 members
+    # while each took its own, the cosine-Gram z and the trig suite's x, y,
+    # -x, x* and x + y twice over)
+    assert sum(members) <= 1300
 
 
 def test_suite_grid_builds_one_report_per_reported_check(monkeypatch):
