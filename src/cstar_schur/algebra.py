@@ -22,6 +22,8 @@ import numpy as np
 from .errors import DomainError, NumericalError, StructureError
 
 DEFAULT_TOL = 1e-9
+# the slack and the floor of ``_norm_bound``
+_BOUND_SLACK, _BOUND_FLOOR = 1.0 + 2.0**-20, 2.0**-1000
 
 
 def _is_integer(value) -> bool:
@@ -94,13 +96,27 @@ def _top_singular_values(mats: np.ndarray) -> np.ndarray:
 
 def _spectral_norm(mats: np.ndarray):
     """The operator (2-)norm of a matrix, as a float, or of each member of a
-    stack, as an array. 1x1 blocks take the scalar abs: numpy's array abs can
-    differ from it in the last bit."""
+    stack, as an array. 1x1 blocks take ``np.hypot`` of the parts, which is
+    Python's complex abs bit for bit; numpy's array abs can differ from it in
+    the last bit."""
     if mats.shape[-1] == 1:
-        norms = np.array([abs(z) for z in mats.reshape(-1)]).reshape(mats.shape[:-2])
+        norms = np.hypot(mats.real, mats.imag)[..., 0, 0]
     else:
         norms = _top_singular_values(mats)
     return float(norms) if mats.ndim == 2 else norms
+
+
+def _norm_bound(mats: np.ndarray) -> np.ndarray:
+    """A certified upper bound on ``_spectral_norm`` of each member of a stack,
+    NaN or inf wherever that norm raises or is NaN or inf: the larger of the
+    largest absolute row and column sums, times 1 + 2^-20, plus 2^-1000.
+    ||A||_2 <= sqrt(||A||_1 ||A||_inf). The slack covers the rounding of the
+    moduli and sums and LAPACK's error in the top singular value, each O(m u)
+    for an m x m block, about 1e-12 at ``cli.MAX_FLAT_SIZE`` = 8 192; the floor
+    covers both sides' absolute error on subnormal entries. Nothing is
+    squared, so nothing underflows."""
+    a = np.abs(mats)
+    return np.maximum(a.sum(-1).max(-1), a.sum(-2).max(-1)) * _BOUND_SLACK + _BOUND_FLOOR
 
 
 def _first_of(values: list[np.ndarray], better) -> np.ndarray:

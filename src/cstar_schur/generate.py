@@ -39,7 +39,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import AlgebraShape, Element, _adjoint, _eigh, _first_of, _hermitian_part, _spectral_norm
+from .algebra import (
+    AlgebraShape, Element, _adjoint, _eigh, _first_of, _hermitian_part, _norm_bound, _spectral_norm
+)
 from .amatrix import AMatrix, _flatten_block, _gram_block, _unflatten_block, identity_matrix
 from .errors import DomainError, StructureError
 from .module_an import AVector
@@ -327,10 +329,14 @@ def _positive_stack(cfg: GenConfig, gens) -> tuple:
 def _capped(blocks, cap: float) -> tuple:
     """Each member of a stack of elements, one (..., k, k) array per block,
     rescaled into norm <= cap, bit for bit as alone: its norm is
-    ``Element.norm``'s, so a NaN in any block leaves it unscaled."""
+    ``Element.norm``'s, so a NaN in any block leaves it unscaled. It is
+    taken only where a block's ``_norm_bound`` is over the cap or NaN."""
     lead = blocks[0].shape[:-2]
-    norms = [_spectral_norm(b.reshape(-1, *b.shape[-2:])).reshape(lead) for b in blocks]
-    norm = _first_of(norms, np.greater)
+    flats = [b.reshape(-1, *b.shape[-2:]) for b in blocks]
+    open_ = ~np.logical_and.reduce([_norm_bound(f) <= cap for f in flats])
+    norm = np.zeros(lead)
+    if open_.any():
+        norm[open_.reshape(lead)] = _first_of([_spectral_norm(f[open_]) for f in flats], np.greater)
     over = (norm > cap)[..., None, None]
     factor = (cap / np.where(over, norm[..., None, None], cap)).astype(np.complex128)
     return tuple(np.where(over, factor * b, b) for b in blocks)

@@ -89,6 +89,7 @@ from .algebra import (
     SpectrumReport,
     _adjoint,
     _first_of,
+    _norm_bound,
     _spectral_norm,
     _stack,
     _units,
@@ -101,6 +102,7 @@ from .amatrix import (
     PsdStack,
     diag_matrix,
     diag_vector,
+    flatten,
     identity_matrix,
     mat_norm,
     ones_matrix,
@@ -725,46 +727,63 @@ def check_preserver(
 
 def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
     """The check on each member (M, N, U, V, lam, mu) of a batch drawn as
-    ``random_commuting_spectral_pair`` draws it: (margin, witness, details)."""
+    ``random_commuting_spectral_pair`` draws it: (margin, witness). A member
+    whose residuals' ``_norm_bound`` are within floors of their limits holds
+    the hypothesis; the others' exact norms, in the order below, are taken
+    before the oracle runs, and a settled witness's after it."""
     n = M.n
     ident = identity_matrix(M.shape, n)
-    unitary = _first_of([mat_norm(W @ W.adjoint() - ident) for W in (U, V)], np.greater)
-    # each norm is taken once, after its reconstruction defect, and reused below
-    (defect_m, norm_m), (defect_n, norm_n) = (
-        (mat_norm(X - W @ diag_matrix(d) @ W.adjoint()), mat_norm(X))
-        for X, W, d in ((M, U, lam), (N, V, mu))
-    )
-    # fmax, like Python's max, takes 1.0 over a NaN norm
-    recon = _first_of([defect_m / np.fmax(norm_m, 1.0), defect_n / np.fmax(norm_n, 1.0)], np.greater)
+    unitaries = [W @ W.adjoint() - ident for W in (U, V)]
+    defects = [X - W @ diag_matrix(d) @ W.adjoint() for X, W, d in ((M, U, lam), (N, V, mu))]
     sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
     if n > 1:
         sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
     points = _stack(sample, 1)
     pairs = np.array(list(combinations(range(len(sample)), 2)))
     x, y = (points._at(np.s_[:, ends]) for ends in pairs.T)
-    comms = _first_of(list(commutator_norm(x, y).T), np.greater)
-    bound = FAMILY_COMMUTING_TOL * np.fmax(np.fmax(norm_m, 1.0), norm_n)
-    hypothesis = (unitary <= UNITARY_TOL) & (recon <= RECONSTRUCTION_TOL) & (comms <= bound)
+    commutators = [a @ b - b @ a for a, b in zip(x.blocks, y.blocks)]  # as commutator_norm
+    bounded = [(flatten(R), UNITARY_TOL) for R in unitaries]
+    bounded += [(flatten(D), RECONSTRUCTION_TOL) for D in defects]
+    settled = np.logical_and.reduce(
+        [_norm_bound(f) <= limit for flats, limit in bounded for f in flats]
+        + [(_norm_bound(c) <= FAMILY_COMMUTING_TOL).all(-1) for c in commutators]
+    )
+
+    def exact(rows) -> tuple:
+        """The residuals of the members at ``rows``, one row each, and their hypothesis."""
+        unitary = _first_of([mat_norm(R._at(rows)) for R in unitaries], np.greater)
+        # each norm is taken once, after its reconstruction defect, and reused below
+        (defect_m, norm_m), (defect_n, norm_n) = (
+            (mat_norm(D._at(rows)), mat_norm(X._at(rows))) for D, X in zip(defects, (M, N))
+        )
+        # fmax, like Python's max, takes 1.0 over a NaN norm
+        recon = _first_of([defect_m / np.fmax(norm_m, 1.0), defect_n / np.fmax(norm_n, 1.0)], np.greater)
+        pair_norms = _first_of([_spectral_norm(c[rows]) for c in commutators], np.greater)
+        comms = _first_of(list(pair_norms.T), np.greater)
+        bound = FAMILY_COMMUTING_TOL * np.fmax(np.fmax(norm_m, 1.0), norm_n)
+        hypothesis = (unitary <= UNITARY_TOL) & (recon <= RECONSTRUCTION_TOL) & (comms <= bound)
+        return np.array([unitary, recon, comms]), hypothesis
+
+    hypothesis, residuals = settled.copy(), np.full((3, len(settled)), np.nan)
+    if not settled.all():
+        residuals[:, ~settled], hypothesis[~settled] = exact(~settled)
     mats = {"m": M, "n": N, "product": schur_product(M, N)}
     verdicts = iter(_oracle(_stack(list(mats.values()), 1), tol))
-    columns = zip(unitary.tolist(), recon.tolist(), comms.tolist(), hypothesis.tolist())
     outcomes = []
-    for t, (unitary_residual, recon_residual, comm, hypothesis_ok) in enumerate(columns):
+    for t in range(len(settled)):
         taken = {k: next(verdicts) for k in mats}
         margin = _worst([v.margin for v in taken.values()])
-        residuals = {
-            "unitary_residual": unitary_residual,
-            "reconstruction_residual": recon_residual,
-        }
         witness = None
-        if not (hypothesis_ok and all(v.is_positive for v in taken.values())):
+        if not (hypothesis[t] and all(v.is_positive for v in taken.values())):
+            if settled[t]:
+                residuals[:, [t]] = exact([t])[0]
+            keys = ("unitary_residual", "reconstruction_residual", "commutator")
             witness = {
                 **_matrix_payload(t, m=M, n=N),
                 "psd": {k: v.report().to_json() for k, v in taken.items()},
-                **residuals,
-                "commutator": comm,
+                **dict(zip(keys, residuals[:, t].tolist())),
             }
-        outcomes.append((margin, witness, {**residuals, "max_commutator": comm}))
+        outcomes.append((margin, witness))
     return outcomes
 
 
@@ -881,8 +900,7 @@ def _trial_schur(base, trials, o, pairs):
 
 
 def _trial_spectral(base, trials, o, own):
-    outcomes = _commuting_spectral(*_spectral_pair_stack(base, own), o.tol)
-    return [(margin, witness) for margin, witness, _ in outcomes]
+    return _commuting_spectral(*_spectral_pair_stack(base, own), o.tol)
 
 
 def _trial_trace_form(base, trials, o, streams):

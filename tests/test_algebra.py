@@ -196,6 +196,37 @@ def test_spectral_norm_is_numpy_two_norm_bitwise(k):
             want = abs(complex(m[0, 0])) if k == 1 else np.linalg.norm(m, 2)
             assert got.tobytes() == np.float64(want).tobytes()
             assert abs(got - np.linalg.norm(m, 2)) <= np.spacing(got)
+    if k == 1:
+        # a stack of 1x1 blocks takes Python's complex abs, batched and alone
+        parts = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -3e-310, 1e308, -1e308, 1.5]
+        special = [complex(re, im) for re in parts for im in parts]
+        drawn = [complex(*rng.standard_normal(2) * 10.0 ** rng.uniform(-310, 300)) for _ in range(500)]
+        values = np.array(special + drawn).reshape(-1, 1, 1)
+        want = np.array([abs(z) for z in values.reshape(-1)])
+        assert _spectral_norm(values).tobytes() == want.tobytes()
+        assert _spectral_norm(values.reshape(-1, 2, 1, 1)).tobytes() == want.tobytes()
+        for z, w in zip(values, want):
+            assert np.float64(_spectral_norm(z)).tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_norm_bound_is_above_the_spectral_norm(k):
+    from cstar_schur.algebra import _norm_bound, _spectral_norm
+
+    rng = np.random.default_rng(k)
+    for scale in (1e-320, 1e-310, 1e-170, 1.0, 1e154, 1e300):
+        m = scale * (rng.standard_normal((50, k, k)) + 1j * rng.standard_normal((50, k, k)))
+        assert (_norm_bound(m) >= _spectral_norm(m)).all()
+    # subnormal entries whose moduli round down, so only the floor keeps the
+    # bound above the norm (for k = 2 the sums give 2 ulp, the norm 3 ulp)
+    tiny = (1 + 1j) * 5e-324 * np.arange(1, 4)[:, None, None] * np.ones((k, k))
+    assert (_norm_bound(tiny) >= _spectral_norm(tiny)).all()
+    assert all(_norm_bound(t[None])[0] >= _spectral_norm(t) for t in tiny)
+    # an entry the norm raises on or gives NaN for leaves the bound NaN or inf
+    for bad in (np.nan, np.inf, -np.inf, complex(np.inf, np.nan)):
+        m = np.stack([np.eye(k, dtype=complex)] * 2)
+        m[1, -1, 0] = bad
+        assert np.isfinite(_norm_bound(m)).tolist() == [True, False]
 
 
 @pytest.mark.parametrize("shape", ALL_SHAPES, ids=str)
