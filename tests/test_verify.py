@@ -60,7 +60,7 @@ from cstar_schur import (
     schur_product,
 )
 from cstar_schur import generate, suites, verify
-from cstar_schur.algebra import DEFAULT_TOL, _first_of, _spectral_norm, _stack
+from cstar_schur.algebra import DEFAULT_TOL, _first_of, _spectral_norm, _stack, _units
 from cstar_schur.generate import STYLES
 from cstar_schur.verify import SUITES, counts_as_failure
 from conftest import comm_element, scalar_amatrix, as_numpy
@@ -319,6 +319,51 @@ def _novak_points_commute(comm: float) -> bool:
     return True
 
 
+def _alone_passes(check_id: str, **planted) -> bool:
+    """Whether the table entry ``check_id`` passes on one trial over C at n = 2,
+    with the named functions of ``suites`` replaced by ``planted``; a failing
+    trial must carry its witness."""
+    (check,) = [c for c in suites.CHECKS if c.check_id == check_id]
+    opts = suites._Options(trials=1, d=2, tol=DEFAULT_TOL, entrywise_constant=False)
+    with pytest.MonkeyPatch.context() as mp:
+        for name, value in planted.items():
+            mp.setattr(suites, name, value)
+        rep = check.report(GenConfig(seed=2024, shape=SCALAR, n=2), opts)
+    assert rep.trials == 1 and (rep.failures > 0) == (rep.witness is not None)
+    return rep.failures == 0
+
+
+def _novak_diag_passes(residual: float) -> bool:
+    """Whether the Novak check passes when diag(M) deviates from the units by ``residual``."""
+    return _alone_passes("novak_conjecture", _diag_residual=lambda M: np.full(M.batch[0], residual))
+
+
+def _cosine_gram_residual_passes(residual: float) -> bool:
+    """Whether the cosine-Gram check passes when both probes' Gram residuals are ``residual``."""
+    return _alone_passes(
+        "cosine_gram", _gram_residuals=lambda A, cos, sin, y: np.full(len(y[0]), residual)
+    )
+
+
+def _trace_form_passes(residual: float) -> bool:
+    """Whether the trace-form check passes when the direct route gives 0 and
+    the trace route ``residual`` * 1, so that their relative residual is
+    ``residual``."""
+
+    def routes(M, N, x):
+        return tuple(Element._wrap(M.shape, _units(M.shape, x.batch, v)) for v in (0.0, residual))
+
+    return _alone_passes("schur_trace_form_agreement", schur_quadratic_form_oracle=routes)
+
+
+def _axioms_passes(residual: float) -> bool:
+    """Whether the inner-product axioms check passes when its margin, the
+    first worst of its three columns, is -``residual``."""
+    return _alone_passes(
+        "inner_product_axioms", _first_of=lambda columns, worse: np.full(len(columns[0]), -residual)
+    )
+
+
 @pytest.mark.parametrize(
     "passes, threshold",
     [
@@ -328,10 +373,15 @@ def _novak_points_commute(comm: float) -> bool:
         (_novak_points_commute, 1e-10),
         (_unitary_passes, 1e-10),
         (_family_commuting_passes, 1e-12),
+        (_novak_diag_passes, 1e-8),
+        (_cosine_gram_residual_passes, 1e-10),
+        (_trace_form_passes, 1e-10),
+        (_axioms_passes, 1e-12),
     ],
     ids=[
         "UNIT_DIAG_TOL", "RECONSTRUCTION_TOL", "COMMUTING_TOL-trig", "COMMUTING_TOL-novak", "UNITARY_TOL",
-        "FAMILY_COMMUTING_TOL",
+        "FAMILY_COMMUTING_TOL", "UNIT_DIAG_TOL-novak", "ORACLE_TOL-cosine-gram", "ORACLE_TOL-trace-form",
+        "AXIOM_TOL",
     ],
 )
 def test_named_threshold_holds_from_both_sides(passes, threshold):
