@@ -35,9 +35,9 @@ reports the entries of suite ``name`` in table order. A ``Check`` entry holds
 * ``first_trials(base, opts)``, the trials of its first chunk: a suite run
   hashes their substreams with those of the other checks' first chunks, in
   one pass (``_first_streams``);
-* ``tol`` (fixed instead of the run's), ``details``, ``clamp`` (a trial with
-  a witness counts at most -2 tol) and ``run``, which replaces the margin
-  aggregation (the two hit searches).
+* ``tol`` (fixed instead of the run's; every witnessed trial counts at most
+  -2 tol), ``details`` and ``run``, which replaces the margin aggregation
+  (the two hit searches).
 
 Each check has one evaluator, a function from a batch of instances (values
 with a leading trial axis, ``algebra._Blocks``) to their outcomes. It does
@@ -498,11 +498,10 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
     outcomes = []
     for t, verdict in enumerate(verdicts):
         worst_residual = _largest(float(r[t]) for r in residuals)
-        # the residual margin is rescaled so a single pass criterion
-        # (margin >= -tol) enforces residual <= 1e-10
+        # rescaled so that margin >= -tol, the pass and witness rule, means residual <= 1e-10
         margin = _worst([verdict.margin, -worst_residual * (tol / ORACLE_TOL)])
         witness = None
-        if not (verdict.is_positive and worst_residual <= ORACLE_TOL):
+        if not (verdict.is_positive and margin >= -tol):
             witness = {
                 "points": _points_json(shape, tuple(b[t] for b in z)),
                 "psd": verdict.report().to_json(),
@@ -910,7 +909,7 @@ def _trial_trace_form(base, trials, o, streams):
     direct, trace_form = schur_quadratic_form_oracle(M, N, x)
     residuals = (direct - trace_form).norm() / np.fmax(direct.norm(), 1.0)
     return [
-        (-residual, {"seed": seed, "residual": residual} if residual > ORACLE_TOL else None)
+        (-residual, {"seed": seed, "residual": residual} if not -residual >= -o.tol else None)
         for seed, residual in zip(seeds, residuals.tolist())
     ]
 
@@ -999,7 +998,7 @@ def _trial_trig(base, trials, o, streams):
     else:
         family = _family_stack(base, streams, count=2, selfadjoint=True, norm_cap=5.0)
         x, y = family._at(np.s_[:, 0]), family._at(np.s_[:, 1])
-    return [(margin, witness) for margin, witness, _ in _trig_identities(x, y, TRIG_TOL, False)]
+    return [(margin, witness) for margin, witness, _ in _trig_identities(x, y, o.tol, False)]
 
 
 def _trial_preserver(base, trials, o, own, series):
@@ -1024,7 +1023,7 @@ def _trial_cauchy_schwarz(base, trials, o, pairs):
     columns = zip(_seeds(base, trials).tolist(), margins.tolist(), verdicts.hermitian.tolist())
     for i, (seed, margin, selfadjoint) in enumerate(columns):
         witness = None
-        if margin < -o.tol or not selfadjoint:
+        if not (selfadjoint and margin >= -o.tol):
             witness = {
                 "seed": seed,
                 "x": x._at(i).to_json(),
@@ -1053,7 +1052,7 @@ def _trial_axioms(base, trials, o, streams):
     seeds = _seeds(base, trials).tolist()
     columns = zip(seeds, margins.tolist(), sym_res.tolist(), lin_res.tolist())
     return [
-        (margin, {"seed": seed, "sym": sym, "lin": lin} if margin < -AXIOM_TOL else None)
+        (margin, {"seed": seed, "sym": sym, "lin": lin} if not margin >= -o.tol else None)
         for seed, margin, sym, lin in columns
     ]
 
@@ -1076,16 +1075,17 @@ class _Options:
 def _margin_report(
     check: "Check", base: GenConfig, o: _Options, first_streams: dict
 ) -> CheckReport:
-    """Aggregate trials 0..trials-1 of a check; pass means margin >= -tol.
-    The first chunk takes its rows out of ``first_streams`` when the run
-    hashed them (``_first_streams``); every other chunk hashes its own.
+    """Aggregate trials 0..trials-1 of a check at its ``tolerance``, which the
+    evaluator reads as ``o.tol``: pass means margin >= -tol. A witnessed trial
+    counts at most -2 tol, and every evaluator gives each trial that does not
+    pass a witness, so a trial fails exactly when it carries one.
 
     Without trials the check is reported as skipped: nothing was verified.
     """
     if o.trials < 1:
         return check.skipped(o, "no trials requested")
     t0 = time.perf_counter()
-    tol = check.tol or o.tol
+    o = replace(o, tol=check.tolerance(o))
 
     def evaluate(trials):
         # the first call, the first chunk, takes the rows the run hashed, and
@@ -1102,15 +1102,14 @@ def _margin_report(
         if trial_witness is not None:
             if witness is None:
                 witness = trial_witness
-            if check.clamp:
-                margin = min(margin, -2 * tol)
+            margin = min(margin, -2 * o.tol)
         margins.append(margin)
         for extra in counts:
             for key, value in extra.items():
                 details[key] += value
-    failures = sum(1 for m in margins if not (m >= -tol))
+    failures = sum(1 for m in margins if not (m >= -o.tol))
     return _report(
-        check.check_id, o.trials, failures, _worst(margins), tol, witness, details, t0
+        check.check_id, o.trials, failures, _worst(margins), o.tol, witness, details, t0
     )
 
 
@@ -1165,7 +1164,6 @@ class Check:
     draws: Callable = lambda base, o: ()
     first_trials: Callable = _first_chunk
     tol: float | None = None
-    clamp: bool = False
     details: Callable = lambda o: {}
     run: Callable = _margin_report
 
@@ -1210,9 +1208,11 @@ class Check:
             return None
         return self.skipped(o, self.skip)
 
+    def tolerance(self, o: _Options) -> float:
+        return self.tol or o.tol
+
     def skipped(self, o: _Options, reason: str) -> CheckReport:
-        tol = self.tol or o.tol
-        return CheckReport(self.check_id, 0, 0, 0.0, tol, None, {"skipped": reason}, 0.0)
+        return CheckReport(self.check_id, 0, 0, 0.0, self.tolerance(o), None, {"skipped": reason}, 0.0)
 
 
 def _first_streams(checks, cfg: GenConfig, o: _Options) -> dict:
@@ -1239,7 +1239,7 @@ CHECKS = (
     Check("schur_product_probe", "schur", _trial_schur, _noncommutative,
           key="schur_product_positive", draws=_draws(range(2)),
           details=lambda o: {"probe": True, "note": "evidence on the open question"}),
-    Check("commuting_spectral_schur", "schur", _trial_spectral, draws=_draws(), clamp=True),
+    Check("commuting_spectral_schur", "schur", _trial_spectral, draws=_draws()),
     Check("schur_trace_form_agreement", "schur", _trial_trace_form, _commutative,
           draws=_draws(range(3)), tol=ORACLE_TOL),
     Check("psd_oracle_agreement", "schur", _trial_oracle, draws=_draws()),
@@ -1258,16 +1258,15 @@ CHECKS = (
           style="real_commutative", draws=_draws()),
     Check("diag_outer_bound_complex_probe", "corollaries", _trial_diag_probe, _commutative,
           style="complex", draws=_draws(), details=lambda o: {"probe": True}),
-    Check("novak_conjecture", "novak", _trial_novak, draws=_novak_draws, clamp=True,
+    Check("novak_conjecture", "novak", _trial_novak, draws=_novak_draws,
           details=lambda o: {"d": o.d}),
-    Check("cosine_gram", "novak", _trial_cosine_gram, draws=_cosine_gram_draws, clamp=True),
+    Check("cosine_gram", "novak", _trial_cosine_gram, draws=_cosine_gram_draws),
     Check("trig_identities", "trig", _trial_trig, draws=_trig_draws, tol=TRIG_TOL),
     Check("trig_addition_breakdown", "trig", fallback={"shape": AlgebraShape((2,))},
           run=lambda check, base, o, first_streams: find_trig_breakdown(base, o.trials)),
     Check("schur_series_preserver", "preserver", _trial_preserver, _commutative, _COMM,
           draws=lambda base, o: ((), (range(_MAX_DEGREE + 2),)),
           details=lambda o: {"entrywise_constant_reported": o.entrywise_constant}),
-    Check("cauchy_schwarz_gap", "module", _trial_cauchy_schwarz, draws=_draws(range(2)),
-          clamp=True),
+    Check("cauchy_schwarz_gap", "module", _trial_cauchy_schwarz, draws=_draws(range(2))),
     Check("inner_product_axioms", "module", _trial_axioms, draws=_draws(range(3)), tol=AXIOM_TOL),
 )

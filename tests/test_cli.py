@@ -131,6 +131,34 @@ def test_nan_bound_matrices_count_as_failures(tmp_path):
     assert failures["gram_row_sum_bound"] == 152
 
 
+# (suite, shape, entry scale, exit code): first three runs whose trace-form or
+# axioms margins are NaN, so those checks fail and carry a witness only if
+# their witness rules fail on NaN; then an underflow run of each suite, and an
+# overflow run of each suite but novak, whose exponential cap exits 2 at every
+# scale from 1e2 on, at the largest of 1e30, 1e60, 1e76 and 1e200 that writes a
+# report
+_OUT_OF_RANGE_RUNS = [
+    ("schur", "1", "1e60", 1), ("module", "1", "1e150", 1), ("module", "1,1", "1e200", 1),
+    ("lowerbound", "1", "1e76", 0), ("corollaries", "1", "1e76", 0), ("trig", "1", "1e200", 0),
+    ("preserver", "1", "1e30", 0),
+    *((suite, "1", "1e-160", None) for suite in SUITES),
+]
+
+
+@pytest.mark.parametrize("suite, shape, scale, code", _OUT_OF_RANGE_RUNS)
+def test_a_check_fails_exactly_when_it_carries_a_witness(suite, shape, scale, code, tmp_path):
+    out = tmp_path / "r.json"
+    argv = ["verify", "--suite", suite, "--shape", shape, "--n", "2", "--trials", "4",
+            "--entry-scale", scale, "--json", str(out)]
+    got = run(argv)
+    assert code is None or got == code
+    reports = json.loads(out.read_text())["reports"]
+    margin_checks = [r for r in reports if not r["details"].get("search")]
+    assert margin_checks
+    for r in margin_checks:
+        assert (r["failures"] > 0) == (r["witness"] is not None), r["check_id"]
+
+
 @pytest.mark.parametrize("scale", ["1e200", "1e160"])
 def test_svd_breakdown_exits_three_without_traceback(scale, capsys):
     # entries this large overflow the flattened blocks, which are refused

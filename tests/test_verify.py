@@ -1430,7 +1430,6 @@ def test_worst_margin_is_nan_wherever_a_trial_is_nan(nan_at):
     "name, argv",
     [
         ("run_verification_suites.py", ["--trials", "0"]),
-        ("search_schur_counterexamples.py", ["--trials", "0", "--n-max", "1"]),
         ("probe_identities.py", ["--trials", "0"]),
     ],
 )
@@ -1469,18 +1468,6 @@ def test_golden_compare_counts_reordered_kept_witnesses(tmp_path):
         (tmp_path / "ref" / name).write_text(json.dumps(ref))
     assert compare(tmp_path / "new", tmp_path / "ref", ["shifted.json"]) == 0
     assert compare(tmp_path / "new", tmp_path / "ref", ["moved.json"]) == 1
-
-
-@pytest.mark.parametrize("n_max", [1, 2])
-def test_search_script_derives_each_sizes_seed(n_max, monkeypatch, capsys):
-    argv = ["--shapes", "2", "--n-max", str(n_max), "--trials", "20"]
-    assert _run_script("search_schur_counterexamples.py", argv, monkeypatch) == 0
-    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("n=")]
-    assert len(lines) == n_max
-    for n, line in zip(range(1, n_max + 1), lines):
-        rep = counterexample_search(GenConfig(seed=2024, shape=M2, n=n).derive(n), 20)
-        trials = rep.details["trials_attempted"]
-        assert line.startswith(f"n={n}: {rep.failures}/{trials} violations"), line
 
 
 def test_probe_script_reads_the_corollaries_suite(monkeypatch, capsys):
