@@ -192,7 +192,14 @@ class _Blocks:
         lead = self._lead
         if len(blocks) != len(shape.blocks):
             raise StructureError(f"expected {len(shape.blocks)} blocks, got {len(blocks)}")
-        mats = [np.array(raw, dtype=np.complex128) for raw in blocks]
+        try:
+            arrays = [np.asarray(raw) for raw in blocks]
+        except ValueError as exc:  # a ragged block
+            raise StructureError(f"blocks must be arrays of numbers: {exc}") from None
+        # numbers only: a cast to complex reads True, "1" and None as 1, 1 and NaN
+        if any(a.dtype.kind not in "iufc" for a in arrays):
+            raise StructureError(f"blocks must hold numbers, got {[str(a.dtype) for a in arrays]}")
+        mats = [np.array(a, dtype=np.complex128) for a in arrays]
         # block 0 fixes n; the others must agree with it
         n = mats[0].shape[0] if lead and mats[0].ndim else None
         for b, (k, arr) in enumerate(zip(shape.blocks, mats)):

@@ -1,10 +1,10 @@
 """The verification suites: the check evaluators, the hit searches and the check table.
 
-Only suite runs import this module: ``verify.run_suite`` when it first runs
-a suite, and the CLI's ``novak`` and ``demo`` commands. ``search`` and
-``verify --from-witness`` never compile it. The reports, the trial loop
-(``verify._run_trials``) and the Schur counterexample search live in
-``verify``.
+Only suite runs import this module: ``verify.run_suites``, the one suite
+runner, when it first runs, and the CLI's ``novak`` and ``demo`` commands.
+``search`` and ``verify --from-witness`` never compile it. The reports, the
+trial loop (``verify._run_trials``) and the Schur counterexample search live
+in ``verify``.
 
 Two kinds of checks appear:
 
@@ -15,8 +15,8 @@ Two kinds of checks appear:
   formula). A search that is expected to find a hit reports failures = 0
   when it does.
 
-The suites are one table, ``CHECKS``: ``verify.run_suite(name, ...)``
-reports the entries of suite ``name`` in table order. A ``Check`` entry holds
+The suites are one table, ``CHECKS``: ``verify.run_suites(names, ...)``
+reports the entries of each suite named in table order. A ``Check`` entry holds
 
 * ``check_id``, ``suite``, and ``applies(cfg, opts)`` with ``skip``, the
   reason reported when it is false (without one the check is left out);
@@ -31,7 +31,9 @@ reports the entries of suite ``name`` in table order. A ``Check`` entry holds
   range of trials together from ``streams``, the trials' rows of each of
   those substreams, and returns the outcome of each trial,
   ``(margin, witness)`` or ``(margin, witness, counts)`` with counts summed
-  into the details (``Check.trial`` hashes the rows when none are given);
+  into the details (``Check.trial`` hashes the rows when none are given).
+  An outcome carries no seed: the report adds the ``trial`` t and the
+  ``seed`` of its stream ``base.derive(t)`` to the one witness it keeps;
 * ``first_trials(base, opts)``, the trials of its first chunk: a suite run
   hashes their substreams with those of the other checks' first chunks, in
   one pass (``_first_streams``);
@@ -42,9 +44,10 @@ reports the entries of suite ``name`` in table order. A ``Check`` entry holds
 Each check has one evaluator, a function from a batch of instances (values
 with a leading trial axis, ``algebra._Blocks``) to their outcomes. It does
 the batch's algebra once, as value arithmetic, asks the oracle for every
-verdict it needs in one stacked call per group of equal block shapes, then
-reads each instance's verdicts in order; a requirement such as "M is
-positive" raises ``DomainError`` there. The verdicts are read as arrays:
+verdict it needs in one stacked call per group of equal block shapes
+(``_rows``: one tuple of verdicts per instance), then reads each instance's
+verdicts in order; a requirement such as "M is positive" raises
+``DomainError`` there. The verdicts are read as arrays:
 positivity and margins come from the oracle's stack (``_Verdict``), and a
 ``PsdReport`` is built only for a witness, a detail that records one, or a
 failed requirement. The oracle-agreement check asks the Cholesky oracle
@@ -174,10 +177,6 @@ def _psd_witness(verdict: "_Verdict", t, **mats) -> dict | None:
     return {**_matrix_payload(t, **mats), "psd": verdict.report().to_json()}
 
 
-def _seeded(witness: dict | None, seed: int) -> dict | None:
-    return None if witness is None else {"seed": seed, **witness}
-
-
 @dataclass(frozen=True)
 class _Verdict:
     """The oracle's verdict on one matrix: member i of ``stack``, whose
@@ -243,6 +242,14 @@ def _oracle(X: AMatrix, tol: float, oracle: Callable = _psd_stack) -> list[_Verd
     return [_Verdict(stack, i, margins=margins, lowest=lowest) for i in range(len(margins))]
 
 
+def _rows(mats: list[AMatrix], tol: float) -> list[tuple[_Verdict, ...]]:
+    """The verdicts on the members of a list of batches of matrices, one tuple
+    per trial in the order of ``mats``, from one ``_oracle`` call; a single
+    batch goes to it unstacked."""
+    verdicts = _oracle(mats[0] if len(mats) == 1 else _stack(mats, 1), tol)
+    return list(zip(*[iter(verdicts)] * len(mats)))
+
+
 def _require_positive(name: str, verdict: _Verdict) -> None:
     if not verdict.is_positive:
         raise DomainError(f"{name} is not positive", report=verdict.report())
@@ -270,13 +277,10 @@ def _row_sum_bounds(A: AMatrix, tol: float) -> list[tuple]:
     """A A* >= (1/n) y y*, y the row sums of A, on each member of A: its margin,
     witness, and whether A is positive (recorded, never required)."""
     bound = A @ A.adjoint() - (VYBIRAL_CONSTANT / A.n) * outer_product(row_sums(A))
-    verdicts = iter(_oracle(_stack([bound, A], 1), tol))
-    outcomes = []
-    for t in range(A.batch[0]):
-        verdict = next(verdicts)
-        margin, witness = verdict.margin, _psd_witness(verdict, t, a=A)
-        outcomes.append((margin, witness, next(verdicts).is_positive))
-    return outcomes
+    return [
+        (verdict.margin, _psd_witness(verdict, t, a=A), a.is_positive)
+        for t, (verdict, a) in enumerate(_rows([bound, A], tol))
+    ]
 
 
 def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
@@ -298,10 +302,9 @@ def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
         "product": product,
         "gram": gram,
     }
-    verdicts = iter(_oracle(_stack(list(chain.values()), 1), tol))
     outcomes = []
-    for t in range(A.batch[0]):
-        taken = {k: next(verdicts) for k in chain}
+    for t, row in enumerate(_rows(list(chain.values()), tol)):
+        taken = dict(zip(chain, row))
         margin = _worst([v.margin for v in taken.values()])
         witness = None
         if not all(v.is_positive for v in taken.values()):
@@ -320,12 +323,10 @@ def _diag_bounds(M: AMatrix, tol: float, positive: bool = False) -> list[tuple]:
     if positive and not M.shape.is_commutative:
         raise DomainError("the diagonal bound needs a commutative algebra")
     bound = schur_product(M, M) - (VYBIRAL_CONSTANT / M.n) * outer_product(diag_vector(M))
-    verdicts = iter(_oracle(_stack([M, bound], 1) if positive else bound, tol))
     outcomes = []
-    for t in range(M.batch[0]):
+    for t, (*m, verdict) in enumerate(_rows([M, bound] if positive else [bound], tol)):
         if positive:
-            _require_positive("M", next(verdicts))
-        verdict = next(verdicts)
+            _require_positive("M", *m)
         outcomes.append((verdict.margin, _psd_witness(verdict, t, m=M)))
     return outcomes
 
@@ -342,15 +343,13 @@ def _unit_diag_checks(M: AMatrix, tol: float) -> list[tuple]:
     if not M.shape.is_commutative:
         raise DomainError("the unit-diagonal bound needs a commutative algebra")
     bound = schur_product(M, M) - (VYBIRAL_CONSTANT / M.n) * ones_matrix(M.shape, M.n)
-    verdicts = iter(_oracle(_stack([M, bound], 1), tol))
     residuals = None
     outcomes = []
-    for t in range(M.batch[0]):
-        _require_positive("M", next(verdicts))
+    for t, (m, verdict) in enumerate(_rows([M, bound], tol)):
+        _require_positive("M", m)
         if residuals is None:
             # after the first verdict is read, as a trial alone reads it
             residuals = _diag_residual(M).tolist()
-        verdict = next(verdicts)
         # read first: a solve that failed raises before the residual check
         margin = verdict.margin
         if not residuals[t] <= UNIT_DIAG_TOL:
@@ -525,12 +524,10 @@ def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple
     novak = schur_product(M, M) - (VYBIRAL_CONSTANT / n) * ones_matrix(shape, n)
     diag_residuals = _diag_residual(M).tolist()
     # per trial: the d cosine matrices, M, then the Novak matrix
-    verdicts = iter(_oracle(_stack([*steps, M, novak], 1), tol))
+    rows = zip(diag_residuals, _rows([*steps, M, novak], tol))
     outcomes = []
-    for t, diag_residual in enumerate(diag_residuals):
-        step_margins = [next(verdicts).margin for _ in range(d)]
-        verdict_m = next(verdicts)
-        verdict_final = next(verdicts)
+    for t, (diag_residual, (*cosines, verdict_m, verdict_final)) in enumerate(rows):
+        step_margins = [verdict.margin for verdict in cosines]
         margin = _worst([*step_margins, verdict_m.margin, verdict_final.margin])
         ok = (
             all(m >= -tol for m in step_margins)
@@ -679,25 +676,23 @@ def _preservers(coeffs: Element, degrees: list, M: AMatrix, tol, report_both: bo
     picked = (np.arange(len(degrees)), degrees)
     conventions = ("identity", "ones") if report_both else ("identity",)
     mats = [M] + [_stack(_series_sums(series, M, c), 1)._at(picked) for c in conventions]
-    coefficients = iter(_oracle(_one_by_one(coeffs), tol))
-    verdicts = iter(_oracle(_stack(mats, 1), tol))
+    coefficients = _oracle(_one_by_one(coeffs), tol)
+    rows = zip(starts.tolist(), degrees, _rows(mats, tol))
     outcomes = []
-    for t, (start, degree) in enumerate(zip(starts.tolist(), degrees)):
+    for t, (start, degree, (m, verdict, *ones)) in enumerate(rows):
         for q in range(degree + 1):
-            coefficient = next(coefficients)
+            coefficient = coefficients[start + q]
             if not coefficient.is_positive:
                 raise DomainError(
                     "series coefficient is not positive",
                     index=q,
                     min_spectrum=coefficient.spectrum().min_spectrum,
                 )
-        _require_positive("M", next(verdicts))
-        verdict = next(verdicts)
+        _require_positive("M", m)
         margin = verdict.margin
         details = {"degree": degree}
         if report_both:
-            ones = next(verdicts)
-            details["ones_convention"] = {"is_positive": ones.is_positive, "margin": ones.margin}
+            details["ones_convention"] = {"is_positive": ones[0].is_positive, "margin": ones[0].margin}
         witness = _psd_witness(verdict, t, m=M)
         if witness is not None:
             series_t = SeriesSpec(tuple(coeffs._at(i) for i in range(start, start + degree + 1)))
@@ -767,10 +762,9 @@ def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
     if not settled.all():
         residuals[:, ~settled], hypothesis[~settled] = exact(~settled)
     mats = {"m": M, "n": N, "product": schur_product(M, N)}
-    verdicts = iter(_oracle(_stack(list(mats.values()), 1), tol))
     outcomes = []
-    for t in range(len(settled)):
-        taken = {k: next(verdicts) for k in mats}
+    for t, row in enumerate(_rows(list(mats.values()), tol)):
+        taken = dict(zip(mats, row))
         margin = _worst([v.margin for v in taken.values()])
         witness = None
         if not (hypothesis[t] and all(v.is_positive for v in taken.values())):
@@ -889,13 +883,10 @@ _MAX_DEGREE = 4
 
 def _trial_schur(base, trials, o, pairs):
     # M and N from the substreams (t, 0) and (t, 1)
-    M, N, seeds = _random_pairs(base, trials, pairs)
+    M, N, _ = _random_pairs(base, trials, pairs)
     product = schur_product(M, N)
-    verdicts = _oracle(product, o.tol)
-    return [
-        (verdict.margin, _seeded(_psd_witness(verdict, i, m=M, n=N, product=product), seed))
-        for i, (seed, verdict) in enumerate(zip(seeds, verdicts))
-    ]
+    verdicts = enumerate(_oracle(product, o.tol))
+    return [(v.margin, _psd_witness(v, i, m=M, n=N, product=product)) for i, v in verdicts]
 
 
 def _trial_spectral(base, trials, o, own):
@@ -904,14 +895,11 @@ def _trial_spectral(base, trials, o, own):
 
 def _trial_trace_form(base, trials, o, streams):
     # M and N from the substreams (t, 0) and (t, 1), x from (t, 2)
-    M, N, seeds = _random_pairs(base, trials, streams[:, :2])
+    M, N, _ = _random_pairs(base, trials, streams[:, :2])
     x = _gaussian_stack(base, streams[:, 2], AVector)
     direct, trace_form = schur_quadratic_form_oracle(M, N, x)
     residuals = (direct - trace_form).norm() / np.fmax(direct.norm(), 1.0)
-    return [
-        (-residual, {"seed": seed, "residual": residual} if not -residual >= -o.tol else None)
-        for seed, residual in zip(seeds, residuals.tolist())
-    ]
+    return [(-r, {"residual": r} if not -r >= -o.tol else None) for r in residuals.tolist()]
 
 
 def _trial_oracle(base, trials, o, own):
@@ -926,12 +914,11 @@ def _trial_oracle(base, trials, o, own):
     verdicts = _oracle(stacked, o.tol)
     factored = _oracle(stacked, o.tol, _cholesky_stack)
     outcomes = []
-    for seed, t, verdict, chol in zip(_seeds(base, trials).tolist(), trials, verdicts, factored):
+    for t, verdict, chol in zip(trials, verdicts, factored):
         agree = verdict.is_positive == chol.is_positive
         witness = None
         if not agree:
             witness = {
-                "seed": seed,
                 "kind": t % 3,
                 "eig": verdict.report().to_json(),
                 "cholesky": chol.report().to_json(),
@@ -945,11 +932,7 @@ def _trial_row_sum(base, trials, o, own):
     # and general inputs and record the split
     G, M = _positive_stack(base, own)
     A = _stack([M, G], 1)._at((np.arange(len(trials)), np.asarray(trials) % 2))
-    bounds = zip(_seeds(base, trials).tolist(), _row_sum_bounds(A, o.tol))
-    return [
-        (margin, _seeded(witness, seed), {"inputs_positive": positive})
-        for seed, (margin, witness, positive) in bounds
-    ]
+    return [(m, w, {"inputs_positive": positive}) for m, w, positive in _row_sum_bounds(A, o.tol)]
 
 
 def _trial_chain(base, trials, o, pairs):
@@ -972,8 +955,7 @@ def _trial_diag_probe(base, trials, o, own):
     # complex entries break the a = a* step of the diagonal-bound argument;
     # record how often without asserting anything
     _, M = _positive_stack(base, own)
-    bounds = zip(_seeds(base, trials).tolist(), _diag_bounds(M, o.tol))
-    return [(margin, _seeded(witness, seed)) for seed, (margin, witness) in bounds]
+    return _diag_bounds(M, o.tol)
 
 
 def _trial_novak(base, trials, o, points):
@@ -1020,12 +1002,10 @@ def _trial_cauchy_schwarz(base, trials, o, pairs):
     verdicts = _psd_stack(_one_by_one(gap), o.tol)
     margins = verdicts.lowest_eigenvalues() / np.fmax(gap.norm(), 1.0)
     outcomes = []
-    columns = zip(_seeds(base, trials).tolist(), margins.tolist(), verdicts.hermitian.tolist())
-    for i, (seed, margin, selfadjoint) in enumerate(columns):
+    for i, (margin, selfadjoint) in enumerate(zip(margins.tolist(), verdicts.hermitian.tolist())):
         witness = None
         if not (selfadjoint and margin >= -o.tol):
             witness = {
-                "seed": seed,
                 "x": x._at(i).to_json(),
                 "y": y._at(i).to_json(),
                 "min_spectrum": verdicts.spectrum(i).min_spectrum,
@@ -1049,12 +1029,8 @@ def _trial_axioms(base, trials, o, streams):
     margins = _first_of(
         [-sym_res / scale, -lin_res / scale, lowest / np.fmax(xx.norm(), 1.0)], np.less
     )
-    seeds = _seeds(base, trials).tolist()
-    columns = zip(seeds, margins.tolist(), sym_res.tolist(), lin_res.tolist())
-    return [
-        (margin, {"seed": seed, "sym": sym, "lin": lin} if not margin >= -o.tol else None)
-        for seed, margin, sym, lin in columns
-    ]
+    columns = zip(margins.tolist(), sym_res.tolist(), lin_res.tolist())
+    return [(m, {"sym": sym, "lin": lin} if not m >= -o.tol else None) for m, sym, lin in columns]
 
 
 # ---------------------------------------------------------------------------
@@ -1078,7 +1054,9 @@ def _margin_report(
     """Aggregate trials 0..trials-1 of a check at its ``tolerance``, which the
     evaluator reads as ``o.tol``: pass means margin >= -tol. A witnessed trial
     counts at most -2 tol, and every evaluator gives each trial that does not
-    pass a witness, so a trial fails exactly when it carries one.
+    pass a witness, so a trial fails exactly when it carries one. The report
+    keeps the first witness, with its ``trial`` t and the ``seed`` of its
+    stream, ``base.derive(t)``.
 
     Without trials the check is reported as skipped: nothing was verified.
     """
@@ -1101,7 +1079,7 @@ def _margin_report(
     for margin, trial_witness, *counts in outcomes:
         if trial_witness is not None:
             if witness is None:
-                witness = trial_witness
+                witness = {**trial_witness, "seed": _seeds(base, [trial_witness["trial"]]).item()}
             margin = min(margin, -2 * o.tol)
         margins.append(margin)
         for extra in counts:

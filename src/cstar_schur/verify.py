@@ -10,7 +10,7 @@ identically.
 
 This module holds what the ``search`` command runs, and nothing it does
 not: the check evaluators, the hit searches and the check table live in
-``suites``, which ``run_suite`` imports when it first runs a suite. So a
+``suites``, which ``run_suites`` imports when it first runs a suite. So a
 process that only searches never compiles them.
 
 ``_run_trials`` evaluates a check's trials a chunk at a time, chunks of
@@ -516,42 +516,34 @@ def _suite_options(
     return _Options(trials, d, tol, entrywise_constant)
 
 
-def run_suite(
-    name: str, cfg: GenConfig, *, first_streams: dict | None = None, **options
-) -> list[CheckReport]:
-    """Run one named suite and return its reports in ``suites.CHECKS`` order.
-
-    ``options`` are ``trials`` (default 200), ``d`` (2), ``tol``, ``threads``
-    (1) and ``entrywise_constant`` (False), as ``_suite_options`` takes them.
-    The rows of the first chunks of the suite's checks are hashed together
-    (``suites._first_streams``), or taken out of ``first_streams``, the map
-    by check id in which ``run_suites`` hashed those of all its suites at once.
-    """
-    if name not in SUITES:
-        raise StructureError(f"unknown suite {name!r}; choose from {SUITES} or 'all'")
-    o = _suite_options(**options)
-    from .suites import CHECKS, _first_streams
-
-    checks = [check for check in CHECKS if check.suite == name]
-    if first_streams is None:
-        first_streams = _first_streams(checks, cfg, o)
-    reports = (check.report(cfg, o, first_streams) for check in checks)
-    return [r for r in reports if r is not None]
+def run_suite(name: str, cfg: GenConfig, **options) -> list[CheckReport]:
+    """Run the one suite ``name`` and return its reports in ``suites.CHECKS``
+    order: ``run_suites`` on that name alone, so ``"all"`` is not a name here."""
+    return run_suites((name,), cfg, **options)
 
 
 def run_suites(names, cfg: GenConfig, **options) -> list[CheckReport]:
     """Run ``"all"`` suites, one named suite, or a sequence of names, and return
-    their reports in order. ``options`` go to ``run_suite`` unchanged: ``trials``,
-    ``d``, ``tol``, ``threads`` and ``entrywise_constant``. The first chunks of
-    all the checks run are hashed together, once, before the first suite; an
-    unknown name matches no check, and raises when its turn comes."""
+    their reports in order, each suite's in ``suites.CHECKS`` order.
+
+    ``options`` are ``trials`` (default 200), ``d`` (2), ``tol``, ``threads``
+    (1) and ``entrywise_constant`` (False), as ``_suite_options`` takes them.
+    The rows of the first chunks of all the checks run are hashed together,
+    once, before the first suite (``suites._first_streams``); an unknown name
+    matches no check, and raises when its turn comes."""
     if isinstance(names, str):
         names = SUITES if names == "all" else (names,)
     o = _suite_options(**options)
     from .suites import CHECKS, _first_streams
 
     first = _first_streams([check for check in CHECKS if check.suite in names], cfg, o)
-    return [r for name in names for r in run_suite(name, cfg, first_streams=first, **options)]
+    reports = []
+    for name in names:
+        if name not in SUITES:
+            raise StructureError(f"unknown suite {name!r}; choose from {SUITES}")
+        found = (check.report(cfg, o, first) for check in CHECKS if check.suite == name)
+        reports += [r for r in found if r is not None]
+    return reports
 
 
 def counts_as_failure(report: CheckReport) -> bool:

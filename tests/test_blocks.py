@@ -79,6 +79,24 @@ def test_wrong_entry_dims(cls, lead):
             cls(SHAPE, [arr, np.ones(lead + (1, 1))])
 
 
+# blocks that are not arrays of numbers, each given its leading axes
+NOT_NUMBERS = {
+    "object_string": lambda lead: np.full(lead + (1, 1), "1", dtype=object),
+    "none": lambda lead: np.full(lead + (1, 1), None).tolist(),
+    "bool": lambda lead: np.ones(lead + (1, 1), dtype=bool),
+    "string": lambda lead: np.full(lead + (1, 1), "x").tolist(),
+    "ragged": lambda lead: [[1], [2, 3]],
+}
+
+
+@pytest.mark.parametrize("raw", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+@pytest.mark.parametrize("cls, lead", KINDS, ids=KIND_IDS)
+def test_blocks_must_be_arrays_of_numbers(cls, lead, raw):
+    # cast to complex unchecked, "1" and True would read as 1 and None as NaN
+    with pytest.raises(StructureError, match="blocks must"):
+        cls(AlgebraShape((1,)), [raw(lead)])
+
+
 @pytest.mark.parametrize("cls, lead", KINDS, ids=KIND_IDS)
 def test_repr_shows_the_batch_and_the_norm_of_one_value_only(cls, lead):
     x = cls(SHAPE, _blocks(lead))

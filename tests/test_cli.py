@@ -28,6 +28,7 @@ from cstar_schur import (
 )
 from cstar_schur.cli import MIN_TOL, _canonical_json, build_parser, main
 from cstar_schur.generate import STYLES
+from cstar_schur.suites import CHECKS
 from cstar_schur.verify import SUITES, search_witness
 from test_verify import GRID, _reference_search
 
@@ -145,18 +146,44 @@ _OUT_OF_RANGE_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("suite, shape, scale, code", _OUT_OF_RANGE_RUNS)
-def test_a_check_fails_exactly_when_it_carries_a_witness(suite, shape, scale, code, tmp_path):
+def _witness_rule_holds(suite, shape, n, scale, tmp_path) -> int:
+    """Run ``verify`` at 4 trials and check each margin check's witness: present
+    exactly when the check fails, naming its trial and that trial's seed.
+    Return the exit code."""
     out = tmp_path / "r.json"
-    argv = ["verify", "--suite", suite, "--shape", shape, "--n", "2", "--trials", "4",
+    argv = ["verify", "--suite", suite, "--shape", shape, "--n", str(n), "--trials", "4",
             "--entry-scale", scale, "--json", str(out)]
     got = run(argv)
-    assert code is None or got == code
-    reports = json.loads(out.read_text())["reports"]
-    margin_checks = [r for r in reports if not r["details"].get("search")]
+    payload = json.loads(out.read_text())
+    margin_checks = [r for r in payload["reports"] if not r["details"].get("search")]
     assert margin_checks
+    checks = {check.check_id: check for check in CHECKS}
     for r in margin_checks:
-        assert (r["failures"] > 0) == (r["witness"] is not None), r["check_id"]
+        witness = r["witness"]
+        assert (r["failures"] > 0) == (witness is not None), r["check_id"]
+        if witness is not None:
+            # the witness names the stream its trial was drawn from
+            base = checks[r["check_id"]].base(GenConfig.from_json(payload["config"]))
+            assert witness["seed"] == base.derive(witness["trial"]).seed, r["check_id"]
+    return got
+
+
+@pytest.mark.parametrize("suite, shape, scale, code", _OUT_OF_RANGE_RUNS)
+def test_a_check_fails_exactly_when_it_carries_a_witness(suite, shape, scale, code, tmp_path):
+    got = _witness_rule_holds(suite, shape, 2, scale, tmp_path)
+    assert code is None or got == code
+
+
+# (suite, shape, n, entry scale): runs that exit 1 on a failing check whose
+# trials carry no seed of their own: the commuting-spectral check over (2,),
+# and on 1 x 1 overflowing matrices the chain bound (first at trial 1), the
+# diagonal bound and the preserver (first at trial 2)
+@pytest.mark.parametrize("suite, shape, n, scale", [
+    ("schur", "2", 2, "1e30"), ("lowerbound", "1", 1, "1e76"), ("corollaries", "1", 1, "1e100"),
+    ("preserver", "1", 1, "1e60"),
+])
+def test_a_failing_check_names_its_trials_stream(suite, shape, n, scale, tmp_path):
+    assert _witness_rule_holds(suite, shape, n, scale, tmp_path) == 1
 
 
 @pytest.mark.parametrize("scale", ["1e200", "1e160"])

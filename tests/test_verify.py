@@ -14,6 +14,7 @@ Frozen oracle values used here:
 import dataclasses
 import json
 import math
+import re
 import runpy
 import sys
 from itertools import combinations
@@ -92,7 +93,8 @@ def test_schur_positivity_check_commutative(monkeypatch):
 def test_schur_positivity_check_keeps_the_jordan_witness(monkeypatch):
     M, N = jordan_witness(M2)
     margin, witness = _schur_trial(monkeypatch, M, N)
-    assert set(witness) == {"seed", "m", "n", "product", "psd"}
+    # the report, not the trial, adds the trial's index and seed
+    assert set(witness) == {"m", "n", "product", "psd"}
     lowest = min(witness["psd"]["min_eigenvalue_per_block"])
     assert lowest == pytest.approx(JORDAN_MIN_EIG, abs=1e-12)
     assert margin < 0
@@ -1269,8 +1271,13 @@ def test_nonassociativity_rejects_commutative():
 
 
 def test_run_suite_unknown_name():
-    with pytest.raises(StructureError):
-        run_suite("bogus", GenConfig(seed=0, shape=SCALAR, n=2))
+    cfg = GenConfig(seed=0, shape=SCALAR, n=2)
+    # "all" names every suite in run_suites only: run_suite runs one suite
+    for name in ("bogus", "all"):
+        with pytest.raises(StructureError, match=re.escape(f"{name!r}; choose from {SUITES}")):
+            run_suite(name, cfg)
+    every = [r.check_id for name in SUITES for r in run_suite(name, cfg, trials=0)]
+    assert [r.check_id for r in run_suites("all", cfg, trials=0)] == every
 
 
 def test_run_suite_rejects_negative_trials():
