@@ -106,6 +106,14 @@ def _spectral_norm(mats: np.ndarray):
     return float(norms) if mats.ndim == 2 else norms
 
 
+def _norms(*values) -> np.ndarray:
+    """The norm of each member of each value, one row per value. A value is
+    one stack per block, all with the same leading axes; one
+    ``_spectral_norm`` call per block takes every value, and the norm is
+    ``Element.norm``'s NaN-first maximum over the blocks."""
+    return _first_of([_spectral_norm(np.stack(blocks)) for blocks in zip(*values)], np.greater)
+
+
 def _norm_bound(mats: np.ndarray) -> np.ndarray:
     """A certified upper bound on ``_spectral_norm`` of each member of a stack,
     NaN or inf wherever that norm raises or is NaN or inf: the larger of the
@@ -138,8 +146,10 @@ def _adjoint(mats: np.ndarray) -> np.ndarray:
 def _hermitian_part(mats: np.ndarray) -> np.ndarray:
     """(m + m*) / 2 of a matrix, or of each member of a stack. The halving is
     a product with 0.5, several times faster than a complex division by 2 and
-    with the same bits up to the signs of zero parts."""
-    return 0.5 * (mats + _adjoint(mats))
+    with the same bits up to the signs of zero parts. An infinite entry gives
+    a NaN part, silently: its callers report it."""
+    with np.errstate(invalid="ignore"):
+        return 0.5 * (mats + _adjoint(mats))
 
 
 def _eigh(mats: np.ndarray, vectors: bool = False, block: int | None = None, site: str | None = None):
@@ -404,10 +414,7 @@ def _psd_prelude(flats: list[np.ndarray], tol: float):
     from one SVD call per block for both norms and none to an eigensolver."""
     if not (math.isfinite(tol) and tol > 0):
         raise DomainError("tolerance must be finite and positive", tol=tol)
-    norms = [_spectral_norm(np.concatenate([f, f - _adjoint(f)])) for f in flats]
-    t = len(flats[0])
-    scale = _first_of([v[:t] for v in norms], np.greater)
-    defect = _first_of([v[t:] for v in norms], np.greater)
+    scale, defect = _norms(flats, [f - _adjoint(f) for f in flats])
     # fmax, like max(1.0, scale), takes 1.0 when scale is NaN
     return scale, defect, tol * np.fmax(scale, 1.0)
 

@@ -10,11 +10,12 @@ spectral route instead: one Hermitian eigendecomposition x = V diag(w) V*
 per block gives both V sin(w) V* and V cos(w) V* (1x1 blocks apply sin and
 cos to the entry), the same functions (Higham, Functions of Matrices, 2008,
 sec. 1.2). Every other element takes the exponential formula, one pair
-e^{ix}, e^{-ix} for both. ``_trig_stack`` gives sin and cos of each member of
-a stack of elements, its exactly self-adjoint members from one
-eigendecomposition per block; ``elem_sin`` and ``elem_cos`` read theirs from
-that call on a stack of one. ``_spectral_stack`` forms every V f(w) V*, the
-Hermitian blocks of ``elem_exp`` included.
+e^{ix}, e^{-ix} for both. ``_trig_stack`` gives the functions its caller
+names, sin, cos or both, of each member of a stack of elements, its exactly
+self-adjoint members from one eigendecomposition per block; ``elem_sin`` and
+``elem_cos`` are that call on one element and one function.
+``_spectral_stack`` forms every V f(w) V*, the Hermitian blocks of
+``elem_exp`` included.
 
 Power series act entrywise on matrices through iterated Schur products,
 with the convention that the zeroth Schur power is the identity matrix (an
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import (
-    AlgebraShape, Element, _eigh, _exactly_hermitian, _first_of, _spectral_norm
+    AlgebraShape, Element, _eigh, _exactly_hermitian, _first_of, _norms, _spectral_norm
 )
 from .amatrix import AMatrix, element_scale, identity_matrix, ones_matrix, schur_product, zero_matrix
 from .errors import NumericalError, RangeError, StructureError
@@ -40,10 +41,6 @@ DEFAULT_NORM_CAP = 50.0
 def _raise_over_cap(norm: float, norm_cap: float) -> None:
     if norm > norm_cap:
         raise RangeError(f"||x|| = {norm:.3g} exceeds the exp cap {norm_cap:g}")
-
-
-def _check_cap(x: Element, norm_cap: float) -> None:
-    _raise_over_cap(x.norm(), norm_cap)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -104,36 +101,44 @@ def elem_exp(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     Inputs with ||x|| beyond ``norm_cap`` are rejected to keep results inside
     a trustworthy range.
     """
-    _check_cap(x, norm_cap)
+    _raise_over_cap(x.norm(), norm_cap)
     return Element._wrap(x.shape, tuple(_exp_block(b) for b in x.blocks))
 
 
-def _trig_stack(shape: AlgebraShape, stacks, name: str, norm_cap=DEFAULT_NORM_CAP) -> tuple:
-    """(sines, cosines) of each member of a stack of elements, one (T, k, k)
-    array per block in each.
+# sin and cos from the pair p = e^{ix}, m = e^{-ix} of a block
+_FROM_EXP = {np.sin: lambda p, m: -0.5j * (p - m), np.cos: lambda p, m: 0.5 * (p + m)}
+
+
+def _trig_stack(stacks, *fns, norm_cap=DEFAULT_NORM_CAP) -> tuple:
+    """Each function of ``fns``, ``np.sin`` or ``np.cos`` in the caller's
+    order, of each member of a stack of elements given by one array per block
+    with any leading batch axes: one tuple of blocks, shaped as ``stacks``, per
+    function.
 
     The members whose blocks all equal their adjoints exactly share one
-    ``_spectral_stack`` call for both functions, and one over the cap raises
+    ``_spectral_stack`` call for the functions, and one over the cap raises
     ``RangeError`` with the norm it gives. When that call raises, each of them
     is solved alone. Every other member is checked against the cap with its
     norm and takes the exponential formula, from one pair exp(ix), exp(-ix).
-    ``name`` only labels the eigensolver site in an error. Members are
-    finished in order, so each gets the bits it gets alone, and the first
-    error raised is the one it raises first in member order.
+    The name of the first function labels the eigensolver site in an error.
+    Members are finished in order, so each gets the bits it gets alone, and
+    the first error raised is the one it raises first in member order.
     """
-    sines, cosines = [np.empty_like(s) for s in stacks], [np.empty_like(s) for s in stacks]
+    batch = stacks[0].shape[:-2]
+    stacks = [s.reshape(-1, *s.shape[-2:]) for s in stacks]
+    outs = [[np.empty_like(s) for s in stacks] for _ in fns]
     exact = _exactly_hermitian(stacks)
     # a solved member's norm is never NaN; NaN marks the members left to solve
     norms = np.full(len(exact), np.nan)
 
     def put(i, values) -> None:
-        # the sine and cosine blocks of member (or members) i, into the outputs
-        for outs, blocks in zip((sines, cosines), values):
-            for o, b in zip(outs, blocks):
+        # the blocks of each function of member (or members) i, into the outputs
+        for out, blocks in zip(outs, values):
+            for o, b in zip(out, blocks):
                 o[i] = b
 
     def solve(members) -> None:
-        values, norms[members] = _spectral_stack([s[members] for s in stacks], (np.sin, np.cos), name)
+        values, norms[members] = _spectral_stack([s[members] for s in stacks], fns, fns[0].__name__)
         put(members, values)
 
     try:
@@ -146,25 +151,25 @@ def _trig_stack(shape: AlgebraShape, stacks, name: str, norm_cap=DEFAULT_NORM_CA
                 solve([i])
             _raise_over_cap(float(norms[i]), norm_cap)
             continue
-        x = Element._wrap(shape, tuple(s[i] for s in stacks))
-        _check_cap(x, norm_cap)
-        plus, minus = elem_exp(1j * x, norm_cap), elem_exp(-1j * x, norm_cap)
-        put(i, (((plus - minus) * (-0.5j)).blocks, ((plus + minus) * 0.5).blocks))
-    return sines, cosines
+        blocks = [s[i] for s in stacks]
+        _raise_over_cap(float(_norms(blocks)[0]), norm_cap)
+        plus, minus = ([_exp_block(z * b) for b in blocks] for z in (1j, -1j))
+        put(i, [[_FROM_EXP[f](p, m) for p, m in zip(plus, minus)] for f in fns])
+    return tuple(tuple(o.reshape(batch + o.shape[1:]) for o in out) for out in outs)
 
 
 def elem_sin(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """sin x = (e^{ix} - e^{-ix}) / 2i; one eigendecomposition per block when
     x is self-adjoint."""
-    sines, _ = _trig_stack(x.shape, [b[None] for b in x.blocks], "sin", norm_cap)
-    return x._like(tuple(b[0] for b in sines))
+    (sines,) = _trig_stack(x.blocks, np.sin, norm_cap=norm_cap)
+    return x._like(sines)
 
 
 def elem_cos(x: Element, norm_cap: float = DEFAULT_NORM_CAP) -> Element:
     """cos x = (e^{ix} + e^{-ix}) / 2; one eigendecomposition per block when
     x is self-adjoint."""
-    _, cosines = _trig_stack(x.shape, [b[None] for b in x.blocks], "cos", norm_cap)
-    return x._like(tuple(b[0] for b in cosines))
+    (cosines,) = _trig_stack(x.blocks, np.cos, norm_cap=norm_cap)
+    return x._like(cosines)
 
 
 @dataclass(frozen=True)

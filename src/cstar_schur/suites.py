@@ -60,16 +60,17 @@ pass (``Check.trial``). ``novak_check``,
 batch of one. To add a check, write an evaluator, a trial and a table entry
 that names the trial's draws.
 The trig evaluator takes every sine and cosine of a chunk in two ``_sin_cos``
-calls, one ``_trig_stack`` call each; its ``falsify`` form is the outcome of
+calls, one ``_trig_stack`` call for both functions each, and each set of
+residual norms in one ``_norms`` call; its ``falsify`` form is the outcome of
 a ``find_trig_breakdown`` trial.
 
 The Novak suite takes its points as (T, count, k, k) stacks: one oracle call
 and one commutator call per slice of trials (``_COMMUTATOR_PAIRS``) for the
-hypotheses, one ``_trig_stack`` call per set of cosine matrices, and in the
-cosine-Gram check one for sin z and cos z and one for the probes. The hit
-searches run through ``verify._run_trials`` as searches, trial 0 alone
-before the chunks, and end the run at the first trial with a witness; their
-chunks take their streams as rows of the search's windows
+hypotheses, one ``_trig_stack`` call for the cosines alone per set of cosine
+matrices, and in the cosine-Gram check one for cos z and sin z and one for
+the probes. The hit searches run through ``verify._run_trials`` as searches,
+trial 0 alone before the chunks, and end the run at the first trial with a
+witness; their chunks take their streams as rows of the search's windows
 (``verify._Window``); in a suite run, the nonassociativity search's window
 starts out holding the rows of its trial 0, hashed with the other checks'
 first chunks.
@@ -93,6 +94,7 @@ from .algebra import (
     _adjoint,
     _first_of,
     _norm_bound,
+    _norms,
     _spectral_norm,
     _stack,
     _units,
@@ -285,7 +287,7 @@ def _row_sum_bounds(A: AMatrix, tol: float) -> list[tuple]:
 
 def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
     """M o N >= C C* >= (1/n) y y* with M = A A*, N = B B*, C = A o B and y the row
-    sums of C, on each member (A, B) of a batch: (margin, witness, details)."""
+    sums of C, on each member (A, B) of a batch: (margin, witness)."""
     if not A.shape.is_commutative:
         raise DomainError("the Schur chain bound needs a commutative algebra")
     A._require_same(B)
@@ -312,7 +314,7 @@ def _schur_chains(A: AMatrix, B: AMatrix, tol: float) -> list[tuple]:
                 **_matrix_payload(t, a=A, b=B),
                 "psd": {k: v.report().to_json() for k, v in taken.items()},
             }
-        outcomes.append((margin, witness, {}))
+        outcomes.append((margin, witness))
     return outcomes
 
 
@@ -436,17 +438,16 @@ def _require_commuting(shape: AlgebraShape, points, bounds, pairs: list) -> None
             raise DomainError("elements do not commute", pair=group[p], commutator=c)
 
 
-def _cosine_matrices(shape: AlgebraShape, z) -> tuple:
+def _cosine_matrices(z) -> tuple:
     """The blocks of [cos(z_j - z_k)] of each row of points in a stack, given by
     one (..., n, k, k) array per block: from the differences in the upper
     triangle because cos is even, all of them in one ``_trig_stack`` call."""
-    lead, n = z[0].shape[:-3], z[0].shape[-3]
+    n = z[0].shape[-3]
     j, k = np.triu_indices(n)
-    diffs = [(s[..., j, :, :] - s[..., k, :, :]).reshape(-1, *s.shape[-2:]) for s in z]
+    (cosines,) = _trig_stack([s[..., j, :, :] - s[..., k, :, :] for s in z], np.cos)
     out = []
-    for s, c in zip(z, _trig_stack(shape, diffs, "cos")[1]):
-        m = np.empty(lead + (n, n) + s.shape[-2:], dtype=np.complex128)
-        c = c.reshape(lead + (len(j),) + s.shape[-2:])
+    for s, c in zip(z, cosines):
+        m = np.empty(s.shape[:-3] + (n, n) + s.shape[-2:], dtype=np.complex128)
         m[..., j, k, :, :] = c
         m[..., k, j, :, :] = c
         out.append(m)
@@ -459,7 +460,7 @@ def _gram_residuals(A, cos, sin, y) -> np.ndarray:
     summed in order of j: A holds one (T, n, n, k, k) array per block, and
     cos z, sin z and the probe y one (T, n, k, k) array per block each."""
     T, n = y[0].shape[:2]
-    diffs, scales = [], []
+    diffs, forms = [], []
     for a, c, s, v in zip(A, cos, sin, y):
         k = v.shape[-1]
         av = (_flatten_block(a, n, k) @ v.reshape(T, n * k, k)).reshape(v.shape)
@@ -470,9 +471,10 @@ def _gram_residuals(A, cos, sin, y) -> np.ndarray:
             for j in range(n):
                 acc = acc + part[:, j]
             grams.append(acc @ np.ascontiguousarray(_adjoint(acc)))
-        diffs.append(_spectral_norm(q - (grams[0] + grams[1])))
-        scales.append(_spectral_norm(q))
-    return _first_of(diffs, np.greater) / np.fmax(_first_of(scales, np.greater), 1.0)
+        diffs.append(q - (grams[0] + grams[1]))
+        forms.append(q)
+    diff, scale = _norms(diffs, forms)
+    return diff / np.fmax(scale, 1.0)
 
 
 def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
@@ -480,17 +482,14 @@ def _cosine_gram(shape: AlgebraShape, z, tol: float, gens) -> list[tuple]:
     array per block, with the probe of member t drawn from generator t of ``gens``."""
     T, n = z[0].shape[:2]
     _require_commuting_points(shape, z)
-    # sin z_j and cos z_j of every trial in one call
-    trig = _trig_stack(shape, [s.reshape(-1, *s.shape[2:]) for s in z], "cos")
-    sin_z, cos_z = ([v.reshape(s.shape) for v, s in zip(values, z)] for values in trig)
-    A = _cosine_matrices(shape, z)
+    # cos z_j and sin z_j of every trial in one call
+    cos_z, sin_z = _trig_stack(z, np.cos, np.sin)
+    A = _cosine_matrices(z)
     # probe vectors: the all-units vector plus cos(alpha_j z_j) + sin(beta_j z_j),
     # which stay inside the commutative subalgebra the z generate
     (normals,) = _normals(gens, [(2, n)])
     coefs = normals.transpose(0, 2, 1).astype(np.complex128)[..., None, None]
-    scaled = [(coefs * s[:, :, None]).reshape(-1, *s.shape[2:]) for s in z]
-    trig = _trig_stack(shape, scaled, "cos")
-    sines, cosines = ([v.reshape(T, n, 2, *v.shape[1:]) for v in values] for values in trig)
+    cosines, sines = _trig_stack([coefs * s[:, :, None] for s in z], np.cos, np.sin)
     mixed = tuple(c[:, :, 0] + s[:, :, 1] for s, c in zip(sines, cosines))
     residuals = [_gram_residuals(A, cos_z, sin_z, y) for y in (_units(shape, (T, n)), mixed)]
     verdicts = _oracle(AMatrix._wrap(shape, A), tol)
@@ -516,7 +515,7 @@ def _novak(shape: AlgebraShape, points, tol: float) -> tuple[AMatrix, list[tuple
     T, n, d = points[0].shape[:3]
     _require_commuting_points(shape, tuple(b.reshape(T, n * d, *b.shape[3:]) for b in points))
     # the half-angle cosine matrices of every column in one call, column first
-    steps = _cosine_matrices(shape, tuple(complex(0.5) * np.moveaxis(b, 2, 0) for b in points))
+    steps = _cosine_matrices(tuple(complex(0.5) * np.moveaxis(b, 2, 0) for b in points))
     steps = [AMatrix._wrap(shape, tuple(s[l] for s in steps)) for l in range(d)]
     M = steps[0]
     for step in steps[1:]:
@@ -584,8 +583,7 @@ def novak_check(
 
 def _sin_cos(x: Element) -> tuple[Element, Element]:
     """sin and cos of each member of a batch, from one ``_trig_stack`` call."""
-    trig = _trig_stack(x.shape, [b.reshape(-1, *b.shape[-2:]) for b in x.blocks], "sin")
-    return tuple(x._like(tuple(v.reshape(b.shape) for v, b in zip(values, x.blocks))) for values in trig)
+    return tuple(x._like(values) for values in _trig_stack(x.blocks, np.sin, np.cos))
 
 
 def _trig_identities(x: Element, y: Element, tol: float, falsify: bool) -> list[tuple]:
@@ -595,27 +593,28 @@ def _trig_identities(x: Element, y: Element, tol: float, falsify: bool) -> list[
     breakdown search's trial."""
     if x.shape != y.shape:
         raise StructureError("algebra shapes differ")
-    # fmax, like Python's max, never takes a NaN norm
-    scales = np.fmax(np.fmax(x.norm(), 1.0), y.norm())
+    # max(1, ||x||, ||y||); fmax, like Python's max, never takes a NaN norm
+    scales = np.fmax(_norms(x.blocks, y.blocks), 1.0).max(axis=0)
     sines, cosines = _sin_cos(_stack([x, y, -x, x.adjoint()], 1))
     sx, sy, s_neg, s_adj = (sines._at(np.s_[:, i]) for i in range(4))
     cx, cy, c_neg, c_adj = (cosines._at(np.s_[:, i]) for i in range(4))
-    columns = {
-        "sin_odd": (s_neg + sx).norm(),
-        "cos_even": (c_neg - cx).norm(),
-        "sin_adjoint": (sx.adjoint() - s_adj).norm(),
-        "cos_adjoint": (cx.adjoint() - c_adj).norm(),
-        "pythagorean": (sx * sx + cx * cx - identity_element(x.shape)).norm(),
+    residuals = {
+        "sin_odd": s_neg + sx,
+        "cos_even": c_neg - cx,
+        "sin_adjoint": sx.adjoint() - s_adj,
+        "cos_adjoint": cx.adjoint() - c_adj,
+        "pythagorean": sx * sx + cx * cx - identity_element(x.shape),
     }
+    columns = dict(zip(residuals, _norms(*(v.blocks for v in residuals.values()))))
     comms = commutator_norm(x, y)
     added = (comms <= COMMUTING_TOL * scales) | falsify
     sums = iter(())
     if added.any():
         s_sum, c_sum = _sin_cos((x + y)._at(added))
         sx, cx, sy, cy = (v._at(added) for v in (sx, cx, sy, cy))
-        sin_add = (s_sum - (sx * cy + cx * sy)).norm()
-        cos_add = (c_sum - (cx * cy - sx * sy)).norm()
-        sums = zip(sin_add.tolist(), cos_add.tolist())
+        sin_add = s_sum - (sx * cy + cx * sy)
+        cos_add = c_sum - (cx * cy - sx * sy)
+        sums = zip(*_norms(sin_add.blocks, cos_add.blocks).tolist())
     columns = {key: column.tolist() for key, column in columns.items()}
     outcomes = []
     rows = zip(scales.tolist(), comms.tolist(), added.tolist())
@@ -727,8 +726,8 @@ def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
     before the oracle runs, and a settled witness's after it."""
     n = M.n
     ident = identity_matrix(M.shape, n)
-    unitaries = [W @ W.adjoint() - ident for W in (U, V)]
-    defects = [X - W @ diag_matrix(d) @ W.adjoint() for X, W, d in ((M, U, lam), (N, V, mu))]
+    unitaries = [flatten(W @ W.adjoint() - ident) for W in (U, V)]
+    defects = [flatten(X - W @ diag_matrix(d) @ W.adjoint()) for X, W, d in ((M, U, lam), (N, V, mu))]
     sample = [U.entry(0, 0), V.entry(0, 0), lam[0], mu[0]]
     if n > 1:
         sample += [U.entry(0, 1), V.entry(n - 1, 0), lam[n - 1]]
@@ -736,8 +735,7 @@ def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
     pairs = np.array(list(combinations(range(len(sample)), 2)))
     x, y = (points._at(np.s_[:, ends]) for ends in pairs.T)
     commutators = [a @ b - b @ a for a, b in zip(x.blocks, y.blocks)]  # as commutator_norm
-    bounded = [(flatten(R), UNITARY_TOL) for R in unitaries]
-    bounded += [(flatten(D), RECONSTRUCTION_TOL) for D in defects]
+    bounded = [(R, UNITARY_TOL) for R in unitaries] + [(D, RECONSTRUCTION_TOL) for D in defects]
     settled = np.logical_and.reduce(
         [_norm_bound(f) <= limit for flats, limit in bounded for f in flats]
         + [(_norm_bound(c) <= FAMILY_COMMUTING_TOL).all(-1) for c in commutators]
@@ -745,11 +743,11 @@ def _commuting_spectral(M, N, U, V, lam, mu, tol: float) -> list[tuple]:
 
     def exact(rows) -> tuple:
         """The residuals of the members at ``rows``, one row each, and their hypothesis."""
-        unitary = _first_of([mat_norm(R._at(rows)) for R in unitaries], np.greater)
-        # each norm is taken once, after its reconstruction defect, and reused below
-        (defect_m, norm_m), (defect_n, norm_n) = (
-            (mat_norm(D._at(rows)), mat_norm(X._at(rows))) for D, X in zip(defects, (M, N))
-        )
+        # each norm is taken once, M's and N's reused below
+        values = (*unitaries, defects[0], flatten(M), defects[1], flatten(N))
+        norms = _norms(*([f[rows] for f in x] for x in values))
+        unitary = _first_of(list(norms[:2]), np.greater)
+        defect_m, norm_m, defect_n, norm_n = norms[2:]
         # fmax, like Python's max, takes 1.0 over a NaN norm
         recon = _first_of([defect_m / np.fmax(norm_m, 1.0), defect_n / np.fmax(norm_n, 1.0)], np.greater)
         pair_norms = _first_of([_spectral_norm(c[rows]) for c in commutators], np.greater)
@@ -898,7 +896,8 @@ def _trial_trace_form(base, trials, o, streams):
     M, N, _ = _random_pairs(base, trials, streams[:, :2])
     x = _gaussian_stack(base, streams[:, 2], AVector)
     direct, trace_form = schur_quadratic_form_oracle(M, N, x)
-    residuals = (direct - trace_form).norm() / np.fmax(direct.norm(), 1.0)
+    residual, scale = _norms((direct - trace_form).blocks, direct.blocks)
+    residuals = residual / np.fmax(scale, 1.0)
     return [(-r, {"residual": r} if not -r >= -o.tol else None) for r in residuals.tolist()]
 
 
@@ -937,8 +936,7 @@ def _trial_row_sum(base, trials, o, own):
 
 def _trial_chain(base, trials, o, pairs):
     drawn = _gaussian_stack(base, pairs, AMatrix)
-    chains = _schur_chains(drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2]), o.tol)
-    return [(margin, witness) for margin, witness, _ in chains]
+    return _schur_chains(drawn._at(np.s_[0::2]), drawn._at(np.s_[1::2]), o.tol)
 
 
 def _trial_diag(base, trials, o, own):
@@ -1020,9 +1018,10 @@ def _trial_axioms(base, trials, o, streams):
     a = _gaussian_stack(base, streams[:, 2], Element)
     x, y = vectors._at(np.s_[0::2]), vectors._at(np.s_[1::2])
     xy = inner_product(x, y)
-    sym_res = (xy - inner_product(y, x).adjoint()).norm()
-    lin_res = (inner_product(left_mul(a, x), y) - a * xy).norm()
-    scale = np.fmax(a.norm() * xy.norm(), 1.0)
+    sym = xy - inner_product(y, x).adjoint()
+    lin = inner_product(left_mul(a, x), y) - a * xy
+    sym_res, lin_res, a_norm, xy_norm = _norms(sym.blocks, lin.blocks, a.blocks, xy.blocks)
+    scale = np.fmax(a_norm * xy_norm, 1.0)
     xx = inner_product(x, x)
     verdicts = _psd_stack(_one_by_one(xx), o.tol)
     lowest = verdicts.lowest_eigenvalues()

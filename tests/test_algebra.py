@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,17 +14,23 @@ from cstar_schur import (
     StructureError,
     classify,
     commutator_norm,
+    elem_cos,
+    elem_exp,
     elem_sin,
+    flatten,
     hermitian_defect,
     identity_element,
+    mat_norm,
     psd_check,
     random_element,
+    random_matrix,
     random_positive_matrix,
     random_selfadjoint_element,
     random_unit_diagonal_positive,
     scalar_element,
 )
-from cstar_schur.algebra import DEFAULT_TOL
+from cstar_schur import algebra
+from cstar_schur.algebra import DEFAULT_TOL, _norms, _stack
 from cstar_schur.amatrix import _psd_stack
 from conftest import COMMUTATIVE_SHAPES, NONCOMMUTATIVE_SHAPES, comm_element
 
@@ -346,6 +354,76 @@ def test_infinite_hermitian_defect_is_not_selfadjoint(value):
     assert not rep.is_positive and rep.hermitian_defect == np.inf
     # no eigenvalues are listed for a matrix that is not self-adjoint
     assert rep.min_eigenvalue_per_block == () and rep.min_eigenvalue is None
+
+
+def test_an_infinite_entry_raises_numerical_error_not_a_warning():
+    # 0.5 times an infinite entry, when a block is symmetrized, has a NaN part;
+    # numpy's warning about it must not replace the error that reports it
+    shape = AlgebraShape((2, 1))
+    blocks = [np.diag([np.inf, 1.0]), np.ones((1, 1))]
+    a, m = Element(shape, blocks), AMatrix(shape, [b[None, None] for b in blocks])
+    calls = [
+        (lambda: elem_exp(a), "in exp"),
+        (lambda: elem_sin(a), "in sin"),
+        (lambda: elem_cos(a), "in cos"),
+        (lambda: classify(a), "on block 0"),
+        (lambda: psd_check(m), "on block 0"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, where in calls:
+            with pytest.raises(NumericalError) as err:
+                call()
+            assert str(err.value) == f"non-finite entries {where}"
+
+
+def _outcome(call):
+    """What ``call`` returns, or the text of the ``NumericalError`` it raises."""
+    try:
+        return call()
+    except NumericalError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("blocks", [(2, 1), (1, 1), (3,)], ids=str)
+def test_norms_equal_each_values_own_norm(blocks, monkeypatch):
+    # one _spectral_norm call per block for all the values, each member's norm
+    # bit for bit as Element.norm or mat_norm takes it alone: an infinite entry
+    # gives NaN, and a NaN entry raises the first error the norms raise alone
+    # (over 1x1 blocks it gives NaN too)
+    shape = AlgebraShape(blocks)
+    cfgs = [GenConfig(seed=s, shape=shape, n=2) for s in range(4)]
+    x = _stack([random_element(c) for c in cfgs])
+    y = _stack([random_selfadjoint_element(c) for c in cfgs])
+    A = _stack([random_matrix(c) for c in cfgs])
+    calls = []
+    spectral_norm = algebra._spectral_norm
+
+    def counted(mats):
+        calls.append(mats.shape)
+        return spectral_norm(mats)
+
+    monkeypatch.setattr(algebra, "_spectral_norm", counted)
+    for odd in (None, np.inf, np.nan):
+        z = x
+        if odd is not None:
+            planted = x.blocks[0].copy()
+            planted[2, 0, 0] = odd
+            z = x._like((planted,) + x.blocks[1:])
+        values = [y, z, x]
+        want = _outcome(lambda: [v.norm() for v in values])
+        calls.clear()
+        got = _outcome(lambda: list(_norms(*(v.blocks for v in values))))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert len(calls) == len(blocks)
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert np.isfinite(want[1][2]) == (odd is None)
+    got = _norms(flatten(A), flatten(A._at(np.s_[::-1])))
+    assert [g.tobytes() for g in got] == [mat_norm(A).tobytes(), mat_norm(A._at(np.s_[::-1])).tobytes()]
+    # one value with no batch axes: a 0-d norm
+    assert _norms(x._at(0).blocks)[0] == x._at(0).norm()
 
 
 def test_spectral_scale_agrees_with_the_top_singular_value():

@@ -228,8 +228,6 @@ def test_selfadjoint_trig_takes_its_cap_norm_from_the_eigensolve(shape, monkeypa
     assert calls == []
 
 
-# an infinity makes NaNs when a block is symmetrized; numpy warns about them
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_trig_stack_gives_each_member_its_alone_value_and_first_error():
     shape = AlgebraShape((2, 1))
     x = random_selfadjoint_element(GenConfig(seed=5, shape=shape), norm_cap=5.0)
@@ -238,22 +236,79 @@ def test_trig_stack_gives_each_member_its_alone_value_and_first_error():
     # exactly Hermitian, so it joins the stacked solve, which it makes fail
     bad = Element(shape, [np.diag([np.inf, 1.0]), np.ones((1, 1))])
 
-    def trig(members, name):
+    def trig(members, *fns):
         stacks = [np.stack([m.blocks[b] for m in members]) for b in range(2)]
-        return _trig_stack(shape, stacks, name)
+        return _trig_stack(stacks, *fns)
 
-    sines, cosines = trig([x, y, x], "sin")
+    sines, cosines = trig([x, y, x], np.sin, np.cos)
     for i, m in enumerate((x, y, x)):
         for got, want in ((sines, elem_sin(m)), (cosines, elem_cos(m))):
             assert all(g[i].tobytes() == w.tobytes() for g, w in zip(got, want.blocks))
     # after the stacked solve fails each member is solved alone, under the name
+    # of the first function
     with pytest.raises(NumericalError, match="^non-finite entries in sin$"):
-        trig([x, bad, y], "sin")
+        trig([x, bad, y], np.sin, np.cos)
     # and the first member in order that raises alone raises
     with pytest.raises(RangeError):
-        trig([y, big, bad], "sin")
+        trig([y, big, bad], np.sin, np.cos)
     with pytest.raises(NumericalError, match="^non-finite entries in cos$"):
-        trig([bad, big], "cos")
+        trig([bad, big], np.cos, np.sin)
+
+
+@pytest.mark.parametrize("blocks", [(2, 1), (1,)], ids=str)
+def test_trig_stack_takes_only_the_functions_asked_for(blocks):
+    # each function of a member has the bits the call for sin and cos gives it,
+    # asked for alone or in either order and at 0, 1 or 2 batch axes, over
+    # exactly Hermitian members, members that take the exponential formula,
+    # and 1x1 blocks; a stack keeps its batch axes
+    shape = AlgebraShape(blocks)
+    cfgs = [GenConfig(seed=s, shape=shape) for s in range(3)]
+    members = [random_selfadjoint_element(c, norm_cap=5.0) for c in cfgs]
+    members += [random_element(c) for c in cfgs]
+    for batch in ((), (6,), (2, 3)):
+        groups = [[m] for m in members] if batch == () else [members]
+        for group in groups:
+            stacks = [np.stack([m.blocks[b] for m in group]).reshape(batch + (k, k))
+                      for b, k in enumerate(blocks)]
+            sines, cosines = _trig_stack(stacks, np.sin, np.cos)
+            assert [v.shape for v in sines + cosines] == [v.shape for v in stacks * 2]
+            if batch == ():
+                assert [v.tobytes() for v in sines] == [v.tobytes() for v in elem_sin(group[0]).blocks]
+                assert [v.tobytes() for v in cosines] == [v.tobytes() for v in elem_cos(group[0]).blocks]
+            for fns, want in (((np.sin,), (sines,)), ((np.cos,), (cosines,)),
+                              ((np.cos, np.sin), (cosines, sines))):
+                got = _trig_stack(stacks, *fns)
+                assert [[v.tobytes() for v in f] for f in got] == [[v.tobytes() for v in f] for f in want]
+    if blocks == (1,):
+        return
+    # the first function's name labels the eigensolver site
+    bad = [np.diag([np.inf, 1.0])[None], np.ones((1, 1, 1))]
+    for fns in ((np.sin,), (np.cos,), (np.cos, np.sin), (np.sin, np.cos)):
+        with pytest.raises(NumericalError, match=f"^non-finite entries in {fns[0].__name__}$"):
+            _trig_stack(bad, *fns)
+
+
+@pytest.mark.parametrize("shape", [AlgebraShape((2,)), AlgebraShape((2, 1))], ids=str)
+def test_inexact_trig_checks_its_cap_once_and_keeps_the_exponential_bits(shape, monkeypatch):
+    # a member that is not exactly Hermitian takes one norm, for the cap, and
+    # the bits of the formula on elem_exp
+    y = random_element(GenConfig(seed=8, shape=shape))
+    plus, minus = elem_exp(1j * y), elem_exp(-1j * y)
+    svd, calls = np.linalg.svd, []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(args)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for fn, want in ((elem_sin, (plus - minus) * (-0.5j)), (elem_cos, (plus + minus) * 0.5)):
+        calls.clear()
+        got = fn(y)
+        assert len(calls) == 1
+        assert [v.tobytes() for v in got.blocks] == [v.tobytes() for v in want.blocks]
+        with pytest.raises(RangeError) as err:
+            fn(y, norm_cap=0.5)
+        assert str(err.value) == f"||x|| = {y.norm():.3g} exceeds the exp cap 0.5"
 
 
 def test_exp_of_selfadjoint_is_positive(m2_shape):

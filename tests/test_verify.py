@@ -124,7 +124,7 @@ def test_row_sum_bound_never_needs_positive_input(mixed_shape):
 def test_schur_chain_explicit_instance():
     A = scalar_amatrix([[1, 0], [1, 1]])
     B = scalar_amatrix([[1, 1], [0, 1]])
-    margin, witness, _ = suites._schur_chains(A._at(None), B._at(None), DEFAULT_TOL)[0]
+    margin, witness = suites._schur_chains(A._at(None), B._at(None), DEFAULT_TOL)[0]
     assert witness is None and margin >= -DEFAULT_TOL
     # independent oracle with plain numpy
     a, b = as_numpy(A), as_numpy(B)
@@ -190,7 +190,7 @@ def _equality_outcomes(shape, n):
     ident = identity_matrix(shape, n)._at(None)
     outcomes = {"gram_row_sum_bound": suites._row_sum_bounds(ones, DEFAULT_TOL)[0][:2]}
     if shape.is_commutative:
-        outcomes["schur_chain_bound"] = suites._schur_chains(ones, ones, DEFAULT_TOL)[0][:2]
+        outcomes["schur_chain_bound"] = suites._schur_chains(ones, ones, DEFAULT_TOL)[0]
         outcomes["diag_outer_bound"] = suites._diag_bounds(ident, DEFAULT_TOL, positive=True)[0]
         outcomes["unit_diagonal_bound"] = suites._unit_diag_checks(ident, DEFAULT_TOL)[0][:2]
     return outcomes
@@ -1811,8 +1811,9 @@ def test_suite_grid_takes_few_singular_values(monkeypatch):
     # Gram draws were not exactly Hermitian; 492 while the Cholesky oracle
     # took one prelude per instance; 375 calls on 6 529 members while the
     # commuting spectral gates and the norm caps took the norm of every member,
-    # which the row/column-sum bound now settles for most)
-    assert len(calls) <= 282
+    # which the row/column-sum bound now settles for most; 282 while each norm
+    # of a set, such as the trig residuals, took its own call)
+    assert len(calls) <= 179
     assert sum(math.prod(shape[:-2]) for shape in calls) <= 4304
 
 
@@ -1976,9 +1977,9 @@ def _grid_trig_calls(monkeypatch, suite: str) -> list:
     calls = []
     trig_stack = suites._trig_stack
 
-    def counted(shape, stacks, name):
+    def counted(stacks, *fns):
         calls.append(point)
-        return trig_stack(shape, stacks, name)
+        return trig_stack(stacks, *fns)
 
     monkeypatch.setattr(suites, "_trig_stack", counted)
     for point in GRID:
@@ -2005,20 +2006,31 @@ def test_trig_suite_takes_its_sines_and_cosines_once_per_chunk(monkeypatch):
 
 
 def test_suite_grid_eigendecomposes_each_trig_member_once(monkeypatch):
-    members = []
+    from cstar_schur import calculus
+
+    members, formed = [], []
     eigh = np.linalg.eigh
+    spectral_stack = calculus._spectral_stack
 
     def counted(a, *args, **kwargs):
         members.append(math.prod(np.shape(a)[:-2]))
         return eigh(a, *args, **kwargs)
 
+    def counted_functions(stacks, fns, name):
+        formed.append(len(fns) * len(stacks[0]))
+        return spectral_stack(stacks, fns, name)
+
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(calculus, "_spectral_stack", counted_functions)
     for shape, n in GRID:
         run_suites("all", GenConfig(seed=2024, shape=AlgebraShape.parse(shape), n=n), trials=10)
     # sin and cos of a member share one eigendecomposition (1 690 members
     # while each took its own, the cosine-Gram z and the trig suite's x, y,
     # -x, x* and x + y twice over)
     assert sum(members) <= 1300
+    # and V f(w) V* is formed only for the functions read (4 970 while the
+    # cosine matrices took a sine of each difference too)
+    assert sum(formed) <= 3500
 
 
 def test_suite_grid_builds_one_report_per_reported_check(monkeypatch):
